@@ -80,7 +80,9 @@ pub struct TpuAccel {
     /// pool of simulated chips (see [`TpuAccel::with_pool`]);
     /// `device` aliases the pool's primary device and carries
     /// single-lane flights, while the pool's merged timeline is the
-    /// accelerator's clock.
+    /// accelerator's clock. Invariant: `pool.is_some()` implies
+    /// `queue.is_some()` — a pool is only ever installed together with
+    /// a queue ([`TpuAccel::over_pool`]) and a queue is never removed.
     pool: Option<DevicePool>,
 }
 
@@ -267,19 +269,15 @@ impl TpuAccel {
 
     /// Runs `charge` with exclusive device access and returns the
     /// simulated seconds it advanced the wall clock — the atomic
-    /// charge-and-measure step behind every kernel. When pooled, the
-    /// primary device carries the charge and the delta is merged into
-    /// the pool's timeline so the accelerator keeps one clock.
+    /// charge-and-measure step behind every *unqueued* kernel. A
+    /// pooled accelerator always queues, so no pool timeline is
+    /// involved here.
     fn charge_region(&self, charge: impl FnOnce(&mut TpuDevice) -> Result<()>) -> Result<f64> {
-        let dt = self.device.with(|d| {
+        self.device.with(|d| {
             let before = d.wall_seconds();
             charge(d)?;
             Ok(d.wall_seconds() - before)
-        })?;
-        if let Some(pool) = &self.pool {
-            pool.advance_external(dt);
-        }
-        Ok(dt)
+        })
     }
 }
 

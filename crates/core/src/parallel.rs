@@ -140,9 +140,16 @@ pub fn explain_batch_parallel_on(
     })
 }
 
-/// One pair's `grid × grid` map through the accelerator's batched
-/// kernels.
-fn block_contributions_on(
+/// One pair's `grid × grid` block-contribution map through the
+/// accelerator's batched kernels, blocks in row-major order — what
+/// [`explain_batch_on`] computes per pair and the serving layer per
+/// request, so the two are bit-identical.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `grid` is zero or does
+/// not divide both dimensions of `x`; propagates kernel errors.
+pub fn block_contributions_on(
     acc: &dyn Accelerator,
     model: &DistilledModel,
     x: &Matrix<f64>,

@@ -19,6 +19,18 @@ use std::time::Instant;
 pub trait TimeSource: Send + Sync + std::fmt::Debug {
     /// Seconds elapsed since this source's epoch.
     fn now_s(&self) -> f64;
+
+    /// Accounts one kernel attempt that began at `since_s` on this
+    /// clock and charged the accelerator `device_s` simulated seconds;
+    /// returns what the attempt cost on this clock. Real time passed by
+    /// itself, so the default moves nothing and reads the difference.
+    /// A virtual clock overrides this to advance by exactly
+    /// `device_s` — the one place the serving core treats the two
+    /// kinds of time differently.
+    fn charge_attempt(&self, since_s: f64, device_s: f64) -> f64 {
+        let _ = device_s;
+        self.now_s() - since_s
+    }
 }
 
 /// The production [`TimeSource`]: real monotonic wall time.
@@ -91,6 +103,11 @@ impl SimClock {
 impl TimeSource for SimClock {
     fn now_s(&self) -> f64 {
         *self.now_s.lock_recover()
+    }
+
+    fn charge_attempt(&self, _since_s: f64, device_s: f64) -> f64 {
+        self.advance(device_s);
+        device_s
     }
 }
 

@@ -184,19 +184,15 @@ pub fn synth_problem(seed: u64, size: usize) -> Result<(DistilledModel, Matrix<f
 /// service model: every request's `grid²` fused lanes ride one
 /// coalescing-queue flight sharded across `devices` chips.
 pub fn load_accelerator(devices: usize) -> Arc<dyn Accelerator> {
-    Arc::new(TpuAccel::over_pool(
-        DevicePool::new(TpuConfig::small_test(), devices.max(1)),
-        Duration::ZERO,
-        256,
-    ))
+    pooled_accel(devices, None)
 }
 
-/// The concrete flavour of [`load_accelerator`] with the experiment's
-/// fabric installed — kept concrete so `run_load` can reach the pool
-/// for fault-plan installation and counter readback.
-fn pooled_accel(cfg: &LoadConfig) -> Arc<TpuAccel> {
-    let mut pool = DevicePool::new(TpuConfig::small_test(), cfg.devices.max(1));
-    if let Some(topology) = cfg.topology {
+/// [`load_accelerator`] with an optional fabric installed — kept
+/// concrete so `run_load` can reach the pool for fault-plan
+/// installation and counter readback.
+fn pooled_accel(devices: usize, topology: Option<Topology>) -> Arc<TpuAccel> {
+    let mut pool = DevicePool::new(TpuConfig::small_test(), devices.max(1));
+    if let Some(topology) = topology {
         pool = pool.with_topology(topology);
     }
     Arc::new(TpuAccel::over_pool(pool, Duration::ZERO, 256))
@@ -227,7 +223,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     // plan — `capacity_rps` is the *healthy* baseline, so degraded
     // goodput fractions measure real degradation.
     let service_s = {
-        let calib: Arc<dyn Accelerator> = pooled_accel(cfg);
+        let calib: Arc<dyn Accelerator> = pooled_accel(cfg.devices, cfg.topology);
         let mut probe = SimServer::new(calib, model.clone(), 1, cfg.policy);
         probe.submit_at(0.0, job.clone(), f64::INFINITY);
         probe.drain();
@@ -237,7 +233,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     let offered_rps = cfg.oversubscription * capacity_rps;
     let deadline_s = cfg.deadline_factor * service_s;
 
-    let acc = pooled_accel(cfg);
+    let acc = pooled_accel(cfg.devices, cfg.topology);
     if let Some(fault) = cfg.fault {
         let mut plan = FaultPlan::seeded(fault.seed).transient(fault.transient_prob);
         if let Some(chip) = fault.fail_stop_chip {

@@ -1,6 +1,6 @@
 //! The bounded admission queue and its shedding policies.
 
-use crate::request::{ExplainJob, ResponseHandle};
+use crate::request::{ExplainJob, ResponseHandle, ServeError};
 use std::collections::VecDeque;
 
 /// What admission control does with an arrival when the queue is full.
@@ -33,6 +33,9 @@ pub(crate) struct Pending {
 /// simulator single-threaded).
 #[derive(Debug)]
 pub(crate) struct AdmissionQueue {
+    /// The configured bound; the live `capacity` is this scaled by the
+    /// accelerator's healthy fraction at each arrival.
+    base_capacity: usize,
     capacity: usize,
     policy: ShedPolicy,
     entries: VecDeque<Pending>,
@@ -43,6 +46,7 @@ impl AdmissionQueue {
     /// A queue holding at most `capacity` requests (clamped to ≥ 1).
     pub(crate) fn new(capacity: usize, policy: ShedPolicy) -> Self {
         AdmissionQueue {
+            base_capacity: capacity.max(1),
             capacity: capacity.max(1),
             policy,
             entries: VecDeque::new(),
@@ -50,16 +54,39 @@ impl AdmissionQueue {
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Re-sizes the queue (clamped to ≥ 1) — how the server shrinks
-    /// admission when the accelerator's healthy fraction drops.
-    /// Entries already admitted are never evicted by a shrink; the
-    /// tighter bound applies to subsequent offers.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
+    /// The one front door of both servers: a request arriving at
+    /// `now_s` with `deadline_rel_s` seconds to live is admitted, or
+    /// the policy's victim (the arrival or an evicted entry) is resolved
+    /// `Rejected` on the spot. Returns the arrival's handle.
+    ///
+    /// Degraded-mode gate: the bound scales with `healthy_fraction`
+    /// (never below 1), so a fleet that lost chips sheds at the door
+    /// instead of queueing work the survivors cannot absorb. Entries
+    /// already admitted are never evicted by a shrink.
+    pub(crate) fn admit(
+        &mut self,
+        healthy_fraction: f64,
+        job: ExplainJob,
+        now_s: f64,
+        deadline_rel_s: f64,
+    ) -> ResponseHandle {
+        self.capacity = ((self.base_capacity as f64 * healthy_fraction).ceil() as usize).max(1);
+        let handle = ResponseHandle::pending(now_s, now_s + deadline_rel_s);
+        let queue_len = self.entries.len();
+        let arrival = Pending {
+            job,
+            handle: handle.clone(),
+        };
+        if let Some(victim) = self.offer(arrival) {
+            victim.handle.fulfill(
+                Err(ServeError::Rejected {
+                    queue_len,
+                    capacity: self.capacity,
+                }),
+                now_s,
+            );
+        }
+        handle
     }
 
     pub(crate) fn policy(&self) -> ShedPolicy {
@@ -81,9 +108,9 @@ impl AdmissionQueue {
     }
 
     /// Offers `arrival` to the queue. Returns the shed victim — the
-    /// arrival itself, or an evicted entry — whose handle the caller
-    /// must resolve `Rejected`; `None` means a plain admit.
-    pub(crate) fn offer(&mut self, arrival: Pending) -> Option<Pending> {
+    /// arrival itself, or an evicted entry — `None` means a plain
+    /// admit.
+    fn offer(&mut self, arrival: Pending) -> Option<Pending> {
         let victim = if self.entries.len() < self.capacity {
             None
         } else {
@@ -93,17 +120,16 @@ impl AdmissionQueue {
                 ShedPolicy::DeadlineAware => {
                     // Evict the strictly-earliest deadline among the
                     // queued entries; if none beats the arrival, the
-                    // arrival itself is shed.
+                    // arrival itself is shed. Deadlines come from the
+                    // caller, so NaN is possible: under the total order
+                    // it is never "earlier" than the arrival.
                     let arrival_deadline = arrival.handle.deadline_s();
                     let earliest = self
                         .entries
                         .iter()
                         .enumerate()
                         .min_by(|(_, a), (_, b)| {
-                            a.handle
-                                .deadline_s()
-                                .partial_cmp(&b.handle.deadline_s())
-                                .expect("deadlines are never NaN")
+                            a.handle.deadline_s().total_cmp(&b.handle.deadline_s())
                         })
                         .map(|(i, p)| (i, p.handle.deadline_s()));
                     match earliest {
@@ -188,11 +214,11 @@ mod tests {
     #[test]
     fn capacity_clamps_to_one_and_never_overflows() {
         let mut q = AdmissionQueue::new(0, ShedPolicy::RejectNewest);
-        assert_eq!(q.capacity(), 1);
+        assert_eq!(q.capacity, 1);
         assert_eq!(q.policy(), ShedPolicy::RejectNewest);
         for d in 0..10 {
             q.offer(pending(d as f64));
-            assert!(q.len() <= q.capacity());
+            assert!(q.len() <= q.capacity);
         }
         assert_eq!(q.high_water(), 1);
         assert!(!q.is_empty());

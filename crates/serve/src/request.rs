@@ -7,7 +7,8 @@ use xai_sync::{LockClass, OrderedCondvar, OrderedMutex};
 /// happens after every server/queue/device lock has been released.
 static SERVE_RESPONSE: LockClass = LockClass::new("serve::response", 60);
 use xai_accel::Accelerator;
-use xai_core::{contributions_batch_on, DistilledModel, Region};
+use xai_core::parallel::block_contributions_on;
+use xai_core::DistilledModel;
 use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, TensorError};
 
@@ -231,17 +232,18 @@ pub(crate) fn retryable_kernel_error(e: &TensorError) -> bool {
     )
 }
 
-/// Executes one job on the accelerator. Shared by the threaded server
-/// and the deterministic simulator so both serve identical numerics.
+/// Executes one job on the accelerator. A served contribution map is
+/// `xai_core`'s own `block_contributions_on`, so it is bit-identical
+/// to `explain_batch_parallel_on` over the same accelerator model.
 pub(crate) fn run_job(
     acc: &dyn Accelerator,
     model: &DistilledModel,
     job: &ExplainJob,
 ) -> xai_tensor::Result<JobOutput> {
     match job {
-        ExplainJob::Contributions { x, y, grid } => {
-            Ok(JobOutput::Map(block_map(acc, model, x, y, *grid)?))
-        }
+        ExplainJob::Contributions { x, y, grid } => Ok(JobOutput::Map(block_contributions_on(
+            acc, model, x, y, *grid,
+        )?)),
         ExplainJob::RecoverSpectrum {
             y_spec,
             x_spec,
@@ -250,37 +252,6 @@ pub(crate) fn run_job(
             acc.pointwise_div(y_spec, x_spec, *policy)?,
         )),
     }
-}
-
-/// The served flavour of `xai_core`'s block-contribution map: same
-/// region order, same single batched `contributions_batch_on`
-/// submission — so served maps are bit-identical to
-/// `explain_batch_parallel_on` over the same accelerator model.
-fn block_map(
-    acc: &dyn Accelerator,
-    model: &DistilledModel,
-    x: &Matrix<f64>,
-    y: &Matrix<f64>,
-    grid: usize,
-) -> xai_tensor::Result<Matrix<f64>> {
-    let (m, n) = x.shape();
-    if grid == 0 || m % grid != 0 || n % grid != 0 {
-        return Err(TensorError::ShapeMismatch {
-            left: (m, n),
-            right: (grid, grid),
-            op: "block grid must divide input",
-        });
-    }
-    let (bh, bw) = (m / grid, n / grid);
-    let regions: Vec<Region> = (0..grid)
-        .flat_map(|by| (0..grid).map(move |bx| Region::Block(by * bh, bx * bw, bh, bw)))
-        .collect();
-    let scores = contributions_batch_on(acc, model, x, y, &regions)?;
-    let mut out = Matrix::zeros(grid, grid)?;
-    for (i, score) in scores.into_iter().enumerate() {
-        out[(i / grid, i % grid)] = score;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! The threaded serving front door: an mpsc/condvar request loop over
-//! a shared [`Accelerator`].
+//! The threaded serving front door — an mpsc/condvar request loop over
+//! a shared [`Accelerator`] — and the per-request serving core
+//! (`serve_pending`) it shares with [`crate::SimServer`].
 
 use crate::clock::{TimeSource, WallClock};
 use crate::queue::{AdmissionQueue, Pending, ShedPolicy};
-use crate::request::{run_job, ExplainJob, ResponseHandle, ServeError};
+use crate::request::{retryable_kernel_error, run_job, ExplainJob, ResponseHandle, ServeError};
 use std::sync::Arc;
 use xai_sync::{LockClass, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
 
@@ -71,9 +72,6 @@ struct Shared {
     clock: Arc<dyn TimeSource>,
     state: OrderedMutex<State>,
     arrivals: OrderedCondvar,
-    /// Configured admission bound; the live bound is this scaled by
-    /// the accelerator's healthy fraction at each arrival.
-    base_capacity: usize,
     retry_budget: usize,
 }
 
@@ -159,7 +157,6 @@ impl ExplainServer {
                 },
             ),
             arrivals: OrderedCondvar::new(),
-            base_capacity: config.capacity.max(1),
             retry_budget: config.retry_budget,
         });
         let workers = (0..config.workers.max(1))
@@ -180,38 +177,21 @@ impl ExplainServer {
     /// fast error, never a blocked submitter.
     pub fn submit(&self, job: ExplainJob, deadline_s: f64) -> ResponseHandle {
         let now = self.shared.clock.now_s();
-        let handle = ResponseHandle::pending(now, now + deadline_s);
-        let victim = {
+        let handle = {
             let mut st = self.shared.lock();
             if st.stopping.is_some() {
                 drop(st);
+                let handle = ResponseHandle::pending(now, now + deadline_s);
                 handle.fulfill(Err(ServeError::ShuttingDown), now);
                 return handle;
             }
-            // Degraded-mode gate: a pool that quarantined chips
-            // reports a healthy fraction < 1 and the admission bound
-            // shrinks with it (reading the fraction takes fault/
-            // quarantine locks, ranked above serve::state, so the
-            // nesting is lockdep-clean).
-            let effective = (self.shared.base_capacity as f64 * self.shared.acc.healthy_fraction())
-                .ceil() as usize;
-            st.queue.set_capacity(effective);
-            let (queue_len, capacity) = (st.queue.len(), st.queue.capacity());
-            let victim = st.queue.offer(Pending {
-                job,
-                handle: handle.clone(),
-            });
-            victim.map(|v| (v, queue_len, capacity))
+            // Reading the healthy fraction takes fault/quarantine
+            // locks, and resolving a shed victim takes its response
+            // lock: all ranked above serve::state, so the nesting is
+            // lockdep-clean.
+            let healthy = self.shared.acc.healthy_fraction();
+            st.queue.admit(healthy, job, now, deadline_s)
         };
-        if let Some((victim, queue_len, capacity)) = victim {
-            victim.handle.fulfill(
-                Err(ServeError::Rejected {
-                    queue_len,
-                    capacity,
-                }),
-                now,
-            );
-        }
         self.shared.arrivals.notify_one();
         handle
     }
@@ -292,49 +272,71 @@ fn worker_loop(shared: &Shared) {
                 st = shared.arrivals.wait(st);
             }
         };
-        serve_one(shared, pending);
+        serve_pending(
+            &*shared.acc,
+            &shared.model,
+            &*shared.clock,
+            shared.retry_budget,
+            pending,
+        );
     }
 }
 
-fn serve_one(shared: &Shared, pending: Pending) {
+/// Serves one dequeued request to resolution on `clock` — the whole
+/// serving core: the threaded workers call it, and [`crate::SimServer`]
+/// is this function on a [`crate::SimClock`]. Returns the
+/// serving-level retries it took.
+///
+/// A request already dead at dequeue resolves `DeadlineExceeded`
+/// without touching the device. A *transient* kernel failure re-runs
+/// while the budget holds AND a rerun of the observed cost could still
+/// land inside the deadline; a result that lands late is stale, never
+/// `Ok`.
+pub(crate) fn serve_pending(
+    acc: &dyn Accelerator,
+    model: &DistilledModel,
+    clock: &dyn TimeSource,
+    retry_budget: usize,
+    pending: Pending,
+) -> usize {
     let Pending { job, handle } = pending;
-    let start = shared.clock.now_s();
-    if start > handle.deadline_s() {
-        // Dead on dequeue: resolve without touching the device.
+    let deadline_s = handle.deadline_s();
+    let start = clock.now_s();
+    if start > deadline_s {
         handle.fulfill(
             Err(ServeError::DeadlineExceeded {
-                missed_by_s: start - handle.deadline_s(),
+                missed_by_s: start - deadline_s,
             }),
             start,
         );
-        return;
+        return 0;
     }
-    let mut attempts = 0usize;
+    let mut retries = 0usize;
+    let mut attempt_start = start;
     let (result, end) = loop {
-        let attempt_start = shared.clock.now_s();
-        let result = run_job(&*shared.acc, &shared.model, &job);
-        let end = shared.clock.now_s();
+        let charged_before = acc.elapsed_seconds();
+        let result = run_job(acc, model, &job);
+        let attempt_s = clock.charge_attempt(attempt_start, acc.elapsed_seconds() - charged_before);
+        let end = clock.now_s();
         match result {
-            // Transient kernel failures re-run while the budget holds
-            // AND a rerun of the observed cost could still land inside
-            // the deadline; anything else resolves as-is.
             Err(ref e)
-                if crate::request::retryable_kernel_error(e)
-                    && attempts < shared.retry_budget
-                    && end + (end - attempt_start) <= handle.deadline_s() =>
+                if retries < retry_budget
+                    && retryable_kernel_error(e)
+                    && end + attempt_s <= deadline_s =>
             {
-                attempts += 1;
+                retries += 1;
+                attempt_start = end;
             }
             other => break (other, end),
         }
     };
     let resolved = match result {
-        // A result that lands past the deadline is stale, never Ok.
-        Ok(_) if end > handle.deadline_s() => Err(ServeError::DeadlineExceeded {
-            missed_by_s: end - handle.deadline_s(),
+        Ok(_) if end > deadline_s => Err(ServeError::DeadlineExceeded {
+            missed_by_s: end - deadline_s,
         }),
         Ok(out) => Ok(out),
         Err(e) => Err(ServeError::Kernel(e)),
     };
     handle.fulfill(resolved, end);
+    retries
 }

@@ -1,15 +1,18 @@
-//! A deterministic, single-threaded twin of the serving loop.
+//! The serving core, single-threaded, in virtual time.
 //!
-//! [`SimServer`] runs the same admission queue, the same deadline
-//! checks and the same kernels as [`crate::ExplainServer`], but as a
-//! discrete-event simulation on a [`SimClock`]: serving a request
-//! advances the clock by exactly the simulated device time it
-//! charged. Outcomes are therefore a pure function of (seed, config) —
-//! the property the deterministic load-test suite pins.
+//! [`SimServer`] calls the same admission function and the same
+//! per-request serving function as [`crate::ExplainServer`]'s workers,
+//! directly instead of under a lock from threads. Only its clock
+//! differs: a [`SimClock`] advances by exactly the simulated device
+//! time each kernel attempt charged
+//! ([`TimeSource::charge_attempt`]), so outcomes are a pure function
+//! of (seed, config) — the property the deterministic load-test suite
+//! pins.
 
 use crate::clock::{SimClock, TimeSource};
-use crate::queue::{AdmissionQueue, Pending, ShedPolicy};
-use crate::request::{retryable_kernel_error, run_job, ExplainJob, ResponseHandle, ServeError};
+use crate::queue::{AdmissionQueue, ShedPolicy};
+use crate::request::{ExplainJob, ResponseHandle};
+use crate::server::serve_pending;
 use std::sync::Arc;
 use xai_accel::Accelerator;
 use xai_core::DistilledModel;
@@ -21,9 +24,6 @@ pub struct SimServer {
     model: DistilledModel,
     clock: SimClock,
     queue: AdmissionQueue,
-    /// The configured admission bound; the live bound is this scaled
-    /// by the accelerator's healthy fraction at each arrival.
-    base_capacity: usize,
     /// Transient kernel failures re-run at most this many times.
     retry_budget: usize,
     /// Serving-level retries performed (each one re-ran a whole job).
@@ -52,7 +52,6 @@ impl SimServer {
             model,
             clock: SimClock::new(),
             queue: AdmissionQueue::new(capacity, policy),
-            base_capacity: capacity.max(1),
             retry_budget: 0,
             retries: 0,
         }
@@ -115,27 +114,8 @@ impl SimServer {
         deadline_rel_s: f64,
     ) -> ResponseHandle {
         self.clock.set(arrival_s);
-        // Degraded-mode gate: admission shrinks with the fleet. A pool
-        // that lost chips reports a healthy fraction < 1 and the queue
-        // bound scales down with it, so overload is shed at the door
-        // instead of queueing work the survivors cannot absorb.
-        let effective = (self.base_capacity as f64 * self.acc.healthy_fraction()).ceil() as usize;
-        self.queue.set_capacity(effective);
-        let handle = ResponseHandle::pending(arrival_s, arrival_s + deadline_rel_s);
-        let (queue_len, capacity) = (self.queue.len(), self.queue.capacity());
-        if let Some(victim) = self.queue.offer(Pending {
-            job,
-            handle: handle.clone(),
-        }) {
-            victim.handle.fulfill(
-                Err(ServeError::Rejected {
-                    queue_len,
-                    capacity,
-                }),
-                arrival_s,
-            );
-        }
-        handle
+        let healthy = self.acc.healthy_fraction();
+        self.queue.admit(healthy, job, arrival_s, deadline_rel_s)
     }
 
     /// Serves the next queued request **iff** its service would start
@@ -156,50 +136,16 @@ impl SimServer {
     /// `DeadlineExceeded` without touching the device. Returns `false`
     /// when idle.
     pub fn step(&mut self) -> bool {
-        let Some(Pending { job, handle }) = self.queue.pop() else {
+        let Some(pending) = self.queue.pop() else {
             return false;
         };
-        let start = self.now_s();
-        if start > handle.deadline_s() {
-            handle.fulfill(
-                Err(ServeError::DeadlineExceeded {
-                    missed_by_s: start - handle.deadline_s(),
-                }),
-                start,
-            );
-            return true;
-        }
-        let mut attempts = 0usize;
-        let result = loop {
-            let charged_before = self.acc.elapsed_seconds();
-            let result = run_job(&*self.acc, &self.model, &job);
-            let attempt_s = self.acc.elapsed_seconds() - charged_before;
-            self.clock.advance(attempt_s);
-            match result {
-                // A transient failure re-runs only while the budget
-                // holds AND a rerun of the same cost could still land
-                // inside the deadline — a retry that cannot finish in
-                // time is pure waste and resolves the failure instead.
-                Err(ref e)
-                    if retryable_kernel_error(e)
-                        && attempts < self.retry_budget
-                        && self.now_s() + attempt_s <= handle.deadline_s() =>
-                {
-                    attempts += 1;
-                    self.retries += 1;
-                }
-                other => break other,
-            }
-        };
-        let end = self.now_s();
-        let resolved = match result {
-            Ok(_) if end > handle.deadline_s() => Err(ServeError::DeadlineExceeded {
-                missed_by_s: end - handle.deadline_s(),
-            }),
-            Ok(out) => Ok(out),
-            Err(e) => Err(ServeError::Kernel(e)),
-        };
-        handle.fulfill(resolved, end);
+        self.retries += serve_pending(
+            &*self.acc,
+            &self.model,
+            &self.clock,
+            self.retry_budget,
+            pending,
+        ) as u64;
         true
     }
 

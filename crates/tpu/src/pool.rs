@@ -20,6 +20,11 @@
 //! shard. Numeric results are pure functions of the inputs, so a
 //! sharded execution is bit-identical to running the same lanes on
 //! one device.
+//!
+//! Dispatch is one loop ([`DevicePool::run_planned`]): bin the
+//! undelivered lanes, run the shards, keep what arrived, re-plan what
+//! an installed [`FaultPlan`] lost. Without a plan nothing is lost,
+//! so the healthy path is that loop's single-round, zero-retry case.
 
 use crate::config::TpuConfig;
 use crate::device::TpuDevice;
@@ -339,7 +344,7 @@ pub struct DevicePool {
     topology: Topology,
     timeline: OrderedMutex<PoolTimeline>,
     /// Installed fault plan + transient draw counter. `None` (the
-    /// default) keeps dispatch on the exact pre-fault code path.
+    /// default) is the zero-retry case of the one dispatch loop.
     fault: OrderedMutex<FaultState>,
     /// Quarantined chips and the fault/retry/quarantine counters.
     quarantine: OrderedMutex<QuarantineState>,
@@ -437,8 +442,8 @@ impl DevicePool {
     }
 
     /// Removes the fault plan and releases every quarantined chip:
-    /// dispatch returns to the exact pre-fault code path (bit-identical
-    /// timing). Counters are kept — they describe what really
+    /// dispatch injects nothing and retries nothing again (bit-identical
+    /// pre-fault timing). Counters are kept — they describe what really
     /// happened — and clear on [`DevicePool::reset`].
     pub fn clear_fault_plan(&self) {
         self.faults_enabled.store(false, Ordering::Release);
@@ -470,13 +475,7 @@ impl DevicePool {
     pub fn healthy_devices(&self) -> usize {
         match self.fault_plan() {
             None => self.devices.len(),
-            Some(fp) => {
-                let now = self.wall_seconds();
-                let quarantined = self.quarantined_set();
-                (0..self.devices.len())
-                    .filter(|&d| !quarantined[d] && !fp.chip_dead(d, now))
-                    .count()
-            }
+            Some(fp) => self.live_chips(&fp, self.wall_seconds()).len(),
         }
     }
 
@@ -493,18 +492,7 @@ impl DevicePool {
     pub fn healthy_device_indices(&self) -> Vec<usize> {
         match self.fault_plan() {
             None => (0..self.devices.len()).collect(),
-            Some(fp) => {
-                let now = self.wall_seconds();
-                let quarantined = self.quarantined_set();
-                let healthy: Vec<usize> = (0..self.devices.len())
-                    .filter(|&d| !quarantined[d] && !fp.chip_dead(d, now))
-                    .collect();
-                if healthy.is_empty() {
-                    vec![0]
-                } else {
-                    healthy
-                }
-            }
+            Some(fp) => self.retry_targets(&fp, self.wall_seconds()),
         }
     }
 
@@ -534,12 +522,8 @@ impl DevicePool {
     /// pool's fabric. On the default flat crossbar this is exactly
     /// [`TpuConfig::cross_replica_cost_s`] for any `participants ≥ 2`.
     pub fn gather_cost_s(&self, bytes: usize, participants: usize) -> f64 {
-        if self.faults_enabled.load(Ordering::Acquire) {
-            return self
-                .effective_topology()
-                .gather_cost_s(&self.cfg, bytes, participants);
-        }
-        self.topology.gather_cost_s(&self.cfg, bytes, participants)
+        self.effective_topology()
+            .gather_cost_s(&self.cfg, bytes, participants)
     }
 
     /// Number of chips in the pool.
@@ -666,13 +650,27 @@ impl DevicePool {
     /// lock is only held for the final O(1) merge — never across
     /// shard execution.
     ///
+    /// With a [`FaultPlan`] installed the same loop runs further
+    /// rounds: fail-stops and seeded transient faults lose lanes,
+    /// faulted chips are quarantined, and the lost lanes are re-planned
+    /// over the survivors under the plan's retry budget with
+    /// exponential simulated backoff. The flight then contributes
+    /// every round's slowest-shard charge (a faulted shard really ran
+    /// before its results were lost), plus the backoffs, plus one
+    /// gather over the chips holding final results on the
+    /// link-fault-masked fabric. Results are pure functions of the
+    /// lanes, so a retried flight is bit-identical to its fault-free
+    /// run — only the timeline pays.
+    ///
     /// # Errors
     ///
-    /// Returns [`TensorError::WorkerPanicked`] when any shard
-    /// panicked (the pool recovers: devices are unwedged and the next
-    /// execution serves normally), the first shard error in device
-    /// order otherwise, and [`TensorError::DataLength`] when a shard
-    /// returns the wrong number of results. A failed flight merges
+    /// With or without a plan: [`TensorError::WorkerPanicked`] when
+    /// any shard panicked (the pool recovers: devices are unwedged and
+    /// the next execution serves normally), else the first shard error
+    /// in device order, else [`TensorError::DataLength`] when a shard
+    /// returns the wrong number of results, else
+    /// [`TensorError::FaultBudgetExhausted`] when injected faults
+    /// outlast the plan's retry budget. A failed flight merges
     /// **nothing** into the pool timeline — the partial charges of
     /// surviving shards remain on their chips' own clocks only, so
     /// the merged serving clock never bills undelivered work.
@@ -745,194 +743,14 @@ impl DevicePool {
                 seconds: 0.0,
             });
         }
-        // Dispatch forks exactly here: with no fault plan installed
-        // the pool runs its pre-fault path, untouched — bit-identical
-        // timing and results, pinned by property tests. With a plan,
-        // the fault-aware path injects, quarantines and retries.
-        match self.fault_plan() {
-            None => self.run_planned_healthy(plan, gather_bytes, work, &shard),
-            Some(fp) => self.run_planned_faulted(&fp, plan, gather_bytes, work, &shard),
-        }
-    }
-
-    /// The pre-fault execution path, byte-for-byte the pool's original
-    /// dispatch: bin, execute concurrently, merge slowest + gather on
-    /// success only. Validation already ran in
-    /// [`DevicePool::run_planned`].
-    fn run_planned_healthy<W, R>(
-        &self,
-        plan: &ShardPlan,
-        gather_bytes: usize,
-        work: Vec<W>,
-        shard: &(impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R> + Sync),
-    ) -> Result<ShardedRun<R>>
-    where
-        W: Send,
-        R: Send,
-    {
-        // Bin the work per device. `lane_maps[s]` remembers which
-        // lanes shard `s` carries so results reassemble in lane order.
-        let mut slots: Vec<Option<W>> = work.into_iter().map(Some).collect();
-        let total = slots.len();
-        let mut lane_maps: Vec<&[usize]> = Vec::new();
-        let mut shard_work: Vec<(usize, Vec<W>)> = Vec::new();
-        for (d, assigned) in plan.assignments().iter().enumerate() {
-            if assigned.is_empty() {
-                continue;
-            }
-            lane_maps.push(assigned);
-            shard_work.push((
-                d,
-                assigned
-                    .iter()
-                    .map(|&i| slots[i].take().expect("each lane binned exactly once"))
-                    .collect(),
-            ));
-        }
-        let n_shards = shard_work.len();
-
-        let mut outcomes: Vec<Option<std::thread::Result<ShardOutcome<R>>>> =
-            (0..n_shards).map(|_| None).collect();
-        if n_shards == 1 {
-            // One occupied chip: no fan-out threads, no gather.
-            let (d, items) = shard_work.pop().expect("one shard");
-            outcomes[0] = Some(catch_unwind(AssertUnwindSafe(|| {
-                shard(&self.devices[d], items)
-            })));
-        } else {
-            // Shards run on the shared host pool's *blocking* lane:
-            // each holds its chip's lock for the whole shard (and may
-            // contend with concurrent flights), so every shard is
-            // guaranteed a persistent crew thread instead of queueing
-            // behind bounded compute workers.
-            xai_parallel::global().scope_blocking(|scope| {
-                for (slot, (d, items)) in outcomes.iter_mut().zip(shard_work) {
-                    let device = &self.devices[d];
-                    let shard = &shard;
-                    scope.spawn(move || {
-                        // A panicking shard is caught here so the
-                        // scope's implicit join never re-raises: the
-                        // pool reports WorkerPanicked instead of
-                        // tearing down every sibling shard's caller.
-                        *slot = Some(catch_unwind(AssertUnwindSafe(|| shard(device, items))));
-                    });
-                }
-            });
-        }
-
-        let mut per_shard: Vec<Vec<R>> = Vec::with_capacity(n_shards);
-        let mut slowest = 0.0f64;
-        let mut panicked = false;
-        let mut first_err: Option<TensorError> = None;
-        for (outcome, assigned) in outcomes.into_iter().zip(&lane_maps) {
-            match outcome.expect("scope joined every shard") {
-                Ok(Ok((results, seconds))) => {
-                    if results.len() != assigned.len() && first_err.is_none() {
-                        first_err = Some(TensorError::DataLength {
-                            expected: assigned.len(),
-                            actual: results.len(),
-                        });
-                    }
-                    slowest = slowest.max(seconds);
-                    per_shard.push(results);
-                }
-                Ok(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    per_shard.push(Vec::new());
-                }
-                Err(_) => {
-                    panicked = true;
-                    per_shard.push(Vec::new());
-                }
-            }
-        }
-
-        // Only completed flights merge into the serving timeline: a
-        // panicked or errored flight returns nothing to its callers,
-        // so folding its partial-shard charges (or a gather that never
-        // happened) into the merged clock would bill work the flight
-        // did not deliver — and bill it *again* when the caller
-        // retries. The partial charges stay visible on each chip's own
-        // wall clock and energy counters; `reset` clears those too.
-        if panicked {
-            return Err(TensorError::WorkerPanicked {
-                op: "device pool shard",
-            });
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let gather_s = if n_shards > 1 {
-            // Hierarchical on a torus, hop- and pressure-scaled on a
-            // ring, and exactly the seed `cross_replica_cost_s` on
-            // the default flat crossbar.
-            self.gather_cost_s(gather_bytes, n_shards)
-        } else {
-            0.0
-        };
-        let seconds = slowest + gather_s;
-        {
-            let mut timeline = self.lock_timeline();
-            timeline.wall_s += seconds;
-            timeline.gather_s += gather_s;
-            if n_shards > 1 {
-                timeline.sharded_flights += 1;
-            }
-        }
-
-        let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        for (assigned, results) in lane_maps.iter().zip(per_shard) {
-            for (&i, r) in assigned.iter().zip(results) {
-                out[i] = Some(r);
-            }
-        }
-        Ok(ShardedRun {
-            results: out
-                .into_iter()
-                .map(|r| r.expect("every lane produced a result"))
-                .collect(),
-            seconds,
-        })
-    }
-
-    /// The fault-aware execution path: consults the installed
-    /// [`FaultPlan`] at dispatch, injects scheduled fail-stops and
-    /// seeded transient faults, quarantines faulted chips, re-plans
-    /// lost lanes over the healthy survivors and retries them under
-    /// the plan's bounded budget with exponential simulated backoff.
-    ///
-    /// Accounting: the flight's merged contribution is the sum of
-    /// every round's slowest-shard charge (a transiently-faulted
-    /// shard really ran — its chip charged real time before the
-    /// results were lost), plus the simulated backoffs, plus one
-    /// gather over the *distinct contributing* chips (those holding
-    /// final results), priced on the link-fault-masked fabric.
-    /// Numeric results are pure functions of the lanes, so a retried
-    /// flight is bit-identical to its fault-free run — only the
-    /// timeline pays. A flight that fails outright (real shard error,
-    /// panic, or budget exhaustion) merges nothing, exactly like the
-    /// healthy path.
-    fn run_planned_faulted<W, R>(
-        &self,
-        fp: &FaultPlan,
-        plan: &ShardPlan,
-        gather_bytes: usize,
-        work: Vec<W>,
-        shard: &(impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R> + Sync),
-    ) -> Result<ShardedRun<R>>
-    where
-        W: Send + Clone,
-        R: Send,
-    {
+        // One loop serves both cases. With no plan installed nothing
+        // is injected, so round 0 delivers every lane and the flight's
+        // contribution is slowest shard + gather, to the bit.
+        let fp = self.fault_plan();
+        let fp = fp.as_ref();
         let total = work.len();
-        let start_s = self.wall_seconds();
-        self.apply_fault_schedule(fp, start_s);
-
-        // Lanes stay in their slots until a shard delivers them: a
-        // transient fault discards results, so the items must survive
-        // for the retry (hence `W: Clone`).
+        // Only a plan schedules anything against the merged clock.
+        let start_s = fp.map_or(0.0, |_| self.wall_seconds());
         let mut slots: Vec<Option<W>> = work.into_iter().map(Some).collect();
         let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
         let mut contributed = vec![false; self.devices.len()];
@@ -940,100 +758,127 @@ impl DevicePool {
         let mut backoff_s = 0.0f64; // Σ simulated retry backoffs
 
         // Initial placement: the caller's plan, with lanes that landed
-        // on quarantined/dead chips re-planned round-robin onto the
-        // healthy survivors (lane costs are unknown at this level).
+        // on quarantined/dead chips re-planned onto the survivors.
         let mut assignment: Vec<Vec<usize>> = plan.assignments().to_vec();
-        if self.evict_unhealthy(fp, start_s, &mut assignment) {
-            self.with_stats(|s| s.replans += 1);
+        if let Some(fp) = fp {
+            self.apply_fault_schedule(fp, start_s);
+            let live = self.live_chips(fp, start_s);
+            let mut displaced = Vec::new();
+            for (d, assigned) in assignment.iter_mut().enumerate() {
+                if !live.contains(&d) {
+                    displaced.append(assigned);
+                }
+            }
+            if !displaced.is_empty() {
+                self.replan(fp, start_s, displaced, &mut assignment);
+            }
         }
 
         let mut round = 0usize;
         loop {
             let now = start_s + compute_s + backoff_s;
-            // Bin the still-pending lanes; chips dead by schedule fail
-            // their shards with zero charge (they no longer execute).
-            let mut live_devices: Vec<usize> = Vec::new();
-            let mut live_maps: Vec<Vec<usize>> = Vec::new();
+            // A transient fault discards results, so a lane's item is
+            // cloned only while a later round could still need it; the
+            // last (or, with no plan, the only) round moves it out.
+            let retry_possible = fp.is_some_and(|fp| round < fp.retry_budget());
+            // Bin the still-undelivered lanes; chips dead by schedule
+            // fail their shards with zero charge (they no longer
+            // execute).
+            let mut live: Vec<(usize, Vec<usize>)> = Vec::new();
             let mut live_work: Vec<(usize, Vec<W>)> = Vec::new();
-            let mut pending_total = 0usize;
             for (d, assigned) in assignment.iter().enumerate() {
                 let pending: Vec<usize> = assigned
                     .iter()
                     .copied()
-                    .filter(|&i| slots[i].is_some())
+                    .filter(|&i| out[i].is_none())
                     .collect();
                 if pending.is_empty() {
                     continue;
                 }
-                pending_total += pending.len();
-                if fp.chip_dead(d, now) {
+                if fp.is_some_and(|fp| fp.chip_dead(d, now)) {
                     self.quarantine_chip(d, f64::INFINITY, true);
                     continue;
                 }
-                live_work.push((
-                    d,
-                    pending
-                        .iter()
-                        .map(|&i| slots[i].clone().expect("pending lane present"))
-                        .collect(),
-                ));
-                live_devices.push(d);
-                live_maps.push(pending);
-            }
-            if pending_total == 0 {
-                break;
+                let items = pending.iter().map(|&i| {
+                    let item = if retry_possible {
+                        slots[i].clone()
+                    } else {
+                        slots[i].take()
+                    };
+                    item.expect("undelivered lane still holds its item")
+                });
+                live_work.push((d, items.collect()));
+                live.push((d, pending));
             }
 
             // One transient draw per live shard, device-index order.
-            let faults = self.consume_draws(fp, live_work.len());
-            let outcomes = self.execute_shards(live_work, shard);
+            let faults = match fp {
+                Some(fp) => self.consume_draws(fp, live.len()),
+                None => vec![false; live.len()],
+            };
+            let outcomes = self.execute_shards(live_work, &shard);
 
+            // Only completed flights merge into the serving timeline: a
+            // panicked or errored flight returns nothing to its
+            // callers, so folding its partial-shard charges (or a
+            // gather that never happened) into the merged clock would
+            // bill work the flight did not deliver — and bill it
+            // *again* when the caller retries. The partial charges
+            // stay visible on each chip's own wall clock and energy
+            // counters; `reset` clears those too.
             let mut round_slowest = 0.0f64;
-            for (((outcome, pending), &d), &faulted) in outcomes
-                .into_iter()
-                .zip(&live_maps)
-                .zip(&live_devices)
-                .zip(&faults)
-            {
+            let mut panicked = false;
+            let mut shard_err: Option<TensorError> = None;
+            let mut arity_err: Option<TensorError> = None;
+            for ((outcome, (d, pending)), faulted) in outcomes.into_iter().zip(&live).zip(faults) {
                 match outcome {
-                    Err(_) => {
-                        // A real panic is not an injected fault: fail
-                        // the flight and merge nothing, exactly as the
-                        // healthy path would.
-                        return Err(TensorError::WorkerPanicked {
-                            op: "device pool shard",
+                    Err(_) => panicked = true,
+                    Ok(Err(e)) => {
+                        shard_err.get_or_insert(e);
+                    }
+                    Ok(Ok((results, _))) if results.len() != pending.len() => {
+                        arity_err.get_or_insert(TensorError::DataLength {
+                            expected: pending.len(),
+                            actual: results.len(),
                         });
                     }
-                    Ok(Err(e)) => return Err(e),
                     Ok(Ok((results, seconds))) => {
-                        if results.len() != pending.len() {
-                            return Err(TensorError::DataLength {
-                                expected: pending.len(),
-                                actual: results.len(),
-                            });
-                        }
                         round_slowest = round_slowest.max(seconds);
-                        if faulted {
-                            // The chip really ran and charged its own
-                            // clock; the answers were lost in transit.
-                            self.with_stats(|s| s.transient_faults += 1);
-                            self.quarantine_chip(d, now + fp.cooldown_s(), false);
-                        } else {
-                            contributed[d] = true;
-                            for (&i, r) in pending.iter().zip(results) {
-                                out[i] = Some(r);
-                                slots[i] = None;
+                        match fp {
+                            Some(fp) if faulted => {
+                                // The chip really ran and charged its
+                                // own clock; the answers were lost in
+                                // transit.
+                                self.with_stats(|s| s.transient_faults += 1);
+                                self.quarantine_chip(*d, now + fp.cooldown_s(), false);
+                            }
+                            _ => {
+                                contributed[*d] = true;
+                                for (&i, r) in pending.iter().zip(results) {
+                                    out[i] = Some(r);
+                                }
                             }
                         }
                     }
                 }
             }
+            // A real panic is not an injected fault, and neither is a
+            // shard's own error: either fails the flight outright.
+            if panicked {
+                return Err(TensorError::WorkerPanicked {
+                    op: "device pool shard",
+                });
+            }
+            if let Some(e) = shard_err.or(arity_err) {
+                return Err(e);
+            }
             compute_s += round_slowest;
 
-            let lost: Vec<usize> = (0..total).filter(|&i| slots[i].is_some()).collect();
-            if lost.is_empty() {
-                break;
-            }
+            let lost: Vec<usize> = (0..total).filter(|&i| out[i].is_none()).collect();
+            let fp = match fp {
+                Some(fp) if !lost.is_empty() => fp,
+                _ => break,
+            };
             if round >= fp.retry_budget() {
                 self.with_stats(|s| s.budget_exhausted += 1);
                 return Err(TensorError::FaultBudgetExhausted {
@@ -1044,22 +889,21 @@ impl DevicePool {
             round += 1;
             self.with_stats(|s| s.retries += 1);
             backoff_s += fp.backoff_s() * (1u64 << (round - 1).min(62)) as f64;
-            // Re-plan: the lost lanes go round-robin over the healthy
-            // survivors (falling back to the primary when none are
-            // left — those attempts then fail until the budget types
-            // out, never panicking).
-            let targets = self.retry_targets(fp, start_s + compute_s + backoff_s);
-            assignment = vec![Vec::new(); self.devices.len()];
-            for (j, &i) in lost.iter().enumerate() {
-                assignment[targets[j % targets.len()]].push(i);
-            }
-            self.with_stats(|s| s.replans += 1);
+            assignment.iter_mut().for_each(Vec::clear);
+            self.replan(fp, start_s + compute_s + backoff_s, lost, &mut assignment);
         }
 
+        // One gather over the chips holding final results: hierarchical
+        // on a torus, hop- and pressure-scaled on a ring, exactly the
+        // seed `cross_replica_cost_s` on the default flat crossbar, and
+        // priced on the link-fault-masked fabric under a plan.
         let distinct = contributed.iter().filter(|&&c| c).count();
         let gather_s = if distinct > 1 {
-            fp.mask_topology(self.topology, start_s + compute_s + backoff_s)
-                .gather_cost_s(&self.cfg, gather_bytes, distinct)
+            let fabric = match fp {
+                Some(fp) => fp.mask_topology(self.topology, start_s + compute_s + backoff_s),
+                None => self.topology,
+            };
+            fabric.gather_cost_s(&self.cfg, gather_bytes, distinct)
         } else {
             0.0
         };
@@ -1081,9 +925,16 @@ impl DevicePool {
         })
     }
 
-    /// Runs the binned shards concurrently (one crew thread per
-    /// occupied chip; a single shard runs inline) and returns the
-    /// caught outcomes in bin order.
+    /// Runs the binned shards concurrently and returns the caught
+    /// outcomes in bin order — the only place shards are spawned. A
+    /// single shard runs inline (no fan-out threads); several run on
+    /// the shared host pool's *blocking* lane: each holds its chip's
+    /// lock for the whole shard (and may contend with concurrent
+    /// flights), so every shard is guaranteed a persistent crew thread
+    /// instead of queueing behind bounded compute workers. A panicking
+    /// shard is caught here so the scope's implicit join never
+    /// re-raises: the pool reports `WorkerPanicked` instead of tearing
+    /// down every sibling shard's caller.
     fn execute_shards<W, R>(
         &self,
         mut shard_work: Vec<(usize, Vec<W>)>,
@@ -1181,51 +1032,36 @@ impl DevicePool {
         }
     }
 
-    /// Chips a retry may target at `now_s`: not quarantined, not dead.
-    /// Falls back to the primary so the retry loop always has
-    /// somewhere to place lanes.
+    /// Chips able to take shards at `now_s`: not quarantined and not
+    /// past a scheduled fail-stop.
+    fn live_chips(&self, fp: &FaultPlan, now_s: f64) -> Vec<usize> {
+        let guard = self.quarantine.lock_recover();
+        (0..self.devices.len())
+            .filter(|&d| !guard.entries.iter().any(|e| e.chip == d) && !fp.chip_dead(d, now_s))
+            .collect()
+    }
+
+    /// Chips a retry may target at `now_s`: the live ones, falling
+    /// back to the primary so there is always somewhere to place lanes
+    /// (those attempts then fail until the budget types out, never
+    /// panicking).
     fn retry_targets(&self, fp: &FaultPlan, now_s: f64) -> Vec<usize> {
-        let quarantined = self.quarantined_set();
-        let targets: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| !quarantined[d] && !fp.chip_dead(d, now_s))
-            .collect();
-        if targets.is_empty() {
+        let live = self.live_chips(fp, now_s);
+        if live.is_empty() {
             vec![0]
         } else {
-            targets
+            live
         }
     }
 
-    /// Moves lanes assigned to quarantined or dead chips round-robin
-    /// onto the healthy survivors; reports whether anything moved.
-    fn evict_unhealthy(&self, fp: &FaultPlan, now_s: f64, assignment: &mut [Vec<usize>]) -> bool {
-        let quarantined = self.quarantined_set();
-        let mut displaced: Vec<usize> = Vec::new();
-        for (d, assigned) in assignment.iter_mut().enumerate() {
-            if (quarantined[d] || fp.chip_dead(d, now_s)) && !assigned.is_empty() {
-                displaced.append(assigned);
-            }
-        }
-        if displaced.is_empty() {
-            return false;
-        }
+    /// Re-plans `lanes` round-robin over the chips a retry may target
+    /// at `now_s` (lane costs are unknown at this level).
+    fn replan(&self, fp: &FaultPlan, now_s: f64, lanes: Vec<usize>, assignment: &mut [Vec<usize>]) {
         let targets = self.retry_targets(fp, now_s);
-        for (j, i) in displaced.into_iter().enumerate() {
+        for (j, i) in lanes.into_iter().enumerate() {
             assignment[targets[j % targets.len()]].push(i);
         }
-        true
-    }
-
-    /// Per-device quarantine flags.
-    fn quarantined_set(&self) -> Vec<bool> {
-        let guard = self.quarantine.lock_recover();
-        let mut set = vec![false; self.devices.len()];
-        for e in &guard.entries {
-            if e.chip < set.len() {
-                set[e.chip] = true;
-            }
-        }
-        set
+        self.with_stats(|s| s.replans += 1);
     }
 
     /// Applies `f` to the fault counters under the quarantine lock.
@@ -1257,6 +1093,7 @@ impl DevicePool {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use std::sync::atomic::AtomicUsize;
     use xai_tensor::Matrix;
 
     fn lane(compute: f64) -> LaneCost {
@@ -1552,6 +1389,98 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TensorError::DataLength { .. }));
         assert_eq!(pool.wall_seconds(), 0.0);
+    }
+
+    /// One error precedence for pooled flights, with or without a
+    /// fault plan: a panic anywhere wins, else the first shard error
+    /// in device order, else wrong arity — and a failed flight merges
+    /// nothing. Lane 0 rides chip 0 and lane 1 chip 1 (round-robin).
+    #[test]
+    fn failed_flights_resolve_one_error_with_or_without_a_plan() {
+        #[derive(Clone, Copy)]
+        enum Misbehave {
+            No,
+            Panic,
+            Error,
+            Arity,
+        }
+        use Misbehave::*;
+        let panicked = TensorError::WorkerPanicked {
+            op: "device pool shard",
+        };
+        let arity = TensorError::DataLength {
+            expected: 1,
+            actual: 0,
+        };
+        let rows = [
+            ([Panic, No], panicked.clone()),
+            ([Error, No], TensorError::EmptyDimension),
+            ([Arity, No], arity),
+            ([Error, Panic], panicked),
+            ([Arity, Error], TensorError::EmptyDimension),
+        ];
+        for (row, (per_chip, expect)) in rows.into_iter().enumerate() {
+            let plain = DevicePool::new(TpuConfig::small_test(), 2);
+            let planned = DevicePool::new(TpuConfig::small_test(), 2)
+                .with_fault_plan(FaultPlan::seeded(row as u64));
+            for (pool, label) in [(plain, "no plan"), (planned, "empty plan")] {
+                let pool = pool.with_strategy(ShardStrategy::RoundRobin);
+                let err = pool
+                    .run_sharded(
+                        vec![0usize, 1],
+                        |_| lane(1.0),
+                        |_, items| match per_chip[items[0]] {
+                            No => Ok((items, 1.5)),
+                            Panic => panic!("chip firmware crash"),
+                            Error => Err(TensorError::EmptyDimension),
+                            Arity => Ok((Vec::new(), 1.5)),
+                        },
+                    )
+                    .unwrap_err();
+                assert_eq!(err, expect, "row {row}, {label}");
+                assert_eq!(pool.wall_seconds(), 0.0, "row {row}, {label}");
+            }
+        }
+    }
+
+    /// Plan-less dispatch moves every lane's item into its shard; an
+    /// item is cloned only to survive a possible retry.
+    #[test]
+    fn lanes_are_cloned_only_when_a_retry_could_need_them() {
+        struct Counted<'a>(u64, &'a AtomicUsize);
+        impl Clone for Counted<'_> {
+            fn clone(&self) -> Self {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0, self.1)
+            }
+        }
+        let run = |pool: &DevicePool, clones: &AtomicUsize| {
+            let run = pool
+                .run_sharded(
+                    (0..4).map(|v| Counted(v, clones)).collect(),
+                    |_| lane(1.0),
+                    |_, items| uncharged(items.into_iter().map(|c| c.0).collect()),
+                )
+                .unwrap();
+            assert_eq!(run.results, vec![0, 1, 2, 3]);
+        };
+        let clones = AtomicUsize::new(0);
+        run(&DevicePool::new(TpuConfig::small_test(), 2), &clones);
+        assert_eq!(clones.load(Ordering::Relaxed), 0, "no plan, no clone");
+        let no_retries = FaultPlan::seeded(7).with_retry_budget(0);
+        run(
+            &DevicePool::new(TpuConfig::small_test(), 2).with_fault_plan(no_retries),
+            &clones,
+        );
+        assert_eq!(clones.load(Ordering::Relaxed), 0, "no budget, no clone");
+        let faulted = DevicePool::new(TpuConfig::small_test(), 2)
+            .with_fault_plan(FaultPlan::seeded(7).transient_draw(0));
+        run(&faulted, &clones);
+        assert_eq!(faulted.fault_stats().retries, 1);
+        assert!(
+            clones.load(Ordering::Relaxed) > 0,
+            "the retry re-ran clones"
+        );
     }
 
     #[test]

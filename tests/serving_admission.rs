@@ -7,13 +7,15 @@
 //! rejects every in-flight handle.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use tpu_xai::accel::{Accelerator, KernelStats};
 use tpu_xai::serve::{
     load_accelerator, synth_problem, DrainMode, ExplainJob, ExplainServer, Outcome, ServeConfig,
-    ShedPolicy,
+    ShedPolicy, SimServer,
 };
 use tpu_xai::tensor::ops::DivPolicy;
-use tpu_xai::tensor::{Complex64, Matrix};
+use tpu_xai::tensor::{Complex64, Matrix, Result};
 
 fn div_job(lane: usize) -> ExplainJob {
     ExplainJob::RecoverSpectrum {
@@ -114,4 +116,109 @@ proptest! {
             );
         }
     }
+}
+
+/// An accelerator whose first `pointwise_div` parks its caller between
+/// two rendezvous, so a test can hold the server's only worker inside a
+/// kernel while it fills the queue behind it. Serves nothing else.
+struct Gated {
+    armed: AtomicBool,
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl Accelerator for Gated {
+    fn name(&self) -> String {
+        "gated".to_string()
+    }
+    fn pointwise_div(
+        &self,
+        a: &Matrix<Complex64>,
+        _: &Matrix<Complex64>,
+        _: DivPolicy,
+    ) -> Result<Matrix<Complex64>> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
+        Ok(a.clone())
+    }
+    fn matmul(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> {
+        unreachable!("div jobs only")
+    }
+    fn fft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        unreachable!("div jobs only")
+    }
+    fn ifft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        unreachable!("div jobs only")
+    }
+    fn hadamard(&self, _: &Matrix<Complex64>, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        unreachable!("div jobs only")
+    }
+    fn sub(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> {
+        unreachable!("div jobs only")
+    }
+    fn charge_workload(&self, _: f64, _: f64) {}
+    fn elapsed_seconds(&self) -> f64 {
+        0.0
+    }
+    fn stats(&self) -> KernelStats {
+        KernelStats::default()
+    }
+    fn reset(&self) {}
+}
+
+/// Deadlines come from the caller, so a NaN must not panic the
+/// submitter when `DeadlineAware` compares deadlines on a full queue
+/// (on the threaded server that panic would fire while holding the
+/// state lock). NaN never counts as the earliest deadline: the arrival
+/// that finds the queue full is shed, and everything admitted resolves.
+#[test]
+fn nan_deadline_sheds_instead_of_panicking_through_both_front_doors() {
+    let (model, _, _) = synth_problem(9, 8).unwrap();
+
+    let mut sim = SimServer::new(
+        load_accelerator(1),
+        model.clone(),
+        2,
+        ShedPolicy::DeadlineAware,
+    );
+    let queued = [
+        sim.submit_at(0.0, div_job(0), f64::NAN),
+        sim.submit_at(0.0, div_job(1), 10.0),
+    ];
+    let overflow = sim.submit_at(0.0, div_job(2), 5.0);
+    assert_eq!(overflow.outcome(), Some(Outcome::Shed));
+    sim.drain();
+    assert!(queued.iter().all(|h| h.is_resolved()));
+
+    let gate = Arc::new(Gated {
+        armed: AtomicBool::new(true),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let server = ExplainServer::new(
+        Arc::<Gated>::clone(&gate),
+        model,
+        ServeConfig {
+            capacity: 2,
+            policy: ShedPolicy::DeadlineAware,
+            workers: 1,
+            retry_budget: 0,
+        },
+    );
+    // The only worker is parked inside the first request's kernel, so
+    // nothing dequeues while the next three arrive.
+    let blocker = server.submit(div_job(0), 3600.0);
+    gate.entered.wait();
+    let queued = [
+        server.submit(div_job(1), f64::NAN),
+        server.submit(div_job(2), 3600.0),
+    ];
+    let overflow = server.submit(div_job(3), 1800.0);
+    gate.release.wait();
+    server.shutdown(DrainMode::Drain);
+    assert_eq!(overflow.outcome(), Some(Outcome::Shed));
+    assert_eq!(blocker.outcome(), Some(Outcome::Completed));
+    assert!(queued.iter().all(|h| h.is_resolved()));
 }

@@ -6,19 +6,20 @@
 //! same virtual instants ⇒ bit-identical reports. The suite covers
 //! all three shed policies over 2/4/16-chip pools, pins that
 //! transient-retryable fault plans never change served numerics, that
-//! budget exhaustion fails exactly the owning request, and that
-//! quarantined chips re-admit through the serving path.
+//! budget exhaustion fails exactly the owning request, that
+//! quarantined chips re-admit through the serving path, and that the
+//! threaded server on a `SimClock` is the simulator, bit for bit.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use tpu_xai::accel::{Accelerator, TpuAccel};
 use tpu_xai::serve::{
-    run_load, synth_problem, ExplainJob, JobOutput, LoadConfig, LoadFault, Outcome, ServeError,
-    ShedPolicy, SimServer,
+    run_load, synth_problem, DrainMode, ExplainJob, ExplainServer, JobOutput, LoadConfig,
+    LoadFault, Outcome, ResponseHandle, ServeConfig, ServeError, ShedPolicy, SimClock, SimServer,
 };
 use tpu_xai::tensor::{Matrix, TensorError};
-use tpu_xai::tpu::{DevicePool, FaultPlan, TpuConfig};
+use tpu_xai::tpu::{DevicePool, FaultPlan, FaultStats, TpuConfig};
 
 fn pooled(devices: usize) -> Arc<TpuAccel> {
     Arc::new(TpuAccel::over_pool(
@@ -334,4 +335,104 @@ fn fail_stop_shrinks_admission_capacity() {
         .filter(|h| h.outcome() == Some(Outcome::Completed))
         .count();
     assert_eq!(completed, 4, "the survivors serve everything admitted");
+}
+
+/// The differential that licenses sharing one serving core: a
+/// closed-loop script (one outstanding request; born-dead, tight and
+/// loose deadlines; seeded transient faults that sometimes outlast the
+/// pool's shard-retry budget; serving retry budget 2) driven once
+/// through `SimServer` and once through a one-worker `ExplainServer` on
+/// a `SimClock` resolves every request to the same outcome at the same
+/// virtual instant, leaves the same fault counters and charges the
+/// same simulated seconds — all to the bit.
+#[test]
+fn threaded_server_on_a_sim_clock_matches_the_simulator_bit_for_bit() {
+    const REQUESTS: usize = 40;
+    const RETRY_BUDGET: usize = 2;
+    type Trace = (Vec<(Outcome, u64)>, FaultStats, u64);
+
+    let (model, x, y) = synth_problem(11, 8).unwrap();
+    // Fault-free service time of one request, to scale the deadlines.
+    let service_s = {
+        let acc = pooled(4);
+        let mut sim = SimServer::new(acc, model.clone(), 4, ShedPolicy::RejectNewest);
+        sim.submit_at(0.0, contributions(&x, &y, 2), f64::INFINITY);
+        sim.drain();
+        sim.now_s()
+    };
+    let deadline_rel_s = |i: usize| service_s * [100.0, 1.02, -1.0, 3.5, 0.7, 100.0, 2.2][i % 7];
+    let faulty = |seed: u64| {
+        let acc = pooled(4);
+        acc.pool()
+            .unwrap()
+            .install_fault_plan(FaultPlan::seeded(seed).transient(0.45).with_retry_budget(1));
+        acc
+    };
+    let trace = |handles: &[ResponseHandle], acc: &TpuAccel| -> Trace {
+        let resolved = handles
+            .iter()
+            .map(|h| (h.outcome().unwrap(), h.latency_s().unwrap().to_bits()))
+            .collect();
+        let stats = acc.pool().unwrap().fault_stats();
+        (resolved, stats, acc.elapsed_seconds().to_bits())
+    };
+
+    let mut serving_retries = 0;
+    let mut outcomes_seen = Vec::new();
+    for seed in [5u64, 23, 61] {
+        let simulated = {
+            let acc = faulty(seed);
+            let mut sim = SimServer::new(
+                Arc::<TpuAccel>::clone(&acc),
+                model.clone(),
+                4,
+                ShedPolicy::RejectNewest,
+            )
+            .with_retry_budget(RETRY_BUDGET);
+            let handles: Vec<_> = (0..REQUESTS)
+                .map(|i| {
+                    let now = sim.now_s();
+                    let h = sim.submit_at(now, contributions(&x, &y, 2), deadline_rel_s(i));
+                    sim.step();
+                    h
+                })
+                .collect();
+            serving_retries += sim.retries();
+            trace(&handles, &acc)
+        };
+        let threaded = {
+            let acc = faulty(seed);
+            let server = ExplainServer::with_clock(
+                Arc::<TpuAccel>::clone(&acc),
+                model.clone(),
+                ServeConfig {
+                    capacity: 4,
+                    policy: ShedPolicy::RejectNewest,
+                    workers: 1,
+                    retry_budget: RETRY_BUDGET,
+                },
+                Arc::new(SimClock::new()),
+            );
+            let handles: Vec<_> = (0..REQUESTS)
+                .map(|i| {
+                    let h = server.submit(contributions(&x, &y, 2), deadline_rel_s(i));
+                    let _ = h.wait();
+                    h
+                })
+                .collect();
+            server.shutdown(DrainMode::Drain);
+            trace(&handles, &acc)
+        };
+        assert_eq!(simulated, threaded, "seed {seed}");
+        outcomes_seen.extend(simulated.0.iter().map(|&(outcome, _)| outcome));
+    }
+    // The script must actually walk every branch of the shared core.
+    assert!(serving_retries > 0, "no request was retried by the server");
+    for outcome in [
+        Outcome::Completed,
+        Outcome::DeadlineExceeded,
+        Outcome::Failed,
+    ] {
+        assert!(outcomes_seen.contains(&outcome), "no request {outcome:?}");
+    }
 }
