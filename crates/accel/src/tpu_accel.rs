@@ -552,12 +552,18 @@ fn matmul_numerics(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
     qa.matmul_dequant(&qb)
 }
 
-fn charge_sharded_elementwise(d: &mut TpuDevice, label: &'static str, elems: usize) -> Result<()> {
+/// Charges one elementwise kernel of `elems` elements split evenly
+/// across the device's vector units.
+fn charge_sharded_elementwise(d: &mut TpuDevice, elems: usize) -> Result<()> {
     let p = d.num_cores().min(elems.max(1));
-    let per = elems.div_ceil(p) as u64;
-    let work: Vec<u64> = (0..p).map(|_| per).collect();
-    d.run_phase(work, |core, e| {
-        core.charge_elementwise_work(label, e);
+    charge_per_lane_elementwise(d, elems.div_ceil(p), p)
+}
+
+/// Charges one phase of `count` elementwise lanes of `elems` elements
+/// each, one whole lane per core (round-robin past the core count).
+fn charge_per_lane_elementwise(d: &mut TpuDevice, elems: usize, count: usize) -> Result<()> {
+    d.run_phase(vec![elems as u64; count], |core, e| {
+        core.charge_elementwise_work(e);
         Ok(())
     })?;
     Ok(())
@@ -589,8 +595,8 @@ fn charge_rowsharded_matmul(d: &mut TpuDevice, m: usize, k: usize, n: usize) -> 
 struct ShardCharges {
     /// Transform lanes' shapes, in lane order.
     transforms: Vec<(usize, usize)>,
-    /// Total elements per elementwise kernel label, in first-seen
-    /// order.
+    /// Total elements per elementwise kernel kind, in first-seen
+    /// order: each kind is charged as its own phase.
     elementwise: Vec<(&'static str, usize)>,
     /// Matmul lanes' `(m, k, n)`, in lane order.
     matmuls: Vec<(usize, usize, usize)>,
@@ -603,20 +609,20 @@ struct ShardCharges {
 /// Summarises a shard's lanes for [`charge_kernel_shard`].
 fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardCharges {
     let mut charges = ShardCharges::default();
-    let bump = |charges: &mut ShardCharges, label: &'static str, elems: usize| match charges
+    let bump = |charges: &mut ShardCharges, kind: &'static str, elems: usize| match charges
         .elementwise
         .iter_mut()
-        .find(|(l, _)| *l == label)
+        .find(|(k, _)| *k == kind)
     {
         Some((_, total)) => *total += elems,
-        None => charges.elementwise.push((label, elems)),
+        None => charges.elementwise.push((kind, elems)),
     };
     for job in jobs {
         match job {
             KernelJob::Transform { x, .. } => charges.transforms.push(x.shape()),
-            KernelJob::Hadamard { a, .. } => bump(&mut charges, "hadamard", a.len()),
-            KernelJob::PointwiseDiv { a, .. } => bump(&mut charges, "pointwise-div", a.len()),
-            KernelJob::Sub { a, .. } => bump(&mut charges, "sub", a.len()),
+            KernelJob::Hadamard { a, .. } => bump(&mut charges, job.kind(), a.len()),
+            KernelJob::PointwiseDiv { a, .. } => bump(&mut charges, job.kind(), a.len()),
+            KernelJob::Sub { a, .. } => bump(&mut charges, job.kind(), a.len()),
             KernelJob::Matmul { a, b } => charges.matmuls.push((a.rows(), a.cols(), b.cols())),
             KernelJob::FilterDiff { x, .. } => charges.fused.push(x.shape()),
         }
@@ -628,7 +634,7 @@ fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardChar
 /// shard's transform lanes pay [`charge_transform_shard`] (one phase,
 /// a whole transform per core lane, one collective per stage), its
 /// elementwise lanes pay [`charge_sharded_elementwise`] per kernel
-/// label (elements split across the vector units), and each matmul
+/// kind (elements split across the vector units), and each matmul
 /// lane pays the row-sharded MXU schedule
 /// ([`charge_rowsharded_matmul`]). Simulated time is a sum, so the
 /// per-kind order is immaterial; every sub-charge is the same cost
@@ -637,8 +643,8 @@ fn charge_kernel_shard(d: &mut TpuDevice, charges: &ShardCharges) -> Result<()> 
     if !charges.transforms.is_empty() {
         charge_transform_shard(d, &charges.transforms)?;
     }
-    for &(label, elems) in &charges.elementwise {
-        charge_sharded_elementwise(d, label, elems)?;
+    for &(_, elems) in &charges.elementwise {
+        charge_sharded_elementwise(d, elems)?;
     }
     for &(m, k, n) in &charges.matmuls {
         charge_rowsharded_matmul(d, m, k, n)?;
@@ -651,9 +657,9 @@ fn charge_kernel_shard(d: &mut TpuDevice, charges: &ShardCharges) -> Result<()> 
         // the inter-chip gather instead of all four stage results.
         let elems: usize = charges.fused.iter().map(|&(m, n)| m * n).sum();
         charge_transform_shard(d, &charges.fused)?;
-        charge_sharded_elementwise(d, "hadamard", elems)?;
+        charge_sharded_elementwise(d, elems)?;
         charge_transform_shard(d, &charges.fused)?;
-        charge_sharded_elementwise(d, "sub", elems)?;
+        charge_sharded_elementwise(d, elems)?;
     }
     Ok(())
 }
@@ -975,7 +981,7 @@ impl Accelerator for TpuAccel {
             return Ok(out.into_complex());
         }
         let out = ops::hadamard(a, b)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, "hadamard", a.len()))?;
+        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
         self.stats
             .record(dt, 6.0 * a.len() as f64, 48.0 * a.len() as f64);
         Ok(out)
@@ -996,7 +1002,7 @@ impl Accelerator for TpuAccel {
             return Ok(out.into_complex());
         }
         let out = ops::pointwise_div(a, b, policy)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, "pointwise-div", a.len()))?;
+        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
         self.stats
             .record(dt, 10.0 * a.len() as f64, 48.0 * a.len() as f64);
         Ok(out)
@@ -1011,7 +1017,7 @@ impl Accelerator for TpuAccel {
             return Ok(out.into_real());
         }
         let out = ops::sub(a, b)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, "sub", a.len()))?;
+        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
         self.stats.record(dt, a.len() as f64, 24.0 * a.len() as f64);
         Ok(out)
     }
@@ -1074,14 +1080,7 @@ impl Accelerator for TpuAccel {
         if let Some(first) = xs.first() {
             let elems = first.len();
             let count = xs.len();
-            let dt = self.charge_region(|d| {
-                let work: Vec<u64> = vec![elems as u64; count];
-                d.run_phase(work, |core, e| {
-                    core.charge_elementwise_work("hadamard-batch", e);
-                    Ok(())
-                })?;
-                Ok(())
-            })?;
+            let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
             self.stats.record(
                 dt,
                 6.0 * (elems * count) as f64,
@@ -1110,14 +1109,7 @@ impl Accelerator for TpuAccel {
         if !preds.is_empty() {
             let elems = y.len();
             let count = preds.len();
-            let dt = self.charge_region(|d| {
-                let work: Vec<u64> = vec![elems as u64; count];
-                d.run_phase(work, |core, e| {
-                    core.charge_elementwise_work("sub-batch", e);
-                    Ok(())
-                })?;
-                Ok(())
-            })?;
+            let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
             self.stats
                 .record(dt, (elems * count) as f64, 24.0 * (elems * count) as f64);
         }

@@ -10,7 +10,7 @@
 use crate::config::{Precision, TpuConfig};
 use crate::memory::MemoryModel;
 use crate::systolic::{weight_load_cycles, SystolicArray};
-use crate::trace::{Event, OpKind, Trace};
+use crate::trace::{OpKind, Trace};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
@@ -48,7 +48,8 @@ pub struct TpuCore {
     cfg: TpuConfig,
     array: SystolicArray,
     memory: MemoryModel,
-    trace: Trace,
+    /// `pub(crate)` so the device can attribute a collective to core 0.
+    pub(crate) trace: Trace,
     cycles: u64,
     energy_pj: f64,
 }
@@ -99,7 +100,7 @@ impl TpuCore {
         self.energy_pj
     }
 
-    /// The event log.
+    /// Per-kind totals of everything this core was charged.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -118,7 +119,7 @@ impl TpuCore {
             return 0.0;
         }
         let peak = self.cycles as f64 * self.cfg.macs_per_cycle();
-        (self.trace.total_ops() as f64 / peak).min(1.0)
+        (self.trace.ops_of(OpKind::MatMul) as f64 / peak).min(1.0)
     }
 
     /// Zeroes all counters and the trace.
@@ -155,7 +156,7 @@ impl TpuCore {
                 ops::matmul(&ta, &tb)?
             }
         };
-        self.charge_matmul(m, k, n, 1);
+        self.charge_matmul_work(m, k, n, 1);
         Ok(result)
     }
 
@@ -180,7 +181,7 @@ impl TpuCore {
         let n = b.cols();
         let result = ops::matmul(a, b)?;
         // Karatsuba: 3 real m×k·k×n products instead of 4.
-        self.charge_matmul(m, k, n, 3);
+        self.charge_matmul_work(m, k, n, 3);
         Ok(result)
     }
 
@@ -195,7 +196,7 @@ impl TpuCore {
         b: &Matrix<Complex64>,
     ) -> Result<Matrix<Complex64>> {
         let out = ops::hadamard(a, b)?;
-        self.charge_elementwise("hadamard", a.len() as u64, 6);
+        self.charge_elementwise(a.len() as u64, 6);
         Ok(out)
     }
 
@@ -212,7 +213,7 @@ impl TpuCore {
         policy: DivPolicy,
     ) -> Result<Matrix<Complex64>> {
         let out = ops::pointwise_div(a, b, policy)?;
-        self.charge_elementwise("pointwise-div", a.len() as u64, 10);
+        self.charge_elementwise(a.len() as u64, 10);
         Ok(out)
     }
 
@@ -223,7 +224,7 @@ impl TpuCore {
     /// Returns a shape error when shapes disagree.
     pub fn add(&mut self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
         let out = ops::add(a, b)?;
-        self.charge_elementwise("add", a.len() as u64, 1);
+        self.charge_elementwise(a.len() as u64, 1);
         Ok(out)
     }
 
@@ -234,7 +235,7 @@ impl TpuCore {
     /// Returns a shape error when shapes disagree.
     pub fn sub(&mut self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
         let out = ops::sub(a, b)?;
-        self.charge_elementwise("sub", a.len() as u64, 1);
+        self.charge_elementwise(a.len() as u64, 1);
         Ok(out)
     }
 
@@ -244,21 +245,7 @@ impl TpuCore {
         let cycles = (bytes as f64 / self.cfg.hbm_bytes_per_cycle_per_core()).ceil() as u64;
         self.cycles += cycles;
         self.energy_pj += bytes as f64 * self.cfg.pj_per_hbm_byte;
-        self.trace.push(Event {
-            kind: OpKind::Host,
-            label: format!("host transfer {bytes} B"),
-            cycles,
-            bytes,
-            ops: 0,
-        });
-    }
-
-    /// Appends a pre-built event to the trace (crate-internal hook for
-    /// the device's collective accounting).
-    pub(crate) fn trace_push(&mut self, event: Event) {
-        // Collective time is accounted at device level (wall/comm
-        // clocks); the event is logged here for visibility only.
-        self.trace.push(event);
+        self.trace.record(OpKind::Host, cycles, bytes, 0);
     }
 
     /// Charges the cycle/energy/traffic cost of an `m×k·k×n` MXU
@@ -267,16 +254,6 @@ impl TpuCore {
     /// simulating device timing ("timing is simulated, compute is
     /// real"; the *result* comes from elsewhere).
     pub fn charge_matmul_work(&mut self, m: usize, k: usize, n: usize, passes: u64) {
-        self.charge_matmul(m, k, n, passes);
-    }
-
-    /// Charges the cost of an elementwise vector-unit op over `elems`
-    /// elements without computing it.
-    pub fn charge_elementwise_work(&mut self, label: &str, elems: u64) {
-        self.charge_elementwise(label, elems, 6);
-    }
-
-    fn charge_matmul(&mut self, m: usize, k: usize, n: usize, passes: u64) {
         // Weight loads are already folded into matmul_cycles for both
         // buffering modes.
         let stream = self
@@ -292,30 +269,25 @@ impl TpuCore {
         self.cycles += total;
         self.memory.record_read(((m * k + k * n) as u64) * elem);
         self.memory.record_write((m * n) as u64 * 4);
-        self.memory.record_working_set(bytes, &self.cfg.clone());
+        self.memory.record_working_set(bytes, &self.cfg);
         let energy_factor = (self.cfg.precision.bytes() * self.cfg.precision.bytes()) as f64;
         self.energy_pj += macs as f64 * self.cfg.pj_per_mac * energy_factor
             + bytes as f64 * self.cfg.pj_per_hbm_byte;
-        self.trace.push(Event {
-            kind: OpKind::MatMul,
-            label: format!("matmul {m}x{k}x{n} (x{passes})"),
-            cycles: total,
-            bytes,
-            ops: macs,
-        });
+        self.trace.record(OpKind::MatMul, total, bytes, macs);
         if !self.cfg.double_buffered_weights {
-            // weight loads already inside matmul_cycles; log separately for visibility
-            self.trace.push(Event {
-                kind: OpKind::WeightLoad,
-                label: format!("weight tiles k={k}"),
-                cycles: weight_load_cycles(k.min(self.cfg.array_rows)),
-                bytes: 0,
-                ops: 0,
-            });
+            // weight loads already inside matmul_cycles; counted separately for visibility
+            let cycles = weight_load_cycles(k.min(self.cfg.array_rows));
+            self.trace.record(OpKind::WeightLoad, cycles, 0, 0);
         }
     }
 
-    fn charge_elementwise(&mut self, label: &str, elems: u64, flops_per_elem: u64) {
+    /// Charges the cost of an elementwise vector-unit op over `elems`
+    /// elements without computing it.
+    pub fn charge_elementwise_work(&mut self, elems: u64) {
+        self.charge_elementwise(elems, 6);
+    }
+
+    fn charge_elementwise(&mut self, elems: u64, flops_per_elem: u64) {
         // Vector unit processes one lane-width row per cycle.
         let lanes = self.cfg.array_cols as u64;
         let cycles = elems.div_ceil(lanes);
@@ -324,13 +296,8 @@ impl TpuCore {
         self.memory.record_read(bytes);
         self.energy_pj +=
             (elems * flops_per_elem) as f64 * self.cfg.pj_per_mac + bytes as f64 * 2.0;
-        self.trace.push(Event {
-            kind: OpKind::Elementwise,
-            label: format!("{label} n={elems}"),
-            cycles,
-            bytes,
-            ops: elems * flops_per_elem,
-        });
+        self.trace
+            .record(OpKind::Elementwise, cycles, bytes, elems * flops_per_elem);
     }
 }
 
@@ -472,6 +439,18 @@ mod tests {
         assert!(big > small, "{big} !> {small}");
         assert!(big <= 1.0);
         assert_eq!(TpuCore::new(TpuConfig::small_test()).utilization(), 0.0);
+    }
+
+    #[test]
+    fn utilization_counts_mxu_work_only() {
+        // Vector-unit work keeps the core busy but is not a MAC on the
+        // systolic array: a Hadamard-only core has an idle MXU.
+        let mut core = TpuCore::new(TpuConfig::small_test());
+        let a = Matrix::filled(4, 4, Complex64::new(2.0, 0.0)).unwrap();
+        core.hadamard(&a, &a).unwrap();
+        assert!(core.elapsed_cycles() > 0);
+        assert!(core.trace().total_ops() > 0);
+        assert_eq!(core.utilization(), 0.0);
     }
 
     #[test]

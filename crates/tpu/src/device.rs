@@ -8,7 +8,7 @@
 
 use crate::config::TpuConfig;
 use crate::core::TpuCore;
-use crate::trace::{Event, OpKind};
+use crate::trace::OpKind;
 use xai_tensor::{Complex64, Matrix, Result, Scalar, TensorError};
 
 /// Wall-clock accounting for a parallel phase.
@@ -203,16 +203,12 @@ impl TpuDevice {
         }
         let bytes = (acc.len() * std::mem::size_of::<T>()) as u64;
         let cost = self.charge_collective_cost(bytes as usize);
-        // Attribute the event to core 0's trace for visibility.
+        // Attribute the collective to core 0's totals for visibility;
+        // its time is accounted at device level (wall/comm clocks).
         if let Some(c0) = self.cores.first_mut() {
             let cycles = (cost * self.cfg.clock_hz) as u64;
-            c0.trace_collective(Event {
-                kind: OpKind::Collective,
-                label: format!("cross_replica_sum {bytes} B x{}", partials.len()),
-                cycles,
-                bytes,
-                ops: acc.len() as u64 * partials.len() as u64,
-            });
+            let ops = acc.len() as u64 * partials.len() as u64;
+            c0.trace.record(OpKind::Collective, cycles, bytes, ops);
         }
         Ok(acc)
     }
@@ -278,14 +274,6 @@ impl TpuDevice {
         let bytes = merged.len() * std::mem::size_of::<Complex64>();
         self.charge_collective_cost(bytes);
         Ok(merged)
-    }
-}
-
-impl TpuCore {
-    /// Appends a collective event to this core's trace (device
-    /// internal).
-    pub(crate) fn trace_collective(&mut self, event: Event) {
-        self.trace_push(event);
     }
 }
 

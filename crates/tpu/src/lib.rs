@@ -78,4 +78,4 @@ pub use pool::{DevicePool, LaneCost, ShardOutcome, ShardPlan, ShardStrategy, Sha
 pub use shared::{LaneLease, SharedDevice};
 pub use systolic::{tile_stream_cycles, weight_load_cycles, SystolicArray, TileResult};
 pub use topology::{Topology, TopologyKind};
-pub use trace::{Event, OpKind, Trace};
+pub use trace::{OpKind, Trace};

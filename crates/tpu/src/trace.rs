@@ -1,10 +1,15 @@
-//! Execution trace: a per-core event log of everything the simulator
-//! charged, used by tests, the benchmark harness, and anyone debugging
-//! a schedule.
+//! What a core was charged, as totals: one fixed table of
+//! `{events, cycles, bytes, ops}` per [`OpKind`].
+//!
+//! Totals, not a log. A simulated core lives as long as the server in
+//! front of it, and a server's memory must not grow with the number of
+//! requests it has served — so a charge adds four integers to its
+//! kind's row and nothing is kept per charge. The table is `Copy`
+//! (pinned below): no field can ever own heap.
 
 use std::fmt;
 
-/// Category of a traced operation.
+/// Category of a charged operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// MXU matrix multiplication.
@@ -21,6 +26,9 @@ pub enum OpKind {
     Host,
 }
 
+/// Rows of the [`Trace`] table: one per [`OpKind`] (`Host` is last).
+const KINDS: usize = OpKind::Host as usize + 1;
+
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -35,140 +43,76 @@ impl fmt::Display for OpKind {
     }
 }
 
-/// One traced event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Operation category.
-    pub kind: OpKind,
-    /// Human-readable label (e.g. `"matmul 128x256x64"`).
-    pub label: String,
-    /// Cycles charged to the core for this event.
-    pub cycles: u64,
-    /// Bytes of memory traffic attributed to this event.
-    pub bytes: u64,
-    /// MAC (or equivalent arithmetic) operations performed.
-    pub ops: u64,
+/// Per-kind totals of everything a core was charged: each column is
+/// indexed by `OpKind as usize`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Trace {
+    events: [u64; KINDS],
+    cycles: [u64; KINDS],
+    bytes: [u64; KINDS],
+    ops: [u64; KINDS],
 }
 
-/// An append-only event log.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    events: Vec<Event>,
-}
+// The type-level pin: a field that owns heap is not `Copy`, and stops
+// this compiling.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<Trace>();
+};
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends an event.
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
+    /// Adds one charge of `kind` to its row.
+    pub fn record(&mut self, kind: OpKind, cycles: u64, bytes: u64, ops: u64) {
+        let row = kind as usize;
+        self.events[row] += 1;
+        self.cycles[row] += cycles;
+        self.bytes[row] += bytes;
+        self.ops[row] += ops;
     }
 
-    /// All recorded events in order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of recorded events.
+    /// Number of recorded charges.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.iter().sum::<u64>() as usize
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
-    /// Total cycles across all events.
+    /// Total cycles across all kinds.
     pub fn total_cycles(&self) -> u64 {
-        self.events.iter().map(|e| e.cycles).sum()
+        self.cycles.iter().sum()
     }
 
-    /// Total arithmetic operations across all events.
+    /// Total arithmetic operations across all kinds.
     pub fn total_ops(&self) -> u64 {
-        self.events.iter().map(|e| e.ops).sum()
+        self.ops.iter().sum()
     }
 
-    /// Total bytes across all events.
+    /// Total bytes across all kinds.
     pub fn total_bytes(&self) -> u64 {
-        self.events.iter().map(|e| e.bytes).sum()
+        self.bytes.iter().sum()
     }
 
     /// Cycles attributed to one kind of operation.
     pub fn cycles_of(&self, kind: OpKind) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.cycles)
-            .sum()
+        self.cycles[kind as usize]
     }
 
-    /// Clears the log.
+    /// Arithmetic operations attributed to one kind of operation.
+    pub(crate) fn ops_of(&self, kind: OpKind) -> u64 {
+        self.ops[kind as usize]
+    }
+
+    /// Zeroes every row.
     pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Renders an ASCII occupancy timeline: one lane per op kind,
-    /// `width` columns spanning the trace's total cycles, `#` where
-    /// that kind of work was in flight. Events are laid out serially
-    /// in log order (the single-core view).
-    pub fn to_timeline(&self, width: usize) -> String {
-        let total = self.total_cycles().max(1);
-        let width = width.max(10);
-        let kinds = [
-            OpKind::MatMul,
-            OpKind::Elementwise,
-            OpKind::WeightLoad,
-            OpKind::Memory,
-            OpKind::Collective,
-            OpKind::Host,
-        ];
-        let mut lanes: Vec<(OpKind, Vec<char>)> =
-            kinds.iter().map(|&k| (k, vec!['.'; width])).collect();
-        let mut cursor: u64 = 0;
-        for e in &self.events {
-            let start = (cursor * width as u64 / total) as usize;
-            cursor += e.cycles;
-            let end = ((cursor * width as u64).div_ceil(total) as usize).min(width);
-            if let Some((_, lane)) = lanes.iter_mut().find(|(k, _)| *k == e.kind) {
-                for c in lane.iter_mut().take(end).skip(start) {
-                    *c = '#';
-                }
-            }
-        }
-        let mut out = format!("timeline ({} cycles):\n", self.total_cycles());
-        for (kind, lane) in &lanes {
-            if lane.contains(&'#') {
-                out.push_str(&format!(
-                    "  {:<12} {}\n",
-                    kind.to_string(),
-                    lane.iter().collect::<String>()
-                ));
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} events, {} cycles",
-            self.len(),
-            self.total_cycles()
-        )?;
-        for e in &self.events {
-            writeln!(
-                f,
-                "  [{}] {} — {} cycles, {} bytes, {} ops",
-                e.kind, e.label, e.cycles, e.bytes, e.ops
-            )?;
-        }
-        Ok(())
+        *self = Self::default();
     }
 }
 
@@ -176,68 +120,30 @@ impl fmt::Display for Trace {
 mod tests {
     use super::*;
 
-    fn event(kind: OpKind, cycles: u64) -> Event {
-        Event {
-            kind,
-            label: "test".into(),
-            cycles,
-            bytes: cycles * 2,
-            ops: cycles * 3,
-        }
+    fn record(t: &mut Trace, kind: OpKind, cycles: u64) {
+        t.record(kind, cycles, cycles * 2, cycles * 3);
     }
 
     #[test]
     fn totals_accumulate() {
         let mut t = Trace::new();
         assert!(t.is_empty());
-        t.push(event(OpKind::MatMul, 10));
-        t.push(event(OpKind::Memory, 5));
-        t.push(event(OpKind::MatMul, 7));
+        record(&mut t, OpKind::MatMul, 10);
+        record(&mut t, OpKind::Memory, 5);
+        record(&mut t, OpKind::MatMul, 7);
         assert_eq!(t.len(), 3);
         assert_eq!(t.total_cycles(), 22);
         assert_eq!(t.total_bytes(), 44);
         assert_eq!(t.total_ops(), 66);
         assert_eq!(t.cycles_of(OpKind::MatMul), 17);
         assert_eq!(t.cycles_of(OpKind::Collective), 0);
-    }
-
-    #[test]
-    fn display_contains_labels() {
-        let mut t = Trace::new();
-        t.push(event(OpKind::Elementwise, 1));
-        let s = t.to_string();
-        assert!(s.contains("elementwise"));
-        assert!(s.contains("1 events"));
-    }
-
-    #[test]
-    fn timeline_shows_busy_lanes_only() {
-        let mut t = Trace::new();
-        t.push(event(OpKind::MatMul, 50));
-        t.push(event(OpKind::Memory, 50));
-        let tl = t.to_timeline(20);
-        assert!(tl.contains("matmul"));
-        assert!(tl.contains("memory"));
-        assert!(!tl.contains("collective"));
-        assert!(tl.contains('#'));
-        // Each lane is busy for roughly half the span.
-        let matmul_line = tl.lines().find(|l| l.contains("matmul")).unwrap();
-        let busy = matmul_line.chars().filter(|&c| c == '#').count();
-        assert!((8..=12).contains(&busy), "busy {busy}");
-    }
-
-    #[test]
-    fn empty_timeline_has_header_only() {
-        let t = Trace::new();
-        let tl = t.to_timeline(20);
-        assert!(tl.starts_with("timeline"));
-        assert!(!tl.contains('#'));
+        assert_eq!(t.ops_of(OpKind::MatMul), 51);
     }
 
     #[test]
     fn clear_empties_log() {
         let mut t = Trace::new();
-        t.push(event(OpKind::Host, 3));
+        record(&mut t, OpKind::Host, 3);
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.total_cycles(), 0);
