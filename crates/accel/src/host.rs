@@ -189,10 +189,9 @@ impl GpuModel {
         let (m, n) = xs[0].shape();
         let workers = xai_parallel::global().num_threads();
         let plan = global_plan_cache().plan_2d(m, n);
-        // Fused batch path: one row pass + one column pass over the
-        // whole batch (bit-identical to per-matrix transforms), with
-        // both passes sharded over the host pool. A failed batch
-        // charges nothing, like every other kernel here.
+        // Whole matrices sharded over the host pool (bit-identical to
+        // per-matrix transforms). A failed batch charges nothing, like
+        // every other kernel here.
         let out = if forward {
             plan.forward_batch_parallel(xs, workers)?
         } else {

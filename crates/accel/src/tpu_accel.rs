@@ -408,140 +408,50 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
     }
 }
 
-/// Numeric path of one fused filter-diff group: one forward batch
-/// transform, per-lane spectral filters, one inverse batch transform
-/// and the per-lane Equation-5 difference — the exact staged
-/// arithmetic, so the fused lane is bit-identical to the chained
-/// kernels by construction. A failure in any stage fans out to every
-/// lane of the group (they share the batch transforms).
-fn filter_diff_group_numerics(
-    m: usize,
-    n: usize,
-    xs: Vec<Matrix<Complex64>>,
-    filters: &[Arc<Matrix<Complex64>>],
-    ys: &[Arc<Matrix<f64>>],
-) -> Vec<Result<KernelResult>> {
-    let count = xs.len();
-    let run = || -> Result<Vec<Result<KernelResult>>> {
-        let plan = global_plan_cache().plan_2d(m, n);
-        let spectra = plan.forward_batch(&xs)?;
-        let filtered: Vec<Matrix<Complex64>> = spectra
-            .iter()
-            .zip(filters)
-            .map(|(s, f)| ops::hadamard(s, f))
-            .collect::<Result<_>>()?;
-        let preds = plan.inverse_batch(&filtered)?;
-        Ok(preds
-            .iter()
-            .zip(ys)
-            .map(|(p, y)| Ok(KernelResult::Real(ops::sub(y, &p.to_real())?)))
-            .collect())
-    };
-    match run() {
-        Ok(lanes) => lanes,
-        Err(e) => (0..count).map(|_| Err(e.clone())).collect(),
-    }
+/// Numeric path of one kernel-generic flight, in lane order. Pure
+/// host arithmetic — no simulated-time charging — and lane at a time:
+/// every lane is a pure function of its own operands
+/// ([`lane_numerics`]), so the flight's numerics are
+/// placement-independent by construction and a lane's error is that
+/// lane's alone. The queue delivers it only to the submitter owning
+/// the lane; no stage is shared between lanes, so nothing — not even
+/// a wrong-shaped filter on a same-shape neighbour — can fail a lane
+/// other than its own.
+fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
+    flight.into_iter().map(lane_numerics).collect()
 }
 
-/// Numeric path of one kernel-generic flight, in lane order. Pure
-/// host arithmetic — no simulated-time charging. Transform lanes are
-/// grouped by (shape, direction) and run as fused batch transforms
-/// (bit-identical to per-matrix); fused filter-diff lanes are grouped
-/// by shape and pipeline all four stages; elementwise and matmul
-/// lanes are pure per-lane functions of their inputs, so the flight's
-/// numerics are placement-independent by construction.
-///
-/// Each lane carries its *own* `Result`: a data-dependent error (a
-/// strict division by zero, say) fails only that lane, and the queue
-/// delivers it only to the submitter owning the lane. Errors in a
-/// batched transform group fan out to every lane of the group.
-type FusedLane = (Matrix<Complex64>, Arc<Matrix<Complex64>>, Arc<Matrix<f64>>);
-
-fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
-    // Requests from concurrent explanation workers are homogeneous,
-    // but neither the queue nor the pool requires it.
-    let mut slots: Vec<Option<Result<KernelResult>>> = (0..flight.len()).map(|_| None).collect();
-    let mut groups: Vec<((usize, usize, bool), Vec<usize>)> = Vec::new();
-    let mut transforms: Vec<Option<Matrix<Complex64>>> = (0..flight.len()).map(|_| None).collect();
-    let mut fused_groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-    let mut fused: Vec<Option<FusedLane>> = (0..flight.len()).map(|_| None).collect();
-    for (i, job) in flight.into_iter().enumerate() {
-        match job {
-            KernelJob::Transform { x, forward } => {
-                let key = (x.rows(), x.cols(), forward);
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, lanes)) => lanes.push(i),
-                    None => groups.push((key, vec![i])),
-                }
-                transforms[i] = Some(x);
+/// One lane's numerics. Transform and fused filter-diff lanes work in
+/// the lane's own `x` — the job owns it, so it *is* the working
+/// buffer: forward in place → Hadamard in place → inverse in place →
+/// `y − re` straight into the result. The arithmetic per element is
+/// exactly the staged `fft2d → hadamard → ifft2d → to_real → sub`
+/// chain's, so a fused lane is bit-identical to the chained kernels.
+fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
+    match job {
+        KernelJob::Transform { mut x, forward } => {
+            let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
+            if forward {
+                plan.forward_in_place(&mut x)?;
+            } else {
+                plan.inverse_in_place(&mut x)?;
             }
-            KernelJob::Hadamard { a, b } => {
-                slots[i] = Some(ops::hadamard(&a, &b).map(KernelResult::Complex));
-            }
-            KernelJob::PointwiseDiv { a, b, policy } => {
-                slots[i] = Some(ops::pointwise_div(&a, &b, policy).map(KernelResult::Complex));
-            }
-            KernelJob::Sub { a, b } => {
-                slots[i] = Some(ops::sub(&a, &b).map(KernelResult::Real));
-            }
-            KernelJob::Matmul { a, b } => {
-                slots[i] = Some(matmul_numerics(&a, &b).map(KernelResult::Real));
-            }
-            KernelJob::FilterDiff { x, filter, y } => {
-                let key = x.shape();
-                match fused_groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, lanes)) => lanes.push(i),
-                    None => fused_groups.push((key, vec![i])),
-                }
-                fused[i] = Some((x, filter, y));
-            }
+            Ok(KernelResult::Complex(x))
+        }
+        KernelJob::Hadamard { a, b } => ops::hadamard(&a, &b).map(KernelResult::Complex),
+        KernelJob::PointwiseDiv { a, b, policy } => {
+            ops::pointwise_div(&a, &b, policy).map(KernelResult::Complex)
+        }
+        KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
+        KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
+        KernelJob::FilterDiff { mut x, filter, y } => {
+            let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
+            plan.forward_in_place(&mut x)?;
+            ops::hadamard_assign(&mut x, &filter)?;
+            plan.inverse_in_place(&mut x)?;
+            ops::sub_re(&y, &x).map(KernelResult::Real)
         }
     }
-    for ((m, n, forward), lanes) in &groups {
-        let plan = global_plan_cache().plan_2d(*m, *n);
-        let xs: Vec<Matrix<Complex64>> = lanes
-            .iter()
-            .map(|&i| transforms[i].take().expect("each lane consumed once"))
-            .collect();
-        let outs = if *forward {
-            plan.forward_batch(&xs)
-        } else {
-            plan.inverse_batch(&xs)
-        };
-        match outs {
-            Ok(outs) => {
-                for (&i, out) in lanes.iter().zip(outs) {
-                    slots[i] = Some(Ok(KernelResult::Complex(out)));
-                }
-            }
-            // A batched-transform failure fans out to its whole
-            // group: the lanes shared one fused transform.
-            Err(e) => {
-                for &i in lanes {
-                    slots[i] = Some(Err(e.clone()));
-                }
-            }
-        }
-    }
-    for ((m, n), lanes) in &fused_groups {
-        let mut xs = Vec::with_capacity(lanes.len());
-        let mut filters = Vec::with_capacity(lanes.len());
-        let mut ys = Vec::with_capacity(lanes.len());
-        for &i in lanes {
-            let (x, f, y) = fused[i].take().expect("each fused lane consumed once");
-            xs.push(x);
-            filters.push(f);
-            ys.push(y);
-        }
-        let outs = filter_diff_group_numerics(*m, *n, xs, &filters, &ys);
-        for (&i, out) in lanes.iter().zip(outs) {
-            slots[i] = Some(out);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every lane produced a result"))
-        .collect()
 }
 
 /// The real matmul numeric path: int8 quantisation, as §II-A
@@ -676,8 +586,6 @@ impl TpuAccel {
         }
         let (m, n) = xs[0].shape();
         let plan = global_plan_cache().plan_2d(m, n);
-        // Fused numeric path: one row pass and one column pass over
-        // the whole batch (bit-identical to per-matrix transforms).
         let out = if forward {
             plan.forward_batch(xs)
         } else {
@@ -746,9 +654,8 @@ impl TpuAccel {
     }
 
     /// Executes one coalesced flight, possibly mixing kernel kinds.
-    /// On a single device: the flight's numerics (fused per
-    /// (shape, direction) transform group, per-lane elementwise and
-    /// matmul work), then one atomic charge region applying each
+    /// On a single device: the flight's numerics (lane at a time,
+    /// [`flight_numerics`]), then one atomic charge region applying each
     /// kind's direct-path cost model ([`charge_kernel_shard`]). Over
     /// a pool with more than one chip, the flight's lanes are sharded
     /// across the chips instead (see

@@ -1,12 +1,13 @@
 //! Real wall-clock benchmarks of the Fourier library (ablation A3 of
 //! DESIGN.md) and the host-thread scalability behind Figure 4's
 //! shape: the naive DFT baseline versus the decomposed row–column
-//! transform, serial versus multi-worker.
+//! transform, serial versus multi-worker, and the in-place lane the
+//! fused filter-diff pipeline runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xai_fourier::{dft, fft2d_via_matmul, Fft2d, FftPlan, Norm};
-use xai_tensor::{Complex64, Matrix};
+use xai_tensor::{ops, Complex64, Matrix};
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -64,6 +65,16 @@ fn bench_2d_decomposition(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("row-column-serial", n), &x, |b, x| {
             b.iter(|| plan.forward(black_box(x)).expect("valid shape"));
         });
+        // The same transform in a caller-owned buffer: what is left
+        // of "row-column-serial" once the allocation is gone.
+        group.bench_with_input(BenchmarkId::new("in-place", n), &x, |b, x| {
+            let mut buf = x.clone();
+            b.iter(|| {
+                buf.as_mut_slice().copy_from_slice(x.as_slice());
+                plan.forward_in_place(black_box(&mut buf))
+                    .expect("valid shape");
+            });
+        });
         for workers in [2usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("row-column-{workers}w"), n),
@@ -80,8 +91,44 @@ fn bench_2d_decomposition(c: &mut Criterion) {
             b.iter(|| fft2d_via_matmul(black_box(x), Norm::Backward).expect("valid shape"));
         });
     }
+    // One served request's worth of lanes (serve-large: grid 4 of a
+    // 128 x 128 input). Per transform this should cost what
+    // "row-column-serial/128" does.
+    let lanes = vec![complex_matrix(128); 16];
+    let plan = Fft2d::new(128, 128);
+    group.bench_with_input(BenchmarkId::new("batch-16", 128), &lanes, |b, lanes| {
+        b.iter(|| plan.forward_batch(black_box(lanes)).expect("valid shape"));
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_1d_algorithms, bench_2d_decomposition);
+/// One fused filter-diff lane, as `TpuAccel` runs it: the lane's own
+/// copy of `x` goes forward, through the filter and back in place,
+/// and `y − re` is the only other allocation.
+fn bench_filter_diff_lane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("filter-diff-lane");
+    group.sample_size(20);
+    let n = 128;
+    let x = complex_matrix(n);
+    let filter = complex_matrix(n).map(|z| z * Complex64::new(0.25, 0.5));
+    let y = x.to_real();
+    let plan = Fft2d::new(n, n);
+    group.bench_with_input(BenchmarkId::from_parameter(n), &x, |b, x| {
+        b.iter(|| {
+            let mut lane = black_box(x).clone();
+            plan.forward_in_place(&mut lane).expect("valid shape");
+            ops::hadamard_assign(&mut lane, &filter).expect("equal shapes");
+            plan.inverse_in_place(&mut lane).expect("valid shape");
+            ops::sub_re(&y, &lane).expect("equal shapes")
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_1d_algorithms,
+    bench_2d_decomposition,
+    bench_filter_diff_lane
+);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Benchmarks of the tensor substrate kernels: blocked vs naive
-//! matmul, naive vs cache-blocked transpose, and direct vs FFT-based
-//! circular convolution — the crossovers that justify the library's
-//! algorithm choices.
+//! matmul and direct vs FFT-based circular convolution — the
+//! crossovers that justify the library's algorithm choices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -61,28 +60,6 @@ fn bench_elementwise(c: &mut Criterion) {
             b.iter(|| {
                 pointwise_div(black_box(&a), black_box(&b_), DivPolicy::default()).expect("shapes")
             });
-        });
-    }
-    group.finish();
-}
-
-/// Naive column-walk transpose vs the cache-blocked tile walk (serial
-/// and pool-parallel) — the Fft2d column pass runs two of these per
-/// transform, so the tile win compounds.
-fn bench_transpose(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transpose");
-    group.sample_size(20);
-    for n in [256usize, 512] {
-        let x = real_matrix(n, 9).to_complex();
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| black_box(&x).transpose());
-        });
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |b, _| {
-            b.iter(|| black_box(&x).transpose_blocked());
-        });
-        group.bench_with_input(BenchmarkId::new("blocked-pool", n), &n, |b, _| {
-            let workers = xai_parallel::global().num_threads();
-            b.iter(|| black_box(&x).transpose_parallel(workers));
         });
     }
     group.finish();
@@ -150,7 +127,6 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_elementwise,
-    bench_transpose,
     bench_convolution,
     bench_collectives
 );

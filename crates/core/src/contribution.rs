@@ -10,7 +10,7 @@
 use crate::distill::DistilledModel;
 use xai_accel::Accelerator;
 use xai_tensor::ops;
-use xai_tensor::{Matrix, Result, TensorError};
+use xai_tensor::{Complex64, Matrix, Result, Scalar, TensorError};
 
 /// A region of the input to occlude when computing one contribution
 /// factor.
@@ -33,57 +33,44 @@ pub enum Region {
 /// Returns [`TensorError::ShapeMismatch`] when the region exceeds the
 /// matrix bounds.
 pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
+    occlude_as(x, region, |v| v)
+}
+
+/// [`occlude`] with every kept element passed through `lift` on the
+/// way into the copy: the one allocation and one walk behind both the
+/// real `X′` and the complex lane a transform works in
+/// (`lift = Complex64::from_real`, equal to `occlude(..).to_complex()`
+/// element for element and error for error).
+fn occlude_as<T: Scalar>(
+    x: &Matrix<f64>,
+    region: Region,
+    lift: impl FnMut(f64) -> T,
+) -> Result<Matrix<T>> {
     let (m, n) = x.shape();
-    let mut out = x.clone();
-    match region {
-        Region::Element(r, c) => {
-            if r >= m || c >= n {
-                return Err(TensorError::ShapeMismatch {
-                    left: (r, c),
-                    right: (m, n),
-                    op: "occlude element",
-                });
-            }
-            out[(r, c)] = 0.0;
+    let out_of_bounds = |left, op| {
+        Err(TensorError::ShapeMismatch {
+            left,
+            right: (m, n),
+            op,
+        })
+    };
+    let (rows, cols) = match region {
+        Region::Element(r, c) if r >= m || c >= n => {
+            return out_of_bounds((r, c), "occlude element")
         }
-        Region::Block(r0, c0, h, w) => {
-            if r0 + h > m || c0 + w > n {
-                return Err(TensorError::ShapeMismatch {
-                    left: (r0 + h, c0 + w),
-                    right: (m, n),
-                    op: "occlude block",
-                });
-            }
-            for r in r0..r0 + h {
-                for c in c0..c0 + w {
-                    out[(r, c)] = 0.0;
-                }
-            }
+        Region::Block(r0, c0, h, w) if r0 + h > m || c0 + w > n => {
+            return out_of_bounds((r0 + h, c0 + w), "occlude block")
         }
-        Region::Column(c) => {
-            if c >= n {
-                return Err(TensorError::ShapeMismatch {
-                    left: (0, c),
-                    right: (m, n),
-                    op: "occlude column",
-                });
-            }
-            for r in 0..m {
-                out[(r, c)] = 0.0;
-            }
-        }
-        Region::Row(r) => {
-            if r >= m {
-                return Err(TensorError::ShapeMismatch {
-                    left: (r, 0),
-                    right: (m, n),
-                    op: "occlude row",
-                });
-            }
-            for c in 0..n {
-                out[(r, c)] = 0.0;
-            }
-        }
+        Region::Column(c) if c >= n => return out_of_bounds((0, c), "occlude column"),
+        Region::Row(r) if r >= m => return out_of_bounds((r, 0), "occlude row"),
+        Region::Element(r, c) => (r..r + 1, c..c + 1),
+        Region::Block(r0, c0, h, w) => (r0..r0 + h, c0..c0 + w),
+        Region::Column(c) => (0..m, c..c + 1),
+        Region::Row(r) => (r..r + 1, 0..n),
+    };
+    let mut out = x.map(lift);
+    for r in rows {
+        out.row_mut(r)[cols.clone()].fill(T::ZERO);
     }
     Ok(out)
 }
@@ -143,7 +130,7 @@ pub fn contributions_batch_on(
     }
     let occluded: Vec<_> = regions
         .iter()
-        .map(|&r| Ok(occlude(x, r)?.to_complex()))
+        .map(|&r| occlude_as(x, r, Complex64::from_real))
         .collect::<Result<_>>()?;
     // The fused serving chain: fft → hadamard → ifft → sub as one
     // batched submission (a single flight with one gather on
@@ -271,6 +258,45 @@ mod tests {
         assert!(occlude(&x, Region::Block(3, 3, 2, 2)).is_err());
         assert!(occlude(&x, Region::Column(4)).is_err());
         assert!(occlude(&x, Region::Row(9)).is_err());
+    }
+
+    #[test]
+    fn complex_lane_equals_occlude_then_to_complex() {
+        // `-0.0` and a zero inside the region: the lane must carry the
+        // same bits as the two-pass form, and fail with the same error.
+        let mut x = Matrix::from_fn(4, 6, |r, c| (r * 6 + c) as f64 * 0.5 - 3.0).unwrap();
+        x[(1, 1)] = -0.0;
+        x[(2, 3)] = 0.0;
+        let regions = [
+            Region::Element(1, 1),
+            Region::Element(3, 5),
+            Region::Block(1, 2, 2, 3),
+            Region::Block(0, 0, 4, 6),
+            Region::Column(0),
+            Region::Column(5),
+            Region::Row(2),
+            Region::Element(4, 0),
+            Region::Element(0, 6),
+            Region::Block(3, 0, 2, 1),
+            Region::Block(0, 5, 1, 2),
+            Region::Column(6),
+            Region::Row(4),
+        ];
+        for region in regions {
+            let one_pass = occlude_as(&x, region, Complex64::from_real);
+            let two_pass = occlude(&x, region).map(|o| o.to_complex());
+            match (one_pass, two_pass) {
+                (Ok(a), Ok(b)) => {
+                    let bits = |m: &Matrix<Complex64>| -> Vec<(u64, u64)> {
+                        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                    };
+                    assert_eq!(a.shape(), b.shape(), "{region:?}");
+                    assert_eq!(bits(&a), bits(&b), "{region:?}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{region:?}"),
+                (a, b) => panic!("{region:?}: {a:?} vs {b:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,17 +2,27 @@
 //! heart of the paper (§III-C, Algorithm 1).
 //!
 //! `X = F₂(x)` factors as: 1-D transforms of every row, then 1-D
-//! transforms of every column of the intermediate. Rows (and then
-//! columns) are fully independent, so they shard across `p` workers
-//! with zero communication — the property Algorithm 1 exploits on TPU
-//! cores and [`Fft2d::forward_parallel`] exploits on the host via the
-//! shared [`xai_parallel`] work-stealing pool: `workers` fixes the
-//! split points (so results are bit-identical for any pool size), and
-//! idle pool workers steal whole row blocks to balance ragged splits.
+//! transforms of every column of the intermediate. Both passes run
+//! **in place on one row-major buffer**: the row pass transforms each
+//! contiguous row, and the column pass butterflies whole rows against
+//! each other ([`FftPlan::forward_columns`]) — a column butterfly
+//! between rows `r` and `r + h` is the same arithmetic on every
+//! column, so walking it across the two rows is unit-stride in memory
+//! and needs no re-laid-out copy. [`Fft2d::forward`] is a clone plus
+//! the in-place transform; a batch is that, matrix by matrix.
+//!
+//! Rows (and then columns) are fully independent, so they shard across
+//! `p` workers with zero communication — the property Algorithm 1
+//! exploits on TPU cores and [`Fft2d::forward_parallel`] exploits on
+//! the host via the shared [`xai_parallel`] work-stealing pool:
+//! `workers` fixes the split points, every element sees the same
+//! butterflies in the same order under any split (so results are
+//! bit-identical for any `workers` and any pool size), and idle pool
+//! workers steal whole blocks to balance ragged splits.
 
 use crate::norm::Norm;
 use crate::plan::FftPlan;
-use xai_tensor::{transpose_slice, Complex64, Matrix, Result, TensorError};
+use xai_tensor::{Complex64, Matrix, Result, TensorError};
 
 /// A reusable 2-D DFT plan for fixed `rows × cols` shape.
 #[derive(Debug, Clone)]
@@ -58,7 +68,7 @@ impl Fft2d {
     /// Returns [`TensorError::ShapeMismatch`] when `x` does not match
     /// the planned shape.
     pub fn forward(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.transform(x, true, 1)
+        self.transformed(x, true, 1)
     }
 
     /// Inverse 2-D transform.
@@ -68,7 +78,32 @@ impl Fft2d {
     /// Returns [`TensorError::ShapeMismatch`] when `x` does not match
     /// the planned shape.
     pub fn inverse(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.transform(x, false, 1)
+        self.transformed(x, false, 1)
+    }
+
+    /// Forward 2-D transform of `x` where it lies: no allocation, no
+    /// copy. Bit-identical to [`Fft2d::forward`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] (leaving `x` untouched)
+    /// when `x` does not match the planned shape.
+    pub fn forward_in_place(&self, x: &mut Matrix<Complex64>) -> Result<()> {
+        self.check(x, "fft2d")?;
+        self.run(x, true, 1);
+        Ok(())
+    }
+
+    /// Inverse 2-D transform of `x` where it lies (see
+    /// [`Fft2d::forward_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Fft2d::forward_in_place`].
+    pub fn inverse_in_place(&self, x: &mut Matrix<Complex64>) -> Result<()> {
+        self.check(x, "fft2d")?;
+        self.run(x, false, 1);
+        Ok(())
     }
 
     /// Forward transform sharded across `workers` host threads —
@@ -87,7 +122,7 @@ impl Fft2d {
         if workers == 0 {
             return Err(TensorError::EmptyDimension);
         }
-        self.transform(x, true, workers)
+        self.transformed(x, true, workers)
     }
 
     /// Inverse transform sharded across `workers` host threads.
@@ -104,14 +139,13 @@ impl Fft2d {
         if workers == 0 {
             return Err(TensorError::EmptyDimension);
         }
-        self.transform(x, false, workers)
+        self.transformed(x, false, workers)
     }
 
-    /// Batched forward transform: one fused row pass and one fused
-    /// column pass over the whole batch, reusing this plan and a
-    /// single scratch transpose — the §III-D multi-input parallelism
-    /// realised at the transform level. Results are bit-identical to
-    /// calling [`Fft2d::forward`] on each matrix.
+    /// Batched forward transform — the §III-D multi-input parallelism
+    /// at the transform level: every matrix is an independent lane
+    /// through this one plan. Results are bit-identical to calling
+    /// [`Fft2d::forward`] on each matrix.
     ///
     /// # Errors
     ///
@@ -130,8 +164,8 @@ impl Fft2d {
         self.transform_batch(xs, false, 1)
     }
 
-    /// Batched forward transform with both fused passes sharded across
-    /// `workers` host threads (clamped to the available row count).
+    /// Batched forward transform with the matrices sharded across the
+    /// host pool in `workers` contiguous groups.
     ///
     /// # Errors
     ///
@@ -164,31 +198,27 @@ impl Fft2d {
         self.transform_batch(xs, false, workers)
     }
 
-    fn transform(
+    fn check(&self, x: &Matrix<Complex64>, op: &'static str) -> Result<()> {
+        if x.shape() != (self.rows, self.cols) {
+            return Err(TensorError::ShapeMismatch {
+                left: (self.rows, self.cols),
+                right: x.shape(),
+                op,
+            });
+        }
+        Ok(())
+    }
+
+    fn transformed(
         &self,
         x: &Matrix<Complex64>,
         fwd: bool,
         workers: usize,
     ) -> Result<Matrix<Complex64>> {
-        if x.shape() != (self.rows, self.cols) {
-            return Err(TensorError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: x.shape(),
-                op: "fft2d",
-            });
-        }
-        // Stage 1: transform all rows.
-        let mut inter = x.clone();
-        self.run_rows(&mut inter, &self.row_plan, fwd, workers);
-        // Stage 2: transform all columns (transpose, run rows,
-        // transpose back — keeps the hot loop contiguous). The
-        // transposes are cache-blocked tile walks sharded over the
-        // same `workers` bound as the transforms; a transpose is a
-        // pure permutation, so they stay bit-identical to the naive
-        // column walk for every worker count.
-        let mut t = inter.transpose_parallel(workers);
-        self.run_rows(&mut t, &self.col_plan, fwd, workers);
-        Ok(t.transpose_parallel(workers))
+        self.check(x, "fft2d")?;
+        let mut out = x.clone();
+        self.run(&mut out, fwd, workers);
+        Ok(out)
     }
 
     fn transform_batch(
@@ -198,87 +228,48 @@ impl Fft2d {
         workers: usize,
     ) -> Result<Vec<Matrix<Complex64>>> {
         for x in xs {
-            if x.shape() != (self.rows, self.cols) {
-                return Err(TensorError::ShapeMismatch {
-                    left: (self.rows, self.cols),
-                    right: x.shape(),
-                    op: "fft2d_batch",
-                });
+            self.check(x, "fft2d_batch")?;
+        }
+        if workers <= 1 || xs.len() <= 1 {
+            // Clone one, transform it while it is still in cache.
+            return xs.iter().map(|x| self.transformed(x, fwd, 1)).collect();
+        }
+        let mut out = xs.to_vec();
+        let group = xs.len().div_ceil(workers);
+        xai_parallel::global().par_chunks_mut(&mut out, group, |_, lanes| {
+            for x in lanes {
+                self.run(x, fwd, 1);
             }
-        }
-        if xs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (b, m, n) = (xs.len(), self.rows, self.cols);
-        // Stage 1: ONE fused row pass over every row of every matrix,
-        // stacked into a single (b·m) × n buffer.
-        let mut stacked = Matrix::vstack(xs)?;
-        self.run_rows(&mut stacked, &self.row_plan, fwd, workers);
-        // Stage 2: ONE fused column pass. Each matrix's block is
-        // transposed into a single (b·n) × m scratch so the column
-        // transforms run as contiguous rows, then transposed back.
-        // Both scatter and gather are per-block cache-blocked tile
-        // transposes; with more than one worker the scatter shards
-        // across blocks on the shared pool (one block per chunk, so
-        // the split is independent of the pool size).
-        let mut scratch = Matrix::filled(b * n, m, Complex64::ZERO)?;
-        let src = stacked.as_slice();
-        if workers <= 1 || b <= 1 {
-            for i in 0..b {
-                transpose_slice(
-                    &src[i * m * n..(i + 1) * m * n],
-                    m,
-                    n,
-                    &mut scratch.as_mut_slice()[i * n * m..(i + 1) * n * m],
-                );
-            }
-        } else {
-            xai_parallel::global().par_chunks_mut(scratch.as_mut_slice(), n * m, |i, chunk| {
-                transpose_slice(&src[i * m * n..(i + 1) * m * n], m, n, chunk);
-            });
-        }
-        self.run_rows(&mut scratch, &self.col_plan, fwd, workers);
-        (0..b)
-            .map(|i| {
-                let mut out = vec![Complex64::ZERO; m * n];
-                transpose_slice(
-                    &scratch.as_slice()[i * n * m..(i + 1) * n * m],
-                    n,
-                    m,
-                    &mut out,
-                );
-                Matrix::from_vec(m, n, out)
-            })
-            .collect()
+        });
+        Ok(out)
     }
 
-    fn run_rows(&self, m: &mut Matrix<Complex64>, plan: &FftPlan, fwd: bool, workers: usize) {
-        let cols = m.cols();
-        let rows = m.rows();
-        // Clamp to the row count: more workers than rows would only
-        // queue degenerate chunks with nothing to transform.
-        let workers = workers.min(rows).max(1);
+    /// Row pass then column pass over `x`'s own buffer. `x` has the
+    /// planned shape.
+    fn run(&self, x: &mut Matrix<Complex64>, fwd: bool, workers: usize) {
+        let (rows, cols) = (self.rows, self.cols);
+        let transform_rows = |block: &mut [Complex64]| {
+            for row in block.chunks_exact_mut(cols) {
+                if fwd {
+                    self.row_plan.forward(row, Norm::Backward);
+                } else {
+                    self.row_plan.inverse(row, Norm::Backward);
+                }
+            }
+        };
+        let workers = workers.min(rows);
         if workers <= 1 {
-            run_chunk(m.as_mut_slice(), cols, plan, fwd);
+            transform_rows(x.as_mut_slice());
         } else {
             // Fixed split points (`workers` row blocks regardless of
             // pool size — the determinism contract), balanced by idle
-            // pool workers stealing whole blocks from the injector.
-            let chunk_len = rows.div_ceil(workers) * cols;
-            xai_parallel::global().par_chunks_mut(m.as_mut_slice(), chunk_len, |_, chunk| {
-                run_chunk(chunk, cols, plan, fwd)
-            });
+            // pool workers stealing whole blocks.
+            let block = rows.div_ceil(workers) * cols;
+            xai_parallel::global()
+                .par_chunks_mut(x.as_mut_slice(), block, |_, b| transform_rows(b));
         }
-
-        fn run_chunk(chunk: &mut [Complex64], cols: usize, plan: &FftPlan, fwd: bool) {
-            for row in chunk.chunks_exact_mut(cols) {
-                if fwd {
-                    plan.forward(row, Norm::Backward);
-                } else {
-                    plan.inverse(row, Norm::Backward);
-                }
-            }
-        }
+        self.col_plan
+            .columns(x.as_mut_slice(), cols, fwd, Norm::Backward, workers);
     }
 }
 

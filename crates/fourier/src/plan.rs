@@ -94,6 +94,64 @@ impl FftPlan {
         }
     }
 
+    /// The column form of [`FftPlan::forward`]: transforms every
+    /// column of the row-major `self.len() × cols` buffer `data` in
+    /// place, each bit for bit as `forward` would transform it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cols > 0` and `data.len() == self.len() * cols`.
+    pub fn forward_columns(&self, data: &mut [Complex64], cols: usize, norm: Norm) {
+        self.columns(data, cols, true, norm, 1);
+    }
+
+    /// The column form of [`FftPlan::inverse`] (see
+    /// [`FftPlan::forward_columns`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`FftPlan::forward_columns`].
+    pub fn inverse_columns(&self, data: &mut [Complex64], cols: usize, norm: Norm) {
+        self.columns(data, cols, false, norm, 1);
+    }
+
+    /// Both column forms, optionally sharded over the shared pool.
+    /// Radix-2 lengths butterfly whole rows where they lie
+    /// ([`Radix2Plan::columns`]); a Bluestein length gathers one
+    /// column at a time into a scratch signal, transforms it and
+    /// scatters it back, on the calling thread whatever `workers` is.
+    pub(crate) fn columns(
+        &self,
+        data: &mut [Complex64],
+        cols: usize,
+        forward: bool,
+        norm: Norm,
+        workers: usize,
+    ) {
+        let p = match &self.algo {
+            Algo::Radix2(p) => return p.columns(data, cols, forward, norm, workers),
+            Algo::Bluestein(p) => p,
+        };
+        assert!(
+            cols > 0 && data.len() == p.len() * cols,
+            "buffer must hold plan-length rows of `cols` columns"
+        );
+        let mut column = vec![Complex64::ZERO; p.len()];
+        for c in 0..cols {
+            for (v, row) in column.iter_mut().zip(data.chunks_exact(cols)) {
+                *v = row[c];
+            }
+            if forward {
+                p.forward(&mut column, norm);
+            } else {
+                p.inverse(&mut column, norm);
+            }
+            for (v, row) in column.iter().zip(data.chunks_exact_mut(cols)) {
+                row[c] = *v;
+            }
+        }
+    }
+
     /// Approximate complex-MAC count of one transform execution —
     /// consumed by the hardware cost models in `xai-accel`.
     pub fn op_count(&self) -> u64 {
@@ -143,6 +201,49 @@ mod tests {
                 .fold(0.0, f64::max);
             assert!(err < 1e-9, "n={n}");
         }
+    }
+
+    #[test]
+    fn column_form_equals_transforming_each_column_alone() {
+        // Radix-2 (whole-row butterflies, serial and pool-sharded) and
+        // Bluestein (gather/scatter) lengths, every norm, both
+        // directions — including the norms `Fft2d` never passes.
+        let cols = 5;
+        for n in [1usize, 2, 8, 12, 16] {
+            let plan = FftPlan::new(n);
+            let x: Vec<Complex64> = (0..n * cols)
+                .map(|i| Complex64::new((i * 7 % 13) as f64 - 6.0, (i * 3 % 5) as f64 * 0.5))
+                .collect();
+            for norm in [Norm::Backward, Norm::Ortho, Norm::Forward] {
+                for forward in [true, false] {
+                    let mut want = x.clone();
+                    for c in 0..cols {
+                        let mut column: Vec<Complex64> =
+                            want.chunks(cols).map(|row| row[c]).collect();
+                        if forward {
+                            plan.forward(&mut column, norm);
+                        } else {
+                            plan.inverse(&mut column, norm);
+                        }
+                        for (row, v) in want.chunks_mut(cols).zip(column) {
+                            row[c] = v;
+                        }
+                    }
+                    for workers in [1, 2, 3, 8] {
+                        let mut got = x.clone();
+                        plan.columns(&mut got, cols, forward, norm, workers);
+                        assert_eq!(got, want, "n={n} {norm:?} fwd={forward} w={workers}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plan-length rows")]
+    fn column_form_rejects_a_ragged_buffer() {
+        let mut data = vec![Complex64::ZERO; 7];
+        FftPlan::new(4).forward_columns(&mut data, 2, Norm::Backward);
     }
 
     #[test]

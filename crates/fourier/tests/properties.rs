@@ -1,6 +1,7 @@
 //! Property-based tests for the Fourier library: every fast algorithm
-//! must agree with the naive definition, and the classic DFT theorems
-//! must hold on random data.
+//! must agree with the naive definition, the classic DFT theorems
+//! must hold on random data, and the in-place 2-D transform must
+//! reproduce the transposing formulation it replaced bit for bit.
 
 use proptest::prelude::*;
 use xai_fourier::{
@@ -104,7 +105,7 @@ proptest! {
     ) {
         // Random shapes (radix-2 and Bluestein lengths), batch sizes
         // including 0 and 1, and worker counts up to well past the
-        // row count: the fused batch passes must reproduce per-matrix
+        // row count: the batch entry points must reproduce per-matrix
         // transforms BIT for bit.
         let xs: Vec<Matrix<Complex64>> = (0..b)
             .map(|i| {
@@ -144,6 +145,122 @@ proptest! {
         FftPlan::new(24).forward(&mut spec, Norm::Backward);
         for k in 1..24 {
             prop_assert!((spec[k] - spec[24 - k].conj()).abs() < 1e-8);
+        }
+    }
+}
+
+/// The 2-D transform as it was formulated before the column pass went
+/// in place: 1-D transforms of the rows, transpose, 1-D transforms of
+/// the (now contiguous) columns, transpose back. Kept as the
+/// reference the whole-row column kernel is held to.
+fn transposing_reference(x: &Matrix<Complex64>, forward: bool) -> Matrix<Complex64> {
+    let run_rows = |m: &mut Matrix<Complex64>| {
+        let plan = FftPlan::new(m.cols());
+        for r in 0..m.rows() {
+            if forward {
+                plan.forward(m.row_mut(r), Norm::Backward);
+            } else {
+                plan.inverse(m.row_mut(r), Norm::Backward);
+            }
+        }
+    };
+    let mut inter = x.clone();
+    run_rows(&mut inter);
+    let mut t = inter.transpose();
+    run_rows(&mut t);
+    t.transpose()
+}
+
+/// Bit equality (`==` would equate `0.0` with `-0.0`). A NaN need only
+/// be a NaN in the same place: which operand's payload an add
+/// propagates is the code generator's choice.
+fn assert_same_bits(got: &Matrix<Complex64>, want: &Matrix<Complex64>, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        assert!(
+            same(g.re, w.re) && same(g.im, w.im),
+            "{what}: element {i} is {g:?}, reference {w:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn in_place_transform_matches_transposing_reference_bit_for_bit(
+        values in proptest::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 17 * 17),
+        block in (0usize..17, 0usize..17, 1usize..9, 1usize..9),
+        marks in proptest::collection::vec(0usize..17 * 17, 4),
+    ) {
+        // Every shape up to 17 x 17: radix-2, Bluestein and mixed
+        // axes, degenerate 1 x n and m x 1 included.
+        for m in 1..=17usize {
+            for n in 1..=17usize {
+                let (r0, c0, h, w) = block;
+                let finite = Matrix::from_fn(m, n, |r, c| {
+                    let i = r * n + c;
+                    if (r0..r0 + h).contains(&r) && (c0..c0 + w).contains(&c) {
+                        Complex64::ZERO
+                    } else if i == marks[0] % (m * n) {
+                        Complex64::new(-0.0, -0.0)
+                    } else {
+                        Complex64::new(values[i].0, values[i].1)
+                    }
+                })
+                .unwrap();
+                let mut poisoned = finite.clone();
+                poisoned.as_mut_slice()[marks[1] % (m * n)].re = f64::NAN;
+                poisoned.as_mut_slice()[marks[2] % (m * n)].im = f64::INFINITY;
+                poisoned.as_mut_slice()[marks[3] % (m * n)].re = f64::NEG_INFINITY;
+
+                let plan = Fft2d::new(m, n);
+                for x in [finite, poisoned] {
+                    let other = x.map(|z| z * Complex64::new(0.5, -2.0));
+                    let pair = [x.clone(), other.clone()];
+                    for forward in [true, false] {
+                        let what = |name: &str| format!("{name} {m}x{n} forward={forward}");
+                        let want = [
+                            transposing_reference(&x, forward),
+                            transposing_reference(&other, forward),
+                        ];
+                        let check_pair = |got: Vec<Matrix<Complex64>>, name: &str| {
+                            assert_eq!(got.len(), 2, "{}", what(name));
+                            assert_same_bits(&got[0], &want[0], &what(name));
+                            assert_same_bits(&got[1], &want[1], &what(name));
+                        };
+
+                        let mut in_place = x.clone();
+                        if forward {
+                            assert_same_bits(&plan.forward(&x).unwrap(), &want[0], &what("forward"));
+                            plan.forward_in_place(&mut in_place).unwrap();
+                            check_pair(plan.forward_batch(&pair).unwrap(), "forward_batch");
+                        } else {
+                            assert_same_bits(&plan.inverse(&x).unwrap(), &want[0], &what("inverse"));
+                            plan.inverse_in_place(&mut in_place).unwrap();
+                            check_pair(plan.inverse_batch(&pair).unwrap(), "inverse_batch");
+                        }
+                        assert_same_bits(&in_place, &want[0], &what("in_place"));
+
+                        for workers in 1..=8 {
+                            let (one, both) = if forward {
+                                (
+                                    plan.forward_parallel(&x, workers).unwrap(),
+                                    plan.forward_batch_parallel(&pair, workers).unwrap(),
+                                )
+                            } else {
+                                (
+                                    plan.inverse_parallel(&x, workers).unwrap(),
+                                    plan.inverse_batch_parallel(&pair, workers).unwrap(),
+                                )
+                            };
+                            assert_same_bits(&one, &want[0], &what(&format!("parallel w={workers}")));
+                            check_pair(both, &format!("batch_parallel w={workers}"));
+                        }
+                    }
+                }
+            }
         }
     }
 }

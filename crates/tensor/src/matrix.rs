@@ -341,49 +341,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Cache-blocked tile transpose. A transpose is a pure value
-    /// permutation, so the output is bit-identical to
-    /// [`Matrix::transpose`] — but walking the matrix in 32² tiles
-    /// keeps both the strided source reads
-    /// and the sequential destination writes cache-resident, where the
-    /// naive column walk thrashes one line per element on large
-    /// matrices.
-    pub fn transpose_blocked(&self) -> Self {
-        let mut out = vec![T::ZERO; self.data.len()];
-        transpose_band(&self.data, self.rows, self.cols, 0, self.cols, &mut out);
-        Matrix {
-            rows: self.cols,
-            cols: self.rows,
-            data: out,
-        }
-    }
-
-    /// Tile transpose parallelised over bands of output rows on the
-    /// shared `xai-parallel` pool. `workers` bounds the band count
-    /// (clamped to `1..=cols`); band boundaries depend only on
-    /// `workers`, and a transpose is a pure permutation, so the output
-    /// is bit-identical to [`Matrix::transpose`] for every worker
-    /// count — including `1`, which runs the serial blocked walk.
-    pub fn transpose_parallel(&self, workers: usize) -> Self {
-        let workers = workers.min(self.cols).max(1);
-        let mut out = vec![T::ZERO; self.data.len()];
-        if workers <= 1 {
-            transpose_band(&self.data, self.rows, self.cols, 0, self.cols, &mut out);
-        } else {
-            let band = self.cols.div_ceil(workers);
-            xai_parallel::global().par_chunks_mut(&mut out, band * self.rows, |i, chunk| {
-                let c0 = i * band;
-                let c1 = c0 + chunk.len() / self.rows;
-                transpose_band(&self.data, self.rows, self.cols, c0, c1, chunk);
-            });
-        }
-        Matrix {
-            rows: self.cols,
-            cols: self.rows,
-            data: out,
-        }
-    }
-
     /// Applies a function to every element, producing a new matrix.
     pub fn map<U: Scalar>(&self, mut f: impl FnMut(T) -> U) -> Matrix<U> {
         Matrix {
@@ -480,8 +437,6 @@ impl<T: Scalar> Matrix<T> {
     pub fn vstack(parts: &[Self]) -> Result<Self> {
         let first = parts.first().ok_or(TensorError::EmptyDimension)?;
         let cols = first.cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
         for p in parts {
             if p.cols != cols {
                 return Err(TensorError::ShapeMismatch {
@@ -490,7 +445,10 @@ impl<T: Scalar> Matrix<T> {
                     op: "vstack",
                 });
             }
-            rows += p.rows;
+        }
+        let rows: usize = parts.iter().map(|p| p.rows).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for p in parts {
             data.extend_from_slice(&p.data);
         }
         Ok(Matrix { rows, cols, data })
@@ -676,53 +634,6 @@ impl Matrix<Complex64> {
     }
 }
 
-/// Writes the transpose of the row-major `rows × cols` slice `src`
-/// into `out` (row-major `cols × rows`) with the cache-blocked tile
-/// walk of [`Matrix::transpose_blocked`]. Exposed for callers that
-/// stage transposes through scratch buffers (the batched FFT's
-/// scatter/gather passes) without constructing intermediate matrices.
-///
-/// # Panics
-///
-/// Panics when either slice length differs from `rows * cols`.
-pub fn transpose_slice<T: Scalar>(src: &[T], rows: usize, cols: usize, out: &mut [T]) {
-    assert_eq!(src.len(), rows * cols, "transpose_slice source length");
-    assert_eq!(out.len(), rows * cols, "transpose_slice destination length");
-    transpose_band(src, rows, cols, 0, cols, out);
-}
-
-/// Tile edge of the cache-blocked transpose. 32×32 `f64` tiles are
-/// 8 KiB of source plus 8 KiB of destination — both L1-resident — and
-/// a 32-element contiguous destination run amortises the strided
-/// source walk.
-const TRANSPOSE_TILE: usize = 32;
-
-/// Writes the transpose of source columns `c0..c1` into `out`, tile by
-/// tile. `out` must be the row-major `(c1 − c0) × rows` band of the
-/// transposed matrix that starts at transposed row `c0`.
-fn transpose_band<T: Scalar>(
-    src: &[T],
-    rows: usize,
-    cols: usize,
-    c0: usize,
-    c1: usize,
-    out: &mut [T],
-) {
-    debug_assert_eq!(out.len(), (c1 - c0) * rows);
-    for rb in (0..rows).step_by(TRANSPOSE_TILE) {
-        let re = (rb + TRANSPOSE_TILE).min(rows);
-        for cb in (c0..c1).step_by(TRANSPOSE_TILE) {
-            let ce = (cb + TRANSPOSE_TILE).min(c1);
-            for c in cb..ce {
-                let base = (c - c0) * rows;
-                for r in rb..re {
-                    out[base + r] = src[r * cols + c];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,45 +703,6 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().shape(), (5, 3));
         assert_eq!(m.transpose()[(4, 2)], m[(2, 4)]);
-    }
-
-    #[test]
-    fn blocked_transpose_is_bit_identical_for_ragged_shapes() {
-        // Shapes straddling the tile edge: smaller than one tile, one
-        // ragged tile over, prime dimensions, tall and wide extremes.
-        for &(m, n) in &[
-            (1, 1),
-            (1, 64),
-            (64, 1),
-            (3, 5),
-            (31, 33),
-            (32, 32),
-            (33, 31),
-            (37, 41),
-            (7, 129),
-            (129, 7),
-        ] {
-            let x = Matrix::from_fn(m, n, |r, c| (r * 131 + c * 17) as f64 * 0.25).unwrap();
-            let naive = x.transpose();
-            assert_eq!(x.transpose_blocked(), naive, "blocked {m}x{n}");
-            for workers in [1, 2, 4, 7] {
-                assert_eq!(
-                    x.transpose_parallel(workers),
-                    naive,
-                    "parallel {m}x{n} w={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_transpose_matches_for_complex_elements() {
-        let x = Matrix::from_fn(19, 23, |r, c| {
-            Complex64::new(r as f64 + 0.5, c as f64 - 3.0)
-        })
-        .unwrap();
-        assert_eq!(x.transpose_blocked(), x.transpose());
-        assert_eq!(x.transpose_parallel(4), x.transpose());
     }
 
     #[test]

@@ -209,6 +209,21 @@ pub fn hadamard<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
     zip_elementwise(a, b, "hadamard", |x, y| x * y)
 }
 
+/// [`hadamard`] into the left operand: `a ← a ◦ b`, no allocation.
+/// Bit-identical to `hadamard(a, b)`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] (op `"hadamard"`, `a`
+/// untouched) for differing shapes.
+pub fn hadamard_assign<T: Scalar>(a: &mut Matrix<T>, b: &Matrix<T>) -> Result<()> {
+    a.check_same_shape(b, "hadamard")?;
+    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
+        *x = *x * y;
+    }
+    Ok(())
+}
+
 /// Policy for handling zero (or numerically tiny) denominators in
 /// [`pointwise_div`].
 ///
@@ -393,6 +408,26 @@ pub fn sub<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
     zip_elementwise(a, b, "sub", |x, y| x - y)
 }
 
+/// `y − re(p)`: the Equation-5 difference against the real part of a
+/// complex prediction, without materialising `p.to_real()`.
+/// Bit-identical to `sub(y, &p.to_real())`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] (op `"sub"`) for differing
+/// shapes.
+pub fn sub_re(y: &Matrix<f64>, p: &Matrix<Complex64>) -> Result<Matrix<f64>> {
+    if y.shape() != p.shape() {
+        return Err(TensorError::ShapeMismatch {
+            left: y.shape(),
+            right: p.shape(),
+            op: "sub",
+        });
+    }
+    let data = y.iter().zip(p.iter()).map(|(&a, z)| a - z.re).collect();
+    Matrix::from_vec(y.rows(), y.cols(), data)
+}
+
 /// Scales every element by `k`.
 pub fn scale<T: Scalar>(a: &Matrix<T>, k: T) -> Matrix<T> {
     a.map(|v| v * k)
@@ -508,6 +543,46 @@ mod tests {
         let a = mat(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = mat(&[&[2.0, 0.5], &[1.0, -1.0]]);
         assert_eq!(hadamard(&a, &b).unwrap(), mat(&[&[2.0, 1.0], &[3.0, -4.0]]));
+    }
+
+    #[test]
+    fn in_place_twins_equal_their_allocating_ops_bit_for_bit() {
+        let a = Matrix::from_fn(3, 4, |r, c| {
+            Complex64::new(r as f64 - 1.0, if c == 2 { -0.0 } else { c as f64 * 0.3 })
+        })
+        .unwrap();
+        let b = Matrix::from_fn(3, 4, |r, c| Complex64::new(c as f64 - 1.5, r as f64)).unwrap();
+        let bits = |m: &Matrix<Complex64>| -> Vec<(u64, u64)> {
+            m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let mut assigned = a.clone();
+        hadamard_assign(&mut assigned, &b).unwrap();
+        assert_eq!(bits(&assigned), bits(&hadamard(&a, &b).unwrap()));
+
+        let y = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64 * 0.25 - 1.0).unwrap();
+        let fused: Vec<u64> = sub_re(&y, &a)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let staged: Vec<u64> = sub(&y, &a.to_real())
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(fused, staged);
+
+        // Same typed errors as the allocating twins; `a` untouched.
+        let wide = Matrix::filled(3, 5, Complex64::ONE).unwrap();
+        assert_eq!(
+            hadamard_assign(&mut assigned, &wide).unwrap_err(),
+            hadamard(&a, &wide).unwrap_err()
+        );
+        assert_eq!(bits(&assigned), bits(&hadamard(&a, &b).unwrap()));
+        assert_eq!(
+            sub_re(&y, &wide).unwrap_err(),
+            sub(&y, &wide.to_real()).unwrap_err()
+        );
     }
 
     #[test]

@@ -1,0 +1,121 @@
+//! Golden bits recorded from the commit *before* the 2-D transform
+//! moved to the in-place row pass + whole-row column pass. Every
+//! other bit-identity check in the tree compares two paths of the
+//! same build, so a drift that moves both the same way would pass
+//! them all; these constants cannot move with the code.
+
+use std::time::Duration;
+use tpu_xai::accel::TpuAccel;
+use tpu_xai::core::parallel::block_contributions_on;
+use tpu_xai::core::{DistilledModel, SolveStrategy};
+use tpu_xai::fourier::Fft2d;
+use tpu_xai::tensor::conv::conv2d_circular;
+use tpu_xai::tensor::{Complex64, Matrix};
+
+/// FNV-1a over the `(re, im)` bit patterns, row-major.
+fn fold(m: &Matrix<Complex64>) -> u64 {
+    m.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn input(rows: usize, cols: usize) -> Matrix<Complex64> {
+    Matrix::from_fn(rows, cols, |r, c| {
+        Complex64::new(
+            ((r * 37 + c * 11) % 23) as f64 * 0.375 - 4.0,
+            ((r * 5 + c * 29) % 19) as f64 * 0.0625 - 0.5,
+        )
+    })
+    .unwrap()
+}
+
+/// `(rows, cols, fold(forward), forward[last] bits, fold(inverse), inverse[last] bits)`
+/// — radix-2 both axes, radix-2 tall, and Bluestein columns (6) with
+/// Bluestein rows (10).
+type Golden = (usize, usize, u64, (u64, u64), u64, (u64, u64));
+const TRANSFORMS: [Golden; 3] = [
+    (
+        8,
+        8,
+        0x4fdb_985e_7476_3f7f,
+        (0xbfea_debc_19b7_1720, 0x402c_7316_881c_9de9),
+        0xd9a8_6045_5dc3_e1c2,
+        (0x3f8a_debc_19b7_1700, 0xbfc4_573f_04e5_bb09),
+    ),
+    (
+        16,
+        4,
+        0x048a_c403_8dcc_a353,
+        (0xc02d_7295_6340_963c, 0xc00f_3c95_89fc_5512),
+        0x7ce1_6558_8018_a538,
+        (0xbfcd_7295_6340_963c, 0x3fc0_9605_6402_1736),
+    ),
+    (
+        6,
+        10,
+        0xff9b_b8a7_7b64_b7e9,
+        (0xc01e_27e3_2ac6_1b4a, 0x400a_bd76_2209_db11),
+        0x2c5f_f3c6_d0d3_ab09,
+        (0xbfc0_dec8_f501_66fe, 0xbfa2_d511_7bce_4fdc),
+    ),
+];
+
+#[test]
+fn fft2d_bits_match_the_transposing_implementation() {
+    let got = TRANSFORMS.map(|(rows, cols, ..)| {
+        let plan = Fft2d::new(rows, cols);
+        let x = input(rows, cols);
+        let fwd = plan.forward(&x).unwrap();
+        let inv = plan.inverse(&x).unwrap();
+        let last = |m: &Matrix<Complex64>| {
+            let z = m[(rows - 1, cols - 1)];
+            (z.re.to_bits(), z.im.to_bits())
+        };
+        (rows, cols, fold(&fwd), last(&fwd), fold(&inv), last(&inv))
+    });
+    assert_eq!(got, TRANSFORMS, "{got:#x?}");
+}
+
+/// One served block map: 16×16, grid 4, through the fused
+/// `FilterDiff` flight. Block (1, 2) of the input is all zeros (an
+/// occluded-looking block the butterflies must carry as exact zeros)
+/// and one element is `-0.0`.
+const BLOCK_MAP: [u64; 16] = [
+    0x4044_fe89_1515_c155,
+    0x4048_3348_d9d5_808c,
+    0x4049_b2a9_9450_7bb6,
+    0x4043_95d4_98e0_c3ad,
+    0x4045_4a2f_3e47_eeef,
+    0x4043_95d4_9706_36b6,
+    0x3eb2_9f39_c1c3_f98d,
+    0x4048_3348_dd99_5626,
+    0x404b_57a4_1ab1_5992,
+    0x4043_cb06_a365_1ec6,
+    0x4043_cb06_a167_ff5b,
+    0x404b_57a4_1b11_7bd4,
+    0x4047_d60e_0048_2991,
+    0x4049_b2a9_93be_5861,
+    0x4043_95d4_9785_e451,
+    0x4045_4a2f_3c0d_4213,
+];
+
+#[test]
+fn served_block_map_bits_match_the_batched_implementation() {
+    let k = Matrix::from_fn(16, 16, |r, c| ((r * 3 + c * 7) % 11) as f64 * 0.125 - 0.5).unwrap();
+    let mut x =
+        Matrix::from_fn(16, 16, |r, c| ((r * 13 + c * 5) % 17) as f64 * 0.25 - 2.0).unwrap();
+    for r in 4..8 {
+        for c in 8..12 {
+            x[(r, c)] = 0.0;
+        }
+    }
+    x[(13, 2)] = -0.0;
+    let y = conv2d_circular(&x, &k).unwrap();
+    let model = DistilledModel::fit(&[(x.clone(), y.clone())], SolveStrategy::default()).unwrap();
+    let acc = TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16);
+    let map = block_contributions_on(&acc, &model, &x, &y, 4).unwrap();
+    let bits: Vec<u64> = map.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, BLOCK_MAP, "{bits:#x?}");
+}
