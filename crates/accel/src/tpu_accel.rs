@@ -27,9 +27,11 @@ use crate::clock::Clock;
 use crate::roofline::cost;
 use crate::stats::KernelStats;
 use crate::traits::Accelerator;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use xai_fourier::global_plan_cache;
+use xai_sync::{LockClass, OrderedMutex};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
@@ -37,6 +39,25 @@ use xai_tpu::{
     BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, ShardPlan, ShardStrategy,
     SharedDevice, TpuConfig, TpuDevice,
 };
+
+/// The fan-out probe memo is a leaf of the workspace lock hierarchy,
+/// like the clock ledger beside it: a lookup or an insert holds it for
+/// one map operation and acquires nothing underneath.
+static ACCEL_PROBE: LockClass = LockClass::new("accel::probe", 51);
+
+/// Distinct `(chip, shard shape)` probes the memo holds before it is
+/// cleared. A serving fleet sees a handful of flight shapes; a sweep
+/// over many refills it from the scratch run.
+const PROBE_MEMO_CAPACITY: usize = 1024;
+
+/// Memoised dry-run probes: `(chip index in the pool, shard charges)`
+/// → the scratch simulator's wall seconds, `None` when the shard is
+/// unchargeable.
+type ProbeMemo = HashMap<(usize, ShardCharges), Option<f64>>;
+
+fn empty_probe_memo() -> OrderedMutex<ProbeMemo> {
+    OrderedMutex::new(&ACCEL_PROBE, ProbeMemo::new())
+}
 
 /// TPU-based accelerator (the "Proposed Approach" column of the
 /// paper's tables).
@@ -84,13 +105,21 @@ pub struct TpuAccel {
     /// `queue.is_some()` — a pool is only ever installed together with
     /// a queue ([`TpuAccel::over_pool`]) and a queue is never removed.
     pool: Option<DevicePool>,
+    /// [`TpuAccel::fanout_plan`]'s dry-run probes, memoised. A probe
+    /// is a pure function of a chip's `(TpuConfig, cores)` and the
+    /// shard's charges, and a pooled chip's configuration never
+    /// changes after the pool is built, so the chip's index stands in
+    /// for the first half of the key.
+    probes: OrderedMutex<ProbeMemo>,
 }
 
 impl Clone for TpuAccel {
     /// Deep copy: the clone gets an independent device — or, when
     /// pooled, an independent pool of devices — with the same
     /// configuration and current counters (and, when batching is
-    /// enabled, its own queue over the cloned primary device).
+    /// enabled, its own queue over the cloned primary device). The
+    /// probe memo is keyed on this accelerator's pool, so the clone
+    /// starts an empty one.
     fn clone(&self) -> Self {
         let pool = self.pool.as_ref().map(DevicePool::deep_clone);
         let device = match &pool {
@@ -105,6 +134,7 @@ impl Clone for TpuAccel {
             device,
             stats: self.stats.clone(),
             pool,
+            probes: empty_probe_memo(),
         }
     }
 }
@@ -147,6 +177,7 @@ impl TpuAccel {
             stats: Clock::new(),
             queue: None,
             pool: None,
+            probes: empty_probe_memo(),
         }
     }
 
@@ -156,8 +187,9 @@ impl TpuAccel {
     /// [`TpuAccel::with_batching`] for `window`/`max_lanes`), and
     /// every multi-lane flight — transforms, elementwise work and
     /// matmuls, mixed freely — is sharded across the chips by the
-    /// pool's placement strategy, executed concurrently, and merged
-    /// with one inter-chip gather per flight
+    /// pool's placement strategy, executed chip by chip on the
+    /// flight leader's thread (the chips are concurrent in simulated
+    /// time only), and merged with one inter-chip gather per flight
     /// ([`xai_tpu::DevicePool::run_sharded`]).
     ///
     /// Results stay bit-identical to single-device execution; only
@@ -183,6 +215,7 @@ impl TpuAccel {
             device,
             stats: Clock::new(),
             pool: Some(pool),
+            probes: empty_probe_memo(),
         }
     }
 
@@ -501,7 +534,7 @@ fn charge_rowsharded_matmul(d: &mut TpuDevice, m: usize, k: usize, n: usize) -> 
 /// The charge-relevant summary of one flight shard, grouped by kernel
 /// kind: computed *before* the numerics consume the jobs, charged
 /// atomically afterwards.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 struct ShardCharges {
     /// Transform lanes' shapes, in lane order.
     transforms: Vec<(usize, usize)>,
@@ -572,6 +605,17 @@ fn charge_kernel_shard(d: &mut TpuDevice, charges: &ShardCharges) -> Result<()> 
         charge_sharded_elementwise(d, elems)?;
     }
     Ok(())
+}
+
+/// The memo's miss path and its definition: replays `charges` through
+/// the exact charge functions the real dispatch uses, on a scratch
+/// simulator mirroring `device`'s configuration and core count, and
+/// reads the wall seconds off it. `None` when the shard is
+/// unchargeable (an empty phase). Touches no real chip's clock.
+fn scratch_probe(device: &SharedDevice, charges: &ShardCharges) -> Option<f64> {
+    let mut scratch = TpuDevice::with_cores(device.config(), device.num_cores());
+    charge_kernel_shard(&mut scratch, charges).ok()?;
+    Some(scratch.wall_seconds())
 }
 
 impl TpuAccel {
@@ -704,9 +748,12 @@ impl TpuAccel {
     /// gather is compared against the single-chip wall time. Because
     /// the dry run calls the exact charge functions the real dispatch
     /// uses, the decision can never drift from the cost model it
-    /// optimises; it touches no real chip's clock. On a win the plan
-    /// and gather payload are returned so the pooled dispatch reuses
-    /// them instead of planning again.
+    /// optimises; it touches no real chip's clock. A probe is a pure
+    /// function of the chip and the shard's charges, so each distinct
+    /// one runs its scratch simulator once and is answered from a
+    /// bounded memo afterwards ([`TpuAccel::probe`]). On a win the
+    /// plan and gather payload are returned so the pooled dispatch
+    /// reuses them instead of planning again.
     ///
     /// Transform-heavy flights fan out (MXU work dwarfs the gather);
     /// small elementwise flights stay on the primary chip, where the
@@ -750,13 +797,8 @@ impl TpuAccel {
         };
         // An unchargeable probe (empty phase) means the real dispatch
         // would fail identically on either path; prefer the simpler
-        // primary-chip path.
-        let probe = |device: &SharedDevice, charges: &ShardCharges| -> Option<f64> {
-            let mut scratch = TpuDevice::with_cores(device.config(), device.num_cores());
-            charge_kernel_shard(&mut scratch, charges).ok()?;
-            Some(scratch.wall_seconds())
-        };
-        let single = probe(&self.device, whole_flight_charges)?;
+        // primary-chip path. `self.device` is the pool's chip 0.
+        let single = self.probe(pool, 0, whole_flight_charges.clone())?;
         let mut best: Option<(f64, ShardPlan, usize)> = None;
         for plan in candidates {
             if plan.occupied_devices() < 2 {
@@ -768,7 +810,7 @@ impl TpuAccel {
                     continue;
                 }
                 let charges = shard_charges(assigned.iter().map(|&i| &flight[i]));
-                slowest = slowest.max(probe(pool.device(d), &charges)?);
+                slowest = slowest.max(self.probe(pool, d, charges)?);
             }
             let gather_bytes = plan.gather_shard_bytes(&lanes);
             let gather = pool.gather_cost_s(gather_bytes, plan.occupied_devices());
@@ -781,10 +823,30 @@ impl TpuAccel {
         (cost < single).then_some((plan, gather_bytes))
     }
 
+    /// One dry-run probe: the simulated seconds `charges` would cost
+    /// chip `chip` of `pool`, from the memo or — on a miss — from
+    /// [`scratch_probe`]. The scratch run happens outside the memo's
+    /// lock; two threads missing on one key both run it and insert
+    /// the same value.
+    fn probe(&self, pool: &DevicePool, chip: usize, charges: ShardCharges) -> Option<f64> {
+        let key = (chip, charges);
+        let hit = self.probes.lock_recover().get(&key).copied();
+        if let Some(seconds) = hit {
+            return seconds;
+        }
+        let seconds = scratch_probe(pool.device(chip), &key.1);
+        let mut memo = self.probes.lock_recover();
+        if memo.len() >= PROBE_MEMO_CAPACITY {
+            memo.clear();
+        }
+        memo.insert(key, seconds);
+        seconds
+    }
+
     /// Executes one coalesced flight sharded across the pool's chips
     /// under the plan [`TpuAccel::fanout_plan`] already computed —
     /// transform, elementwise and matmul lanes placed by one
-    /// flops-consistent cost — each chip concurrently runs its shard
+    /// flops-consistent cost — each chip runs its shard
     /// as a full flight (numerics + the same per-device charges as
     /// the single-chip path,
     /// self-measured atomically under the chip's lock via
@@ -1115,6 +1177,7 @@ impl Accelerator for TpuAccel {
 mod tests {
     use super::*;
     use crate::host::{CpuModel, GpuModel};
+    use proptest::prelude::*;
 
     #[test]
     fn fft_numerics_are_exact() {
@@ -1700,5 +1763,144 @@ mod tests {
         }
         assert!((shared.elapsed_seconds() - serial.elapsed_seconds()).abs() < 1e-15);
         assert_eq!(shared.stats().kernels, serial.stats().kernels);
+    }
+
+    /// One lane of `kind` (all six [`KernelJob`] kinds) at `m × n`.
+    fn memo_test_job(kind: usize, m: usize, n: usize) -> KernelJob {
+        let real = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |r, c| ((r * 3 + c * 5 + kind) % 7) as f64 + 1.0).unwrap()
+        };
+        let cplx = |rows, cols| real(rows, cols).to_complex();
+        match kind % 6 {
+            0 => KernelJob::Transform {
+                x: cplx(m, n),
+                forward: m.is_multiple_of(2),
+            },
+            1 => KernelJob::Hadamard {
+                a: cplx(m, n),
+                b: Arc::new(cplx(m, n)),
+            },
+            2 => KernelJob::PointwiseDiv {
+                a: cplx(m, n),
+                b: cplx(m, n),
+                policy: DivPolicy::Strict { tol: 0.0 },
+            },
+            3 => KernelJob::Sub {
+                a: Arc::new(real(m, n)),
+                b: real(m, n),
+            },
+            4 => KernelJob::Matmul {
+                a: real(m, n),
+                b: real(n, m),
+            },
+            _ => KernelJob::FilterDiff {
+                x: cplx(m, n),
+                filter: Arc::new(cplx(m, n)),
+                y: Arc::new(real(m, n)),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Memo ≡ scratch, differentially: an accelerator that keeps
+        /// its probe memo and one whose memo is emptied before every
+        /// decision (so each probe is a scratch run) make the same
+        /// fan-out decisions and leave the same clocks on every chip,
+        /// over mixed flights on heterogeneous pools under every
+        /// strategy, with a transient fault and a fail-stop
+        /// quarantining chips mid-sequence.
+        #[test]
+        fn memoised_probes_decide_and_charge_exactly_like_scratch_probes(
+            flights in proptest::collection::vec(
+                proptest::collection::vec((0usize..6, 1usize..18, 1usize..18), 1usize..13),
+                1usize..5,
+            ),
+            cores in proptest::collection::vec(1usize..9, 2usize..6),
+            strategy in 0usize..3,
+            faulted_draw in 0u64..8,
+        ) {
+            let strategy = [
+                ShardStrategy::RoundRobin,
+                ShardStrategy::CostAware,
+                ShardStrategy::TopologyAware,
+            ][strategy];
+            let accel = || {
+                let chips = cores
+                    .iter()
+                    .map(|&c| SharedDevice::with_cores(TpuConfig::small_test(), c))
+                    .collect();
+                // Chip 1 fail-stops as soon as the merged clock moves;
+                // one forced transient quarantines whichever chip
+                // carries that draw.
+                let plan = xai_tpu::FaultPlan::seeded(11)
+                    .transient_draw(faulted_draw)
+                    .fail_stop(1, 1.0e-12);
+                let pool = DevicePool::from_devices(chips)
+                    .with_strategy(strategy)
+                    .with_topology(xai_tpu::Topology::torus(2))
+                    .with_fault_plan(plan);
+                TpuAccel::over_pool(pool, Duration::ZERO, 64)
+            };
+            let (warm, fresh) = (accel(), accel());
+            let (warm_pool, fresh_pool) = (warm.pool().unwrap(), fresh.pool().unwrap());
+            // Every flight twice over: the second pass finds each
+            // repeated probe already memoised on the warm side.
+            for lanes in flights.iter().chain(&flights) {
+                let flight: Vec<KernelJob> =
+                    lanes.iter().map(|&(k, m, n)| memo_test_job(k, m, n)).collect();
+                let charges = shard_charges(&flight);
+                fresh.probes.lock_recover().clear();
+                prop_assert_eq!(
+                    warm.fanout_plan(warm_pool, &flight, &charges),
+                    fresh.fanout_plan(fresh_pool, &flight, &charges)
+                );
+                fresh.probes.lock_recover().clear();
+                prop_assert_eq!(
+                    warm.dispatch_flight(flight.clone()),
+                    fresh.dispatch_flight(flight)
+                );
+            }
+            prop_assert_eq!(
+                warm_pool.wall_seconds().to_bits(),
+                fresh_pool.wall_seconds().to_bits()
+            );
+            prop_assert_eq!(warm_pool.fault_stats(), fresh_pool.fault_stats());
+            for (w, f) in warm_pool.devices().iter().zip(fresh_pool.devices()) {
+                prop_assert_eq!(w.wall_seconds().to_bits(), f.wall_seconds().to_bits());
+            }
+            // And entry by entry: what the memo holds is what the
+            // scratch run says.
+            let memo = warm.probes.lock_recover().clone();
+            prop_assert!(!memo.is_empty());
+            for ((chip, charges), seconds) in memo {
+                let scratch = scratch_probe(warm_pool.device(chip), &charges);
+                prop_assert_eq!(seconds.map(f64::to_bits), scratch.map(f64::to_bits));
+            }
+        }
+    }
+
+    /// The memo is cleared when full, so a sweep over ten times its
+    /// capacity in distinct shapes never holds more than the capacity.
+    #[test]
+    fn probe_memo_never_exceeds_its_capacity() {
+        let acc = TpuAccel::over_pool(
+            DevicePool::new(TpuConfig::small_test(), 2),
+            Duration::ZERO,
+            8,
+        );
+        let pool = acc.pool().unwrap();
+        let mut high_water = 0;
+        for elems in 1..=10 * PROBE_MEMO_CAPACITY {
+            let charges = ShardCharges {
+                elementwise: vec![("sub", elems)],
+                ..ShardCharges::default()
+            };
+            let first = acc.probe(pool, elems % 2, charges.clone());
+            assert_eq!(first, acc.probe(pool, elems % 2, charges), "hit == miss");
+            high_water = high_water.max(acc.probes.lock_recover().len());
+        }
+        assert_eq!(high_water, PROBE_MEMO_CAPACITY);
     }
 }

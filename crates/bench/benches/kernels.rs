@@ -85,9 +85,10 @@ fn bench_convolution(c: &mut Criterion) {
 
 /// One sharded gather flight per fabric at pod scale: the same
 /// oversubscribed matmul fleet reassembled over a flat crossbar, a
-/// ring and a 2-D torus at 4, 16 and 64 chips. Host wall time tracks
-/// the real fan-out/join cost; the simulated gather ordering (flat ≤
-/// torus ≤ ring) is pinned by the suite's property tests.
+/// ring and a 2-D torus at 4, 16 and 64 chips. Host wall time is the
+/// leader thread running every shard plus the pool's bookkeeping; the
+/// simulated gather ordering (flat ≤ torus ≤ ring) is pinned by the
+/// suite's property tests.
 fn bench_collectives(c: &mut Criterion) {
     use xai_tpu::{DevicePool, LaneCost, Topology, TpuConfig};
     let mut group = c.benchmark_group("collectives");
@@ -123,11 +124,42 @@ fn bench_collectives(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host time of one pooled `filter_diff_batch` flight on 4 small
+/// chips, from the serving shape (8×8 ×4) up to heavy lanes: the
+/// sizes at which running a flight's shards on its leader's thread
+/// was weighed against a host thread per chip.
+fn bench_pooled_flight(c: &mut Criterion) {
+    use std::time::Duration;
+    use xai_accel::{Accelerator, TpuAccel};
+    use xai_tpu::{DevicePool, TpuConfig};
+    let mut group = c.benchmark_group("pooled-flight");
+    group.sample_size(10);
+    for (n, lanes) in [(8usize, 4usize), (32, 16), (128, 16)] {
+        let xs: Vec<_> = (0..lanes).map(|i| real_matrix(n, i).to_complex()).collect();
+        let filter = real_matrix(n, 97).to_complex();
+        let y = real_matrix(n, 98);
+        let acc = TpuAccel::over_pool(
+            DevicePool::new(TpuConfig::small_test(), 4),
+            Duration::ZERO,
+            256,
+        );
+        let id = BenchmarkId::new(format!("filter-diff-x{lanes}"), n);
+        group.bench_with_input(id, &n, |b, _| {
+            b.iter(|| {
+                acc.filter_diff_batch(black_box(&xs), black_box(&filter), black_box(&y))
+                    .expect("pooled flight")
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_elementwise,
     bench_convolution,
-    bench_collectives
+    bench_collectives,
+    bench_pooled_flight
 );
 criterion_main!(benches);

@@ -86,6 +86,7 @@ fn lock_hierarchy_table_matches_the_documented_ranks() {
         "parallel::deque",
         "parallel::scope_panic",
         "accel::clock",
+        "accel::probe",
         "fourier::cache",
         "serve::clock",
         "tpu::queue_time",
@@ -107,7 +108,8 @@ fn lock_hierarchy_table_matches_the_documented_ranks() {
     assert!(pos("device::lanes") < pos("parallel::injector"));
     assert!(pos("parallel::injector") < pos("parallel::deque"));
     assert!(pos("parallel::deque") < pos("accel::clock"));
-    assert!(pos("accel::clock") < pos("serve::response"));
+    assert!(pos("accel::clock") < pos("accel::probe"));
+    assert!(pos("accel::probe") < pos("serve::response"));
 
     let table = xai_lint::render_lock_table(&decls);
     assert!(table.starts_with("| Rank | Lock class | Declared in |"));

@@ -6,9 +6,9 @@
 //! only, because the build environment has no crates.io access.
 //!
 //! Before this crate, every parallel entry point
-//! (`Fft2d::forward_batch_parallel`, `explain_batch_parallel_on`,
-//! `DevicePool::run_planned`) paid `std::thread::scope` — an OS
-//! thread spawn per chunk per call. Now the whole stack shares one
+//! (`Fft2d::forward_batch_parallel`, `explain_batch_parallel_on`)
+//! paid `std::thread::scope` — an OS thread spawn per chunk per
+//! call. Now the whole stack shares one
 //! persistent [`Pool`] with two scheduling lanes:
 //!
 //! * **compute** — [`Pool::scope`] / [`Pool::par_chunks_mut`] /

@@ -403,9 +403,8 @@ impl Pool {
     /// guaranteed a thread of its own (the crew grows to the
     /// high-water mark of demanded concurrency, then is reused), so
     /// tasks may rendezvous with each other — the contract the
-    /// `BatchQueue` leader/follower protocol and `DevicePool` shard
-    /// fan-out need. The waiting caller helps with *compute* tasks in
-    /// the meantime.
+    /// `BatchQueue` leader/follower protocol needs. The waiting
+    /// caller helps with *compute* tasks in the meantime.
     pub fn scope_blocking<'env, F, T>(&'env self, f: F) -> T
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,

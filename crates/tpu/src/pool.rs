@@ -8,18 +8,20 @@
 //! the missing runtime piece. A [`DevicePool`] owns several
 //! [`SharedDevice`]s, plans a [`ShardPlan`] over a flight's lanes
 //! (round-robin or cost-aware placement, see [`ShardStrategy`]),
-//! executes the shards concurrently on the shared [`xai_parallel`]
-//! pool's blocking lane — real host parallelism, one persistent crew
-//! thread per occupied chip, reused across flights — and charges one
-//! inter-chip gather collective for the reassembly stage.
+//! executes the shards and charges one inter-chip gather collective
+//! for the reassembly stage.
 //!
-//! Timing semantics mirror [`crate::TpuDevice::run_phase`] one level
-//! up: chips run concurrently, so a sharded execution advances the
-//! pool's merged timeline by the *slowest device's* clock delta plus
-//! the gather cost, while each device's own clock only records its
-//! shard. Numeric results are pure functions of the inputs, so a
-//! sharded execution is bit-identical to running the same lanes on
-//! one device.
+//! Simulated chips are concurrent in simulated time only; one host
+//! thread leads one flight. Timing semantics mirror
+//! [`crate::TpuDevice::run_phase`] one level up: the modelled chips
+//! run concurrently, so a sharded execution advances the pool's
+//! merged timeline by the *slowest device's* clock delta plus the
+//! gather cost, while each device's own clock only records its
+//! shard. On the host the shards run one after another on the
+//! calling thread — host parallelism is across flights (server
+//! workers, batch submitters), never inside one. Numeric results are
+//! pure functions of the inputs, so a sharded execution is
+//! bit-identical to running the same lanes on one device.
 //!
 //! Dispatch is one loop ([`DevicePool::run_planned`]): bin the
 //! undelivered lanes, run the shards, keep what arrived, re-plan what
@@ -298,12 +300,12 @@ struct PoolTimeline {
 
 /// A pool of simulated TPU chips behind one merged clock.
 ///
-/// The pool is `Send + Sync`: shard execution uses scoped threads
-/// internally, and all mutable state (the per-device simulators and
-/// the merged timeline) lives behind locks that recover from
-/// poisoning, so one panicking shard can never wedge the pool — the
-/// failing execution surfaces [`TensorError::WorkerPanicked`] and the
-/// next one serves normally.
+/// The pool is `Send + Sync`: concurrent flights share it, each led
+/// by its caller's thread, and all mutable state (the per-device
+/// simulators and the merged timeline) lives behind locks that
+/// recover from poisoning, so one panicking shard can never wedge
+/// the pool — the failing execution surfaces
+/// [`TensorError::WorkerPanicked`] and the next one serves normally.
 ///
 /// # Examples
 ///
@@ -633,11 +635,13 @@ impl DevicePool {
     /// lanes — it receives the device handle and its items in lane
     /// order and must return one result per item **plus the simulated
     /// seconds it charged its chip**, measured atomically under the
-    /// device lock (use [`SharedDevice::timed`]). Shards execute
-    /// concurrently on scoped host threads, one per occupied chip.
+    /// device lock (use [`SharedDevice::timed`]). Shards execute in
+    /// device order on the calling thread, and every shard runs even
+    /// when an earlier one failed.
     ///
     /// Accounting: the merged timeline advances by the slowest
-    /// shard's self-reported charge (chips run concurrently) plus —
+    /// shard's self-reported charge (the modelled chips run
+    /// concurrently) plus —
     /// when more than one chip was occupied — one inter-chip gather
     /// priced at [`DevicePool::gather_cost_s`] over the largest
     /// single lane's gather payload and the occupied chip count (the
@@ -678,11 +682,10 @@ impl DevicePool {
         &self,
         work: Vec<W>,
         lane: impl Fn(&W) -> LaneCost,
-        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R> + Sync,
+        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
     ) -> Result<ShardedRun<R>>
     where
-        W: Send + Clone,
-        R: Send,
+        W: Clone,
     {
         let lanes: Vec<LaneCost> = work.iter().map(&lane).collect();
         let plan = ShardPlan::plan_on(&lanes, self.devices.len(), self.strategy, &self.topology);
@@ -707,11 +710,10 @@ impl DevicePool {
         plan: &ShardPlan,
         gather_bytes: usize,
         work: Vec<W>,
-        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R> + Sync,
+        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
     ) -> Result<ShardedRun<R>>
     where
-        W: Send + Clone,
-        R: Send,
+        W: Clone,
     {
         if plan.assignments().len() != self.devices.len() {
             return Err(TensorError::DataLength {
@@ -925,46 +927,22 @@ impl DevicePool {
         })
     }
 
-    /// Runs the binned shards concurrently and returns the caught
-    /// outcomes in bin order — the only place shards are spawned. A
-    /// single shard runs inline (no fan-out threads); several run on
-    /// the shared host pool's *blocking* lane: each holds its chip's
-    /// lock for the whole shard (and may contend with concurrent
-    /// flights), so every shard is guaranteed a persistent crew thread
-    /// instead of queueing behind bounded compute workers. A panicking
-    /// shard is caught here so the scope's implicit join never
-    /// re-raises: the pool reports `WorkerPanicked` instead of tearing
-    /// down every sibling shard's caller.
+    /// Runs the binned shards one after another, in device order, on
+    /// the calling thread and returns the caught outcomes in bin
+    /// order — the only `catch_unwind` site. Every shard runs even
+    /// when an earlier one panicked or returned `Err`: the flight's
+    /// error precedence needs every outcome, and surviving chips' own
+    /// clocks must still carry their charges. A shard releases its
+    /// chip's lane before the next one starts, so the leader never
+    /// holds two.
     fn execute_shards<W, R>(
         &self,
-        mut shard_work: Vec<(usize, Vec<W>)>,
-        shard: &(impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R> + Sync),
-    ) -> Vec<std::thread::Result<ShardOutcome<R>>>
-    where
-        W: Send,
-        R: Send,
-    {
-        let n_shards = shard_work.len();
-        let mut outcomes: Vec<Option<std::thread::Result<ShardOutcome<R>>>> =
-            (0..n_shards).map(|_| None).collect();
-        if n_shards == 1 {
-            let (d, items) = shard_work.pop().expect("one shard");
-            outcomes[0] = Some(catch_unwind(AssertUnwindSafe(|| {
-                shard(&self.devices[d], items)
-            })));
-        } else if n_shards > 1 {
-            xai_parallel::global().scope_blocking(|scope| {
-                for (slot, (d, items)) in outcomes.iter_mut().zip(shard_work) {
-                    let device = &self.devices[d];
-                    scope.spawn(move || {
-                        *slot = Some(catch_unwind(AssertUnwindSafe(|| shard(device, items))));
-                    });
-                }
-            });
-        }
-        outcomes
+        shard_work: Vec<(usize, Vec<W>)>,
+        shard: &impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
+    ) -> Vec<std::thread::Result<ShardOutcome<R>>> {
+        shard_work
             .into_iter()
-            .map(|o| o.expect("scope joined every shard"))
+            .map(|(d, items)| catch_unwind(AssertUnwindSafe(|| shard(&self.devices[d], items))))
             .collect()
     }
 
@@ -1205,6 +1183,27 @@ mod tests {
         }
     }
 
+    /// One host thread leads one flight: every shard of a pooled
+    /// flight runs on the caller's thread, in device order.
+    #[test]
+    fn a_pooled_flight_runs_its_shards_on_the_callers_thread() {
+        let pool = DevicePool::new(TpuConfig::small_test(), 4);
+        let ran = std::cell::RefCell::new(Vec::new());
+        pool.run_sharded(
+            (0..8u64).collect(),
+            |_| lane(1.0),
+            |device, items| {
+                let chip = pool.devices().iter().position(|d| d.same_device(device));
+                ran.borrow_mut().push((chip, std::thread::current().id()));
+                uncharged(items)
+            },
+        )
+        .unwrap();
+        let me = std::thread::current().id();
+        let expect: Vec<_> = (0..4).map(|d| (Some(d), me)).collect();
+        assert_eq!(ran.into_inner(), expect);
+    }
+
     #[test]
     fn empty_work_is_a_noop() {
         let pool = DevicePool::new(TpuConfig::small_test(), 2);
@@ -1394,12 +1393,15 @@ mod tests {
     /// One error precedence for pooled flights, with or without a
     /// fault plan: a panic anywhere wins, else the first shard error
     /// in device order, else wrong arity — and a failed flight merges
-    /// nothing. Lane 0 rides chip 0 and lane 1 chip 1 (round-robin).
+    /// nothing. Lane `i` rides chip `i` (round-robin). A failed shard
+    /// never skips its siblings: every `Charge` chip's own clock
+    /// carries exactly its shard's charge afterwards.
     #[test]
     fn failed_flights_resolve_one_error_with_or_without_a_plan() {
-        #[derive(Clone, Copy)]
+        #[derive(Clone, Copy, PartialEq)]
         enum Misbehave {
             No,
+            Charge,
             Panic,
             Error,
             Arity,
@@ -1412,25 +1414,35 @@ mod tests {
             expected: 1,
             actual: 0,
         };
-        let rows = [
-            ([Panic, No], panicked.clone()),
-            ([Error, No], TensorError::EmptyDimension),
-            ([Arity, No], arity),
-            ([Error, Panic], panicked),
-            ([Arity, Error], TensorError::EmptyDimension),
+        let rows: [(&[Misbehave], TensorError); 8] = [
+            (&[Panic, No], panicked.clone()),
+            (&[Error, No], TensorError::EmptyDimension),
+            (&[Arity, No], arity),
+            (&[Error, Panic], panicked.clone()),
+            (&[Arity, Error], TensorError::EmptyDimension),
+            (&[Panic, Charge, Charge, Charge], panicked.clone()),
+            (&[Error, Charge, Charge, Panic], panicked),
+            (&[Error, Charge, Arity, Charge], TensorError::EmptyDimension),
         ];
         for (row, (per_chip, expect)) in rows.into_iter().enumerate() {
-            let plain = DevicePool::new(TpuConfig::small_test(), 2);
-            let planned = DevicePool::new(TpuConfig::small_test(), 2)
+            let chips = per_chip.len();
+            let plain = DevicePool::new(TpuConfig::small_test(), chips);
+            let planned = DevicePool::new(TpuConfig::small_test(), chips)
                 .with_fault_plan(FaultPlan::seeded(row as u64));
             for (pool, label) in [(plain, "no plan"), (planned, "empty plan")] {
                 let pool = pool.with_strategy(ShardStrategy::RoundRobin);
+                let charged = std::cell::RefCell::new(vec![0.0f64; chips]);
                 let err = pool
                     .run_sharded(
-                        vec![0usize, 1],
+                        (0..chips).collect(),
                         |_| lane(1.0),
-                        |_, items| match per_chip[items[0]] {
+                        |device, items| match per_chip[items[0]] {
                             No => Ok((items, 1.5)),
+                            Charge => {
+                                let (_, dt) = matmul_shard(device, vec![shard_mat(0.5)])?;
+                                charged.borrow_mut()[items[0]] = dt;
+                                Ok((items, dt))
+                            }
                             Panic => panic!("chip firmware crash"),
                             Error => Err(TensorError::EmptyDimension),
                             Arity => Ok((Vec::new(), 1.5)),
@@ -1439,6 +1451,18 @@ mod tests {
                     .unwrap_err();
                 assert_eq!(err, expect, "row {row}, {label}");
                 assert_eq!(pool.wall_seconds(), 0.0, "row {row}, {label}");
+                for (d, dt) in charged.into_inner().into_iter().enumerate() {
+                    assert_eq!(
+                        per_chip[d] == Charge,
+                        dt > 0.0,
+                        "row {row}, {label}, chip {d}"
+                    );
+                    assert_eq!(
+                        pool.device(d).wall_seconds().to_bits(),
+                        dt.to_bits(),
+                        "row {row}, {label}, chip {d}"
+                    );
+                }
             }
         }
     }

@@ -16,6 +16,7 @@ use tpu_xai::fourier::Fft2d;
 use tpu_xai::parallel;
 use tpu_xai::tensor::ops::{self, DivPolicy};
 use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, TensorError};
+use tpu_xai::tpu::{DevicePool, TpuConfig};
 use xai_sync::{LockClass, OrderedMutex, OrderedMutexGuard};
 
 /// Pins the pool size for this process before anything can touch the
@@ -247,4 +248,48 @@ fn serving_path_identical_through_pool() {
             assert_eq!(s.as_slice(), p.as_slice(), "workers={workers}");
         }
     }
+}
+
+/// One host thread leads one pooled flight: sharding across simulated
+/// chips spawns nothing on the host, on either lane of the runtime.
+#[test]
+#[cfg(target_os = "linux")]
+fn pooled_flights_spawn_no_host_threads() {
+    let runtime = setup();
+    let _serial = crew_lock();
+    // Small chips, as on `serve-small`: on `with_pool`'s 128-core
+    // TPUv2 chips eight 8x8 lanes never win the fan-out decision.
+    let acc = TpuAccel::over_pool(
+        DevicePool::new(TpuConfig::small_test(), 4),
+        Duration::ZERO,
+        64,
+    );
+    let lanes: Vec<_> = (0..8)
+        .map(|s| {
+            Matrix::from_fn(8, 8, |r, c| {
+                Complex64::new(((r * 3 + c + s) % 7) as f64, 0.0)
+            })
+            .unwrap()
+        })
+        .collect();
+    let kernel =
+        Matrix::from_fn(8, 8, |r, c| Complex64::new(((r + c) % 5) as f64 + 1.0, 0.5)).unwrap();
+    let y = Matrix::from_fn(8, 8, |r, c| ((r + 2 * c) % 4) as f64).unwrap();
+    // A worker names itself as it starts: wait until the whole
+    // compute fleet shows before taking the first count.
+    while runtime_threads() < runtime.num_threads() {
+        std::thread::yield_now();
+    }
+    let (threads, crew) = (runtime_threads(), runtime.crew_threads());
+    for _ in 0..200 {
+        acc.filter_diff_batch(&lanes, &kernel, &y).unwrap();
+    }
+    let pool = acc.pool().expect("pooled");
+    assert_eq!(pool.sharded_flights(), 200, "every flight fanned out");
+    assert_eq!(runtime_threads(), threads, "xai-par* threads grew");
+    assert_eq!(
+        runtime.crew_threads(),
+        crew,
+        "an xai-par-io-* thread was spawned"
+    );
 }
