@@ -1,6 +1,7 @@
 //! Benchmarks of the tensor substrate kernels: blocked vs naive
 //! matmul and direct vs FFT-based circular convolution — the
-//! crossovers that justify the library's algorithm choices.
+//! crossovers that justify the library's algorithm choices — and of
+//! the `xai-nn` convolution layer the classification phase runs on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -154,12 +155,70 @@ fn bench_pooled_flight(c: &mut Criterion) {
     group.finish();
 }
 
+/// The classification phase: `Conv2d` forward and backward at the
+/// four layer shapes of `vgg_small` on 16×16×3 images, and the whole
+/// seeded epoch over 64 images that `pipeline-offline` trains per
+/// slice.
+fn bench_conv2d(c: &mut Criterion) {
+    use xai_data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
+    use xai_nn::layers::Conv2d;
+    use xai_nn::{models, Layer, Tensor3, Trainer};
+    let volume = |channels: usize, size: usize, seed: usize| {
+        Tensor3::from_fn(channels, size, size, |c, y, x| {
+            ((c * 13 + y * 7 + x * 3 + seed) % 23) as f64 / 23.0 - 0.5
+        })
+        .expect("non-empty volume")
+    };
+    let mut group = c.benchmark_group("conv2d");
+    group.sample_size(20);
+    for (ic, oc, size) in [
+        (3usize, 8usize, 16usize),
+        (8, 8, 16),
+        (8, 16, 8),
+        (16, 16, 8),
+    ] {
+        let mut conv = Conv2d::new(ic, oc, 3, 1, 1, size, size, 1).expect("kernel fits");
+        let (x, grad) = (volume(ic, size, 1), volume(oc, size, 2));
+        let shape = format!("{ic}to{oc}-{size}x{size}");
+        group.bench_with_input(BenchmarkId::new("fwd", &shape), &shape, |b, _| {
+            b.iter(|| conv.forward(black_box(&x)).expect("forward"));
+        });
+        // Every call accumulates onto the same cached forward pass.
+        group.bench_with_input(BenchmarkId::new("bwd", &shape), &shape, |b, _| {
+            b.iter(|| conv.backward(black_box(&grad)).expect("backward"));
+        });
+    }
+    let config = ImageConfig {
+        classes: 4,
+        size: 16,
+        channels: 3,
+        grid: 4,
+        noise: 0.05,
+        seed: 1,
+    };
+    let images = ImageDataset::new(config)
+        .and_then(|dataset| dataset.generate(64))
+        .expect("valid config");
+    let samples = as_training_pairs(&images);
+    group.sample_size(10);
+    group.bench_function("train-epoch/vgg_small-16x64", |b| {
+        b.iter(|| {
+            let mut net = models::vgg_small(3, 16, 4, 1).expect("4 divides 16");
+            Trainer::new(0.05, 0.9, 8, 1)
+                .fit(&mut net, black_box(&samples), 1)
+                .expect("fit")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_elementwise,
     bench_convolution,
     bench_collectives,
-    bench_pooled_flight
+    bench_pooled_flight,
+    bench_conv2d
 );
 criterion_main!(benches);

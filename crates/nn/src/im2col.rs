@@ -5,7 +5,14 @@
 //! convolutions lower to matrix products: every receptive-field patch
 //! becomes a matrix row, the kernels become columns, and one matmul
 //! computes all output positions for all output channels. This module
-//! implements that lowering and verifies it against the direct loops.
+//! implements that lowering and verifies it against the direct layer.
+//!
+//! It is the paper's lowering kept as a cross-reference, not the
+//! product path: a matmul regroups each output's sum (and multiplies
+//! padded taps by zero where [`Conv2d`](crate::layers::Conv2d) skips
+//! them), so the two agree to a tolerance, not to the bit, and every
+//! trained weight in the tree is pinned to `Conv2d`'s accumulation
+//! order.
 
 use crate::tensor3::Tensor3;
 use xai_tensor::{Matrix, Result, TensorError};

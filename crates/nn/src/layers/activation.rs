@@ -120,16 +120,18 @@ impl Layer for MaxPool2 {
         for ch in 0..c {
             for oy in 0..h / 2 {
                 for ox in 0..w / 2 {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let (y, x) = (oy * 2 + dy, ox * 2 + dx);
-                            let v = input.get(ch, y, x);
-                            if v > best {
-                                best = v;
-                                best_idx = (ch * h + y) * w + x;
-                            }
+                    // Start from the window's own first element, so a
+                    // window in which nothing compares greater (all
+                    // `-inf`, all NaN) still routes its gradient to
+                    // itself and not to element 0 of the tensor.
+                    let mut best = input.get(ch, oy * 2, ox * 2);
+                    let mut best_idx = (ch * h + oy * 2) * w + ox * 2;
+                    for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
+                        let (y, x) = (oy * 2 + dy, ox * 2 + dx);
+                        let v = input.get(ch, y, x);
+                        if v > best {
+                            best = v;
+                            best_idx = (ch * h + y) * w + x;
                         }
                     }
                     out.set(ch, oy, ox, best);
@@ -444,6 +446,33 @@ mod tests {
             .backward(&Tensor3::from_vec(1, 1, 1, vec![7.0]).unwrap())
             .unwrap();
         assert_eq!(gi.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_keeps_the_gradient_of_a_non_finite_window_in_that_window() {
+        // Channel 1 is an all-`-inf` window beside an all-NaN one.
+        let mut pool = MaxPool2::new(2, 2, 4).unwrap();
+        let x = Tensor3::from_fn(2, 2, 4, |c, y, x| match (c, x < 2) {
+            (0, _) => (y * 4 + x) as f64,
+            (_, true) => f64::NEG_INFINITY,
+            (_, false) => f64::NAN,
+        })
+        .unwrap();
+        let y = pool.forward(&x).unwrap();
+        assert_eq!(y.get(1, 0, 0), f64::NEG_INFINITY);
+        assert!(y.get(1, 0, 1).is_nan());
+        let grad = Tensor3::from_vec(2, 1, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let gi = pool.backward(&grad).unwrap();
+        // Channel 0: each window's gradient at its maximum, nothing else.
+        assert_eq!(
+            &gi.as_slice()[..8],
+            &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.0]
+        );
+        // Channel 1: each window's gradient at its own first element.
+        assert_eq!(
+            &gi.as_slice()[8..],
+            &[3.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
     }
 
     #[test]

@@ -1,10 +1,33 @@
 //! 2-D convolution layer (cross-correlation convention, square
 //! kernel, configurable stride and zero padding).
+//!
+//! Both passes work a row at a time on the flat `as_slice()` views:
+//! one tap `(ky, kx)` of one channel pair meets one output row as a
+//! contiguous run of `acc += a * b`, which the compiler vectorises at
+//! stride 1. What the rows may *not* change is the order in which any
+//! one accumulator receives its terms: every trained weight,
+//! `EpochReport` and localisation figure downstream is pinned to the
+//! bit. The numerics contract is three orders, each a plain sequence
+//! of `acc += a * b` (no FMA, no partial sums, no im2col regrouping):
+//!
+//! 1. **Output** `(oc, oy, ox)`: starts at `bias[oc]`, then takes its
+//!    taps in `ic`, `ky`, `kx` ascending order.
+//! 2. **`grad_bias[oc]`, `grad_weights[oc, ic, ky, kx]`**: continue
+//!    from the value accumulated so far and take their terms in `oy`,
+//!    `ox` ascending (row-major) order.
+//! 3. **Input gradient** `(ic, sy, sx)`: starts at zero and takes its
+//!    terms in `oc`, `oy`, `ox` ascending order — for a fixed `oc`
+//!    that is `ky` descending, then `kx` descending.
+//!
+//! A tap that falls in the zero padding is *skipped*, never multiplied
+//! by a padded zero: `acc + 0.0 * w` turns an accumulated `-0.0` into
+//! `+0.0` and `0.0 * inf` into NaN, so the two are different functions.
 
 use crate::layer::Layer;
 use crate::tensor3::Tensor3;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::Range;
 use xai_tensor::{Result, TensorError};
 
 /// A multi-channel 2-D convolution layer.
@@ -93,9 +116,66 @@ impl Conv2d {
         )
     }
 
+    /// The input row that tap `ky` of output row `oy` reads, unless it
+    /// lies in the padding.
+    #[inline]
+    fn tap_row(&self, oy: usize, ky: usize) -> Option<usize> {
+        (oy * self.stride + ky)
+            .checked_sub(self.padding)
+            .filter(|&sy| sy < self.in_shape.1)
+    }
+
+    /// Per `kx`: the output columns whose tap lands inside the input
+    /// row (`0 <= ox·stride + kx − padding < width`), and the input
+    /// column the first of them reads. A tap that only ever lands in
+    /// the padding gets an empty span.
+    fn tap_cols(&self) -> Vec<(Range<usize>, usize)> {
+        let (iw, ow) = (self.in_shape.2, self.out_hw().1);
+        (0..self.kernel)
+            .map(|kx| {
+                // First output column whose tap is at or past input column `x`.
+                let reach = |x: usize| (x + self.padding).saturating_sub(kx).div_ceil(self.stride);
+                let (lo, hi) = (reach(0), reach(iw).min(ow));
+                if lo < hi {
+                    (lo..hi, lo * self.stride + kx - self.padding)
+                } else {
+                    (0..0, 0)
+                }
+            })
+            .collect()
+    }
+
     /// Read-only weight view (used by explanation tooling).
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+}
+
+/// `dst[i·dst_step] += src[i·src_step] · w` for every `i` both sides
+/// have. One of the steps is the layer's stride, the other 1; at
+/// stride 1 this is the contiguous zip the compiler vectorises.
+#[inline]
+fn axpy(dst: &mut [f64], dst_step: usize, src: &[f64], src_step: usize, w: f64) {
+    if dst_step == 1 && src_step == 1 {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += s * w;
+        }
+    } else {
+        let src = src.iter().step_by(src_step);
+        for (d, s) in dst.iter_mut().step_by(dst_step).zip(src) {
+            *d += s * w;
+        }
+    }
+}
+
+/// `acc + Σᵢ g[i] · src[i·stride]`, one term after the other.
+#[inline]
+fn dot(acc: f64, g: &[f64], src: &[f64], stride: usize) -> f64 {
+    if stride == 1 {
+        g.iter().zip(src).fold(acc, |acc, (g, s)| acc + g * s)
+    } else {
+        let src = src.iter().step_by(stride);
+        g.iter().zip(src).fold(acc, |acc, (g, s)| acc + g * s)
     }
 }
 
@@ -122,28 +202,23 @@ impl Layer for Conv2d {
         }
         let (oh, ow) = self.out_hw();
         let (_, ih, iw) = self.in_shape;
+        let cols = self.tap_cols();
+        let x = input.as_slice();
         let mut out = Tensor3::zeros(self.out_channels, oh, ow)?;
-        for oc in 0..self.out_channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = self.bias[oc];
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            let sy = (oy * self.stride + ky) as isize - self.padding as isize;
-                            if sy < 0 || sy as usize >= ih {
+        for (oc, plane) in out.as_mut_slice().chunks_exact_mut(oh * ow).enumerate() {
+            plane.fill(self.bias[oc]);
+            for ic in 0..self.in_channels {
+                for ky in 0..self.kernel {
+                    for (kx, (span, sx)) in cols.iter().enumerate() {
+                        let w = self.weights[self.w_index(oc, ic, ky, kx)];
+                        for (oy, out_row) in plane.chunks_exact_mut(ow).enumerate() {
+                            let Some(sy) = self.tap_row(oy, ky) else {
                                 continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let sx = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if sx < 0 || sx as usize >= iw {
-                                    continue;
-                                }
-                                acc += input.get(ic, sy as usize, sx as usize)
-                                    * self.weights[self.w_index(oc, ic, ky, kx)];
-                            }
+                            };
+                            let taps = &x[(ic * ih + sy) * iw..][..iw][*sx..];
+                            axpy(&mut out_row[span.clone()], 1, taps, self.stride, w);
                         }
                     }
-                    out.set(oc, oy, ox, acc);
                 }
             }
         }
@@ -155,8 +230,7 @@ impl Layer for Conv2d {
         let input = self
             .cached_input
             .as_ref()
-            .ok_or(TensorError::EmptyDimension)?
-            .clone();
+            .ok_or(TensorError::EmptyDimension)?;
         let (oh, ow) = self.out_hw();
         if grad.shape() != (self.out_channels, oh, ow) {
             return Err(TensorError::ShapeMismatch {
@@ -166,28 +240,32 @@ impl Layer for Conv2d {
             });
         }
         let (_, ih, iw) = self.in_shape;
+        let cols = self.tap_cols();
+        let x = input.as_slice();
         let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
-        for oc in 0..self.out_channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = grad.get(oc, oy, ox);
-                    self.grad_bias[oc] += g;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            let sy = (oy * self.stride + ky) as isize - self.padding as isize;
-                            if sy < 0 || sy as usize >= ih {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let sx = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if sx < 0 || sx as usize >= iw {
-                                    continue;
-                                }
-                                let wi = self.w_index(oc, ic, ky, kx);
-                                self.grad_weights[wi] +=
-                                    g * input.get(ic, sy as usize, sx as usize);
-                                grad_in.add_at(ic, sy as usize, sx as usize, g * self.weights[wi]);
-                            }
+        let gin = grad_in.as_mut_slice();
+        // Walking `oy` upwards outside the taps gives every weight its
+        // terms row-major and every input-gradient element its terms
+        // in `oy`-ascending order (one `ky` per `oy` reaches it); `kx`
+        // runs downwards because that is `ox` upwards for a fixed
+        // input column. Consecutive taps feed different weights, so
+        // their serial sums overlap in the pipeline.
+        for (oc, g_oc) in grad.as_slice().chunks_exact(oh * ow).enumerate() {
+            self.grad_bias[oc] = g_oc.iter().fold(self.grad_bias[oc], |acc, g| acc + g);
+            for ic in 0..self.in_channels {
+                for (oy, g_row) in g_oc.chunks_exact(ow).enumerate() {
+                    for ky in 0..self.kernel {
+                        let Some(sy) = self.tap_row(oy, ky) else {
+                            continue;
+                        };
+                        let row = (ic * ih + sy) * iw..(ic * ih + sy + 1) * iw;
+                        let (in_row, gin_row) = (&x[row.clone()], &mut gin[row]);
+                        for (kx, (span, sx)) in cols.iter().enumerate().rev() {
+                            let wi = self.w_index(oc, ic, ky, kx);
+                            let g = &g_row[span.clone()];
+                            self.grad_weights[wi] =
+                                dot(self.grad_weights[wi], g, &in_row[*sx..], self.stride);
+                            axpy(&mut gin_row[*sx..], self.stride, g, 1, self.weights[wi]);
                         }
                     }
                 }
@@ -236,6 +314,195 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::layer::finite_difference_check;
+
+    /// The seven-loop nests this layer ran before it became row
+    /// kernels, kept verbatim as the reference the differential below
+    /// compares against.
+    impl Conv2d {
+        fn reference_forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
+            if input.shape() != self.in_shape {
+                return Err(TensorError::ShapeMismatch {
+                    left: (input.channels(), input.height() * input.width()),
+                    right: (self.in_shape.0, self.in_shape.1 * self.in_shape.2),
+                    op: "conv forward input",
+                });
+            }
+            let (oh, ow) = self.out_hw();
+            let (_, ih, iw) = self.in_shape;
+            let mut out = Tensor3::zeros(self.out_channels, oh, ow)?;
+            for oc in 0..self.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = self.bias[oc];
+                        for ic in 0..self.in_channels {
+                            for ky in 0..self.kernel {
+                                let sy = (oy * self.stride + ky) as isize - self.padding as isize;
+                                if sy < 0 || sy as usize >= ih {
+                                    continue;
+                                }
+                                for kx in 0..self.kernel {
+                                    let sx =
+                                        (ox * self.stride + kx) as isize - self.padding as isize;
+                                    if sx < 0 || sx as usize >= iw {
+                                        continue;
+                                    }
+                                    acc += input.get(ic, sy as usize, sx as usize)
+                                        * self.weights[self.w_index(oc, ic, ky, kx)];
+                                }
+                            }
+                        }
+                        out.set(oc, oy, ox, acc);
+                    }
+                }
+            }
+            self.cached_input = Some(input.clone());
+            Ok(out)
+        }
+
+        fn reference_backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
+            let input = self
+                .cached_input
+                .as_ref()
+                .ok_or(TensorError::EmptyDimension)?
+                .clone();
+            let (oh, ow) = self.out_hw();
+            if grad.shape() != (self.out_channels, oh, ow) {
+                return Err(TensorError::ShapeMismatch {
+                    left: (grad.channels(), grad.height() * grad.width()),
+                    right: (self.out_channels, oh * ow),
+                    op: "conv backward grad",
+                });
+            }
+            let (_, ih, iw) = self.in_shape;
+            let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
+            for oc in 0..self.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = grad.get(oc, oy, ox);
+                        self.grad_bias[oc] += g;
+                        for ic in 0..self.in_channels {
+                            for ky in 0..self.kernel {
+                                let sy = (oy * self.stride + ky) as isize - self.padding as isize;
+                                if sy < 0 || sy as usize >= ih {
+                                    continue;
+                                }
+                                for kx in 0..self.kernel {
+                                    let sx =
+                                        (ox * self.stride + kx) as isize - self.padding as isize;
+                                    if sx < 0 || sx as usize >= iw {
+                                        continue;
+                                    }
+                                    let wi = self.w_index(oc, ic, ky, kx);
+                                    self.grad_weights[wi] +=
+                                        g * input.get(ic, sy as usize, sx as usize);
+                                    grad_in.add_at(
+                                        ic,
+                                        sy as usize,
+                                        sx as usize,
+                                        g * self.weights[wi],
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(grad_in)
+        }
+    }
+
+    /// What the differential fills tensors with.
+    #[derive(Debug, Clone, Copy)]
+    enum Values {
+        /// Uniform in `[-1, 1)`.
+        Finite,
+        /// Three in four are `-0.0`: a skipped tap keeps an
+        /// accumulated `-0.0`, a tap multiplied by a padded zero
+        /// does not.
+        NegativeZeros,
+        /// One in four is NaN, `+inf` or `-inf`: `0.0 * inf` is NaN.
+        NonFinite,
+    }
+
+    fn fill(values: Values, rng: &mut StdRng, data: &mut [f64]) {
+        for v in data {
+            let finite = rng.random::<f64>() * 2.0 - 1.0;
+            let dice = rng.random_range(0..12u32);
+            *v = match (values, dice) {
+                (Values::NegativeZeros, 0..=8) => -0.0,
+                (Values::NonFinite, 0) => f64::NAN,
+                (Values::NonFinite, 1) => f64::INFINITY,
+                (Values::NonFinite, 2) => f64::NEG_INFINITY,
+                _ => finite,
+            };
+        }
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which
+    /// operand's sign and payload a NaN result inherits is not
+    /// specified by the language and moves with instruction selection.
+    fn assert_same_bits(what: &str, case: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what} length, {case}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{i}] = {g:e} ({:#x}), reference {w:e} ({:#x}), {case}",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn row_kernels_match_the_seven_loop_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut cases = 0;
+        for values in [Values::Finite, Values::NegativeZeros, Values::NonFinite] {
+            for (kernel, stride, padding) in (1..=4usize)
+                .flat_map(|k| (1..=3usize).map(move |s| (k, s)))
+                .flat_map(|(k, s)| (0..=2usize).map(move |p| (k, s, p)))
+            {
+                for (ic, oc) in [(1, 1), (2, 3), (3, 2)] {
+                    for (h, w) in [(1, 1), (3, 5), (6, 4), (7, 7), (8, 8)] {
+                        let Ok(mut conv) = Conv2d::new(ic, oc, kernel, stride, padding, h, w, 5)
+                        else {
+                            continue; // kernel larger than the padded input
+                        };
+                        let case =
+                            format!("{values:?} k{kernel} s{stride} p{padding} {ic}→{oc} {h}×{w}");
+                        fill(values, &mut rng, &mut conv.weights);
+                        fill(values, &mut rng, &mut conv.bias);
+                        let mut reference = conv.clone();
+                        let mut x = Tensor3::zeros(ic, h, w).unwrap();
+                        fill(values, &mut rng, x.as_mut_slice());
+                        let out = conv.forward(&x).unwrap();
+                        let want = reference.reference_forward(&x).unwrap();
+                        assert_eq!(out.shape(), want.shape(), "{case}");
+                        assert_same_bits("output", &case, out.as_slice(), want.as_slice());
+                        // Two backward passes per forward: the second
+                        // accumulates onto the first, as a batch does.
+                        for _ in 0..2 {
+                            let mut grad = out.clone();
+                            fill(values, &mut rng, grad.as_mut_slice());
+                            let gin = conv.backward(&grad).unwrap();
+                            let want = reference.reference_backward(&grad).unwrap();
+                            assert_eq!(gin.shape(), want.shape(), "{case}");
+                            assert_same_bits("grad_in", &case, gin.as_slice(), want.as_slice());
+                        }
+                        assert_same_bits(
+                            "grad_weights",
+                            &case,
+                            &conv.grad_weights,
+                            &reference.grad_weights,
+                        );
+                        assert_same_bits("grad_bias", &case, &conv.grad_bias, &reference.grad_bias);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 1485);
+    }
 
     #[test]
     fn identity_kernel_passes_signal_through() {

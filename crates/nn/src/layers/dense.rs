@@ -91,8 +91,7 @@ impl Layer for Dense {
         let input = self
             .cached_input
             .as_ref()
-            .ok_or(TensorError::EmptyDimension)?
-            .clone();
+            .ok_or(TensorError::EmptyDimension)?;
         if grad.len() != self.out_features {
             return Err(TensorError::ShapeMismatch {
                 left: (grad.len(), 1),

@@ -52,16 +52,24 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        let mut h = input.clone();
-        for layer in &mut self.path {
+        let (first, rest) = self
+            .path
+            .split_first_mut()
+            .ok_or(TensorError::EmptyDimension)?;
+        let mut h = first.forward(input)?;
+        for layer in rest {
             h = layer.forward(&h)?;
         }
         h.zip_with(input, |a, b| a + b)
     }
 
     fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let mut g = grad.clone();
-        for layer in self.path.iter_mut().rev() {
+        let (last, rest) = self
+            .path
+            .split_last_mut()
+            .ok_or(TensorError::EmptyDimension)?;
+        let mut g = last.backward(grad)?;
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         // Skip connection adds the output gradient directly.

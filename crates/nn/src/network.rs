@@ -98,11 +98,12 @@ impl Network {
     /// Returns [`TensorError::EmptyDimension`] for an empty network or
     /// shape errors from the layers.
     pub fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        if self.layers.is_empty() {
-            return Err(TensorError::EmptyDimension);
-        }
-        let mut h = input.clone();
-        for layer in &mut self.layers {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .ok_or(TensorError::EmptyDimension)?;
+        let mut h = first.forward(input)?;
+        for layer in rest {
             h = layer.forward(&h)?;
         }
         Ok(h)

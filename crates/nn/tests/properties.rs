@@ -32,8 +32,13 @@ proptest! {
     }
 
     #[test]
-    fn conv_gradients_check_for_random_inputs(x in volume(1, 4, 4), seed in 0u64..100) {
-        let mut layer = Conv2d::new(1, 2, 3, 1, 1, 4, 4, seed).unwrap();
+    fn conv_gradients_check_for_random_inputs(
+        x in volume(3, 5, 6),
+        stride in 1usize..3,
+        padding in 0usize..3,
+        seed in 0u64..100,
+    ) {
+        let mut layer = Conv2d::new(3, 2, 3, stride, padding, 5, 6, seed).unwrap();
         let err = finite_difference_check(&mut layer, &x, 1e-5).unwrap();
         prop_assert!(err < 1e-5, "fd error {err}");
     }

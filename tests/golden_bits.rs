@@ -1,24 +1,31 @@
-//! Golden bits recorded from the commit *before* the 2-D transform
-//! moved to the in-place row pass + whole-row column pass. Every
-//! other bit-identity check in the tree compares two paths of the
-//! same build, so a drift that moves both the same way would pass
-//! them all; these constants cannot move with the code.
+//! Golden bits recorded from the commit *before* the code they pin
+//! was rewritten: the 2-D transform's move to the in-place row pass +
+//! whole-row column pass, and `Conv2d`'s move from seven nested loops
+//! to row kernels. Every other bit-identity check in the tree compares
+//! two paths of the same build, so a drift that moves both the same
+//! way would pass them all; these constants cannot move with the code.
 
 use std::time::Duration;
 use tpu_xai::accel::TpuAccel;
 use tpu_xai::core::parallel::block_contributions_on;
 use tpu_xai::core::{DistilledModel, SolveStrategy};
+use tpu_xai::data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
 use tpu_xai::fourier::Fft2d;
+use tpu_xai::nn::layers::Conv2d;
+use tpu_xai::nn::{models, Layer, Tensor3, Trainer};
 use tpu_xai::tensor::conv::conv2d_circular;
 use tpu_xai::tensor::{Complex64, Matrix};
 
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the `(re, im)` bit patterns, row-major.
 fn fold(m: &Matrix<Complex64>) -> u64 {
-    m.iter()
-        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
-        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
-            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv(m.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]))
 }
 
 fn input(rows: usize, cols: usize) -> Matrix<Complex64> {
@@ -118,4 +125,83 @@ fn served_block_map_bits_match_the_batched_implementation() {
     let map = block_contributions_on(&acc, &model, &x, &y, 4).unwrap();
     let bits: Vec<u64> = map.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, BLOCK_MAP, "{bits:#x?}");
+}
+
+/// FNV-1a over `f64` bit patterns.
+fn fold_f64(values: &[f64]) -> u64 {
+    fnv(values.iter().map(|v| v.to_bits()))
+}
+
+/// The `pipeline-offline` training set: 64 images 16×16×3, 4 classes.
+fn training_set() -> Vec<(Tensor3, usize)> {
+    let config = ImageConfig {
+        classes: 4,
+        size: 16,
+        channels: 3,
+        grid: 4,
+        noise: 0.05,
+        seed: 1,
+    };
+    as_training_pairs(&ImageDataset::new(config).unwrap().generate(64).unwrap())
+}
+
+/// `(mean_loss bits, accuracy bits, fold of the trained net's logits
+/// on all 64 images)` after one seeded epoch, recorded from the commit
+/// *before* `Conv2d` became row kernels. `Network` exposes no weights,
+/// so the logits stand in for them: every weight of every layer feeds
+/// one.
+const VGG_EPOCH: (u64, u64, u64) = (
+    0x3ff6_08e2_8b67_3955,
+    0x3fe8_0000_0000_0000,
+    0x2ba3_33db_3a14_0a7e,
+);
+const RESNET_EPOCH: (u64, u64, u64) = (
+    0x3ff2_ba51_1b2d_0388,
+    0x3ff0_0000_0000_0000,
+    0x3a57_e1cc_cbcb_114a,
+);
+
+#[test]
+fn trained_epoch_bits_match_the_seven_loop_convolution() {
+    let samples = training_set();
+    let nets = [
+        models::vgg_small(3, 16, 4, 1).unwrap(),
+        models::resnet_small(3, 16, 4, 1).unwrap(),
+    ];
+    let got = nets.map(|mut net| {
+        let trainer = Trainer::new(0.05, 0.9, 8, 1);
+        let report = trainer.fit(&mut net, &samples, 1).unwrap().pop().unwrap();
+        let mut logits = Vec::new();
+        for (x, _) in &samples {
+            logits.extend_from_slice(net.forward(x).unwrap().as_slice());
+        }
+        (
+            report.mean_loss.to_bits(),
+            report.accuracy.to_bits(),
+            fold_f64(&logits),
+        )
+    });
+    assert_eq!(got, [VGG_EPOCH, RESNET_EPOCH], "{got:#x?}");
+}
+
+/// `vgg_small`'s first convolution on its own, so its `weights()` can
+/// be read: two samples forward and backward, one momentum step.
+/// `(fold of both outputs and input gradients, fold of the weights)`.
+const FIRST_CONV: (u64, u64) = (0xd26d_2458_4ef3_d950, 0x9bdd_1fd9_c2e0_2ea1);
+
+#[test]
+fn first_conv_step_bits_match_the_seven_loop_convolution() {
+    let mut conv = Conv2d::new(3, 8, 3, 1, 1, 16, 16, 1).unwrap();
+    let grad = Tensor3::from_fn(8, 16, 16, |c, y, x| {
+        ((c * 5 + y * 3 + x * 7) % 11) as f64 * 0.125 - 0.5
+    })
+    .unwrap();
+    let mut passes = Vec::new();
+    for (x, _) in &training_set()[..2] {
+        passes.extend_from_slice(conv.forward(x).unwrap().as_slice());
+        passes.extend_from_slice(conv.backward(&grad).unwrap().as_slice());
+    }
+    conv.apply_gradients(0.05, 0.9, 2);
+    let got = (fold_f64(&passes), fold_f64(conv.weights()));
+    assert_eq!(got, FIRST_CONV, "{got:#x?}");
 }
