@@ -19,6 +19,9 @@
 //! baselines use every core `XAI_THREADS` grants while staying
 //! bit-identical to serial execution; the simulated charges are
 //! functions of the workload shape and never of the worker count.
+//! Filter-diff batches shard whole lanes, not transform row blocks
+//! (each lane fused in one working buffer, [`crate::filter_diff`]),
+//! and replay the staged chain's charges afterwards.
 //!
 //! Sustained-throughput calibration (documented in EXPERIMENTS.md):
 //! the models use *sustained* rather than peak figures, since the
@@ -26,10 +29,11 @@
 //! hardware.
 
 use crate::clock::Clock;
+use crate::filter_diff;
 use crate::roofline::{cost, RooflineParams};
 use crate::stats::KernelStats;
 use crate::traits::Accelerator;
-use xai_fourier::global_plan_cache;
+use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
 
@@ -72,20 +76,13 @@ impl HostModel {
         } else {
             plan.inverse_parallel(x, workers)?
         };
-        let (row_ops, col_ops) = plan.op_counts();
-        self.charge(
-            cost::fft2d_flops(m, n, row_ops, col_ops),
-            cost::fft2d_bytes(m, n),
-        );
+        self.charge_fft2d(&plan, 1);
         Ok(out)
     }
 
     fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
         let out = ops::hadamard(a, b)?;
-        self.charge(
-            cost::elementwise_flops(a.len(), 6.0),
-            cost::elementwise_bytes(a.len()),
-        );
+        self.charge_hadamard(a.len(), 1);
         Ok(out)
     }
 
@@ -105,8 +102,47 @@ impl HostModel {
 
     fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
         let out = ops::sub(a, b)?;
-        self.charge(a.len() as f64, 24.0 * a.len() as f64);
+        self.charge_sub(a.len(), 1);
         Ok(out)
+    }
+
+    /// One kernel launch transforming `lanes` matrices of `plan`'s
+    /// shape. Scaling by one lane is exact, so the single-matrix
+    /// kernels and the GPU's batch grids share these three charges.
+    fn charge_fft2d(&self, plan: &Fft2d, lanes: usize) {
+        let (m, n) = plan.shape();
+        let (row_ops, col_ops) = plan.op_counts();
+        let b = lanes as f64;
+        self.charge(
+            cost::fft2d_flops(m, n, row_ops, col_ops) * b,
+            cost::fft2d_bytes(m, n) * b,
+        );
+    }
+
+    /// One launch of `lanes` Hadamard products of `elems` elements.
+    fn charge_hadamard(&self, elems: usize, lanes: usize) {
+        let b = lanes as f64;
+        self.charge(
+            cost::elementwise_flops(elems, 6.0) * b,
+            cost::elementwise_bytes(elems) * b,
+        );
+    }
+
+    /// One launch of `lanes` real differences of `elems` elements.
+    fn charge_sub(&self, elems: usize, lanes: usize) {
+        let b = lanes as f64;
+        self.charge(elems as f64 * b, 24.0 * elems as f64 * b);
+    }
+
+    /// The staged filter-diff chain's charges, stage-major (the order
+    /// is part of the clock's bits): every stage is `launches` kernels
+    /// of `lanes` lanes — CPU a kernel per lane, GPU one grid.
+    fn charge_filter_diff(&self, (m, n): (usize, usize), launches: usize, lanes: usize) {
+        let plan = global_plan_cache().plan_2d(m, n);
+        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+        (0..launches).for_each(|_| self.charge_hadamard(m * n, lanes));
+        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+        (0..launches).for_each(|_| self.charge_sub(m * n, lanes));
     }
 }
 
@@ -147,6 +183,17 @@ impl Accelerator for CpuModel {
     }
     fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
         self.inner.sub(a, b)
+    }
+    fn filter_diff_batch(
+        &self,
+        xs: &[Matrix<Complex64>],
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        filter_diff::fused(self, xs, filter, y, || {
+            self.inner.charge_filter_diff(filter.shape(), xs.len(), 1);
+            Ok(())
+        })
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);
@@ -197,12 +244,7 @@ impl GpuModel {
         } else {
             plan.inverse_batch_parallel(xs, workers)?
         };
-        let (row_ops, col_ops) = plan.op_counts();
-        let b = xs.len() as f64;
-        self.inner.charge(
-            cost::fft2d_flops(m, n, row_ops, col_ops) * b,
-            cost::fft2d_bytes(m, n) * b,
-        );
+        self.inner.charge_fft2d(&plan, xs.len());
         Ok(out)
     }
 }
@@ -246,23 +288,30 @@ impl Accelerator for GpuModel {
         k: &Matrix<Complex64>,
     ) -> Result<Vec<Matrix<Complex64>>> {
         let out: Result<Vec<_>> = xs.iter().map(|x| ops::hadamard(x, k)).collect();
+        let out = out?;
         if let Some(first) = xs.first() {
-            let b = xs.len() as f64;
-            self.inner.charge(
-                cost::elementwise_flops(first.len(), 6.0) * b,
-                cost::elementwise_bytes(first.len()) * b,
-            );
+            self.inner.charge_hadamard(first.len(), xs.len());
         }
-        out
+        Ok(out)
     }
     fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
         let out: Result<Vec<_>> = preds.iter().map(|p| ops::sub(y, p)).collect();
+        let out = out?;
         if !preds.is_empty() {
-            let b = preds.len() as f64;
-            self.inner
-                .charge(y.len() as f64 * b, 24.0 * y.len() as f64 * b);
+            self.inner.charge_sub(y.len(), preds.len());
         }
-        out
+        Ok(out)
+    }
+    fn filter_diff_batch(
+        &self,
+        xs: &[Matrix<Complex64>],
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        filter_diff::fused(self, xs, filter, y, || {
+            self.inner.charge_filter_diff(filter.shape(), 1, xs.len());
+            Ok(())
+        })
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);

@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 mod clock;
+mod filter_diff;
 mod host;
 mod roofline;
 mod stats;

@@ -24,6 +24,7 @@
 //! numeric work runs outside it.
 
 use crate::clock::Clock;
+use crate::filter_diff;
 use crate::roofline::cost;
 use crate::stats::KernelStats;
 use crate::traits::Accelerator;
@@ -456,10 +457,8 @@ fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
 
 /// One lane's numerics. Transform and fused filter-diff lanes work in
 /// the lane's own `x` — the job owns it, so it *is* the working
-/// buffer: forward in place → Hadamard in place → inverse in place →
-/// `y − re` straight into the result. The arithmetic per element is
-/// exactly the staged `fft2d → hadamard → ifft2d → to_real → sub`
-/// chain's, so a fused lane is bit-identical to the chained kernels.
+/// buffer ([`filter_diff::lane`] is the chain, shared with the
+/// unqueued batches).
 fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
     match job {
         KernelJob::Transform { mut x, forward } => {
@@ -478,11 +477,7 @@ fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
         KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
         KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
         KernelJob::FilterDiff { mut x, filter, y } => {
-            let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
-            plan.forward_in_place(&mut x)?;
-            ops::hadamard_assign(&mut x, &filter)?;
-            plan.inverse_in_place(&mut x)?;
-            ops::sub_re(&y, &x).map(KernelResult::Real)
+            filter_diff::lane(&mut x, &filter, &y).map(KernelResult::Real)
         }
     }
 }
@@ -494,6 +489,11 @@ fn matmul_numerics(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
     let qb = QuantizedMatrix::quantize_symmetric(b)?;
     qa.matmul_dequant(&qb)
 }
+
+/// Ledger `(flops, bytes)` per element of the two elementwise stages
+/// of an unqueued filter-diff chain.
+const HADAMARD_PER_ELEM: (f64, f64) = (6.0, 48.0);
+const SUB_PER_ELEM: (f64, f64) = (1.0, 24.0);
 
 /// Charges one elementwise kernel of `elems` elements split evenly
 /// across the device's vector units.
@@ -630,13 +630,24 @@ impl TpuAccel {
         }
         let (m, n) = xs[0].shape();
         let plan = global_plan_cache().plan_2d(m, n);
+        // A failed batch charges nothing, like every unqueued kernel.
         let out = if forward {
-            plan.forward_batch(xs)
+            plan.forward_batch(xs)?
         } else {
-            plan.inverse_batch(xs)
+            plan.inverse_batch(xs)?
         };
         self.charge_transform_flight(&vec![(m, n); xs.len()])?;
-        out
+        Ok(out)
+    }
+
+    /// Charges one unqueued elementwise batch — `count` lanes of
+    /// `elems` elements, a whole lane per core — and records it at
+    /// `cost = (flops, bytes)` per element.
+    fn charge_elementwise_batch(&self, elems: usize, count: usize, cost: (f64, f64)) -> Result<()> {
+        let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
+        let total = (elems * count) as f64;
+        self.stats.record(dt, cost.0 * total, cost.1 * total);
+        Ok(())
     }
 
     /// Charges one §III-D flight of whole transforms: every `(m, n)`
@@ -1046,17 +1057,11 @@ impl Accelerator for TpuAccel {
             return Ok(out.into_iter().map(KernelResult::into_complex).collect());
         }
         let out: Result<Vec<_>> = xs.iter().map(|x| ops::hadamard(x, k)).collect();
+        let out = out?;
         if let Some(first) = xs.first() {
-            let elems = first.len();
-            let count = xs.len();
-            let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
-            self.stats.record(
-                dt,
-                6.0 * (elems * count) as f64,
-                48.0 * (elems * count) as f64,
-            );
+            self.charge_elementwise_batch(first.len(), xs.len(), HADAMARD_PER_ELEM)?;
         }
-        out
+        Ok(out)
     }
 
     fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
@@ -1075,14 +1080,11 @@ impl Accelerator for TpuAccel {
             return Ok(out.into_iter().map(KernelResult::into_real).collect());
         }
         let out: Result<Vec<_>> = preds.iter().map(|p| ops::sub(y, p)).collect();
+        let out = out?;
         if !preds.is_empty() {
-            let elems = y.len();
-            let count = preds.len();
-            let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
-            self.stats
-                .record(dt, (elems * count) as f64, 24.0 * (elems * count) as f64);
+            self.charge_elementwise_batch(y.len(), preds.len(), SUB_PER_ELEM)?;
         }
-        out
+        Ok(out)
     }
 
     /// The fused filter-diff flight: with batching enabled, every
@@ -1091,8 +1093,9 @@ impl Accelerator for TpuAccel {
     /// submission with a single result gather, per-stage charges
     /// identical to the staged chain, and concurrent submitters'
     /// lanes coalescing into shared flights that shard across a pool.
-    /// Without batching, stages run as the four batched kernels
-    /// (identical charges, four gathers). Bit-identical either way.
+    /// Without batching, the lanes run fused over the host pool and
+    /// the four batched kernels' charges are replayed (identical
+    /// charges, four gathers). Bit-identical either way.
     fn filter_diff_batch(
         &self,
         xs: &[Matrix<Complex64>],
@@ -1114,14 +1117,13 @@ impl Accelerator for TpuAccel {
             let out = self.queued(jobs)?;
             return Ok(out.into_iter().map(KernelResult::into_real).collect());
         }
-        let spectra = self.fft2d_batch(xs)?;
-        let filtered = self.hadamard_batch(&spectra, filter)?;
-        let preds: Vec<Matrix<f64>> = self
-            .ifft2d_batch(&filtered)?
-            .into_iter()
-            .map(|p| p.to_real())
-            .collect();
-        self.sub_batch(y, &preds)
+        filter_diff::fused(self, xs, filter, y, || {
+            let shapes = vec![filter.shape(); xs.len()];
+            self.charge_transform_flight(&shapes)?;
+            self.charge_elementwise_batch(filter.len(), xs.len(), HADAMARD_PER_ELEM)?;
+            self.charge_transform_flight(&shapes)?;
+            self.charge_elementwise_batch(filter.len(), xs.len(), SUB_PER_ELEM)
+        })
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {

@@ -153,11 +153,17 @@ pub trait Accelerator: Send + Sync {
     /// The fused serving chain of §III-D: for every occluded input
     /// `xᵢ`, computes `y − re(ifft2(fft2(xᵢ) ∘ filter))` — forward
     /// transform, spectral filter, inverse transform and the
-    /// Equation-5 difference — as one batched submission. The default
-    /// implementation stages the four batched kernels; platforms with
-    /// an on-device pipeline (the TPU's fused filter-diff flight)
-    /// override it to run all four stages in a single flight with one
-    /// result gather. Results are bit-identical either way.
+    /// Equation-5 difference — as one batched submission.
+    ///
+    /// The default implementation stages the four batched kernels and
+    /// is the reference. An override may compute the stages any way it
+    /// likes (the built-in platforms fuse them per lane) but keeps the
+    /// staged chain's result bits, leaves the clock and
+    /// [`Accelerator::stats`] where the staged kernels' charge
+    /// sequence would, and fails a malformed batch with the staged
+    /// chain's error and partial charges. A coalescing queue (the
+    /// TPU's fused flight: one submission, one result gather) keeps
+    /// the bits and states its own schedule and per-lane errors.
     ///
     /// # Errors
     ///
@@ -169,14 +175,7 @@ pub trait Accelerator: Send + Sync {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        let spectra = self.fft2d_batch(xs)?;
-        let filtered = self.hadamard_batch(&spectra, filter)?;
-        let preds: Vec<Matrix<f64>> = self
-            .ifft2d_batch(&filtered)?
-            .into_iter()
-            .map(|p| p.to_real())
-            .collect();
-        self.sub_batch(y, &preds)
+        staged_filter_diff(self, xs, filter, y)
     }
 
     /// Advances the clock for an externally-described workload of
@@ -220,6 +219,24 @@ pub trait Accelerator: Send + Sync {
 
     /// Zeroes the clock and statistics.
     fn reset(&self);
+}
+
+/// The default [`Accelerator::filter_diff_batch`]: a free function so
+/// that an override can hand it the batches it does not fuse.
+pub(crate) fn staged_filter_diff<A: Accelerator + ?Sized>(
+    acc: &A,
+    xs: &[Matrix<Complex64>],
+    filter: &Matrix<Complex64>,
+    y: &Matrix<f64>,
+) -> Result<Vec<Matrix<f64>>> {
+    let spectra = acc.fft2d_batch(xs)?;
+    let filtered = acc.hadamard_batch(&spectra, filter)?;
+    let preds: Vec<Matrix<f64>> = acc
+        .ifft2d_batch(&filtered)?
+        .into_iter()
+        .map(|p| p.to_real())
+        .collect();
+    acc.sub_batch(y, &preds)
 }
 
 /// Times a closure on an accelerator, returning `(result, seconds)` —

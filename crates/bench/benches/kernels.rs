@@ -1,6 +1,7 @@
 //! Benchmarks of the tensor substrate kernels: blocked vs naive
 //! matmul and direct vs FFT-based circular convolution — the
-//! crossovers that justify the library's algorithm choices — and of
+//! crossovers that justify the library's algorithm choices — of the
+//! direct filter-diff batch the interpretation phase runs on, and of
 //! the `xai-nn` convolution layer the classification phase runs on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -155,6 +156,49 @@ fn bench_pooled_flight(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host time of one unqueued `filter_diff_batch` at the
+/// `pipeline-offline` shape (16 lanes × 128²) on each platform — the
+/// fused lanes sharded over the host pool — with the four staged
+/// batch kernels on the TPU kept as the comparison.
+fn bench_filter_diff_direct(c: &mut Criterion) {
+    use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
+    let xs: Vec<_> = (0..16).map(|i| real_matrix(128, i).to_complex()).collect();
+    let filter = real_matrix(128, 97).to_complex();
+    let y = real_matrix(128, 98);
+    let platforms: [(&str, Box<dyn Accelerator>); 3] = [
+        ("cpu", Box::new(CpuModel::i7_3700())),
+        ("gpu", Box::new(GpuModel::gtx1080())),
+        ("tpu", Box::new(TpuAccel::tpu_v2())),
+    ];
+    let mut group = c.benchmark_group("filter_diff_direct");
+    group.sample_size(10);
+    for (label, acc) in &platforms {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                acc.filter_diff_batch(black_box(&xs), black_box(&filter), black_box(&y))
+                    .expect("shapes")
+            });
+        });
+    }
+    let tpu = TpuAccel::tpu_v2();
+    group.bench_function("staged-chain/tpu", |b| {
+        b.iter(|| {
+            let spectra = tpu.fft2d_batch(black_box(&xs)).expect("shapes");
+            let filtered = tpu
+                .hadamard_batch(&spectra, black_box(&filter))
+                .expect("shapes");
+            let preds: Vec<_> = tpu
+                .ifft2d_batch(&filtered)
+                .expect("shapes")
+                .iter()
+                .map(Matrix::to_real)
+                .collect();
+            tpu.sub_batch(black_box(&y), &preds).expect("shapes")
+        });
+    });
+    group.finish();
+}
+
 /// The classification phase: `Conv2d` forward and backward at the
 /// four layer shapes of `vgg_small` on 16×16×3 images, and the whole
 /// seeded epoch over 64 images that `pipeline-offline` trains per
@@ -219,6 +263,7 @@ criterion_group!(
     bench_convolution,
     bench_collectives,
     bench_pooled_flight,
+    bench_filter_diff_direct,
     bench_conv2d
 );
 criterion_main!(benches);

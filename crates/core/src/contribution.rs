@@ -173,7 +173,23 @@ pub fn block_contributions(
     y: &Matrix<f64>,
     grid: usize,
 ) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
+    let regions = block_regions(x.shape(), grid)?;
+    let mut out = Matrix::zeros(grid, grid)?;
+    for (score, region) in out.as_mut_slice().iter_mut().zip(regions) {
+        *score = contribution(model, x, y, region)?;
+    }
+    Ok(out)
+}
+
+/// The `grid × grid` decomposition of an `m × n` input into equal
+/// [`Region::Block`]s, row-major — the one region list behind every
+/// block map.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `grid` is zero or does
+/// not divide both dimensions.
+pub(crate) fn block_regions((m, n): (usize, usize), grid: usize) -> Result<Vec<Region>> {
     if grid == 0 || m % grid != 0 || n % grid != 0 {
         return Err(TensorError::ShapeMismatch {
             left: (m, n),
@@ -182,13 +198,9 @@ pub fn block_contributions(
         });
     }
     let (bh, bw) = (m / grid, n / grid);
-    let mut out = Matrix::zeros(grid, grid)?;
-    for by in 0..grid {
-        for bx in 0..grid {
-            out[(by, bx)] = contribution(model, x, y, Region::Block(by * bh, bx * bw, bh, bw))?;
-        }
-    }
-    Ok(out)
+    Ok((0..grid)
+        .flat_map(|by| (0..grid).map(move |bx| Region::Block(by * bh, bx * bw, bh, bw)))
+        .collect())
 }
 
 /// Per-column contribution scores (the paper's Figure 6: per clock

@@ -17,8 +17,9 @@
 //! is well-posed for many pairs and noisy spectra. The ablation bench
 //! (A1 in DESIGN.md) quantifies the difference.
 
+use std::sync::Arc;
 use xai_accel::Accelerator;
-use xai_fourier::Fft2d;
+use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
 
@@ -84,7 +85,7 @@ impl DistilledModel {
     pub fn fit(pairs: &[(Matrix<f64>, Matrix<f64>)], strategy: SolveStrategy) -> Result<Self> {
         let first = pairs.first().ok_or(TensorError::EmptyDimension)?;
         let (m, n) = first.0.shape();
-        let plan = Fft2d::new(m, n);
+        let plan = global_plan_cache().plan_2d(m, n);
         let spectrum = Self::solve_spectrum(pairs, strategy, (m, n), |x| plan.forward(x))?;
         let kernel = plan.inverse(&spectrum)?.to_real();
         Ok(DistilledModel {
@@ -224,7 +225,7 @@ impl DistilledModel {
     /// Reconstructs a model from a known kernel spectrum (used by the
     /// incremental builder).
     fn from_spectrum(spectrum: Matrix<Complex64>) -> Result<Self> {
-        let plan = Fft2d::new(spectrum.rows(), spectrum.cols());
+        let plan = global_plan_cache().plan_2d(spectrum.rows(), spectrum.cols());
         let kernel = plan.inverse(&spectrum)?.to_real();
         Ok(DistilledModel {
             kernel,
@@ -262,7 +263,7 @@ impl DistilledModel {
                 op: "distilled predict input",
             });
         }
-        let plan = Fft2d::new(x.rows(), x.cols());
+        let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
         let fx = plan.forward(&x.to_complex())?;
         let fy = ops::hadamard(&fx, &self.kernel_spectrum)?;
         Ok(plan.inverse(&fy)?.to_real())
@@ -340,7 +341,7 @@ pub struct IncrementalDistiller {
     pairs_seen: usize,
     cross: Matrix<Complex64>,
     power: Matrix<Complex64>,
-    plan: Fft2d,
+    plan: Arc<Fft2d>,
 }
 
 impl IncrementalDistiller {
@@ -357,7 +358,7 @@ impl IncrementalDistiller {
             pairs_seen: 0,
             cross: Matrix::zeros(rows, cols).expect("dims validated by Fft2d"),
             power: Matrix::zeros(rows, cols).expect("dims validated by Fft2d"),
-            plan: Fft2d::new(rows, cols),
+            plan: global_plan_cache().plan_2d(rows, cols),
         }
     }
 

@@ -18,7 +18,7 @@
 //! variants: kernels are pure functions of their inputs, and only the
 //! simulated-time ledger is shared.
 
-use crate::contribution::{block_contributions, contributions_batch_on, Region};
+use crate::contribution::{block_contributions, block_regions, contributions_batch_on};
 use crate::distill::DistilledModel;
 use xai_accel::Accelerator;
 use xai_tensor::{Matrix, Result, TensorError};
@@ -156,18 +156,7 @@ pub fn block_contributions_on(
     y: &Matrix<f64>,
     grid: usize,
 ) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
-    if grid == 0 || m % grid != 0 || n % grid != 0 {
-        return Err(TensorError::ShapeMismatch {
-            left: (m, n),
-            right: (grid, grid),
-            op: "block grid must divide input",
-        });
-    }
-    let (bh, bw) = (m / grid, n / grid);
-    let regions: Vec<Region> = (0..grid)
-        .flat_map(|by| (0..grid).map(move |bx| Region::Block(by * bh, bx * bw, bh, bw)))
-        .collect();
+    let regions = block_regions(x.shape(), grid)?;
     let scores = contributions_batch_on(acc, model, x, y, &regions)?;
     let mut out = Matrix::zeros(grid, grid)?;
     for (i, score) in scores.into_iter().enumerate() {

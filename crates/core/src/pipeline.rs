@@ -3,7 +3,7 @@
 //! performing outcome interpretation for every 10 input-output
 //! pairs") and Figure 4 (scalability versus matrix size).
 
-use crate::contribution::{contributions_batch_on, Region};
+use crate::contribution::{block_regions, contributions_batch_on};
 use crate::distill::{DistilledModel, SolveStrategy};
 use xai_accel::Accelerator;
 use xai_tensor::{Matrix, Result};
@@ -40,7 +40,9 @@ impl InterpretationReport {
 ///
 /// # Errors
 ///
-/// Propagates distillation and shape errors.
+/// Propagates distillation and shape errors, and returns
+/// [`xai_tensor::TensorError::ShapeMismatch`] when `grid` is zero or
+/// does not divide both input dimensions.
 ///
 /// # Examples
 ///
@@ -77,11 +79,7 @@ pub fn interpret_on(
 
     let mut regions_per_sample = 0;
     for (x, y) in pairs {
-        let (m, n) = x.shape();
-        let (bh, bw) = (m / grid.max(1), n / grid.max(1));
-        let regions: Vec<Region> = (0..grid)
-            .flat_map(|by| (0..grid).map(move |bx| Region::Block(by * bh, bx * bw, bh, bw)))
-            .collect();
+        let regions = block_regions(x.shape(), grid)?;
         regions_per_sample = regions.len();
         // All regions of one sample run as one §III-D parallel batch.
         contributions_batch_on(acc, &model, x, y, &regions)?;
@@ -142,6 +140,20 @@ mod tests {
         assert_eq!(report.regions_per_sample, 16);
         assert!((report.total_s() - report.distill_s - report.contribution_s).abs() < 1e-15);
         assert!(report.per_sample_s() < report.total_s());
+    }
+
+    #[test]
+    fn grid_must_divide_the_input_like_the_block_maps() {
+        let cpu = CpuModel::i7_3700();
+        for grid in [0, 3] {
+            let err = interpret_on(&cpu, &pairs(2, 8), grid, SolveStrategy::default()).unwrap_err();
+            let expected = xai_tensor::TensorError::ShapeMismatch {
+                left: (8, 8),
+                right: (grid, grid),
+                op: "block grid must divide input",
+            };
+            assert_eq!(err, expected, "grid {grid}");
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Golden bits recorded from the commit *before* the code they pin
 //! was rewritten: the 2-D transform's move to the in-place row pass +
-//! whole-row column pass, and `Conv2d`'s move from seven nested loops
-//! to row kernels. Every other bit-identity check in the tree compares
+//! whole-row column pass, `Conv2d`'s move from seven nested loops to
+//! row kernels, and the unqueued platforms' move from the staged
+//! filter-diff chain to fused lanes. Every other bit-identity check in the tree compares
 //! two paths of the same build, so a drift that moves both the same
 //! way would pass them all; these constants cannot move with the code.
 
 use std::time::Duration;
-use tpu_xai::accel::TpuAccel;
+use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
 use tpu_xai::core::parallel::block_contributions_on;
 use tpu_xai::core::{DistilledModel, SolveStrategy};
 use tpu_xai::data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
@@ -108,8 +109,8 @@ const BLOCK_MAP: [u64; 16] = [
     0x4045_4a2f_3c0d_4213,
 ];
 
-#[test]
-fn served_block_map_bits_match_the_batched_implementation() {
+/// The model and pair behind [`BLOCK_MAP`].
+fn block_map_inputs() -> (DistilledModel, Matrix<f64>, Matrix<f64>) {
     let k = Matrix::from_fn(16, 16, |r, c| ((r * 3 + c * 7) % 11) as f64 * 0.125 - 0.5).unwrap();
     let mut x =
         Matrix::from_fn(16, 16, |r, c| ((r * 13 + c * 5) % 17) as f64 * 0.25 - 2.0).unwrap();
@@ -121,10 +122,36 @@ fn served_block_map_bits_match_the_batched_implementation() {
     x[(13, 2)] = -0.0;
     let y = conv2d_circular(&x, &k).unwrap();
     let model = DistilledModel::fit(&[(x.clone(), y.clone())], SolveStrategy::default()).unwrap();
+    (model, x, y)
+}
+
+#[test]
+fn served_block_map_bits_match_the_batched_implementation() {
+    let (model, x, y) = block_map_inputs();
     let acc = TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16);
     let map = block_contributions_on(&acc, &model, &x, &y, 4).unwrap();
     let bits: Vec<u64> = map.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, BLOCK_MAP, "{bits:#x?}");
+}
+
+/// The same map through the three unqueued platforms, with the clock
+/// bits and kernel counts their *staged* direct paths left, recorded
+/// from the commit before those paths ran the fused lane.
+#[test]
+fn direct_block_map_bits_and_charges_match_the_staged_direct_paths() {
+    let (model, x, y) = block_map_inputs();
+    let platforms: [(Box<dyn Accelerator>, u64, u64); 3] = [
+        (Box::new(CpuModel::i7_3700()), 0x3f0c_2f8b_88df_b80c, 64),
+        (Box::new(GpuModel::gtx1080()), 0x3ef0_e0bc_b292_27cf, 4),
+        (Box::new(TpuAccel::tpu_v2()), 0x3ed6_3a96_13db_73ce, 4),
+    ];
+    for (acc, seconds, kernels) in platforms {
+        let map = block_contributions_on(acc.as_ref(), &model, &x, &y, 4).unwrap();
+        let bits: Vec<u64> = map.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, BLOCK_MAP, "{}: {bits:#x?}", acc.name());
+        let got = (acc.elapsed_seconds().to_bits(), acc.stats().kernels);
+        assert_eq!(got, (seconds, kernels), "{}: {got:#x?}", acc.name());
+    }
 }
 
 /// FNV-1a over `f64` bit patterns.

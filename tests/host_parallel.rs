@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tpu_xai::accel::{Accelerator, TpuAccel};
+use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
 use tpu_xai::core::{explain_batch_on, explain_batch_parallel_on, DistilledModel, SolveStrategy};
 use tpu_xai::fourier::Fft2d;
 use tpu_xai::parallel;
@@ -147,6 +147,43 @@ fn parallel_strict_division_reports_first_zero_index() {
             index: 277 * 120 + 10
         }
     );
+}
+
+/// The direct filter-diff path shards whole lanes over the pool: with
+/// 7 workers 16 lanes split 3-3-3-3-3-1, and every platform's batch
+/// must equal its sixteen one-lane calls (one group, no sharing of a
+/// working buffer) bit for bit.
+#[test]
+fn direct_filter_diff_lanes_are_independent_of_the_grouping() {
+    setup();
+    let lanes: Vec<_> = (0..16)
+        .map(|s| {
+            Matrix::from_fn(12, 16, |r, c| {
+                Complex64::new(((r * 5 + c * 3 + s) % 13) as f64 - 6.0, 0.0)
+            })
+            .unwrap()
+        })
+        .collect();
+    let kernel = Matrix::from_fn(12, 16, |r, c| {
+        Complex64::new(((r + c) % 5) as f64 - 1.5, 0.25)
+    })
+    .unwrap();
+    let y = Matrix::from_fn(12, 16, |r, c| ((r + 2 * c) % 7) as f64 * 0.5).unwrap();
+    let platforms: [Box<dyn Accelerator>; 3] = [
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+    ];
+    for acc in platforms {
+        let batch = acc.filter_diff_batch(&lanes, &kernel, &y).unwrap();
+        for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
+            let one = acc
+                .filter_diff_batch(std::slice::from_ref(lane), &kernel, &y)
+                .unwrap();
+            let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&one[0]), "{} lane {i}", acc.name());
+        }
+    }
 }
 
 #[cfg(target_os = "linux")]
