@@ -165,6 +165,14 @@ pub trait Accelerator: Send + Sync {
     /// TPU's fused flight: one submission, one result gather) keeps
     /// the bits and states its own schedule and per-lane errors.
     ///
+    /// One stated exception to "keeps the bits": on a *real* lane
+    /// (every imaginary part `== 0.0`, an even row count) the built-in
+    /// platforms run a real-input transform and may differ from this
+    /// staged default within
+    /// `2 · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` (Frobenius) —
+    /// identically on every platform and route; see ARCHITECTURE.md,
+    /// "Interpretation-phase numerics".
+    ///
     /// # Errors
     ///
     /// As the staged kernels: shape mismatch between `xs`, `filter`

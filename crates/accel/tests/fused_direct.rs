@@ -187,6 +187,23 @@ proptest! {
     }
 }
 
+/// The lanes nearest the real-input transform that must not take it:
+/// *real* lanes (every imaginary part zero) with an odd row count
+/// cannot pack row pairs, so they run the complex sequence and keep
+/// the staged chain's bits and ledger (`real_lane.rs` has the even
+/// row counts, which do not).
+#[test]
+fn odd_row_real_lanes_keep_the_staged_bits() {
+    let vals: Vec<f64> = (0..23).map(|i| i as f64 * 0.25 - 2.0).collect();
+    let shape = (5, 4);
+    let xs: Vec<_> = lanes(&vals, shape, 7, Salt::Zeros)
+        .iter()
+        .map(|x| x.to_real().to_complex())
+        .collect();
+    let (k, y) = (filter(&vals, shape), observed(&vals, shape));
+    assert_fused_equals_staged("5x4 real lanes", &xs, &k, &y);
+}
+
 /// The satellite bugfix: an unqueued batch that fails charges nothing,
 /// like every single-lane kernel.
 #[test]

@@ -142,3 +142,33 @@ proptest! {
         }
     }
 }
+
+/// The same pin on *real* lanes: every lane here has five rows, and an
+/// odd row count cannot take the real-input transform, so a flight of
+/// real 5×4 lanes still matches the staged chain bit for bit.
+#[test]
+fn odd_row_real_lanes_keep_the_staged_bits() {
+    let vals: Vec<f64> = (0..=ROWS * COLS).map(|i| i as f64 * 0.19 - 1.9).collect();
+    let k = Matrix::from_fn(ROWS, COLS, |r, c| {
+        Complex64::new(
+            vals[r * COLS + c],
+            vals[(r * COLS + c + 5) % vals.len()] * 0.5,
+        )
+    })
+    .unwrap();
+    let y = Matrix::from_fn(ROWS, COLS, |r, c| vals[r * COLS + c] * 1.5).unwrap();
+    let xs_per: Vec<Vec<Matrix<Complex64>>> = worker_inputs(&vals, 2)
+        .iter()
+        .map(|xs| xs.iter().map(|x| x.to_real().to_complex()).collect())
+        .collect();
+    for devices in [1usize, 4] {
+        let staged = run_staged(devices, &xs_per, &k, &y);
+        let fused = run_fused(devices, &xs_per, &k, &y);
+        for (w, (f, s)) in fused.iter().zip(&staged).enumerate() {
+            for (lane, (f, s)) in f.iter().zip(s).enumerate() {
+                let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(f), bits(s), "devices={devices} w={w} lane={lane}");
+            }
+        }
+    }
+}

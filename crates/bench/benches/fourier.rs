@@ -75,6 +75,16 @@ fn bench_2d_decomposition(c: &mut Criterion) {
                     .expect("valid shape");
             });
         });
+        // The real-input forward on the same buffer: half the
+        // butterflies of "in-place".
+        group.bench_with_input(BenchmarkId::new("real-forward", n), &x, |b, x| {
+            let mut buf = x.clone();
+            let mut scratch = vec![Complex64::ZERO; n];
+            b.iter(|| {
+                buf.as_mut_slice().copy_from_slice(x.as_slice());
+                plan.forward_real(black_box(buf.as_mut_slice()), &mut scratch);
+            });
+        });
         for workers in [2usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("row-column-{workers}w"), n),
@@ -102,26 +112,40 @@ fn bench_2d_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-/// One fused filter-diff lane, as `TpuAccel` runs it: the lane's own
-/// copy of `x` goes forward, through the filter and back in place,
-/// and `y − re` is the only other allocation.
+/// One fused filter-diff lane, as every built-in platform runs it:
+/// the lane's own copy of `x` goes forward, through the filter and
+/// back in place, and `y − re` is the only other allocation. `complex`
+/// is the sequence a lane with imaginary parts takes, `real` the one a
+/// real image takes: the real-input triple `forward_real →
+/// hadamard_real → inverse_real` on the kept columns.
 fn bench_filter_diff_lane(c: &mut Criterion) {
     let mut group = c.benchmark_group("filter-diff-lane");
     group.sample_size(20);
-    let n = 128;
-    let x = complex_matrix(n);
-    let filter = complex_matrix(n).map(|z| z * Complex64::new(0.25, 0.5));
-    let y = x.to_real();
-    let plan = Fft2d::new(n, n);
-    group.bench_with_input(BenchmarkId::from_parameter(n), &x, |b, x| {
-        b.iter(|| {
-            let mut lane = black_box(x).clone();
-            plan.forward_in_place(&mut lane).expect("valid shape");
-            ops::hadamard_assign(&mut lane, &filter).expect("equal shapes");
-            plan.inverse_in_place(&mut lane).expect("valid shape");
-            ops::sub_re(&y, &lane).expect("equal shapes")
+    for n in [8usize, 128] {
+        let x = complex_matrix(n);
+        let filter = complex_matrix(n).map(|z| z * Complex64::new(0.25, 0.5));
+        let y = x.to_real();
+        let plan = Fft2d::new(n, n);
+        group.bench_with_input(BenchmarkId::new("complex", n), &x, |b, x| {
+            b.iter(|| {
+                let mut lane = black_box(x).clone();
+                plan.forward_in_place(&mut lane).expect("valid shape");
+                ops::hadamard_assign(&mut lane, &filter).expect("equal shapes");
+                plan.inverse_in_place(&mut lane).expect("valid shape");
+                ops::sub_re(&y, &lane).expect("equal shapes")
+            });
         });
-    });
+        group.bench_with_input(BenchmarkId::new("real", n), &x.to_real(), |b, x| {
+            b.iter(|| {
+                let mut lane = black_box(x).to_complex();
+                let mut scratch = vec![Complex64::ZERO; n];
+                plan.forward_real(lane.as_mut_slice(), &mut scratch);
+                plan.hadamard_real(lane.as_mut_slice(), &filter);
+                plan.inverse_real(lane.as_mut_slice(), &mut scratch);
+                ops::sub_re(&y, &lane).expect("equal shapes")
+            });
+        });
+    }
     group.finish();
 }
 

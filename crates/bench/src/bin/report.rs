@@ -23,7 +23,7 @@ use xai_nn::{Tensor3, Trainer};
 use xai_serve::{
     run_load, synth_problem, ExplainJob, JobOutput, LoadConfig, LoadFault, ShedPolicy, SimServer,
 };
-use xai_tensor::{conv::conv2d_circular, ops, Matrix, Result};
+use xai_tensor::{conv::conv2d_circular, ops, Complex64, Matrix, Result};
 use xai_tpu::{DevicePool, FaultPlan, LaneCost, ShardStrategy, SharedDevice, Topology, TpuConfig};
 
 struct Claim {
@@ -404,15 +404,20 @@ fn main() -> Result<()> {
         // four flights (four result gathers, four coalescing windows);
         // fused ships one FilterDiff flight with a single gather. The
         // per-stage compute charges are identical by construction, so
-        // the ratio isolates the dispatch-and-gather saving — and the
-        // outputs must be bit-identical.
+        // the ratio isolates the dispatch-and-gather saving. The
+        // outputs answer to the interpretation-phase numerics contract
+        // (`xai_accel`'s `filter_diff.rs`): the scenario's lanes are
+        // real, so the flight runs them through the real-input
+        // transform and must stay within the contract's bound of the
+        // staged chain; the same lanes salted with an imaginary part
+        // run the complex sequence and must match it bit for bit. The
+        // filter is a real matrix lifted to complex — not Hermitian —
+        // so filtering the kept columns with it, rather than with its
+        // Hermitian part, fails the first half.
         let lanes = 128;
         let n = 32;
-        let xs: Vec<Matrix<xai_tensor::Complex64>> = (0..lanes)
-            .map(|s| {
-                Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 5 + s) % 13) as f64 - 6.0)
-                    .map(|m| m.to_complex())
-            })
+        let reals: Vec<Matrix<f64>> = (0..lanes)
+            .map(|s| Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 5 + s) % 13) as f64 - 6.0))
             .collect::<Result<_>>()?;
         let k = Matrix::from_fn(n, n, |r, c| ((r * 3 + c) % 5) as f64 * 0.4)?.to_complex();
         let y = Matrix::from_fn(n, n, |r, c| ((r + c * 2) % 7) as f64)?;
@@ -423,37 +428,56 @@ fn main() -> Result<()> {
                 lanes,
             )
         };
+        // Both forms over `xs`: whether every lane's (staged, fused)
+        // pair satisfies `agree`, and staged seconds / fused seconds.
+        type Agree<'a> = &'a dyn Fn(usize, &Matrix<f64>, &Matrix<f64>) -> bool;
+        let run = |xs: &[Matrix<Complex64>], agree: Agree| -> Result<(bool, f64)> {
+            let staged = pool_acc();
+            let spectra = staged.fft2d_batch(xs)?;
+            let filtered = staged.hadamard_batch(&spectra, &k)?;
+            let preds: Vec<Matrix<f64>> = staged
+                .ifft2d_batch(&filtered)?
+                .into_iter()
+                .map(|p| p.to_real())
+                .collect();
+            let staged_out = staged.sub_batch(&y, &preds)?;
+            let fused = pool_acc();
+            let fused_out = fused.filter_diff_batch(xs, &k, &y)?;
+            let agreed = staged_out.len() == fused_out.len()
+                && (staged_out.iter().zip(&fused_out).enumerate())
+                    .all(|(lane, (a, b))| agree(lane, a, b));
+            Ok((agreed, staged.elapsed_seconds() / fused.elapsed_seconds()))
+        };
 
-        let staged = pool_acc();
-        let spectra = staged.fft2d_batch(&xs)?;
-        let filtered = staged.hadamard_batch(&spectra, &k)?;
-        let preds: Vec<Matrix<f64>> = staged
-            .ifft2d_batch(&filtered)?
-            .into_iter()
-            .map(|p| p.to_real())
+        let xs: Vec<_> = reals.iter().map(Matrix::to_complex).collect();
+        let k_max = k.iter().map(|z| z.abs()).fold(0.0, f64::max);
+        let log = (2.0 * (n * n) as f64).log2();
+        let (within_bound, speedup) = run(&xs, &|lane, a, b| {
+            let scale = k_max * reals[lane].frobenius_norm() + y.frobenius_norm();
+            let distance = ops::sub(a, b).map_or(f64::NAN, |d| d.frobenius_norm());
+            distance <= 2.0 * f64::EPSILON * log * scale
+        })?;
+
+        let salted: Vec<_> = reals
+            .iter()
+            .map(|x| x.map(|v| Complex64::new(v, 0.25 * v)))
             .collect();
-        let staged_out = staged.sub_batch(&y, &preds)?;
-        let t_staged = staged.elapsed_seconds();
+        let (identical, _) = run(&salted, &|_, a, b| {
+            let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            bits(a) == bits(b)
+        })?;
 
-        let fused = pool_acc();
-        let fused_out = fused.filter_diff_batch(&xs, &k, &y)?;
-        let t_fused = fused.elapsed_seconds();
-
-        let identical = staged_out.len() == fused_out.len()
-            && staged_out
-                .iter()
-                .zip(&fused_out)
-                .all(|(a, b)| a.as_slice() == b.as_slice());
-        let speedup = t_staged / t_fused;
+        let yes_no = |ok| if ok { "yes" } else { "NO" };
         metrics.push(("fused_pipeline_speedup_4_devices", speedup));
         claims.push(Claim {
             id: "fused pipeline flight",
             paper: "pipeline stages fuse into one submission",
             measured: format!(
-                "{speedup:.2}x vs staged, bit-identical: {}",
-                if identical { "yes" } else { "NO" }
+                "{speedup:.2}x vs staged, complex lanes bit-identical: {}, real lanes within bound: {}",
+                yes_no(identical),
+                yes_no(within_bound)
             ),
-            pass: identical && speedup >= 1.05,
+            pass: identical && within_bound && speedup >= 1.05,
         });
     }
 

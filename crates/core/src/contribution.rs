@@ -113,7 +113,13 @@ pub fn contribution_on(
 /// paper): all perturbed inputs are transformed, filtered and
 /// differenced as batched kernels.
 ///
-/// Numerically identical to calling [`contribution_on`] per region.
+/// Bit-identical across every batched route of every built-in
+/// platform (direct, queued, pooled; any batch composition). The
+/// occluded inputs are real, so those platforms run them through the
+/// real-input transform: the scores agree with [`contribution_on`] per
+/// region and with the host [`contribution`] within the bound of the
+/// interpretation-phase numerics contract (ARCHITECTURE.md), not to
+/// the bit.
 ///
 /// # Errors
 ///
@@ -219,17 +225,26 @@ pub fn column_contributions(
         .collect()
 }
 
-/// Index of the highest-scoring entry of a score slice.
+/// Index of the highest-scoring entry of a score slice (the last of
+/// equal scores, `0` for an empty slice). NaN ranks above every
+/// number: one non-finite input element makes NaN the score of every
+/// occlusion that keeps it, and such a poisoned map points at the
+/// poison instead of panicking.
 pub fn argmax(scores: &[f64]) -> usize {
+    let nan_high = |a: &f64, b: &f64| {
+        a.partial_cmp(b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    };
     scores
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores must not be NaN"))
+        .max_by(|a, b| nan_high(a.1, b.1))
         .map(|(i, _)| i)
         .unwrap_or(0)
 }
 
-/// `(row, col)` of the highest-scoring cell of a score matrix.
+/// `(row, col)` of the highest-scoring cell of a score matrix (see
+/// [`argmax`] for ties and NaN).
 pub fn argmax2(scores: &Matrix<f64>) -> (usize, usize) {
     let flat = argmax(scores.as_slice());
     (flat / scores.cols(), flat % scores.cols())
@@ -368,6 +383,15 @@ mod tests {
         assert_eq!(argmax(&[0.1, 3.0, 2.0]), 1);
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![9.0, 0.0]]).unwrap();
         assert_eq!(argmax2(&m), (1, 0));
+        // Ties go to the last of equals; nothing to rank is index 0.
+        assert_eq!(argmax(&[3.0, 1.0, 3.0, 2.0]), 2);
+        assert_eq!(argmax(&[0.0, -0.0]), 1);
+        assert_eq!(argmax(&[]), 0);
+        // NaN of either sign outranks every number (panicked before).
+        assert_eq!(argmax(&[1.0, f64::NAN, f64::INFINITY]), 1);
+        assert_eq!(argmax(&[-f64::NAN, 7.0]), 0);
+        let poisoned = Matrix::from_rows(&[vec![f64::NAN, 2.0], vec![f64::NAN, 5.0]]).unwrap();
+        assert_eq!(argmax2(&poisoned), (1, 0));
     }
 
     #[test]

@@ -320,6 +320,16 @@ mod tests {
         let heat = ex.to_heatmap();
         assert_eq!(heat.lines().count(), 3);
         assert!(heat.contains('['));
+
+        // One NaN pixel poisons every occlusion that keeps it: the
+        // explanation carries the NaN scores and points at one of them
+        // (this panicked in `argmax2`).
+        let mut poisoned = images[0].image.clone();
+        poisoned.set(0, 5, 5, f64::NAN);
+        let ex = explainer.explain(&mut net, &poisoned).unwrap();
+        assert!(ex.block_scores.iter().filter(|v| v.is_nan()).count() >= 8);
+        assert!(ex.block_scores[ex.top_block].is_nan());
+        assert!(ex.predicted_class < 4);
     }
 
     #[test]

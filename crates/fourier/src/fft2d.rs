@@ -27,10 +27,10 @@ use xai_tensor::{Complex64, Matrix, Result, TensorError};
 /// A reusable 2-D DFT plan for fixed `rows × cols` shape.
 #[derive(Debug, Clone)]
 pub struct Fft2d {
-    rows: usize,
-    cols: usize,
-    row_plan: FftPlan,
-    col_plan: FftPlan,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) row_plan: FftPlan,
+    pub(crate) col_plan: FftPlan,
 }
 
 impl Fft2d {

@@ -3,8 +3,8 @@
 //! Discrete Fourier transforms for the `tpu-xai` workspace — the
 //! computational core the paper reduces explainable ML to.
 //!
-//! Five interchangeable evaluation strategies are provided, each
-//! exercising a different hardware story:
+//! Six evaluation strategies are provided, each exercising a
+//! different hardware story:
 //!
 //! | Strategy | Module | Complexity | Role |
 //! |---|---|---|---|
@@ -13,6 +13,7 @@
 //! | Bluestein chirp-z | [`bluestein`] | O(N log N), any N | arbitrary shapes |
 //! | DFT-matrix matmul | [`matrix_form`] | O(N²) as *matmul* | the TPU mapping (Eq. 10–13) |
 //! | row–column 2-D | [`fft2d()`] | O(MN log MN) | Algorithm 1 decomposition |
+//! | real-input 2-D | [`Fft2d::forward_real`] / [`Fft2d::hadamard_real`] / [`Fft2d::inverse_real`] | half of row–column | the filter-diff lane of a real image (`xai-accel`'s `filter_diff::lane`, i.e. every `contributions_batch_on` on a built-in platform); within a stated bound of row–column, not bit-identical to it |
 //!
 //! ## Example: the convolution theorem the paper's solver rests on
 //!
@@ -41,7 +42,7 @@ pub mod fft2d;
 pub mod matrix_form;
 mod norm;
 mod plan;
-pub mod real;
+mod real;
 
 pub use bluestein::BluesteinPlan;
 pub use cache::{global_plan_cache, PlanCache};
@@ -54,4 +55,3 @@ pub use matrix_form::{
 };
 pub use norm::Norm;
 pub use plan::FftPlan;
-pub use real::{rfft2d, RealFftPlan};

@@ -1,228 +1,285 @@
-//! Real-input FFT: exploits Hermitian symmetry to halve the work.
+//! The real-input pair of [`Fft2d`]: the spectrum of a real
+//! `rows × cols` image is Hermitian, `X[u,v] = conj X[(m−u)%m,(n−v)%n]`,
+//! so its `h = cols/2 + 1` leading columns carry all of it and half
+//! the butterflies of the complex transform recompute the mirror.
 //!
-//! The explanation pipeline's inputs (images, traces) are real, so a
-//! real-input transform is the natural production optimisation: an
-//! even-length real signal packs into a half-length complex signal,
-//! one half-size FFT runs, and a post-processing butterfly unpacks
-//! the full spectrum.
+//! Row pass: two real rows `a`, `b` ride one complex row transform —
+//! `Z = F(a + i·b)`, then `A[k] = (Z[k] + conj Z[n−k])/2` and
+//! `B[k] = (Z[k] − conj Z[n−k])/2i` for `k ≤ n/2`. Column pass: the
+//! whole-row column kernel over the `h` kept columns. The inverse
+//! mirrors both, and [`Fft2d::hadamard_real`] applies a full-size
+//! spectral filter in between. Everything happens in the caller's
+//! `rows × cols` buffer: the half spectrum lies row-major at stride `h`
+//! in its first `rows·h` elements, and since `h ≤ cols` a row pair's
+//! output never overtakes unread input (forward walks the pairs up,
+//! inverse down).
+//! Built from the 1-D plans and the column kernel alone — no
+//! butterfly, twiddle table or plan type of its own. Any `cols`
+//! (odd and Bluestein lengths included); `rows` must be even.
 
+use crate::fft2d::Fft2d;
 use crate::norm::Norm;
-use crate::plan::FftPlan;
-use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tensor::{Complex64, Matrix};
 
-/// A reusable real-input FFT plan for even lengths.
-#[derive(Debug, Clone)]
-pub struct RealFftPlan {
-    n: usize,
-    half: FftPlan,
-}
+impl Fft2d {
+    /// Width `cols/2 + 1` of the half spectrum the real-input pair
+    /// keeps.
+    pub fn half_cols(&self) -> usize {
+        self.cols / 2 + 1
+    }
 
-impl RealFftPlan {
-    /// Builds a plan for real signals of even length `n`.
+    /// Forward 2-D transform of the real parts of the row-major
+    /// `rows × cols` image in `buf` (imaginary parts are not read).
+    /// Leaves the `rows × half_cols()` half spectrum row-major in the
+    /// front of `buf`; the rest of `buf` is unspecified. `scratch` is
+    /// one row of working space.
     ///
     /// # Panics
     ///
-    /// Panics when `n` is zero or odd (the packing trick requires an
-    /// even length; pad or use [`FftPlan`] otherwise).
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n > 0 && n.is_multiple_of(2),
-            "real FFT requires even non-zero length, got {n}"
-        );
-        RealFftPlan {
-            n,
-            half: FftPlan::new(n / 2),
-        }
-    }
-
-    /// Transform length.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` iff the plan length is zero (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Forward transform of a real signal. Returns the full `n`-bin
-    /// complex spectrum (redundant Hermitian half included, for
-    /// drop-in compatibility with the complex pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DataLength`] when `x.len() != n`.
-    pub fn forward(&self, x: &[f64], norm: Norm) -> Result<Vec<Complex64>> {
-        if x.len() != self.n {
-            return Err(TensorError::DataLength {
-                expected: self.n,
-                actual: x.len(),
-            });
-        }
-        let h = self.n / 2;
-        // Pack even samples into re, odd into im.
-        let mut packed: Vec<Complex64> = (0..h)
-            .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
-            .collect();
-        self.half.forward(&mut packed, Norm::Backward);
-
-        // Unpack: the packed transform Z satisfies
-        // X[k] = E[k] + w·O[k] with E[k] = (Z[k] + conj(Z[h-k]))/2 and
-        // O[k] = (Z[k] - conj(Z[h-k]))/(2i); compute bins 0..=h
-        // directly and mirror the rest by Hermitian symmetry.
-        let mut spectrum = vec![Complex64::ZERO; self.n];
-        for k in 0..=h {
-            let zk = packed[k % h];
-            let zn = packed[(h - k) % h].conj();
-            let even = (zk + zn).scale(0.5);
-            let odd = (zk - zn) * Complex64::new(0.0, -0.5);
-            let w = Complex64::twiddle(k as i64, self.n);
-            spectrum[k] = even + w * odd;
-        }
-        for k in h + 1..self.n {
-            spectrum[k] = spectrum[self.n - k].conj();
-        }
-        let s = norm.forward_scale(self.n);
-        if s != 1.0 {
-            for v in &mut spectrum {
-                *v = v.scale(s);
+    /// Panics unless the planned row count is even,
+    /// `buf.len() == rows * cols` and `scratch.len() == cols`.
+    pub fn forward_real(&self, buf: &mut [Complex64], scratch: &mut [Complex64]) {
+        let (n, h) = self.check_real(buf, scratch);
+        // `z` paired with its mirror bin `m`: the spectra of the real
+        // and of the imaginary part of the packed signal.
+        let unpack = |z: Complex64, m: Complex64| {
+            (
+                Complex64::new(0.5 * (z.re + m.re), 0.5 * (z.im - m.im)),
+                Complex64::new(0.5 * (z.im + m.im), 0.5 * (m.re - z.re)),
+            )
+        };
+        for j in 0..self.rows / 2 {
+            let (ra, rb) = buf[2 * j * n..][..2 * n].split_at(n);
+            for ((z, a), b) in scratch.iter_mut().zip(ra).zip(rb) {
+                *z = Complex64::new(a.re, b.re);
+            }
+            self.row_plan.forward(scratch, Norm::Backward);
+            let (a, b) = buf[2 * j * h..][..2 * h].split_at_mut(h);
+            // Bin 0 is its own mirror; bin k ≥ 1 mirrors bin n − k.
+            (a[0], b[0]) = unpack(scratch[0], scratch[0]);
+            let bins = scratch[1..].iter().zip(scratch.iter().rev());
+            for ((ak, bk), (&z, &m)) in a[1..].iter_mut().zip(&mut b[1..]).zip(bins) {
+                (*ak, *bk) = unpack(z, m);
             }
         }
-        Ok(spectrum)
+        self.col_plan
+            .forward_columns(&mut buf[..self.rows * h], h, Norm::Backward);
     }
 
-    /// Inverse transform back to a real signal (imaginary residue of
-    /// the inverse is discarded; it is numerical noise for spectra
-    /// with Hermitian symmetry).
+    /// `half ← half ∘ K_h` on the half spectrum in the front of `buf`,
+    /// where `K_h[u,v] = (K[u,v] + conj K[(m−u)%m,(n−v)%n])/2` is the
+    /// Hermitian part of the full-size `filter`, formed on the fly. For
+    /// real `x`, `re(ifft2(fft2(x) ∘ K))` is `forward_real`, this and
+    /// `inverse_real` whatever `K` is (the real part of `x ∗ k` is
+    /// `x ∗ re(k)`, whose spectrum is `K_h`), so nothing is assumed
+    /// about the filter.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`TensorError::DataLength`] when the spectrum length
-    /// differs from the plan.
-    pub fn inverse(&self, spectrum: &[Complex64], norm: Norm) -> Result<Vec<f64>> {
-        if spectrum.len() != self.n {
-            return Err(TensorError::DataLength {
-                expected: self.n,
-                actual: spectrum.len(),
-            });
+    /// Panics unless `filter` has the planned shape and
+    /// `buf.len() == rows * cols`.
+    pub fn hadamard_real(&self, buf: &mut [Complex64], filter: &Matrix<Complex64>) {
+        let (m, h) = (self.rows, self.half_cols());
+        assert!(
+            filter.shape() == (m, self.cols) && buf.len() == m * self.cols,
+            "filter and buffer must have the planned shape"
+        );
+        let part = |k: Complex64, mirror: Complex64| {
+            Complex64::new(0.5 * (k.re + mirror.re), 0.5 * (k.im - mirror.im))
+        };
+        for (u, row) in buf[..m * h].chunks_exact_mut(h).enumerate() {
+            let (k, mirror) = (filter.row(u), filter.row(if u == 0 { 0 } else { m - u }));
+            // Column 0 mirrors itself; column v ≥ 1 mirrors column n − v.
+            row[0] *= part(k[0], mirror[0]);
+            let parts = k[1..].iter().zip(mirror.iter().rev());
+            for (z, (&a, &b)) in row[1..].iter_mut().zip(parts) {
+                *z *= part(a, b);
+            }
         }
-        // Inverse via the full-size complex plan is simplest and
-        // still O(n log n); the forward path is the hot one.
-        let full = FftPlan::new(self.n);
-        let mut buf = spectrum.to_vec();
-        full.inverse(&mut buf, norm);
-        Ok(buf.into_iter().map(|z| z.re).collect())
     }
-}
 
-/// Forward 2-D transform of a real matrix using row-wise real FFTs
-/// for the first stage (the production-path optimisation of
-/// [`crate::fft2d_real`]). Requires an even column count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] for an odd column count.
-pub fn rfft2d(x: &Matrix<f64>) -> Result<Matrix<Complex64>> {
-    let (m, n) = x.shape();
-    if n % 2 != 0 {
-        return Err(TensorError::ShapeMismatch {
-            left: (m, n),
-            right: (m, n + 1),
-            op: "rfft2d requires even columns",
-        });
+    /// Inverse of [`Fft2d::forward_real`]: takes the half spectrum in
+    /// the front of `buf` back to the `rows × cols` real image, every
+    /// imaginary part `0.0`. The spectrum is read as the kept half of
+    /// a Hermitian one (the real part of the complex inverse).
+    ///
+    /// # Panics
+    ///
+    /// As [`Fft2d::forward_real`].
+    pub fn inverse_real(&self, buf: &mut [Complex64], scratch: &mut [Complex64]) {
+        let (n, h) = self.check_real(buf, scratch);
+        self.col_plan
+            .inverse_columns(&mut buf[..self.rows * h], h, Norm::Backward);
+        for j in (0..self.rows / 2).rev() {
+            let (a, b) = buf[2 * j * h..][..2 * h].split_at(h);
+            // Z[k] = A[k] + i·B[k] on the kept bins, and on the bins
+            // above n/2 from the mirrors A[k] = conj A[n−k].
+            for ((z, ak), bk) in scratch.iter_mut().zip(a).zip(b) {
+                *z = Complex64::new(ak.re - bk.im, ak.im + bk.re);
+            }
+            let mirrored = scratch[h..].iter_mut().rev();
+            for ((z, ak), bk) in mirrored.zip(&a[1..]).zip(&b[1..]) {
+                *z = Complex64::new(ak.re + bk.im, bk.re - ak.im);
+            }
+            self.row_plan.inverse(scratch, Norm::Backward);
+            let (ra, rb) = buf[2 * j * n..][..2 * n].split_at_mut(n);
+            for ((z, a), b) in scratch.iter().zip(ra).zip(rb) {
+                *a = Complex64::from_real(z.re);
+                *b = Complex64::from_real(z.im);
+            }
+        }
     }
-    let row_plan = RealFftPlan::new(n);
-    let mut inter = Matrix::<Complex64>::zeros(m, n)?;
-    for r in 0..m {
-        let spectrum = row_plan.forward(x.row(r), Norm::Backward)?;
-        inter.row_mut(r).copy_from_slice(&spectrum);
+
+    /// `(cols, half_cols)` once the operands fit the plan.
+    fn check_real(&self, buf: &[Complex64], scratch: &[Complex64]) -> (usize, usize) {
+        assert!(
+            self.rows.is_multiple_of(2),
+            "the real-input transform packs row pairs: the row count must be even, got {}",
+            self.rows
+        );
+        assert!(
+            buf.len() == self.rows * self.cols && scratch.len() == self.cols,
+            "buffer must hold rows × cols elements and scratch one row"
+        );
+        (self.cols, self.half_cols())
     }
-    // Column stage: complex transforms.
-    let col_plan = FftPlan::new(m);
-    let mut t = inter.transpose();
-    for r in 0..n {
-        col_plan.forward(t.row_mut(r), Norm::Backward);
-    }
-    Ok(t.transpose())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft::dft_real;
-    use crate::fft2d::fft2d_real;
 
-    fn real_signal(n: usize) -> Vec<f64> {
-        (0..n).map(|i| ((i * 7 + 3) % 13) as f64 - 6.0).collect()
+    fn real_image(rows: usize, cols: usize) -> Matrix<Complex64> {
+        Matrix::from_fn(rows, cols, |r, c| {
+            Complex64::from_real(((r * 7 + c * 3 + 3) % 13) as f64 - 6.0)
+        })
+        .unwrap()
+    }
+
+    /// The half spectrum of `real_image(rows, cols)`, `rows × h`.
+    fn half_spectrum(plan: &Fft2d) -> Vec<Complex64> {
+        let (rows, cols) = plan.shape();
+        let mut buf = real_image(rows, cols);
+        plan.forward_real(buf.as_mut_slice(), &mut vec![Complex64::ZERO; cols]);
+        buf.as_slice()[..rows * plan.half_cols()].to_vec()
+    }
+
+    /// Largest distance between the half spectrum and the kept columns
+    /// of the complex transform of the same image.
+    fn half_vs_complex(rows: usize, cols: usize) -> f64 {
+        let plan = Fft2d::new(rows, cols);
+        let full = plan.forward(&real_image(rows, cols)).unwrap();
+        let h = plan.half_cols();
+        half_spectrum(&plan)
+            .chunks_exact(h)
+            .zip(0..rows)
+            .flat_map(|(row, r)| row.iter().zip(&full.row(r)[..h]))
+            .map(|(a, b)| (*a - *b).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
     fn matches_complex_dft_for_even_lengths() {
         for n in [2usize, 4, 8, 16, 64, 100] {
-            let x = real_signal(n);
-            let expect = dft_real(&x, Norm::Backward);
-            let got = RealFftPlan::new(n).forward(&x, Norm::Backward).unwrap();
-            let err = expect
-                .iter()
-                .zip(&got)
-                .map(|(a, b)| (*a - *b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-8, "n={n}, err={err}");
+            let err = half_vs_complex(8, n);
+            assert!(err < 1e-9, "n={n}, err={err}");
+        }
+    }
+
+    #[test]
+    fn matches_complex_2d() {
+        // Degenerate, odd and Bluestein shapes on either axis.
+        for (m, n) in [(2, 1), (2, 2), (4, 3), (6, 8), (6, 10), (16, 4), (10, 7)] {
+            let err = half_vs_complex(m, n);
+            assert!(err < 1e-9, "{m}x{n}, err={err}");
         }
     }
 
     #[test]
     fn roundtrip() {
-        let n = 32;
-        let x = real_signal(n);
-        let plan = RealFftPlan::new(n);
-        for norm in [Norm::Backward, Norm::Ortho] {
-            let spec = plan.forward(&x, norm).unwrap();
-            let back = plan.inverse(&spec, norm).unwrap();
-            let err = x
-                .iter()
-                .zip(&back)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(err < 1e-9, "{norm:?}");
+        for (m, n) in [(2, 1), (4, 3), (6, 10), (8, 8), (32, 16)] {
+            let plan = Fft2d::new(m, n);
+            let x = real_image(m, n);
+            let mut buf = x.clone();
+            let mut scratch = vec![Complex64::ZERO; n];
+            plan.forward_real(buf.as_mut_slice(), &mut scratch);
+            plan.inverse_real(buf.as_mut_slice(), &mut scratch);
+            assert!(x.max_abs_diff(&buf).unwrap() < 1e-9, "{m}x{n}");
+            assert!(buf.iter().all(|z| z.im.to_bits() == 0), "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn filtered_pair_is_the_real_part_of_the_complex_sequence() {
+        // A filter with no symmetry at all: only its Hermitian part
+        // reaches the real part of the complex result.
+        for (m, n) in [(2, 1), (4, 3), (6, 10), (8, 8)] {
+            let plan = Fft2d::new(m, n);
+            let x = real_image(m, n);
+            let k = Matrix::from_fn(m, n, |r, c| {
+                Complex64::new(
+                    ((r * 3 + c) % 5) as f64 - 1.5,
+                    ((r + c * 2) % 7) as f64 * 0.25,
+                )
+            })
+            .unwrap();
+            let mut spectrum = plan.forward(&x).unwrap();
+            spectrum
+                .as_mut_slice()
+                .iter_mut()
+                .zip(k.iter())
+                .for_each(|(z, &k)| *z *= k);
+            let complex = plan.inverse(&spectrum).unwrap();
+            let mut buf = x.clone();
+            let mut scratch = vec![Complex64::ZERO; n];
+            plan.forward_real(buf.as_mut_slice(), &mut scratch);
+            plan.hadamard_real(buf.as_mut_slice(), &k);
+            plan.inverse_real(buf.as_mut_slice(), &mut scratch);
+            for (got, want) in buf.iter().zip(complex.iter()) {
+                assert!((got.re - want.re).abs() < 1e-9, "{m}x{n}");
+            }
         }
     }
 
     #[test]
     fn output_is_hermitian() {
-        let n = 24;
-        let spec = RealFftPlan::new(n)
-            .forward(&real_signal(n), Norm::Backward)
-            .unwrap();
-        for k in 1..n {
-            assert!((spec[k] - spec[n - k].conj()).abs() < 1e-9, "bin {k}");
+        // Columns 0 and n/2 mirror themselves, so they are Hermitian
+        // in the row index; every other column's mirror is dropped.
+        let (m, n) = (6, 8);
+        let plan = Fft2d::new(m, n);
+        let (h, half) = (plan.half_cols(), half_spectrum(&plan));
+        for v in [0, n / 2] {
+            for u in 0..m {
+                let mirror = half[(m - u) % m * h + v].conj();
+                assert!((half[u * h + v] - mirror).abs() < 1e-9, "({u},{v})");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "even")]
     fn odd_length_panics() {
-        let _ = RealFftPlan::new(7);
+        let plan = Fft2d::new(5, 4);
+        plan.forward_real(&mut [Complex64::ZERO; 20], &mut [Complex64::ZERO; 4]);
     }
 
     #[test]
     fn length_validation() {
-        let plan = RealFftPlan::new(8);
-        assert!(plan.forward(&[0.0; 6], Norm::Backward).is_err());
-        assert!(plan.inverse(&[Complex64::ZERO; 6], Norm::Backward).is_err());
-    }
-
-    #[test]
-    fn rfft2d_matches_complex_2d() {
-        let x = Matrix::from_fn(6, 8, |r, c| ((r * 3 + c * 5) % 11) as f64 - 5.0).unwrap();
-        let expect = fft2d_real(&x).unwrap();
-        let got = rfft2d(&x).unwrap();
-        assert!(expect.max_abs_diff(&got).unwrap() < 1e-8);
-    }
-
-    #[test]
-    fn rfft2d_rejects_odd_columns() {
-        let x = Matrix::<f64>::zeros(4, 5).unwrap();
-        assert!(rfft2d(&x).is_err());
+        let plan = Fft2d::new(4, 4);
+        for (buf, scratch) in [(12, 4), (16, 3), (16, 5)] {
+            let rejected = |forward: bool| {
+                std::panic::catch_unwind(|| {
+                    let mut buf = vec![Complex64::ZERO; buf];
+                    let mut scratch = vec![Complex64::ZERO; scratch];
+                    if forward {
+                        plan.forward_real(&mut buf, &mut scratch);
+                    } else {
+                        plan.inverse_real(&mut buf, &mut scratch);
+                    }
+                })
+                .is_err()
+            };
+            assert!(rejected(true) && rejected(false), "{buf}, {scratch}");
+        }
     }
 }

@@ -253,12 +253,18 @@ impl Tensor3 {
     }
 
     /// Index of the maximum element in the flat view — the predicted
-    /// class for a logit vector.
+    /// class for a logit vector (the last of equal elements, `-0.0`
+    /// equal to `+0.0`). NaN ranks above every number, so a poisoned
+    /// logit vector points at the poison instead of panicking.
     pub fn argmax(&self) -> usize {
+        let nan_high = |a: &f64, b: &f64| {
+            a.partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+        };
         self.data
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN activations"))
+            .max_by(|a, b| nan_high(a.1, b.1))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
@@ -311,8 +317,16 @@ mod tests {
 
     #[test]
     fn argmax_picks_largest() {
-        let t = Tensor3::from_features(vec![0.1, 2.0, -1.0, 1.5]).unwrap();
-        assert_eq!(t.argmax(), 1);
+        let argmax = |v: &[f64]| Tensor3::from_features(v.to_vec()).unwrap().argmax();
+        assert_eq!(argmax(&[0.1, 2.0, -1.0, 1.5]), 1);
+        // Ties go to the last of equals, signed zeros included.
+        assert_eq!(argmax(&[2.0, 0.5, 2.0, 1.0]), 2);
+        assert_eq!(argmax(&[0.0, -0.0]), 1);
+        assert_eq!(argmax(&[-0.0, 0.0]), 1);
+        // NaN of either sign outranks every number (panicked before).
+        assert_eq!(argmax(&[1.0, f64::NAN, f64::INFINITY]), 1);
+        assert_eq!(argmax(&[-f64::NAN, 3.0]), 0);
+        assert_eq!(argmax(&[f64::NAN, 1.0, -f64::NAN]), 2);
     }
 
     #[test]

@@ -112,3 +112,36 @@ fn batched_contribution_matches_unbatched() {
         }
     }
 }
+
+/// One NaN pixel makes NaN the score of every occlusion that keeps it
+/// — fifteen of sixteen blocks — on the host route and on every
+/// platform, direct and queued alike (a non-finite element poisons its
+/// whole lane whichever transform the lane takes), and the explainers'
+/// `argmax2` points at the poison instead of panicking.
+#[test]
+fn a_nan_pixel_poisons_the_same_blocks_on_every_platform() {
+    use std::time::Duration;
+    use tpu_xai::core::parallel::block_contributions_on;
+    use tpu_xai::core::{argmax2, block_contributions, DistilledModel};
+    let ps = pairs(3, 16);
+    let model = DistilledModel::fit(&ps, SolveStrategy::default()).unwrap();
+    let (mut x, y) = ps[0].clone();
+    x[(5, 9)] = f64::NAN; // inside block (1, 2) of the 4 x 4 grid
+    let expected: Vec<bool> = (0..16).map(|block| block != 4 + 2).collect();
+    let nan = |map: &Matrix<f64>| map.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+    let host = block_contributions(&model, &x, &y, 4).unwrap();
+    assert_eq!(nan(&host), expected, "host");
+    assert_eq!(argmax2(&host), (3, 3), "the last NaN outranks every number");
+    let platforms: [Box<dyn Accelerator>; 5] = [
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(TpuAccel::with_pool(2, Duration::ZERO, 16)),
+    ];
+    for acc in platforms {
+        let map = block_contributions_on(acc.as_ref(), &model, &x, &y, 4).unwrap();
+        assert_eq!(nan(&map), expected, "{}", acc.name());
+        assert!(map[(1, 2)].is_finite(), "{}", acc.name());
+    }
+}

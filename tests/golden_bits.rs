@@ -1,15 +1,17 @@
 //! Golden bits recorded from the commit *before* the code they pin
 //! was rewritten: the 2-D transform's move to the in-place row pass +
 //! whole-row column pass, `Conv2d`'s move from seven nested loops to
-//! row kernels, and the unqueued platforms' move from the staged
-//! filter-diff chain to fused lanes. Every other bit-identity check in the tree compares
-//! two paths of the same build, so a drift that moves both the same
-//! way would pass them all; these constants cannot move with the code.
+//! row kernels, the unqueued platforms' move from the staged
+//! filter-diff chain to fused lanes, and real lanes' move to the
+//! real-input transform (complex lanes must not have moved with them).
+//! Every other bit-identity check in the tree compares two paths of
+//! the same build, so a drift that moves both the same way would pass
+//! them all; these constants cannot move with the code.
 
 use std::time::Duration;
 use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
 use tpu_xai::core::parallel::block_contributions_on;
-use tpu_xai::core::{DistilledModel, SolveStrategy};
+use tpu_xai::core::{occlude, DistilledModel, Region, SolveStrategy};
 use tpu_xai::data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
 use tpu_xai::fourier::Fft2d;
 use tpu_xai::nn::layers::Conv2d;
@@ -90,22 +92,33 @@ fn fft2d_bits_match_the_transposing_implementation() {
 /// `FilterDiff` flight. Block (1, 2) of the input is all zeros (an
 /// occluded-looking block the butterflies must carry as exact zeros)
 /// and one element is `-0.0`.
+///
+/// Re-recorded once, by PR 19: these sixteen lanes are real, so they
+/// now take the real-input transform pair, which the numerics contract
+/// (`filter_diff.rs`) holds within
+/// `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)`
+/// of the complex sequence that recorded the old constants.
+/// Observed distance from them: at most 4 ulp on the fifteen scores of
+/// order 40–55 (four did not move); score 6 — the all-zero block, whose
+/// ≈ 1.1e-6 is the model's own fit residue — moved by 1.8e-16, which
+/// is 872 597 ulp of that residue. [`COMPLEX_BLOCK_MAP`] pins that the
+/// complex sequence itself did not move.
 const BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c155,
-    0x4048_3348_d9d5_808c,
-    0x4049_b2a9_9450_7bb6,
+    0x4044_fe89_1515_c156,
+    0x4048_3348_d9d5_808a,
+    0x4049_b2a9_9450_7bb7,
     0x4043_95d4_98e0_c3ad,
-    0x4045_4a2f_3e47_eeef,
-    0x4043_95d4_9706_36b6,
-    0x3eb2_9f39_c1c3_f98d,
-    0x4048_3348_dd99_5626,
+    0x4045_4a2f_3e47_eeee,
+    0x4043_95d4_9706_36b5,
+    0x3eb2_9f39_c1b6_a8f8,
+    0x4048_3348_dd99_5625,
     0x404b_57a4_1ab1_5992,
     0x4043_cb06_a365_1ec6,
-    0x4043_cb06_a167_ff5b,
-    0x404b_57a4_1b11_7bd4,
-    0x4047_d60e_0048_2991,
-    0x4049_b2a9_93be_5861,
-    0x4043_95d4_9785_e451,
+    0x4043_cb06_a167_ff5f,
+    0x404b_57a4_1b11_7bd3,
+    0x4047_d60e_0048_298f,
+    0x4049_b2a9_93be_585f,
+    0x4043_95d4_9785_e453,
     0x4045_4a2f_3c0d_4213,
 ];
 
@@ -151,6 +164,54 @@ fn direct_block_map_bits_and_charges_match_the_staged_direct_paths() {
         assert_eq!(bits, BLOCK_MAP, "{}: {bits:#x?}", acc.name());
         let got = (acc.elapsed_seconds().to_bits(), acc.stats().kernels);
         assert_eq!(got, (seconds, kernels), "{}: {got:#x?}", acc.name());
+    }
+}
+
+/// [`BLOCK_MAP`]'s sixteen occluded lanes with a non-zero imaginary
+/// part (`im = re / 4`), handed to `filter_diff_batch` directly: lanes
+/// the complex sequence runs. Recorded at the commit before real lanes
+/// took the real-input transform (PR 19), which must not move them.
+const COMPLEX_BLOCK_MAP: [u64; 16] = [
+    0x4044_fe89_1515_c156,
+    0x4048_3348_d9d5_808e,
+    0x4049_b2a9_9450_7bb6,
+    0x4043_95d4_98e0_c3ab,
+    0x4045_4a2f_3e47_eef1,
+    0x4043_95d4_9706_36b7,
+    0x3eb2_9f39_c1e3_312c,
+    0x4048_3348_dd99_5628,
+    0x404b_57a4_1ab1_5994,
+    0x4043_cb06_a365_1ec8,
+    0x4043_cb06_a167_ff5c,
+    0x404b_57a4_1b11_7bd3,
+    0x4047_d60e_0048_2991,
+    0x4049_b2a9_93be_5860,
+    0x4043_95d4_9785_e452,
+    0x4045_4a2f_3c0d_4214,
+];
+
+#[test]
+fn complex_lane_block_map_bits_did_not_move_with_the_real_transform() {
+    let (model, x, y) = block_map_inputs();
+    let lanes: Vec<Matrix<Complex64>> = (0..16)
+        .map(|b| {
+            let block = Region::Block(b / 4 * 4, b % 4 * 4, 4, 4);
+            let occluded = occlude(&x, block).unwrap();
+            occluded.map(|v| Complex64::new(v, 0.25 * v))
+        })
+        .collect();
+    let platforms: [Box<dyn Accelerator>; 4] = [
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+    ];
+    for acc in platforms {
+        let diffs = acc
+            .filter_diff_batch(&lanes, model.kernel_spectrum(), &y)
+            .unwrap();
+        let bits: Vec<u64> = diffs.iter().map(|d| d.frobenius_norm().to_bits()).collect();
+        assert_eq!(bits, COMPLEX_BLOCK_MAP, "{}: {bits:#x?}", acc.name());
     }
 }
 

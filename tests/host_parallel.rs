@@ -152,7 +152,10 @@ fn parallel_strict_division_reports_first_zero_index() {
 /// The direct filter-diff path shards whole lanes over the pool: with
 /// 7 workers 16 lanes split 3-3-3-3-3-1, and every platform's batch
 /// must equal its sixteen one-lane calls (one group, no sharing of a
-/// working buffer) bit for bit.
+/// working buffer) bit for bit. The lanes are real with an even row
+/// count, so this is the real-input transform's placement pin under a
+/// ragged pool: the queued and the pooled flight (one leader thread,
+/// no grouping at all) must leave the same bits as the direct paths.
 #[test]
 fn direct_filter_diff_lanes_are_independent_of_the_grouping() {
     setup();
@@ -169,20 +172,31 @@ fn direct_filter_diff_lanes_are_independent_of_the_grouping() {
     })
     .unwrap();
     let y = Matrix::from_fn(12, 16, |r, c| ((r + 2 * c) % 7) as f64 * 0.5).unwrap();
-    let platforms: [Box<dyn Accelerator>; 3] = [
+    let pooled = TpuAccel::over_pool(
+        DevicePool::new(TpuConfig::small_test(), 4),
+        Duration::ZERO,
+        16,
+    );
+    let platforms: [Box<dyn Accelerator>; 5] = [
         Box::new(CpuModel::i7_3700()),
         Box::new(GpuModel::gtx1080()),
         Box::new(TpuAccel::tpu_v2()),
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(pooled),
     ];
+    let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut reference: Option<Vec<Vec<u64>>> = None;
     for acc in platforms {
         let batch = acc.filter_diff_batch(&lanes, &kernel, &y).unwrap();
         for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
             let one = acc
                 .filter_diff_batch(std::slice::from_ref(lane), &kernel, &y)
                 .unwrap();
-            let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&one[0]), "{} lane {i}", acc.name());
         }
+        let batch: Vec<_> = batch.iter().map(bits).collect();
+        let reference = reference.get_or_insert_with(|| batch.clone());
+        assert_eq!(&batch, reference, "{} vs the CPU model", acc.name());
     }
 }
 
