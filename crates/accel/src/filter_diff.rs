@@ -1,8 +1,17 @@
-//! The fused filter-diff lane, `y − re(ifft2(fft2(x) ∘ filter))` in
-//! one working buffer — the only place that sequence is written. A
-//! queued flight runs [`lane`] in each job's own buffer; the built-in
-//! platforms' unqueued [`Accelerator::filter_diff_batch`] runs it over
-//! the host pool ([`fused`]) and replays the staged chain's charges.
+//! The fused filter-diff lane, `y − re(ifft2(fft2(x) ∘ filter))` — the
+//! only place that sequence is written. A queued flight runs [`lane`]
+//! on each job's input; the built-in platforms' unqueued batches run it
+//! over the host pool ([`fused`]) and replay the staged chain's
+//! charges. Both filter-diff entries of a built-in platform — real
+//! lanes by value, borrowed complex ones ([`narrow`]) — end here.
+//!
+//! A lane owns its input from submission to result ([`LaneInput`]) and
+//! nothing copies it on the way. A real lane's `m × n` buffer is read
+//! by the forward transform, overwritten by the inverse — `y − re`
+//! taken row by row as it unpacks — and handed back: lane in, result
+//! out. The half spectrum and scratch row it needs besides are one
+//! `Vec` lent from lane to lane, per flight or per pool group of an
+//! unqueued batch. A complex lane allocates its real result.
 //!
 //! # Numerics contract
 //!
@@ -39,86 +48,102 @@ use crate::traits::{staged_filter_diff, Accelerator};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tpu::LaneInput;
 
-/// One lane, in place in `buf`: forward → Hadamard → inverse → `y − re`
-/// straight into the result. A real lane (see the module header) takes
-/// the real-input transform pair; any other lane, and every malformed
-/// one, runs the complex sequence — per element exactly the staged
+/// How a borrowed complex lane enters: as its real parts when it can
+/// take the real-input pair (an even row count, every imaginary part
+/// `== 0.0` — a scan, then a copy of half the bytes), else as a clone.
+pub(crate) fn narrow(x: &Matrix<Complex64>) -> LaneInput {
+    if x.rows().is_multiple_of(2) && x.iter().all(|z| z.im == 0.0) {
+        LaneInput::Real(x.to_real())
+    } else {
+        LaneInput::Complex(x.clone())
+    }
+}
+
+/// One lane, by value: forward → Hadamard → inverse → `y − re`. A real
+/// lane (see the module header) takes the real-input transform pair
+/// through `ws` — half spectrum, then a scratch row; resized only when
+/// the shape changes — and comes back in its own buffer. Any other, and
+/// every malformed lane, runs the complex sequence in its own (for a
+/// real image, lifted) buffer — per element exactly the staged
 /// `fft2d → hadamard → ifft2d → to_real → sub` arithmetic, bit for bit.
 pub(crate) fn lane(
-    buf: &mut Matrix<Complex64>,
+    x: LaneInput,
     filter: &Matrix<Complex64>,
     y: &Matrix<f64>,
+    ws: &mut Vec<Complex64>,
 ) -> Result<Matrix<f64>> {
-    let (m, n) = buf.shape();
+    let shape @ (m, n) = x.shape();
     let plan = global_plan_cache().plan_2d(m, n);
-    let real = m.is_multiple_of(2)
-        && filter.shape() == (m, n)
-        && y.shape() == (m, n)
-        && buf.iter().all(|z| z.im == 0.0);
-    if real {
-        let mut scratch = vec![Complex64::ZERO; n];
-        plan.forward_real(buf.as_mut_slice(), &mut scratch);
-        plan.hadamard_real(buf.as_mut_slice(), filter);
-        plan.inverse_real(buf.as_mut_slice(), &mut scratch);
-    } else {
-        plan.forward_in_place(buf)?;
-        ops::hadamard_assign(buf, filter)?;
-        plan.inverse_in_place(buf)?;
-    }
-    ops::sub_re(y, buf)
-}
-
-/// Every lane of `xs` through [`lane`], whole lanes sharded over the
-/// host pool in `num_threads` contiguous groups (one fork-join per
-/// batch), each group copying lane after lane into one reused working
-/// buffer. A lane is a pure function of its own operands, so the
-/// grouping cannot reach the results.
-fn lanes(
-    xs: &[Matrix<Complex64>],
-    filter: &Matrix<Complex64>,
-    y: &Matrix<f64>,
-) -> Result<Vec<Matrix<f64>>> {
-    let pool = xai_parallel::global();
-    let group = xs.len().div_ceil(pool.num_threads()).max(1);
-    // Placeholders: every slot is overwritten by its lane's result.
-    let mut out: Vec<_> = xs
-        .iter()
-        .map(|_| Err(TensorError::EmptyDimension))
-        .collect();
-    pool.par_chunks_mut(&mut out, group, |g, slots| {
-        let mut buf: Option<Matrix<Complex64>> = None;
-        for (slot, x) in slots.iter_mut().zip(&xs[g * group..]) {
-            let buf = match &mut buf {
-                Some(b) if b.shape() == x.shape() => {
-                    b.as_mut_slice().copy_from_slice(x.as_slice());
-                    b
-                }
-                _ => buf.insert(x.clone()),
-            };
-            *slot = lane(buf, filter, y);
+    let real = m.is_multiple_of(2) && filter.shape() == shape && y.shape() == shape;
+    let mut buf = match x {
+        LaneInput::Real(mut x) if real => {
+            ws.resize(m * plan.half_cols() + n, Complex64::ZERO);
+            let (half, scratch) = ws.split_at_mut(m * plan.half_cols());
+            plan.forward_real(x.as_slice(), half, scratch);
+            plan.hadamard_real(half, filter);
+            plan.inverse_real(half, x.as_mut_slice(), scratch, |r, row| {
+                row.iter_mut().zip(y.row(r)).for_each(|(v, y)| *v = y - *v);
+            });
+            return Ok(x);
         }
-    });
-    out.into_iter().collect()
+        x => x.into_complex(),
+    };
+    plan.forward_in_place(&mut buf)?;
+    ops::hadamard_assign(&mut buf, filter)?;
+    plan.inverse_in_place(&mut buf)?;
+    ops::sub_re(y, &buf)
 }
 
-/// The override the built-in platforms share: a well-formed batch
-/// (non-empty, every lane, the filter and `y` of one shape) runs fused
-/// and then pays `charge`, the platform's staged charge sequence. Any
-/// other batch goes to the staged chain untouched, which owns the
-/// error value and the partial charges of a malformed one.
+/// One lane of an unqueued batch: its input, then in place its result.
+enum Slot {
+    Lane(LaneInput),
+    Done(Result<Matrix<f64>>),
+}
+
+/// The owned-lane path the built-in platforms' entries share. A
+/// well-formed batch (non-empty, every lane, the filter and `y` of one
+/// shape) runs every lane through [`lane`] — whole lanes sharded over
+/// the host pool in `num_threads` contiguous groups (one fork-join per
+/// batch), each group lending lane after lane one workspace; a lane is
+/// a pure function of its own operands, so the grouping cannot reach
+/// the results — and then pays `charge(lanes)`, the platform's staged
+/// charges. Any other batch goes to the staged chain (its lanes lifted:
+/// a cold path), which owns its error value and partial charges.
 pub(crate) fn fused<A: Accelerator>(
     acc: &A,
-    xs: &[Matrix<Complex64>],
+    xs: impl Iterator<Item = LaneInput>,
     filter: &Matrix<Complex64>,
     y: &Matrix<f64>,
-    charge: impl FnOnce() -> Result<()>,
+    charge: impl FnOnce(usize) -> Result<()>,
 ) -> Result<Vec<Matrix<f64>>> {
+    let mut slots: Vec<_> = xs.map(Slot::Lane).collect();
     let shape = filter.shape();
-    if xs.is_empty() || y.shape() != shape || xs.iter().any(|x| x.shape() != shape) {
-        return staged_filter_diff(acc, xs, filter, y);
+    let fits = |s: &Slot| matches!(s, Slot::Lane(x) if x.shape() == shape);
+    if slots.is_empty() || y.shape() != shape || !slots.iter().all(fits) {
+        let lifted = slots.into_iter().filter_map(|slot| match slot {
+            Slot::Lane(x) => Some(x.into_complex()),
+            Slot::Done(_) => None,
+        });
+        return staged_filter_diff(acc, &lifted.collect::<Vec<_>>(), filter, y);
     }
-    let out = lanes(xs, filter, y)?;
-    charge()?;
+    let pool = xai_parallel::global();
+    let group = slots.len().div_ceil(pool.num_threads()).max(1);
+    pool.par_chunks_mut(&mut slots, group, |_, slots| {
+        let mut ws = Vec::new();
+        for slot in slots {
+            let taken = std::mem::replace(slot, Slot::Done(Err(TensorError::EmptyDimension)));
+            if let Slot::Lane(x) = taken {
+                *slot = Slot::Done(lane(x, filter, y, &mut ws));
+            }
+        }
+    });
+    let done = slots.into_iter().filter_map(|slot| match slot {
+        Slot::Lane(_) => None,
+        Slot::Done(out) => Some(out),
+    });
+    let out: Vec<_> = done.collect::<Result<_>>()?;
+    charge(out.len())?;
     Ok(out)
 }

@@ -20,8 +20,8 @@
 //! bit-identical to serial execution; the simulated charges are
 //! functions of the workload shape and never of the worker count.
 //! Filter-diff batches shard whole lanes, not transform row blocks
-//! (each lane fused in one working buffer, [`crate::filter_diff`]),
-//! and replay the staged chain's charges afterwards.
+//! (each lane fused in its own buffer, [`crate::filter_diff`]), and
+//! replay the staged chain's charges afterwards.
 //!
 //! Sustained-throughput calibration (documented in EXPERIMENTS.md):
 //! the models use *sustained* rather than peak figures, since the
@@ -36,6 +36,7 @@ use crate::traits::Accelerator;
 use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
+use xai_tpu::LaneInput;
 
 /// Shared kernel implementations + accounting for host-class models.
 #[derive(Debug, Clone)]
@@ -134,15 +135,27 @@ impl HostModel {
         self.charge(elems as f64 * b, 24.0 * elems as f64 * b);
     }
 
-    /// The staged filter-diff chain's charges, stage-major (the order
-    /// is part of the clock's bits): every stage is `launches` kernels
-    /// of `lanes` lanes — CPU a kernel per lane, GPU one grid.
-    fn charge_filter_diff(&self, (m, n): (usize, usize), launches: usize, lanes: usize) {
-        let plan = global_plan_cache().plan_2d(m, n);
-        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-        (0..launches).for_each(|_| self.charge_hadamard(m * n, lanes));
-        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-        (0..launches).for_each(|_| self.charge_sub(m * n, lanes));
+    /// Both filter-diff entries of a host model: the fused lanes, then
+    /// the staged chain's charges, stage-major (the order is part of
+    /// the clock's bits), at `grid(n) = (kernels per stage, lanes per
+    /// kernel)`: the CPU a kernel per lane, the GPU one grid.
+    fn filter_diff<A: Accelerator>(
+        &self,
+        acc: &A,
+        xs: impl Iterator<Item = LaneInput>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+        grid: fn(usize) -> (usize, usize),
+    ) -> Result<Vec<Matrix<f64>>> {
+        filter_diff::fused(acc, xs, filter, y, |n| {
+            let ((rows, cols), (launches, lanes)) = (filter.shape(), grid(n));
+            let plan = global_plan_cache().plan_2d(rows, cols);
+            (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+            (0..launches).for_each(|_| self.charge_hadamard(rows * cols, lanes));
+            (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+            (0..launches).for_each(|_| self.charge_sub(rows * cols, lanes));
+            Ok(())
+        })
     }
 }
 
@@ -190,10 +203,17 @@ impl Accelerator for CpuModel {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        filter_diff::fused(self, xs, filter, y, || {
-            self.inner.charge_filter_diff(filter.shape(), xs.len(), 1);
-            Ok(())
-        })
+        let lanes = xs.iter().map(filter_diff::narrow);
+        self.inner.filter_diff(self, lanes, filter, y, |n| (n, 1))
+    }
+    fn filter_diff_real_batch(
+        &self,
+        xs: Vec<Matrix<f64>>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        let lanes = xs.into_iter().map(LaneInput::Real);
+        self.inner.filter_diff(self, lanes, filter, y, |n| (n, 1))
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);
@@ -308,10 +328,17 @@ impl Accelerator for GpuModel {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        filter_diff::fused(self, xs, filter, y, || {
-            self.inner.charge_filter_diff(filter.shape(), 1, xs.len());
-            Ok(())
-        })
+        let lanes = xs.iter().map(filter_diff::narrow);
+        self.inner.filter_diff(self, lanes, filter, y, |n| (1, n))
+    }
+    fn filter_diff_real_batch(
+        &self,
+        xs: Vec<Matrix<f64>>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        let lanes = xs.into_iter().map(LaneInput::Real);
+        self.inner.filter_diff(self, lanes, filter, y, |n| (1, n))
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);

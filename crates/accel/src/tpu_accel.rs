@@ -37,7 +37,7 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, ShardPlan, ShardStrategy,
+    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, ShardPlan, ShardStrategy,
     SharedDevice, TpuConfig, TpuDevice,
 };
 
@@ -403,7 +403,7 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
         KernelJob::FilterDiff { x, .. } => {
             let (m, n) = x.shape();
             let (t_ops, t_bytes) = transform_ops_bytes(m, n);
-            let len = x.len() as f64;
+            let len = (m * n) as f64;
             (
                 2.0 * t_ops + 6.0 * len + len,
                 2.0 * t_bytes + 48.0 * len + 24.0 * len,
@@ -434,7 +434,7 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
         KernelJob::Matmul { a, b } => 8 * a.rows() * b.cols(),
         // The one-gather win of the fused chain: only the final real
         // difference ships, not the three complex intermediates.
-        KernelJob::FilterDiff { x, .. } => 8 * x.len(),
+        KernelJob::FilterDiff { x, .. } => 8 * x.shape().0 * x.shape().1,
     };
     LaneCost {
         compute: kernel_ops_bytes(job).0,
@@ -452,14 +452,15 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
 /// a wrong-shaped filter on a same-shape neighbour — can fail a lane
 /// other than its own.
 fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
-    flight.into_iter().map(lane_numerics).collect()
+    let ws = &mut Vec::new();
+    flight.into_iter().map(|j| lane_numerics(j, ws)).collect()
 }
 
 /// One lane's numerics. Transform and fused filter-diff lanes work in
-/// the lane's own `x` — the job owns it, so it *is* the working
-/// buffer ([`filter_diff::lane`] is the chain, shared with the
-/// unqueued batches).
-fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
+/// the lane's own `x` — the job owns it, so it *is* the working buffer
+/// and, for a real filter-diff lane, the result ([`filter_diff::lane`]
+/// is the chain, shared with the unqueued batches; `ws`, its workspace).
+fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult> {
     match job {
         KernelJob::Transform { mut x, forward } => {
             let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
@@ -476,8 +477,8 @@ fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
         }
         KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
         KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
-        KernelJob::FilterDiff { mut x, filter, y } => {
-            filter_diff::lane(&mut x, &filter, &y).map(KernelResult::Real)
+        KernelJob::FilterDiff { x, filter, y } => {
+            filter_diff::lane(x, &filter, &y, ws).map(KernelResult::Real)
         }
     }
 }
@@ -690,10 +691,11 @@ impl TpuAccel {
     /// blocks until its flight lands and returns exactly its own
     /// results, in lane order. Called only when batching is enabled.
     ///
-    /// Each matrix is cloned once into its job: the submitter's
-    /// borrowed operands cannot be lent across threads to a flight
-    /// leader under safe Rust, and one copy is second-order next to
-    /// the kernel work it ships.
+    /// A job owns its operands from here to its result: the flight's
+    /// leader runs each lane in the job's own buffers and only a faulted
+    /// pool's retry clone copies one again. A kernel method that borrows
+    /// must copy each operand into its job (at 128 × 128, the price of a
+    /// forward transform); [`Accelerator::filter_diff_real_batch`] lends.
     fn queued(&self, jobs: Vec<KernelJob>) -> Result<Vec<KernelResult>> {
         let queue = self.queue.as_ref().expect("batching enabled");
         // Per-lane results: a data-dependent error in one lane fails
@@ -706,6 +708,43 @@ impl TpuAccel {
     fn queued_one(&self, job: KernelJob) -> Result<KernelResult> {
         let mut out = self.queued(vec![job])?;
         Ok(out.pop().expect("one lane, one result"))
+    }
+
+    /// Both filter-diff entries, lanes owned: with batching enabled,
+    /// every input rides ONE [`KernelJob::FilterDiff`] lane — fft →
+    /// hadamard → ifft → sub pipeline on-device as a single submission
+    /// with a single result gather, per-stage charges identical to the
+    /// staged chain, and concurrent submitters' lanes coalescing into
+    /// shared flights that shard across a pool. Without batching, the
+    /// lanes run fused over the host pool and the four batched kernels'
+    /// charges are replayed (four gathers). Bit-identical either way.
+    fn filter_diff_lanes(
+        &self,
+        lanes: impl ExactSizeIterator<Item = LaneInput>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        if self.queue.is_some() && lanes.len() > 0 {
+            // Broadcast operands ship once per flight, not per lane.
+            let filter = Arc::new(filter.clone());
+            let y = Arc::new(y.clone());
+            let jobs = lanes
+                .map(|x| KernelJob::FilterDiff {
+                    x,
+                    filter: Arc::clone(&filter),
+                    y: Arc::clone(&y),
+                })
+                .collect();
+            let out = self.queued(jobs)?;
+            return Ok(out.into_iter().map(KernelResult::into_real).collect());
+        }
+        filter_diff::fused(self, lanes, filter, y, |lanes| {
+            let shapes = vec![filter.shape(); lanes];
+            self.charge_transform_flight(&shapes)?;
+            self.charge_elementwise_batch(filter.len(), lanes, HADAMARD_PER_ELEM)?;
+            self.charge_transform_flight(&shapes)?;
+            self.charge_elementwise_batch(filter.len(), lanes, SUB_PER_ELEM)
+        })
     }
 
     /// Executes one coalesced flight, possibly mixing kernel kinds.
@@ -1087,43 +1126,22 @@ impl Accelerator for TpuAccel {
         Ok(out)
     }
 
-    /// The fused filter-diff flight: with batching enabled, every
-    /// input rides ONE [`KernelJob::FilterDiff`] lane — fft →
-    /// hadamard → ifft → sub pipeline on-device as a single
-    /// submission with a single result gather, per-stage charges
-    /// identical to the staged chain, and concurrent submitters'
-    /// lanes coalescing into shared flights that shard across a pool.
-    /// Without batching, the lanes run fused over the host pool and
-    /// the four batched kernels' charges are replayed (identical
-    /// charges, four gathers). Bit-identical either way.
     fn filter_diff_batch(
         &self,
         xs: &[Matrix<Complex64>],
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        if self.queue.is_some() && !xs.is_empty() {
-            // Broadcast operands ship once per flight, not per lane.
-            let filter = Arc::new(filter.clone());
-            let y = Arc::new(y.clone());
-            let jobs = xs
-                .iter()
-                .map(|x| KernelJob::FilterDiff {
-                    x: x.clone(),
-                    filter: Arc::clone(&filter),
-                    y: Arc::clone(&y),
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_real).collect());
-        }
-        filter_diff::fused(self, xs, filter, y, || {
-            let shapes = vec![filter.shape(); xs.len()];
-            self.charge_transform_flight(&shapes)?;
-            self.charge_elementwise_batch(filter.len(), xs.len(), HADAMARD_PER_ELEM)?;
-            self.charge_transform_flight(&shapes)?;
-            self.charge_elementwise_batch(filter.len(), xs.len(), SUB_PER_ELEM)
-        })
+        self.filter_diff_lanes(xs.iter().map(filter_diff::narrow), filter, y)
+    }
+
+    fn filter_diff_real_batch(
+        &self,
+        xs: Vec<Matrix<f64>>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        self.filter_diff_lanes(xs.into_iter().map(LaneInput::Real), filter, y)
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -1796,7 +1814,7 @@ mod tests {
                 b: real(n, m),
             },
             _ => KernelJob::FilterDiff {
-                x: cplx(m, n),
+                x: LaneInput::Complex(cplx(m, n)),
                 filter: Arc::new(cplx(m, n)),
                 y: Arc::new(real(m, n)),
             },

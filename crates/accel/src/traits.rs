@@ -186,6 +186,26 @@ pub trait Accelerator: Send + Sync {
         staged_filter_diff(self, xs, filter, y)
     }
 
+    /// [`Accelerator::filter_diff_batch`] for *real* inputs — every
+    /// occluded image or trace — lent by value: the results, errors and
+    /// charges of lifting each `xᵢ` to complex and calling that method,
+    /// which is what the default does. On the built-in platforms the two
+    /// entries are one routine and this one makes no copy: a lane's own
+    /// buffer comes back as its result (ARCHITECTURE.md, "Ownership").
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::filter_diff_batch`].
+    fn filter_diff_real_batch(
+        &self,
+        xs: Vec<Matrix<f64>>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        let lifted: Vec<_> = xs.iter().map(Matrix::to_complex).collect();
+        self.filter_diff_batch(&lifted, filter, y)
+    }
+
     /// Advances the clock for an externally-described workload of
     /// `flops` arithmetic and `bytes` traffic (roofline charge). Used
     /// by the NN substrate to time training/inference of networks

@@ -9,11 +9,19 @@
 //! Known mutations this must catch: multiplying the half spectrum by
 //! the filter's kept columns instead of its Hermitian part (the
 //! filters here are not Hermitian); mirroring bin `k` onto `n − k − 1`;
-//! walking the inverse's row pairs upwards (output overtakes input).
+//! skipping the row epilogue on the odd row of a pair.
+//!
+//! And ownership, which must not become a second numerics path: real
+//! lanes lent by value (`filter_diff_real_batch`) leave the bits, clock
+//! and statistics of the same lanes lifted and borrowed
+//! (`filter_diff_batch`) on every placement, and come back *as their
+//! own buffers* — re-introducing a clone into the job or a fresh result
+//! per lane fails `a_lent_real_lane_comes_back_as_its_own_buffer`.
 
 use proptest::prelude::*;
 use std::time::Duration;
-use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
+use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, TpuAccel};
+use xai_tensor::ops::DivPolicy;
 use xai_tensor::{ops, Complex64, Matrix, Result};
 use xai_tpu::{DevicePool, FaultPlan, TpuConfig};
 
@@ -272,6 +280,224 @@ fn a_non_finite_element_poisons_the_whole_real_lane() {
             );
             let nan = |d: &Matrix<f64>| d.iter().map(|v| v.is_nan()).collect::<Vec<_>>();
             assert_eq!(nan(r), nan(c), "{shape:?} lane {j}: NaN pattern");
+        }
+    }
+}
+
+/// The placements of the ownership differential: the three unqueued
+/// platforms, a queued chip, a 4-chip pool, and that pool retrying
+/// transiently faulted shards (every attempt must start from an
+/// untouched lane although results are written in place).
+type Placement = (&'static str, fn() -> Box<dyn Accelerator>);
+const PLACEMENTS: [Placement; 6] = [
+    PLATFORMS[0],
+    PLATFORMS[1],
+    PLATFORMS[2],
+    ("queued tpu", || {
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16))
+    }),
+    ("pooled tpu", || Box::new(pool_of_four(None))),
+    ("faulted pool", || {
+        Box::new(pool_of_four(Some(transient_faults())))
+    }),
+];
+
+fn transient_faults() -> FaultPlan {
+    FaultPlan::seeded(5).transient(0.3).with_retry_budget(30)
+}
+
+fn pool_of_four(plan: Option<FaultPlan>) -> TpuAccel {
+    let pool = DevicePool::new(TpuConfig::small_test(), 4);
+    if let Some(plan) = plan {
+        pool.install_fault_plan(plan);
+    }
+    TpuAccel::over_pool(pool, Duration::ZERO, 16)
+}
+
+/// The fixed value table the non-proptest cases draw from.
+fn fixed_vals() -> Vec<f64> {
+    (0..23).map(|i| i as f64 * 0.17 - 1.9).collect()
+}
+
+/// The real parts of `lanes`: what a caller lends by value.
+fn reals(lanes: &[Matrix<Complex64>]) -> Vec<Matrix<f64>> {
+    lanes.iter().map(Matrix::to_real).collect()
+}
+
+/// Result bits per lane, or the error.
+fn outcome(result: Result<Vec<Matrix<f64>>>) -> Result<Vec<Vec<u64>>> {
+    result.map(|lanes| bits(&lanes))
+}
+
+fn ledger(acc: &dyn Accelerator) -> (u64, KernelStats) {
+    (acc.elapsed_seconds().to_bits(), acc.stats())
+}
+
+/// Lending real lanes by value is the borrowed entry on the same lanes
+/// lifted: result bits, clock bits, statistics and errors, on every
+/// placement — even-row shapes (the real pair, in the lane's own
+/// buffer), 5×4 (odd rows: lifted, the complex sequence), a NaN pixel
+/// (same poison pattern, bit for bit) and a lane of the wrong shape.
+#[test]
+fn lending_real_lanes_by_value_is_the_borrowed_entry_bit_for_bit() {
+    let vals = fixed_vals();
+    for shape @ (m, n) in [(2, 1), (4, 3), (5, 4), (6, 10), (8, 8), (128, 128)] {
+        let (k, y) = (filter(&vals, shape, Salt::Plain), observed(&vals, shape));
+        for count in [1, 7, 16] {
+            let lifted = lanes(&vals, shape, count, Salt::Zeros);
+            let mut poisoned = lifted.clone();
+            poisoned[count / 2][(m / 2, n / 2)] = Complex64::from_real(f64::NAN);
+            let mut misshapen = lifted.clone();
+            misshapen[count - 1] = lanes(&vals, (m + 2, n), 1, Salt::Plain).remove(0);
+            for (case, lifted) in [("zeros", lifted), ("NaN", poisoned), ("shape", misshapen)] {
+                let owned = reals(&lifted);
+                for (name, make) in PLACEMENTS {
+                    let (lent_to, borrowed_by) = (make(), make());
+                    let lent = outcome(lent_to.filter_diff_real_batch(owned.clone(), &k, &y));
+                    let borrowed = outcome(borrowed_by.filter_diff_batch(&lifted, &k, &y));
+                    let at = format!("{name}: {shape:?} x {count} lanes, {case}");
+                    assert_eq!(lent.is_err(), case == "shape", "{at}");
+                    assert_eq!(lent, borrowed, "{at}: outcome");
+                    assert_eq!(
+                        ledger(lent_to.as_ref()),
+                        ledger(borrowed_by.as_ref()),
+                        "{at}: ledger"
+                    );
+                }
+            }
+        }
+    }
+    // The faulted pool does retry: the differential above covered the
+    // retry clone, not only first attempts.
+    let faulted = pool_of_four(Some(transient_faults()));
+    let shape = (8, 8);
+    let owned = reals(&lanes(&vals, shape, 16, Salt::Zeros));
+    let (k, y) = (filter(&vals, shape, Salt::Plain), observed(&vals, shape));
+    for _ in 0..3 {
+        faulted
+            .filter_diff_real_batch(owned.clone(), &k, &y)
+            .unwrap();
+    }
+    let retries = faulted.pool().expect("pooled").fault_stats().retries;
+    assert!(retries > 0, "seed 5 at 0.3 must fault at least one shard");
+}
+
+/// No copy: on the unqueued platforms and on a queued chip the matrix
+/// a real lane comes back in *is* the buffer that was lent — not a
+/// clone made for the job, not a fresh result.
+#[test]
+fn a_lent_real_lane_comes_back_as_its_own_buffer() {
+    let vals = fixed_vals();
+    for shape in [(8, 8), (6, 10), (128, 128)] {
+        let (k, y) = (filter(&vals, shape, Salt::Plain), observed(&vals, shape));
+        for (name, make) in &PLACEMENTS[..4] {
+            let owned = reals(&lanes(&vals, shape, 7, Salt::Plain));
+            let lent: Vec<_> = owned.iter().map(|x| x.as_slice().as_ptr()).collect();
+            let out = make().filter_diff_real_batch(owned, &k, &y).unwrap();
+            let back: Vec<_> = out.iter().map(|d| d.as_slice().as_ptr()).collect();
+            assert_eq!(back, lent, "{name}: {shape:?}");
+        }
+    }
+}
+
+/// Per-lane errors survive ownership: two submitters' lent lanes ride
+/// one flight, one lane of one submitter has the wrong shape. Its
+/// owner gets the borrowed entry's error; the stranger gets its maps.
+#[test]
+fn a_misshapen_lent_lane_fails_only_its_own_submitter() {
+    let vals = fixed_vals();
+    let shape = (8, 8);
+    let (k, y) = (filter(&vals, shape, Salt::Plain), observed(&vals, shape));
+    let good = reals(&lanes(&vals, shape, 4, Salt::Plain));
+    let mut bad = good.clone();
+    bad[2] = reals(&lanes(&vals, (4, 8), 1, Salt::Plain)).remove(0);
+    let lift = |xs: &[Matrix<f64>]| xs.iter().map(Matrix::to_complex).collect::<Vec<_>>();
+    let want = TpuAccel::tpu_v2().filter_diff_batch(&lift(&good), &k, &y);
+    let want_err = TpuAccel::tpu_v2()
+        .with_batching(Duration::ZERO, 16)
+        .filter_diff_batch(&lift(&bad), &k, &y)
+        .unwrap_err();
+
+    // max_lanes equals both submissions' total: the flight leaves the
+    // moment both are in (the long window is the straggler guard).
+    let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), 8);
+    let (good, bad) = std::thread::scope(|scope| {
+        let good = scope.spawn(|| acc.filter_diff_real_batch(good, &k, &y));
+        let bad = scope.spawn(|| acc.filter_diff_real_batch(bad, &k, &y));
+        (good.join().unwrap(), bad.join().unwrap())
+    });
+    assert_eq!(acc.stats().kernels, 1, "both submissions rode one flight");
+    assert_eq!(bad.unwrap_err(), want_err);
+    assert_eq!(outcome(good), outcome(want));
+}
+
+/// A third-party accelerator: the primitive kernels only, every batch
+/// method and both filter-diff entries inherited.
+struct KernelsOnly(CpuModel);
+
+impl Accelerator for KernelsOnly {
+    fn name(&self) -> String {
+        "kernels only".into()
+    }
+    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.matmul(a, b)
+    }
+    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.fft2d(x)
+    }
+    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.ifft2d(x)
+    }
+    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.hadamard(a, b)
+    }
+    fn pointwise_div(
+        &self,
+        a: &Matrix<Complex64>,
+        b: &Matrix<Complex64>,
+        policy: DivPolicy,
+    ) -> Result<Matrix<Complex64>> {
+        self.0.pointwise_div(a, b, policy)
+    }
+    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.sub(a, b)
+    }
+    fn charge_workload(&self, flops: f64, bytes: f64) {
+        self.0.charge_workload(flops, bytes);
+    }
+    fn elapsed_seconds(&self) -> f64 {
+        self.0.elapsed_seconds()
+    }
+    fn stats(&self) -> KernelStats {
+        self.0.stats()
+    }
+    fn reset(&self) {
+        self.0.reset();
+    }
+}
+
+/// The trait default of the lending entry is the staged reference: an
+/// accelerator that implements only the kernels computes, charges and
+/// fails exactly as its own staged chain on the lifted lanes — the
+/// complex sequence, not the real pair.
+#[test]
+fn a_kernels_only_accelerator_inherits_the_staged_chain_for_lent_lanes() {
+    let vals = fixed_vals();
+    for shape @ (m, n) in [(4, 3), (5, 4), (8, 8)] {
+        let (k, y) = (filter(&vals, shape, Salt::Plain), observed(&vals, shape));
+        let lifted = lanes(&vals, shape, 7, Salt::Zeros);
+        let mut misshapen = lifted.clone();
+        misshapen[3] = lanes(&vals, (m + 2, n), 1, Salt::Plain).remove(0);
+        for lifted in [lifted, misshapen] {
+            let owned = reals(&lifted);
+            let (lent_to, staged_on) = (
+                KernelsOnly(CpuModel::i7_3700()),
+                KernelsOnly(CpuModel::i7_3700()),
+            );
+            let lent = outcome(lent_to.filter_diff_real_batch(owned, &k, &y));
+            let staged = outcome(run_staged(&staged_on, &lifted, &k, &y));
+            assert_eq!(lent, staged, "{shape:?}: outcome");
+            assert_eq!(ledger(&lent_to), ledger(&staged_on), "{shape:?}: ledger");
         }
     }
 }

@@ -129,7 +129,10 @@ fn bench_collectives(c: &mut Criterion) {
 /// Host time of one pooled `filter_diff_batch` flight on 4 small
 /// chips, from the serving shape (8×8 ×4) up to heavy lanes: the
 /// sizes at which running a flight's shards on its leader's thread
-/// was weighed against a host thread per chip.
+/// was weighed against a host thread per chip. `filter-diff-real` is
+/// the same flight with its lanes lent by value
+/// (`filter_diff_real_batch`); the row includes cloning the real
+/// lanes it lends, as `occlude` builds them per request.
 fn bench_pooled_flight(c: &mut Criterion) {
     use std::time::Duration;
     use xai_accel::{Accelerator, TpuAccel};
@@ -152,6 +155,14 @@ fn bench_pooled_flight(c: &mut Criterion) {
                     .expect("pooled flight")
             });
         });
+        let reals: Vec<_> = xs.iter().map(Matrix::to_real).collect();
+        let id = BenchmarkId::new(format!("filter-diff-real-x{lanes}"), n);
+        group.bench_with_input(id, &n, |b, _| {
+            b.iter(|| {
+                acc.filter_diff_real_batch(black_box(&reals).clone(), &filter, &y)
+                    .expect("pooled flight")
+            });
+        });
     }
     group.finish();
 }
@@ -159,10 +170,14 @@ fn bench_pooled_flight(c: &mut Criterion) {
 /// Host time of one unqueued `filter_diff_batch` at the
 /// `pipeline-offline` shape (16 lanes × 128²) on each platform — the
 /// fused lanes sharded over the host pool — with the four staged
-/// batch kernels on the TPU kept as the comparison.
+/// batch kernels on the TPU kept as the comparison. `owned-real/*` is
+/// the entry `contributions_batch_on` takes, lanes lent by value; the
+/// row includes cloning the sixteen real lanes it lends (what
+/// `occlude` builds per request).
 fn bench_filter_diff_direct(c: &mut Criterion) {
     use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
-    let xs: Vec<_> = (0..16).map(|i| real_matrix(128, i).to_complex()).collect();
+    let reals: Vec<_> = (0..16).map(|i| real_matrix(128, i)).collect();
+    let xs: Vec<_> = reals.iter().map(Matrix::to_complex).collect();
     let filter = real_matrix(128, 97).to_complex();
     let y = real_matrix(128, 98);
     let platforms: [(&str, Box<dyn Accelerator>); 3] = [
@@ -176,6 +191,12 @@ fn bench_filter_diff_direct(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 acc.filter_diff_batch(black_box(&xs), black_box(&filter), black_box(&y))
+                    .expect("shapes")
+            });
+        });
+        group.bench_function(&format!("owned-real/{label}"), |b| {
+            b.iter(|| {
+                acc.filter_diff_real_batch(black_box(&reals).clone(), &filter, &y)
                     .expect("shapes")
             });
         });

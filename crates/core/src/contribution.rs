@@ -10,7 +10,7 @@
 use crate::distill::DistilledModel;
 use xai_accel::Accelerator;
 use xai_tensor::ops;
-use xai_tensor::{Complex64, Matrix, Result, Scalar, TensorError};
+use xai_tensor::{Matrix, Result, TensorError};
 
 /// A region of the input to occlude when computing one contribution
 /// factor.
@@ -33,19 +33,6 @@ pub enum Region {
 /// Returns [`TensorError::ShapeMismatch`] when the region exceeds the
 /// matrix bounds.
 pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
-    occlude_as(x, region, |v| v)
-}
-
-/// [`occlude`] with every kept element passed through `lift` on the
-/// way into the copy: the one allocation and one walk behind both the
-/// real `X′` and the complex lane a transform works in
-/// (`lift = Complex64::from_real`, equal to `occlude(..).to_complex()`
-/// element for element and error for error).
-fn occlude_as<T: Scalar>(
-    x: &Matrix<f64>,
-    region: Region,
-    lift: impl FnMut(f64) -> T,
-) -> Result<Matrix<T>> {
     let (m, n) = x.shape();
     let out_of_bounds = |left, op| {
         Err(TensorError::ShapeMismatch {
@@ -54,12 +41,15 @@ fn occlude_as<T: Scalar>(
             op,
         })
     };
+    // Caller-supplied extents: a sum that would wrap saturates, and
+    // `usize::MAX` is past every dimension a matrix can have.
+    let end = |start: usize, len: usize| start.saturating_add(len);
     let (rows, cols) = match region {
         Region::Element(r, c) if r >= m || c >= n => {
             return out_of_bounds((r, c), "occlude element")
         }
-        Region::Block(r0, c0, h, w) if r0 + h > m || c0 + w > n => {
-            return out_of_bounds((r0 + h, c0 + w), "occlude block")
+        Region::Block(r0, c0, h, w) if end(r0, h) > m || end(c0, w) > n => {
+            return out_of_bounds((end(r0, h), end(c0, w)), "occlude block")
         }
         Region::Column(c) if c >= n => return out_of_bounds((0, c), "occlude column"),
         Region::Row(r) if r >= m => return out_of_bounds((r, 0), "occlude row"),
@@ -68,9 +58,9 @@ fn occlude_as<T: Scalar>(
         Region::Column(c) => (0..m, c..c + 1),
         Region::Row(r) => (r..r + 1, 0..n),
     };
-    let mut out = x.map(lift);
+    let mut out = x.clone();
     for r in rows {
-        out.row_mut(r)[cols.clone()].fill(T::ZERO);
+        out.row_mut(r)[cols.clone()].fill(0.0);
     }
     Ok(out)
 }
@@ -136,12 +126,13 @@ pub fn contributions_batch_on(
     }
     let occluded: Vec<_> = regions
         .iter()
-        .map(|&r| occlude_as(x, r, Complex64::from_real))
+        .map(|&r| occlude(x, r))
         .collect::<Result<_>>()?;
     // The fused serving chain: fft → hadamard → ifft → sub as one
     // batched submission (a single flight with one gather on
-    // platforms with an on-device pipeline).
-    let diffs = acc.filter_diff_batch(&occluded, model.kernel_spectrum(), y)?;
+    // platforms with an on-device pipeline). The occluded images are
+    // lent by value: each lane's buffer comes back as its difference.
+    let diffs = acc.filter_diff_real_batch(occluded, model.kernel_spectrum(), y)?;
     Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
 }
 
@@ -285,45 +276,33 @@ mod tests {
         assert!(occlude(&x, Region::Block(3, 3, 2, 2)).is_err());
         assert!(occlude(&x, Region::Column(4)).is_err());
         assert!(occlude(&x, Region::Row(9)).is_err());
-    }
-
-    #[test]
-    fn complex_lane_equals_occlude_then_to_complex() {
-        // `-0.0` and a zero inside the region: the lane must carry the
-        // same bits as the two-pass form, and fail with the same error.
-        let mut x = Matrix::from_fn(4, 6, |r, c| (r * 6 + c) as f64 * 0.5 - 3.0).unwrap();
-        x[(1, 1)] = -0.0;
-        x[(2, 3)] = 0.0;
-        let regions = [
-            Region::Element(1, 1),
-            Region::Element(3, 5),
-            Region::Block(1, 2, 2, 3),
-            Region::Block(0, 0, 4, 6),
-            Region::Column(0),
-            Region::Column(5),
-            Region::Row(2),
-            Region::Element(4, 0),
-            Region::Element(0, 6),
-            Region::Block(3, 0, 2, 1),
-            Region::Block(0, 5, 1, 2),
-            Region::Column(6),
-            Region::Row(4),
+        // Extents whose sum wraps: in release the first returned `Ok`
+        // with nothing occluded and the second panicked on a slice.
+        let wrapping = [
+            Region::Block(usize::MAX, 0, 2, 1),
+            Region::Block(0, usize::MAX - 1, 1, 3),
+            Region::Block(1, 1, usize::MAX, usize::MAX),
         ];
-        for region in regions {
-            let one_pass = occlude_as(&x, region, Complex64::from_real);
-            let two_pass = occlude(&x, region).map(|o| o.to_complex());
-            match (one_pass, two_pass) {
-                (Ok(a), Ok(b)) => {
-                    let bits = |m: &Matrix<Complex64>| -> Vec<(u64, u64)> {
-                        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-                    };
-                    assert_eq!(a.shape(), b.shape(), "{region:?}");
-                    assert_eq!(bits(&a), bits(&b), "{region:?}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{region:?}"),
-                (a, b) => panic!("{region:?}: {a:?} vs {b:?}"),
-            }
+        let is_block_error = |err| {
+            let op = "occlude block";
+            matches!(err, TensorError::ShapeMismatch { op: o, .. } if o == op)
+        };
+        for region in wrapping {
+            assert!(
+                is_block_error(occlude(&x, region).unwrap_err()),
+                "{region:?}"
+            );
         }
+        // The same typed error through a batch on a built-in platform,
+        // before anything is submitted or charged.
+        let (model, x, y) = model_and_pair();
+        let gpu = xai_accel::GpuModel::gtx1080();
+        for region in wrapping {
+            let regions = [Region::Block(0, 0, 2, 2), region];
+            let err = contributions_batch_on(&gpu, &model, &x, &y, &regions).unwrap_err();
+            assert!(is_block_error(err), "{region:?}");
+        }
+        assert_eq!(gpu.stats().kernels, 0);
     }
 
     #[test]

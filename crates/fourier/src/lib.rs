@@ -13,7 +13,7 @@
 //! | Bluestein chirp-z | [`bluestein`] | O(N log N), any N | arbitrary shapes |
 //! | DFT-matrix matmul | [`matrix_form`] | O(N²) as *matmul* | the TPU mapping (Eq. 10–13) |
 //! | row–column 2-D | [`fft2d()`] | O(MN log MN) | Algorithm 1 decomposition |
-//! | real-input 2-D | [`Fft2d::forward_real`] / [`Fft2d::hadamard_real`] / [`Fft2d::inverse_real`] | half of row–column | the filter-diff lane of a real image (`xai-accel`'s `filter_diff::lane`, i.e. every `contributions_batch_on` on a built-in platform); within a stated bound of row–column, not bit-identical to it |
+//! | real-input 2-D | [`Fft2d::forward_real`] / [`Fft2d::hadamard_real`] / [`Fft2d::inverse_real`] (split-buffer: a real `&[f64]` image, a caller-owned `rows × (cols/2 + 1)` half spectrum) | half of row–column | the filter-diff lane of a real image (`xai-accel`'s `filter_diff::lane`, i.e. every `contributions_batch_on` on a built-in platform), which never widens the image to complex; within a stated bound of row–column, not bit-identical to it |
 //!
 //! ## Example: the convolution theorem the paper's solver rests on
 //!

@@ -8,11 +8,10 @@
 //! `B[k] = (Z[k] − conj Z[n−k])/2i` for `k ≤ n/2`. Column pass: the
 //! whole-row column kernel over the `h` kept columns. The inverse
 //! mirrors both, and [`Fft2d::hadamard_real`] applies a full-size
-//! spectral filter in between. Everything happens in the caller's
-//! `rows × cols` buffer: the half spectrum lies row-major at stride `h`
-//! in its first `rows·h` elements, and since `h ≤ cols` a row pair's
-//! output never overtakes unread input (forward walks the pairs up,
-//! inverse down).
+//! spectral filter in between. The image is a real `rows × cols`
+//! slice and the half spectrum a complex `rows × h` one, both
+//! row-major and both the caller's: a real image is never widened to
+//! complex, and the inverse may write over the image the forward read.
 //! Built from the 1-D plans and the column kernel alone — no
 //! butterfly, twiddle table or plan type of its own. Any `cols`
 //! (odd and Bluestein lengths included); `rows` must be even.
@@ -28,18 +27,17 @@ impl Fft2d {
         self.cols / 2 + 1
     }
 
-    /// Forward 2-D transform of the real parts of the row-major
-    /// `rows × cols` image in `buf` (imaginary parts are not read).
-    /// Leaves the `rows × half_cols()` half spectrum row-major in the
-    /// front of `buf`; the rest of `buf` is unspecified. `scratch` is
-    /// one row of working space.
+    /// Forward 2-D transform of the row-major real `rows × cols`
+    /// `image` into its `rows × half_cols()` half spectrum, row-major
+    /// in `half`. `scratch` is one row of working space.
     ///
     /// # Panics
     ///
     /// Panics unless the planned row count is even,
-    /// `buf.len() == rows * cols` and `scratch.len() == cols`.
-    pub fn forward_real(&self, buf: &mut [Complex64], scratch: &mut [Complex64]) {
-        let (n, h) = self.check_real(buf, scratch);
+    /// `image.len() == rows * cols`, `half.len() == rows * half_cols()`
+    /// and `scratch.len() == cols`.
+    pub fn forward_real(&self, image: &[f64], half: &mut [Complex64], scratch: &mut [Complex64]) {
+        let (n, h) = self.check_real(image.len(), half.len(), scratch.len());
         // `z` paired with its mirror bin `m`: the spectra of the real
         // and of the imaginary part of the packed signal.
         let unpack = |z: Complex64, m: Complex64| {
@@ -48,13 +46,13 @@ impl Fft2d {
                 Complex64::new(0.5 * (z.im + m.im), 0.5 * (m.re - z.re)),
             )
         };
-        for j in 0..self.rows / 2 {
-            let (ra, rb) = buf[2 * j * n..][..2 * n].split_at(n);
-            for ((z, a), b) in scratch.iter_mut().zip(ra).zip(rb) {
-                *z = Complex64::new(a.re, b.re);
+        for (rows, halves) in image.chunks_exact(2 * n).zip(half.chunks_exact_mut(2 * h)) {
+            let (ra, rb) = rows.split_at(n);
+            for ((z, &a), &b) in scratch.iter_mut().zip(ra).zip(rb) {
+                *z = Complex64::new(a, b);
             }
             self.row_plan.forward(scratch, Norm::Backward);
-            let (a, b) = buf[2 * j * h..][..2 * h].split_at_mut(h);
+            let (a, b) = halves.split_at_mut(h);
             // Bin 0 is its own mirror; bin k ≥ 1 mirrors bin n − k.
             (a[0], b[0]) = unpack(scratch[0], scratch[0]);
             let bins = scratch[1..].iter().zip(scratch.iter().rev());
@@ -62,11 +60,10 @@ impl Fft2d {
                 (*ak, *bk) = unpack(z, m);
             }
         }
-        self.col_plan
-            .forward_columns(&mut buf[..self.rows * h], h, Norm::Backward);
+        self.col_plan.forward_columns(half, h, Norm::Backward);
     }
 
-    /// `half ← half ∘ K_h` on the half spectrum in the front of `buf`,
+    /// `half ← half ∘ K_h` on a `rows × half_cols()` half spectrum,
     /// where `K_h[u,v] = (K[u,v] + conj K[(m−u)%m,(n−v)%n])/2` is the
     /// Hermitian part of the full-size `filter`, formed on the fly. For
     /// real `x`, `re(ifft2(fft2(x) ∘ K))` is `forward_real`, this and
@@ -77,17 +74,17 @@ impl Fft2d {
     /// # Panics
     ///
     /// Panics unless `filter` has the planned shape and
-    /// `buf.len() == rows * cols`.
-    pub fn hadamard_real(&self, buf: &mut [Complex64], filter: &Matrix<Complex64>) {
+    /// `half.len() == rows * half_cols()`.
+    pub fn hadamard_real(&self, half: &mut [Complex64], filter: &Matrix<Complex64>) {
         let (m, h) = (self.rows, self.half_cols());
         assert!(
-            filter.shape() == (m, self.cols) && buf.len() == m * self.cols,
-            "filter and buffer must have the planned shape"
+            filter.shape() == (m, self.cols) && half.len() == m * h,
+            "filter must have the planned shape and half hold rows × half_cols elements"
         );
         let part = |k: Complex64, mirror: Complex64| {
             Complex64::new(0.5 * (k.re + mirror.re), 0.5 * (k.im - mirror.im))
         };
-        for (u, row) in buf[..m * h].chunks_exact_mut(h).enumerate() {
+        for (u, row) in half.chunks_exact_mut(h).enumerate() {
             let (k, mirror) = (filter.row(u), filter.row(if u == 0 { 0 } else { m - u }));
             // Column 0 mirrors itself; column v ≥ 1 mirrors column n − v.
             row[0] *= part(k[0], mirror[0]);
@@ -99,19 +96,29 @@ impl Fft2d {
     }
 
     /// Inverse of [`Fft2d::forward_real`]: takes the half spectrum in
-    /// the front of `buf` back to the `rows × cols` real image, every
-    /// imaginary part `0.0`. The spectrum is read as the kept half of
+    /// `half` (consumed as working space) back to the real
+    /// `rows × cols` `image`. The spectrum is read as the kept half of
     /// a Hermitian one (the real part of the complex inverse).
+    /// `finish(r, row)` runs once on every image row `r` as it is
+    /// unpacked and still in cache — where a caller folds a pointwise
+    /// last step (the filter-diff lane's `y − ·`) into the unpack;
+    /// `|_, _| {}` for the plain inverse.
     ///
     /// # Panics
     ///
     /// As [`Fft2d::forward_real`].
-    pub fn inverse_real(&self, buf: &mut [Complex64], scratch: &mut [Complex64]) {
-        let (n, h) = self.check_real(buf, scratch);
-        self.col_plan
-            .inverse_columns(&mut buf[..self.rows * h], h, Norm::Backward);
-        for j in (0..self.rows / 2).rev() {
-            let (a, b) = buf[2 * j * h..][..2 * h].split_at(h);
+    pub fn inverse_real(
+        &self,
+        half: &mut [Complex64],
+        image: &mut [f64],
+        scratch: &mut [Complex64],
+        mut finish: impl FnMut(usize, &mut [f64]),
+    ) {
+        let (n, h) = self.check_real(image.len(), half.len(), scratch.len());
+        self.col_plan.inverse_columns(half, h, Norm::Backward);
+        let pairs = image.chunks_exact_mut(2 * n).zip(half.chunks_exact(2 * h));
+        for (j, (rows, halves)) in pairs.enumerate() {
+            let (a, b) = halves.split_at(h);
             // Z[k] = A[k] + i·B[k] on the kept bins, and on the bins
             // above n/2 from the mirrors A[k] = conj A[n−k].
             for ((z, ak), bk) in scratch.iter_mut().zip(a).zip(b) {
@@ -122,26 +129,28 @@ impl Fft2d {
                 *z = Complex64::new(ak.re + bk.im, bk.re - ak.im);
             }
             self.row_plan.inverse(scratch, Norm::Backward);
-            let (ra, rb) = buf[2 * j * n..][..2 * n].split_at_mut(n);
-            for ((z, a), b) in scratch.iter().zip(ra).zip(rb) {
-                *a = Complex64::from_real(z.re);
-                *b = Complex64::from_real(z.im);
+            let (ra, rb) = rows.split_at_mut(n);
+            for ((z, a), b) in scratch.iter().zip(ra.iter_mut()).zip(rb.iter_mut()) {
+                (*a, *b) = (z.re, z.im);
             }
+            finish(2 * j, ra);
+            finish(2 * j + 1, rb);
         }
     }
 
-    /// `(cols, half_cols)` once the operands fit the plan.
-    fn check_real(&self, buf: &[Complex64], scratch: &[Complex64]) -> (usize, usize) {
+    /// `(cols, half_cols)` once the operands' lengths fit the plan.
+    fn check_real(&self, image: usize, half: usize, scratch: usize) -> (usize, usize) {
         assert!(
             self.rows.is_multiple_of(2),
             "the real-input transform packs row pairs: the row count must be even, got {}",
             self.rows
         );
+        let (n, h) = (self.cols, self.half_cols());
         assert!(
-            buf.len() == self.rows * self.cols && scratch.len() == self.cols,
-            "buffer must hold rows × cols elements and scratch one row"
+            image == self.rows * n && half == self.rows * h && scratch == n,
+            "image must hold rows × cols elements, half rows × half_cols and scratch one row"
         );
-        (self.cols, self.half_cols())
+        (n, h)
     }
 }
 
@@ -149,26 +158,32 @@ impl Fft2d {
 mod tests {
     use super::*;
 
-    fn real_image(rows: usize, cols: usize) -> Matrix<Complex64> {
-        Matrix::from_fn(rows, cols, |r, c| {
-            Complex64::from_real(((r * 7 + c * 3 + 3) % 13) as f64 - 6.0)
-        })
-        .unwrap()
+    fn real_image(rows: usize, cols: usize) -> Matrix<f64> {
+        Matrix::from_fn(rows, cols, |r, c| ((r * 7 + c * 3 + 3) % 13) as f64 - 6.0).unwrap()
+    }
+
+    /// A zeroed half spectrum and scratch row for `plan`.
+    fn workspace(plan: &Fft2d) -> (Vec<Complex64>, Vec<Complex64>) {
+        let (rows, cols) = plan.shape();
+        (
+            vec![Complex64::ZERO; rows * plan.half_cols()],
+            vec![Complex64::ZERO; cols],
+        )
     }
 
     /// The half spectrum of `real_image(rows, cols)`, `rows × h`.
     fn half_spectrum(plan: &Fft2d) -> Vec<Complex64> {
         let (rows, cols) = plan.shape();
-        let mut buf = real_image(rows, cols);
-        plan.forward_real(buf.as_mut_slice(), &mut vec![Complex64::ZERO; cols]);
-        buf.as_slice()[..rows * plan.half_cols()].to_vec()
+        let (mut half, mut scratch) = workspace(plan);
+        plan.forward_real(real_image(rows, cols).as_slice(), &mut half, &mut scratch);
+        half
     }
 
     /// Largest distance between the half spectrum and the kept columns
     /// of the complex transform of the same image.
     fn half_vs_complex(rows: usize, cols: usize) -> f64 {
         let plan = Fft2d::new(rows, cols);
-        let full = plan.forward(&real_image(rows, cols)).unwrap();
+        let full = plan.forward(&real_image(rows, cols).to_complex()).unwrap();
         let h = plan.half_cols();
         half_spectrum(&plan)
             .chunks_exact(h)
@@ -201,11 +216,10 @@ mod tests {
             let plan = Fft2d::new(m, n);
             let x = real_image(m, n);
             let mut buf = x.clone();
-            let mut scratch = vec![Complex64::ZERO; n];
-            plan.forward_real(buf.as_mut_slice(), &mut scratch);
-            plan.inverse_real(buf.as_mut_slice(), &mut scratch);
+            let (mut half, mut scratch) = workspace(&plan);
+            plan.forward_real(buf.as_slice(), &mut half, &mut scratch);
+            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch, |_, _| {});
             assert!(x.max_abs_diff(&buf).unwrap() < 1e-9, "{m}x{n}");
-            assert!(buf.iter().all(|z| z.im.to_bits() == 0), "{m}x{n}");
         }
     }
 
@@ -223,7 +237,7 @@ mod tests {
                 )
             })
             .unwrap();
-            let mut spectrum = plan.forward(&x).unwrap();
+            let mut spectrum = plan.forward(&x.to_complex()).unwrap();
             spectrum
                 .as_mut_slice()
                 .iter_mut()
@@ -231,13 +245,40 @@ mod tests {
                 .for_each(|(z, &k)| *z *= k);
             let complex = plan.inverse(&spectrum).unwrap();
             let mut buf = x.clone();
-            let mut scratch = vec![Complex64::ZERO; n];
-            plan.forward_real(buf.as_mut_slice(), &mut scratch);
-            plan.hadamard_real(buf.as_mut_slice(), &k);
-            plan.inverse_real(buf.as_mut_slice(), &mut scratch);
+            let (mut half, mut scratch) = workspace(&plan);
+            plan.forward_real(buf.as_slice(), &mut half, &mut scratch);
+            plan.hadamard_real(&mut half, &k);
+            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch, |_, _| {});
             for (got, want) in buf.iter().zip(complex.iter()) {
-                assert!((got.re - want.re).abs() < 1e-9, "{m}x{n}");
+                assert!((got - want.re).abs() < 1e-9, "{m}x{n}");
             }
+        }
+    }
+
+    #[test]
+    fn the_row_epilogue_sees_every_unpacked_row_once() {
+        // `inverse_real(.., y − ·)` is the plain inverse then the
+        // difference, bit for bit, each row visited exactly once.
+        let (m, n) = (6, 10);
+        let plan = Fft2d::new(m, n);
+        let y = Matrix::from_fn(m, n, |r, c| (r * n + c) as f64 * 0.5 - 7.0).unwrap();
+        let (mut half, mut scratch) = workspace(&plan);
+        let (mut plain, mut fused) = (real_image(m, n), real_image(m, n));
+        plan.forward_real(plain.as_slice(), &mut half, &mut scratch);
+        let spectrum = half.clone();
+        plan.inverse_real(&mut half, plain.as_mut_slice(), &mut scratch, |_, _| {});
+        let mut seen = Vec::new();
+        half.copy_from_slice(&spectrum);
+        plan.inverse_real(&mut half, fused.as_mut_slice(), &mut scratch, |r, row| {
+            seen.push(r);
+            for (v, y) in row.iter_mut().zip(y.row(r)) {
+                *v = y - *v;
+            }
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, (0..m).collect::<Vec<_>>());
+        for ((got, p), y) in fused.iter().zip(plain.iter()).zip(y.iter()) {
+            assert_eq!(got.to_bits(), (y - p).to_bits());
         }
     }
 
@@ -260,26 +301,45 @@ mod tests {
     #[should_panic(expected = "even")]
     fn odd_length_panics() {
         let plan = Fft2d::new(5, 4);
-        plan.forward_real(&mut [Complex64::ZERO; 20], &mut [Complex64::ZERO; 4]);
+        plan.forward_real(
+            &[0.0; 20],
+            &mut [Complex64::ZERO; 15],
+            &mut [Complex64::ZERO; 4],
+        );
     }
 
     #[test]
     fn length_validation() {
         let plan = Fft2d::new(4, 4);
-        for (buf, scratch) in [(12, 4), (16, 3), (16, 5)] {
+        for (image, half, scratch) in [
+            (12, 12, 4),
+            (16, 16, 4),
+            (16, 11, 4),
+            (16, 12, 3),
+            (16, 12, 5),
+        ] {
             let rejected = |forward: bool| {
                 std::panic::catch_unwind(|| {
-                    let mut buf = vec![Complex64::ZERO; buf];
+                    let mut image = vec![0.0; image];
+                    let mut half = vec![Complex64::ZERO; half];
                     let mut scratch = vec![Complex64::ZERO; scratch];
                     if forward {
-                        plan.forward_real(&mut buf, &mut scratch);
+                        plan.forward_real(&image, &mut half, &mut scratch);
                     } else {
-                        plan.inverse_real(&mut buf, &mut scratch);
+                        plan.inverse_real(&mut half, &mut image, &mut scratch, |_, _| {});
                     }
                 })
                 .is_err()
             };
-            assert!(rejected(true) && rejected(false), "{buf}, {scratch}");
+            assert!(
+                rejected(true) && rejected(false),
+                "{image}, {half}, {scratch}"
+            );
         }
+        let k = Matrix::filled(4, 4, Complex64::ONE).unwrap();
+        let wrong_half = std::panic::catch_unwind(|| {
+            plan.hadamard_real(&mut [Complex64::ZERO; 16], &k);
+        });
+        assert!(wrong_half.is_err());
     }
 }

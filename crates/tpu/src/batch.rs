@@ -201,12 +201,42 @@ pub enum KernelJob {
     /// while per-stage charges stay identical to the staged chain.
     FilterDiff {
         /// The occluded input, spatial domain.
-        x: Matrix<Complex64>,
+        x: LaneInput,
         /// Frequency-domain filter, broadcast across the batch.
         filter: Arc<Matrix<Complex64>>,
         /// Observed output (the minuend), broadcast across the batch.
         y: Arc<Matrix<f64>>,
     },
+}
+
+/// The input of a [`KernelJob::FilterDiff`] lane, owned by the job from
+/// submission to result. That an occluded image or trace is *real* is
+/// part of its type: half the bytes of its complex lift, in a buffer the
+/// accelerator layer may hand back as the result. Charges read the shape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LaneInput {
+    /// A real image: every imaginary part is zero by construction.
+    Real(Matrix<f64>),
+    /// A general complex input.
+    Complex(Matrix<Complex64>),
+}
+
+impl LaneInput {
+    /// `(rows, cols)` of the input.
+    pub fn shape(&self) -> (usize, usize) {
+        match self {
+            LaneInput::Real(x) => x.shape(),
+            LaneInput::Complex(x) => x.shape(),
+        }
+    }
+
+    /// The matrix a complex transform works in: a real image lifted.
+    pub fn into_complex(self) -> Matrix<Complex64> {
+        match self {
+            LaneInput::Real(x) => x.to_complex(),
+            LaneInput::Complex(x) => x,
+        }
+    }
 }
 
 impl KernelJob {
@@ -837,7 +867,7 @@ mod tests {
                 b: r.clone(),
             },
             KernelJob::FilterDiff {
-                x: Matrix::filled(2, 2, Complex64::ONE).unwrap(),
+                x: LaneInput::Complex(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
                 filter: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
                 y: Arc::new(r),
             },
