@@ -21,7 +21,8 @@
 //! functions of the workload shape and never of the worker count.
 //! Filter-diff batches shard whole lanes, not transform row blocks
 //! (each lane fused in its own buffer, [`crate::filter_diff`]), and
-//! replay the staged chain's charges afterwards.
+//! replay the staged chain's charges afterwards; contribution scores
+//! are taken in the spectrum and charged as those lanes.
 //!
 //! Sustained-throughput calibration (documented in EXPERIMENTS.md):
 //! the models use *sustained* rather than peak figures, since the
@@ -36,7 +37,7 @@ use crate::traits::Accelerator;
 use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
-use xai_tpu::LaneInput;
+use xai_tpu::{LaneInput, Rect};
 
 /// Shared kernel implementations + accounting for host-class models.
 #[derive(Debug, Clone)]
@@ -135,29 +136,56 @@ impl HostModel {
         self.charge(elems as f64 * b, 24.0 * elems as f64 * b);
     }
 
+    /// The staged filter-diff chain's charges for `n` lanes of `shape`,
+    /// stage-major (the order is part of the clock's bits), at
+    /// `grid(n) = (kernels per stage, lanes per kernel)`: the CPU a
+    /// kernel per lane, the GPU one grid.
+    fn charge_filter_diff(&self, (rows, cols): (usize, usize), n: usize, grid: Grid) {
+        let (launches, lanes) = grid(n);
+        let plan = global_plan_cache().plan_2d(rows, cols);
+        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+        (0..launches).for_each(|_| self.charge_hadamard(rows * cols, lanes));
+        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
+        (0..launches).for_each(|_| self.charge_sub(rows * cols, lanes));
+    }
+
     /// Both filter-diff entries of a host model: the fused lanes, then
-    /// the staged chain's charges, stage-major (the order is part of
-    /// the clock's bits), at `grid(n) = (kernels per stage, lanes per
-    /// kernel)`: the CPU a kernel per lane, the GPU one grid.
+    /// the staged chain's charges.
     fn filter_diff<A: Accelerator>(
         &self,
         acc: &A,
         xs: impl Iterator<Item = LaneInput>,
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
-        grid: fn(usize) -> (usize, usize),
+        grid: Grid,
     ) -> Result<Vec<Matrix<f64>>> {
         filter_diff::fused(acc, xs, filter, y, |n| {
-            let ((rows, cols), (launches, lanes)) = (filter.shape(), grid(n));
-            let plan = global_plan_cache().plan_2d(rows, cols);
-            (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-            (0..launches).for_each(|_| self.charge_hadamard(rows * cols, lanes));
-            (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-            (0..launches).for_each(|_| self.charge_sub(rows * cols, lanes));
+            self.charge_filter_diff(filter.shape(), n, grid);
+            Ok(())
+        })
+    }
+
+    /// [`Accelerator::contribution_scores`] of a host model: the score
+    /// lanes, then the charges of as many filter-diff lanes.
+    fn scores<A: Accelerator>(
+        &self,
+        acc: &A,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        rects: &[Rect],
+        filter: &Matrix<Complex64>,
+        grid: Grid,
+    ) -> Result<Vec<f64>> {
+        filter_diff::scores(acc, x, y, rects, filter, |n| {
+            self.charge_filter_diff(x.shape(), n, grid);
             Ok(())
         })
     }
 }
+
+/// `lanes → (kernels per stage, lanes per kernel)` of a host model's
+/// batched launches.
+type Grid = fn(usize) -> (usize, usize);
 
 /// The paper's baseline: "ordinary execution with CPU" on the
 /// Intel i7 3.70 GHz host (§IV-A), with the same data
@@ -214,6 +242,15 @@ impl Accelerator for CpuModel {
     ) -> Result<Vec<Matrix<f64>>> {
         let lanes = xs.into_iter().map(LaneInput::Real);
         self.inner.filter_diff(self, lanes, filter, y, |n| (n, 1))
+    }
+    fn contribution_scores(
+        &self,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        rects: &[Rect],
+        filter: &Matrix<Complex64>,
+    ) -> Result<Vec<f64>> {
+        self.inner.scores(self, x, y, rects, filter, |n| (n, 1))
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);
@@ -339,6 +376,15 @@ impl Accelerator for GpuModel {
     ) -> Result<Vec<Matrix<f64>>> {
         let lanes = xs.into_iter().map(LaneInput::Real);
         self.inner.filter_diff(self, lanes, filter, y, |n| (1, n))
+    }
+    fn contribution_scores(
+        &self,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        rects: &[Rect],
+        filter: &Matrix<Complex64>,
+    ) -> Result<Vec<f64>> {
+        self.inner.scores(self, x, y, rects, filter, |n| (1, n))
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.inner.charge(flops, bytes);

@@ -51,4 +51,5 @@ pub use host::{CpuModel, GpuModel};
 pub use roofline::{cost, RooflineParams};
 pub use stats::KernelStats;
 pub use tpu_accel::TpuAccel;
-pub use traits::{time_region, Accelerator};
+pub use traits::{occluded, time_region, Accelerator};
+pub use xai_tpu::Rect;

@@ -27,7 +27,7 @@ use crate::clock::Clock;
 use crate::filter_diff;
 use crate::roofline::cost;
 use crate::stats::KernelStats;
-use crate::traits::Accelerator;
+use crate::traits::{lane_scores, Accelerator};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +37,8 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, ShardPlan, ShardStrategy,
-    SharedDevice, TpuConfig, TpuDevice,
+    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, Rect, ShardPlan,
+    ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
 };
 
 /// The fan-out probe memo is a leaf of the workspace lock hierarchy,
@@ -400,8 +400,8 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
         }
         // The fused chain's ledger entry is exactly the sum of its
         // four staged entries: fft + hadamard + ifft + sub.
-        KernelJob::FilterDiff { x, .. } => {
-            let (m, n) = x.shape();
+        KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
+            let (m, n) = fused_chain_shape(job).expect("a fused-chain lane");
             let (t_ops, t_bytes) = transform_ops_bytes(m, n);
             let len = (m * n) as f64;
             (
@@ -409,6 +409,19 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
                 2.0 * t_bytes + 48.0 * len + 24.0 * len,
             )
         }
+    }
+}
+
+/// The shape a lane is planned, recorded and charged the fused
+/// fft → hadamard → ifft → sub chain for: a filter-diff lane's input,
+/// and a score lane's — the *modelled* device runs Equation 5
+/// literally, so to every cost function below a score lane is the
+/// filter-diff lane of the same shape. `None` for every other kind.
+fn fused_chain_shape(job: &KernelJob) -> Option<(usize, usize)> {
+    match job {
+        KernelJob::FilterDiff { x, .. } => Some(x.shape()),
+        KernelJob::Score { x, .. } => Some(x.shape()),
+        _ => None,
     }
 }
 
@@ -434,7 +447,10 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
         KernelJob::Matmul { a, b } => 8 * a.rows() * b.cols(),
         // The one-gather win of the fused chain: only the final real
         // difference ships, not the three complex intermediates.
-        KernelJob::FilterDiff { x, .. } => 8 * x.shape().0 * x.shape().1,
+        KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
+            let (m, n) = fused_chain_shape(job).expect("a fused-chain lane");
+            8 * m * n
+        }
     };
     LaneCost {
         compute: kernel_ops_bytes(job).0,
@@ -480,6 +496,12 @@ fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult
         KernelJob::FilterDiff { x, filter, y } => {
             filter_diff::lane(x, &filter, &y, ws).map(KernelResult::Real)
         }
+        KernelJob::Score {
+            x,
+            residual,
+            hermitian,
+            rect,
+        } => filter_diff::score_lane(&x, &residual, &hermitian, &rect, ws).map(KernelResult::Score),
     }
 }
 
@@ -568,7 +590,9 @@ fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardChar
             KernelJob::PointwiseDiv { a, .. } => bump(&mut charges, job.kind(), a.len()),
             KernelJob::Sub { a, .. } => bump(&mut charges, job.kind(), a.len()),
             KernelJob::Matmul { a, b } => charges.matmuls.push((a.rows(), a.cols(), b.cols())),
-            KernelJob::FilterDiff { x, .. } => charges.fused.push(x.shape()),
+            KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
+                charges.fused.extend(fused_chain_shape(job));
+            }
         }
     }
     charges
@@ -739,12 +763,18 @@ impl TpuAccel {
             return Ok(out.into_iter().map(KernelResult::into_real).collect());
         }
         filter_diff::fused(self, lanes, filter, y, |lanes| {
-            let shapes = vec![filter.shape(); lanes];
-            self.charge_transform_flight(&shapes)?;
-            self.charge_elementwise_batch(filter.len(), lanes, HADAMARD_PER_ELEM)?;
-            self.charge_transform_flight(&shapes)?;
-            self.charge_elementwise_batch(filter.len(), lanes, SUB_PER_ELEM)
+            self.charge_staged_chain(filter.shape(), lanes)
         })
+    }
+
+    /// The four batched kernels' charges of an unqueued filter-diff
+    /// chain over `lanes` inputs of `shape` (four gathers).
+    fn charge_staged_chain(&self, shape @ (m, n): (usize, usize), lanes: usize) -> Result<()> {
+        let shapes = vec![shape; lanes];
+        self.charge_transform_flight(&shapes)?;
+        self.charge_elementwise_batch(m * n, lanes, HADAMARD_PER_ELEM)?;
+        self.charge_transform_flight(&shapes)?;
+        self.charge_elementwise_batch(m * n, lanes, SUB_PER_ELEM)
     }
 
     /// Executes one coalesced flight, possibly mixing kernel kinds.
@@ -1142,6 +1172,41 @@ impl Accelerator for TpuAccel {
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
         self.filter_diff_lanes(xs.into_iter().map(LaneInput::Real), filter, y)
+    }
+
+    /// With batching enabled, every rectangle of a request scored in
+    /// the spectrum (`filter_diff::spectra`) rides ONE
+    /// [`KernelJob::Score`] lane, planned and charged as the filter-diff
+    /// lane it stands for; without, the lanes run over the host pool and
+    /// the staged chain's charges are replayed. Any other request takes
+    /// the trait default — its filter-diff lanes, either way.
+    fn contribution_scores(
+        &self,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        rects: &[Rect],
+        filter: &Matrix<Complex64>,
+    ) -> Result<Vec<f64>> {
+        if self.queue.is_none() {
+            return filter_diff::scores(self, x, y, rects, filter, |lanes| {
+                self.charge_staged_chain(x.shape(), lanes)
+            });
+        }
+        let Some((residual, hermitian)) = filter_diff::spectra(x, y, rects, filter) else {
+            return lane_scores(self, x, y, rects, filter);
+        };
+        let x = Arc::new(x.clone());
+        let jobs = rects
+            .iter()
+            .map(|rect| KernelJob::Score {
+                x: Arc::clone(&x),
+                residual: Arc::clone(&residual),
+                hermitian: Arc::clone(&hermitian),
+                rect: rect.clone(),
+            })
+            .collect();
+        let out = self.queued(jobs)?;
+        Ok(out.into_iter().map(KernelResult::into_score).collect())
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -1898,6 +1963,54 @@ mod tests {
                 let scratch = scratch_probe(warm_pool.device(chip), &charges);
                 prop_assert_eq!(seconds.map(f64::to_bits), scratch.map(f64::to_bits));
             }
+        }
+    }
+
+    /// To every cost function a score lane is the filter-diff lane of
+    /// its shape — planner cost, ledger entry, shard charge — and a
+    /// hand-built lane [`filter_diff::spectra`] would not have built
+    /// fails alone, with a typed error, inside a flight that lands.
+    #[test]
+    fn a_score_lane_costs_its_filter_diff_lane_and_fails_alone() {
+        let (m, n) = (6, 10);
+        let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
+        let filter = x.map(|v| Complex64::new(0.25 * v, 1.0));
+        let rects = [(1..4, 2..7), (0..m, 0..n)];
+        let (residual, hermitian) = filter_diff::spectra(&x, &x, &rects, &filter).expect("built");
+        let score = |x: &Matrix<f64>, rect: &Rect| KernelJob::Score {
+            x: Arc::new(x.clone()),
+            residual: Arc::clone(&residual),
+            hermitian: Arc::clone(&hermitian),
+            rect: rect.clone(),
+        };
+        let lane = KernelJob::FilterDiff {
+            x: LaneInput::Real(x.clone()),
+            filter: Arc::new(filter.clone()),
+            y: Arc::new(x.clone()),
+        };
+        for rect in &rects {
+            let job = score(&x, rect);
+            assert_eq!(kernel_ops_bytes(&job), kernel_ops_bytes(&lane));
+            assert_eq!(kernel_lane_cost(&job), kernel_lane_cost(&lane));
+            assert_eq!(shard_charges([&job]), shard_charges([&lane]));
+        }
+        let odd_rows = Matrix::filled(m - 1, n, 1.0).unwrap();
+        let flight = vec![
+            score(&x, &rects[0]),
+            score(&x, &(0..m + 1, 0..n)),
+            score(&odd_rows, &rects[0]),
+            score(&Matrix::filled(m, n + 2, 1.0).unwrap(), &rects[0]),
+        ];
+        let out = TpuAccel::tpu_v2()
+            .with_batching(Duration::ZERO, 8)
+            .dispatch_flight(flight)
+            .expect("the flight lands");
+        assert!(matches!(out[0], Ok(KernelResult::Score(s)) if s.is_finite()));
+        for lane in &out[1..] {
+            let op = "score lane";
+            assert!(
+                matches!(lane, Err(xai_tensor::TensorError::ShapeMismatch { op: o, .. }) if *o == op)
+            );
         }
     }
 

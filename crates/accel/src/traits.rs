@@ -16,7 +16,8 @@
 
 use crate::stats::KernelStats;
 use xai_tensor::ops::DivPolicy;
-use xai_tensor::{Complex64, Matrix, Result};
+use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tpu::Rect;
 
 /// A hardware platform that executes the pipeline's kernels and
 /// accounts simulated time for them.
@@ -206,6 +207,40 @@ pub trait Accelerator: Send + Sync {
         self.filter_diff_batch(&lifted, filter, y)
     }
 
+    /// Contribution scores (Equation 5): for every rectangle `r` of
+    /// `rects`, `‖y − x′ᵣ ∗ k‖_F`, where `x′ᵣ` is `x` with `r` zeroed and
+    /// `filter` is `k`'s spectrum — what the interpretation phase keeps
+    /// of a filter-diff batch.
+    ///
+    /// The default is the reference: occlude `x` once per rectangle,
+    /// lend the copies to [`Accelerator::filter_diff_real_batch`], take
+    /// each difference's Frobenius norm. An override may compute the
+    /// scores any other way but keeps, on the same operands, the
+    /// default's charges (clock and [`Accelerator::stats`]), its error
+    /// for every batch it rejects — before anything is submitted or
+    /// charged when a rectangle leaves `x` — and every score within
+    /// `2 · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` of the
+    /// default's. The built-in platforms take the norm in the spectrum
+    /// (no occluded image, no inverse transform, no difference) whenever
+    /// `x` has an even row count, `y` and `filter` its shape, and no
+    /// NaN or ±inf element — one an occlusion could have *removed* — and
+    /// run this default otherwise; see ARCHITECTURE.md,
+    /// "Interpretation-phase numerics".
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] when a rectangle does not lie
+    /// inside `x`; otherwise as [`Accelerator::filter_diff_real_batch`].
+    fn contribution_scores(
+        &self,
+        x: &Matrix<f64>,
+        y: &Matrix<f64>,
+        rects: &[Rect],
+        filter: &Matrix<Complex64>,
+    ) -> Result<Vec<f64>> {
+        lane_scores(self, x, y, rects, filter)
+    }
+
     /// Advances the clock for an externally-described workload of
     /// `flops` arithmetic and `bytes` traffic (roofline charge). Used
     /// by the NN substrate to time training/inference of networks
@@ -265,6 +300,52 @@ pub(crate) fn staged_filter_diff<A: Accelerator + ?Sized>(
         .map(|p| p.to_real())
         .collect();
     acc.sub_batch(y, &preds)
+}
+
+/// Whether `rect` lies inside a `rows × cols` matrix.
+pub(crate) fn rect_fits((rows, cols): (usize, usize), rect: &Rect) -> bool {
+    let fits = |r: &std::ops::Range<usize>, len| r.start <= r.end && r.end <= len;
+    fits(&rect.0, rows) && fits(&rect.1, cols)
+}
+
+/// `x` with the rectangle `rect` zeroed — the `X′` of Equation 5, and
+/// the lane the default [`Accelerator::contribution_scores`] builds
+/// per rectangle.
+///
+/// # Errors
+///
+/// [`TensorError::ShapeMismatch`] when `rect` does not lie inside `x`.
+pub fn occluded(x: &Matrix<f64>, rect: &Rect) -> Result<Matrix<f64>> {
+    if !rect_fits(x.shape(), rect) {
+        return Err(TensorError::ShapeMismatch {
+            left: (rect.0.end, rect.1.end),
+            right: x.shape(),
+            op: "occluded rectangle",
+        });
+    }
+    let mut out = x.clone();
+    for r in rect.0.clone() {
+        out.row_mut(r)[rect.1.clone()].fill(0.0);
+    }
+    Ok(out)
+}
+
+/// The default [`Accelerator::contribution_scores`]: a free function so
+/// that an override can hand it the requests it does not take in the
+/// spectrum.
+pub(crate) fn lane_scores<A: Accelerator + ?Sized>(
+    acc: &A,
+    x: &Matrix<f64>,
+    y: &Matrix<f64>,
+    rects: &[Rect],
+    filter: &Matrix<Complex64>,
+) -> Result<Vec<f64>> {
+    let lanes: Vec<_> = rects
+        .iter()
+        .map(|r| occluded(x, r))
+        .collect::<Result<_>>()?;
+    let diffs = acc.filter_diff_real_batch(lanes, filter, y)?;
+    Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
 }
 
 /// Times a closure on an accelerator, returning `(result, seconds)` —

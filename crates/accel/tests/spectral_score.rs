@@ -1,0 +1,562 @@
+//! Contribution scores taken in the spectrum
+//! (`Accelerator::contribution_scores` on the built-in platforms)
+//! against the route they replace and still fall back to — the trait
+//! default: occlude, `filter_diff_real_batch`, Frobenius norm — under
+//! the interpretation-phase numerics contract (`filter_diff.rs` module
+//! header): point 3's bound on the score, point 1's route identity,
+//! point 5's untouched charges.
+//!
+//! Known mutations this must catch: weighting the self-conjugate
+//! columns twice (or column `n/2` of an odd width once); packing the
+//! rectangle's rows from row 0 instead of `r0`; leaving the rows of the
+//! half spectrum outside the rectangle unzeroed between lanes (the
+//! workspace is reused); dropping the all-finite test on `x` (every
+//! score of a poisoned request turns NaN); charging a score lane
+//! anything but its filter-diff lane.
+
+use proptest::prelude::*;
+use std::time::Duration;
+use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, Rect, TpuAccel};
+use xai_tensor::conv::conv2d_circular;
+use xai_tensor::ops::DivPolicy;
+use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tpu::{DevicePool, FaultPlan, TpuConfig};
+
+/// The constant of contract point 3, as `filter_diff.rs` states it.
+const C: f64 = 2.0;
+
+/// The even-row shapes `real_lane.rs` sweeps: degenerate, odd-column,
+/// Bluestein (6, 10, 3), radix-2, tall, the `serve-large` shape.
+const SHAPES: [(usize, usize); 6] = [(2, 1), (4, 3), (6, 10), (8, 8), (16, 4), (128, 128)];
+
+/// Every kernel, batch method and filter-diff entry of the wrapped
+/// platform, and *not* `contribution_scores`: the trait default on that
+/// platform — its own filter-diff lanes, its own charges.
+struct LaneRoute(Box<dyn Accelerator>);
+
+impl Accelerator for LaneRoute {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.matmul(a, b)
+    }
+    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.fft2d(x)
+    }
+    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.ifft2d(x)
+    }
+    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.hadamard(a, b)
+    }
+    fn pointwise_div(
+        &self,
+        a: &Matrix<Complex64>,
+        b: &Matrix<Complex64>,
+        policy: DivPolicy,
+    ) -> Result<Matrix<Complex64>> {
+        self.0.pointwise_div(a, b, policy)
+    }
+    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.sub(a, b)
+    }
+    fn filter_diff_batch(
+        &self,
+        xs: &[Matrix<Complex64>],
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        self.0.filter_diff_batch(xs, filter, y)
+    }
+    fn filter_diff_real_batch(
+        &self,
+        xs: Vec<Matrix<f64>>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        self.0.filter_diff_real_batch(xs, filter, y)
+    }
+    fn charge_workload(&self, flops: f64, bytes: f64) {
+        self.0.charge_workload(flops, bytes);
+    }
+    fn elapsed_seconds(&self) -> f64 {
+        self.0.elapsed_seconds()
+    }
+    fn stats(&self) -> KernelStats {
+        self.0.stats()
+    }
+    fn reset(&self) {
+        self.0.reset();
+    }
+}
+
+/// The three unqueued platforms, a queued chip, a 4-chip pool, and that
+/// pool retrying transiently faulted shards.
+type Placement = (&'static str, fn() -> Box<dyn Accelerator>);
+const PLACEMENTS: [Placement; 6] = [
+    ("cpu", || Box::new(CpuModel::i7_3700())),
+    ("gpu", || Box::new(GpuModel::gtx1080())),
+    ("tpu_v2", || Box::new(TpuAccel::tpu_v2())),
+    ("queued tpu", || {
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16))
+    }),
+    ("pooled tpu", || Box::new(pool_of_four(None))),
+    ("faulted pool", || {
+        Box::new(pool_of_four(Some(transient_faults())))
+    }),
+];
+
+fn transient_faults() -> FaultPlan {
+    FaultPlan::seeded(5).transient(0.3).with_retry_budget(30)
+}
+
+fn pool_of_four(plan: Option<FaultPlan>) -> TpuAccel {
+    let pool = DevicePool::new(TpuConfig::small_test(), 4);
+    if let Some(plan) = plan {
+        pool.install_fault_plan(plan);
+    }
+    TpuAccel::over_pool(pool, Duration::ZERO, 16)
+}
+
+/// The fixed value table the non-proptest cases draw from.
+fn fixed_vals() -> Vec<f64> {
+    (0..23).map(|i| i as f64 * 0.17 - 1.9).collect()
+}
+
+/// An input with an exact-zero block in its top-left quarter (a region
+/// whose occlusion changes nothing) and a `-0.0`. `vals` is cycled
+/// under a second, incommensurate pattern: on a purely periodic image
+/// the squares a norm sums round the same way every period, and the
+/// *reference's* serial `frobenius_norm` drifts (see
+/// `the_spectral_score_is_within_the_bound_of_the_exactly_summed_norm`).
+fn input(vals: &[f64], (m, n): (usize, usize)) -> Matrix<f64> {
+    let mut x = Matrix::from_fn(m, n, |r, c| {
+        vals[(r * n + c) % vals.len()] + ((r * 31 + c * 17) % 101) as f64 * 1e-3
+    })
+    .unwrap();
+    for r in 0..m / 2 {
+        x.row_mut(r)[..n / 2].fill(0.0);
+    }
+    x[(m - 1, n - 1)] = -0.0;
+    x
+}
+
+/// A general complex filter: not Hermitian.
+fn filter(kvals: &[f64], (m, n): (usize, usize)) -> Matrix<Complex64> {
+    Matrix::from_fn(m, n, |r, c| {
+        let i = (r * n + c) % kvals.len();
+        Complex64::new(kvals[i], kvals[(i + 5) % kvals.len()] * 0.5)
+    })
+    .unwrap()
+}
+
+fn observed(vals: &[f64], (m, n): (usize, usize)) -> Matrix<f64> {
+    Matrix::from_fn(m, n, |r, c| {
+        vals[(r * n + c + 3) % vals.len()] * 1.5 + ((r * 13 + c * 29) % 97) as f64 * 1e-3
+    })
+    .unwrap()
+}
+
+/// `(x, filter, y)` of one shape from one value table.
+fn operands(vals: &[f64], shape: (usize, usize)) -> (Matrix<f64>, Matrix<Complex64>, Matrix<f64>) {
+    (
+        input(vals, shape),
+        filter(vals, shape),
+        observed(vals, shape),
+    )
+}
+
+/// `x` with `rect` zeroed: the lane the default route builds.
+fn occluded(x: &Matrix<f64>, (rows, cols): &Rect) -> Matrix<f64> {
+    let mut lane = x.clone();
+    for r in rows.clone() {
+        lane.row_mut(r)[cols.clone()].fill(0.0);
+    }
+    lane
+}
+
+/// `√Σ v²` by compensated (Neumaier) summation: the norm to the ulp.
+fn exact_norm(values: impl Iterator<Item = f64>) -> f64 {
+    let (mut sum, mut lost) = (0.0f64, 0.0f64);
+    for sq in values.map(|v| v * v) {
+        let next = sum + sq;
+        lost += if sum >= sq {
+            (sum - next) + sq
+        } else {
+            (sq - next) + sum
+        };
+        sum = next;
+    }
+    (sum + lost).sqrt()
+}
+
+/// What `Region::{Element, Row, Column, Block}` come to on an `m × n`
+/// input: corners, an odd first row, an odd height, the all-zero block,
+/// the whole image, nothing.
+fn rects((m, n): (usize, usize)) -> Vec<Rect> {
+    vec![
+        (0..1, 0..1),
+        (m - 1..m, n - 1..n),
+        (m / 2..m / 2 + 1, 0..n),
+        (0..m, n / 2..n / 2 + 1),
+        (1..m, 0..n.div_ceil(2)),
+        (m / 2 - 1..(m / 2 + 2).min(m), n / 2..n),
+        (0..m / 2, 0..n / 2),
+        (0..m, 0..n),
+        (1..1, 0..0),
+    ]
+}
+
+/// Contract point 3's bound on one score:
+/// `C · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)`.
+fn bound(x: &Matrix<f64>, k: &Matrix<Complex64>, y: &Matrix<f64>) -> f64 {
+    let k_max = k.iter().map(|z| z.abs()).fold(0.0, f64::max);
+    let scale = k_max * x.frobenius_norm() + y.frobenius_norm();
+    C * f64::EPSILON * (2.0 * x.len() as f64).log2() * scale
+}
+
+fn bits(scores: &[f64]) -> Vec<u64> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+fn ledger(acc: &dyn Accelerator) -> (u64, KernelStats) {
+    (acc.elapsed_seconds().to_bits(), acc.stats())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// (a) Point 3 for the score: on every even-row shape and every
+    /// kind of rectangle the spectral score is within the bound of the
+    /// lane route's on the same platform; odd rows take the lane route,
+    /// bit for bit.
+    #[test]
+    fn spectral_scores_are_within_the_bound_of_the_lane_route(
+        vals in proptest::collection::vec(-2.0f64..2.0, 23),
+        kvals in proptest::collection::vec(-1.0f64..1.0, 19),
+    ) {
+        for (s, shape) in SHAPES.into_iter().enumerate() {
+            let (name, make) = PLACEMENTS[s % PLACEMENTS.len()];
+            let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
+            let rects = rects(shape);
+            let spectral = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &k).unwrap();
+            let limit = bound(&x, &k, &y);
+            for (j, (s, l)) in spectral.iter().zip(&lanes).enumerate() {
+                prop_assert!(
+                    (s - l).abs() <= limit,
+                    "{}: {:?} rect {:?}: |{:e} - {:e}| > {:e}", name, shape, rects[j], s, l, limit
+                );
+            }
+        }
+        let shape = (5, 4);
+        let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
+        let rects: Vec<Rect> = rects((4, 4)).into_iter().chain([(4..5, 0..4)]).collect();
+        for (name, make) in PLACEMENTS {
+            let odd = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &k).unwrap();
+            prop_assert_eq!(bits(&odd), bits(&lanes), "{}: odd rows keep the lane route", name);
+        }
+    }
+}
+
+/// (b) Points 1 and 5: a score's bits do not depend on the platform,
+/// the queue, the pool, a retried shard or the request it rides with,
+/// and every placement is left with the clock and statistics the lane
+/// route leaves it.
+#[test]
+fn scores_are_route_independent_and_charged_as_their_lanes() {
+    let vals = fixed_vals();
+    for shape in [(6, 10), (16, 16), (128, 128)] {
+        let (x, k, y) = operands(&vals, shape);
+        let rects = rects(shape);
+        let reference = bits(
+            &TpuAccel::tpu_v2()
+                .contribution_scores(&x, &y, &rects, &k)
+                .unwrap(),
+        );
+        for (name, make) in PLACEMENTS {
+            let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
+            let spectral = spectral_on.contribution_scores(&x, &y, &rects, &k).unwrap();
+            lanes_on.contribution_scores(&x, &y, &rects, &k).unwrap();
+            assert_eq!(bits(&spectral), reference, "{name}: {shape:?}");
+            assert_eq!(
+                ledger(spectral_on.as_ref()),
+                ledger(&lanes_on),
+                "{name}: {shape:?}: ledger"
+            );
+            // One rectangle alone is the same lane.
+            for (j, rect) in rects.iter().enumerate().step_by(4) {
+                let one = make()
+                    .contribution_scores(&x, &y, std::slice::from_ref(rect), &k)
+                    .unwrap();
+                assert_eq!(bits(&one), reference[j..=j], "{name}: {shape:?} lane {j}");
+            }
+        }
+    }
+    // The faulted pool does retry: the identity above covered the retry
+    // clone of a score lane, not only first attempts.
+    let faulted = pool_of_four(Some(transient_faults()));
+    let shape = (8, 8);
+    let (x, k, y) = operands(&vals, shape);
+    let rects: Vec<Rect> = (0..16)
+        .map(|b| (b / 4 * 2..b / 4 * 2 + 2, b % 4 * 2..b % 4 * 2 + 2))
+        .collect();
+    let want = bits(
+        &CpuModel::i7_3700()
+            .contribution_scores(&x, &y, &rects, &k)
+            .unwrap(),
+    );
+    for _ in 0..3 {
+        let got = faulted.contribution_scores(&x, &y, &rects, &k).unwrap();
+        assert_eq!(bits(&got), want);
+    }
+    let retries = faulted.pool().expect("pooled").fault_stats().retries;
+    assert!(retries > 0, "seed 5 at 0.3 must fault at least one shard");
+}
+
+/// Two requests' score lanes coalesce into one flight and each gets
+/// its own scores back.
+#[test]
+fn two_requests_ride_one_flight() {
+    let vals = fixed_vals();
+    let shape = (8, 8);
+    let (k, y) = (filter(&vals, shape), observed(&vals, shape));
+    let (x0, x1) = (input(&vals, shape), input(&vals[3..], shape));
+    let rects = &rects(shape)[..4];
+    let alone = |x: &Matrix<f64>| {
+        bits(
+            &TpuAccel::tpu_v2()
+                .contribution_scores(x, &y, rects, &k)
+                .unwrap(),
+        )
+    };
+    // max_lanes equals both requests' total: the flight leaves the
+    // moment both are in (the long window is the straggler guard).
+    let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), 8);
+    let (s0, s1) = std::thread::scope(|scope| {
+        let s0 = scope.spawn(|| acc.contribution_scores(&x0, &y, rects, &k));
+        let s1 = scope.spawn(|| acc.contribution_scores(&x1, &y, rects, &k));
+        (s0.join().unwrap().unwrap(), s1.join().unwrap().unwrap())
+    });
+    assert_eq!(acc.stats().kernels, 1, "both requests rode one flight");
+    assert_eq!((bits(&s0), bits(&s1)), (alone(&x0), alone(&x1)));
+}
+
+/// (c) Both routes against the O(N²) definition, on an exact fit
+/// (`y = x ∗ k` in small integers, so `‖y − x′ ∗ k‖_F` is exact in
+/// `f64` up to its last square root): every score of either route is
+/// within the bound of it. That is all that holds: the lane route
+/// subtracts two nearly equal images per region and the spectral one
+/// two nearly equal spectra per request, and neither is the closer
+/// (observed, in ulps of the score: 8×8 element 0.6 spectral / 10 lane,
+/// 64×64 element 25 / 4; every block within 2 on both).
+#[test]
+fn on_an_exact_fit_both_routes_are_within_the_bound_of_the_definition() {
+    for shape @ (m, n) in [(4, 3), (6, 10), (8, 8), (16, 4), (32, 32)] {
+        let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
+        let k = Matrix::from_fn(m, n, |r, c| ((r + c * 2) % 5) as f64 - 1.0).unwrap();
+        let y = conv2d_circular(&x, &k).unwrap();
+        let spectrum = xai_fourier::fft2d(&k.to_complex()).unwrap();
+        let rects = rects(shape);
+        let limit = bound(&x, &spectrum, &y);
+        let spectral = CpuModel::i7_3700()
+            .contribution_scores(&x, &y, &rects, &spectrum)
+            .unwrap();
+        let lanes = LaneRoute(Box::new(CpuModel::i7_3700()))
+            .contribution_scores(&x, &y, &rects, &spectrum)
+            .unwrap();
+        for (j, rect) in rects.iter().enumerate() {
+            let pred = conv2d_circular(&occluded(&x, rect), &k).unwrap();
+            let exact = exact_norm(y.iter().zip(pred.iter()).map(|(y, p)| y - p));
+            for (route, got) in [("spectral", spectral[j]), ("lane", lanes[j])] {
+                let err = (got - exact).abs();
+                assert!(
+                    err <= limit,
+                    "{shape:?} {rect:?}: {route} {err:e} > {limit:e}"
+                );
+            }
+        }
+    }
+}
+
+/// Point 3 on the data that is hardest on the *reference*: a period-23
+/// image, whose squares round the same way every period, so the serial
+/// `frobenius_norm` the lane route ends in drifts (70 ε·s at 128² for
+/// the whole-image rectangle, past the bound). The spectral score is
+/// within the bound of the norm of the lane route's own difference,
+/// exactly summed.
+#[test]
+fn the_spectral_score_is_within_the_bound_of_the_exactly_summed_norm() {
+    let vals = fixed_vals();
+    for shape @ (m, n) in [(16, 16), (64, 64), (128, 128)] {
+        let x = Matrix::from_fn(m, n, |r, c| vals[(r * n + c) % vals.len()]).unwrap();
+        let y = Matrix::from_fn(m, n, |r, c| vals[(r * n + c + 3) % vals.len()] * 1.5).unwrap();
+        let k = filter(&vals, shape);
+        let rects = rects(shape);
+        let acc = CpuModel::i7_3700();
+        let spectral = acc.contribution_scores(&x, &y, &rects, &k).unwrap();
+        let lanes = rects.iter().map(|rect| occluded(&x, rect)).collect();
+        let diffs = acc.filter_diff_real_batch(lanes, &k, &y).unwrap();
+        let limit = bound(&x, &k, &y);
+        for ((s, d), rect) in spectral.iter().zip(&diffs).zip(&rects) {
+            let err = (s - exact_norm(d.iter().copied())).abs();
+            assert!(err <= limit, "{shape:?} {rect:?}: {err:e} > {limit:e}");
+        }
+    }
+}
+
+/// (d) Point 4 for the score. A NaN or ±inf pixel is one an occlusion
+/// may remove, which the spectrum's `X − B_r` cannot: such a request
+/// takes the lane route on every placement — the score of a rectangle
+/// covering the pixel stays finite, every other is not. A non-finite
+/// `y` or `filter` leaves no finite score on either route.
+#[test]
+fn non_finite_operands_poison_what_the_lane_route_poisons() {
+    let vals = fixed_vals();
+    let finite = |scores: &[f64]| scores.iter().map(|s| s.is_finite()).collect::<Vec<_>>();
+    for shape @ (m, n) in [(4, 3), (8, 8), (16, 4)] {
+        let (k, y) = (filter(&vals, shape), observed(&vals, shape));
+        let rects = rects(shape);
+        let at = (m / 2, n / 2);
+        let covers = |(rows, cols): &Rect| rows.contains(&at.0) && cols.contains(&at.1);
+        let expected: Vec<bool> = rects.iter().map(covers).collect();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x = input(&vals, shape);
+            x[at] = v;
+            for (name, make) in PLACEMENTS {
+                let got = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+                let lanes = LaneRoute(make())
+                    .contribution_scores(&x, &y, &rects, &k)
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&lanes), "{name}: {shape:?} {v} in x");
+                assert_eq!(finite(&got), expected, "{name}: {shape:?} {v} in x");
+            }
+            let x = input(&vals, shape);
+            let (mut bad_y, mut bad_k) = (y.clone(), k.clone());
+            bad_y[at] = v;
+            bad_k[(m - 1, n - 1)] = Complex64::new(1.0, v);
+            for (name, make) in &PLACEMENTS[..4] {
+                for (what, y, k) in [("y", &bad_y, &k), ("filter", &y, &bad_k)] {
+                    let got = make().contribution_scores(&x, y, &rects, k).unwrap();
+                    let lanes = LaneRoute(make())
+                        .contribution_scores(&x, y, &rects, k)
+                        .unwrap();
+                    let any = got.iter().chain(&lanes).any(|s| s.is_finite());
+                    assert!(!any, "{name}: {shape:?} {v} in {what}: {got:?} / {lanes:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Requests the spectrum does not take fail as the lane route fails
+/// them, partial charges included; a stray rectangle is refused before
+/// anything is submitted or charged.
+#[test]
+fn rejected_requests_fail_as_the_lane_route_fails_them() {
+    let vals = fixed_vals();
+    let shape @ (m, n) = (8, 8);
+    let (x, k, y) = operands(&vals, shape);
+    let rects = rects(shape);
+    let (short_y, wide_k) = (observed(&vals, (m - 2, n)), filter(&vals, (m, n + 2)));
+    for (name, make) in PLACEMENTS {
+        for (what, y, k) in [("y", &short_y, &k), ("filter", &y, &wide_k)] {
+            let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
+            let got = spectral_on.contribution_scores(&x, y, &rects, k);
+            let want = lanes_on.contribution_scores(&x, y, &rects, k);
+            assert!(got.is_err(), "{name}: misshapen {what}");
+            assert_eq!(got, want, "{name}: misshapen {what}");
+            assert_eq!(ledger(spectral_on.as_ref()), ledger(&lanes_on), "{name}");
+        }
+        for stray in [(0..m + 1, 0..n), (0..m, n..n + 1), (0..usize::MAX, 0..1)] {
+            let acc = make();
+            let with_stray = [rects[0].clone(), stray];
+            let err = acc
+                .contribution_scores(&x, &y, &with_stray, &k)
+                .unwrap_err();
+            assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{name}");
+            assert_eq!(acc.stats().kernels, 0, "{name}: charged a refused request");
+        }
+        assert_eq!(make().contribution_scores(&x, &y, &[], &k), Ok(Vec::new()));
+    }
+}
+
+/// A third-party accelerator: the primitive kernels only.
+struct KernelsOnly(CpuModel);
+
+impl Accelerator for KernelsOnly {
+    fn name(&self) -> String {
+        "kernels only".into()
+    }
+    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.matmul(a, b)
+    }
+    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.fft2d(x)
+    }
+    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.ifft2d(x)
+    }
+    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
+        self.0.hadamard(a, b)
+    }
+    fn pointwise_div(
+        &self,
+        a: &Matrix<Complex64>,
+        b: &Matrix<Complex64>,
+        policy: DivPolicy,
+    ) -> Result<Matrix<Complex64>> {
+        self.0.pointwise_div(a, b, policy)
+    }
+    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        self.0.sub(a, b)
+    }
+    fn charge_workload(&self, flops: f64, bytes: f64) {
+        self.0.charge_workload(flops, bytes);
+    }
+    fn elapsed_seconds(&self) -> f64 {
+        self.0.elapsed_seconds()
+    }
+    fn stats(&self) -> KernelStats {
+        self.0.stats()
+    }
+    fn reset(&self) {
+        self.0.reset();
+    }
+}
+
+/// (e) The trait default is the reference: an accelerator that
+/// implements only the kernels scores, charges and fails as its own
+/// staged chain on the occluded images lifted to complex — the complex
+/// sequence, nothing taken in the spectrum.
+#[test]
+fn a_kernels_only_accelerator_inherits_the_lane_route() {
+    let vals = fixed_vals();
+    for shape in [(4, 3), (5, 4), (8, 8)] {
+        let (x, k, y) = operands(&vals, shape);
+        let rects = rects((4, 3));
+        let (scored_on, staged_on) = (
+            KernelsOnly(CpuModel::i7_3700()),
+            KernelsOnly(CpuModel::i7_3700()),
+        );
+        let scores = scored_on.contribution_scores(&x, &y, &rects, &k).unwrap();
+        let lifted: Vec<_> = rects
+            .iter()
+            .map(|rect| occluded(&x, rect).to_complex())
+            .collect();
+        let spectra = staged_on.fft2d_batch(&lifted).unwrap();
+        let filtered = staged_on.hadamard_batch(&spectra, &k).unwrap();
+        let preds: Vec<_> = staged_on.ifft2d_batch(&filtered).unwrap();
+        let preds: Vec<_> = preds.iter().map(Matrix::to_real).collect();
+        let staged: Vec<f64> = staged_on
+            .sub_batch(&y, &preds)
+            .unwrap()
+            .iter()
+            .map(Matrix::frobenius_norm)
+            .collect();
+        assert_eq!(bits(&scores), bits(&staged), "{shape:?}");
+        assert_eq!(ledger(&scored_on), ledger(&staged_on), "{shape:?}: ledger");
+    }
+}

@@ -100,6 +100,20 @@ fn bench_2d_decomposition(c: &mut Criterion) {
             b.iter(|| fft2d_via_matmul(black_box(x), Norm::Backward).expect("valid shape"));
         });
     }
+    // The forward of a 128 x 128 image restricted to one block of side
+    // `side` (32: a grid-4 occlusion; 128: the whole image, which is
+    // "real-forward/128"): the row pass covers `side / 2` row pairs,
+    // the column pass is whole.
+    let (x, plan) = (complex_matrix(128).to_real(), Fft2d::new(128, 128));
+    for side in [32usize, 128] {
+        let id = BenchmarkId::new("real-forward-block", side);
+        group.bench_with_input(id, &x, |b, x| {
+            let mut half = vec![Complex64::ZERO; 128 * plan.half_cols()];
+            let mut scratch = vec![Complex64::ZERO; 128];
+            let x = black_box(x.as_slice());
+            b.iter(|| plan.forward_real_block(x, 0..side, 0..side, &mut half, &mut scratch));
+        });
+    }
     // One served request's worth of lanes (serve-large: grid 4 of a
     // 128 x 128 input). Per transform this should cost what
     // "row-column-serial/128" does.
@@ -154,10 +168,42 @@ fn bench_filter_diff_lane(c: &mut Criterion) {
     group.finish();
 }
 
+/// One score lane, as every built-in platform runs it: the norm of the
+/// `filter-diff-lane/real` result for an occluded grid-2 block, taken
+/// in the spectrum — the block-pruned forward of the block and one
+/// Parseval sweep against the request's residual spectrum and `K_h`
+/// (built once per request, outside the row). No copy of `x`, no
+/// inverse transform, no difference.
+fn bench_score_lane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("score-lane");
+    group.sample_size(20);
+    for n in [8usize, 128] {
+        let x = complex_matrix(n).to_real();
+        let filter = complex_matrix(n).map(|z| z * Complex64::new(0.25, 0.5));
+        let plan = Fft2d::new(n, n);
+        let cells = n * plan.half_cols();
+        let (mut residual, mut hermitian) =
+            (vec![Complex64::ZERO; cells], vec![Complex64::ZERO; cells]);
+        let mut scratch = vec![Complex64::ZERO; n];
+        plan.forward_real(x.as_slice(), &mut residual, &mut scratch);
+        plan.hermitian_part(&mut hermitian, &filter);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &x, |b, x| {
+            let mut block = vec![Complex64::ZERO; cells];
+            b.iter(|| {
+                let x = black_box(x.as_slice());
+                plan.forward_real_block(x, 0..n / 2, n / 2..n, &mut block, &mut scratch);
+                (plan.residual_energy(&residual, &block, &hermitian) / (n * n) as f64).sqrt()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_1d_algorithms,
     bench_2d_decomposition,
-    bench_filter_diff_lane
+    bench_filter_diff_lane,
+    bench_score_lane
 );
 criterion_main!(benches);

@@ -220,6 +220,49 @@ fn bench_filter_diff_direct(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host time of one unqueued `contribution_scores` request at the
+/// `pipeline-offline` / `serve-large` shape (the 16 blocks of grid 4 on
+/// 128²) on each platform — what `contributions_batch_on` calls. The
+/// built-in platforms score in the spectrum; `lane-route/tpu` is the
+/// trait default they replace on the same operands: sixteen occluded
+/// copies through `filter_diff_real_batch`, then the norms.
+fn bench_contribution_scores(c: &mut Criterion) {
+    use xai_accel::{occluded, Accelerator, CpuModel, GpuModel, TpuAccel};
+    let (x, y) = (real_matrix(128, 0), real_matrix(128, 98));
+    let filter = real_matrix(128, 97).to_complex();
+    let rects: Vec<_> = (0..16)
+        .map(|b| (b / 4 * 32..b / 4 * 32 + 32, b % 4 * 32..b % 4 * 32 + 32))
+        .collect();
+    let platforms: [(&str, Box<dyn Accelerator>); 3] = [
+        ("cpu", Box::new(CpuModel::i7_3700())),
+        ("gpu", Box::new(GpuModel::gtx1080())),
+        ("tpu", Box::new(TpuAccel::tpu_v2())),
+    ];
+    let mut group = c.benchmark_group("contribution_scores");
+    group.sample_size(10);
+    for (label, acc) in &platforms {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                acc.contribution_scores(black_box(&x), black_box(&y), &rects, &filter)
+                    .expect("shapes")
+            });
+        });
+    }
+    let tpu = TpuAccel::tpu_v2();
+    group.bench_function("lane-route/tpu", |b| {
+        b.iter(|| {
+            let lanes = rects
+                .iter()
+                .map(|rect| occluded(black_box(&x), rect).expect("inside x"));
+            let diffs = tpu
+                .filter_diff_real_batch(lanes.collect(), &filter, &y)
+                .expect("shapes");
+            diffs.iter().map(Matrix::frobenius_norm).collect::<Vec<_>>()
+        });
+    });
+    group.finish();
+}
+
 /// The classification phase: `Conv2d` forward and backward at the
 /// four layer shapes of `vgg_small` on 16×16×3 images, and the whole
 /// seeded epoch over 64 images that `pipeline-offline` trains per
@@ -285,6 +328,7 @@ criterion_group!(
     bench_collectives,
     bench_pooled_flight,
     bench_filter_diff_direct,
+    bench_contribution_scores,
     bench_conv2d
 );
 criterion_main!(benches);

@@ -42,14 +42,28 @@ fn plural(n: usize) -> &'static str {
     }
 }
 
+const USAGE: &str = "usage: report [--json <path>]";
+
+/// The `--json` path, if asked for, from the arguments after the
+/// program name; anything else — `--json` without its path included —
+/// is a usage error, found before any scenario has run.
+fn json_path(args: &[String]) -> std::result::Result<Option<String>, String> {
+    match args {
+        [] => Ok(None),
+        [flag, path] if flag == "--json" => Ok(Some(path.clone())),
+        _ => Err(format!("unexpected arguments {args:?}\n{USAGE}")),
+    }
+}
+
 fn main() -> Result<()> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = json_path(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     println!("== tpu-xai reproduction report ==\n");
     println!("Pan & Mishra, \"Hardware Acceleration of Explainable Machine");
     println!("Learning using Tensor Processing Units\", DATE 2022\n");
-    let json_path = {
-        let mut args = std::env::args();
-        args.find(|a| a == "--json").and_then(|_| args.next())
-    };
     let mut claims: Vec<Claim> = Vec::new();
     let mut metrics: Vec<(&'static str, f64)> = Vec::new();
 
@@ -823,4 +837,31 @@ fn render_json(claims: &[Claim], metrics: &[(&'static str, f64)], all_pass: bool
     }
     out.push_str("  }\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_path;
+
+    #[test]
+    fn a_json_flag_without_its_path_is_a_usage_error() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(json_path(&[]), Ok(None));
+        assert_eq!(
+            json_path(&args(&["--json", "out.json"])),
+            Ok(Some("out.json".to_string()))
+        );
+        for bad in [
+            &["--json"][..],
+            &["out.json"],
+            &["--json", "a", "b"],
+            &["--jsno", "a"],
+        ] {
+            let message = json_path(&args(bad)).unwrap_err();
+            assert!(
+                message.contains("usage: report [--json <path>]"),
+                "{message}"
+            );
+        }
+    }
 }

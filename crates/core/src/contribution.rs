@@ -8,7 +8,7 @@
 //! per-column (Figure 6's trace clock cycles).
 
 use crate::distill::DistilledModel;
-use xai_accel::Accelerator;
+use xai_accel::{occluded, Accelerator, Rect};
 use xai_tensor::ops;
 use xai_tensor::{Matrix, Result, TensorError};
 
@@ -26,14 +26,15 @@ pub enum Region {
     Row(usize),
 }
 
-/// Returns `x` with the region zeroed — the `X′` of Equation 5.
+/// The `(rows, cols)` ranges `region` covers of an `m × n` matrix —
+/// the one bounds check behind [`occlude`] and
+/// [`contributions_batch_on`].
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when the region exceeds the
 /// matrix bounds.
-pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
+fn region_ranges((m, n): (usize, usize), region: Region) -> Result<Rect> {
     let out_of_bounds = |left, op| {
         Err(TensorError::ShapeMismatch {
             left,
@@ -44,7 +45,7 @@ pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
     // Caller-supplied extents: a sum that would wrap saturates, and
     // `usize::MAX` is past every dimension a matrix can have.
     let end = |start: usize, len: usize| start.saturating_add(len);
-    let (rows, cols) = match region {
+    Ok(match region {
         Region::Element(r, c) if r >= m || c >= n => {
             return out_of_bounds((r, c), "occlude element")
         }
@@ -57,12 +58,17 @@ pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
         Region::Block(r0, c0, h, w) => (r0..r0 + h, c0..c0 + w),
         Region::Column(c) => (0..m, c..c + 1),
         Region::Row(r) => (r..r + 1, 0..n),
-    };
-    let mut out = x.clone();
-    for r in rows {
-        out.row_mut(r)[cols.clone()].fill(0.0);
-    }
-    Ok(out)
+    })
+}
+
+/// Returns `x` with the region zeroed — the `X′` of Equation 5.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the region exceeds the
+/// matrix bounds.
+pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
+    occluded(x, &region_ranges(x.shape(), region)?)
 }
 
 /// Contribution factor of one region: `‖Y − X′ ∗ K‖_F` (host path).
@@ -100,20 +106,22 @@ pub fn contribution_on(
 
 /// Contribution factors for a whole batch of regions at once,
 /// exploiting the platform's multi-input parallelism (§III-D of the
-/// paper): all perturbed inputs are transformed, filtered and
-/// differenced as batched kernels.
+/// paper): one [`Accelerator::contribution_scores`] submission, a lane
+/// per region.
 ///
 /// Bit-identical across every batched route of every built-in
-/// platform (direct, queued, pooled; any batch composition). The
-/// occluded inputs are real, so those platforms run them through the
-/// real-input transform: the scores agree with [`contribution_on`] per
+/// platform (direct, queued, pooled; any batch composition). Those
+/// platforms take each norm in the spectrum — no occluded image, no
+/// inverse transform: the scores agree with [`contribution_on`] per
 /// region and with the host [`contribution`] within the bound of the
 /// interpretation-phase numerics contract (ARCHITECTURE.md), not to
 /// the bit.
 ///
 /// # Errors
 ///
-/// Propagates shape errors.
+/// Returns [`TensorError::ShapeMismatch`] when a region exceeds `x`'s
+/// bounds — before anything is submitted or charged; propagates shape
+/// errors.
 pub fn contributions_batch_on(
     acc: &dyn Accelerator,
     model: &DistilledModel,
@@ -124,16 +132,11 @@ pub fn contributions_batch_on(
     if regions.is_empty() {
         return Ok(Vec::new());
     }
-    let occluded: Vec<_> = regions
+    let rects: Vec<_> = regions
         .iter()
-        .map(|&r| occlude(x, r))
+        .map(|&r| region_ranges(x.shape(), r))
         .collect::<Result<_>>()?;
-    // The fused serving chain: fft → hadamard → ifft → sub as one
-    // batched submission (a single flight with one gather on
-    // platforms with an on-device pipeline). The occluded images are
-    // lent by value: each lane's buffer comes back as its difference.
-    let diffs = acc.filter_diff_real_batch(occluded, model.kernel_spectrum(), y)?;
-    Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
+    acc.contribution_scores(x, y, &rects, model.kernel_spectrum())
 }
 
 /// Per-element contribution map (one occlusion per pixel).
@@ -302,7 +305,36 @@ mod tests {
             let err = contributions_batch_on(&gpu, &model, &x, &y, &regions).unwrap_err();
             assert!(is_block_error(err), "{region:?}");
         }
-        assert_eq!(gpu.stats().kernels, 0);
+        // And every other kind of region at the far end of `usize`,
+        // where `r + 1` would wrap: each its own typed error, on every
+        // built-in route.
+        let far = [
+            (Region::Element(usize::MAX, 0), "occlude element"),
+            (Region::Element(0, usize::MAX), "occlude element"),
+            (
+                Region::Element(usize::MAX - 1, usize::MAX),
+                "occlude element",
+            ),
+            (Region::Row(usize::MAX), "occlude row"),
+            (Region::Row(usize::MAX - 1), "occlude row"),
+            (Region::Column(usize::MAX), "occlude column"),
+            (Region::Column(usize::MAX - 1), "occlude column"),
+        ];
+        let queued = xai_accel::TpuAccel::tpu_v2().with_batching(std::time::Duration::ZERO, 16);
+        let platforms: [&dyn Accelerator; 3] = [&gpu, &xai_accel::CpuModel::i7_3700(), &queued];
+        for (region, op) in far {
+            let is_its_error =
+                |err| matches!(err, TensorError::ShapeMismatch { op: o, .. } if o == op);
+            assert!(is_its_error(occlude(&x, region).unwrap_err()), "{region:?}");
+            for acc in platforms {
+                let regions = [Region::Row(0), region];
+                let err = contributions_batch_on(acc, &model, &x, &y, &regions).unwrap_err();
+                assert!(is_its_error(err), "{}: {region:?}", acc.name());
+            }
+        }
+        for acc in platforms {
+            assert_eq!(acc.stats().kernels, 0, "{}", acc.name());
+        }
     }
 
     #[test]

@@ -15,9 +15,19 @@
 //! Built from the 1-D plans and the column kernel alone — no
 //! butterfly, twiddle table or plan type of its own. Any `cols`
 //! (odd and Bluestein lengths included); `rows` must be even.
+//!
+//! Two more pieces serve a caller that wants only a *norm* of what the
+//! inverse would return (a contribution score, `xai-accel`'s
+//! `filter_diff::score_lane`). [`Fft2d::forward_real_block`] is the
+//! forward transform of an image that is zero outside one rectangle —
+//! the row pass runs over the rectangle's rows alone — and
+//! [`Fft2d::residual_energy`] is Parseval on the kept half: the squared
+//! Frobenius norm of a real image from its half spectrum, the dropped
+//! mirror columns counted by weight.
 
 use crate::fft2d::Fft2d;
 use crate::norm::Norm;
+use std::ops::Range;
 use xai_tensor::{Complex64, Matrix};
 
 impl Fft2d {
@@ -37,7 +47,38 @@ impl Fft2d {
     /// `image.len() == rows * cols`, `half.len() == rows * half_cols()`
     /// and `scratch.len() == cols`.
     pub fn forward_real(&self, image: &[f64], half: &mut [Complex64], scratch: &mut [Complex64]) {
+        self.forward_real_block(image, 0..self.rows, 0..self.cols, half, scratch);
+    }
+
+    /// [`Fft2d::forward_real`] of `image` *restricted to* the rectangle
+    /// `rows × cols` — every element outside it read as zero — without
+    /// building that image: the row pass packs the rectangle's rows two
+    /// by two straight from `image` (`⌈rows.len() / 2⌉` row transforms
+    /// instead of `rows / 2`; an odd last row rides alone), the other
+    /// half-spectrum rows are zero-filled, and the column pass is whole.
+    /// With the full ranges this *is* `forward_real`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fft2d::forward_real`], and unless `rows` and `cols` are
+    /// ranges inside the planned shape.
+    pub fn forward_real_block(
+        &self,
+        image: &[f64],
+        rows: Range<usize>,
+        cols: Range<usize>,
+        half: &mut [Complex64],
+        scratch: &mut [Complex64],
+    ) {
         let (n, h) = self.check_real(image.len(), half.len(), scratch.len());
+        assert!(
+            rows.start <= rows.end
+                && rows.end <= self.rows
+                && cols.start <= cols.end
+                && cols.end <= n,
+            "the rectangle {rows:?} × {cols:?} must lie inside the planned {} × {n} image",
+            self.rows
+        );
         // `z` paired with its mirror bin `m`: the spectra of the real
         // and of the imaginary part of the packed signal.
         let unpack = |z: Complex64, m: Complex64| {
@@ -46,9 +87,22 @@ impl Fft2d {
                 Complex64::new(0.5 * (z.im + m.im), 0.5 * (m.re - z.re)),
             )
         };
-        for (rows, halves) in image.chunks_exact(2 * n).zip(half.chunks_exact_mut(2 * h)) {
-            let (ra, rb) = rows.split_at(n);
-            for ((z, &a), &b) in scratch.iter_mut().zip(ra).zip(rb) {
+        half[..rows.start * h].fill(Complex64::ZERO);
+        half[rows.end * h..].fill(Complex64::ZERO);
+        let block = image[rows.start * n..rows.end * n].chunks(2 * n);
+        for (pair, halves) in block.zip(half[rows.start * h..rows.end * h].chunks_mut(2 * h)) {
+            scratch[..cols.start].fill(Complex64::ZERO);
+            scratch[cols.end..].fill(Complex64::ZERO);
+            let (ra, rb) = pair.split_at(n);
+            let packed = scratch[cols.clone()].iter_mut().zip(&ra[cols.clone()]);
+            if rb.is_empty() {
+                // The odd last row alone: its transform is its spectrum.
+                packed.for_each(|(z, &a)| *z = Complex64::from_real(a));
+                self.row_plan.forward(scratch, Norm::Backward);
+                halves.copy_from_slice(&scratch[..h]);
+                continue;
+            }
+            for ((z, &a), &b) in packed.zip(&rb[cols.clone()]) {
                 *z = Complex64::new(a, b);
             }
             self.row_plan.forward(scratch, Norm::Backward);
@@ -76,6 +130,26 @@ impl Fft2d {
     /// Panics unless `filter` has the planned shape and
     /// `half.len() == rows * half_cols()`.
     pub fn hadamard_real(&self, half: &mut [Complex64], filter: &Matrix<Complex64>) {
+        self.zip_hermitian_part(half, filter, |z, k| *z *= k);
+    }
+
+    /// `K_h` itself, written over `half` — for a caller that applies
+    /// one filter to many half spectra ([`Fft2d::residual_energy`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Fft2d::hadamard_real`].
+    pub fn hermitian_part(&self, half: &mut [Complex64], filter: &Matrix<Complex64>) {
+        self.zip_hermitian_part(half, filter, |z, k| *z = k);
+    }
+
+    /// `f(z, K_h[u,v])` on every element `z` of `half`, row-major.
+    fn zip_hermitian_part(
+        &self,
+        half: &mut [Complex64],
+        filter: &Matrix<Complex64>,
+        mut f: impl FnMut(&mut Complex64, Complex64),
+    ) {
         let (m, h) = (self.rows, self.half_cols());
         assert!(
             filter.shape() == (m, self.cols) && half.len() == m * h,
@@ -87,12 +161,52 @@ impl Fft2d {
         for (u, row) in half.chunks_exact_mut(h).enumerate() {
             let (k, mirror) = (filter.row(u), filter.row(if u == 0 { 0 } else { m - u }));
             // Column 0 mirrors itself; column v ≥ 1 mirrors column n − v.
-            row[0] *= part(k[0], mirror[0]);
+            f(&mut row[0], part(k[0], mirror[0]));
             let parts = k[1..].iter().zip(mirror.iter().rev());
             for (z, (&a, &b)) in row[1..].iter_mut().zip(parts) {
-                *z *= part(a, b);
+                f(z, part(a, b));
             }
         }
+    }
+
+    /// `Σ w_v · |residual[u,v] + block[u,v] · filter[u,v]|²` over three
+    /// `rows × half_cols()` half spectra, `w_v = 1` on the columns that
+    /// mirror themselves (`0`, and `cols/2` when `cols` is even) and `2`
+    /// on the rest, whose mirror column was dropped. By Parseval this is
+    /// `rows · cols · ‖d‖_F²` for the real image `d` with the half
+    /// spectrum `residual + block ∘ filter`, `filter` a Hermitian part
+    /// ([`Fft2d::hermitian_part`]) — the norm
+    /// [`Fft2d::inverse_real`] would let one take, without the inverse.
+    /// Rows are summed one by one, in order: a pure function of the
+    /// operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all three hold `rows * half_cols()` elements.
+    pub fn residual_energy(
+        &self,
+        residual: &[Complex64],
+        block: &[Complex64],
+        filter: &[Complex64],
+    ) -> f64 {
+        let h = self.half_cols();
+        assert!(
+            [residual.len(), block.len(), filter.len()] == [self.rows * h; 3],
+            "every half spectrum must hold rows × half_cols elements"
+        );
+        // Column `cols/2 = h − 1` of an even width mirrors itself, like
+        // column 0; every column in between lost its mirror.
+        let nyquist = self.cols.is_multiple_of(2);
+        let doubled = 1..h - usize::from(nyquist);
+        let rows = residual
+            .chunks_exact(h)
+            .zip(block.chunks_exact(h))
+            .zip(filter.chunks_exact(h));
+        rows.fold(0.0, |total, ((r, b), k)| {
+            let at = |v: usize| (r[v] + b[v] * k[v]).norm_sqr();
+            let once = at(0) + if nyquist { at(h - 1) } else { 0.0 };
+            total + (once + 2.0 * doubled.clone().map(at).sum::<f64>())
+        })
     }
 
     /// Inverse of [`Fft2d::forward_real`]: takes the half spectrum in
@@ -225,18 +339,12 @@ mod tests {
 
     #[test]
     fn filtered_pair_is_the_real_part_of_the_complex_sequence() {
-        // A filter with no symmetry at all: only its Hermitian part
-        // reaches the real part of the complex result.
+        // Only the filter's Hermitian part reaches the real part of the
+        // complex result.
         for (m, n) in [(2, 1), (4, 3), (6, 10), (8, 8)] {
             let plan = Fft2d::new(m, n);
             let x = real_image(m, n);
-            let k = Matrix::from_fn(m, n, |r, c| {
-                Complex64::new(
-                    ((r * 3 + c) % 5) as f64 - 1.5,
-                    ((r + c * 2) % 7) as f64 * 0.25,
-                )
-            })
-            .unwrap();
+            let k = lopsided_filter(m, n);
             let mut spectrum = plan.forward(&x.to_complex()).unwrap();
             spectrum
                 .as_mut_slice()
@@ -279,6 +387,108 @@ mod tests {
         assert_eq!(seen, (0..m).collect::<Vec<_>>());
         for ((got, p), y) in fused.iter().zip(plain.iter()).zip(y.iter()) {
             assert_eq!(got.to_bits(), (y - p).to_bits());
+        }
+    }
+
+    /// A filter with no symmetry at all.
+    fn lopsided_filter(m: usize, n: usize) -> Matrix<Complex64> {
+        Matrix::from_fn(m, n, |r, c| {
+            Complex64::new(
+                ((r * 3 + c) % 5) as f64 - 1.5,
+                ((r + c * 2) % 7) as f64 * 0.25,
+            )
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn block_forward_is_the_forward_of_the_image_zeroed_outside_the_rectangle() {
+        // Odd first row, odd height, one row, one element, nothing, all.
+        for (m, n) in [(2usize, 1usize), (4, 3), (6, 10), (8, 8), (16, 4)] {
+            let rects = [
+                (0..m, 0..n),
+                (1..m, 0..n.div_ceil(2)),
+                (1..m.min(4), n / 2..n),
+                (m - 1..m, 0..n),
+                (m / 2..m / 2 + 1, n - 1..n),
+                (m / 2..m / 2, 0..0),
+            ];
+            let plan = Fft2d::new(m, n);
+            let x = real_image(m, n);
+            for (rows, cols) in rects {
+                let inside = |r, c| rows.contains(&r) && cols.contains(&c);
+                let kept = Matrix::from_fn(m, n, |r, c| if inside(r, c) { x[(r, c)] } else { 0.0 });
+                let (mut dense, mut scratch) = workspace(&plan);
+                plan.forward_real(kept.unwrap().as_slice(), &mut dense, &mut scratch);
+                // Whatever the workspace held before is overwritten.
+                let mut pruned = vec![Complex64::new(7.0, -7.0); dense.len()];
+                plan.forward_real_block(
+                    x.as_slice(),
+                    rows.clone(),
+                    cols.clone(),
+                    &mut pruned,
+                    &mut scratch,
+                );
+                let err = pruned
+                    .iter()
+                    .zip(&dense)
+                    .map(|(a, b)| (*a - *b).abs())
+                    .fold(0.0, f64::max);
+                assert!(err < 1e-9, "{m}x{n} {rows:?} x {cols:?}: {err}");
+                if (rows.clone(), cols.clone()) == (0..m, 0..n) {
+                    assert_eq!(pruned, dense, "{m}x{n}: the full rectangle is forward_real");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hermitian_part_is_what_hadamard_real_multiplies_by() {
+        for (m, n) in [(2, 1), (4, 3), (6, 10), (8, 8)] {
+            let plan = Fft2d::new(m, n);
+            let k = lopsided_filter(m, n);
+            let mut filtered = half_spectrum(&plan);
+            plan.hadamard_real(&mut filtered, &k);
+            let mut part = vec![Complex64::ZERO; filtered.len()];
+            plan.hermitian_part(&mut part, &k);
+            let by_hand: Vec<_> = half_spectrum(&plan)
+                .iter()
+                .zip(&part)
+                .map(|(z, k)| *z * *k)
+                .collect();
+            assert_eq!(filtered, by_hand, "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn residual_energy_is_parseval_on_the_kept_half() {
+        // ‖ifft(R + B ∘ K_h)‖_F² · mn, odd and even widths.
+        for (m, n) in [(2usize, 1usize), (2, 2), (4, 3), (6, 10), (8, 8), (16, 4)] {
+            let plan = Fft2d::new(m, n);
+            let residual = half_spectrum(&plan);
+            let (mut block, mut scratch) = workspace(&plan);
+            plan.forward_real_block(
+                real_image(m, n).as_slice(),
+                m / 2..m,
+                0..n.div_ceil(2),
+                &mut block,
+                &mut scratch,
+            );
+            let mut part = vec![Complex64::ZERO; block.len()];
+            plan.hermitian_part(&mut part, &lopsided_filter(m, n));
+            let energy = plan.residual_energy(&residual, &block, &part);
+            let mut sum: Vec<_> = residual
+                .iter()
+                .zip(block.iter().zip(&part))
+                .map(|(r, (b, k))| *r + *b * *k)
+                .collect();
+            let mut image = vec![0.0; m * n];
+            plan.inverse_real(&mut sum, &mut image, &mut scratch, |_, _| {});
+            let want = image.iter().map(|v| v * v).sum::<f64>() * (m * n) as f64;
+            assert!(
+                (energy - want).abs() <= 1e-12 * want.max(1.0),
+                "{m}x{n}: {energy} vs {want}"
+            );
         }
     }
 
@@ -341,5 +551,29 @@ mod tests {
             plan.hadamard_real(&mut [Complex64::ZERO; 16], &k);
         });
         assert!(wrong_half.is_err());
+        // Past the image, and (spelled out, as the literal is a lint)
+        // ending before it starts.
+        let backwards = Range { start: 3, end: 2 };
+        for (rows, cols) in [
+            (0..5, 0..4),
+            (0..4, 0..5),
+            (backwards.clone(), 0..4),
+            (0..4, backwards),
+        ] {
+            let outside = std::panic::catch_unwind(|| {
+                let (mut half, mut scratch) = workspace(&plan);
+                plan.forward_real_block(&[0.0; 16], rows, cols, &mut half, &mut scratch);
+            });
+            assert!(outside.is_err());
+        }
+        let (half, short) = ([Complex64::ZERO; 12], [Complex64::ZERO; 11]);
+        for (r, b, k) in [
+            (&short[..], &half[..], &half[..]),
+            (&half[..], &short[..], &half[..]),
+            (&half[..], &half[..], &short[..]),
+        ] {
+            let wrong_len = std::panic::catch_unwind(|| plan.residual_energy(r, b, k));
+            assert!(wrong_len.is_err());
+        }
     }
 }

@@ -259,6 +259,12 @@ impl Drop for ExplainServer {
 }
 
 fn worker_loop(shared: &Shared) {
+    // The last request's handle, released one request late: by then its
+    // client has almost always dropped its own, so the response this
+    // thread allocated is freed here — not by the client's thread, into
+    // the client's allocator cache, whence its next retained clone
+    // would land in (and fragment) this worker's arena.
+    let mut served: Option<ResponseHandle> = None;
     loop {
         let pending = {
             let mut st = shared.lock();
@@ -272,6 +278,7 @@ fn worker_loop(shared: &Shared) {
                 st = shared.arrivals.wait(st);
             }
         };
+        let handle = pending.handle.clone();
         serve_pending(
             &*shared.acc,
             &shared.model,
@@ -279,6 +286,7 @@ fn worker_loop(shared: &Shared) {
             shared.retry_budget,
             pending,
         );
+        drop(served.replace(handle));
     }
 }
 

@@ -25,6 +25,7 @@
 
 use crate::shared::SharedDevice;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -207,7 +208,30 @@ pub enum KernelJob {
         /// Observed output (the minuend), broadcast across the batch.
         y: Arc<Matrix<f64>>,
     },
+    /// One contribution score `‖y − x′ ∗ k‖_F`, `x′` the input with
+    /// `rect` zeroed, taken in the spectrum: the Frobenius norm of a
+    /// [`KernelJob::FilterDiff`] lane's result without the occluded
+    /// image, the inverse transform or the difference. The modelled
+    /// device still runs that fused chain — a score lane is planned,
+    /// recorded and charged as the filter-diff lane of `x`'s shape.
+    /// All three matrices are per request, hence shared: a retry clone
+    /// of the lane copies no element.
+    Score {
+        /// The input the occlusions are cut from, spatial domain.
+        x: Arc<Matrix<f64>>,
+        /// Half spectrum (`rows × (cols/2 + 1)`) of the unoccluded
+        /// residual `y − x ∗ k`.
+        residual: Arc<Matrix<Complex64>>,
+        /// The filter's Hermitian part on the same kept columns.
+        hermitian: Arc<Matrix<Complex64>>,
+        /// The rectangle of `x` this lane occludes.
+        rect: Rect,
+    },
 }
+
+/// A rectangle of matrix elements, `(rows, cols)`: what one occlusion
+/// zeroes.
+pub type Rect = (Range<usize>, Range<usize>);
 
 /// The input of a [`KernelJob::FilterDiff`] lane, owned by the job from
 /// submission to result. That an occluded image or trace is *real* is
@@ -250,31 +274,44 @@ impl KernelJob {
             KernelJob::Sub { .. } => "sub",
             KernelJob::Matmul { .. } => "matmul",
             KernelJob::FilterDiff { .. } => "filter-diff",
+            KernelJob::Score { .. } => "score",
         }
     }
 }
 
 /// The result of one [`KernelJob`] lane: complex for transforms and
-/// complex elementwise kernels, real for differences and matmuls.
+/// complex elementwise kernels, real for differences and matmuls, one
+/// number for a score.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelResult {
     /// A complex matrix (transform, Hadamard, pointwise division).
     Complex(Matrix<Complex64>),
     /// A real matrix (difference, matmul).
     Real(Matrix<f64>),
+    /// A contribution score.
+    Score(f64),
 }
 
 impl KernelResult {
+    /// What the result holds, for the unwrap panics.
+    fn label(&self) -> &'static str {
+        match self {
+            KernelResult::Complex(_) => "a complex result",
+            KernelResult::Real(_) => "a real result",
+            KernelResult::Score(_) => "a score",
+        }
+    }
+
     /// Unwraps the complex matrix of a transform/elementwise lane.
     ///
     /// # Panics
     ///
-    /// Panics when the result is [`KernelResult::Real`] — the
-    /// dispatcher produced a lane kind the submitter did not queue.
+    /// Panics on any other result — the dispatcher produced a lane
+    /// kind the submitter did not queue.
     pub fn into_complex(self) -> Matrix<Complex64> {
         match self {
             KernelResult::Complex(m) => m,
-            KernelResult::Real(_) => panic!("kernel lane produced a real result, expected complex"),
+            other => panic!("kernel lane produced {}, expected complex", other.label()),
         }
     }
 
@@ -282,14 +319,23 @@ impl KernelResult {
     ///
     /// # Panics
     ///
-    /// Panics when the result is [`KernelResult::Complex`] — the
-    /// dispatcher produced a lane kind the submitter did not queue.
+    /// As [`KernelResult::into_complex`].
     pub fn into_real(self) -> Matrix<f64> {
         match self {
             KernelResult::Real(m) => m,
-            KernelResult::Complex(_) => {
-                panic!("kernel lane produced a complex result, expected real")
-            }
+            other => panic!("kernel lane produced {}, expected real", other.label()),
+        }
+    }
+
+    /// Unwraps the number of a score lane.
+    ///
+    /// # Panics
+    ///
+    /// As [`KernelResult::into_complex`].
+    pub fn into_score(self) -> f64 {
+        match self {
+            KernelResult::Score(s) => s,
+            other => panic!("kernel lane produced {}, expected a score", other.label()),
         }
     }
 }
@@ -869,7 +915,13 @@ mod tests {
             KernelJob::FilterDiff {
                 x: LaneInput::Complex(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
                 filter: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
-                y: Arc::new(r),
+                y: Arc::new(r.clone()),
+            },
+            KernelJob::Score {
+                x: Arc::new(r),
+                residual: Arc::new(Matrix::filled(2, 2, Complex64::ZERO).unwrap()),
+                hermitian: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
+                rect: (0..1, 0..2),
             },
         ];
         let kinds: Vec<_> = jobs.iter().map(KernelJob::kind).collect();
@@ -881,7 +933,8 @@ mod tests {
                 "pointwise-div",
                 "sub",
                 "matmul",
-                "filter-diff"
+                "filter-diff",
+                "score"
             ]
         );
     }
@@ -973,6 +1026,7 @@ mod tests {
             KernelResult::Real(r.clone()).into_real().as_slice(),
             r.as_slice()
         );
+        assert_eq!(KernelResult::Score(1.5).into_score(), 1.5);
     }
 
     #[test]

@@ -63,7 +63,9 @@ pub mod systolic;
 pub mod topology;
 pub mod trace;
 
-pub use batch::{BatchQueue, KernelJob, KernelResult, LaneInput, ManualTime, QueueTime, WallTime};
+pub use batch::{
+    BatchQueue, KernelJob, KernelResult, LaneInput, ManualTime, QueueTime, Rect, WallTime,
+};
 pub use compiler::{
     compile_contribution, compile_contribution_batch, compile_distillation, compile_fft2d,
     Fft2dSlots,

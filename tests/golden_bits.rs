@@ -93,33 +93,38 @@ fn fft2d_bits_match_the_transposing_implementation() {
 /// occluded-looking block the butterflies must carry as exact zeros)
 /// and one element is `-0.0`.
 ///
-/// Re-recorded once, by PR 19: these sixteen lanes are real, so they
-/// now take the real-input transform pair, which the numerics contract
-/// (`filter_diff.rs`) holds within
-/// `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)`
-/// of the complex sequence that recorded the old constants.
-/// Observed distance from them: at most 4 ulp on the fifteen scores of
-/// order 40–55 (four did not move); score 6 — the all-zero block, whose
-/// ≈ 1.1e-6 is the model's own fit residue — moved by 1.8e-16, which
-/// is 872 597 ulp of that residue. [`COMPLEX_BLOCK_MAP`] pins that the
-/// complex sequence itself did not move.
+/// Re-recorded twice, each time for a change of arithmetic the
+/// numerics contract (`filter_diff.rs`) holds within
+/// `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of what recorded the
+/// constants before it. PR 19: these sixteen lanes are real and took
+/// the real-input transform pair (at most 4 ulp from the complex
+/// sequence on the fifteen scores of order 40–55; score 6 — the
+/// all-zero block, whose ≈ 1.1e-6 is the model's own fit residue —
+/// moved by 1.8e-16, 872 597 ulp of that residue). PR 21: the request
+/// has even rows and no non-finite pixel, so each score is taken in the
+/// spectrum — one residual spectrum, a block-pruned forward and a
+/// Parseval sum per block, no inverse transform. Observed distance from
+/// PR 19's constants: at most 3 ulp on those fifteen scores (three did
+/// not move); score 6 moved by 4.8e-15, which is 22 488 198 ulp of the
+/// residue (the bound here is 4.0e-12). [`COMPLEX_BLOCK_MAP`] pins that
+/// the complex sequence itself moved neither time.
 const BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c156,
-    0x4048_3348_d9d5_808a,
-    0x4049_b2a9_9450_7bb7,
-    0x4043_95d4_98e0_c3ad,
-    0x4045_4a2f_3e47_eeee,
-    0x4043_95d4_9706_36b5,
-    0x3eb2_9f39_c1b6_a8f8,
-    0x4048_3348_dd99_5625,
-    0x404b_57a4_1ab1_5992,
+    0x4044_fe89_1515_c155,
+    0x4048_3348_d9d5_808c,
+    0x4049_b2a9_9450_7bb9,
+    0x4043_95d4_98e0_c3ae,
+    0x4045_4a2f_3e47_eeef,
+    0x4043_95d4_9706_36b7,
+    0x3eb2_9f39_c05f_8472,
+    0x4048_3348_dd99_5627,
+    0x404b_57a4_1ab1_598f,
     0x4043_cb06_a365_1ec6,
     0x4043_cb06_a167_ff5f,
-    0x404b_57a4_1b11_7bd3,
-    0x4047_d60e_0048_298f,
+    0x404b_57a4_1b11_7bd2,
+    0x4047_d60e_0048_2991,
     0x4049_b2a9_93be_585f,
-    0x4043_95d4_9785_e453,
-    0x4045_4a2f_3c0d_4213,
+    0x4043_95d4_9785_e454,
+    0x4045_4a2f_3c0d_4214,
 ];
 
 /// The model and pair behind [`BLOCK_MAP`].
