@@ -3,9 +3,11 @@
 //! Both execute the real kernels on the host (results are exact) and
 //! charge a roofline time model calibrated to the paper's evaluation
 //! parts: an Intel i7 3.70 GHz host CPU and an NVIDIA GeForce
-//! GTX 1080 (§IV-A). The same data-decomposition optimisation the
-//! paper deploys on all three platforms is modelled through
-//! [`RooflineParams::workers`].
+//! GTX 1080 (§IV-A). The two are one type, [`HostModel`], and one
+//! `Accelerator` implementation: a host-class platform is a
+//! [`RooflineParams`] and a launch grid — how many kernels a batch of
+//! `n` lanes costs. The CPU launches a kernel per lane, the GPU one
+//! grid per batch, and that is all that differs.
 //!
 //! Kernels take `&self` — the only mutable state is the [`Clock`]
 //! ledger — so a single model can be shared across worker threads as
@@ -24,10 +26,9 @@
 //! replay the staged chain's charges afterwards; contribution scores
 //! are taken in the spectrum and charged as those lanes.
 //!
-//! Sustained-throughput calibration (documented in EXPERIMENTS.md):
-//! the models use *sustained* rather than peak figures, since the
-//! pipeline's kernels are small and latency/occupancy-bound on real
-//! hardware.
+//! Sustained-throughput calibration: the models use *sustained* rather
+//! than peak figures, since the pipeline's kernels are small and
+//! latency/occupancy-bound on real hardware.
 
 use crate::clock::Clock;
 use crate::filter_diff;
@@ -39,19 +40,80 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{LaneInput, Rect};
 
-/// Shared kernel implementations + accounting for host-class models.
+/// `lanes → (kernels per stage, lanes per kernel)` of a host model's
+/// batched launches.
+type Grid = fn(usize) -> (usize, usize);
+
+/// A host-class platform: real kernels on the host, a roofline charge
+/// per kernel launch. [`CpuModel`] and [`GpuModel`] name its two
+/// calibrations.
+///
+/// Cloning snapshots the clock into an independent model; share one
+/// clock by sharing the model itself (e.g. `Arc<CpuModel>`).
 #[derive(Debug, Clone)]
-struct HostModel {
+pub struct HostModel {
     name: String,
     params: RooflineParams,
+    grid: Grid,
     clock: Clock,
 }
 
+/// The paper's baseline: "ordinary execution with CPU" on the
+/// Intel i7 3.70 GHz host (§IV-A), with the same data
+/// decomposition applied across its SMT threads. A batched kernel is a
+/// kernel per lane.
+pub type CpuModel = HostModel;
+
+/// The paper's state-of-practice baseline: model training and
+/// outcome interpretation on the external NVIDIA GeForce GTX 1080
+/// (§IV-A).
+///
+/// Batched kernels pay the launch overhead **once** per batch (one
+/// fused grid instead of many small kernels) — this is how the
+/// paper's §III-D multi-input parallelism manifests on a GPU.
+pub type GpuModel = HostModel;
+
 impl HostModel {
-    fn new(name: impl Into<String>, params: RooflineParams) -> Self {
+    /// Sustained model of the paper's Intel i7 3.70 GHz host:
+    /// ~30 GFLOP/s sustained across 8 threads, ~20 GB/s memory
+    /// bandwidth, negligible dispatch cost.
+    pub fn i7_3700() -> Self {
+        Self::with_params(
+            "CPU (Intel i7 3.70 GHz, 8 threads)",
+            RooflineParams {
+                flops_per_sec: 3.0e10,
+                bytes_per_sec: 2.0e10,
+                launch_overhead_s: 2.0e-7,
+            },
+        )
+    }
+
+    /// Sustained model of the paper's NVIDIA GTX 1080: 8.9 TFLOP/s
+    /// peak derated to ~800 GFLOP/s sustained on this pipeline's
+    /// small, launch-bound kernels; 320 GB/s HBM derated to
+    /// ~200 GB/s; ~3 µs per kernel dispatch (stream-amortised — the
+    /// pipeline batches kernels per §III-D, so raw launch latency is
+    /// partially hidden).
+    pub fn gtx1080() -> Self {
+        HostModel {
+            grid: |n| (1, n),
+            ..Self::with_params(
+                "GPU (NVIDIA GTX 1080)",
+                RooflineParams {
+                    flops_per_sec: 8.0e11,
+                    bytes_per_sec: 2.0e11,
+                    launch_overhead_s: 3.0e-6,
+                },
+            )
+        }
+    }
+
+    /// A custom CPU: a kernel per lane, charged by `params`.
+    pub fn with_params(name: impl Into<String>, params: RooflineParams) -> Self {
         HostModel {
             name: name.into(),
             params,
+            grid: |n| (n, 1),
             clock: Clock::new(),
         }
     }
@@ -59,53 +121,6 @@ impl HostModel {
     fn charge(&self, flops: f64, bytes: f64) {
         let t = self.params.kernel_seconds(flops, bytes);
         self.clock.record(t, flops, bytes);
-    }
-
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::matmul_blocked_parallel(a, b, ops::DEFAULT_BLOCK)?;
-        let (m, k) = a.shape();
-        let n = b.cols();
-        self.charge(cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n));
-        Ok(out)
-    }
-
-    fn fft2d(&self, x: &Matrix<Complex64>, forward: bool) -> Result<Matrix<Complex64>> {
-        let (m, n) = x.shape();
-        let workers = xai_parallel::global().num_threads();
-        let plan = global_plan_cache().plan_2d(m, n);
-        let out = if forward {
-            plan.forward_parallel(x, workers)?
-        } else {
-            plan.inverse_parallel(x, workers)?
-        };
-        self.charge_fft2d(&plan, 1);
-        Ok(out)
-    }
-
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let out = ops::hadamard(a, b)?;
-        self.charge_hadamard(a.len(), 1);
-        Ok(out)
-    }
-
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::pointwise_div(a, b, policy)?;
-        self.charge(
-            cost::elementwise_flops(a.len(), 10.0),
-            cost::elementwise_bytes(a.len()),
-        );
-        Ok(out)
-    }
-
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::sub(a, b)?;
-        self.charge_sub(a.len(), 1);
-        Ok(out)
     }
 
     /// One kernel launch transforming `lanes` matrices of `plan`'s
@@ -137,11 +152,10 @@ impl HostModel {
     }
 
     /// The staged filter-diff chain's charges for `n` lanes of `shape`,
-    /// stage-major (the order is part of the clock's bits), at
-    /// `grid(n) = (kernels per stage, lanes per kernel)`: the CPU a
-    /// kernel per lane, the GPU one grid.
-    fn charge_filter_diff(&self, (rows, cols): (usize, usize), n: usize, grid: Grid) {
-        let (launches, lanes) = grid(n);
+    /// stage-major (the order is part of the clock's bits), at this
+    /// platform's grid.
+    fn charge_filter_diff(&self, (rows, cols): (usize, usize), n: usize) {
+        let (launches, lanes) = (self.grid)(n);
         let plan = global_plan_cache().plan_2d(rows, cols);
         (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
         (0..launches).for_each(|_| self.charge_hadamard(rows * cols, lanes));
@@ -149,178 +163,80 @@ impl HostModel {
         (0..launches).for_each(|_| self.charge_sub(rows * cols, lanes));
     }
 
-    /// Both filter-diff entries of a host model: the fused lanes, then
-    /// the staged chain's charges.
-    fn filter_diff<A: Accelerator>(
+    /// A batched kernel as this platform's launches over `lanes`:
+    /// `launch` runs the numerics of one launch's lanes and then charges
+    /// that launch. So the CPU charges lane by lane and a malformed
+    /// batch keeps the charges of the lanes before the odd one; the GPU
+    /// charges one grid or nothing; an empty batch launches nothing.
+    fn launches<T, R>(
         &self,
-        acc: &A,
-        xs: impl Iterator<Item = LaneInput>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-        grid: Grid,
-    ) -> Result<Vec<Matrix<f64>>> {
-        filter_diff::fused(acc, xs, filter, y, |n| {
-            self.charge_filter_diff(filter.shape(), n, grid);
-            Ok(())
-        })
-    }
-
-    /// [`Accelerator::contribution_scores`] of a host model: the score
-    /// lanes, then the charges of as many filter-diff lanes.
-    fn scores<A: Accelerator>(
-        &self,
-        acc: &A,
-        x: &Matrix<f64>,
-        y: &Matrix<f64>,
-        rects: &[Rect],
-        filter: &Matrix<Complex64>,
-        grid: Grid,
-    ) -> Result<Vec<f64>> {
-        filter_diff::scores(acc, x, y, rects, filter, |n| {
-            self.charge_filter_diff(x.shape(), n, grid);
-            Ok(())
-        })
-    }
-}
-
-/// `lanes → (kernels per stage, lanes per kernel)` of a host model's
-/// batched launches.
-type Grid = fn(usize) -> (usize, usize);
-
-/// The paper's baseline: "ordinary execution with CPU" on the
-/// Intel i7 3.70 GHz host (§IV-A), with the same data
-/// decomposition applied across its SMT threads.
-///
-/// Cloning snapshots the clock into an independent model; share one
-/// clock by sharing the model itself (e.g. `Arc<CpuModel>`).
-#[derive(Debug, Clone)]
-pub struct CpuModel {
-    inner: HostModel,
-}
-
-impl Accelerator for CpuModel {
-    fn name(&self) -> String {
-        self.inner.name.clone()
-    }
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.inner.matmul(a, b)
-    }
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.fft2d(x, true)
-    }
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.fft2d(x, false)
-    }
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.hadamard(a, b)
-    }
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        self.inner.pointwise_div(a, b, policy)
-    }
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.inner.sub(a, b)
-    }
-    fn filter_diff_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        let lanes = xs.iter().map(filter_diff::narrow);
-        self.inner.filter_diff(self, lanes, filter, y, |n| (n, 1))
-    }
-    fn filter_diff_real_batch(
-        &self,
-        xs: Vec<Matrix<f64>>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        let lanes = xs.into_iter().map(LaneInput::Real);
-        self.inner.filter_diff(self, lanes, filter, y, |n| (n, 1))
-    }
-    fn contribution_scores(
-        &self,
-        x: &Matrix<f64>,
-        y: &Matrix<f64>,
-        rects: &[Rect],
-        filter: &Matrix<Complex64>,
-    ) -> Result<Vec<f64>> {
-        self.inner.scores(self, x, y, rects, filter, |n| (n, 1))
-    }
-    fn charge_workload(&self, flops: f64, bytes: f64) {
-        self.inner.charge(flops, bytes);
-    }
-    fn elapsed_seconds(&self) -> f64 {
-        self.inner.clock.seconds()
-    }
-    fn stats(&self) -> KernelStats {
-        self.inner.clock.stats()
-    }
-    fn reset(&self) {
-        self.inner.clock.reset();
-    }
-}
-
-/// The paper's state-of-practice baseline: model training and
-/// outcome interpretation on the external NVIDIA GeForce GTX 1080
-/// (§IV-A).
-///
-/// Batched kernels pay the launch overhead **once** per batch (one
-/// fused grid instead of many small kernels) — this is how the
-/// paper's §III-D multi-input parallelism manifests on a GPU.
-///
-/// Cloning snapshots the clock into an independent model; share one
-/// clock by sharing the model itself (e.g. `Arc<GpuModel>`).
-#[derive(Debug, Clone)]
-pub struct GpuModel {
-    inner: HostModel,
-}
-
-impl GpuModel {
-    fn batch_transform(
-        &self,
-        xs: &[Matrix<Complex64>],
-        forward: bool,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        if xs.is_empty() {
-            return Ok(Vec::new());
+        lanes: &[T],
+        launch: impl Fn(&[T]) -> Result<Vec<R>>,
+    ) -> Result<Vec<R>> {
+        let mut out = Vec::with_capacity(lanes.len());
+        if !lanes.is_empty() {
+            let (_, per_launch) = (self.grid)(lanes.len());
+            for group in lanes.chunks(per_launch) {
+                out.extend(launch(group)?);
+            }
         }
+        Ok(out)
+    }
+
+    /// One launch transforming `xs` (non-empty) on the plan of its
+    /// first lane's shape: a single lane in row blocks over the host
+    /// pool, several as whole matrices — bit-identical either way. A
+    /// failed launch charges nothing, like every other kernel here.
+    fn transform(&self, xs: &[Matrix<Complex64>], forward: bool) -> Result<Vec<Matrix<Complex64>>> {
         let (m, n) = xs[0].shape();
         let workers = xai_parallel::global().num_threads();
         let plan = global_plan_cache().plan_2d(m, n);
-        // Whole matrices sharded over the host pool (bit-identical to
-        // per-matrix transforms). A failed batch charges nothing, like
-        // every other kernel here.
-        let out = if forward {
-            plan.forward_batch_parallel(xs, workers)?
-        } else {
-            plan.inverse_batch_parallel(xs, workers)?
+        let out = match (xs, forward) {
+            ([x], true) => vec![plan.forward_parallel(x, workers)?],
+            ([x], false) => vec![plan.inverse_parallel(x, workers)?],
+            (_, true) => plan.forward_batch_parallel(xs, workers)?,
+            (_, false) => plan.inverse_batch_parallel(xs, workers)?,
         };
-        self.inner.charge_fft2d(&plan, xs.len());
+        self.charge_fft2d(&plan, xs.len());
         Ok(out)
+    }
+
+    /// Both filter-diff entries: the fused lanes, then the staged
+    /// chain's charges.
+    fn filter_diff(
+        &self,
+        xs: impl Iterator<Item = LaneInput>,
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        filter_diff::fused(self, xs, filter, y, |n| {
+            self.charge_filter_diff(filter.shape(), n);
+            Ok(())
+        })
     }
 }
 
-impl Accelerator for GpuModel {
+impl Accelerator for HostModel {
     fn name(&self) -> String {
-        self.inner.name.clone()
+        self.name.clone()
     }
     fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.inner.matmul(a, b)
+        let out = ops::matmul_blocked_parallel(a, b, ops::DEFAULT_BLOCK)?;
+        let (m, k) = a.shape();
+        let n = b.cols();
+        self.charge(cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n));
+        Ok(out)
     }
     fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.fft2d(x, true)
+        Ok(self.transform(std::slice::from_ref(x), true)?.remove(0))
     }
     fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.fft2d(x, false)
+        Ok(self.transform(std::slice::from_ref(x), false)?.remove(0))
     }
     fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.inner.hadamard(a, b)
+        let out = ops::hadamard(a, b)?;
+        self.charge_hadamard(a.len(), 1);
+        Ok(out)
     }
     fn pointwise_div(
         &self,
@@ -328,36 +244,47 @@ impl Accelerator for GpuModel {
         b: &Matrix<Complex64>,
         policy: DivPolicy,
     ) -> Result<Matrix<Complex64>> {
-        self.inner.pointwise_div(a, b, policy)
+        let out = ops::pointwise_div(a, b, policy)?;
+        self.charge(
+            cost::elementwise_flops(a.len(), 10.0),
+            cost::elementwise_bytes(a.len()),
+        );
+        Ok(out)
     }
     fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.inner.sub(a, b)
+        let out = ops::sub(a, b)?;
+        self.charge_sub(a.len(), 1);
+        Ok(out)
     }
     fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.batch_transform(xs, true)
+        self.launches(xs, |group| self.transform(group, true))
     }
     fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.batch_transform(xs, false)
+        self.launches(xs, |group| self.transform(group, false))
     }
     fn hadamard_batch(
         &self,
         xs: &[Matrix<Complex64>],
         k: &Matrix<Complex64>,
     ) -> Result<Vec<Matrix<Complex64>>> {
-        let out: Result<Vec<_>> = xs.iter().map(|x| ops::hadamard(x, k)).collect();
-        let out = out?;
-        if let Some(first) = xs.first() {
-            self.inner.charge_hadamard(first.len(), xs.len());
-        }
-        Ok(out)
+        self.launches(xs, |group| {
+            let out: Vec<_> = group
+                .iter()
+                .map(|x| ops::hadamard(x, k))
+                .collect::<Result<_>>()?;
+            self.charge_hadamard(group[0].len(), group.len());
+            Ok(out)
+        })
     }
     fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        let out: Result<Vec<_>> = preds.iter().map(|p| ops::sub(y, p)).collect();
-        let out = out?;
-        if !preds.is_empty() {
-            self.inner.charge_sub(y.len(), preds.len());
-        }
-        Ok(out)
+        self.launches(preds, |group| {
+            let out: Vec<_> = group
+                .iter()
+                .map(|p| ops::sub(y, p))
+                .collect::<Result<_>>()?;
+            self.charge_sub(y.len(), group.len());
+            Ok(out)
+        })
     }
     fn filter_diff_batch(
         &self,
@@ -365,8 +292,7 @@ impl Accelerator for GpuModel {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        let lanes = xs.iter().map(filter_diff::narrow);
-        self.inner.filter_diff(self, lanes, filter, y, |n| (1, n))
+        self.filter_diff(xs.iter().map(filter_diff::narrow), filter, y)
     }
     fn filter_diff_real_batch(
         &self,
@@ -374,8 +300,7 @@ impl Accelerator for GpuModel {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        let lanes = xs.into_iter().map(LaneInput::Real);
-        self.inner.filter_diff(self, lanes, filter, y, |n| (1, n))
+        self.filter_diff(xs.into_iter().map(LaneInput::Real), filter, y)
     }
     fn contribution_scores(
         &self,
@@ -384,86 +309,22 @@ impl Accelerator for GpuModel {
         rects: &[Rect],
         filter: &Matrix<Complex64>,
     ) -> Result<Vec<f64>> {
-        self.inner.scores(self, x, y, rects, filter, |n| (1, n))
+        filter_diff::scores(self, x, y, rects, filter, |n| {
+            self.charge_filter_diff(x.shape(), n);
+            Ok(())
+        })
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
-        self.inner.charge(flops, bytes);
+        self.charge(flops, bytes);
     }
     fn elapsed_seconds(&self) -> f64 {
-        self.inner.clock.seconds()
+        self.clock.seconds()
     }
     fn stats(&self) -> KernelStats {
-        self.inner.clock.stats()
+        self.clock.stats()
     }
     fn reset(&self) {
-        self.inner.clock.reset();
-    }
-}
-
-impl CpuModel {
-    /// Sustained model of the paper's Intel i7 3.70 GHz host:
-    /// ~30 GFLOP/s sustained across 8 threads, ~20 GB/s memory
-    /// bandwidth, negligible dispatch cost.
-    pub fn i7_3700() -> Self {
-        CpuModel {
-            inner: HostModel::new(
-                "CPU (Intel i7 3.70 GHz, 8 threads)",
-                RooflineParams {
-                    flops_per_sec: 3.0e10,
-                    bytes_per_sec: 2.0e10,
-                    launch_overhead_s: 2.0e-7,
-                    workers: 8,
-                },
-            ),
-        }
-    }
-
-    /// A custom CPU.
-    pub fn with_params(name: impl Into<String>, params: RooflineParams) -> Self {
-        CpuModel {
-            inner: HostModel::new(name, params),
-        }
-    }
-}
-
-impl Default for CpuModel {
-    fn default() -> Self {
-        Self::i7_3700()
-    }
-}
-
-impl GpuModel {
-    /// Sustained model of the paper's NVIDIA GTX 1080: 8.9 TFLOP/s
-    /// peak derated to ~800 GFLOP/s sustained on this pipeline's
-    /// small, launch-bound kernels; 320 GB/s HBM derated to
-    /// ~200 GB/s; ~3 µs per kernel dispatch (stream-amortised — the
-    /// pipeline batches kernels per §III-D, so raw launch latency is
-    /// partially hidden).
-    pub fn gtx1080() -> Self {
-        GpuModel {
-            inner: HostModel::new(
-                "GPU (NVIDIA GTX 1080)",
-                RooflineParams {
-                    flops_per_sec: 8.0e11,
-                    bytes_per_sec: 2.0e11,
-                    launch_overhead_s: 3.0e-6,
-                    workers: 20,
-                },
-            ),
-        }
-    }
-
-    /// A custom GPU.
-    pub fn with_params(name: impl Into<String>, params: RooflineParams) -> Self {
-        GpuModel {
-            inner: HostModel::new(name, params),
-        }
-    }
-}
-
-impl Default for GpuModel {
-    fn default() -> Self {
-        Self::gtx1080()
+        self.clock.reset();
     }
 }
 

@@ -13,8 +13,8 @@
 //!
 //! Every model executes kernels for real on the host (so numeric
 //! results can be compared across platforms) while advancing a
-//! simulated clock from its hardware cost model — see DESIGN.md
-//! ("timing is simulated, compute is real").
+//! simulated clock from its hardware cost model — "timing is
+//! simulated, compute is real", the first invariant of ARCHITECTURE.md.
 //!
 //! ```
 //! use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
@@ -47,7 +47,7 @@ mod tpu_accel;
 mod traits;
 
 pub use clock::Clock;
-pub use host::{CpuModel, GpuModel};
+pub use host::{CpuModel, GpuModel, HostModel};
 pub use roofline::{cost, RooflineParams};
 pub use stats::KernelStats;
 pub use tpu_accel::TpuAccel;

@@ -7,10 +7,8 @@
 //! (significant on GPUs, where small kernels are latency-bound).
 //!
 //! The paper deploys its data decomposition on every platform
-//! (§IV-A), so the decomposed [`RooflineParams::kernel_seconds`] is
-//! the default cost; [`RooflineParams::serial_kernel_seconds`] models
-//! the *un*-decomposed single-worker execution and exists for the
-//! decomposition on/off ablation.
+//! (§IV-A), so [`RooflineParams::kernel_seconds`] is the decomposed
+//! cost: the whole device works on every kernel.
 
 /// Sustained-performance parameters of a host-class device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,9 +20,6 @@ pub struct RooflineParams {
     pub bytes_per_sec: f64,
     /// Fixed cost per kernel launch, seconds.
     pub launch_overhead_s: f64,
-    /// Number of independent workers the aggregate throughput is
-    /// spread over (threads on CPU, SM groups on GPU).
-    pub workers: usize,
 }
 
 impl RooflineParams {
@@ -32,16 +27,6 @@ impl RooflineParams {
     /// applied: the whole device works on it.
     pub fn kernel_seconds(&self, flops: f64, bytes: f64) -> f64 {
         let compute = flops / self.flops_per_sec;
-        let memory = bytes / self.bytes_per_sec;
-        self.launch_overhead_s + compute.max(memory)
-    }
-
-    /// Time for the same kernel *without* decomposition: a single
-    /// worker computes while the full bandwidth remains available
-    /// (ablation baseline).
-    pub fn serial_kernel_seconds(&self, flops: f64, bytes: f64) -> f64 {
-        let w = self.workers.max(1) as f64;
-        let compute = flops / (self.flops_per_sec / w);
         let memory = bytes / self.bytes_per_sec;
         self.launch_overhead_s + compute.max(memory)
     }
@@ -93,7 +78,6 @@ mod tests {
             flops_per_sec: 1e9,
             bytes_per_sec: 1e8,
             launch_overhead_s: 1e-6,
-            workers: 4,
         }
     }
 
@@ -114,18 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_execution_is_workers_times_slower_when_compute_bound() {
-        let p = params();
-        let decomposed = p.kernel_seconds(1e9, 1.0);
-        let serial = p.serial_kernel_seconds(1e9, 1.0);
-        assert!((serial - 1e-6) / (decomposed - 1e-6) > 3.9);
-        // Memory-bound work does not change.
-        let mem_dec = p.kernel_seconds(1.0, 1e8);
-        let mem_ser = p.serial_kernel_seconds(1.0, 1e8);
-        assert!((mem_dec - mem_ser).abs() < 1e-12);
-    }
-
-    #[test]
     fn cost_formulas_are_positive_and_scale() {
         assert_eq!(cost::matmul_flops(2, 3, 4), 48.0);
         assert!(cost::matmul_bytes(8, 8, 8) > 0.0);
@@ -133,13 +105,5 @@ mod tests {
         assert_eq!(cost::elementwise_bytes(10), 480.0);
         assert_eq!(cost::elementwise_flops(10, 6.0), 60.0);
         assert_eq!(cost::fft2d_bytes(4, 4), 1024.0);
-    }
-
-    #[test]
-    fn zero_workers_treated_as_one() {
-        let mut p = params();
-        p.workers = 0;
-        let t = p.serial_kernel_seconds(1e9, 1.0);
-        assert!(t >= 1.0);
     }
 }

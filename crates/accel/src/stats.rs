@@ -29,15 +29,6 @@ impl KernelStats {
         self.kernels += 1;
     }
 
-    /// Achieved arithmetic throughput, ops/second.
-    pub fn achieved_ops_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.ops / self.seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &KernelStats) {
         self.seconds += other.seconds;
@@ -69,12 +60,6 @@ mod tests {
         assert_eq!(s.seconds, 0.75);
         assert_eq!(s.ops, 150.0);
         assert_eq!(s.kernels, 2);
-        assert!((s.achieved_ops_per_sec() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_time_throughput_is_zero() {
-        assert_eq!(KernelStats::new().achieved_ops_per_sec(), 0.0);
     }
 
     #[test]

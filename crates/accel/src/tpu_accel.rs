@@ -160,15 +160,6 @@ impl TpuAccel {
         )))
     }
 
-    /// A TPU accelerator with an overridden MXU precision
-    /// (ablation A4: int8 — the paper's §II-A quantisation — versus
-    /// bf16, which halves throughput but is far more accurate).
-    pub fn with_precision(precision: xai_tpu::Precision) -> Self {
-        let mut cfg = TpuConfig::tpu_v2();
-        cfg.precision = precision;
-        Self::with_config(cfg)
-    }
-
     /// An accelerator front-end over an existing (possibly shared)
     /// device: several `TpuAccel`s built on one [`SharedDevice`]
     /// behave like several host threads queueing work on one chip.
@@ -1357,8 +1348,13 @@ mod tests {
     fn bf16_precision_is_slower_but_present() {
         use xai_tpu::Precision;
         let a = Matrix::from_fn(64, 64, |r, c| ((r + c) % 7) as f64 / 7.0).unwrap();
-        let int8 = TpuAccel::with_precision(Precision::Int8);
-        let bf16 = TpuAccel::with_precision(Precision::Bf16);
+        let with_precision = |precision| {
+            let mut cfg = TpuConfig::tpu_v2();
+            cfg.precision = precision;
+            TpuAccel::with_config(cfg)
+        };
+        let int8 = with_precision(Precision::Int8);
+        let bf16 = with_precision(Precision::Bf16);
         int8.matmul(&a, &a).unwrap();
         bf16.matmul(&a, &a).unwrap();
         // Same scheduling, half the MAC throughput ⇒ bf16 takes longer

@@ -1,4 +1,4 @@
-//! Benchmarks of the distillation core (ablation A1 of DESIGN.md:
+//! Benchmarks of the distillation core (the solve-strategy ablation:
 //! naive division vs Wiener solve) and the contribution-factor
 //! machinery, including the §III-D host-thread batch parallelism.
 

@@ -1,5 +1,5 @@
-//! Real wall-clock benchmarks of the Fourier library (ablation A3 of
-//! DESIGN.md) and the host-thread scalability behind Figure 4's
+//! Real wall-clock benchmarks of the Fourier library (the transform
+//! ablation) and the host-thread scalability behind Figure 4's
 //! shape: the naive DFT baseline versus the decomposed row–column
 //! transform, serial versus multi-worker, and the in-place lane the
 //! fused filter-diff pipeline runs.

@@ -1,6 +1,6 @@
 //! Benchmarks of the TPU simulator itself: systolic tile simulation
 //! throughput, device phase scheduling, and the int8 quantisation
-//! pipeline (ablation A4 of DESIGN.md).
+//! pipeline (the precision ablation: int8 vs bf16 MXU operands).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,6 +1,6 @@
 //! Regenerates **Figure 4** of the paper: time efficiency of the
 //! three methods on matrices of varying sizes, plus the core-count
-//! ablation (A2 in DESIGN.md) behind the same data-decomposition
+//! ablation (`--sweep-cores`) behind the same data-decomposition
 //! machinery.
 //!
 //! Run: `cargo run --release -p xai-bench --bin fig4`

@@ -61,7 +61,7 @@ fn main() -> Result<()> {
         acc * 100.0
     );
 
-    // Quantitative quality (metrics M1 in DESIGN.md): deletion-curve
+    // Quantitative quality (`xai_core::metrics`): deletion-curve
     // faithfulness and sparseness of the explanations.
     let mut auc_total = 0.0;
     let mut gini_total = 0.0;

@@ -1,6 +1,7 @@
 //! One-shot reproduction report: re-derives every headline claim of
 //! the paper and prints a PASS/FAIL verdict table with measured
-//! values — the executable summary of EXPERIMENTS.md.
+//! values — the executable summary of README.md, "Reproducing the
+//! paper's evaluation".
 //!
 //! Run: `cargo run --release -p xai-bench --bin report`
 //!
@@ -86,7 +87,8 @@ fn main() -> Result<()> {
 
     // --- Table I: classification speedups. ---------------------------
     {
-        // End-to-end training throughputs (EXPERIMENTS.md calibration).
+        // End-to-end training throughputs (the calibration `table1`'s
+        // header explains: training is input-pipeline-bound).
         let cpu = 3.0e10_f64;
         let gpu = 7.5e10_f64;
         let tpu = 1.9e12_f64;
@@ -793,7 +795,7 @@ fn main() -> Result<()> {
         if all_pass {
             "all reproduced claims hold"
         } else {
-            "SOME CLAIMS FAILED — see EXPERIMENTS.md"
+            "SOME CLAIMS FAILED — see the FAIL rows above"
         }
     );
 

@@ -11,10 +11,10 @@
 //! own Table I shows the GPU only ~2.5× faster than the CPU for
 //! training — end-to-end training of small-image models is input-
 //! pipeline- and framework-bound, not FLOP-bound — so the throughput
-//! constants here are calibrated to that regime (see EXPERIMENTS.md
-//! for the calibration note; the pure-compute models used everywhere
-//! else would make the TPU advantage *larger*, so the paper's claim
-//! is conservative under our models).
+//! constants here are calibrated to that regime (`train_platforms`
+//! below states them; the pure-compute models used everywhere else
+//! would make the TPU advantage *larger*, so the paper's claim is
+//! conservative under our models).
 //!
 //! Run: `cargo run --release -p xai-bench --bin table1`
 
@@ -41,7 +41,6 @@ fn train_platforms() -> Vec<Box<dyn Accelerator>> {
                 flops_per_sec: flops,
                 bytes_per_sec: bytes,
                 launch_overhead_s: 0.0,
-                workers: 1,
             },
         ))
     };
@@ -89,7 +88,7 @@ fn train_accuracy_resnet(seed: u64) -> Result<f64> {
 fn main() -> Result<()> {
     println!("== Table I: Comparison of accuracy and classification time ==\n");
     println!("(times are per 10 epochs, batch 128, full-size network workloads;");
-    println!(" accuracy is real training of the scaled models — see EXPERIMENTS.md)\n");
+    println!(" accuracy is real training of the scaled models)\n");
 
     let workloads = [
         (NetworkWorkload::vgg19_cifar100(), "VGG19"),

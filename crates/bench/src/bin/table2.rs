@@ -71,6 +71,6 @@ fn main() -> Result<()> {
     println!("{}", table.render());
     println!("\nNote: absolute times differ from the paper (hardware models vs real");
     println!("hardware on full-size networks); the win/loss ordering and the");
-    println!("order-of-magnitude gaps are the reproduced claims — see EXPERIMENTS.md.");
+    println!("order-of-magnitude gaps are the reproduced claims (`report` gates them).");
     Ok(())
 }

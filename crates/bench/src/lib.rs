@@ -12,7 +12,9 @@
 //! | Figure 6 | `fig6` | trace attribution pinpoints the attack cycle |
 //!
 //! Criterion benches (`cargo bench -p xai-bench`) measure *real*
-//! wall-clock of the kernels and the ablations A1–A4 of DESIGN.md.
+//! wall-clock of the kernels and four ablations: solve strategy
+//! (`distill`), core count (`fig4 -- --sweep-cores`), transform
+//! algorithm (`fourier`) and MXU precision (`tpu`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,8 +4,8 @@
 //! "output Y" as matrices of equal form (Equation 2) but is silent on
 //! how a `d`-class logit vector becomes a matrix of the input's
 //! shape. We use the canonical zero-padded embedding: logits occupy
-//! the first row's leading entries, the rest is zero (documented in
-//! DESIGN.md §4). Inputs with channels are reduced by channel mean —
+//! the first row's leading entries, the rest is zero
+//! ([`embed_output`]). Inputs with channels are reduced by channel mean —
 //! the distilled model explains *spatial* structure, matching the
 //! paper's block/cycle granularity.
 
@@ -33,11 +33,6 @@ pub fn embed_output(logits: &[f64], shape: (usize, usize)) -> Result<Matrix<f64>
         out[(0, j)] = v;
     }
     Ok(out)
-}
-
-/// Extracts the logit vector back out of an embedded matrix.
-pub fn extract_output(y: &Matrix<f64>, classes: usize) -> Vec<f64> {
-    (0..classes.min(y.cols())).map(|j| y[(0, j)]).collect()
 }
 
 /// Reduces a `C × H × W` volume to an `H × W` matrix by channel mean.
@@ -93,7 +88,7 @@ mod tests {
         assert_eq!(y[(0, 0)], 1.5);
         assert_eq!(y[(0, 2)], 3.0);
         assert_eq!(y[(1, 0)], 0.0);
-        assert_eq!(extract_output(&y, 3), logits.to_vec());
+        assert_eq!(y.row(0)[..3], logits);
     }
 
     #[test]
@@ -131,7 +126,7 @@ mod tests {
             assert_eq!(x.shape(), (8, 8));
             assert_eq!(y.shape(), (8, 8));
             let logits = net.forward(input).unwrap();
-            assert_eq!(extract_output(y, 4), logits.as_slice().to_vec());
+            assert_eq!(&y.row(0)[..4], logits.as_slice());
         }
     }
 }

@@ -10,6 +10,9 @@
 //! distillation of `xai-core` replaces all of it with one Fourier
 //! round trip; `cargo run -p xai-bench --bin baseline` measures the
 //! real wall-clock gap between the two approaches on the same model.
+//!
+//! Kept because: it is the §I LIME claim — `report`'s "closed form vs
+//! LIME" row and `tests/reproduction.rs` compare the product against it.
 
 use crate::contribution::{occlude, Region};
 use rand::rngs::StdRng;

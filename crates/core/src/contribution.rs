@@ -139,26 +139,6 @@ pub fn contributions_batch_on(
     acc.contribution_scores(x, y, &rects, model.kernel_spectrum())
 }
 
-/// Per-element contribution map (one occlusion per pixel).
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn feature_contributions(
-    model: &DistilledModel,
-    x: &Matrix<f64>,
-    y: &Matrix<f64>,
-) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
-    let mut out = Matrix::zeros(m, n)?;
-    for r in 0..m {
-        for c in 0..n {
-            out[(r, c)] = contribution(model, x, y, Region::Element(r, c))?;
-        }
-    }
-    Ok(out)
-}
-
 /// Per-block contribution scores on a `grid × grid` decomposition of
 /// the input (the paper's Figure 5: "we segmented the given image
 /// into square sub-blocks").
@@ -373,8 +353,6 @@ mod tests {
     #[test]
     fn feature_map_shape_and_block_grid() {
         let (model, x, y) = model_and_pair();
-        let fmap = feature_contributions(&model, &x, &y).unwrap();
-        assert_eq!(fmap.shape(), (6, 6));
         let blocks = block_contributions(&model, &x, &y, 3).unwrap();
         assert_eq!(blocks.shape(), (3, 3));
         assert!(block_contributions(&model, &x, &y, 4).is_err()); // 4 ∤ 6

@@ -21,6 +21,11 @@
 //! can decompose onto one device concurrently, each whole transform
 //! (both stages and both collectives) scheduled atomically under the
 //! device lock.
+//!
+//! Kept because: no served request runs it, but it is Algorithm 1 as
+//! the paper states it — the `scalability` example runs it, and it is
+//! the oracle `tests/device_scheduling.rs` holds the host FFT and the
+//! device clocks to.
 
 use xai_fourier::{dft_matrix, idft_matrix, Norm};
 use xai_tensor::{Complex64, Matrix, Result, TensorError};

@@ -14,12 +14,11 @@
 //! [`SolveStrategy::Wiener`] is the least-squares/Tikhonov version
 //! `F(K) = Σ F(Yᵢ)·conj(F(Xᵢ)) / (Σ|F(Xᵢ)|² + λ)`, which is what the
 //! naive formula degenerates to for one pair and `λ → 0`, and which
-//! is well-posed for many pairs and noisy spectra. The ablation bench
-//! (A1 in DESIGN.md) quantifies the difference.
+//! is well-posed for many pairs and noisy spectra. The `distill`
+//! bench (`cargo bench -p xai-bench --bench distill`) times the two.
 
-use std::sync::Arc;
 use xai_accel::Accelerator;
-use xai_fourier::{global_plan_cache, Fft2d};
+use xai_fourier::global_plan_cache;
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
 
@@ -222,17 +221,6 @@ impl DistilledModel {
         }
     }
 
-    /// Reconstructs a model from a known kernel spectrum (used by the
-    /// incremental builder).
-    fn from_spectrum(spectrum: Matrix<Complex64>) -> Result<Self> {
-        let plan = global_plan_cache().plan_2d(spectrum.rows(), spectrum.cols());
-        let kernel = plan.inverse(&spectrum)?.to_real();
-        Ok(DistilledModel {
-            kernel,
-            kernel_spectrum: spectrum,
-        })
-    }
-
     /// The spatial-domain kernel `K`.
     pub fn kernel(&self) -> &Matrix<f64> {
         &self.kernel
@@ -305,115 +293,6 @@ impl DistilledModel {
             total += diff.frobenius_norm() / denom;
         }
         Ok(total / pairs.len() as f64)
-    }
-}
-
-/// Incremental (streaming) distillation: the Wiener solve's running
-/// sums `Σ F(Yᵢ)·conj(F(Xᵢ))` and `Σ |F(Xᵢ)|²` are updated one pair
-/// at a time, so the distilled model can track a deployed classifier
-/// without re-touching old data — the real-time operation mode the
-/// paper motivates ("time-sensitive applications with soft or hard
-/// deadlines", §I).
-///
-/// # Examples
-///
-/// ```
-/// use xai_core::{DistilledModel, IncrementalDistiller, SolveStrategy};
-/// use xai_tensor::{conv::conv2d_circular, Matrix};
-///
-/// # fn main() -> Result<(), xai_tensor::TensorError> {
-/// let k = Matrix::from_fn(4, 4, |r, c| ((r + c) % 3) as f64 * 0.4)?;
-/// let mut distiller = IncrementalDistiller::new(4, 4, 1e-9);
-/// for s in 0..5 {
-///     let x = Matrix::from_fn(4, 4, |r, c| ((r * 3 + c + s) % 7) as f64 - 3.0)?;
-///     let y = conv2d_circular(&x, &k)?;
-///     distiller.add_pair(&x, &y)?;
-/// }
-/// let model = distiller.model()?;
-/// assert!(model.kernel().max_abs_diff(&k)? < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalDistiller {
-    shape: (usize, usize),
-    lambda: f64,
-    pairs_seen: usize,
-    cross: Matrix<Complex64>,
-    power: Matrix<Complex64>,
-    plan: Arc<Fft2d>,
-}
-
-impl IncrementalDistiller {
-    /// Creates a streaming distiller for `rows × cols` pairs with
-    /// Tikhonov damping `lambda`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero (matching [`Fft2d::new`]).
-    pub fn new(rows: usize, cols: usize, lambda: f64) -> Self {
-        IncrementalDistiller {
-            shape: (rows, cols),
-            lambda,
-            pairs_seen: 0,
-            cross: Matrix::zeros(rows, cols).expect("dims validated by Fft2d"),
-            power: Matrix::zeros(rows, cols).expect("dims validated by Fft2d"),
-            plan: global_plan_cache().plan_2d(rows, cols),
-        }
-    }
-
-    /// Number of pairs folded in so far.
-    pub fn pairs_seen(&self) -> usize {
-        self.pairs_seen
-    }
-
-    /// Folds one `(X, Y)` pair into the running solution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] for wrong pair shapes.
-    pub fn add_pair(&mut self, x: &Matrix<f64>, y: &Matrix<f64>) -> Result<()> {
-        DistilledModel::check_pair(x, y, self.shape)?;
-        let fx = self.plan.forward(&x.to_complex())?;
-        let fy = self.plan.forward(&y.to_complex())?;
-        self.cross = self
-            .cross
-            .zip_with(&ops::hadamard(&fy, &fx.conj())?, |a, b| a + b)?;
-        self.power = self
-            .power
-            .zip_with(&ops::hadamard(&fx, &fx.conj())?, |a, b| a + b)?;
-        self.pairs_seen += 1;
-        Ok(())
-    }
-
-    /// Downweights the accumulated history by `factor ∈ (0, 1]` —
-    /// exponential forgetting for drifting models.
-    pub fn decay(&mut self, factor: f64) {
-        let f = factor.clamp(0.0, 1.0);
-        self.cross.map_inplace(|z| z.scale(f));
-        self.power.map_inplace(|z| z.scale(f));
-    }
-
-    /// Produces the current distilled model. Cheap relative to the
-    /// accumulation: one division and one inverse transform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] before any pair has
-    /// been added.
-    pub fn model(&self) -> Result<DistilledModel> {
-        if self.pairs_seen == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
-        let den = self.power.map(|z| z + Complex64::from_real(self.lambda));
-        let spectrum = ops::pointwise_div(
-            &self.cross,
-            &den,
-            DivPolicy::Clamp {
-                floor: f64::MIN_POSITIVE,
-            },
-        )?;
-        DistilledModel::from_spectrum(spectrum)
     }
 }
 
@@ -580,62 +459,6 @@ mod tests {
         )
         .unwrap();
         assert!(model.kernel().max_abs_diff(&k).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn incremental_matches_batch_fit() {
-        let k = kernel_4x4();
-        let pairs: Vec<_> = (0..4)
-            .map(|s| {
-                let x = input(s);
-                let y = conv2d_circular(&x, &k).unwrap();
-                (x, y)
-            })
-            .collect();
-        let lambda = 1e-8;
-        let batch = DistilledModel::fit(&pairs, SolveStrategy::Wiener { lambda }).unwrap();
-        let mut inc = IncrementalDistiller::new(4, 4, lambda);
-        for (x, y) in &pairs {
-            inc.add_pair(x, y).unwrap();
-        }
-        assert_eq!(inc.pairs_seen(), 4);
-        let streamed = inc.model().unwrap();
-        assert!(batch.kernel().max_abs_diff(streamed.kernel()).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn incremental_requires_at_least_one_pair() {
-        let inc = IncrementalDistiller::new(4, 4, 1e-6);
-        assert!(inc.model().is_err());
-    }
-
-    #[test]
-    fn incremental_rejects_wrong_shapes() {
-        let mut inc = IncrementalDistiller::new(4, 4, 1e-6);
-        let bad = Matrix::<f64>::zeros(3, 3).unwrap();
-        assert!(inc.add_pair(&bad, &bad).is_err());
-    }
-
-    #[test]
-    fn decay_forgets_old_kernel() {
-        // Train on kernel A, then decay hard and train on kernel B:
-        // the model must follow B.
-        let ka = kernel_4x4();
-        let kb = ka.map(|v| -v + 0.3);
-        let mut inc = IncrementalDistiller::new(4, 4, 1e-9);
-        for s in 0..4 {
-            let x = input(s);
-            inc.add_pair(&x, &conv2d_circular(&x, &ka).unwrap())
-                .unwrap();
-        }
-        inc.decay(1e-9);
-        for s in 4..8 {
-            let x = input(s);
-            inc.add_pair(&x, &conv2d_circular(&x, &kb).unwrap())
-                .unwrap();
-        }
-        let model = inc.model().unwrap();
-        assert!(model.kernel().max_abs_diff(&kb).unwrap() < 1e-4);
     }
 
     #[test]

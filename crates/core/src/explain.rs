@@ -212,30 +212,6 @@ impl TraceExplainer {
         })
     }
 
-    /// Per-register (row) contribution weights — the orthogonal cut of
-    /// the Figure 6 analysis: *which register* carries the decision,
-    /// complementing *which cycle*. For malicious traces this should
-    /// spotlight [`xai_data::mirai::ATTACK_REGISTER`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates network and shape errors.
-    pub fn explain_registers(&self, net: &mut Network, trace: &RegisterTrace) -> Result<Vec<f64>> {
-        let input = trace_input(trace);
-        let logits = net.forward(&input)?;
-        let y = embed_output(logits.as_slice(), trace.table.shape())?;
-        (0..trace.table.rows())
-            .map(|r| {
-                crate::contribution::contribution(
-                    &self.model,
-                    &trace.table,
-                    &y,
-                    crate::contribution::Region::Row(r),
-                )
-            })
-            .collect()
-    }
-
     /// Fraction of malicious traces whose top-weighted cycle is the
     /// ground-truth attack cycle (or the dispatch cycle right after
     /// it) — quantifying Figure 6's claim.
@@ -367,17 +343,6 @@ mod tests {
         let row = ex.to_weight_row();
         assert!(row.contains("weight:"));
         assert!(row.contains('*'));
-    }
-
-    #[test]
-    fn register_attribution_covers_all_rows() {
-        let ds = TraceDataset::new(TraceConfig::default()).unwrap();
-        let traces = ds.generate(8).unwrap();
-        let mut net = resnet_small(1, 8, 2, 1).unwrap();
-        let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default()).unwrap();
-        let weights = explainer.explain_registers(&mut net, &traces[1]).unwrap();
-        assert_eq!(weights.len(), 8);
-        assert!(weights.iter().all(|&w| w >= 0.0));
     }
 
     #[test]

@@ -54,14 +54,14 @@ pub mod metrics;
 pub mod parallel;
 mod pipeline;
 
-pub use adapter::{embed_output, extract_output, pairs_from_network, volume_to_matrix};
+pub use adapter::{embed_output, pairs_from_network, volume_to_matrix};
 pub use baseline::{spearman_correlation, top1_agreement, LimeExplainer, SurrogateExplanation};
 pub use contribution::{
     argmax, argmax2, block_contributions, column_contributions, contribution, contribution_on,
-    contributions_batch_on, feature_contributions, occlude, Region,
+    contributions_batch_on, occlude, Region,
 };
 pub use decompose::{fft2d_on_device, ifft2d_on_device};
-pub use distill::{DistilledModel, IncrementalDistiller, SolveStrategy};
+pub use distill::{DistilledModel, SolveStrategy};
 pub use explain::{ImageExplainer, ImageExplanation, TraceExplainer, TraceExplanation};
 pub use metrics::{deletion_auc, deletion_curve, gini_sparseness};
 pub use parallel::{

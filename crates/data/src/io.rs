@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates on CIFAR-100 and MIRAI register traces. The
 //! synthetic generators in [`crate::cifar`]/[`crate::mirai`] stand in
-//! for them offline (DESIGN.md substitution log); when a user *does*
+//! for them offline (the build has no network access and ships no
+//! dataset); when a user *does*
 //! have the real files, these parsers load them into the same types:
 //!
 //! * [`parse_cifar`] reads the CIFAR binary format (one or two label
@@ -93,11 +94,11 @@ pub fn parse_cifar<R: Read>(mut reader: R, format: CifarFormat) -> Result<Vec<Ci
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::EmptyDimension`] for an empty table,
-/// [`TensorError::DataLength`] for ragged rows, and
-/// [`TensorError::DivisionByZero`] never — malformed hex yields
-/// [`TensorError::DataLength`] with the offending flat index encoded
-/// as `actual`.
+/// Returns [`TensorError::EmptyDimension`] for an empty table and
+/// [`TensorError::DataLength`] for ragged rows. A malformed token — a
+/// non-hex digit, a sign (a register value is unsigned), a value past
+/// `i16` — also yields [`TensorError::DataLength`], with the row in
+/// `expected` and the token's position in that row in `actual`.
 pub fn parse_trace_table<R: Read>(mut reader: R) -> Result<RegisterTrace> {
     let mut text = String::new();
     reader
@@ -112,10 +113,14 @@ pub fn parse_trace_table<R: Read>(mut reader: R) -> Result<RegisterTrace> {
         let mut row = Vec::new();
         for (i, token) in line.split_whitespace().enumerate() {
             let hex = token.strip_prefix("0x").unwrap_or(token);
-            let value = i16::from_str_radix(hex, 16).map_err(|_| TensorError::DataLength {
-                expected: rows.len(),
-                actual: i,
-            })?;
+            // `from_str_radix` alone would take a leading sign.
+            let value = Some(hex)
+                .filter(|h| !h.starts_with(['+', '-']))
+                .and_then(|h| i16::from_str_radix(h, 16).ok())
+                .ok_or(TensorError::DataLength {
+                    expected: rows.len(),
+                    actual: i,
+                })?;
             row.push(value);
         }
         rows.push(row);

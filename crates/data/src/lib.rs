@@ -1,7 +1,8 @@
 //! # xai-data
 //!
 //! Synthetic datasets standing in for the paper's two benchmarks
-//! (see DESIGN.md's substitution log):
+//! (CIFAR-100 and MIRAI register traces — the build is offline and
+//! ships neither; [`io`] parses the real files' formats):
 //!
 //! * [`cifar`] — CIFAR-like images whose classes are defined by a
 //!   bright pattern in a *known* block, so Figure-5-style block
@@ -28,12 +29,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod augment;
 pub mod cifar;
 pub mod io;
 pub mod mirai;
 
-pub use augment::{augment, flip_horizontal, shift, AugmentConfig};
 pub use cifar::{as_training_pairs, ImageConfig, ImageDataset, LabelledImage};
 pub use io::{parse_cifar, parse_trace_table, CifarFormat, CifarRecord};
 pub use mirai::{

@@ -2,6 +2,10 @@
 //! implementation every fast algorithm in this crate is tested
 //! against, and the "ordinary CPU execution" baseline of the paper's
 //! evaluation.
+//!
+//! Kept because: no served request runs it, but it is the oracle of
+//! `tests/paper_equations.rs` (Equations 9–10) and of this crate's
+//! property tests.
 
 use crate::norm::Norm;
 use xai_tensor::Complex64;
@@ -56,12 +60,6 @@ pub fn idft(input: &[Complex64], norm: Norm) -> Vec<Complex64> {
             acc.scale(scale)
         })
         .collect()
-}
-
-/// Forward DFT of a real signal (convenience wrapper).
-pub fn dft_real(input: &[f64], norm: Norm) -> Vec<Complex64> {
-    let complex: Vec<Complex64> = input.iter().map(|&v| Complex64::from_real(v)).collect();
-    dft(&complex, norm)
 }
 
 #[cfg(test)]
@@ -135,7 +133,7 @@ mod tests {
     fn known_dft_of_ramp() {
         // x = [0,1,2,3]; X[0]=6, X[1]=-2+2i, X[2]=-2, X[3]=-2-2i
         let x = [0.0, 1.0, 2.0, 3.0];
-        let spec = dft_real(&x, Norm::Backward);
+        let spec = dft(&x.map(Complex64::from_real), Norm::Backward);
         let expect = [
             Complex64::new(6.0, 0.0),
             Complex64::new(-2.0, 2.0),
@@ -148,7 +146,7 @@ mod tests {
     #[test]
     fn real_input_has_hermitian_spectrum() {
         let x = [1.0, 2.5, -3.0, 4.0, 0.5];
-        let spec = dft_real(&x, Norm::Backward);
+        let spec = dft(&x.map(Complex64::from_real), Norm::Backward);
         let n = x.len();
         for k in 1..n {
             let diff = (spec[k] - spec[n - k].conj()).abs();

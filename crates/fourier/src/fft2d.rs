@@ -319,15 +319,6 @@ pub fn ifft2d_batch(xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> 
     }
 }
 
-/// Forward 2-D DFT of a real matrix.
-///
-/// # Errors
-///
-/// Infallible for non-empty matrices; propagates construction errors.
-pub fn fft2d_real(x: &Matrix<f64>) -> Result<Matrix<Complex64>> {
-    fft2d(&x.to_complex())
-}
-
 /// Circular 2-D convolution via the convolution theorem:
 /// `x ∗ k = F⁻¹(F(x) ◦ F(k))`.
 ///
@@ -543,7 +534,7 @@ mod tests {
     #[test]
     fn real_input_spectrum_is_hermitian_2d() {
         let x = Matrix::from_fn(4, 6, |r, c| ((r * 3 + c * 2) % 9) as f64).unwrap();
-        let spec = fft2d_real(&x).unwrap();
+        let spec = fft2d(&x.to_complex()).unwrap();
         let (m, n) = spec.shape();
         for r in 0..m {
             for c in 0..n {

@@ -47,12 +47,9 @@ mod real;
 
 pub use bluestein::BluesteinPlan;
 pub use cache::{global_plan_cache, PlanCache};
-pub use dft::{dft, dft_real, idft};
+pub use dft::{dft, idft};
 pub use fft::Radix2Plan;
-pub use fft2d::{convolve2d_fft, fft2d, fft2d_batch, fft2d_real, ifft2d, ifft2d_batch, Fft2d};
-pub use matrix_form::{
-    dft_matrix, dft_via_matrix, fft2d_via_matmul, idft_matrix, ifft2d_via_matmul, merge_rows,
-    shard_rows,
-};
+pub use fft2d::{convolve2d_fft, fft2d, fft2d_batch, ifft2d, ifft2d_batch, Fft2d};
+pub use matrix_form::{dft_matrix, fft2d_via_matmul, idft_matrix, ifft2d_via_matmul};
 pub use norm::Norm;
 pub use plan::FftPlan;

@@ -7,10 +7,15 @@
 //! products natively; this module provides the host-side reference of
 //! that formulation (the `xai-tpu` simulator consumes the same
 //! matrices).
+//!
+//! Kept because: no served request runs it (numerics run on the host
+//! FFT), but the matrix form is what the *modelled* device is charged
+//! for, `xai-core::decompose` runs Algorithm 1 through these matrices,
+//! and it is the oracle of `tests/paper_equations.rs` (Equations 10–13).
 
 use crate::norm::Norm;
 use xai_tensor::ops::matmul;
-use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tensor::{Complex64, Matrix, Result};
 
 /// Builds the `n × n` DFT matrix `W[j,k] = s·e^{-2πi·jk/n}` where `s`
 /// is the norm's forward scale.
@@ -53,21 +58,6 @@ pub fn idft_matrix(n: usize, norm: Norm) -> Matrix<Complex64> {
     .expect("n > 0")
 }
 
-/// 1-D DFT of a vector via `W_N · x` (Equation 10).
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying matvec (cannot occur
-/// for a well-formed call).
-pub fn dft_via_matrix(x: &[Complex64], norm: Norm) -> Result<Vec<Complex64>> {
-    let n = x.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let w = dft_matrix(n, norm);
-    xai_tensor::ops::matvec(&w, x)
-}
-
 /// 2-D DFT via two matrix products: `X = (W_M · x) · W_N`
 /// (Equation 13) — the exact computation the paper schedules onto the
 /// TPU's MXU.
@@ -95,41 +85,6 @@ pub fn ifft2d_via_matmul(x: &Matrix<Complex64>, norm: Norm) -> Result<Matrix<Com
     let wm = idft_matrix(m, norm);
     let wn = idft_matrix(n, norm);
     matmul(&matmul(&wm, x)?, &wn)
-}
-
-/// Splits the rows of `x` into `p` contiguous shards, as Algorithm 1
-/// assigns row-transform work to TPU cores. Returns at most `p`
-/// non-empty shards of `ceil(rows/p)` rows each (the last may be
-/// smaller).
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyDimension`] if `p == 0`.
-pub fn shard_rows(x: &Matrix<Complex64>, p: usize) -> Result<Vec<Matrix<Complex64>>> {
-    if p == 0 {
-        return Err(TensorError::EmptyDimension);
-    }
-    let rows = x.rows();
-    let per = rows.div_ceil(p);
-    let mut shards = Vec::new();
-    let mut r = 0;
-    while r < rows {
-        let h = per.min(rows - r);
-        shards.push(x.submatrix(r, 0, h, x.cols())?);
-        r += h;
-    }
-    Ok(shards)
-}
-
-/// Reassembles row shards produced by [`shard_rows`] — the "merge
-/// results" step of Algorithm 1.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyDimension`] for an empty shard list and
-/// [`TensorError::ShapeMismatch`] for inconsistent widths.
-pub fn merge_rows(shards: &[Matrix<Complex64>]) -> Result<Matrix<Complex64>> {
-    Matrix::vstack(shards)
 }
 
 #[cfg(test)]
@@ -180,19 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_form_matches_naive_dft() {
-        let x: Vec<Complex64> = (0..9).map(|i| Complex64::new(i as f64, 1.0)).collect();
-        let via_matrix = dft_via_matrix(&x, Norm::Backward).unwrap();
-        let naive = crate::dft::dft(&x, Norm::Backward);
-        let err = via_matrix
-            .iter()
-            .zip(&naive)
-            .map(|(a, b)| (*a - *b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-10);
-    }
-
-    #[test]
     fn equation13_matches_fft2d() {
         for (m, n) in [(4, 4), (3, 5), (8, 6)] {
             let x = test_matrix(m, n);
@@ -210,37 +152,5 @@ mod tests {
             let back = ifft2d_via_matmul(&spec, norm).unwrap();
             assert!(x.max_abs_diff(&back).unwrap() < 1e-9, "{norm:?}");
         }
-    }
-
-    #[test]
-    fn shard_merge_roundtrip() {
-        let x = test_matrix(10, 4);
-        for p in [1usize, 2, 3, 4, 10, 100] {
-            let shards = shard_rows(&x, p).unwrap();
-            assert!(shards.len() <= p.min(10));
-            let merged = merge_rows(&shards).unwrap();
-            assert_eq!(merged, x, "p={p}");
-        }
-    }
-
-    #[test]
-    fn shard_zero_cores_rejected() {
-        let x = test_matrix(4, 4);
-        assert!(shard_rows(&x, 0).is_err());
-    }
-
-    #[test]
-    fn sharded_row_transforms_equal_full_transform() {
-        // Algorithm 1, stage 1: per-shard W_M·xᵢ then merge == W on full x.
-        // Row transforms act per row, so sharding rows commutes with them.
-        let x = test_matrix(8, 8);
-        let full = matmul(&x, &dft_matrix(8, Norm::Backward)).unwrap();
-        let shards = shard_rows(&x, 3).unwrap();
-        let transformed: Vec<_> = shards
-            .iter()
-            .map(|s| matmul(s, &dft_matrix(8, Norm::Backward)).unwrap())
-            .collect();
-        let merged = merge_rows(&transformed).unwrap();
-        assert!(full.max_abs_diff(&merged).unwrap() < 1e-10);
     }
 }

@@ -7,7 +7,9 @@
 //! computes all output positions for all output channels. This module
 //! implements that lowering and verifies it against the direct layer.
 //!
-//! It is the paper's lowering kept as a cross-reference, not the
+//! It is the paper's lowering kept as a test-only cross-reference
+//! (`#[cfg(test)]`: not in the public API, not in a release build) —
+//! an independent, matmul-regrouped check of `Conv2d` — and not the
 //! product path: a matmul regroups each output's sum (and multiplies
 //! padded taps by zero where [`Conv2d`](crate::layers::Conv2d) skips
 //! them), so the two agree to a tolerance, not to the bit, and every

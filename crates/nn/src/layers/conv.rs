@@ -8,7 +8,8 @@
 //! one accumulator receives its terms: every trained weight,
 //! `EpochReport` and localisation figure downstream is pinned to the
 //! bit. The numerics contract is three orders, each a plain sequence
-//! of `acc += a * b` (no FMA, no partial sums, no im2col regrouping):
+//! of `acc += a * b` (no FMA, no partial sums, no im2col regrouping —
+//! `crate::im2col` is a test-only cross-reference, 1e-12 not bits):
 //!
 //! 1. **Output** `(oc, oy, ox)`: starts at `bias[oc]`, then takes its
 //!    taps in `ic`, `ky`, `kx` ascending order.

@@ -28,7 +28,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod im2col;
+#[cfg(test)]
+mod im2col;
 mod layer;
 pub mod layers;
 pub mod models;

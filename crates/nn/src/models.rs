@@ -6,7 +6,8 @@
 //! scaled-down versions (same structural families: VGG = conv/conv/
 //! pool stacks + dense head, ResNet = residual blocks) and use
 //! [`crate::opcount`] to time the *full-size* architectures on the
-//! hardware models (see DESIGN.md substitution table).
+//! hardware models: accuracy comes from the scaled networks, time from
+//! the published architectures' operation counts.
 
 use crate::layers::{Conv2d, Dense, MaxPool2, Relu, Residual};
 use crate::network::Network;

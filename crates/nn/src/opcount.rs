@@ -1,7 +1,8 @@
 //! Operation counts of the paper's full-size benchmark networks.
 //!
 //! Table I times VGG19 on CIFAR-100 and ResNet50 on MIRAI traces.
-//! We do not train those networks (see DESIGN.md), but their
+//! We do not train those networks (a GPU-weeks job; [`crate::models`]
+//! trains scaled-down versions of the same families), but their
 //! *workload sizes* — FLOPs and parameter/activation bytes per sample
 //! — are fixed by the published architectures, so the hardware models
 //! can time the paper's exact workloads. Counts below are derived

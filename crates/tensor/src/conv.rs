@@ -3,9 +3,8 @@
 //! The distilled model of the paper is the single convolution
 //! `X ∗ K = Y` (Equation 2). For the closed-form frequency-domain
 //! solution (Equation 4) to be exact the convolution must be
-//! *circular*; this module provides the circular form (the reference
-//! semantics of the workspace) plus "same"-padded linear convolution
-//! for comparison, and cross-correlation used by the NN substrate.
+//! *circular*; this module provides the circular form, the reference
+//! semantics of the workspace.
 
 use crate::error::{Result, TensorError};
 use crate::matrix::Matrix;
@@ -72,137 +71,6 @@ pub fn conv2d_circular(x: &Matrix<f64>, k: &Matrix<f64>) -> Result<Matrix<f64>> 
     Ok(out)
 }
 
-/// Circular 2-D convolution where the kernel may be smaller than the
-/// signal; the kernel is implicitly zero-padded to the signal's shape.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the kernel is larger than
-/// the signal in either dimension.
-pub fn conv2d_circular_padded(x: &Matrix<f64>, k: &Matrix<f64>) -> Result<Matrix<f64>> {
-    if k.rows() > x.rows() || k.cols() > x.cols() {
-        return Err(TensorError::ShapeMismatch {
-            left: x.shape(),
-            right: k.shape(),
-            op: "conv2d_circular_padded",
-        });
-    }
-    let padded = k.resized(x.rows(), x.cols())?;
-    conv2d_circular(x, &padded)
-}
-
-/// Linear "same" convolution: the kernel's centre sweeps every signal
-/// position; out-of-bounds signal samples are treated as zero.
-///
-/// This matches the conventional CNN layer semantics (up to the
-/// flip-vs-correlate convention; see [`cross_correlate_same`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyDimension`] via matrix construction —
-/// inputs are guaranteed non-empty so in practice this is infallible.
-pub fn conv2d_linear_same(x: &Matrix<f64>, k: &Matrix<f64>) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
-    let (kh, kw) = k.shape();
-    let (ch, cw) = (kh / 2, kw / 2);
-    let mut out = Matrix::zeros(m, n)?;
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for p in 0..kh {
-                for q in 0..kw {
-                    // true convolution flips the kernel
-                    let si = i as isize + ch as isize - p as isize;
-                    let sj = j as isize + cw as isize - q as isize;
-                    if si >= 0 && sj >= 0 && (si as usize) < m && (sj as usize) < n {
-                        acc += x[(si as usize, sj as usize)] * k[(p, q)];
-                    }
-                }
-            }
-            out[(i, j)] = acc;
-        }
-    }
-    Ok(out)
-}
-
-/// "Same"-padded 2-D cross-correlation (no kernel flip) — the
-/// operation CNN frameworks call "convolution".
-///
-/// # Errors
-///
-/// Infallible in practice (inputs are non-empty by construction);
-/// returns the underlying construction error otherwise.
-pub fn cross_correlate_same(x: &Matrix<f64>, k: &Matrix<f64>) -> Result<Matrix<f64>> {
-    let (m, n) = x.shape();
-    let (kh, kw) = k.shape();
-    let (ch, cw) = (kh / 2, kw / 2);
-    let mut out = Matrix::zeros(m, n)?;
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for p in 0..kh {
-                for q in 0..kw {
-                    let si = i as isize + p as isize - ch as isize;
-                    let sj = j as isize + q as isize - cw as isize;
-                    if si >= 0 && sj >= 0 && (si as usize) < m && (sj as usize) < n {
-                        acc += x[(si as usize, sj as usize)] * k[(p, q)];
-                    }
-                }
-            }
-            out[(i, j)] = acc;
-        }
-    }
-    Ok(out)
-}
-
-/// "Valid" cross-correlation with stride: output shrinks to
-/// `(m-kh)/stride + 1 × (n-kw)/stride + 1`. Used by the NN conv layer.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the kernel exceeds the
-/// signal and [`TensorError::EmptyDimension`] if `stride == 0`.
-pub fn cross_correlate_valid(
-    x: &Matrix<f64>,
-    k: &Matrix<f64>,
-    stride: usize,
-) -> Result<Matrix<f64>> {
-    if stride == 0 {
-        return Err(TensorError::EmptyDimension);
-    }
-    let (m, n) = x.shape();
-    let (kh, kw) = k.shape();
-    if kh > m || kw > n {
-        return Err(TensorError::ShapeMismatch {
-            left: x.shape(),
-            right: k.shape(),
-            op: "cross_correlate_valid",
-        });
-    }
-    let oh = (m - kh) / stride + 1;
-    let ow = (n - kw) / stride + 1;
-    let mut out = Matrix::zeros(oh, ow)?;
-    for i in 0..oh {
-        for j in 0..ow {
-            let mut acc = 0.0;
-            for p in 0..kh {
-                for q in 0..kw {
-                    acc += x[(i * stride + p, j * stride + q)] * k[(p, q)];
-                }
-            }
-            out[(i, j)] = acc;
-        }
-    }
-    Ok(out)
-}
-
-/// Flips a kernel by 180° (both axes) — converts between convolution
-/// and cross-correlation conventions.
-pub fn flip180(k: &Matrix<f64>) -> Matrix<f64> {
-    let (m, n) = k.shape();
-    Matrix::from_fn(m, n, |r, c| k[(m - 1 - r, n - 1 - c)]).expect("shape preserved, dims non-zero")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,69 +124,5 @@ mod tests {
         let x = Matrix::<f64>::zeros(3, 3).unwrap();
         let k = Matrix::<f64>::zeros(2, 3).unwrap();
         assert!(conv2d_circular(&x, &k).is_err());
-    }
-
-    #[test]
-    fn padded_kernel_matches_explicit_padding() {
-        let x = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64).unwrap();
-        let k = Matrix::from_rows(&[vec![1.0, -1.0], vec![0.5, 0.0]]).unwrap();
-        let via_padded = conv2d_circular_padded(&x, &k).unwrap();
-        let explicit = conv2d_circular(&x, &k.resized(4, 4).unwrap()).unwrap();
-        assert_eq!(via_padded, explicit);
-    }
-
-    #[test]
-    fn padded_rejects_oversized_kernel() {
-        let x = Matrix::<f64>::zeros(2, 2).unwrap();
-        let k = Matrix::<f64>::zeros(3, 3).unwrap();
-        assert!(conv2d_circular_padded(&x, &k).is_err());
-    }
-
-    #[test]
-    fn linear_same_identity_with_center_delta() {
-        let x = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64).unwrap();
-        let mut delta = Matrix::zeros(3, 3).unwrap();
-        delta[(1, 1)] = 1.0; // centre of a 3×3 kernel
-        assert_eq!(conv2d_linear_same(&x, &delta).unwrap(), x);
-    }
-
-    #[test]
-    fn correlate_same_equals_conv_with_flipped_kernel() {
-        let x = Matrix::from_fn(5, 5, |r, c| ((r * 3 + c * 2) % 7) as f64).unwrap();
-        let k = Matrix::from_fn(3, 3, |r, c| (r as f64) - (c as f64) * 0.5).unwrap();
-        let corr = cross_correlate_same(&x, &k).unwrap();
-        let conv = conv2d_linear_same(&x, &flip180(&k)).unwrap();
-        assert!(corr.max_abs_diff(&conv).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn valid_correlation_shapes_and_values() {
-        let x = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64).unwrap();
-        let k = Matrix::filled(2, 2, 1.0).unwrap();
-        let y = cross_correlate_valid(&x, &k, 1).unwrap();
-        assert_eq!(y.shape(), (3, 3));
-        // window sum at (0,0): 0+1+4+5 = 10
-        assert_eq!(y[(0, 0)], 10.0);
-        let strided = cross_correlate_valid(&x, &k, 2).unwrap();
-        assert_eq!(strided.shape(), (2, 2));
-        assert_eq!(strided[(0, 0)], 10.0);
-        // window at rows 2..4, cols 2..4: 10+11+14+15 = 50
-        assert_eq!(strided[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn valid_correlation_errors() {
-        let x = Matrix::<f64>::zeros(2, 2).unwrap();
-        let k = Matrix::<f64>::zeros(3, 3).unwrap();
-        assert!(cross_correlate_valid(&x, &k, 1).is_err());
-        let k2 = Matrix::<f64>::zeros(2, 2).unwrap();
-        assert!(cross_correlate_valid(&x, &k2, 0).is_err());
-    }
-
-    #[test]
-    fn flip180_involution() {
-        let k = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64).unwrap();
-        assert_eq!(flip180(&flip180(&k)), k);
-        assert_eq!(flip180(&k)[(0, 0)], k[(1, 2)]);
     }
 }

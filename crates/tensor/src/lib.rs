@@ -48,4 +48,4 @@ pub mod quant;
 
 pub use complex::Complex64;
 pub use error::{Result, TensorError};
-pub use matrix::{Matrix, MatrixC64, MatrixF64, Scalar};
+pub use matrix::{Matrix, Scalar};

@@ -81,11 +81,6 @@ pub struct Matrix<T> {
     data: Vec<T>,
 }
 
-/// Real matrix alias used throughout the workspace.
-pub type MatrixF64 = Matrix<f64>;
-/// Complex (spectral) matrix alias.
-pub type MatrixC64 = Matrix<Complex64>;
-
 impl<T: Scalar> Matrix<T> {
     /// Creates a `rows × cols` matrix filled with zeros.
     ///
@@ -482,24 +477,6 @@ impl<T: Scalar> Matrix<T> {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Zero-pads (or truncates) to the target shape, anchored top-left.
-    ///
-    /// This is the canonical shape adapter the distillation solver uses
-    /// to embed an output `Y` into the input's matrix form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] for a zero target shape.
-    pub fn resized(&self, rows: usize, cols: usize) -> Result<Self> {
-        let mut out = Self::zeros(rows, cols)?;
-        for r in 0..self.rows.min(rows) {
-            let w = self.cols.min(cols);
-            let src = &self.data[r * self.cols..r * self.cols + w];
-            out.data[r * cols..r * cols + w].copy_from_slice(src);
-        }
-        Ok(out)
-    }
-
     pub(crate) fn check_same_shape(&self, other: &Self, op: &'static str) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
@@ -763,17 +740,6 @@ mod tests {
         let c = Matrix::<f64>::zeros(2, 2).unwrap();
         assert!(Matrix::hstack(&[a, c]).is_err());
         assert!(Matrix::<f64>::vstack(&[]).is_err());
-    }
-
-    #[test]
-    fn resize_pads_and_truncates() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let grown = m.resized(3, 3).unwrap();
-        assert_eq!(grown[(0, 0)], 1.0);
-        assert_eq!(grown[(1, 1)], 4.0);
-        assert_eq!(grown[(2, 2)], 0.0);
-        let shrunk = m.resized(1, 1).unwrap();
-        assert_eq!(shrunk[(0, 0)], 1.0);
     }
 
     #[test]

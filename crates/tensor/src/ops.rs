@@ -457,20 +457,6 @@ pub fn matvec<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Result<Vec<T>> {
         .collect())
 }
 
-/// Frobenius inner product `Σᵢⱼ AᵢⱼBᵢⱼ` of two real matrices.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] for differing shapes.
-pub fn frobenius_inner(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<f64> {
-    a.check_same_shape(b, "frobenius_inner")?;
-    Ok(a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| x * y)
-        .sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,13 +631,6 @@ mod tests {
         let x = vec![5.0, 6.0];
         assert_eq!(matvec(&a, &x).unwrap(), vec![17.0, 39.0]);
         assert!(matvec(&a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn frobenius_inner_product() {
-        let a = mat(&[&[1.0, 2.0]]);
-        let b = mat(&[&[3.0, 4.0]]);
-        assert_eq!(frobenius_inner(&a, &b).unwrap(), 11.0);
     }
 
     #[test]

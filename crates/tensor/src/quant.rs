@@ -2,10 +2,9 @@
 //!
 //! The paper names quantisation as one of the two pillars of TPU
 //! efficiency (§II-A): "uses 8-bit integers to approximate 16-bit or
-//! 32-bit floating-point numbers". This module implements symmetric
-//! and affine (zero-point) linear quantisation used by the `xai-tpu`
-//! systolic pipeline, plus error metrics for the quantisation
-//! ablation (A4 in DESIGN.md).
+//! 32-bit floating-point numbers". This module implements the
+//! symmetric linear quantisation the `xai-tpu` MXU datapath applies to
+//! both operands of a matmul.
 
 use crate::error::{Result, TensorError};
 use crate::matrix::Matrix;
@@ -39,22 +38,6 @@ impl QuantParams {
             scale,
             zero_point: 0,
         })
-    }
-
-    /// Affine parameters covering `[min, max]` in int8.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidQuantRange`] when `max < min` or
-    /// either bound is non-finite.
-    pub fn affine(min: f64, max: f64) -> Result<Self> {
-        if !min.is_finite() || !max.is_finite() || max < min {
-            return Err(TensorError::InvalidQuantRange { min, max });
-        }
-        let span = max - min;
-        let scale = if span == 0.0 { 1.0 } else { span / 255.0 };
-        let zero_point = (-128.0 - min / scale).round().clamp(-128.0, 127.0) as i32;
-        Ok(QuantParams { scale, zero_point })
     }
 
     /// Quantises one value to int8 with saturation.
@@ -100,23 +83,6 @@ impl QuantizedMatrix {
     /// Propagates [`TensorError::InvalidQuantRange`] for non-finite data.
     pub fn quantize_symmetric(m: &Matrix<f64>) -> Result<Self> {
         let params = QuantParams::symmetric(m.max_abs())?;
-        Ok(Self::quantize_with(m, params))
-    }
-
-    /// Quantises with affine int8 parameters derived from the matrix's
-    /// `[min, max]` range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TensorError::InvalidQuantRange`] for non-finite data.
-    pub fn quantize_affine(m: &Matrix<f64>) -> Result<Self> {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in m.as_slice() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        // Always include 0 so the zero-point is representable.
-        let params = QuantParams::affine(lo.min(0.0), hi.max(0.0))?;
         Ok(Self::quantize_with(m, params))
     }
 
@@ -190,24 +156,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// Root-mean-square quantisation error of round-tripping `m`.
-///
-/// # Errors
-///
-/// Propagates construction errors from quantisation.
-pub fn quantization_rmse(m: &Matrix<f64>) -> Result<f64> {
-    let q = QuantizedMatrix::quantize_symmetric(m)?;
-    let back = q.dequantize();
-    let mse: f64 = m
-        .as_slice()
-        .iter()
-        .zip(back.as_slice())
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        / m.len() as f64;
-    Ok(mse.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,23 +190,8 @@ mod tests {
     #[test]
     fn invalid_range_rejected() {
         assert!(QuantParams::symmetric(f64::NAN).is_err());
-        assert!(QuantParams::affine(2.0, 1.0).is_err());
-        assert!(QuantParams::affine(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn affine_covers_asymmetric_range() {
-        let m = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64).unwrap(); // [0, 15]
-        let q = QuantizedMatrix::quantize_affine(&m).unwrap();
-        let back = q.dequantize();
-        assert!(m.max_abs_diff(&back).unwrap() <= q.params().scale / 2.0 + 1e-12);
-    }
-
-    #[test]
-    fn affine_zero_is_exactly_representable() {
-        let p = QuantParams::affine(-1.0, 3.0).unwrap();
-        let z = p.quantize(0.0);
-        assert_eq!(p.dequantize(z), 0.0);
+        assert!(QuantParams::symmetric(f64::INFINITY).is_err());
+        assert!(QuantParams::symmetric(-1.0).is_err());
     }
 
     #[test]
@@ -277,11 +210,14 @@ mod tests {
     #[test]
     fn quant_matmul_rejects_affine_operands() {
         let m = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64).unwrap();
-        let qa = QuantizedMatrix::quantize_affine(&m).unwrap();
+        let affine = QuantParams {
+            scale: 0.1,
+            zero_point: -128,
+        };
+        let qa = QuantizedMatrix::quantize_with(&m, affine);
         let qs = QuantizedMatrix::quantize_symmetric(&m).unwrap();
-        if qa.params().zero_point != 0 {
-            assert!(qa.matmul_dequant(&qs).is_err());
-        }
+        assert!(qa.matmul_dequant(&qs).is_err());
+        assert!(qs.matmul_dequant(&qa).is_err());
     }
 
     #[test]
@@ -294,15 +230,5 @@ mod tests {
             qa.matmul_dequant(&qb).unwrap_err(),
             TensorError::ShapeMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn rmse_scales_with_dynamic_range() {
-        let small = Matrix::from_fn(8, 8, |r, c| ((r + c) % 5) as f64 * 0.1).unwrap();
-        let large = small.map(|v| v * 100.0);
-        let e_small = quantization_rmse(&small).unwrap();
-        let e_large = quantization_rmse(&large).unwrap();
-        // Same relative error: absolute error scales ~100x.
-        assert!(e_large > e_small * 50.0);
     }
 }

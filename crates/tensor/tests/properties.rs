@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use proptest::prelude::*;
-use xai_tensor::conv::{conv2d_circular, flip180};
+use xai_tensor::conv::conv2d_circular;
 use xai_tensor::ops::{self, matmul, matmul_blocked};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix};
@@ -75,11 +75,6 @@ proptest! {
         let conv = conv2d_circular(&a, &b).unwrap();
         let expect = a.sum() * b.sum();
         prop_assert!((conv.sum() - expect).abs() < 1e-6 * (1.0 + expect.abs()));
-    }
-
-    #[test]
-    fn flip180_is_involution(a in matrix_strategy(3, 5)) {
-        prop_assert_eq!(flip180(&flip180(&a)), a);
     }
 
     #[test]
@@ -170,15 +165,6 @@ proptest! {
                 prop_assert_eq!(*q, Complex64::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn resized_embedding_preserves_content(a in matrix_strategy(3, 4)) {
-        let big = a.resized(6, 8).unwrap();
-        let back = big.submatrix(0, 0, 3, 4).unwrap();
-        prop_assert_eq!(back, a.clone());
-        // padding is zero
-        prop_assert_eq!(big.submatrix(3, 0, 3, 8).unwrap().sum(), 0.0);
     }
 
     #[test]

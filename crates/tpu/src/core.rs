@@ -4,14 +4,14 @@
 //! Every operation *computes its real numeric result on the host*
 //! (through the configured precision's quantisation, so int8 error is
 //! real and measurable) and simultaneously charges cycles, bytes and
-//! energy to the core — "timing is simulated, compute is real"
-//! (DESIGN.md §4).
+//! energy to the core — "timing is simulated, compute is real", the
+//! first invariant of ARCHITECTURE.md.
 
 use crate::config::{Precision, TpuConfig};
 use crate::memory::MemoryModel;
 use crate::systolic::{weight_load_cycles, SystolicArray};
 use crate::trace::{OpKind, Trace};
-use xai_tensor::ops::{self, DivPolicy};
+use xai_tensor::ops;
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 
@@ -185,69 +185,6 @@ impl TpuCore {
         Ok(result)
     }
 
-    /// Elementwise complex product (Hadamard, Equation 3).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when shapes disagree.
-    pub fn hadamard(
-        &mut self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::hadamard(a, b)?;
-        self.charge_elementwise(a.len() as u64, 6);
-        Ok(out)
-    }
-
-    /// Elementwise complex division (Equation 4) under `policy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors and, under [`DivPolicy::Strict`], division
-    /// by zero.
-    pub fn pointwise_div(
-        &mut self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::pointwise_div(a, b, policy)?;
-        self.charge_elementwise(a.len() as u64, 10);
-        Ok(out)
-    }
-
-    /// Elementwise real addition on the vector unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when shapes disagree.
-    pub fn add(&mut self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::add(a, b)?;
-        self.charge_elementwise(a.len() as u64, 1);
-        Ok(out)
-    }
-
-    /// Elementwise real subtraction on the vector unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when shapes disagree.
-    pub fn sub(&mut self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::sub(a, b)?;
-        self.charge_elementwise(a.len() as u64, 1);
-        Ok(out)
-    }
-
-    /// Charges a host → device transfer of `bytes`.
-    pub fn charge_host_transfer(&mut self, bytes: u64) {
-        self.memory.record_read(bytes);
-        let cycles = (bytes as f64 / self.cfg.hbm_bytes_per_cycle_per_core()).ceil() as u64;
-        self.cycles += cycles;
-        self.energy_pj += bytes as f64 * self.cfg.pj_per_hbm_byte;
-        self.trace.record(OpKind::Host, cycles, bytes, 0);
-    }
-
     /// Charges the cycle/energy/traffic cost of an `m×k·k×n` MXU
     /// matmul (`passes` repetitions) without computing it — used by
     /// schedulers that compute results on a fast host path while
@@ -282,12 +219,10 @@ impl TpuCore {
     }
 
     /// Charges the cost of an elementwise vector-unit op over `elems`
-    /// elements without computing it.
+    /// elements (six flops each, a complex multiply) without computing
+    /// it.
     pub fn charge_elementwise_work(&mut self, elems: u64) {
-        self.charge_elementwise(elems, 6);
-    }
-
-    fn charge_elementwise(&mut self, elems: u64, flops_per_elem: u64) {
+        const FLOPS_PER_ELEM: u64 = 6;
         // Vector unit processes one lane-width row per cycle.
         let lanes = self.cfg.array_cols as u64;
         let cycles = elems.div_ceil(lanes);
@@ -295,9 +230,9 @@ impl TpuCore {
         self.cycles += cycles;
         self.memory.record_read(bytes);
         self.energy_pj +=
-            (elems * flops_per_elem) as f64 * self.cfg.pj_per_mac + bytes as f64 * 2.0;
+            (elems * FLOPS_PER_ELEM) as f64 * self.cfg.pj_per_mac + bytes as f64 * 2.0;
         self.trace
-            .record(OpKind::Elementwise, cycles, bytes, elems * flops_per_elem);
+            .record(OpKind::Elementwise, cycles, bytes, elems * FLOPS_PER_ELEM);
     }
 }
 
@@ -373,30 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops_compute_and_charge() {
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = Matrix::filled(4, 4, Complex64::new(2.0, 0.0)).unwrap();
-        let b = Matrix::filled(4, 4, Complex64::new(3.0, 0.0)).unwrap();
-        let h = core.hadamard(&a, &b).unwrap();
-        assert_eq!(h[(0, 0)], Complex64::new(6.0, 0.0));
-        let d = core.pointwise_div(&a, &b, DivPolicy::default()).unwrap();
-        assert!((d[(0, 0)].re - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(
-            core.trace().cycles_of(OpKind::Elementwise),
-            core.elapsed_cycles()
-        );
-    }
-
-    #[test]
-    fn add_sub_on_vector_unit() {
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = Matrix::filled(2, 2, 5.0).unwrap();
-        let b = Matrix::filled(2, 2, 3.0).unwrap();
-        assert_eq!(core.add(&a, &b).unwrap()[(0, 0)], 8.0);
-        assert_eq!(core.sub(&a, &b).unwrap()[(0, 0)], 2.0);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut core = TpuCore::new(TpuConfig::small_test());
         let a = unit_matrix(4);
@@ -407,14 +318,6 @@ mod tests {
         assert_eq!(core.energy_pj(), 0.0);
         assert!(core.trace().is_empty());
         assert_eq!(core.memory().total_bytes(), 0);
-    }
-
-    #[test]
-    fn host_transfer_charges_bandwidth() {
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        core.charge_host_transfer(5_000);
-        // 500 B/cycle/core in the small config
-        assert_eq!(core.elapsed_cycles(), 10);
     }
 
     #[test]
@@ -446,9 +349,12 @@ mod tests {
         // Vector-unit work keeps the core busy but is not a MAC on the
         // systolic array: a Hadamard-only core has an idle MXU.
         let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = Matrix::filled(4, 4, Complex64::new(2.0, 0.0)).unwrap();
-        core.hadamard(&a, &a).unwrap();
+        core.charge_elementwise_work(16);
         assert!(core.elapsed_cycles() > 0);
+        assert_eq!(
+            core.trace().cycles_of(OpKind::Elementwise),
+            core.elapsed_cycles()
+        );
         assert!(core.trace().total_ops() > 0);
         assert_eq!(core.utilization(), 0.0);
     }
@@ -456,7 +362,8 @@ mod tests {
     #[test]
     fn elapsed_seconds_scales_with_clock() {
         let mut core = TpuCore::new(TpuConfig::small_test()); // 1 MHz
-        core.charge_host_transfer(500);
+        let lane_width = core.config().array_cols as u64;
+        core.charge_elementwise_work(lane_width); // one cycle
         assert!((core.elapsed_seconds() - 1e-6).abs() < 1e-12);
     }
 }

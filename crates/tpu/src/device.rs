@@ -78,7 +78,7 @@ impl TpuDevice {
     }
 
     /// Creates a device overriding the configured core count — used by
-    /// the core-count ablation (A2 in DESIGN.md).
+    /// the core-count ablation (`fig4 -- --sweep-cores`).
     pub fn with_cores(mut cfg: TpuConfig, cores: usize) -> Self {
         cfg.cores = cores.max(1);
         Self::new(cfg)
@@ -211,23 +211,6 @@ impl TpuDevice {
             c0.trace.record(OpKind::Collective, cycles, bytes, ops);
         }
         Ok(acc)
-    }
-
-    /// Executes a compiled [`crate::Program`] once per input set,
-    /// inputs distributed round-robin across cores — the §III-D
-    /// multi-input parallelism at the ISA level. The phase wall time
-    /// is the slowest core's, as in [`TpuDevice::run_phase`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] for an empty batch and
-    /// propagates program validation/execution errors.
-    pub fn execute_batch(
-        &mut self,
-        program: &crate::Program,
-        batches: Vec<Vec<(crate::Slot, Matrix<Complex64>)>>,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        self.run_phase(batches, |core, inputs| core.execute(program, &inputs))
     }
 
     /// Charges one `cross_replica_sum`-shaped collective of `bytes`
@@ -381,29 +364,6 @@ mod tests {
         assert_eq!(dev.wall_seconds(), 0.0);
         assert_eq!(dev.collectives(), 0);
         assert_eq!(dev.energy_pj(), 0.0);
-    }
-
-    #[test]
-    fn execute_batch_runs_program_per_input() {
-        use crate::isa::{Instruction, Program};
-        // out = a ◦ a for each input, on whichever core gets it.
-        let program = Program::new(2, vec![Instruction::Hadamard { a: 0, b: 0, dst: 1 }], 1);
-        let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let batches: Vec<Vec<(usize, Matrix<Complex64>)>> = (1..=4)
-            .map(|i| {
-                vec![(
-                    0usize,
-                    Matrix::filled(2, 2, Complex64::from_real(i as f64)).unwrap(),
-                )]
-            })
-            .collect();
-        let outs = dev.execute_batch(&program, batches).unwrap();
-        assert_eq!(outs.len(), 4);
-        for (i, out) in outs.iter().enumerate() {
-            let v = (i + 1) as f64;
-            assert_eq!(out[(0, 0)], Complex64::from_real(v * v));
-        }
-        assert!(dev.wall_seconds() > 0.0);
     }
 
     #[test]

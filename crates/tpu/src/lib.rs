@@ -7,7 +7,7 @@
 //!
 //! The paper runs its closed-form explanation pipeline on a Google
 //! Cloud TPUv2; this crate substitutes a simulator with the same cost
-//! structure (see DESIGN.md's substitution log):
+//! structure (ARCHITECTURE.md, "Where the cost model charges time"):
 //!
 //! * [`systolic`] — a weight-stationary 256×256 systolic array,
 //!   simulated cycle by cycle at small scale (behavioural ground
@@ -17,8 +17,6 @@
 //!   while charging cycles, bytes and picojoules;
 //! * [`TpuDevice`] — 128 cores with `cross_replica_sum` collectives
 //!   costed at `α + β·bytes` (§III-D of the paper);
-//! * [`Program`] — a compact ISA so the whole distillation pipeline
-//!   runs as one device program;
 //! * [`SharedDevice`] / [`BatchQueue`] / [`DevicePool`] — the serving
 //!   stack: a thread-safe device handle, a cross-request coalescing
 //!   queue, and a multi-chip pool that shards coalesced flights
@@ -50,12 +48,10 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-mod compiler;
 mod config;
 mod core;
 mod device;
 pub mod fault;
-mod isa;
 pub mod memory;
 pub mod pool;
 mod shared;
@@ -66,15 +62,10 @@ pub mod trace;
 pub use batch::{
     BatchQueue, KernelJob, KernelResult, LaneInput, ManualTime, QueueTime, Rect, WallTime,
 };
-pub use compiler::{
-    compile_contribution, compile_contribution_batch, compile_distillation, compile_fft2d,
-    Fft2dSlots,
-};
 pub use config::{Precision, TpuConfig};
 pub use core::{bf16_round, TpuCore};
 pub use device::{PhaseTime, TpuDevice};
 pub use fault::{FailStop, FaultPlan, FaultStats, LinkFault};
-pub use isa::{Instruction, Program, Slot};
 pub use memory::MemoryModel;
 pub use pool::{DevicePool, LaneCost, ShardOutcome, ShardPlan, ShardStrategy, ShardedRun};
 pub use shared::{LaneLease, SharedDevice};

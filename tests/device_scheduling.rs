@@ -13,10 +13,8 @@ use tpu_xai::core::{
 };
 use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, TensorError};
 use tpu_xai::tpu::{
-    BatchQueue, DevicePool, Instruction, LaneCost, Program, SharedDevice, SystolicArray, TpuConfig,
-    TpuCore, TpuDevice,
+    BatchQueue, DevicePool, LaneCost, SharedDevice, SystolicArray, TpuConfig, TpuDevice,
 };
-use xai_tensor::ops::DivPolicy;
 
 fn spectrum_input(m: usize, n: usize) -> Matrix<Complex64> {
     Matrix::from_fn(m, n, |r, c| {
@@ -39,34 +37,6 @@ fn algorithm1_is_exact_for_every_core_count() {
         let back = ifft2d_on_device(&device, &dev).unwrap();
         assert!(x.max_abs_diff(&back).unwrap() < 1e-9, "cores={cores}");
     }
-}
-
-#[test]
-fn whole_distillation_runs_as_one_device_program() {
-    // Compile K = F(Y) ⊘ F(X) in the frequency domain as an ISA
-    // program (the "one forward pass" of the paper's §I).
-    let program = Program::new(
-        3,
-        vec![Instruction::PointwiseDiv {
-            a: 0,
-            b: 1,
-            dst: 2,
-            policy: DivPolicy::Clamp { floor: 1e-12 },
-        }],
-        2,
-    );
-    let x = spectrum_input(8, 8);
-    let k = spectrum_input(8, 8).map(|z| z * Complex64::new(0.3, 0.1));
-    let fx = tpu_xai::fourier::fft2d(&x).unwrap();
-    let fk = tpu_xai::fourier::fft2d(&k).unwrap();
-    let fy = xai_tensor::ops::hadamard(&fx, &fk).unwrap();
-
-    let mut core = TpuCore::new(TpuConfig::small_test());
-    let recovered_spec = core.execute(&program, &[(0, fy), (1, fx)]).unwrap();
-    let recovered = tpu_xai::fourier::ifft2d(&recovered_spec).unwrap();
-    assert!(recovered.max_abs_diff(&k).unwrap() < 1e-8);
-    assert!(core.elapsed_cycles() > 0);
-    assert!(core.trace().len() >= 3); // 2 host transfers + 1 div
 }
 
 #[test]

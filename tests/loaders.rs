@@ -7,6 +7,7 @@ use tpu_xai::data::mirai::{TraceLabel, ATTACK_REGISTER, ATTACK_SIGNATURE};
 use tpu_xai::nn::layers::{Dense, Relu};
 use tpu_xai::nn::models::resnet_small;
 use tpu_xai::nn::{Network, Tensor3, Trainer};
+use tpu_xai::tensor::TensorError;
 
 /// Builds a CIFAR-format byte stream with two visually separable
 /// classes (bright top half vs bright bottom half).
@@ -106,45 +107,39 @@ fn trace_text_roundtrips_into_the_explainer() {
 }
 
 #[test]
-fn augmented_parsed_data_keeps_ground_truth_valid() {
-    use tpu_xai::data::augment::{augment, AugmentConfig};
-    use tpu_xai::data::cifar::{ImageConfig, ImageDataset};
-
-    let ds = ImageDataset::new(ImageConfig::default()).unwrap();
-    let images = ds.generate(8).unwrap();
-    let augmented = augment(
-        &images,
-        3,
-        AugmentConfig {
-            flip_probability: 1.0,
-            max_shift: 0,
-            seed: 5,
-        },
-        1,
-    )
-    .unwrap();
-    // Flipped copies still have their salient block as the brightest.
-    let block = ds.config().size / ds.config().grid;
-    for li in &augmented {
-        let (by, bx) = li.salient_block;
-        let mut best = f64::NEG_INFINITY;
-        let mut best_block = (0, 0);
-        for gy in 0..3 {
-            for gx in 0..3 {
-                let mut sum = 0.0;
-                for c in 0..li.image.channels() {
-                    for dy in 0..block {
-                        for dx in 0..block {
-                            sum += li.image.get(c, gy * block + dy, gx * block + dx);
-                        }
-                    }
-                }
-                if sum > best {
-                    best = sum;
-                    best_block = (gy, gx);
-                }
-            }
-        }
-        assert_eq!(best_block, (by, bx));
+fn malformed_trace_tables_are_typed_errors() {
+    let malformed = |row, token| TensorError::DataLength {
+        expected: row,
+        actual: token,
+    };
+    // A register value is unsigned hex: a sign is a malformed token,
+    // before or after the optional `0x`.
+    for (text, row, token) in [
+        ("-1f 02\n03 04", 0, 0),
+        ("+1f 02\n03 04", 0, 0),
+        ("01 02\n03 0x-1f", 1, 1),
+        ("01 0x+1f\n03 04", 0, 1),
+        ("01 02\n-0x1f 04", 1, 0),
+    ] {
+        assert_eq!(
+            parse_trace_table(text.as_bytes()).unwrap_err(),
+            malformed(row, token),
+            "{text:?}"
+        );
     }
+    for empty in ["", "\n\n", "# only a comment\n"] {
+        assert_eq!(
+            parse_trace_table(empty.as_bytes()).unwrap_err(),
+            TensorError::EmptyDimension,
+            "{empty:?}"
+        );
+    }
+    // A ragged last row: the width of the first row, the shortest row.
+    assert_eq!(
+        parse_trace_table("00 01 02\n10 11 12\n20 21".as_bytes()).unwrap_err(),
+        TensorError::DataLength {
+            expected: 3,
+            actual: 2
+        }
+    );
 }
