@@ -18,12 +18,23 @@
 //! A score lane owns nothing but its rectangle. `x`, the residual half
 //! spectrum `R̂ = Ŷ − X̂ ∘ K_h` and `K_h` ([`Spectra`]: two dense
 //! real-input forwards per request, before anything is submitted) are
-//! shared by every lane of the request; the lane transforms `x`
-//! restricted to its rectangle into that same lent workspace
+//! shared by every lane of the request. A rectangle whose box — per side
+//! the power of two at least twice its extent ([`local_box`]) — has
+//! fewer cells than `x` is scored on that box alone ([`local_score`]):
+//! the block, copied to the box's origin, is transformed on the box and
+//! summed against the box's `Â_L`, the kernel's autocorrelation cut to
+//! the lags the box holds
+//! ([`Fft2d::weighted_energy`](xai_fourier::Fft2d::weighted_energy)),
+//! plus `‖r‖²` and a dot with `c = r ⋆ k_h` over the block — per request
+//! two more dense inverses (`c` and the autocorrelation) and one
+//! box-sized forward per box. Any other rectangle, and one the
+//! cancellation guard (point 3) sends on, takes the full-size lane: `x`
+//! restricted to the rectangle is transformed into the lent workspace
 //! ([`Fft2d::forward_real_block`](xai_fourier::Fft2d::forward_real_block))
-//! and returns `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`
-//! ([`Fft2d::residual_energy`](xai_fourier::Fft2d::residual_energy)) —
-//! no occluded image, no inverse transform, no difference matrix.
+//! and the lane returns `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`
+//! ([`Fft2d::residual_energy`](xai_fourier::Fft2d::residual_energy)).
+//! Neither builds an occluded image, an inverse transform per region or
+//! a difference matrix.
 //!
 //! # Numerics contract
 //!
@@ -38,13 +49,19 @@
 //! spectrum when its request could be sixteen real lanes — an even row
 //! count, `y` and `filter` of `x`'s shape — and every element of `x` is
 //! finite; any other request is scored lane by lane (occlude, the lanes
-//! above, `frobenius_norm`: the trait default). Both choices are read
+//! above, `frobenius_norm`: the trait default). Every choice is read
 //! off the operands, never configured, and:
 //!
 //! 1. A lane's result is a pure function of `(x, filter, y)`, a score
 //!    of `(x, y, filter, rectangle)`: bit-identical across direct /
 //!    queued / pooled execution, flight composition, chip count,
-//!    `XAI_THREADS` and retries.
+//!    `XAI_THREADS` and retries. Within a request scored in the
+//!    spectrum the route of a rectangle is a function of its extent and
+//!    `x`'s shape alone: its box has fewer cells than `x` — block-local
+//!    (then the guard of point 3 decides, on the same operands) — or not
+//!    — the full-size lane; so the grid-4 blocks of a 128² or 16² image
+//!    take 64² or 8² boxes, and a grid-2 block, or any block of an 8²
+//!    image, the full-size lane.
 //! 2. A lane that is not real (any non-zero or NaN imaginary part, an
 //!    odd row count, a mismatched operand) runs the complex sequence:
 //!    the staged `fft2d → hadamard → ifft2d → to_real → sub` chain's
@@ -68,6 +85,33 @@
 //!    the closer to the definition where the fit is good: one subtracts
 //!    two nearly equal images per region, the other two nearly equal
 //!    spectra per request.
+//!
+//!    A block-local score is
+//!    `s̃² = ‖r‖² + 2⟨c, x_b⟩ + μ (Σ x_b)² + Σ w |B̂_L|² Â_L / (l_r l_c)`:
+//!    `r = y − x ∗ k_h`, `c = r ⋆ k_h`, `μ = |K_h(0)|² / mn` the kernel
+//!    mean's share of `‖x_b ∗ k_h‖²` (taken exactly: a box-cut constant
+//!    rings), `Â_L` the box's transform of the mean-free autocorrelation
+//!    of `k_h` cut to `|d| < l/2` per side, `B̂_L` the block alone on the
+//!    box — exact for any box of at least `2·extent − 1` per side. Every
+//!    term is a transform or sum of at most `log₂(2mn)` rounding stages,
+//!    so to first order `|s̃² − s²| ≤ ε · log₂(2mn) · M`, `M` the same
+//!    sum taken term by term in magnitude (`2|⟨c, x_b⟩|`, `|Â_L|`), and
+//!    `|s̃ − s| = |s̃² − s²| / (s̃ + s) ≤ ε · log₂(2mn) · M / s̃`. The lane
+//!    keeps `s̃` only when `M ≤ S · s̃`, `S = ‖filter‖_max ‖x‖_F + ‖y‖_F`
+//!    — that is, when its own first-order error is at most half the
+//!    bound above, the other half left to the reference — and otherwise
+//!    takes the full-size lane. Written as a ratio the guard is
+//!    `s̃² ≥ τ · M` with `τ = M / S²`: no fixed `τ` holds an absolute
+//!    bound, and a fixed `τ = 1/4` would send back about a quarter of
+//!    the regions of a well-fitted `serve-large` request, nearly all
+//!    without the mean split (there `M / s̃²` is 1.2–15, and the guard's
+//!    margin `S · s̃ / M` 105–235). What the guard is for is
+//!    cancellation: `y = x′_b ∗ k` for one block leaves
+//!    `s_b² ≈ 2 q_b − 2 q_b ≈ 0`, and that block, unguarded, scores NaN
+//!    or ≈ 10⁵ times the bound (`tests/spectral_score.rs`). Observed,
+//!    kept block-local scores are within 0.051 of the bound of the
+//!    full-size lane on the test shapes and 5.6e-4 of it (≤ 1.2e-12) on
+//!    `serve-large`'s requests.
 //! 4. A NaN or ±inf anywhere in a real lane leaves no finite element
 //!    in its result, as on the complex sequence: the pack, unpack and
 //!    filter steps are full complex arithmetic, never a skipped zero.
@@ -81,6 +125,8 @@
 //!    of the staged chain, a score lane's that of its filter-diff lane.
 
 use crate::traits::{lane_scores, rect_fits, staged_filter_diff, Accelerator};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops;
@@ -185,16 +231,53 @@ pub(crate) fn fused<A: Accelerator>(
     Ok(out)
 }
 
+/// The block-local operands of one score lane, `(‖r‖_F², S, c, Â_L)`:
+/// see [`Spectra`].
+pub(crate) type Local = (f64, f64, Arc<Matrix<f64>>, Arc<Matrix<f64>>);
+
 /// What the score lanes of one request share: the half spectrum of
 /// the unoccluded residual, `R̂ = Ŷ − X̂ ∘ K_h`, and `K_h`, the filter's
-/// Hermitian part on the same kept columns — both `m × (n/2 + 1)`.
-pub(crate) type Spectra = (Arc<Matrix<Complex64>>, Arc<Matrix<Complex64>>);
+/// Hermitian part on the same kept columns — both `m × (n/2 + 1)` — and,
+/// when some rectangle's [`local_box`] has fewer cells than `x`, what
+/// its block-local score reads: `‖r‖_F²`, the contract's scale
+/// `S = ‖filter‖_max ‖x‖_F + ‖y‖_F`, `c = r ⋆ k_h` (`m × n`), and one
+/// `Â_L` per such box ([`window`]).
+pub(crate) struct Spectra {
+    pub(crate) residual: Arc<Matrix<Complex64>>,
+    pub(crate) hermitian: Arc<Matrix<Complex64>>,
+    request: Option<(f64, f64, Arc<Matrix<f64>>)>,
+    windows: Vec<Arc<Matrix<f64>>>,
+}
 
-/// The request's [`Spectra`] — two dense real-input forwards — when it
-/// is scored in the spectrum: an even row count, `y` and `filter` of
-/// `x`'s shape, every rectangle inside it and every element of `x`
-/// finite (a NaN or ±inf pixel is one an occlusion may *remove*, which
-/// `X′ = X − B_r` cannot). `None` hands the request to [`lane_scores`].
+impl Spectra {
+    /// `rect`'s block-local operands, `None` when its box is not
+    /// smaller than the image.
+    pub(crate) fn local(&self, rect: &Rect) -> Option<Local> {
+        let (energy, scale, c) = self.request.as_ref()?;
+        let (l_r, l_c) = local_box(rect);
+        let window = self
+            .windows
+            .iter()
+            .find(|a| a.shape() == (l_r, l_c / 2 + 1))?;
+        Some((*energy, *scale, Arc::clone(c), Arc::clone(window)))
+    }
+}
+
+/// The torus a rectangle is scored on by itself: per side, the power of
+/// two at least twice the rectangle's extent (and at least 2, one row
+/// pair) — wide enough that no lag between two of its cells wraps.
+fn local_box((rows, cols): &Rect) -> (usize, usize) {
+    let side = |r: &Range<usize>| (2 * r.len()).next_power_of_two().max(2);
+    (side(rows), side(cols))
+}
+
+/// The request's [`Spectra`] — two dense real-input forwards, and two
+/// dense inverses and a box-sized forward per box when some rectangle
+/// is scored block-locally — when it is scored in the spectrum: an even
+/// row count, `y` and `filter` of `x`'s shape, every rectangle inside it
+/// and every element of `x` finite (a NaN or ±inf pixel is one an
+/// occlusion may *remove*, which `X′ = X − B_r` cannot). `None` hands
+/// the request to [`lane_scores`].
 pub(crate) fn spectra(
     x: &Matrix<f64>,
     y: &Matrix<f64>,
@@ -214,41 +297,139 @@ pub(crate) fn spectra(
     let plan = global_plan_cache().plan_2d(m, n);
     let h = plan.half_cols();
     let (mut residual, mut hermitian) = (Matrix::zeros(m, h).ok()?, Matrix::zeros(m, h).ok()?);
-    // `hermitian` first holds X̂ ∘ K_h, then K_h itself.
+    // `spectrum` holds X̂, then what `c` and `ã` are the inverses of.
+    let mut spectrum = vec![Complex64::ZERO; m * h];
     let scratch = &mut vec![Complex64::ZERO; n];
     plan.forward_real(y.as_slice(), residual.as_mut_slice(), scratch);
-    plan.forward_real(x.as_slice(), hermitian.as_mut_slice(), scratch);
-    plan.hadamard_real(hermitian.as_mut_slice(), filter);
-    for (r, xk) in residual.as_mut_slice().iter_mut().zip(hermitian.iter()) {
-        *r -= *xk;
-    }
+    plan.forward_real(x.as_slice(), &mut spectrum, scratch);
     plan.hermitian_part(hermitian.as_mut_slice(), filter);
-    Some((Arc::new(residual), Arc::new(hermitian)))
+    let r = residual.as_mut_slice().iter_mut().zip(&spectrum);
+    for ((r, x), k) in r.zip(hermitian.iter()) {
+        *r -= *x * *k;
+    }
+    let smaller = |&(l_r, l_c): &(usize, usize)| l_r.saturating_mul(l_c) < m * n;
+    let mut boxes: Vec<_> = rects.iter().map(local_box).filter(smaller).collect();
+    boxes.sort_unstable();
+    boxes.dedup();
+    let (request, windows) = if boxes.is_empty() {
+        (None, Vec::new())
+    } else {
+        let energy = plan.weighted_energy(residual.as_slice(), None).0 / (m * n) as f64;
+        // `c`, the inverse of R̂ ∘ conj K_h; then `ã`, the inverse of
+        // |K_h|² without its mean bin.
+        let r = spectrum.iter_mut().zip(residual.iter());
+        for ((z, r), k) in r.zip(hermitian.iter()) {
+            *z = *r * k.conj();
+        }
+        let mut c = Matrix::zeros(m, n).ok()?;
+        plan.inverse_real(&mut spectrum, c.as_mut_slice(), scratch, |_, _| {});
+        for (z, k) in spectrum.iter_mut().zip(hermitian.iter()) {
+            *z = Complex64::from_real(k.norm_sqr());
+        }
+        spectrum[0] = Complex64::ZERO;
+        let mut a = Matrix::zeros(m, n).ok()?;
+        plan.inverse_real(&mut spectrum, a.as_mut_slice(), scratch, |_, _| {});
+        let windows = boxes.into_iter().map(|b| window(&a, b).map(Arc::new));
+        let windows = windows.collect::<Option<_>>()?;
+        let scale = guard_scale(x, y, filter);
+        (Some((energy, scale, Arc::new(c))), windows)
+    };
+    Some(Spectra {
+        residual: Arc::new(residual),
+        hermitian: Arc::new(hermitian),
+        request,
+        windows,
+    })
 }
 
-/// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` zeroed, as
-/// `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)` — `B̂` the block-pruned forward of
-/// `x` restricted to `rect`, through `ws` as in [`lane`] — given the
-/// request's [`Spectra`]. A pure function of its operands.
+/// `Â_L` of one box `l_r × l_c`: the real half spectrum (`l_r × (l_c/2 +
+/// 1)`) of the `m × n` autocorrelation `ã` cut to the lags the box holds
+/// without wrapping, `|d_r| < l_r/2` and `|d_c| < l_c/2` (a lag read off
+/// `ã` modulo its shape), zero elsewhere. `ã` is real and even, so
+/// `Â_L` is real.
+fn window(a: &Matrix<f64>, (l_r, l_c): (usize, usize)) -> Option<Matrix<f64>> {
+    let (m, n) = a.shape();
+    // Per side, the element of `a` position `i` of the box reads: the
+    // lag `i` or `i − l`, modulo the image's side; the lag `l/2` is its
+    // own mirror and is cut.
+    let lags = |l: usize, len: usize| -> Vec<Option<usize>> {
+        let lag = |i: usize| match i.cmp(&(l / 2)) {
+            Ordering::Less => Some(i % len),
+            Ordering::Equal => None,
+            Ordering::Greater => Some((len - (l - i) % len) % len),
+        };
+        (0..l).map(lag).collect()
+    };
+    let (rows, cols) = (lags(l_r, m), lags(l_c, n));
+    let mut cut = vec![0.0; l_r * l_c];
+    for (at, p) in cut.chunks_exact_mut(l_c).zip(&rows) {
+        let Some(p) = p else { continue };
+        for (v, q) in at.iter_mut().zip(&cols) {
+            *v = q.map_or(0.0, |q| a[(*p, q)]);
+        }
+    }
+    let plan = global_plan_cache().plan_2d(l_r, l_c);
+    let mut half = vec![Complex64::ZERO; l_r * plan.half_cols()];
+    plan.forward_real(&cut, &mut half, &mut vec![Complex64::ZERO; l_c]);
+    Matrix::from_vec(l_r, plan.half_cols(), half.iter().map(|z| z.re).collect()).ok()
+}
+
+/// `S = ‖filter‖_max ‖x‖_F + ‖y‖_F`, the scale of contract point 3's
+/// bound and of the cancellation guard. Each fold keeps four partial
+/// results: a scale needs no particular rounding, and one serial chain
+/// would be bound by the latency of its additions.
+fn guard_scale(x: &Matrix<f64>, y: &Matrix<f64>, filter: &Matrix<Complex64>) -> f64 {
+    fn fold4<T>(values: &[T], f: impl Fn(f64, &T) -> f64) -> [f64; 4] {
+        values.chunks(4).fold([0.0; 4], |mut acc, chunk| {
+            for (a, v) in acc.iter_mut().zip(chunk) {
+                *a = f(*a, v);
+            }
+            acc
+        })
+    }
+    let norm = |v: &Matrix<f64>| {
+        fold4(v.as_slice(), |s, v| s + v * v)
+            .iter()
+            .sum::<f64>()
+            .sqrt()
+    };
+    let k_max = fold4(filter.as_slice(), |s, k| s.max(k.norm_sqr()));
+    k_max.into_iter().fold(0.0, f64::max).sqrt() * norm(x) + norm(y)
+}
+
+/// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` zeroed. With
+/// `local` operands ([`Spectra::local`]) it is taken on the rectangle's
+/// own box ([`local_score`]) unless the cancellation guard sends it on.
+/// Otherwise, and then, it is the full-size lane
+/// `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`, `B̂` the block-pruned forward of `x`
+/// restricted to `rect`. Transforms run through `ws` as in [`lane`]. A
+/// pure function of its operands.
 ///
 /// # Errors
 ///
 /// [`TensorError::ShapeMismatch`] for a lane [`spectra`] would not have
-/// built: an odd row count, spectra of another shape, a stray rectangle.
+/// built: an odd row count, spectra of another shape, a stray rectangle,
+/// local operands of another shape or box.
 pub(crate) fn score_lane(
     x: &Matrix<f64>,
     residual: &Matrix<Complex64>,
     hermitian: &Matrix<Complex64>,
+    local: Option<&Local>,
     rect: &Rect,
     ws: &mut Vec<Complex64>,
 ) -> Result<f64> {
     let shape @ (m, n) = x.shape();
     let plan = global_plan_cache().plan_2d(m, n);
     let half = (m, plan.half_cols());
+    let boxed = |(_, _, c, a): &Local| {
+        let (l_r, l_c) = local_box(rect);
+        c.shape() == shape && a.shape() == (l_r, l_c / 2 + 1)
+    };
     let built = m.is_multiple_of(2)
         && residual.shape() == half
         && hermitian.shape() == half
-        && rect_fits(shape, rect);
+        && rect_fits(shape, rect)
+        && local.is_none_or(boxed);
     if !built {
         return Err(TensorError::ShapeMismatch {
             left: shape,
@@ -256,12 +437,56 @@ pub(crate) fn score_lane(
             op: "score lane",
         });
     }
+    let mean = || hermitian.as_slice()[0].norm_sqr() / (m * n) as f64;
+    if let Some(s) = local.and_then(|local| local_score(x, local, mean(), rect, ws)) {
+        return Ok(s);
+    }
     ws.resize(m * half.1 + n, Complex64::ZERO);
     let (block, scratch) = ws.split_at_mut(m * half.1);
     let (rows, cols) = rect.clone();
     plan.forward_real_block(x.as_slice(), rows, cols, block, scratch);
     let energy = plan.residual_energy(residual.as_slice(), block, hermitian.as_slice());
     Ok((energy / (m * n) as f64).sqrt())
+}
+
+/// The block-local score of [`score_lane`]:
+/// `s² = ‖r‖² + 2⟨c, x_b⟩ + mean · (Σ x_b)² + Σ w |B̂_L|² Â_L / (l_r l_c)`,
+/// `B̂_L` the block-pruned forward of the block alone at the box's
+/// origin and `mean = |K_h(0)|² / mn` the kernel mean's share of
+/// `‖x_b ∗ k_h‖²`. `None` — the full-size lane — unless `M ≤ S · s`,
+/// `M` the same sum taken term by term in magnitude (the cancellation
+/// guard of contract point 3).
+fn local_score(
+    x: &Matrix<f64>,
+    (energy, scale, c, a): &Local,
+    mean: f64,
+    rect: &Rect,
+    ws: &mut Vec<Complex64>,
+) -> Option<f64> {
+    let (rows, cols) = rect.clone();
+    let (l_r, l_c) = local_box(rect);
+    let plan = global_plan_cache().plan_2d(l_r, l_c);
+    let h = plan.half_cols();
+    let mut block = vec![0.0; l_r * l_c];
+    for (at, r) in block.chunks_exact_mut(l_c).zip(rows.clone()) {
+        at[..cols.len()].copy_from_slice(&x.row(r)[cols.clone()]);
+    }
+    ws.resize(l_r * h + l_c, Complex64::ZERO);
+    let (half, scratch) = ws.split_at_mut(l_r * h);
+    plan.forward_real_block(&block, 0..rows.len(), 0..cols.len(), half, scratch);
+    let (q, q_magnitude) = plan.weighted_energy(half, Some(a.as_slice()));
+    let (cross, sum) = rows.fold((0.0, 0.0), |(cross, sum), r| {
+        let (x, c) = (&x.row(r)[cols.clone()], &c.row(r)[cols.clone()]);
+        let row = x
+            .iter()
+            .zip(c)
+            .fold((0.0, 0.0), |(d, s), (x, c)| (d + x * c, s + x));
+        (cross + row.0, sum + row.1)
+    });
+    let cells = (l_r * l_c) as f64;
+    let s = (energy + 2.0 * cross + mean * sum * sum + q / cells).sqrt();
+    let magnitude = energy + 2.0 * cross.abs() + mean * sum * sum + q_magnitude / cells;
+    (magnitude <= scale * s).then_some(s)
 }
 
 /// [`Accelerator::contribution_scores`] of a built-in platform's
@@ -277,16 +502,18 @@ pub(crate) fn scores<A: Accelerator>(
     filter: &Matrix<Complex64>,
     charge: impl FnOnce(usize) -> Result<()>,
 ) -> Result<Vec<f64>> {
-    let Some((residual, hermitian)) = spectra(x, y, rects, filter) else {
+    let Some(spectra) = spectra(x, y, rects, filter) else {
         return lane_scores(acc, x, y, rects, filter);
     };
+    let (residual, hermitian) = (&spectra.residual, &spectra.hermitian);
     let mut slots: Vec<_> = rects.iter().map(|rect| (rect, Ok(0.0))).collect();
     let pool = xai_parallel::global();
     let group = slots.len().div_ceil(pool.num_threads()).max(1);
     pool.par_chunks_mut(&mut slots, group, |_, slots| {
         let mut ws = Vec::new();
         for (rect, score) in slots {
-            *score = score_lane(x, &residual, &hermitian, rect, &mut ws);
+            let local = spectra.local(rect);
+            *score = score_lane(x, residual, hermitian, local.as_ref(), rect, &mut ws);
         }
     });
     let out: Vec<f64> = slots.into_iter().map(|(_, s)| s).collect::<Result<_>>()?;

@@ -491,8 +491,10 @@ fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult
             x,
             residual,
             hermitian,
+            local,
             rect,
-        } => filter_diff::score_lane(&x, &residual, &hermitian, &rect, ws).map(KernelResult::Score),
+        } => filter_diff::score_lane(&x, &residual, &hermitian, local.as_ref(), &rect, ws)
+            .map(KernelResult::Score),
     }
 }
 
@@ -1183,7 +1185,7 @@ impl Accelerator for TpuAccel {
                 self.charge_staged_chain(x.shape(), lanes)
             });
         }
-        let Some((residual, hermitian)) = filter_diff::spectra(x, y, rects, filter) else {
+        let Some(spectra) = filter_diff::spectra(x, y, rects, filter) else {
             return lane_scores(self, x, y, rects, filter);
         };
         let x = Arc::new(x.clone());
@@ -1191,8 +1193,9 @@ impl Accelerator for TpuAccel {
             .iter()
             .map(|rect| KernelJob::Score {
                 x: Arc::clone(&x),
-                residual: Arc::clone(&residual),
-                hermitian: Arc::clone(&hermitian),
+                residual: Arc::clone(&spectra.residual),
+                hermitian: Arc::clone(&spectra.hermitian),
+                local: spectra.local(rect),
                 rect: rect.clone(),
             })
             .collect();
@@ -1963,20 +1966,25 @@ mod tests {
     }
 
     /// To every cost function a score lane is the filter-diff lane of
-    /// its shape — planner cost, ledger entry, shard charge — and a
-    /// hand-built lane [`filter_diff::spectra`] would not have built
-    /// fails alone, with a typed error, inside a flight that lands.
+    /// its shape — planner cost, ledger entry, shard charge — whether it
+    /// is scored on its own box or full-size, and a hand-built lane
+    /// [`filter_diff::spectra`] would not have built (block-local
+    /// operands of another box among them) fails alone, with a typed
+    /// error, inside a flight that lands.
     #[test]
     fn a_score_lane_costs_its_filter_diff_lane_and_fails_alone() {
         let (m, n) = (6, 10);
         let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
         let filter = x.map(|v| Complex64::new(0.25 * v, 1.0));
-        let rects = [(1..4, 2..7), (0..m, 0..n)];
-        let (residual, hermitian) = filter_diff::spectra(&x, &x, &rects, &filter).expect("built");
+        // Full-size, full-size, and on a 2 × 4 box.
+        let rects = [(1..4, 2..7), (0..m, 0..n), (2..3, 4..6)];
+        let spectra = filter_diff::spectra(&x, &x, &rects, &filter).expect("built");
+        assert!(spectra.local(&rects[0]).is_none() && spectra.local(&rects[2]).is_some());
         let score = |x: &Matrix<f64>, rect: &Rect| KernelJob::Score {
             x: Arc::new(x.clone()),
-            residual: Arc::clone(&residual),
-            hermitian: Arc::clone(&hermitian),
+            residual: Arc::clone(&spectra.residual),
+            hermitian: Arc::clone(&spectra.hermitian),
+            local: spectra.local(rect),
             rect: rect.clone(),
         };
         let lane = KernelJob::FilterDiff {
@@ -1991,8 +1999,17 @@ mod tests {
             assert_eq!(shard_charges([&job]), shard_charges([&lane]));
         }
         let odd_rows = Matrix::filled(m - 1, n, 1.0).unwrap();
+        let other_box = KernelJob::Score {
+            x: Arc::new(x.clone()),
+            residual: Arc::clone(&spectra.residual),
+            hermitian: Arc::clone(&spectra.hermitian),
+            local: spectra.local(&rects[2]),
+            rect: (2..3, 4..7),
+        };
         let flight = vec![
             score(&x, &rects[0]),
+            score(&x, &rects[2]),
+            other_box,
             score(&x, &(0..m + 1, 0..n)),
             score(&odd_rows, &rects[0]),
             score(&Matrix::filled(m, n + 2, 1.0).unwrap(), &rects[0]),
@@ -2001,8 +2018,10 @@ mod tests {
             .with_batching(Duration::ZERO, 8)
             .dispatch_flight(flight)
             .expect("the flight lands");
-        assert!(matches!(out[0], Ok(KernelResult::Score(s)) if s.is_finite()));
-        for lane in &out[1..] {
+        for lane in &out[..2] {
+            assert!(matches!(lane, Ok(KernelResult::Score(s)) if s.is_finite()));
+        }
+        for lane in &out[2..] {
             let op = "score lane";
             assert!(
                 matches!(lane, Err(xai_tensor::TensorError::ShapeMismatch { op: o, .. }) if *o == op)

@@ -224,7 +224,11 @@ pub trait Accelerator: Send + Sync {
     /// (no occluded image, no inverse transform, no difference) whenever
     /// `x` has an even row count, `y` and `filter` its shape, and no
     /// NaN or ±inf element — one an occlusion could have *removed* — and
-    /// run this default otherwise; see ARCHITECTURE.md,
+    /// run this default otherwise. In the spectrum a rectangle is scored
+    /// on a torus of its own — per side the power of two at least twice
+    /// its extent — when that has fewer cells than `x` (a 32 × 32 block
+    /// of a 128 × 128 image: 64 × 64), unless a cancellation guard sends
+    /// it to the full-size transform; see ARCHITECTURE.md,
     /// "Interpretation-phase numerics".
     ///
     /// # Errors

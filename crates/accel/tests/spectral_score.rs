@@ -12,7 +12,9 @@
 //! half spectrum outside the rectangle unzeroed between lanes (the
 //! workspace is reused); dropping the all-finite test on `x` (every
 //! score of a poisoned request turns NaN); charging a score lane
-//! anything but its filter-diff lane.
+//! anything but its filter-diff lane; dropping the cancellation guard of
+//! the block-local score (a block whose occlusion explains `y` scores
+//! far past the bound).
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -403,6 +405,59 @@ fn the_spectral_score_is_within_the_bound_of_the_exactly_summed_norm() {
         for ((s, d), rect) in spectral.iter().zip(&diffs).zip(&rects) {
             let err = (s - exact_norm(d.iter().copied())).abs();
             assert!(err <= limit, "{shape:?} {rect:?}: {err:e} > {limit:e}");
+        }
+    }
+}
+
+/// Point 3 where a block-local score cancels: `y = x′_b ∗ k` for one
+/// grid-4 block `b`, so `s_b ≈ 0` is what is left of `‖r‖² + q_b ≈ 2 q_b`
+/// less `2 |⟨c, x_b⟩| ≈ 2 q_b`. The guard sends that block to the
+/// full-size lane; every score, the cancelled one included, is within the
+/// bound of the lane route and of the exactly summed norm of the lane
+/// route's difference, on every placement. Unguarded, the residue of the
+/// cancellation rounds negative (block 10: a NaN score) or positive
+/// (block 2 at 16²: ≈ 10⁵ times the bound).
+#[test]
+fn a_cancelled_block_is_within_the_bound() {
+    let vals = fixed_vals();
+    for (m, cancelled) in [(16, 2), (16, 10), (128, 2), (128, 10)] {
+        let shape = (m, m);
+        let x = input(&vals, shape);
+        let kernel = Matrix::from_fn(m, m, |r, c| ((r * 3 + c * 7) % 11) as f64 * 0.125 - 0.5);
+        let kernel = kernel.unwrap();
+        let k = xai_fourier::fft2d(&kernel.to_complex()).unwrap();
+        let side = m / 4;
+        let rects: Vec<Rect> = (0..16)
+            .map(|b| {
+                (
+                    b / 4 * side..(b / 4 + 1) * side,
+                    b % 4 * side..(b % 4 + 1) * side,
+                )
+            })
+            .collect();
+        let y = xai_fourier::convolve2d_fft(&occluded(&x, &rects[cancelled]), &kernel).unwrap();
+        let limit = bound(&x, &k, &y);
+        let lanes = rects.iter().map(|rect| occluded(&x, rect)).collect();
+        let diffs = CpuModel::i7_3700()
+            .filter_diff_real_batch(lanes, &k, &y)
+            .unwrap();
+        for (name, make) in PLACEMENTS {
+            let scores = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+            let lanes = LaneRoute(make())
+                .contribution_scores(&x, &y, &rects, &k)
+                .unwrap();
+            let at = format!("{name}: {m}² cancelling block {cancelled}");
+            assert!(scores[cancelled] <= limit, "{at}: {:e}", scores[cancelled]);
+            for (j, (s, l)) in scores.iter().zip(&lanes).enumerate() {
+                let exact = exact_norm(diffs[j].iter().copied());
+                for (what, reference) in [("lane route", *l), ("exact", exact)] {
+                    let err = (s - reference).abs();
+                    assert!(
+                        err <= limit,
+                        "{at}: block {j} vs {what}: {err:e} > {limit:e}"
+                    );
+                }
+            }
         }
     }
 }

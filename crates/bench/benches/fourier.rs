@@ -4,7 +4,7 @@
 //! transform, serial versus multi-worker, and the in-place lane the
 //! fused filter-diff pipeline runs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xai_fourier::{dft, fft2d_via_matmul, Fft2d, FftPlan, Norm};
 use xai_tensor::{ops, Complex64, Matrix};
@@ -173,7 +173,10 @@ fn bench_filter_diff_lane(c: &mut Criterion) {
 /// in the spectrum — the block-pruned forward of the block and one
 /// Parseval sweep against the request's residual spectrum and `K_h`
 /// (built once per request, outside the row). No copy of `x`, no
-/// inverse transform, no difference.
+/// inverse transform, no difference. A grid-2 block's box is the whole
+/// image, so this is the full-size lane; `full/128` and `local/128` are
+/// a grid-4 block (32 × 32 of 128 × 128) on the full-size lane and on
+/// its own 64 × 64 box.
 fn bench_score_lane(c: &mut Criterion) {
     let mut group = c.benchmark_group("score-lane");
     group.sample_size(20);
@@ -196,7 +199,83 @@ fn bench_score_lane(c: &mut Criterion) {
             });
         });
     }
+    bench_grid4_score_lane(&mut group);
     group.finish();
+}
+
+/// `score-lane/{full,local}/128`: one 32 × 32 block of a 128 × 128
+/// request. `full` is the block-pruned forward on the whole image and
+/// the Parseval sweep against `R̂` and `K_h`; `local` copies the block to
+/// the origin of a 64 × 64 box, takes its block-pruned forward there and
+/// one weighted sweep against the box's `Â` (the kernel's box-cut
+/// autocorrelation, built once per request, outside the row), plus the
+/// block's dot with the request's `c = r ⋆ k`.
+fn bench_grid4_score_lane(group: &mut BenchmarkGroup<'_>) {
+    let (n, side, l) = (128usize, 32usize, 64usize);
+    let x = complex_matrix(n).to_real();
+    let filter = complex_matrix(n).map(|z| z * Complex64::new(0.25, 0.5));
+    let plan = Fft2d::new(n, n);
+    let h = plan.half_cols();
+    let (mut residual, mut hermitian) =
+        (vec![Complex64::ZERO; n * h], vec![Complex64::ZERO; n * h]);
+    let mut scratch = vec![Complex64::ZERO; n];
+    plan.forward_real(x.as_slice(), &mut residual, &mut scratch);
+    plan.hermitian_part(&mut hermitian, &filter);
+    let (rows, cols) = (0..side, side..2 * side);
+    group.bench_with_input(BenchmarkId::new("full", n), &x, |b, x| {
+        let mut block = vec![Complex64::ZERO; n * h];
+        b.iter(|| {
+            let x = black_box(x.as_slice());
+            plan.forward_real_block(x, rows.clone(), cols.clone(), &mut block, &mut scratch);
+            (plan.residual_energy(&residual, &block, &hermitian) / (n * n) as f64).sqrt()
+        });
+    });
+    // `a = k_h ⋆ k_h` cut to the lags |d| < l/2 of the box, transformed.
+    let mut power: Vec<_> = hermitian
+        .iter()
+        .map(|k| Complex64::from_real(k.norm_sqr()))
+        .collect();
+    let mut a = vec![0.0; n * n];
+    plan.inverse_real(&mut power, &mut a, &mut scratch, |_, _| {});
+    let lag = |i: usize| {
+        if i < l / 2 {
+            Some(i)
+        } else {
+            (i > l / 2).then(|| n - (l - i))
+        }
+    };
+    let cut = Matrix::from_fn(l, l, |i, j| match (lag(i), lag(j)) {
+        (Some(p), Some(q)) => a[p * n + q],
+        _ => 0.0,
+    })
+    .expect("l > 0");
+    let boxed = Fft2d::new(l, l);
+    let lh = boxed.half_cols();
+    let mut spectrum = vec![Complex64::ZERO; l * lh];
+    boxed.forward_real(cut.as_slice(), &mut spectrum, &mut vec![Complex64::ZERO; l]);
+    let weight: Vec<f64> = spectrum.iter().map(|z| z.re).collect();
+    let c = x.clone();
+    group.bench_with_input(BenchmarkId::new("local", n), &x, |b, x| {
+        let mut ws = vec![Complex64::ZERO; l * lh + l];
+        b.iter(|| {
+            let x = black_box(x);
+            let mut image = vec![0.0; l * l];
+            for (at, r) in image.chunks_exact_mut(l).zip(rows.clone()) {
+                at[..side].copy_from_slice(&x.row(r)[cols.clone()]);
+            }
+            let (half, scratch) = ws.split_at_mut(l * lh);
+            boxed.forward_real_block(&image, 0..side, 0..side, half, scratch);
+            let (q, _) = boxed.weighted_energy(half, Some(&weight));
+            let cross: f64 = rows
+                .clone()
+                .map(|r| {
+                    let (x, c) = (&x.row(r)[cols.clone()], &c.row(r)[cols.clone()]);
+                    x.iter().zip(c).map(|(x, c)| x * c).sum::<f64>()
+                })
+                .sum();
+            (2.0 * cross + q / (l * l) as f64).abs().sqrt()
+        });
+    });
 }
 
 criterion_group!(

@@ -37,11 +37,17 @@ pub enum CifarFormat {
 }
 
 impl CifarFormat {
-    fn label_bytes(self) -> usize {
+    /// How many classes each label byte of a record counts: CIFAR-10's
+    /// one label, CIFAR-100's coarse then fine label.
+    fn label_classes(self) -> &'static [usize] {
         match self {
-            CifarFormat::Cifar10 => 1,
-            CifarFormat::Cifar100 => 2,
+            CifarFormat::Cifar10 => &[10],
+            CifarFormat::Cifar100 => &[20, 100],
         }
+    }
+
+    fn label_bytes(self) -> usize {
+        self.label_classes().len()
     }
 }
 
@@ -59,14 +65,22 @@ pub struct CifarRecord {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::DataLength`] when the stream ends inside a
-/// record (trailing garbage or truncation).
+/// Returns [`TensorError::EmptyDimension`] for an empty stream (as
+/// [`parse_trace_table`] does for an empty table) and
+/// [`TensorError::DataLength`] when the stream ends inside a record
+/// (trailing garbage or truncation). A label byte past its format's
+/// range — CIFAR-10 ≥ 10, CIFAR-100 coarse ≥ 20 or fine ≥ 100 — also
+/// yields [`TensorError::DataLength`], with the record's index in
+/// `expected` and the byte's position in the record in `actual`.
 pub fn parse_cifar<R: Read>(mut reader: R, format: CifarFormat) -> Result<Vec<CifarRecord>> {
     let record_len = format.label_bytes() + CIFAR_PIXELS;
     let mut bytes = Vec::new();
     reader
         .read_to_end(&mut bytes)
         .map_err(|_| TensorError::EmptyDimension)?;
+    if bytes.is_empty() {
+        return Err(TensorError::EmptyDimension);
+    }
     if bytes.len() % record_len != 0 {
         return Err(TensorError::DataLength {
             expected: (bytes.len() / record_len + 1) * record_len,
@@ -74,7 +88,14 @@ pub fn parse_cifar<R: Read>(mut reader: R, format: CifarFormat) -> Result<Vec<Ci
         });
     }
     let mut records = Vec::with_capacity(bytes.len() / record_len);
-    for chunk in bytes.chunks_exact(record_len) {
+    for (i, chunk) in bytes.chunks_exact(record_len).enumerate() {
+        let mut labels = format.label_classes().iter().zip(chunk);
+        if let Some(at) = labels.position(|(&classes, &label)| usize::from(label) >= classes) {
+            return Err(TensorError::DataLength {
+                expected: i,
+                actual: at,
+            });
+        }
         // CIFAR-100 stores [coarse, fine]; keep the fine label.
         let label = chunk[format.label_bytes() - 1] as usize;
         let pixels = &chunk[format.label_bytes()..];

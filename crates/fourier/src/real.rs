@@ -16,14 +16,20 @@
 //! butterfly, twiddle table or plan type of its own. Any `cols`
 //! (odd and Bluestein lengths included); `rows` must be even.
 //!
-//! Two more pieces serve a caller that wants only a *norm* of what the
+//! Three more pieces serve a caller that wants only a *norm* of what the
 //! inverse would return (a contribution score, `xai-accel`'s
 //! `filter_diff::score_lane`). [`Fft2d::forward_real_block`] is the
 //! forward transform of an image that is zero outside one rectangle —
 //! the row pass runs over the rectangle's rows alone — and
 //! [`Fft2d::residual_energy`] is Parseval on the kept half: the squared
 //! Frobenius norm of a real image from its half spectrum, the dropped
-//! mirror columns counted by weight.
+//! mirror columns counted by weight. [`Fft2d::weighted_energy`] is the
+//! same sum against a real spectral weight: with the transform of a
+//! kernel's autocorrelation it is the energy of the image filtered by
+//! that kernel, so a block on a torus of its own (each side at least
+//! twice its extent, the autocorrelation cut to the lags that torus
+//! holds) has its filtered energy on the full image from a transform of
+//! the block's size.
 
 use crate::fft2d::Fft2d;
 use crate::norm::Norm;
@@ -207,6 +213,46 @@ impl Fft2d {
             let once = at(0) + if nyquist { at(h - 1) } else { 0.0 };
             total + (once + 2.0 * doubled.clone().map(at).sum::<f64>())
         })
+    }
+
+    /// `(Σ w_v · |half[u,v]|² · a[u,v], Σ w_v · |half[u,v]|² · |a[u,v]|)`
+    /// over a `rows × half_cols()` half spectrum and a real weight `a`
+    /// of the same shape, `w_v` as in [`Fft2d::residual_energy`]; no
+    /// weight is `a = 1`. By Parseval the first is `rows · cols · ‖b‖_F²`
+    /// unweighted, and `rows · cols · Σ_{p,q} b[p] α[p − q] b[q]` when
+    /// `a` is the transform of a real, even `α` — for `α` a kernel's
+    /// autocorrelation, the squared norm of the real image `b` filtered
+    /// by that kernel, without the filtered image. The second is the
+    /// magnitude the first is summed from: what a caller bounds the
+    /// first's rounding by when `a` has negative values. Rows are summed
+    /// one by one, in order, as in `residual_energy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `half` (and `weight`) hold `rows * half_cols()`
+    /// elements.
+    pub fn weighted_energy(&self, half: &[Complex64], weight: Option<&[f64]>) -> (f64, f64) {
+        let h = self.half_cols();
+        assert!(
+            half.len() == self.rows * h && weight.is_none_or(|a| a.len() == half.len()),
+            "the half spectrum and its weight must hold rows × half_cols elements"
+        );
+        let nyquist = self.cols.is_multiple_of(2);
+        let doubled = 1..h - usize::from(nyquist);
+        let unit = vec![1.0; if weight.is_some() { 0 } else { h }];
+        let add = |(s, t): (f64, f64), (a, b): (f64, f64)| (s + a, t + b);
+        half.chunks_exact(h)
+            .enumerate()
+            .fold((0.0, 0.0), |total, (u, z)| {
+                let a = weight.map_or(&unit[..], |a| &a[u * h..(u + 1) * h]);
+                let at = |v: usize| {
+                    let e = z[v].norm_sqr();
+                    (e * a[v], e * a[v].abs())
+                };
+                let once = add(at(0), if nyquist { at(h - 1) } else { (0.0, 0.0) });
+                let twice = doubled.clone().map(at).fold((0.0, 0.0), add);
+                add(total, (once.0 + 2.0 * twice.0, once.1 + 2.0 * twice.1))
+            })
     }
 
     /// Inverse of [`Fft2d::forward_real`]: takes the half spectrum in
@@ -492,6 +538,87 @@ mod tests {
         }
     }
 
+    /// `‖x_b ∗ k_h‖²` from the block's own box: on an `l_r × l_c` torus
+    /// (per side the power of two at least twice the block's, at least
+    /// 2) the weighted energy of the block alone, at the origin, against
+    /// the transform of `a = k_h ⋆ k_h` cut to the lags `|d| < l/2` and
+    /// read modulo the image, is the energy of the dense filtered image —
+    /// also when the box is wider than the image.
+    #[test]
+    fn weighted_energy_on_a_box_is_the_filtered_block_energy() {
+        // Odd, Bluestein and radix-2 widths.
+        for (m, n) in [(6usize, 7usize), (8, 10), (8, 16)] {
+            let plan = Fft2d::new(m, n);
+            let x = real_image(m, n);
+            let (mut part, mut scratch) = workspace(&plan);
+            plan.hermitian_part(&mut part, &lopsided_filter(m, n));
+            let mut power: Vec<_> = part
+                .iter()
+                .map(|k| Complex64::from_real(k.norm_sqr()))
+                .collect();
+            let mut a = vec![0.0; m * n];
+            plan.inverse_real(&mut power, &mut a, &mut scratch, |_, _| {});
+            // Element; a row and a column (each box wider than the image
+            // one way, narrower the other); off the origin.
+            let rects = [
+                (2..3, 4..5),
+                (m / 2..m / 2 + 1, 0..n),
+                (0..m, 1..2),
+                (1..4, 2..6),
+            ];
+            for (rows, cols) in rects {
+                let side = |len: usize| (2 * len).next_power_of_two().max(2);
+                let (l_r, l_c) = (side(rows.len()), side(cols.len()));
+                let boxed = Fft2d::new(l_r, l_c);
+                let lag = |i: usize, l: usize, len: usize| match i.cmp(&(l / 2)) {
+                    std::cmp::Ordering::Less => Some(i % len),
+                    std::cmp::Ordering::Equal => None,
+                    std::cmp::Ordering::Greater => Some((len - (l - i) % len) % len),
+                };
+                let cut =
+                    Matrix::from_fn(l_r, l_c, |i, j| match (lag(i, l_r, m), lag(j, l_c, n)) {
+                        (Some(p), Some(q)) => a[p * n + q],
+                        _ => 0.0,
+                    })
+                    .unwrap();
+                let block = Matrix::from_fn(l_r, l_c, |i, j| {
+                    let inside = i < rows.len() && j < cols.len();
+                    if inside {
+                        x[(rows.start + i, cols.start + j)]
+                    } else {
+                        0.0
+                    }
+                })
+                .unwrap();
+                let (mut weight, mut row) = workspace(&boxed);
+                let mut spectrum = weight.clone();
+                boxed.forward_real(cut.as_slice(), &mut weight, &mut row);
+                boxed.forward_real(block.as_slice(), &mut spectrum, &mut row);
+                let weight: Vec<f64> = weight.iter().map(|z| z.re).collect();
+                let (energy, magnitude) = boxed.weighted_energy(&spectrum, Some(&weight));
+                let got = energy / (l_r * l_c) as f64;
+                // The dense route: the zero-padded image, filtered.
+                let inside = |r, c| rows.contains(&r) && cols.contains(&c);
+                let padded =
+                    Matrix::from_fn(m, n, |r, c| if inside(r, c) { x[(r, c)] } else { 0.0 });
+                let (mut half, _) = workspace(&plan);
+                plan.forward_real(padded.unwrap().as_slice(), &mut half, &mut scratch);
+                plan.hadamard_real(&mut half, &lopsided_filter(m, n));
+                let mut filtered = vec![0.0; m * n];
+                plan.inverse_real(&mut half, &mut filtered, &mut scratch, |_, _| {});
+                let want = filtered.iter().map(|v| v * v).sum::<f64>();
+                let at = format!("{m}x{n} {rows:?} x {cols:?} on {l_r}x{l_c}");
+                assert!((got - want).abs() <= 1e-12 * want, "{at}: {got} vs {want}");
+                assert!(magnitude >= energy.abs(), "{at}");
+                // Unweighted, it is Parseval.
+                let plain = boxed.weighted_energy(&spectrum, None);
+                let norm = block.iter().map(|v| v * v).sum::<f64>() * (l_r * l_c) as f64;
+                assert_eq!(plain.0, plain.1, "{at}");
+                assert!((plain.0 - norm).abs() <= 1e-12 * norm, "{at}");
+            }
+        }
+    }
+
     #[test]
     fn output_is_hermitian() {
         // Columns 0 and n/2 mirror themselves, so they are Hermitian
@@ -575,5 +702,16 @@ mod tests {
             let wrong_len = std::panic::catch_unwind(|| plan.residual_energy(r, b, k));
             assert!(wrong_len.is_err());
         }
+        let (weight, short_weight) = ([1.0; 12], [1.0; 11]);
+        for (z, a) in [
+            (&short[..], None),
+            (&short[..], Some(&weight[..11])),
+            (&half[..], Some(&short_weight[..])),
+            (&half[..12], Some(&[1.0; 13][..])),
+        ] {
+            let wrong_len = std::panic::catch_unwind(|| plan.weighted_energy(z, a));
+            assert!(wrong_len.is_err());
+        }
+        assert_eq!(plan.weighted_energy(&half, Some(&weight)), (0.0, 0.0));
     }
 }

@@ -214,16 +214,25 @@ pub enum KernelJob {
     /// image, the inverse transform or the difference. The modelled
     /// device still runs that fused chain — a score lane is planned,
     /// recorded and charged as the filter-diff lane of `x`'s shape.
-    /// All three matrices are per request, hence shared: a retry clone
-    /// of the lane copies no element.
+    /// Every matrix is per request or per box, hence shared: a retry
+    /// clone of the lane copies no element.
     Score {
         /// The input the occlusions are cut from, spatial domain.
         x: Arc<Matrix<f64>>,
         /// Half spectrum (`rows × (cols/2 + 1)`) of the unoccluded
-        /// residual `y − x ∗ k`.
+        /// residual `r = y − x ∗ k`.
         residual: Arc<Matrix<Complex64>>,
         /// The filter's Hermitian part on the same kept columns.
         hermitian: Arc<Matrix<Complex64>>,
+        /// For a rectangle scored on its own box — a power-of-two torus
+        /// with fewer cells than `x` — `(‖r‖_F², S, c, Â)`: per request
+        /// the scale `S = ‖filter‖_max ‖x‖_F + ‖y‖_F` its cancellation
+        /// guard compares with and `c = r ⋆ k` (`x`'s shape), and per
+        /// box the real half spectrum `Â` of the autocorrelation of `k`
+        /// less its mean, cut to the lags the box holds. `None` scores
+        /// the rectangle on the full-size lane.
+        #[allow(clippy::type_complexity)] // four operands, named above
+        local: Option<(f64, f64, Arc<Matrix<f64>>, Arc<Matrix<f64>>)>,
         /// The rectangle of `x` this lane occludes.
         rect: Rect,
     },
@@ -921,6 +930,7 @@ mod tests {
                 x: Arc::new(r),
                 residual: Arc::new(Matrix::filled(2, 2, Complex64::ZERO).unwrap()),
                 hermitian: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
+                local: None,
                 rect: (0..1, 0..2),
             },
         ];

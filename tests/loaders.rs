@@ -106,6 +106,55 @@ fn trace_text_roundtrips_into_the_explainer() {
     assert!(acc >= 0.8, "parsed-trace localization {acc}");
 }
 
+/// One CIFAR record: its label bytes, then a mid-grey image.
+fn cifar_record(labels: &[u8]) -> Vec<u8> {
+    let mut record = labels.to_vec();
+    record.extend(std::iter::repeat_n(128u8, 3 * CIFAR_SIZE * CIFAR_SIZE));
+    record
+}
+
+#[test]
+fn malformed_cifar_streams_are_typed_errors() {
+    // An empty stream is an empty dataset, as for a trace table.
+    for format in [CifarFormat::Cifar10, CifarFormat::Cifar100] {
+        assert_eq!(
+            parse_cifar(&[][..], format).unwrap_err(),
+            TensorError::EmptyDimension,
+            "{format:?}"
+        );
+    }
+    // A label past its range names the record (`expected`) and the
+    // label byte in it (`actual`); the last in-range labels parse.
+    let out_of_range = |record, byte| TensorError::DataLength {
+        expected: record,
+        actual: byte,
+    };
+    for (format, bad, byte) in [
+        (CifarFormat::Cifar10, vec![10u8], 0),
+        (CifarFormat::Cifar10, vec![255], 0),
+        (CifarFormat::Cifar100, vec![20, 5], 0),
+        (CifarFormat::Cifar100, vec![3, 100], 1),
+        (CifarFormat::Cifar100, vec![255, 255], 0),
+    ] {
+        let good: &[u8] = if format == CifarFormat::Cifar10 {
+            &[9]
+        } else {
+            &[19, 99]
+        };
+        let mut bytes = cifar_record(good);
+        bytes.extend(cifar_record(good));
+        bytes.extend(cifar_record(&bad));
+        assert_eq!(
+            parse_cifar(&bytes[..], format).unwrap_err(),
+            out_of_range(2, byte),
+            "{format:?} {bad:?}"
+        );
+        let records = parse_cifar(&bytes[..2 * bytes.len() / 3], format).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].label, usize::from(good[good.len() - 1]));
+    }
+}
+
 #[test]
 fn malformed_trace_tables_are_typed_errors() {
     let malformed = |row, token| TensorError::DataLength {
