@@ -31,7 +31,7 @@
 //! latency/occupancy-bound on real hardware.
 
 use crate::clock::Clock;
-use crate::filter_diff;
+use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::{cost, RooflineParams};
 use crate::stats::KernelStats;
 use crate::traits::Accelerator;
@@ -307,9 +307,9 @@ impl Accelerator for HostModel {
         x: &Matrix<f64>,
         y: &Matrix<f64>,
         rects: &[Rect],
-        filter: &Matrix<Complex64>,
+        kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
-        filter_diff::scores(self, x, y, rects, filter, |n| {
+        filter_diff::scores(self, x, y, rects, kernel, |n| {
             self.charge_filter_diff(x.shape(), n);
             Ok(())
         })

@@ -47,6 +47,7 @@ mod tpu_accel;
 mod traits;
 
 pub use clock::Clock;
+pub use filter_diff::PreparedKernel;
 pub use host::{CpuModel, GpuModel, HostModel};
 pub use roofline::{cost, RooflineParams};
 pub use stats::KernelStats;

@@ -24,7 +24,7 @@
 //! numeric work runs outside it.
 
 use crate::clock::Clock;
-use crate::filter_diff;
+use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::cost;
 use crate::stats::KernelStats;
 use crate::traits::{lane_scores, Accelerator};
@@ -37,8 +37,8 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, Rect, ShardPlan,
-    ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
+    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, Rect, ScoreOperands,
+    ShardPlan, ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
 };
 
 /// The fan-out probe memo is a leaf of the workspace lock hierarchy,
@@ -411,7 +411,7 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
 fn fused_chain_shape(job: &KernelJob) -> Option<(usize, usize)> {
     match job {
         KernelJob::FilterDiff { x, .. } => Some(x.shape()),
-        KernelJob::Score { x, .. } => Some(x.shape()),
+        KernelJob::Score { request, .. } => Some(request.shape()),
         _ => None,
     }
 }
@@ -487,14 +487,7 @@ fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult
         KernelJob::FilterDiff { x, filter, y } => {
             filter_diff::lane(x, &filter, &y, ws).map(KernelResult::Real)
         }
-        KernelJob::Score {
-            x,
-            residual,
-            hermitian,
-            local,
-            rect,
-        } => filter_diff::score_lane(&x, &residual, &hermitian, local.as_ref(), &rect, ws)
-            .map(KernelResult::Score),
+        KernelJob::Score { request, rect } => request.score(&rect, ws).map(KernelResult::Score),
     }
 }
 
@@ -1169,33 +1162,32 @@ impl Accelerator for TpuAccel {
 
     /// With batching enabled, every rectangle of a request scored in
     /// the spectrum (`filter_diff::spectra`) rides ONE
-    /// [`KernelJob::Score`] lane, planned and charged as the filter-diff
-    /// lane it stands for; without, the lanes run over the host pool and
-    /// the staged chain's charges are replayed. Any other request takes
-    /// the trait default — its filter-diff lanes, either way.
+    /// [`KernelJob::Score`] lane — the rectangle and one shared handle
+    /// on the request's operands — planned and charged as the
+    /// filter-diff lane it stands for; without, the lanes run over the
+    /// host pool and the staged chain's charges are replayed. Any other
+    /// request takes the trait default — its filter-diff lanes, either
+    /// way.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
         y: &Matrix<f64>,
         rects: &[Rect],
-        filter: &Matrix<Complex64>,
+        kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
         if self.queue.is_none() {
-            return filter_diff::scores(self, x, y, rects, filter, |lanes| {
+            return filter_diff::scores(self, x, y, rects, kernel, |lanes| {
                 self.charge_staged_chain(x.shape(), lanes)
             });
         }
-        let Some(spectra) = filter_diff::spectra(x, y, rects, filter) else {
-            return lane_scores(self, x, y, rects, filter);
+        let Some(spectra) = filter_diff::spectra(x.clone(), y, rects, kernel) else {
+            return lane_scores(self, x, y, rects, kernel.spectrum());
         };
-        let x = Arc::new(x.clone());
+        let request: Arc<dyn ScoreOperands> = Arc::new(spectra);
         let jobs = rects
             .iter()
             .map(|rect| KernelJob::Score {
-                x: Arc::clone(&x),
-                residual: Arc::clone(&spectra.residual),
-                hermitian: Arc::clone(&spectra.hermitian),
-                local: spectra.local(rect),
+                request: Arc::clone(&request),
                 rect: rect.clone(),
             })
             .collect();
@@ -1968,51 +1960,38 @@ mod tests {
     /// To every cost function a score lane is the filter-diff lane of
     /// its shape — planner cost, ledger entry, shard charge — whether it
     /// is scored on its own box or full-size, and a hand-built lane
-    /// [`filter_diff::spectra`] would not have built (block-local
-    /// operands of another box among them) fails alone, with a typed
-    /// error, inside a flight that lands.
+    /// whose rectangle leaves the input fails alone, with a typed error,
+    /// inside a flight that lands.
     #[test]
     fn a_score_lane_costs_its_filter_diff_lane_and_fails_alone() {
         let (m, n) = (6, 10);
         let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
         let filter = x.map(|v| Complex64::new(0.25 * v, 1.0));
+        let kernel = PreparedKernel::new(filter.clone());
         // Full-size, full-size, and on a 2 × 4 box.
         let rects = [(1..4, 2..7), (0..m, 0..n), (2..3, 4..6)];
-        let spectra = filter_diff::spectra(&x, &x, &rects, &filter).expect("built");
-        assert!(spectra.local(&rects[0]).is_none() && spectra.local(&rects[2]).is_some());
-        let score = |x: &Matrix<f64>, rect: &Rect| KernelJob::Score {
-            x: Arc::new(x.clone()),
-            residual: Arc::clone(&spectra.residual),
-            hermitian: Arc::clone(&spectra.hermitian),
-            local: spectra.local(rect),
+        let spectra = filter_diff::spectra(x.clone(), &x, &rects, &kernel).expect("built");
+        let request: Arc<dyn ScoreOperands> = Arc::new(spectra);
+        let score = |rect: &Rect| KernelJob::Score {
+            request: Arc::clone(&request),
             rect: rect.clone(),
         };
         let lane = KernelJob::FilterDiff {
             x: LaneInput::Real(x.clone()),
-            filter: Arc::new(filter.clone()),
-            y: Arc::new(x.clone()),
+            filter: Arc::new(filter),
+            y: Arc::new(x),
         };
         for rect in &rects {
-            let job = score(&x, rect);
+            let job = score(rect);
             assert_eq!(kernel_ops_bytes(&job), kernel_ops_bytes(&lane));
             assert_eq!(kernel_lane_cost(&job), kernel_lane_cost(&lane));
             assert_eq!(shard_charges([&job]), shard_charges([&lane]));
         }
-        let odd_rows = Matrix::filled(m - 1, n, 1.0).unwrap();
-        let other_box = KernelJob::Score {
-            x: Arc::new(x.clone()),
-            residual: Arc::clone(&spectra.residual),
-            hermitian: Arc::clone(&spectra.hermitian),
-            local: spectra.local(&rects[2]),
-            rect: (2..3, 4..7),
-        };
         let flight = vec![
-            score(&x, &rects[0]),
-            score(&x, &rects[2]),
-            other_box,
-            score(&x, &(0..m + 1, 0..n)),
-            score(&odd_rows, &rects[0]),
-            score(&Matrix::filled(m, n + 2, 1.0).unwrap(), &rects[0]),
+            score(&rects[0]),
+            score(&rects[2]),
+            score(&(0..m + 1, 0..n)),
+            score(&(2..3, 4..n + 1)),
         ];
         let out = TpuAccel::tpu_v2()
             .with_batching(Duration::ZERO, 8)

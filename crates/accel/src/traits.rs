@@ -14,6 +14,7 @@
 //! are pure functions of the inputs, so concurrent and serial
 //! execution produce bit-identical values.
 
+use crate::filter_diff::PreparedKernel;
 use crate::stats::KernelStats;
 use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
@@ -209,27 +210,30 @@ pub trait Accelerator: Send + Sync {
 
     /// Contribution scores (Equation 5): for every rectangle `r` of
     /// `rects`, `‖y − x′ᵣ ∗ k‖_F`, where `x′ᵣ` is `x` with `r` zeroed and
-    /// `filter` is `k`'s spectrum — what the interpretation phase keeps
-    /// of a filter-diff batch.
+    /// `kernel` is `k` prepared from its spectrum — what the
+    /// interpretation phase keeps of a filter-diff batch.
     ///
     /// The default is the reference: occlude `x` once per rectangle,
-    /// lend the copies to [`Accelerator::filter_diff_real_batch`], take
-    /// each difference's Frobenius norm. An override may compute the
-    /// scores any other way but keeps, on the same operands, the
-    /// default's charges (clock and [`Accelerator::stats`]), its error
-    /// for every batch it rejects — before anything is submitted or
-    /// charged when a rectangle leaves `x` — and every score within
-    /// `2 · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` of the
-    /// default's. The built-in platforms take the norm in the spectrum
-    /// (no occluded image, no inverse transform, no difference) whenever
-    /// `x` has an even row count, `y` and `filter` its shape, and no
-    /// NaN or ±inf element — one an occlusion could have *removed* — and
-    /// run this default otherwise. In the spectrum a rectangle is scored
-    /// on a torus of its own — per side the power of two at least twice
-    /// its extent — when that has fewer cells than `x` (a 32 × 32 block
-    /// of a 128 × 128 image: 64 × 64), unless a cancellation guard sends
-    /// it to the full-size transform; see ARCHITECTURE.md,
-    /// "Interpretation-phase numerics".
+    /// lend the copies to [`Accelerator::filter_diff_real_batch`] with
+    /// [`PreparedKernel::spectrum`], take each difference's Frobenius
+    /// norm. An override may compute the scores any other way but keeps,
+    /// on the same operands, the default's charges (clock and
+    /// [`Accelerator::stats`]), its error for every batch it rejects —
+    /// before anything is submitted or charged when a rectangle leaves
+    /// `x` — and every score within
+    /// `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of the default's.
+    /// The built-in platforms take the norm in the spectrum (no occluded
+    /// image, no inverse transform, no difference) whenever `x` has an
+    /// even row count, `y` and the kernel its shape, and no NaN or ±inf
+    /// element — one an occlusion could have *removed* — and run this
+    /// default otherwise. In the spectrum a rectangle is scored on a
+    /// torus of its own — per side the power of two at least twice its
+    /// extent — when that has fewer cells than `x` (a 32 × 32 block of a
+    /// 128 × 128 image: 64 × 64), unless a cancellation guard sends it to
+    /// the full-size transform; see ARCHITECTURE.md, "Interpretation-phase
+    /// numerics". What that reads of the kernel alone is built once per
+    /// [`PreparedKernel`] and shared by every request scored with it
+    /// (and its clones), with the bits of a kernel prepared per request.
     ///
     /// # Errors
     ///
@@ -240,9 +244,9 @@ pub trait Accelerator: Send + Sync {
         x: &Matrix<f64>,
         y: &Matrix<f64>,
         rects: &[Rect],
-        filter: &Matrix<Complex64>,
+        kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
-        lane_scores(self, x, y, rects, filter)
+        lane_scores(self, x, y, rects, kernel.spectrum())
     }
 
     /// Advances the clock for an externally-described workload of

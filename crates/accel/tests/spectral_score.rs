@@ -14,11 +14,13 @@
 //! score of a poisoned request turns NaN); charging a score lane
 //! anything but its filter-diff lane; dropping the cancellation guard of
 //! the block-local score (a block whose occlusion explains `y` scores
-//! far past the bound).
+//! far past the bound); keying the prepared kernel's box cells by
+//! anything but the box shape (a shared kernel then scores one box
+//! against another's window).
 
 use proptest::prelude::*;
 use std::time::Duration;
-use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, Rect, TpuAccel};
+use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, PreparedKernel, Rect, TpuAccel};
 use xai_tensor::conv::conv2d_circular;
 use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
@@ -218,6 +220,12 @@ fn bound(x: &Matrix<f64>, k: &Matrix<Complex64>, y: &Matrix<f64>) -> f64 {
     C * f64::EPSILON * (2.0 * x.len() as f64).log2() * scale
 }
 
+/// `k` prepared afresh: what a request that shares no kernel scores
+/// with.
+fn prepared(k: &Matrix<Complex64>) -> PreparedKernel {
+    PreparedKernel::new(k.clone())
+}
+
 fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
@@ -242,8 +250,8 @@ proptest! {
             let (name, make) = PLACEMENTS[s % PLACEMENTS.len()];
             let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
             let rects = rects(shape);
-            let spectral = make().contribution_scores(&x, &y, &rects, &k).unwrap();
-            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &k).unwrap();
+            let spectral = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
             let limit = bound(&x, &k, &y);
             for (j, (s, l)) in spectral.iter().zip(&lanes).enumerate() {
                 prop_assert!(
@@ -256,8 +264,8 @@ proptest! {
         let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
         let rects: Vec<Rect> = rects((4, 4)).into_iter().chain([(4..5, 0..4)]).collect();
         for (name, make) in PLACEMENTS {
-            let odd = make().contribution_scores(&x, &y, &rects, &k).unwrap();
-            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &k).unwrap();
+            let odd = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
             prop_assert_eq!(bits(&odd), bits(&lanes), "{}: odd rows keep the lane route", name);
         }
     }
@@ -275,13 +283,17 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
         let rects = rects(shape);
         let reference = bits(
             &TpuAccel::tpu_v2()
-                .contribution_scores(&x, &y, &rects, &k)
+                .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap(),
         );
         for (name, make) in PLACEMENTS {
             let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
-            let spectral = spectral_on.contribution_scores(&x, &y, &rects, &k).unwrap();
-            lanes_on.contribution_scores(&x, &y, &rects, &k).unwrap();
+            let spectral = spectral_on
+                .contribution_scores(&x, &y, &rects, &prepared(&k))
+                .unwrap();
+            lanes_on
+                .contribution_scores(&x, &y, &rects, &prepared(&k))
+                .unwrap();
             assert_eq!(bits(&spectral), reference, "{name}: {shape:?}");
             assert_eq!(
                 ledger(spectral_on.as_ref()),
@@ -291,7 +303,7 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
             // One rectangle alone is the same lane.
             for (j, rect) in rects.iter().enumerate().step_by(4) {
                 let one = make()
-                    .contribution_scores(&x, &y, std::slice::from_ref(rect), &k)
+                    .contribution_scores(&x, &y, std::slice::from_ref(rect), &prepared(&k))
                     .unwrap();
                 assert_eq!(bits(&one), reference[j..=j], "{name}: {shape:?} lane {j}");
             }
@@ -307,11 +319,13 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
         .collect();
     let want = bits(
         &CpuModel::i7_3700()
-            .contribution_scores(&x, &y, &rects, &k)
+            .contribution_scores(&x, &y, &rects, &prepared(&k))
             .unwrap(),
     );
     for _ in 0..3 {
-        let got = faulted.contribution_scores(&x, &y, &rects, &k).unwrap();
+        let got = faulted
+            .contribution_scores(&x, &y, &rects, &prepared(&k))
+            .unwrap();
         assert_eq!(bits(&got), want);
     }
     let retries = faulted.pool().expect("pooled").fault_stats().retries;
@@ -330,7 +344,7 @@ fn two_requests_ride_one_flight() {
     let alone = |x: &Matrix<f64>| {
         bits(
             &TpuAccel::tpu_v2()
-                .contribution_scores(x, &y, rects, &k)
+                .contribution_scores(x, &y, rects, &prepared(&k))
                 .unwrap(),
         )
     };
@@ -338,8 +352,8 @@ fn two_requests_ride_one_flight() {
     // moment both are in (the long window is the straggler guard).
     let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), 8);
     let (s0, s1) = std::thread::scope(|scope| {
-        let s0 = scope.spawn(|| acc.contribution_scores(&x0, &y, rects, &k));
-        let s1 = scope.spawn(|| acc.contribution_scores(&x1, &y, rects, &k));
+        let s0 = scope.spawn(|| acc.contribution_scores(&x0, &y, rects, &prepared(&k)));
+        let s1 = scope.spawn(|| acc.contribution_scores(&x1, &y, rects, &prepared(&k)));
         (s0.join().unwrap().unwrap(), s1.join().unwrap().unwrap())
     });
     assert_eq!(acc.stats().kernels, 1, "both requests rode one flight");
@@ -364,10 +378,10 @@ fn on_an_exact_fit_both_routes_are_within_the_bound_of_the_definition() {
         let rects = rects(shape);
         let limit = bound(&x, &spectrum, &y);
         let spectral = CpuModel::i7_3700()
-            .contribution_scores(&x, &y, &rects, &spectrum)
+            .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
             .unwrap();
         let lanes = LaneRoute(Box::new(CpuModel::i7_3700()))
-            .contribution_scores(&x, &y, &rects, &spectrum)
+            .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
             .unwrap();
         for (j, rect) in rects.iter().enumerate() {
             let pred = conv2d_circular(&occluded(&x, rect), &k).unwrap();
@@ -398,7 +412,9 @@ fn the_spectral_score_is_within_the_bound_of_the_exactly_summed_norm() {
         let k = filter(&vals, shape);
         let rects = rects(shape);
         let acc = CpuModel::i7_3700();
-        let spectral = acc.contribution_scores(&x, &y, &rects, &k).unwrap();
+        let spectral = acc
+            .contribution_scores(&x, &y, &rects, &prepared(&k))
+            .unwrap();
         let lanes = rects.iter().map(|rect| occluded(&x, rect)).collect();
         let diffs = acc.filter_diff_real_batch(lanes, &k, &y).unwrap();
         let limit = bound(&x, &k, &y);
@@ -442,9 +458,11 @@ fn a_cancelled_block_is_within_the_bound() {
             .filter_diff_real_batch(lanes, &k, &y)
             .unwrap();
         for (name, make) in PLACEMENTS {
-            let scores = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+            let scores = make()
+                .contribution_scores(&x, &y, &rects, &prepared(&k))
+                .unwrap();
             let lanes = LaneRoute(make())
-                .contribution_scores(&x, &y, &rects, &k)
+                .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap();
             let at = format!("{name}: {m}² cancelling block {cancelled}");
             assert!(scores[cancelled] <= limit, "{at}: {:e}", scores[cancelled]);
@@ -481,9 +499,11 @@ fn non_finite_operands_poison_what_the_lane_route_poisons() {
             let mut x = input(&vals, shape);
             x[at] = v;
             for (name, make) in PLACEMENTS {
-                let got = make().contribution_scores(&x, &y, &rects, &k).unwrap();
+                let got = make()
+                    .contribution_scores(&x, &y, &rects, &prepared(&k))
+                    .unwrap();
                 let lanes = LaneRoute(make())
-                    .contribution_scores(&x, &y, &rects, &k)
+                    .contribution_scores(&x, &y, &rects, &prepared(&k))
                     .unwrap();
                 assert_eq!(bits(&got), bits(&lanes), "{name}: {shape:?} {v} in x");
                 assert_eq!(finite(&got), expected, "{name}: {shape:?} {v} in x");
@@ -494,9 +514,11 @@ fn non_finite_operands_poison_what_the_lane_route_poisons() {
             bad_k[(m - 1, n - 1)] = Complex64::new(1.0, v);
             for (name, make) in &PLACEMENTS[..4] {
                 for (what, y, k) in [("y", &bad_y, &k), ("filter", &y, &bad_k)] {
-                    let got = make().contribution_scores(&x, y, &rects, k).unwrap();
+                    let got = make()
+                        .contribution_scores(&x, y, &rects, &prepared(k))
+                        .unwrap();
                     let lanes = LaneRoute(make())
-                        .contribution_scores(&x, y, &rects, k)
+                        .contribution_scores(&x, y, &rects, &prepared(k))
                         .unwrap();
                     let any = got.iter().chain(&lanes).any(|s| s.is_finite());
                     assert!(!any, "{name}: {shape:?} {v} in {what}: {got:?} / {lanes:?}");
@@ -519,8 +541,8 @@ fn rejected_requests_fail_as_the_lane_route_fails_them() {
     for (name, make) in PLACEMENTS {
         for (what, y, k) in [("y", &short_y, &k), ("filter", &y, &wide_k)] {
             let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
-            let got = spectral_on.contribution_scores(&x, y, &rects, k);
-            let want = lanes_on.contribution_scores(&x, y, &rects, k);
+            let got = spectral_on.contribution_scores(&x, y, &rects, &prepared(k));
+            let want = lanes_on.contribution_scores(&x, y, &rects, &prepared(k));
             assert!(got.is_err(), "{name}: misshapen {what}");
             assert_eq!(got, want, "{name}: misshapen {what}");
             assert_eq!(ledger(spectral_on.as_ref()), ledger(&lanes_on), "{name}");
@@ -529,12 +551,15 @@ fn rejected_requests_fail_as_the_lane_route_fails_them() {
             let acc = make();
             let with_stray = [rects[0].clone(), stray];
             let err = acc
-                .contribution_scores(&x, &y, &with_stray, &k)
+                .contribution_scores(&x, &y, &with_stray, &prepared(&k))
                 .unwrap_err();
             assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{name}");
             assert_eq!(acc.stats().kernels, 0, "{name}: charged a refused request");
         }
-        assert_eq!(make().contribution_scores(&x, &y, &[], &k), Ok(Vec::new()));
+        assert_eq!(
+            make().contribution_scores(&x, &y, &[], &prepared(&k)),
+            Ok(Vec::new())
+        );
     }
 }
 
@@ -596,7 +621,9 @@ fn a_kernels_only_accelerator_inherits_the_lane_route() {
             KernelsOnly(CpuModel::i7_3700()),
             KernelsOnly(CpuModel::i7_3700()),
         );
-        let scores = scored_on.contribution_scores(&x, &y, &rects, &k).unwrap();
+        let scores = scored_on
+            .contribution_scores(&x, &y, &rects, &prepared(&k))
+            .unwrap();
         let lifted: Vec<_> = rects
             .iter()
             .map(|rect| occluded(&x, rect).to_complex())
@@ -613,5 +640,134 @@ fn a_kernels_only_accelerator_inherits_the_lane_route() {
             .collect();
         assert_eq!(bits(&scores), bits(&staged), "{shape:?}");
         assert_eq!(ledger(&scored_on), ledger(&staged_on), "{shape:?}: ledger");
+    }
+}
+
+/// The grid-`g` blocks of an `m × n` image, row-major.
+fn blocks((m, n): (usize, usize), g: usize) -> Vec<Rect> {
+    let (h, w) = (m / g, n / g);
+    (0..g * g)
+        .map(|b| (b / g * h..(b / g + 1) * h, b % g * w..(b % g + 1) * w))
+        .collect()
+}
+
+/// One prepared kernel shared by every request — sequential requests
+/// with different `x` and `y`, rectangle sets whose boxes fill several
+/// of its cells, and two threads that first touch the same boxes
+/// together — leaves every score's bits, and every ledger, where a
+/// kernel prepared afresh for each request leaves them, on every
+/// placement.
+#[test]
+fn a_shared_prepared_kernel_scores_as_a_fresh_one() {
+    let vals = fixed_vals();
+    let shape @ (m, n) = (32, 32);
+    let k = filter(&vals, shape);
+    // Boxes 16², 8², every shape `rects` gives, 64 × 2, 2 × 64, 8 × 64
+    // and one as large as the image (the full-size lane).
+    let rect_sets = [
+        blocks(shape, 4),
+        blocks(shape, 8),
+        rects(shape),
+        vec![
+            (0..m, 0..1),
+            (3..4, 0..n),
+            (5..9, 2..30),
+            (0..m / 2, 1..n / 2),
+        ],
+    ];
+    let requests = [
+        (input(&vals, shape), observed(&vals, shape)),
+        (input(&vals[5..], shape), observed(&vals[2..], shape)),
+    ];
+    for (name, make) in PLACEMENTS {
+        let (shared_on, fresh_on) = (make(), make());
+        let shared = prepared(&k);
+        for (s, rects) in rect_sets.iter().enumerate() {
+            for (r, (x, y)) in requests.iter().enumerate() {
+                let got = shared_on.contribution_scores(x, y, rects, &shared).unwrap();
+                let want = fresh_on
+                    .contribution_scores(x, y, rects, &prepared(&k))
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&want), "{name}: set {s}, request {r}");
+            }
+        }
+        assert_eq!(
+            ledger(shared_on.as_ref()),
+            ledger(fresh_on.as_ref()),
+            "{name}"
+        );
+    }
+    // Two requests meet a kernel no request has touched, at once.
+    let rects = blocks(shape, 4);
+    let (x0, y0) = &requests[0];
+    let (x1, y1) = &requests[1];
+    for (name, make) in PLACEMENTS {
+        let want = |x, y| {
+            bits(
+                &make()
+                    .contribution_scores(x, y, &rects, &prepared(&k))
+                    .unwrap(),
+            )
+        };
+        let (acc, shared) = (make(), prepared(&k));
+        let start = std::sync::Barrier::new(2);
+        let score = |x, y| {
+            start.wait();
+            acc.contribution_scores(x, y, &rects, &shared).unwrap()
+        };
+        let (s0, s1) = std::thread::scope(|scope| {
+            let s0 = scope.spawn(|| score(x0, y0));
+            let s1 = scope.spawn(|| score(x1, y1));
+            (s0.join().unwrap(), s1.join().unwrap())
+        });
+        assert_eq!(bits(&s0), want(x0, y0), "{name}: first thread");
+        assert_eq!(bits(&s1), want(x1, y1), "{name}: second thread");
+    }
+}
+
+/// Non-radix-2 images whose grid-4 blocks are scored on radix-2 boxes:
+/// a 96² image (a Bluestein transform) has 24² blocks on 64² boxes, a
+/// 48² one 12² blocks on 32² boxes. On an exact fit (`y = x ∗ k` in
+/// small integers) every score, on every placement, is within contract
+/// point 3's bound of the lane route and of the definition — the norm of
+/// `x_b ∗ k`, the block alone filtered, exactly summed.
+#[test]
+fn blocks_of_bluestein_images_are_scored_on_their_boxes_within_the_bound() {
+    for shape @ (m, n) in [(96, 96), (48, 48)] {
+        let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
+        let k = Matrix::from_fn(m, n, |r, c| ((r + c * 2) % 5) as f64 - 1.0).unwrap();
+        let y = conv2d_circular(&x, &k).unwrap();
+        let spectrum = xai_fourier::fft2d(&k.to_complex()).unwrap();
+        let rects = blocks(shape, 4);
+        let limit = bound(&x, &spectrum, &y);
+        // `x_b ∗ k` over the block's cells alone: integers, exact.
+        let definition = |(rows, cols): &Rect| {
+            let mut out = vec![0.0; m * n];
+            for (p, q) in rows.clone().flat_map(|p| cols.clone().map(move |q| (p, q))) {
+                for (i, v) in out.iter_mut().enumerate() {
+                    let (r, c) = ((i / n + m - p) % m, (i % n + n - q) % n);
+                    *v += x[(p, q)] * k[(r, c)];
+                }
+            }
+            exact_norm(out.into_iter())
+        };
+        let exact: Vec<f64> = rects.iter().map(definition).collect();
+        for (name, make) in PLACEMENTS {
+            let scores = make()
+                .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
+                .unwrap();
+            let lanes = LaneRoute(make())
+                .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
+                .unwrap();
+            for (j, s) in scores.iter().enumerate() {
+                for (what, reference) in [("lane route", lanes[j]), ("definition", exact[j])] {
+                    let err = (s - reference).abs();
+                    assert!(
+                        err <= limit,
+                        "{name}: {shape:?} block {j} vs {what}: {err:e} > {limit:e}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -172,7 +172,7 @@ fn bench_filter_diff_lane(c: &mut Criterion) {
 /// `filter-diff-lane/real` result for an occluded grid-2 block, taken
 /// in the spectrum — the block-pruned forward of the block and one
 /// Parseval sweep against the request's residual spectrum and `K_h`
-/// (built once per request, outside the row). No copy of `x`, no
+/// (built once per request and once per model, outside the row). No copy of `x`, no
 /// inverse transform, no difference. A grid-2 block's box is the whole
 /// image, so this is the full-size lane; `full/128` and `local/128` are
 /// a grid-4 block (32 × 32 of 128 × 128) on the full-size lane and on
@@ -208,7 +208,7 @@ fn bench_score_lane(c: &mut Criterion) {
 /// the Parseval sweep against `R̂` and `K_h`; `local` copies the block to
 /// the origin of a 64 × 64 box, takes its block-pruned forward there and
 /// one weighted sweep against the box's `Â` (the kernel's box-cut
-/// autocorrelation, built once per request, outside the row), plus the
+/// autocorrelation, built once per model, outside the row), plus the
 /// block's dot with the request's `c = r ⋆ k`.
 fn bench_grid4_score_lane(group: &mut BenchmarkGroup<'_>) {
     let (n, side, l) = (128usize, 32usize, 64usize);

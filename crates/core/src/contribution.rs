@@ -136,7 +136,7 @@ pub fn contributions_batch_on(
         .iter()
         .map(|&r| region_ranges(x.shape(), r))
         .collect::<Result<_>>()?;
-    acc.contribution_scores(x, y, &rects, model.kernel_spectrum())
+    acc.contribution_scores(x, y, &rects, model.prepared())
 }
 
 /// Per-block contribution scores on a `grid × grid` decomposition of

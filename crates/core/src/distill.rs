@@ -17,7 +17,7 @@
 //! is well-posed for many pairs and noisy spectra. The `distill`
 //! bench (`cargo bench -p xai-bench --bench distill`) times the two.
 
-use xai_accel::Accelerator;
+use xai_accel::{Accelerator, PreparedKernel};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
@@ -70,7 +70,9 @@ impl Default for SolveStrategy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistilledModel {
     kernel: Matrix<f64>,
-    kernel_spectrum: Matrix<Complex64>,
+    /// `F(K)`, prepared once for every contribution score taken with
+    /// this model (and its clones, which share it).
+    prepared: PreparedKernel,
 }
 
 impl DistilledModel {
@@ -89,7 +91,7 @@ impl DistilledModel {
         let kernel = plan.inverse(&spectrum)?.to_real();
         Ok(DistilledModel {
             kernel,
-            kernel_spectrum: spectrum,
+            prepared: PreparedKernel::new(spectrum),
         })
     }
 
@@ -160,7 +162,7 @@ impl DistilledModel {
         let kernel = acc.ifft2d(&spectrum)?.to_real();
         Ok(DistilledModel {
             kernel,
-            kernel_spectrum: spectrum,
+            prepared: PreparedKernel::new(spectrum),
         })
     }
 
@@ -229,7 +231,12 @@ impl DistilledModel {
     /// The kernel's spectrum `F(K)` (kept so prediction is one
     /// transform instead of two).
     pub fn kernel_spectrum(&self) -> &Matrix<Complex64> {
-        &self.kernel_spectrum
+        self.prepared.spectrum()
+    }
+
+    /// The kernel prepared for [`Accelerator::contribution_scores`].
+    pub(crate) fn prepared(&self) -> &PreparedKernel {
+        &self.prepared
     }
 
     /// Kernel shape `(rows, cols)`.
@@ -253,7 +260,7 @@ impl DistilledModel {
         }
         let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
         let fx = plan.forward(&x.to_complex())?;
-        let fy = ops::hadamard(&fx, &self.kernel_spectrum)?;
+        let fy = ops::hadamard(&fx, self.kernel_spectrum())?;
         Ok(plan.inverse(&fy)?.to_real())
     }
 
@@ -271,7 +278,7 @@ impl DistilledModel {
             });
         }
         let fx = acc.fft2d(&x.to_complex())?;
-        let fy = acc.hadamard(&fx, &self.kernel_spectrum)?;
+        let fy = acc.hadamard(&fx, self.kernel_spectrum())?;
         Ok(acc.ifft2d(&fy)?.to_real())
     }
 

@@ -113,7 +113,9 @@ impl TraceDataset {
     ///
     /// Returns [`TensorError::EmptyDimension`] for zero dimensions and
     /// [`TensorError::ShapeMismatch`] when there are fewer registers
-    /// than [`ATTACK_REGISTER`] requires.
+    /// than [`ATTACK_REGISTER`] requires or fewer than three cycles: a
+    /// malicious trace writes its flag on a mid-trace cycle, one with a
+    /// cycle before and after it.
     pub fn new(config: TraceConfig) -> Result<Self> {
         if config.registers == 0 || config.cycles == 0 {
             return Err(TensorError::EmptyDimension);
@@ -123,6 +125,13 @@ impl TraceDataset {
                 left: (config.registers, 1),
                 right: (ATTACK_REGISTER + 1, 1),
                 op: "trace needs the attack register row",
+            });
+        }
+        if config.cycles < 3 {
+            return Err(TensorError::ShapeMismatch {
+                left: (1, config.cycles),
+                right: (1, 3),
+                op: "trace needs a mid-trace attack cycle",
             });
         }
         Ok(TraceDataset { config })
@@ -164,7 +173,7 @@ impl TraceDataset {
         }
         let attack_cycle = if malicious {
             // The bot writes the mode flag somewhere mid-trace.
-            let cycle = rng.random_range(1..cycles.max(2) - 1);
+            let cycle = rng.random_range(1..cycles - 1);
             raw[(ATTACK_REGISTER, cycle)] = ATTACK_SIGNATURE;
             // The flag is consumed immediately after: a couple of
             // dependent registers tick up on the dispatch cycle — a

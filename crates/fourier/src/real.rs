@@ -17,8 +17,8 @@
 //! (odd and Bluestein lengths included); `rows` must be even.
 //!
 //! Three more pieces serve a caller that wants only a *norm* of what the
-//! inverse would return (a contribution score, `xai-accel`'s
-//! `filter_diff::score_lane`). [`Fft2d::forward_real_block`] is the
+//! inverse would return (a contribution score, `xai-accel`'s score
+//! lane in `filter_diff`). [`Fft2d::forward_real_block`] is the
 //! forward transform of an image that is zero outside one rectangle —
 //! the row pass runs over the rectangle's rows alone — and
 //! [`Fft2d::residual_energy`] is Parseval on the kept half: the squared

@@ -148,12 +148,15 @@ impl QueueTime for ManualTime {
 /// elementwise vector work and real matmuls ride the same flight and
 /// shard across a [`crate::DevicePool`] together.
 ///
-/// This type is a pure data carrier: numerics, plan caches and cost
-/// models stay in the accelerator layer, so this crate keeps no
-/// opinion on *how* a lane executes — only on how lanes coalesce,
-/// dispatch and shard. Broadcast operands — the filter of a Hadamard
-/// batch, the minuend of a difference batch — are behind [`Arc`] so a
-/// whole batch ships one copy per flight, not one per lane.
+/// This type is a data carrier: numerics, plan caches and cost models
+/// stay in the accelerator layer, so this crate keeps no opinion on
+/// *how* a lane executes — only on how lanes coalesce, dispatch and
+/// shard. The one lane that carries behaviour, [`KernelJob::Score`],
+/// holds it behind [`ScoreOperands`], which the accelerator layer
+/// implements; this crate reads only its shape. Broadcast operands —
+/// the filter of a Hadamard batch, the minuend of a difference batch,
+/// a request's score operands — are behind [`Arc`] so a whole batch
+/// ships one copy per flight, not one per lane.
 #[derive(Debug, Clone)]
 pub enum KernelJob {
     /// A whole 2-D Fourier transform of `x` (forward or inverse).
@@ -213,29 +216,38 @@ pub enum KernelJob {
     /// [`KernelJob::FilterDiff`] lane's result without the occluded
     /// image, the inverse transform or the difference. The modelled
     /// device still runs that fused chain — a score lane is planned,
-    /// recorded and charged as the filter-diff lane of `x`'s shape.
-    /// Every matrix is per request or per box, hence shared: a retry
-    /// clone of the lane copies no element.
+    /// recorded and charged as the filter-diff lane of
+    /// [`ScoreOperands::shape`]. Everything but the rectangle is one
+    /// handle per request: a retry clone of the lane copies no element.
     Score {
-        /// The input the occlusions are cut from, spatial domain.
-        x: Arc<Matrix<f64>>,
-        /// Half spectrum (`rows × (cols/2 + 1)`) of the unoccluded
-        /// residual `r = y − x ∗ k`.
-        residual: Arc<Matrix<Complex64>>,
-        /// The filter's Hermitian part on the same kept columns.
-        hermitian: Arc<Matrix<Complex64>>,
-        /// For a rectangle scored on its own box — a power-of-two torus
-        /// with fewer cells than `x` — `(‖r‖_F², S, c, Â)`: per request
-        /// the scale `S = ‖filter‖_max ‖x‖_F + ‖y‖_F` its cancellation
-        /// guard compares with and `c = r ⋆ k` (`x`'s shape), and per
-        /// box the real half spectrum `Â` of the autocorrelation of `k`
-        /// less its mean, cut to the lags the box holds. `None` scores
-        /// the rectangle on the full-size lane.
-        #[allow(clippy::type_complexity)] // four operands, named above
-        local: Option<(f64, f64, Arc<Matrix<f64>>, Arc<Matrix<f64>>)>,
-        /// The rectangle of `x` this lane occludes.
+        /// The operands every lane of the request shares — its input,
+        /// its residual spectrum and the model's prepared kernel.
+        request: Arc<dyn ScoreOperands>,
+        /// The rectangle of the input this lane occludes.
         rect: Rect,
     },
+}
+
+/// What the [`KernelJob::Score`] lanes of one request share, and how
+/// one of them is scored. The accelerator layer builds it once per
+/// request (from the input, the observed output and the model's
+/// prepared kernel); a flight calls [`ScoreOperands::score`] per lane and
+/// the cost model reads [`ScoreOperands::shape`] alone.
+pub trait ScoreOperands: std::fmt::Debug + Send + Sync {
+    /// `(rows, cols)` of the input the occlusions are cut from: a score
+    /// lane is planned and charged as the filter-diff lane of this
+    /// shape.
+    fn shape(&self) -> (usize, usize);
+
+    /// The score of the occlusion of `rect`, a pure function of the
+    /// operands and `rect`. `ws` is the flight's workspace, lent from
+    /// lane to lane; its contents on entry are not read.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] when `rect` does not lie inside
+    /// the input.
+    fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> Result<f64>;
 }
 
 /// A rectangle of matrix elements, `(rows, cols)`: what one occlusion
@@ -895,6 +907,19 @@ mod tests {
         }
     }
 
+    /// Score operands that score nothing: a label needs no numerics.
+    #[derive(Debug)]
+    struct Unscored;
+
+    impl ScoreOperands for Unscored {
+        fn shape(&self) -> (usize, usize) {
+            (2, 2)
+        }
+        fn score(&self, _: &Rect, _: &mut Vec<Complex64>) -> Result<f64> {
+            Ok(0.0)
+        }
+    }
+
     #[test]
     fn kernel_job_kinds_are_labelled() {
         let x = Matrix::filled(2, 2, Complex64::ONE).unwrap();
@@ -924,13 +949,10 @@ mod tests {
             KernelJob::FilterDiff {
                 x: LaneInput::Complex(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
                 filter: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
-                y: Arc::new(r.clone()),
+                y: Arc::new(r),
             },
             KernelJob::Score {
-                x: Arc::new(r),
-                residual: Arc::new(Matrix::filled(2, 2, Complex64::ZERO).unwrap()),
-                hermitian: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
-                local: None,
+                request: Arc::new(Unscored),
                 rect: (0..1, 0..2),
             },
         ];

@@ -3,7 +3,9 @@
 
 use tpu_xai::core::{SolveStrategy, TraceExplainer};
 use tpu_xai::data::io::{parse_cifar, parse_trace_table, CifarFormat, CIFAR_SIZE};
-use tpu_xai::data::mirai::{TraceLabel, ATTACK_REGISTER, ATTACK_SIGNATURE};
+use tpu_xai::data::mirai::{
+    TraceConfig, TraceDataset, TraceLabel, ATTACK_REGISTER, ATTACK_SIGNATURE,
+};
 use tpu_xai::nn::layers::{Dense, Relu};
 use tpu_xai::nn::models::resnet_small;
 use tpu_xai::nn::{Network, Tensor3, Trainer};
@@ -191,4 +193,33 @@ fn malformed_trace_tables_are_typed_errors() {
             actual: 2
         }
     );
+}
+
+/// A malicious trace writes its flag on a cycle with one before and one
+/// after it: a generator with fewer than three cycles is refused with a
+/// typed error instead of panicking when it draws that cycle.
+#[test]
+fn trace_generators_need_a_mid_trace_cycle() {
+    let config = |cycles| TraceConfig {
+        registers: 4,
+        cycles,
+        seed: 3,
+    };
+    for cycles in [1, 2] {
+        assert_eq!(
+            TraceDataset::new(config(cycles)).unwrap_err(),
+            TensorError::ShapeMismatch {
+                left: (1, cycles),
+                right: (1, 3),
+                op: "trace needs a mid-trace attack cycle",
+            },
+            "{cycles} cycles"
+        );
+    }
+    let traces = TraceDataset::new(config(3)).unwrap().generate(4).unwrap();
+    for trace in &traces {
+        assert_eq!(trace.raw.shape(), (4, 3));
+        let expected = (trace.label == TraceLabel::Malicious).then_some(1);
+        assert_eq!(trace.attack_cycle, expected);
+    }
 }
