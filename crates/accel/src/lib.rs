@@ -49,7 +49,7 @@ mod traits;
 pub use clock::Clock;
 pub use filter_diff::PreparedKernel;
 pub use host::{CpuModel, GpuModel, HostModel};
-pub use roofline::{cost, RooflineParams};
+pub use roofline::RooflineParams;
 pub use stats::KernelStats;
 pub use tpu_accel::TpuAccel;
 pub use traits::{occluded, time_region, Accelerator};

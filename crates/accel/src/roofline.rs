@@ -25,7 +25,7 @@ pub struct RooflineParams {
 impl RooflineParams {
     /// Time for one kernel with the paper's data decomposition
     /// applied: the whole device works on it.
-    pub fn kernel_seconds(&self, flops: f64, bytes: f64) -> f64 {
+    pub(crate) fn kernel_seconds(&self, flops: f64, bytes: f64) -> f64 {
         let compute = flops / self.flops_per_sec;
         let memory = bytes / self.bytes_per_sec;
         self.launch_overhead_s + compute.max(memory)
@@ -33,14 +33,14 @@ impl RooflineParams {
 }
 
 /// FLOP and byte counts of the standard kernels, shared by all models.
-pub mod cost {
+pub(crate) mod cost {
     /// Real matmul `m×k · k×n`: 2 FLOPs per MAC.
-    pub fn matmul_flops(m: usize, k: usize, n: usize) -> f64 {
+    pub(crate) fn matmul_flops(m: usize, k: usize, n: usize) -> f64 {
         2.0 * m as f64 * k as f64 * n as f64
     }
 
     /// Real matmul traffic in bytes (f64 operands + result).
-    pub fn matmul_bytes(m: usize, k: usize, n: usize) -> f64 {
+    pub(crate) fn matmul_bytes(m: usize, k: usize, n: usize) -> f64 {
         8.0 * (m * k + k * n + m * n) as f64
     }
 
@@ -48,23 +48,23 @@ pub mod cost {
     /// decomposition with per-axis FFT op counts `row_ops`/`col_ops`
     /// (complex MACs per single 1-D transform). One complex MAC is
     /// 6 real FLOPs.
-    pub fn fft2d_flops(m: usize, n: usize, row_ops: u64, col_ops: u64) -> f64 {
+    pub(crate) fn fft2d_flops(m: usize, n: usize, row_ops: u64, col_ops: u64) -> f64 {
         6.0 * (m as f64 * row_ops as f64 + n as f64 * col_ops as f64)
     }
 
     /// Complex 2-D FFT traffic: the matrix is read and written in each
     /// of the two stages, 16 bytes per complex element.
-    pub fn fft2d_bytes(m: usize, n: usize) -> f64 {
+    pub(crate) fn fft2d_bytes(m: usize, n: usize) -> f64 {
         2.0 * 2.0 * 16.0 * (m * n) as f64
     }
 
     /// Elementwise complex op over `n` elements with `flops_per_elem`.
-    pub fn elementwise_flops(n: usize, flops_per_elem: f64) -> f64 {
+    pub(crate) fn elementwise_flops(n: usize, flops_per_elem: f64) -> f64 {
         n as f64 * flops_per_elem
     }
 
     /// Elementwise complex traffic: two reads + one write of 16 B.
-    pub fn elementwise_bytes(n: usize) -> f64 {
+    pub(crate) fn elementwise_bytes(n: usize) -> f64 {
         48.0 * n as f64
     }
 }

@@ -845,21 +845,20 @@ impl TpuAccel {
     ) -> Option<(ShardPlan, usize)> {
         let lanes: Vec<LaneCost> = flight.iter().map(kernel_lane_cost).collect();
         let n = pool.num_devices();
-        // Plan over the *healthy* chips on the *fault-masked* fabric,
-        // then project the subset plan back onto full-pool device
-        // indices. With no fault plan installed the healthy set is the
-        // identity and the masked fabric is the configured one, so
-        // this is bit-identical to planning over the whole pool.
+        // Plan over the *healthy* chips, then project the subset plan
+        // back onto full-pool device indices. With no fault plan
+        // installed the healthy set is the identity, so this is
+        // bit-identical to planning over the whole pool.
         let healthy = pool.healthy_device_indices();
         let h = healthy.len();
-        let fabric = pool.effective_topology();
+        let fabric = pool.topology();
         let candidates: Vec<ShardPlan> = match pool.strategy() {
             ShardStrategy::TopologyAware => fabric
                 .fanout_widths(h)
                 .into_iter()
                 .map(|w| ShardPlan::plan_width(&lanes, h, w).project(&healthy, n))
                 .collect(),
-            strategy => vec![ShardPlan::plan_on(&lanes, h, strategy, &fabric).project(&healthy, n)],
+            strategy => vec![ShardPlan::plan_on(&lanes, h, strategy, fabric).project(&healthy, n)],
         };
         // An unchargeable probe (empty phase) means the real dispatch
         // would fail identically on either path; prefer the simpler
@@ -1249,6 +1248,27 @@ mod tests {
     use super::*;
     use crate::host::{CpuModel, GpuModel};
     use proptest::prelude::*;
+
+    #[test]
+    fn a_zero_core_config_runs_as_one_core() {
+        let run = |cores: usize| {
+            let tpu = TpuAccel::with_config(TpuConfig {
+                cores,
+                ..TpuConfig::tpu_v2()
+            });
+            let x = Matrix::from_fn(8, 8, |r, c| ((r * 5 + c) % 7) as f64).unwrap();
+            let spec = tpu.fft2d(&x.to_complex()).unwrap();
+            let prod = tpu.matmul(&x, &x).unwrap();
+            let bits: Vec<u64> = spec
+                .as_slice()
+                .iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .chain(prod.as_slice().iter().map(|v| v.to_bits()))
+                .collect();
+            (bits, tpu.elapsed_seconds().to_bits())
+        };
+        assert_eq!(run(0), run(1));
+    }
 
     #[test]
     fn fft_numerics_are_exact() {

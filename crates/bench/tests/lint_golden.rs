@@ -44,6 +44,19 @@ fn fixture_diagnostics_render_as_file_line_rule() {
     );
 }
 
+/// `--list-pub` counts one item of each counted kind and none of the
+/// look-alikes: restricted visibility, `pub mod` / `pub use`, fields,
+/// strings, comments, the `#[cfg(test)]` region, integration tests
+/// and shim crates.
+#[test]
+fn pub_item_table_counts_public_items_of_product_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures/pub_tree");
+    assert_eq!(
+        xai_lint::pub_item_table(&root).expect("fixture walk"),
+        "| Crate | pub items |\n|---|---:|\n| `crates/example` | 7 |\n| total | 7 |\n"
+    );
+}
+
 fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

@@ -476,7 +476,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Diagnostic> {
 /// Recursively collects the workspace's `.rs` files under `root`,
 /// skipping build output, VCS internals and the linter's own test
 /// fixtures (which exist to *fail*).
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -597,6 +597,63 @@ pub fn render_lock_table(decls: &[LockClassDecl]) -> String {
         ));
     }
     out
+}
+
+/// Counts the public items of one source file: each `pub` `fn`,
+/// `struct`, `enum`, `trait`, `type`, `const` or `static` outside the
+/// file's `#[cfg(test)]` region. Restricted visibility (`pub(crate)`,
+/// `pub(super)`), `pub mod`, `pub use` and struct fields do not count;
+/// neither does anything inside a string literal or a comment.
+fn count_pub_items(source: &str) -> usize {
+    lex(source)
+        .iter()
+        .take_while(|line| !line.code.contains("#[cfg(test)]"))
+        .filter(|line| {
+            let mut tokens = line.code.split_whitespace();
+            tokens.next() == Some("pub")
+                && matches!(
+                    tokens.next(),
+                    Some("fn" | "struct" | "enum" | "trait" | "type" | "const" | "static")
+                )
+        })
+        .count()
+}
+
+/// The public-item count of each product crate under `root`, as the
+/// markdown table `xai-lint --list-pub` prints: one row per
+/// `crates/<name>/src` tree in path order, then the total. The
+/// tooling crates (`crates/bench`, `crates/lint`) and the vendored
+/// `*-shim` stand-ins are not product crates and get no row.
+pub fn pub_item_table(root: &Path) -> std::io::Result<String> {
+    let mut counts: Vec<(String, usize)> = Vec::new();
+    for file in workspace_files(root)? {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let mut parts = rel.split('/');
+        let (Some("crates"), Some(name), Some("src")) = (parts.next(), parts.next(), parts.next())
+        else {
+            continue;
+        };
+        if matches!(name, "bench" | "lint") || name.ends_with("-shim") {
+            continue;
+        }
+        let n = count_pub_items(&std::fs::read_to_string(&file)?);
+        let krate = format!("crates/{name}");
+        match counts.last_mut() {
+            Some((k, total)) if *k == krate => *total += n,
+            _ => counts.push((krate, n)),
+        }
+    }
+    let mut out = String::from("| Crate | pub items |\n|---|---:|\n");
+    for (krate, n) in &counts {
+        out.push_str(&format!("| `{krate}` | {n} |\n"));
+    }
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    out.push_str(&format!("| total | {total} |\n"));
+    Ok(out)
 }
 
 #[cfg(test)]

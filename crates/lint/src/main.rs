@@ -3,6 +3,7 @@
 //! ```text
 //! xai-lint [--root <dir>]              lint the workspace (exit 1 on findings)
 //! xai-lint --list-locks [--root <dir>] print the lock-class hierarchy table
+//! xai-lint --list-pub [--root <dir>]   print the public-item count per product crate
 //! ```
 
 use std::path::PathBuf;
@@ -11,6 +12,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut list_locks = false;
+    let mut list_pub = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -22,11 +24,12 @@ fn main() -> ExitCode {
                 }
             },
             "--list-locks" => list_locks = true,
+            "--list-pub" => list_pub = true,
             "--help" | "-h" => {
                 println!(
                     "xai-lint: workspace invariant linter\n\
                      \n\
-                     usage: xai-lint [--root <dir>] [--list-locks]\n\
+                     usage: xai-lint [--root <dir>] [--list-locks] [--list-pub]\n\
                      \n\
                      rules: {}\n\
                      waive in place with `// lint:allow(<rule>): <reason>`",
@@ -45,6 +48,19 @@ fn main() -> ExitCode {
         return match xai_lint::collect_lock_classes(&root) {
             Ok(decls) => {
                 print!("{}", xai_lint::render_lock_table(&decls));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xai-lint: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+
+    if list_pub {
+        return match xai_lint::pub_item_table(&root) {
+            Ok(table) => {
+                print!("{table}");
                 ExitCode::SUCCESS
             }
             Err(e) => {

@@ -175,226 +175,6 @@ impl Layer for MaxPool2 {
     }
 }
 
-/// Logistic sigmoid, elementwise `1/(1+e^{-x})`.
-#[derive(Debug, Clone)]
-pub struct Sigmoid {
-    shape: (usize, usize, usize),
-    cached_output: Option<Tensor3>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid for inputs of the given shape.
-    pub fn new(channels: usize, height: usize, width: usize) -> Self {
-        Sigmoid {
-            shape: (channels, height, width),
-            cached_output: None,
-        }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> String {
-        "sigmoid".to_string()
-    }
-
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        if input.shape() != self.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: (input.channels(), input.height() * input.width()),
-                right: (self.shape.0, self.shape.1 * self.shape.2),
-                op: "sigmoid forward input",
-            });
-        }
-        let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let out = self
-            .cached_output
-            .as_ref()
-            .ok_or(TensorError::EmptyDimension)?;
-        // σ'(x) = σ(x)·(1-σ(x))
-        grad.zip_with(out, |g, s| g * s * (1.0 - s))
-    }
-
-    fn apply_gradients(&mut self, _lr: f64, _momentum: f64, _batch: usize) {}
-
-    fn flops_per_sample(&self) -> u64 {
-        4 * (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        16 * (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
-    fn output_shape(&self) -> (usize, usize, usize) {
-        self.shape
-    }
-}
-
-/// Hyperbolic tangent, elementwise.
-#[derive(Debug, Clone)]
-pub struct Tanh {
-    shape: (usize, usize, usize),
-    cached_output: Option<Tensor3>,
-}
-
-impl Tanh {
-    /// Creates a tanh for inputs of the given shape.
-    pub fn new(channels: usize, height: usize, width: usize) -> Self {
-        Tanh {
-            shape: (channels, height, width),
-            cached_output: None,
-        }
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> String {
-        "tanh".to_string()
-    }
-
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        if input.shape() != self.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: (input.channels(), input.height() * input.width()),
-                right: (self.shape.0, self.shape.1 * self.shape.2),
-                op: "tanh forward input",
-            });
-        }
-        let out = input.map(f64::tanh);
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let out = self
-            .cached_output
-            .as_ref()
-            .ok_or(TensorError::EmptyDimension)?;
-        grad.zip_with(out, |g, t| g * (1.0 - t * t))
-    }
-
-    fn apply_gradients(&mut self, _lr: f64, _momentum: f64, _batch: usize) {}
-
-    fn flops_per_sample(&self) -> u64 {
-        4 * (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        16 * (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
-    fn output_shape(&self) -> (usize, usize, usize) {
-        self.shape
-    }
-}
-
-/// 2×2 average pooling with stride 2.
-#[derive(Debug, Clone)]
-pub struct AvgPool2 {
-    in_shape: (usize, usize, usize),
-    ready: bool,
-}
-
-impl AvgPool2 {
-    /// Creates an average-pooling layer for inputs of the given shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] for odd spatial dims.
-    pub fn new(channels: usize, height: usize, width: usize) -> Result<Self> {
-        if !height.is_multiple_of(2) || !width.is_multiple_of(2) || height == 0 || width == 0 {
-            return Err(TensorError::ShapeMismatch {
-                left: (height, width),
-                right: (2, 2),
-                op: "avgpool requires even spatial dims",
-            });
-        }
-        Ok(AvgPool2 {
-            in_shape: (channels, height, width),
-            ready: false,
-        })
-    }
-}
-
-impl Layer for AvgPool2 {
-    fn name(&self) -> String {
-        "avgpool 2x2".to_string()
-    }
-
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        if input.shape() != self.in_shape {
-            return Err(TensorError::ShapeMismatch {
-                left: (input.channels(), input.height() * input.width()),
-                right: (self.in_shape.0, self.in_shape.1 * self.in_shape.2),
-                op: "avgpool forward input",
-            });
-        }
-        let (c, h, w) = self.in_shape;
-        let mut out = Tensor3::zeros(c, h / 2, w / 2)?;
-        for ch in 0..c {
-            for oy in 0..h / 2 {
-                for ox in 0..w / 2 {
-                    let mut sum = 0.0;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            sum += input.get(ch, oy * 2 + dy, ox * 2 + dx);
-                        }
-                    }
-                    out.set(ch, oy, ox, sum / 4.0);
-                }
-            }
-        }
-        self.ready = true;
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        if !self.ready {
-            return Err(TensorError::EmptyDimension);
-        }
-        let (c, h, w) = self.in_shape;
-        if grad.shape() != (c, h / 2, w / 2) {
-            return Err(TensorError::ShapeMismatch {
-                left: (grad.channels(), grad.height() * grad.width()),
-                right: (c, (h / 2) * (w / 2)),
-                op: "avgpool backward grad",
-            });
-        }
-        let mut out = Tensor3::zeros(c, h, w)?;
-        for ch in 0..c {
-            for oy in 0..h / 2 {
-                for ox in 0..w / 2 {
-                    let g = grad.get(ch, oy, ox) / 4.0;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            out.set(ch, oy * 2 + dy, ox * 2 + dx, g);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn apply_gradients(&mut self, _lr: f64, _momentum: f64, _batch: usize) {}
-
-    fn flops_per_sample(&self) -> u64 {
-        (self.in_shape.0 * self.in_shape.1 * self.in_shape.2) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        10 * (self.in_shape.0 * self.in_shape.1 * self.in_shape.2) as u64
-    }
-
-    fn output_shape(&self) -> (usize, usize, usize) {
-        (self.in_shape.0, self.in_shape.1 / 2, self.in_shape.2 / 2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,71 +274,5 @@ mod tests {
         assert_eq!(Relu::new(4, 8, 8).output_shape(), (4, 8, 8));
         assert_eq!(MaxPool2::new(4, 8, 8).unwrap().output_shape(), (4, 4, 4));
         assert_eq!(Relu::new(1, 1, 1).parameter_count(), 0);
-    }
-
-    #[test]
-    fn sigmoid_range_and_midpoint() {
-        let mut s = Sigmoid::new(1, 1, 3);
-        let x = Tensor3::from_vec(1, 1, 3, vec![-100.0, 0.0, 100.0]).unwrap();
-        let y = s.forward(&x).unwrap();
-        assert!(y.get(0, 0, 0) < 1e-9);
-        assert!((y.get(0, 0, 1) - 0.5).abs() < 1e-12);
-        assert!((y.get(0, 0, 2) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sigmoid_gradient_matches_finite_differences() {
-        let mut s = Sigmoid::new(1, 2, 3);
-        let x = Tensor3::from_fn(1, 2, 3, |_, y, x| (y as f64 - x as f64) * 0.7).unwrap();
-        let err = finite_difference_check(&mut s, &x, 1e-5).unwrap();
-        assert!(err < 1e-7, "max fd error {err}");
-    }
-
-    #[test]
-    fn tanh_gradient_matches_finite_differences() {
-        let mut t = Tanh::new(1, 2, 3);
-        let x = Tensor3::from_fn(1, 2, 3, |_, y, x| (y + x) as f64 * 0.4 - 0.9).unwrap();
-        let err = finite_difference_check(&mut t, &x, 1e-5).unwrap();
-        assert!(err < 1e-7, "max fd error {err}");
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut t = Tanh::new(1, 1, 2);
-        let x = Tensor3::from_vec(1, 1, 2, vec![0.7, -0.7]).unwrap();
-        let y = t.forward(&x).unwrap();
-        assert!((y.get(0, 0, 0) + y.get(0, 0, 1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let mut pool = AvgPool2::new(1, 2, 2).unwrap();
-        let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 2.0, 3.0, 6.0]).unwrap();
-        let y = pool.forward(&x).unwrap();
-        assert_eq!(y.get(0, 0, 0), 3.0);
-    }
-
-    #[test]
-    fn avgpool_gradient_matches_finite_differences() {
-        let mut pool = AvgPool2::new(2, 4, 4).unwrap();
-        let x = Tensor3::from_fn(2, 4, 4, |c, y, x| ((c + y * 2 + x) % 5) as f64 * 0.3).unwrap();
-        let err = finite_difference_check(&mut pool, &x, 1e-5).unwrap();
-        assert!(err < 1e-8, "max fd error {err}");
-    }
-
-    #[test]
-    fn avgpool_validation() {
-        assert!(AvgPool2::new(1, 3, 4).is_err());
-        let mut pool = AvgPool2::new(1, 2, 2).unwrap();
-        assert!(pool.backward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
-        assert_eq!(pool.output_shape(), (1, 1, 1));
-    }
-
-    #[test]
-    fn activation_backward_before_forward_errors() {
-        let mut s = Sigmoid::new(1, 1, 1);
-        assert!(s.backward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
-        let mut t = Tanh::new(1, 1, 1);
-        assert!(t.backward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
     }
 }

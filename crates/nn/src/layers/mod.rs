@@ -3,13 +3,9 @@
 mod activation;
 mod conv;
 mod dense;
-mod dropout;
-mod norm;
 mod residual;
 
-pub use activation::{AvgPool2, MaxPool2, Relu, Sigmoid, Tanh};
+pub use activation::{MaxPool2, Relu};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use norm::BatchNorm;
 pub use residual::Residual;

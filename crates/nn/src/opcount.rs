@@ -61,7 +61,7 @@ impl NetworkWorkload {
 
     /// FLOPs for one training step of one sample
     /// (forward + backward ≈ 3× forward).
-    pub fn training_flops_per_sample(&self) -> f64 {
+    fn training_flops_per_sample(&self) -> f64 {
         3.0 * self.forward_flops
     }
 

@@ -54,7 +54,8 @@ impl Trainer {
     }
 
     /// Trains `net` for `epochs` epochs over `data`, returning one
-    /// report per epoch.
+    /// report per epoch. A `batch_size` of 0 trains as 1, as
+    /// [`Trainer::new`] clamps it.
     ///
     /// # Errors
     ///
@@ -71,7 +72,7 @@ impl Trainer {
         for epoch in 0..epochs {
             order.shuffle(&mut rng);
             let mut total_loss = 0.0;
-            for chunk in order.chunks(self.batch_size) {
+            for chunk in order.chunks(self.batch_size.max(1)) {
                 for &i in chunk {
                     let (x, y) = &data[i];
                     total_loss += net.accumulate_gradients(x, *y)?;
@@ -151,5 +152,29 @@ mod tests {
     fn zero_batch_size_clamped() {
         let t = Trainer::new(0.1, 0.9, 0, 0);
         assert_eq!(t.batch_size, 1);
+    }
+
+    #[test]
+    fn zero_batch_size_in_a_literal_trains_as_one() {
+        let data = two_class_images(2);
+        let probe = &data[1].0;
+        let run = |batch_size: usize| {
+            let mut net = vgg_small(3, 8, 2, 5).unwrap();
+            let trainer = Trainer {
+                batch_size,
+                ..Trainer::default()
+            };
+            let reports = trainer.fit(&mut net, &data, 2).unwrap();
+            (reports, net.forward(probe).unwrap())
+        };
+        let (zero_reports, zero_out) = run(0);
+        let (one_reports, one_out) = run(1);
+        assert_eq!(zero_reports.len(), 2);
+        for (z, o) in zero_reports.iter().zip(&one_reports) {
+            assert_eq!(z.mean_loss.to_bits(), o.mean_loss.to_bits());
+            assert_eq!(z.accuracy.to_bits(), o.accuracy.to_bits());
+        }
+        let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&zero_out), bits(&one_out));
     }
 }

@@ -93,11 +93,6 @@ impl SimServer {
         self.queue.high_water()
     }
 
-    /// The accelerator under service (for charge accounting asserts).
-    pub fn accelerator(&self) -> &Arc<dyn Accelerator> {
-        &self.acc
-    }
-
     /// Submits a request arriving at virtual time `arrival_s` with a
     /// relative deadline of `deadline_rel_s` seconds. Admission (and
     /// any shedding) is decided at the arrival instant; a shed

@@ -114,24 +114,6 @@ impl Complex64 {
         }
     }
 
-    /// The multiplicative inverse `1/z`.
-    ///
-    /// Returns `None` when the magnitude is zero (division would be
-    /// infinite); the distillation solver uses this to detect spectral
-    /// nulls that the paper's naive division formula cannot handle.
-    #[inline]
-    pub fn recip(self) -> Option<Self> {
-        let d = self.norm_sqr();
-        if d == 0.0 {
-            None
-        } else {
-            Some(Complex64 {
-                re: self.re / d,
-                im: -self.im / d,
-            })
-        }
-    }
-
     /// Returns `true` when either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -148,18 +130,6 @@ impl Complex64 {
     #[inline]
     pub fn exp(self) -> Self {
         Complex64::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Fused multiply-add: `self * b + c`, evaluated in one expression.
-    ///
-    /// The systolic-array simulator models each processing element as a
-    /// MAC unit; this is the numeric mirror of that operation.
-    #[inline]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Complex64 {
-            re: self.re * b.re - self.im * b.im + c.re,
-            im: self.re * b.im + self.im * b.re + c.im,
-        }
     }
 }
 
@@ -219,8 +189,7 @@ impl Div for Complex64 {
     /// Complex division.
     ///
     /// Division by zero yields non-finite components, exactly like
-    /// `f64` division; use [`Complex64::recip`] to handle the zero
-    /// denominator case explicitly.
+    /// `f64` division.
     #[inline]
     fn div(self, rhs: Self) -> Self {
         let d = rhs.norm_sqr();
@@ -364,25 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn recip_matches_division() {
-        let z = Complex64::new(3.0, 4.0);
-        let r = z.recip().expect("nonzero");
-        assert!(close(r, Complex64::ONE / z));
-        assert!(Complex64::ZERO.recip().is_none());
-    }
-
-    #[test]
     fn division_by_zero_is_nonfinite() {
         let z = Complex64::new(1.0, 1.0) / Complex64::ZERO;
         assert!(!z.is_finite());
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = Complex64::new(1.0, 2.0);
-        let b = Complex64::new(-0.5, 3.0);
-        let c = Complex64::new(4.0, -4.0);
-        assert!(close(a.mul_add(b, c), a * b + c));
     }
 
     #[test]

@@ -251,12 +251,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat row-major buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Checked element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> Option<&T> {
@@ -345,13 +339,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Applies a function in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two equally-shaped matrices elementwise.
     ///
     /// # Errors
@@ -400,29 +387,6 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
-    /// Writes `block` into this matrix with its top-left corner at
-    /// `(r0, c0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the block exceeds the
-    /// matrix bounds.
-    pub fn set_submatrix(&mut self, r0: usize, c0: usize, block: &Self) -> Result<()> {
-        if r0 + block.rows > self.rows || c0 + block.cols > self.cols {
-            return Err(TensorError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: (r0 + block.rows, c0 + block.cols),
-                op: "set_submatrix",
-            });
-        }
-        for r in 0..block.rows {
-            let src = &block.data[r * block.cols..(r + 1) * block.cols];
-            let dst_off = (r0 + r) * self.cols + c0;
-            self.data[dst_off..dst_off + block.cols].copy_from_slice(src);
-        }
-        Ok(())
-    }
-
     /// Stacks matrices vertically (row-wise concatenation).
     ///
     /// # Errors
@@ -445,34 +409,6 @@ impl<T: Scalar> Matrix<T> {
         let mut data = Vec::with_capacity(rows * cols);
         for p in parts {
             data.extend_from_slice(&p.data);
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Stacks matrices horizontally (column-wise concatenation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] for an empty input and
-    /// [`TensorError::ShapeMismatch`] when row counts differ.
-    pub fn hstack(parts: &[Self]) -> Result<Self> {
-        let first = parts.first().ok_or(TensorError::EmptyDimension)?;
-        let rows = first.rows;
-        for p in parts {
-            if p.rows != rows {
-                return Err(TensorError::ShapeMismatch {
-                    left: (rows, first.cols),
-                    right: (p.rows, p.cols),
-                    op: "hstack",
-                });
-            }
-        }
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for p in parts {
-                data.extend_from_slice(p.row(r));
-            }
         }
         Ok(Matrix { rows, cols, data })
     }
@@ -706,11 +642,7 @@ mod tests {
         let m = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64).unwrap();
         let sub = m.submatrix(1, 2, 2, 2).unwrap();
         assert_eq!(sub.as_slice(), &[6.0, 7.0, 10.0, 11.0]);
-        let mut target = Matrix::<f64>::zeros(4, 4).unwrap();
-        target.set_submatrix(1, 2, &sub).unwrap();
-        assert_eq!(target[(1, 2)], 6.0);
-        assert_eq!(target[(2, 3)], 11.0);
-        assert_eq!(target[(0, 0)], 0.0);
+        assert_eq!(m.submatrix(0, 0, 4, 4).unwrap(), m);
     }
 
     #[test]
@@ -724,21 +656,16 @@ mod tests {
     fn stacking() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        let v = Matrix::vstack(&[a.clone(), b.clone()]).unwrap();
+        let v = Matrix::vstack(&[a, b]).unwrap();
         assert_eq!(v.shape(), (2, 2));
         assert_eq!(v[(1, 0)], 3.0);
-        let h = Matrix::hstack(&[a, b]).unwrap();
-        assert_eq!(h.shape(), (1, 4));
-        assert_eq!(h[(0, 3)], 4.0);
     }
 
     #[test]
     fn stack_mismatches() {
         let a = Matrix::<f64>::zeros(1, 2).unwrap();
         let b = Matrix::<f64>::zeros(1, 3).unwrap();
-        assert!(Matrix::vstack(&[a.clone(), b.clone()]).is_err());
-        let c = Matrix::<f64>::zeros(2, 2).unwrap();
-        assert!(Matrix::hstack(&[a, c]).is_err());
+        assert!(Matrix::vstack(&[a, b]).is_err());
         assert!(Matrix::<f64>::vstack(&[]).is_err());
     }
 

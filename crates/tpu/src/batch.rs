@@ -497,11 +497,6 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
         self.lock().pending.len()
     }
 
-    /// Submissions participating in the forming flight.
-    pub fn pending_submissions(&self) -> usize {
-        self.lock().submissions
-    }
-
     /// When the forming flight's first lane was enqueued, on the
     /// queue's [`QueueTime`] — `None` while no flight is forming. The
     /// flight dispatches no later than this instant plus

@@ -6,8 +6,6 @@
 //! paper describes in §II-A ("the core of the entire TPU is the
 //! Matrix Multiply Unit, which is a 256×256 systolic array").
 
-use crate::topology::Topology;
-
 /// Numeric precision of the MXU datapath.
 ///
 /// The paper's §II-A highlights 8-bit quantisation; real TPUv2 MXUs
@@ -33,7 +31,7 @@ impl Precision {
     }
 
     /// Relative MAC throughput versus the int8 peak (int8 = 1.0).
-    pub fn throughput_factor(self) -> f64 {
+    fn throughput_factor(self) -> f64 {
         match self {
             Precision::Int8 => 1.0,
             Precision::Bf16 => 0.5,
@@ -71,12 +69,6 @@ pub struct TpuConfig {
     pub link_latency_s: f64,
     /// Inter-core link bandwidth in bytes/second (the 1/β term).
     pub link_bytes_per_sec: f64,
-    /// Shape of the interconnect fabric that prices collectives. The
-    /// default [`Topology::flat`] crossbar reproduces the seed
-    /// `α + β·bytes` charge bit-for-bit; ring and torus fabrics make
-    /// hop counts and bisection bandwidth matter (see
-    /// [`crate::topology`]).
-    pub topology: Topology,
     /// Whether weight loading overlaps with the previous tile's
     /// compute (double-buffered weight FIFO).
     pub double_buffered_weights: bool,
@@ -103,7 +95,6 @@ impl TpuConfig {
             unified_buffer_bytes: 24 * 1024 * 1024,
             link_latency_s: 1.0e-6,
             link_bytes_per_sec: 70.0e9,
-            topology: Topology::flat(),
             double_buffered_weights: true,
             precision: Precision::Int8,
             pj_per_mac: 0.2,
@@ -124,7 +115,6 @@ impl TpuConfig {
             unified_buffer_bytes: 64 * 1024,
             link_latency_s: 1.0e-6,
             link_bytes_per_sec: 1.0e9,
-            topology: Topology::flat(),
             double_buffered_weights: false,
             precision: Precision::Int8,
             pj_per_mac: 0.2,
@@ -156,21 +146,6 @@ impl TpuConfig {
     /// `bytes` per core (§III-D of the paper).
     pub fn cross_replica_cost_s(&self, bytes: usize) -> f64 {
         self.link_latency_s + bytes as f64 / self.link_bytes_per_sec
-    }
-
-    /// Cost in seconds of one collective in which each of
-    /// `participants` contributes `bytes`, priced through the
-    /// configured [`Topology`]. With the default flat crossbar this
-    /// equals [`TpuConfig::cross_replica_cost_s`] bit-for-bit for any
-    /// `participants ≥ 2`.
-    pub fn collective_cost_s(&self, bytes: usize, participants: usize) -> f64 {
-        self.topology.gather_cost_s(self, bytes, participants)
-    }
-
-    /// Replaces the interconnect topology (builder style).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 }
 
@@ -222,20 +197,5 @@ mod tests {
     #[test]
     fn default_is_tpu_v2() {
         assert_eq!(TpuConfig::default(), TpuConfig::tpu_v2());
-    }
-
-    #[test]
-    fn default_topology_prices_collectives_like_the_seed() {
-        let cfg = TpuConfig::tpu_v2();
-        for bytes in [0usize, 1, 4096, 1 << 20] {
-            for p in [2usize, 4, 128] {
-                assert_eq!(
-                    cfg.collective_cost_s(bytes, p).to_bits(),
-                    cfg.cross_replica_cost_s(bytes).to_bits(),
-                );
-            }
-        }
-        let ring = TpuConfig::tpu_v2().with_topology(Topology::ring());
-        assert!(ring.collective_cost_s(4096, 16) > ring.cross_replica_cost_s(4096));
     }
 }

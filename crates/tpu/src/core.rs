@@ -110,18 +110,6 @@ impl TpuCore {
         &self.memory
     }
 
-    /// Achieved MXU utilisation: MAC operations executed divided by
-    /// the peak MAC capacity of the elapsed cycles. 1.0 = the array
-    /// never idled; small matmuls and fill/drain overhead push it
-    /// down — the effect Figure 4's small-matrix regime shows.
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        let peak = self.cycles as f64 * self.cfg.macs_per_cycle();
-        (self.trace.ops_of(OpKind::MatMul) as f64 / peak).min(1.0)
-    }
-
     /// Zeroes all counters and the trace.
     pub fn reset(&mut self) {
         self.memory.reset();
@@ -331,23 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_grows_with_matmul_size() {
-        // Bigger matmuls amortise fill/drain: utilisation must rise.
-        let mut small_core = TpuCore::new(TpuConfig::small_test());
-        small_core.matmul(&unit_matrix(2), &unit_matrix(2)).unwrap();
-        let small = small_core.utilization();
-        let mut big_core = TpuCore::new(TpuConfig::small_test());
-        big_core.matmul(&unit_matrix(16), &unit_matrix(16)).unwrap();
-        let big = big_core.utilization();
-        assert!(big > small, "{big} !> {small}");
-        assert!(big <= 1.0);
-        assert_eq!(TpuCore::new(TpuConfig::small_test()).utilization(), 0.0);
-    }
-
-    #[test]
     fn utilization_counts_mxu_work_only() {
         // Vector-unit work keeps the core busy but is not a MAC on the
-        // systolic array: a Hadamard-only core has an idle MXU.
+        // systolic array: every cycle lands in the elementwise row.
         let mut core = TpuCore::new(TpuConfig::small_test());
         core.charge_elementwise_work(16);
         assert!(core.elapsed_cycles() > 0);
@@ -356,7 +330,6 @@ mod tests {
             core.elapsed_cycles()
         );
         assert!(core.trace().total_ops() > 0);
-        assert_eq!(core.utilization(), 0.0);
     }
 
     #[test]

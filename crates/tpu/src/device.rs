@@ -62,8 +62,9 @@ pub struct TpuDevice {
 }
 
 impl TpuDevice {
-    /// Creates a device with `cfg.cores` cores.
-    pub fn new(cfg: TpuConfig) -> Self {
+    /// Creates a device with `cfg.cores` cores (clamped to ≥ 1).
+    pub fn new(mut cfg: TpuConfig) -> Self {
+        cfg.cores = cfg.cores.max(1);
         let cores = (0..cfg.cores)
             .map(|i| TpuCore::with_id(cfg.clone(), i))
             .collect();
@@ -80,7 +81,7 @@ impl TpuDevice {
     /// Creates a device overriding the configured core count — used by
     /// the core-count ablation (`fig4 -- --sweep-cores`).
     pub fn with_cores(mut cfg: TpuConfig, cores: usize) -> Self {
-        cfg.cores = cores.max(1);
+        cfg.cores = cores;
         Self::new(cfg)
     }
 
@@ -97,15 +98,6 @@ impl TpuDevice {
     /// Immutable view of the cores.
     pub fn cores(&self) -> &[TpuCore] {
         &self.cores
-    }
-
-    /// Mutable access to one core (single-core schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.num_cores()`.
-    pub fn core_mut(&mut self, i: usize) -> &mut TpuCore {
-        &mut self.cores[i]
     }
 
     /// Accumulated wall time across all phases, seconds.
@@ -221,14 +213,11 @@ impl TpuDevice {
         self.charge_collective_cost(bytes);
     }
 
-    /// The one place a device-level collective charges its clocks.
-    /// The device's cores sit one pod of the configured
-    /// [`crate::Topology`] apart, so the collective is priced as a
-    /// single intra-pod step — with the default flat crossbar and no
-    /// per-link override that is bit-for-bit the seed
-    /// [`TpuConfig::cross_replica_cost_s`] charge.
+    /// The one place a device-level collective charges its clocks:
+    /// the device's cores are one link apart, so the collective is a
+    /// single [`TpuConfig::cross_replica_cost_s`] step.
     fn charge_collective_cost(&mut self, bytes: usize) -> f64 {
-        let cost = self.cfg.topology.intra_pod_cost_s(&self.cfg, bytes);
+        let cost = self.cfg.cross_replica_cost_s(bytes);
         self.comm_seconds += cost;
         self.wall_seconds += cost;
         self.collectives += 1;

@@ -5,17 +5,15 @@
 //! the fault-domain half of that story: a [`FaultPlan`] describes a
 //! *schedule* of faults — fail-stop chip deaths at virtual times,
 //! transient per-shard-attempt kernel faults drawn from a seeded
-//! stream, and per-link outages/degradations on the pool's
-//! [`crate::Topology`] — and [`crate::DevicePool`] consults it at
-//! flight dispatch. With no plan installed the pool takes exactly its
-//! pre-fault code path, so every simulated metric stays bit-identical
-//! (a pinned property).
+//! stream — and [`crate::DevicePool`] consults it at flight dispatch.
+//! With no plan installed the pool takes exactly its pre-fault code
+//! path, so every simulated metric stays bit-identical (a pinned
+//! property).
 //!
 //! Everything is deterministic: transient faults are drawn from a
 //! counter-indexed splitmix64 stream (no shared RNG state races), and
-//! fail-stop/link faults trigger on the pool's own *simulated*
-//! timeline — never a wall clock — so a seeded chaos run replays
-//! bit-for-bit.
+//! fail-stops trigger on the pool's own *simulated* timeline — never a
+//! wall clock — so a seeded chaos run replays bit-for-bit.
 //!
 //! # Examples
 //!
@@ -30,7 +28,6 @@
 //! assert_eq!(pool.healthy_devices(), 4); // nothing has happened yet
 //! ```
 
-use crate::topology::Topology;
 use xai_sync::LockClass;
 
 /// The fault-injection plan and its deterministic draw counter: what
@@ -40,10 +37,10 @@ use xai_sync::LockClass;
 /// across a device lock.
 pub static TPU_FAULT: LockClass = LockClass::new("tpu::fault", 22);
 
-/// Quarantine entries, the masked topology and the fault/retry
-/// counters. Ranked directly above [`TPU_FAULT`]: the dispatch path
-/// reads the plan, then updates quarantine state, then (much later,
-/// with both released) merges the timeline.
+/// Quarantine entries and the fault/retry counters. Ranked directly
+/// above [`TPU_FAULT`]: the dispatch path reads the plan, then updates
+/// quarantine state, then (much later, with both released) merges the
+/// timeline.
 pub static TPU_QUARANTINE: LockClass = LockClass::new("tpu::quarantine", 23);
 
 /// A scheduled fail-stop: `chip` stops executing shards once the
@@ -54,20 +51,6 @@ pub struct FailStop {
     pub chip: usize,
     /// Simulated pool time at which it dies, seconds.
     pub at_s: f64,
-}
-
-/// A scheduled fabric fault on one top-level ring link (see
-/// [`Topology::with_dead_link`] for the link indexing convention).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFault {
-    /// Top-level ring link index.
-    pub link: usize,
-    /// Simulated pool time at which the fault appears, seconds.
-    pub at_s: f64,
-    /// `None` is a hard outage (the link is masked out of `hops`,
-    /// `bisection_links` and `fanout_widths`); `Some(f)` divides the
-    /// link's effective bandwidth by `f ≥ 1`.
-    pub degrade_factor: Option<f64>,
 }
 
 /// A seeded, deterministic schedule of injected faults.
@@ -85,7 +68,6 @@ pub struct FaultPlan {
     /// "the second shard of the first flight faults" exactly.
     forced_draws: Vec<u64>,
     fail_stops: Vec<FailStop>,
-    link_faults: Vec<LinkFault>,
     retry_budget: usize,
     backoff_s: f64,
     cooldown_s: f64,
@@ -101,7 +83,6 @@ impl FaultPlan {
             transient_prob: 0.0,
             forced_draws: Vec::new(),
             fail_stops: Vec::new(),
-            link_faults: Vec::new(),
             retry_budget: 3,
             backoff_s: 1.0e-6,
             cooldown_s: 1.0e-3,
@@ -132,28 +113,6 @@ impl FaultPlan {
     /// cooldown probe — it stays quarantined forever.
     pub fn fail_stop(mut self, chip: usize, at_s: f64) -> Self {
         self.fail_stops.push(FailStop { chip, at_s });
-        self
-    }
-
-    /// Schedules a hard link outage at `at_s` on top-level ring link
-    /// `link` (see [`Topology::with_dead_link`]).
-    pub fn link_outage(mut self, link: usize, at_s: f64) -> Self {
-        self.link_faults.push(LinkFault {
-            link,
-            at_s,
-            degrade_factor: None,
-        });
-        self
-    }
-
-    /// Schedules a bandwidth degradation of link `link` by `factor`
-    /// (≥ 1, clamped) at `at_s`.
-    pub fn link_degrade(mut self, link: usize, at_s: f64, factor: f64) -> Self {
-        self.link_faults.push(LinkFault {
-            link,
-            at_s,
-            degrade_factor: Some(factor.max(1.0)),
-        });
         self
     }
 
@@ -209,11 +168,6 @@ impl FaultPlan {
         &self.fail_stops
     }
 
-    /// Scheduled link faults.
-    pub fn link_faults(&self) -> &[LinkFault] {
-        &self.link_faults
-    }
-
     /// `true` when `chip` has a fail-stop scheduled at or before
     /// `now_s` — i.e. the chip is (permanently) dead.
     pub fn chip_dead(&self, chip: usize, now_s: f64) -> bool {
@@ -235,23 +189,6 @@ impl FaultPlan {
         unit_from_bits(splitmix64(
             self.seed ^ draw.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         )) < self.transient_prob
-    }
-
-    /// `topology` with every link fault scheduled at or before
-    /// `now_s` applied: outages become dead links, degradations scale
-    /// the link's bandwidth share.
-    pub fn mask_topology(&self, topology: Topology, now_s: f64) -> Topology {
-        let mut t = topology;
-        for lf in &self.link_faults {
-            if lf.at_s > now_s {
-                continue;
-            }
-            t = match lf.degrade_factor {
-                None => t.with_dead_link(lf.link),
-                Some(f) => t.with_degraded_link(lf.link, f),
-            };
-        }
-        t
     }
 }
 
@@ -327,20 +264,6 @@ mod tests {
         assert!(plan.chip_dead(3, 2.5));
         assert!(plan.chip_dead(3, 99.0), "fail-stop is permanent");
         assert!(!plan.chip_dead(0, 99.0), "only the scheduled chip dies");
-    }
-
-    #[test]
-    fn link_faults_mask_the_topology_on_schedule() {
-        let plan = FaultPlan::seeded(0)
-            .link_outage(1, 1.0)
-            .link_degrade(2, 2.0, 4.0);
-        let ring = Topology::ring();
-        assert_eq!(plan.mask_topology(ring, 0.5), ring, "nothing yet");
-        let at1 = plan.mask_topology(ring, 1.0);
-        assert!(at1.has_link_faults());
-        assert_eq!(at1, ring.with_dead_link(1));
-        let at2 = plan.mask_topology(ring, 2.0);
-        assert_eq!(at2, ring.with_dead_link(1).with_degraded_link(2, 4.0));
     }
 
     #[test]

@@ -66,10 +66,10 @@ pub use batch::{
 pub use config::{Precision, TpuConfig};
 pub use core::{bf16_round, TpuCore};
 pub use device::{PhaseTime, TpuDevice};
-pub use fault::{FailStop, FaultPlan, FaultStats, LinkFault};
+pub use fault::{FailStop, FaultPlan, FaultStats};
 pub use memory::MemoryModel;
 pub use pool::{DevicePool, LaneCost, ShardOutcome, ShardPlan, ShardStrategy, ShardedRun};
 pub use shared::{LaneLease, SharedDevice};
 pub use systolic::{tile_stream_cycles, weight_load_cycles, SystolicArray, TileResult};
-pub use topology::{Topology, TopologyKind};
+pub use topology::Topology;
 pub use trace::{OpKind, Trace};

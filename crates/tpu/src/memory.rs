@@ -48,31 +48,6 @@ impl MemoryModel {
         self.hbm_bytes_read + self.hbm_bytes_written + self.spill_bytes
     }
 
-    /// Bytes read from HBM.
-    pub fn bytes_read(&self) -> u64 {
-        self.hbm_bytes_read
-    }
-
-    /// Bytes written to HBM.
-    pub fn bytes_written(&self) -> u64 {
-        self.hbm_bytes_written
-    }
-
-    /// Spill traffic caused by unified-buffer overflow, bytes.
-    pub fn bytes_spilled(&self) -> u64 {
-        self.spill_bytes
-    }
-
-    /// Cycles this core spends waiting on HBM for its recorded
-    /// traffic, at the per-core bandwidth share of `cfg`.
-    pub fn stall_cycles(&self, cfg: &TpuConfig) -> u64 {
-        let per_cycle = cfg.hbm_bytes_per_cycle_per_core();
-        if per_cycle <= 0.0 {
-            return u64::MAX;
-        }
-        (self.total_bytes() as f64 / per_cycle).ceil() as u64
-    }
-
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &MemoryModel) {
         self.hbm_bytes_read += other.hbm_bytes_read;
@@ -96,8 +71,6 @@ mod tests {
         m.record_read(100);
         m.record_write(50);
         m.record_read(25);
-        assert_eq!(m.bytes_read(), 125);
-        assert_eq!(m.bytes_written(), 50);
         assert_eq!(m.total_bytes(), 175);
     }
 
@@ -106,7 +79,7 @@ mod tests {
         let cfg = TpuConfig::small_test(); // 64 KiB UB
         let mut m = MemoryModel::new();
         m.record_working_set(64 * 1024, &cfg);
-        assert_eq!(m.bytes_spilled(), 0);
+        assert_eq!(m.total_bytes(), 0);
     }
 
     #[test]
@@ -114,15 +87,7 @@ mod tests {
         let cfg = TpuConfig::small_test();
         let mut m = MemoryModel::new();
         m.record_working_set(64 * 1024 + 1000, &cfg);
-        assert_eq!(m.bytes_spilled(), 2000);
-    }
-
-    #[test]
-    fn stall_cycles_follow_bandwidth() {
-        let cfg = TpuConfig::small_test(); // 1 GB/s, 2 cores, 1 MHz ⇒ 500 B/cycle/core
-        let mut m = MemoryModel::new();
-        m.record_read(5_000);
-        assert_eq!(m.stall_cycles(&cfg), 10);
+        assert_eq!(m.total_bytes(), 2000);
     }
 
     #[test]

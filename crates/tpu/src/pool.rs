@@ -339,10 +339,8 @@ pub struct DevicePool {
     strategy: ShardStrategy,
     /// Config snapshot used to price inter-chip gathers.
     cfg: TpuConfig,
-    /// The inter-chip fabric pricing this pool's gathers. Seeded from
-    /// the primary device's configured topology (flat by default), so
-    /// a chip's on-chip interconnect and the pool's inter-chip fabric
-    /// can differ (see [`DevicePool::with_topology`]).
+    /// The inter-chip fabric pricing this pool's gathers: the flat
+    /// crossbar unless [`DevicePool::with_topology`] replaces it.
     topology: Topology,
     timeline: OrderedMutex<PoolTimeline>,
     /// Installed fault plan + transient draw counter. `None` (the
@@ -393,12 +391,11 @@ impl DevicePool {
             "a DevicePool needs at least one device"
         );
         let cfg = devices[0].config();
-        let topology = cfg.topology;
         DevicePool {
             devices,
             strategy: ShardStrategy::default(),
             cfg,
-            topology,
+            topology: Topology::flat(),
             timeline: OrderedMutex::new(&TPU_POOL, PoolTimeline::default()),
             fault: OrderedMutex::new(&TPU_FAULT, FaultState::default()),
             quarantine: OrderedMutex::new(&TPU_QUARANTINE, QuarantineState::default()),
@@ -413,9 +410,8 @@ impl DevicePool {
     }
 
     /// Replaces the inter-chip fabric pricing this pool's gathers
-    /// (builder style). Each chip's on-chip collectives keep pricing
-    /// through its own configured topology — this only reshapes the
-    /// links *between* chips.
+    /// (builder style). A chip's on-chip collectives are unaffected —
+    /// this only reshapes the links *between* chips.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
         self
@@ -429,11 +425,11 @@ impl DevicePool {
     }
 
     /// Installs a seeded [`FaultPlan`]: from the next flight on,
-    /// dispatch consults the plan for fail-stops, transient shard
-    /// faults and link faults, retries lost lanes under the plan's
-    /// budget, and quarantines faulted chips. Replacing a plan resets
-    /// the transient draw counter (a fresh schedule replays from its
-    /// start) but keeps quarantine state and counters.
+    /// dispatch consults the plan for fail-stops and transient shard
+    /// faults, retries lost lanes under the plan's budget, and
+    /// quarantines faulted chips. Replacing a plan resets the transient
+    /// draw counter (a fresh schedule replays from its start) but keeps
+    /// quarantine state and counters.
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         {
             let mut f = self.fault.lock_recover();
@@ -498,17 +494,6 @@ impl DevicePool {
         }
     }
 
-    /// The pool's fabric with every link fault scheduled at or before
-    /// the current merged time applied — what gathers and fan-out
-    /// planning should price against. The configured topology itself
-    /// with no plan installed.
-    pub fn effective_topology(&self) -> Topology {
-        match self.fault_plan() {
-            None => self.topology,
-            Some(fp) => fp.mask_topology(self.topology, self.wall_seconds()),
-        }
-    }
-
     /// The shard-placement strategy in use.
     pub fn strategy(&self) -> ShardStrategy {
         self.strategy
@@ -524,8 +509,7 @@ impl DevicePool {
     /// pool's fabric. On the default flat crossbar this is exactly
     /// [`TpuConfig::cross_replica_cost_s`] for any `participants ≥ 2`.
     pub fn gather_cost_s(&self, bytes: usize, participants: usize) -> f64 {
-        self.effective_topology()
-            .gather_cost_s(&self.cfg, bytes, participants)
+        self.topology.gather_cost_s(&self.cfg, bytes, participants)
     }
 
     /// Number of chips in the pool.
@@ -661,10 +645,9 @@ impl DevicePool {
     /// exponential simulated backoff. The flight then contributes
     /// every round's slowest-shard charge (a faulted shard really ran
     /// before its results were lost), plus the backoffs, plus one
-    /// gather over the chips holding final results on the
-    /// link-fault-masked fabric. Results are pure functions of the
-    /// lanes, so a retried flight is bit-identical to its fault-free
-    /// run — only the timeline pays.
+    /// gather over the chips holding final results. Results are pure
+    /// functions of the lanes, so a retried flight is bit-identical to
+    /// its fault-free run — only the timeline pays.
     ///
     /// # Errors
     ///
@@ -897,15 +880,10 @@ impl DevicePool {
 
         // One gather over the chips holding final results: hierarchical
         // on a torus, hop- and pressure-scaled on a ring, exactly the
-        // seed `cross_replica_cost_s` on the default flat crossbar, and
-        // priced on the link-fault-masked fabric under a plan.
+        // seed `cross_replica_cost_s` on the default flat crossbar.
         let distinct = contributed.iter().filter(|&&c| c).count();
         let gather_s = if distinct > 1 {
-            let fabric = match fp {
-                Some(fp) => fp.mask_topology(self.topology, start_s + compute_s + backoff_s),
-                None => self.topology,
-            };
-            fabric.gather_cost_s(&self.cfg, gather_bytes, distinct)
+            self.gather_cost_s(gather_bytes, distinct)
         } else {
             0.0
         };
@@ -1902,24 +1880,6 @@ mod tests {
         assert_eq!(pool.healthy_devices(), 3);
         assert_eq!(pool.healthy_fraction(), 0.75);
         assert_eq!(pool.healthy_device_indices(), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn effective_topology_masks_scheduled_link_faults() {
-        let pool = DevicePool::new(TpuConfig::small_test(), 4)
-            .with_topology(Topology::ring())
-            .with_fault_plan(FaultPlan::seeded(0).link_outage(1, 0.5));
-        assert_eq!(pool.effective_topology(), Topology::ring());
-        pool.advance_external(1.0);
-        assert_eq!(
-            pool.effective_topology(),
-            Topology::ring().with_dead_link(1)
-        );
-        // The pool's gather pricing follows the masked fabric.
-        assert!(
-            pool.gather_cost_s(512, 4)
-                > Topology::ring().gather_cost_s(&TpuConfig::small_test(), 512, 4)
-        );
     }
 
     #[test]

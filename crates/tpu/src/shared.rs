@@ -181,17 +181,10 @@ impl SharedDevice {
         self.lanes.lock().serial_s
     }
 
-    /// Lane-timeline makespan: the instant the last core goes idle.
-    /// With overlapping flights this is shorter than
-    /// [`SharedDevice::lane_serial_seconds`].
-    pub fn lane_makespan_seconds(&self) -> f64 {
-        let st = self.lanes.lock();
-        st.busy_until.iter().fold(0.0f64, |m, &t| m.max(t))
-    }
-
     /// Seconds of charge that ran concurrently on disjoint core
-    /// lanes: `lane_serial_seconds − lane_makespan_seconds`. Zero
-    /// when every flight convoyed; positive when flights overlapped.
+    /// lanes: `lane_serial_seconds` minus the lane timeline's makespan
+    /// (the instant the last core goes idle). Zero when every flight
+    /// convoyed; positive when flights overlapped.
     pub fn lane_overlap_seconds(&self) -> f64 {
         let st = self.lanes.lock();
         let makespan = st.busy_until.iter().fold(0.0f64, |m, &t| m.max(t));
@@ -246,14 +239,6 @@ impl SharedDevice {
     /// Device configuration (cloned snapshot).
     pub fn config(&self) -> TpuConfig {
         self.lock().config().clone()
-    }
-
-    /// The interconnect topology pricing this chip's collectives —
-    /// the fabric its core lanes overlay. Snapshot of the config's
-    /// [`crate::Topology`]; [`crate::DevicePool`] seeds its
-    /// inter-chip fabric from the primary chip's value.
-    pub fn topology(&self) -> crate::Topology {
-        self.lock().config().topology
     }
 
     /// Number of cores.
@@ -481,7 +466,6 @@ mod tests {
         assert!((dev.wall_seconds() - (dta + dtb)).abs() < 1e-18);
         assert!((dev.lane_serial_seconds() - (dta + dtb)).abs() < 1e-18);
         // Overlapping disjoint leases: makespan is the slower flight.
-        assert!((dev.lane_makespan_seconds() - dta.max(dtb)).abs() < 1e-18);
         assert!((dev.lane_overlap_seconds() - dta.min(dtb)).abs() < 1e-18);
     }
 
@@ -497,7 +481,6 @@ mod tests {
         // Back-to-back flights re-lease the most-recently-busy lanes,
         // so the timeline stays serial: no phantom overlap.
         assert!(dev.lane_serial_seconds() > 0.0);
-        assert!((dev.lane_makespan_seconds() - dev.lane_serial_seconds()).abs() < 1e-15);
         assert_eq!(dev.lane_overlap_seconds(), 0.0);
     }
 
@@ -532,7 +515,6 @@ mod tests {
         assert!(dev.lane_serial_seconds() > 0.0);
         dev.reset();
         assert_eq!(dev.lane_serial_seconds(), 0.0);
-        assert_eq!(dev.lane_makespan_seconds(), 0.0);
         assert_eq!(dev.lane_overlap_seconds(), 0.0);
         assert_eq!(dev.wall_seconds(), 0.0);
     }

@@ -4,8 +4,8 @@
 //! `α + β·bytes` hop ([`crate::TpuConfig::cross_replica_cost_s`]),
 //! which makes 16–64-chip fleets look linearly cheap: an ideal
 //! crossbar where every participant is one hop from every other. Real
-//! TPU pods are rings and 2-D tori, so hop counts and bisection
-//! bandwidth grow with the fleet. This module supplies that layer:
+//! TPU pods are rings and 2-D tori, so a gather's latency and link
+//! pressure grow with the fleet. This module supplies that layer:
 //!
 //! * [`Topology::flat`] — the seed's ideal crossbar, kept as the
 //!   default and **bit-for-bit identical** to
@@ -21,8 +21,10 @@
 //! All costs follow the per-shard parallel-links convention of
 //! [`crate::TpuDevice::cross_replica_sum`]: `bytes` is one (the
 //! largest) participant's payload, not the summed traffic; latency
-//! scales with hop distance, bandwidth time with how many payloads
-//! serialise over the narrowest cut.
+//! scales with the farthest participant's hop count, bandwidth time
+//! with how many payloads serialise through the root's links. Every
+//! link has the configuration's `α` ([`TpuConfig::link_latency_s`])
+//! and bandwidth ([`TpuConfig::link_bytes_per_sec`]).
 //!
 //! # Examples
 //!
@@ -46,10 +48,13 @@
 //! ```
 
 use crate::config::TpuConfig;
+use std::num::NonZeroUsize;
 
-/// The shape of the interconnect fabric.
+/// The shape of the interconnect fabric. The default is
+/// [`Topology::flat`], which prices every collective exactly as
+/// [`crate::TpuConfig::cross_replica_cost_s`] — the seed model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TopologyKind {
+pub enum Topology {
     /// Ideal crossbar: every participant is one hop from every other
     /// and every collective costs a single `α + β·bytes` step — the
     /// seed cost model, byte-for-byte.
@@ -61,314 +66,37 @@ pub enum TopologyKind {
     /// an inter-pod ring. Collectives are hierarchical: intra-pod
     /// ring gather, then pod leaders exchange pod aggregates.
     Torus2d {
-        /// Chips per pod (the torus row width), ≥ 1.
-        pod: usize,
+        /// Chips per pod (the torus row width).
+        pod: NonZeroUsize,
     },
 }
 
-/// An interconnect topology with optional per-link overrides of the
-/// configuration's `α` (latency) and `β` (1/bandwidth) terms, plus a
-/// fault mask over the top-level ring links (see
-/// [`Topology::with_dead_link`]).
-///
-/// The default is [`Topology::flat`] with no overrides and no link
-/// faults, which prices every collective exactly as
-/// [`crate::TpuConfig::cross_replica_cost_s`] — the seed model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Topology {
-    kind: TopologyKind,
-    /// Per-link latency override, seconds (`None` → the config's
-    /// `link_latency_s`).
-    link_latency_s: Option<f64>,
-    /// Per-link bandwidth override, bytes/s (`None` → the config's
-    /// `link_bytes_per_sec`).
-    link_bytes_per_sec: Option<f64>,
-    /// Bitmask of dead top-level ring links: bit `i` set means the
-    /// link joining member `i` and `i + 1 (mod p)` is out. Routes
-    /// detour around it; `bisection_links` and `fanout_widths` mask
-    /// it out. The flat crossbar (dedicated per-pair links) ignores
-    /// the mask.
-    dead_links: u64,
-    /// Bitmask of degraded top-level ring links (same indexing).
-    degraded_links: u64,
-    /// Bandwidth divisor applied when a degraded link is on a route
-    /// (≥ 1; only read when `degraded_links != 0`).
-    degrade_factor: f64,
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology::flat()
-    }
-}
-
 impl Topology {
-    const NO_FAULTS: Topology = Topology {
-        kind: TopologyKind::FlatCrossbar,
-        link_latency_s: None,
-        link_bytes_per_sec: None,
-        dead_links: 0,
-        degraded_links: 0,
-        degrade_factor: 1.0,
-    };
-
     /// The ideal crossbar (the seed cost model).
     pub fn flat() -> Self {
-        Topology {
-            kind: TopologyKind::FlatCrossbar,
-            ..Self::NO_FAULTS
-        }
+        Topology::FlatCrossbar
     }
 
     /// A single bidirectional ring over all participants.
     pub fn ring() -> Self {
-        Topology {
-            kind: TopologyKind::Ring,
-            ..Self::NO_FAULTS
-        }
+        Topology::Ring
     }
 
     /// A 2-D torus of ring-shaped pods, `pod` chips per pod (clamped
     /// to ≥ 1).
     pub fn torus(pod: usize) -> Self {
-        Topology {
-            kind: TopologyKind::Torus2d { pod: pod.max(1) },
-            ..Self::NO_FAULTS
+        Topology::Torus2d {
+            pod: NonZeroUsize::new(pod).unwrap_or(NonZeroUsize::MIN),
         }
-    }
-
-    /// Overrides the per-link `α` (seconds) and bandwidth (bytes/s)
-    /// instead of inheriting the configuration's values — e.g. a
-    /// slower inter-chip fabric than the on-chip interconnect.
-    pub fn with_link(mut self, link_latency_s: f64, link_bytes_per_sec: f64) -> Self {
-        self.link_latency_s = Some(link_latency_s);
-        self.link_bytes_per_sec = Some(link_bytes_per_sec);
-        self
-    }
-
-    /// Marks top-level ring link `i` dead: the link joining member
-    /// `i` and `i + 1 (mod p)` no longer carries traffic. Routes that
-    /// would cross it detour the long way around ([`Topology::hops`]
-    /// grows), the narrowest bisection is chosen through the dead
-    /// link ([`Topology::bisection_links`] shrinks), and fan-out
-    /// prefixes that would straddle it are dropped from
-    /// [`Topology::fanout_widths`].
-    ///
-    /// The "top-level ring" is the ring itself on
-    /// [`TopologyKind::Ring`] and the inter-pod (row) ring on
-    /// [`TopologyKind::Torus2d`]; the flat crossbar has a dedicated
-    /// link per pair and ignores the mask. Links beyond index 63 wrap
-    /// (the mask is a 64-bit field — fleets here are ≤ 64 chips).
-    pub fn with_dead_link(mut self, i: usize) -> Self {
-        self.dead_links |= 1u64 << (i % 64);
-        self
-    }
-
-    /// Degrades top-level ring link `i`: bandwidth through it is
-    /// divided by `factor` (clamped ≥ 1). Gathers whose participant
-    /// prefix includes the link pay the slower serialisation.
-    pub fn with_degraded_link(mut self, i: usize, factor: f64) -> Self {
-        self.degraded_links |= 1u64 << (i % 64);
-        self.degrade_factor = self.degrade_factor.max(factor.max(1.0));
-        self
-    }
-
-    /// `true` when any link fault (outage or degradation) is applied.
-    pub fn has_link_faults(&self) -> bool {
-        self.dead_links != 0 || self.degraded_links != 0
-    }
-
-    /// Number of dead top-level ring links.
-    pub fn dead_link_count(&self) -> usize {
-        self.dead_links.count_ones() as usize
-    }
-
-    /// Dead links among the first `p` ring links (the arcs internal
-    /// to a gather over members `0..p`).
-    fn dead_in_prefix(&self, p: usize) -> usize {
-        (self.dead_links & prefix_mask(p)).count_ones() as usize
-    }
-
-    /// Whether any degraded link sits among the first `p` ring links.
-    fn degraded_in_prefix(&self, p: usize) -> bool {
-        self.degraded_links & prefix_mask(p) != 0
-    }
-
-    /// The fabric shape.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
     }
 
     /// A short label for reports and benchmark IDs.
     pub fn name(&self) -> &'static str {
-        match self.kind {
-            TopologyKind::FlatCrossbar => "flat",
-            TopologyKind::Ring => "ring",
-            TopologyKind::Torus2d { .. } => "torus2d",
+        match self {
+            Topology::FlatCrossbar => "flat",
+            Topology::Ring => "ring",
+            Topology::Torus2d { .. } => "torus2d",
         }
-    }
-
-    /// Effective per-link latency, seconds.
-    pub fn link_latency_s(&self, cfg: &TpuConfig) -> f64 {
-        self.link_latency_s.unwrap_or(cfg.link_latency_s)
-    }
-
-    /// Effective per-link bandwidth, bytes/s.
-    pub fn link_bytes_per_sec(&self, cfg: &TpuConfig) -> f64 {
-        self.link_bytes_per_sec.unwrap_or(cfg.link_bytes_per_sec)
-    }
-
-    /// Chips per pod when `chips` participants populate this fabric.
-    /// The flat crossbar and the ring are a single pod.
-    pub fn pod_size(&self, chips: usize) -> usize {
-        match self.kind {
-            TopologyKind::FlatCrossbar | TopologyKind::Ring => chips.max(1),
-            TopologyKind::Torus2d { pod } => pod.min(chips.max(1)),
-        }
-    }
-
-    /// Number of pods when `chips` participants populate this fabric.
-    pub fn pods(&self, chips: usize) -> usize {
-        match self.kind {
-            TopologyKind::FlatCrossbar | TopologyKind::Ring => 1,
-            TopologyKind::Torus2d { pod } => chips.max(1).div_ceil(pod),
-        }
-    }
-
-    /// The pod a chip index belongs to (chips fill pods row-major).
-    pub fn pod_of(&self, chip: usize) -> usize {
-        match self.kind {
-            TopologyKind::FlatCrossbar | TopologyKind::Ring => 0,
-            TopologyKind::Torus2d { pod } => chip / pod,
-        }
-    }
-
-    /// Hop-count distance between chips `a` and `b` on a fabric of
-    /// `chips` participants.
-    pub fn hops(&self, a: usize, b: usize, chips: usize) -> usize {
-        let chips = chips.max(1);
-        let (a, b) = (a % chips, b % chips);
-        if a == b {
-            return 0;
-        }
-        match self.kind {
-            TopologyKind::FlatCrossbar => 1,
-            TopologyKind::Ring => self.masked_ring_distance(a, b, chips),
-            TopologyKind::Torus2d { pod } => {
-                let cols = pod.min(chips);
-                let rows = chips.div_ceil(cols);
-                let (ar, ac) = (a / cols, a % cols);
-                let (br, bc) = (b / cols, b % cols);
-                // The fault mask covers the top-level (inter-pod)
-                // ring; intra-pod column rings are unaffected.
-                ring_distance(ac, bc, cols) + self.masked_ring_distance(ar, br, rows)
-            }
-        }
-    }
-
-    /// Ring distance with dead links routed around: a blocked short
-    /// arc takes the long way; both arcs blocked means the ring is
-    /// partitioned and the distance saturates at `n` (beyond any
-    /// healthy diameter).
-    fn masked_ring_distance(&self, a: usize, b: usize, n: usize) -> usize {
-        if self.dead_links == 0 {
-            return ring_distance(a, b, n);
-        }
-        if n <= 1 || a == b {
-            return 0;
-        }
-        let up_len = (b + n - a) % n;
-        let down_len = n - up_len;
-        let up_ok = !arc_blocked(a, up_len, n, self.dead_links);
-        let down_ok = !arc_blocked(b, down_len, n, self.dead_links);
-        match (up_ok, down_ok) {
-            (true, true) => up_len.min(down_len),
-            (true, false) => up_len,
-            (false, true) => down_len,
-            (false, false) => n,
-        }
-    }
-
-    /// The largest hop distance between any two of `chips`
-    /// participants (0 for a single chip).
-    pub fn diameter(&self, chips: usize) -> usize {
-        let chips = chips.max(1);
-        if chips == 1 {
-            return 0;
-        }
-        match self.kind {
-            TopologyKind::FlatCrossbar => 1,
-            TopologyKind::Ring => chips / 2,
-            TopologyKind::Torus2d { pod } => {
-                let cols = pod.min(chips);
-                let rows = chips.div_ceil(cols);
-                cols / 2 + rows / 2
-            }
-        }
-    }
-
-    /// Links crossing the narrowest even bisection of `chips`
-    /// participants. The ideal crossbar has a dedicated link per
-    /// cross pair; a ring is cut in exactly two places; a torus is
-    /// cut across its shorter dimension (two wrap links per row or
-    /// column crossed).
-    pub fn bisection_links(&self, chips: usize) -> usize {
-        let chips = chips.max(1);
-        if chips == 1 {
-            return 1;
-        }
-        match self.kind {
-            TopologyKind::FlatCrossbar => (chips / 2) * chips.div_ceil(2),
-            TopologyKind::Ring => 2usize.saturating_sub(self.dead_in_prefix(chips).min(2)),
-            TopologyKind::Torus2d { pod } => {
-                let cols = pod.min(chips);
-                let rows = chips.div_ceil(cols);
-                (2 * cols.min(rows)).saturating_sub(self.dead_in_prefix(rows))
-            }
-        }
-    }
-
-    /// Aggregate bandwidth across the narrowest bisection, bytes/s.
-    pub fn bisection_bytes_per_sec(&self, cfg: &TpuConfig, chips: usize) -> f64 {
-        self.bisection_links(chips) as f64 * self.link_bytes_per_sec(cfg)
-    }
-
-    /// Cost of moving `bytes` over `hops` pipelined links (wormhole
-    /// convention: latency per hop, bandwidth paid once). Zero hops
-    /// move nothing.
-    pub fn hop_cost_s(&self, cfg: &TpuConfig, hops: usize, bytes: usize) -> f64 {
-        if hops == 0 {
-            return 0.0;
-        }
-        hops as f64 * self.link_latency_s(cfg) + bytes as f64 / self.link_bytes_per_sec(cfg)
-    }
-
-    /// Cost of moving `bytes` from chip `a` to chip `b` on a fabric
-    /// of `chips` participants.
-    pub fn distance_cost_s(
-        &self,
-        cfg: &TpuConfig,
-        a: usize,
-        b: usize,
-        chips: usize,
-        bytes: usize,
-    ) -> f64 {
-        self.hop_cost_s(cfg, self.hops(a, b, chips), bytes)
-    }
-
-    /// Cost of one intra-pod collective step moving `bytes`: a single
-    /// nearest-neighbour link traversal. Without per-link overrides
-    /// this is exactly [`crate::TpuConfig::cross_replica_cost_s`] —
-    /// the charge every on-chip (intra-pod) collective pays.
-    pub fn intra_pod_cost_s(&self, cfg: &TpuConfig, bytes: usize) -> f64 {
-        self.link_latency_s(cfg) + bytes as f64 / self.link_bytes_per_sec(cfg)
-    }
-
-    /// Cost of one inter-pod exchange of `bytes` on a fabric of
-    /// `chips` participants: a worst-case (diameter) traversal,
-    /// never cheaper than the intra-pod step.
-    pub fn inter_pod_cost_s(&self, cfg: &TpuConfig, bytes: usize, chips: usize) -> f64 {
-        self.hop_cost_s(cfg, self.diameter(chips).max(1), bytes)
     }
 
     /// Cost in seconds of one gather/all-reduce collective in which
@@ -390,18 +118,14 @@ impl Topology {
         if participants < 2 {
             return 0.0;
         }
-        match self.kind {
-            TopologyKind::FlatCrossbar => {
-                self.link_latency_s(cfg) + bytes as f64 / self.link_bytes_per_sec(cfg)
-            }
-            TopologyKind::Ring => self.ring_gather_cost_s(cfg, bytes, participants),
-            TopologyKind::Torus2d { pod } => {
-                let q = pod.min(participants);
-                let pods = participants.div_ceil(pod);
-                // The fault mask covers the top-level (inter-pod)
-                // ring only; intra-pod rings price as healthy.
-                let intra = self.unfaulted().ring_gather_cost_s(cfg, bytes, q);
-                let inter = self.ring_gather_cost_s(cfg, q.saturating_mul(bytes), pods);
+        match *self {
+            Topology::FlatCrossbar => cfg.cross_replica_cost_s(bytes),
+            Topology::Ring => ring_gather_cost_s(cfg, bytes, participants),
+            Topology::Torus2d { pod } => {
+                let q = pod.get().min(participants);
+                let pods = participants.div_ceil(pod.get());
+                let intra = ring_gather_cost_s(cfg, bytes, q);
+                let inter = ring_gather_cost_s(cfg, q.saturating_mul(bytes), pods);
                 intra + inter
             }
         }
@@ -417,9 +141,9 @@ impl Topology {
     /// partially-filled pod.
     pub fn fanout_widths(&self, devices: usize) -> Vec<usize> {
         let devices = devices.max(1);
-        let mut widths: Vec<usize> = match self.kind {
-            TopologyKind::FlatCrossbar => Vec::new(),
-            TopologyKind::Ring => {
+        let mut widths: Vec<usize> = match *self {
+            Topology::FlatCrossbar => Vec::new(),
+            Topology::Ring => {
                 let mut w = 2usize;
                 let mut out = Vec::new();
                 while w < devices {
@@ -428,89 +152,25 @@ impl Topology {
                 }
                 out
             }
-            TopologyKind::Torus2d { pod } => (1..)
-                .map(|k| k * pod)
+            Topology::Torus2d { pod } => (1..)
+                .map(|k| k * pod.get())
                 .take_while(|&w| w < devices)
                 .collect(),
         };
-        if self.dead_links != 0 {
-            // A prefix gather over members `0..w` routes through the
-            // prefix's internal ring links; a dead one would force
-            // every shard the long way around, so that width is no
-            // longer fabric-natural. The full pool is always kept —
-            // detour pricing in `gather_cost_s` handles it.
-            widths.retain(|&w| match self.kind {
-                TopologyKind::FlatCrossbar => true,
-                TopologyKind::Ring => self.dead_in_prefix(w.saturating_sub(1)) == 0,
-                TopologyKind::Torus2d { pod } => {
-                    let pods_used = w.div_ceil(pod);
-                    self.dead_in_prefix(pods_used.saturating_sub(1)) == 0
-                }
-            });
-        }
         widths.push(devices);
         widths
     }
-
-    /// One ring-shaped gather stage: `p` members each contribute
-    /// `bytes` toward a root. See [`Topology::gather_cost_s`].
-    ///
-    /// Each dead link among the stage's ring arcs costs one detour
-    /// hop (shards that would cross it walk the long way); a degraded
-    /// link divides the stage's serialisation bandwidth by the
-    /// degrade factor. With no faults the expression is untouched —
-    /// bit-for-bit the healthy charge.
-    fn ring_gather_cost_s(&self, cfg: &TpuConfig, bytes: usize, p: usize) -> f64 {
-        if p < 2 {
-            return 0.0;
-        }
-        let mut hops = p.div_ceil(2) as f64;
-        let mut bandwidth = self.link_bytes_per_sec(cfg);
-        if self.dead_links != 0 {
-            hops += self.dead_in_prefix(p) as f64;
-        }
-        if self.degraded_links != 0 && self.degraded_in_prefix(p) {
-            bandwidth /= self.degrade_factor;
-        }
-        let serialised = ((p - 1) as f64 / 2.0).max(1.0);
-        hops * self.link_latency_s(cfg) + serialised * (bytes as f64 / bandwidth)
-    }
-
-    /// A copy of this topology with the link-fault mask cleared —
-    /// same shape and per-link overrides, healthy fabric.
-    pub fn unfaulted(&self) -> Topology {
-        Topology {
-            dead_links: 0,
-            degraded_links: 0,
-            degrade_factor: 1.0,
-            ..*self
-        }
-    }
 }
 
-/// Bitmask of the first `p` top-level ring links.
-fn prefix_mask(p: usize) -> u64 {
-    if p >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << p) - 1
+/// One ring-shaped gather stage: `p` members each contribute `bytes`
+/// toward a root. See [`Topology::gather_cost_s`].
+fn ring_gather_cost_s(cfg: &TpuConfig, bytes: usize, p: usize) -> f64 {
+    if p < 2 {
+        return 0.0;
     }
-}
-
-/// Whether any of the `len` consecutive ring links starting at
-/// `start` (walking toward ascending member indices, mod `n`) is in
-/// the dead-link `mask`.
-fn arc_blocked(start: usize, len: usize, n: usize, mask: u64) -> bool {
-    (0..len).any(|k| mask & (1u64 << ((start + k) % n % 64)) != 0)
-}
-
-/// Shortest distance between `a` and `b` on a ring of `n` members.
-fn ring_distance(a: usize, b: usize, n: usize) -> usize {
-    if n <= 1 {
-        return 0;
-    }
-    let d = a.abs_diff(b) % n;
-    d.min(n - d)
+    let hops = p.div_ceil(2) as f64;
+    let serialised = ((p - 1) as f64 / 2.0).max(1.0);
+    hops * cfg.link_latency_s + serialised * (bytes as f64 / cfg.link_bytes_per_sec)
 }
 
 #[cfg(test)]
@@ -520,7 +180,6 @@ mod tests {
     fn cfg() -> TpuConfig {
         TpuConfig::tpu_v2()
     }
-
     #[test]
     fn flat_gather_is_bit_identical_to_the_seed_charge() {
         let cfg = cfg();
@@ -533,10 +192,6 @@ mod tests {
                     "flat gather must reproduce the seed charge exactly ({bytes} B, {p} chips)"
                 );
             }
-            assert_eq!(
-                flat.intra_pod_cost_s(&cfg, bytes).to_bits(),
-                cfg.cross_replica_cost_s(bytes).to_bits(),
-            );
         }
     }
 
@@ -549,55 +204,6 @@ mod tests {
                 cfg.cross_replica_cost_s(bytes).to_bits(),
             );
         }
-    }
-
-    #[test]
-    fn ring_distance_wraps() {
-        let ring = Topology::ring();
-        assert_eq!(ring.hops(0, 1, 8), 1);
-        assert_eq!(ring.hops(0, 7, 8), 1); // wrap link
-        assert_eq!(ring.hops(0, 4, 8), 4); // antipode
-        assert_eq!(ring.hops(3, 3, 8), 0);
-        assert_eq!(ring.diameter(8), 4);
-    }
-
-    #[test]
-    fn torus_distance_is_row_plus_column_rings() {
-        let torus = Topology::torus(4);
-        // 4×4 torus: chip = 4·row + col.
-        assert_eq!(torus.hops(0, 5, 16), 2); // one row hop + one col hop
-        assert_eq!(torus.hops(0, 10, 16), 4); // antipode: 2 + 2
-        assert_eq!(torus.diameter(16), 4);
-        assert_eq!(torus.pods(16), 4);
-        assert_eq!(torus.pod_size(16), 4);
-        assert_eq!(torus.pod_of(0), 0);
-        assert_eq!(torus.pod_of(7), 1);
-    }
-
-    #[test]
-    fn bisection_orders_flat_above_torus_above_ring() {
-        let chips = 16;
-        let flat = Topology::flat().bisection_links(chips);
-        let torus = Topology::torus(4).bisection_links(chips);
-        let ring = Topology::ring().bisection_links(chips);
-        assert_eq!(flat, 64);
-        assert_eq!(torus, 8);
-        assert_eq!(ring, 2);
-        assert!(flat > torus && torus > ring);
-        let cfg = cfg();
-        assert_eq!(
-            Topology::torus(4).bisection_bytes_per_sec(&cfg, chips),
-            8.0 * cfg.link_bytes_per_sec,
-        );
-    }
-
-    #[test]
-    fn link_overrides_replace_config_terms() {
-        let cfg = cfg();
-        let slow = Topology::ring().with_link(5.0e-6, 10.0e9);
-        assert_eq!(slow.link_latency_s(&cfg), 5.0e-6);
-        assert_eq!(slow.link_bytes_per_sec(&cfg), 10.0e9);
-        assert!(slow.gather_cost_s(&cfg, 4096, 4) > Topology::ring().gather_cost_s(&cfg, 4096, 4));
     }
 
     #[test]
@@ -632,121 +238,30 @@ mod tests {
         let torus = Topology::torus(4);
         // 16 chips in 4 pods of 4: intra-pod gather over 4, plus
         // leaders exchanging 4× payloads over the pod ring.
-        let intra = torus.ring_gather_cost_s(&cfg, 4096, 4);
-        let inter = torus.ring_gather_cost_s(&cfg, 4 * 4096, 4);
+        let intra = ring_gather_cost_s(&cfg, 4096, 4);
+        let inter = ring_gather_cost_s(&cfg, 4 * 4096, 4);
         assert_eq!(torus.gather_cost_s(&cfg, 4096, 16), intra + inter);
         // A single pod skips the inter-pod stage entirely.
         assert_eq!(
             torus.gather_cost_s(&cfg, 4096, 4),
-            torus.ring_gather_cost_s(&cfg, 4096, 4)
-        );
-    }
-
-    #[test]
-    fn dead_link_routes_detour_the_long_way() {
-        let ring = Topology::ring().with_dead_link(0);
-        // Link 0 joins chips 0 and 1: the direct hop is gone, the
-        // detour walks the other 7 links.
-        assert_eq!(ring.hops(0, 1, 8), 7);
-        // The wrap link (7) is untouched.
-        assert_eq!(ring.hops(0, 7, 8), 1);
-        // Killing both of chip 0's links partitions it: distance
-        // saturates at the member count.
-        let cut_off = Topology::ring().with_dead_link(0).with_dead_link(7);
-        assert_eq!(cut_off.hops(0, 1, 8), 8);
-        assert_eq!(cut_off.hops(1, 2, 8), 1);
-        // On a torus the mask hits the inter-pod (row) ring only.
-        let torus = Topology::torus(4).with_dead_link(0);
-        assert_eq!(torus.hops(0, 1, 16), 1); // intra-pod, unaffected
-        assert_eq!(torus.hops(0, 4, 16), 3); // row link 0 dead: detour
-    }
-
-    #[test]
-    fn dead_links_shrink_bisection_and_fanout_widths() {
-        assert_eq!(Topology::ring().with_dead_link(3).bisection_links(16), 1);
-        assert_eq!(
-            Topology::ring()
-                .with_dead_link(3)
-                .with_dead_link(9)
-                .bisection_links(16),
-            0
-        );
-        assert_eq!(Topology::torus(4).with_dead_link(0).bisection_links(16), 7);
-        // Ring of 16: healthy prefixes 2/4/8/16. A dead link inside
-        // the 4-prefix (link 2 joins chips 2–3) drops the 4- and
-        // 8-wide prefixes; the full pool is always kept.
-        assert_eq!(
-            Topology::ring().with_dead_link(2).fanout_widths(16),
-            vec![2, 16]
-        );
-        // Torus of 4-pods: inter-pod link 0 (pods 0–1) kills every
-        // multi-pod prefix short of the full pool.
-        assert_eq!(
-            Topology::torus(4).with_dead_link(0).fanout_widths(16),
-            vec![4, 16]
-        );
-    }
-
-    #[test]
-    fn faulted_gathers_pay_detours_and_degradation() {
-        let cfg = cfg();
-        let healthy = Topology::ring();
-        let dead = Topology::ring().with_dead_link(0);
-        assert!(dead.gather_cost_s(&cfg, 4096, 4) > healthy.gather_cost_s(&cfg, 4096, 4));
-        let degraded = Topology::ring().with_degraded_link(1, 4.0);
-        assert!(degraded.gather_cost_s(&cfg, 4096, 4) > healthy.gather_cost_s(&cfg, 4096, 4));
-        // Faults outside the participant prefix change nothing,
-        // bit-for-bit.
-        let far = Topology::ring()
-            .with_dead_link(10)
-            .with_degraded_link(11, 8.0);
-        assert_eq!(
-            far.gather_cost_s(&cfg, 4096, 4).to_bits(),
-            healthy.gather_cost_s(&cfg, 4096, 4).to_bits(),
-        );
-        // `unfaulted` strips the mask entirely.
-        assert_eq!(
-            dead.unfaulted().gather_cost_s(&cfg, 4096, 4).to_bits(),
-            healthy.gather_cost_s(&cfg, 4096, 4).to_bits(),
-        );
-        // Torus intra-pod stage never pays for inter-pod faults: the
-        // single-pod gather is untouched by any mask.
-        let torus = Topology::torus(4)
-            .with_dead_link(0)
-            .with_degraded_link(1, 4.0);
-        assert_eq!(
-            torus.gather_cost_s(&cfg, 4096, 4).to_bits(),
-            Topology::torus(4).gather_cost_s(&cfg, 4096, 4).to_bits(),
-        );
-        assert!(
-            torus.gather_cost_s(&cfg, 4096, 16) > Topology::torus(4).gather_cost_s(&cfg, 4096, 16)
+            ring_gather_cost_s(&cfg, 4096, 4)
         );
     }
 
     #[test]
     fn default_topology_is_flat_with_no_faults() {
         assert_eq!(Topology::default(), Topology::flat());
-        assert!(!Topology::flat().has_link_faults());
-        assert_eq!(Topology::ring().with_dead_link(5).dead_link_count(), 1);
-        assert!(Topology::ring()
-            .with_degraded_link(2, 2.0)
-            .has_link_faults());
     }
 
     #[test]
-    fn intra_pod_never_exceeds_inter_pod() {
-        let cfg = cfg();
+    fn fanout_widths_follow_the_fabric() {
+        assert_eq!(Topology::flat().fanout_widths(16), vec![16]);
+        assert_eq!(Topology::ring().fanout_widths(16), vec![2, 4, 8, 16]);
+        assert_eq!(Topology::torus(4).fanout_widths(16), vec![4, 8, 12, 16]);
+        // A zero-chip pod is clamped to one chip.
+        assert_eq!(Topology::torus(0).fanout_widths(3), vec![1, 2, 3]);
         for topo in [Topology::flat(), Topology::ring(), Topology::torus(4)] {
-            for chips in [1usize, 2, 4, 16, 64] {
-                for bytes in [0usize, 64, 65_536] {
-                    assert!(
-                        topo.intra_pod_cost_s(&cfg, bytes)
-                            <= topo.inter_pod_cost_s(&cfg, bytes, chips),
-                        "{} intra-pod must not exceed inter-pod (chips={chips})",
-                        topo.name()
-                    );
-                }
-            }
+            assert_eq!(topo.fanout_widths(1), vec![1], "{}", topo.name());
         }
     }
 }

@@ -18,16 +18,13 @@ pub enum OpKind {
     Elementwise,
     /// Weight FIFO load.
     WeightLoad,
-    /// HBM transfer.
-    Memory,
     /// Inter-core collective (`cross_replica_sum`).
     Collective,
-    /// Host ↔ device transfer.
-    Host,
 }
 
-/// Rows of the [`Trace`] table: one per [`OpKind`] (`Host` is last).
-const KINDS: usize = OpKind::Host as usize + 1;
+/// Rows of the [`Trace`] table: one per [`OpKind`] (`Collective` is
+/// last).
+const KINDS: usize = OpKind::Collective as usize + 1;
 
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -35,9 +32,7 @@ impl fmt::Display for OpKind {
             OpKind::MatMul => "matmul",
             OpKind::Elementwise => "elementwise",
             OpKind::WeightLoad => "weight-load",
-            OpKind::Memory => "memory",
             OpKind::Collective => "collective",
-            OpKind::Host => "host",
         };
         f.write_str(s)
     }
@@ -105,11 +100,6 @@ impl Trace {
         self.cycles[kind as usize]
     }
 
-    /// Arithmetic operations attributed to one kind of operation.
-    pub(crate) fn ops_of(&self, kind: OpKind) -> u64 {
-        self.ops[kind as usize]
-    }
-
     /// Zeroes every row.
     pub fn clear(&mut self) {
         *self = Self::default();
@@ -129,7 +119,7 @@ mod tests {
         let mut t = Trace::new();
         assert!(t.is_empty());
         record(&mut t, OpKind::MatMul, 10);
-        record(&mut t, OpKind::Memory, 5);
+        record(&mut t, OpKind::WeightLoad, 5);
         record(&mut t, OpKind::MatMul, 7);
         assert_eq!(t.len(), 3);
         assert_eq!(t.total_cycles(), 22);
@@ -137,13 +127,12 @@ mod tests {
         assert_eq!(t.total_ops(), 66);
         assert_eq!(t.cycles_of(OpKind::MatMul), 17);
         assert_eq!(t.cycles_of(OpKind::Collective), 0);
-        assert_eq!(t.ops_of(OpKind::MatMul), 51);
     }
 
     #[test]
     fn clear_empties_log() {
         let mut t = Trace::new();
-        record(&mut t, OpKind::Host, 3);
+        record(&mut t, OpKind::Elementwise, 3);
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.total_cycles(), 0);

@@ -35,41 +35,6 @@ proptest! {
             flat.gather_cost_s(&cfg, bytes, participants).to_bits(),
             cfg.cross_replica_cost_s(bytes).to_bits()
         );
-        prop_assert_eq!(
-            flat.intra_pod_cost_s(&cfg, bytes).to_bits(),
-            cfg.cross_replica_cost_s(bytes).to_bits()
-        );
-        prop_assert_eq!(
-            cfg.collective_cost_s(bytes, participants).to_bits(),
-            cfg.cross_replica_cost_s(bytes).to_bits()
-        );
-    }
-
-    /// More hops never cost less: on every fabric, a transfer over a
-    /// longer route is at least as expensive for the same payload.
-    #[test]
-    fn more_hops_never_cost_less(
-        a in 0usize..64,
-        b in 0usize..64,
-        c in 0usize..64,
-        d in 0usize..64,
-        chips in 2usize..65,
-        bytes in 0usize..1 << 30,
-    ) {
-        let cfg = TpuConfig::tpu_v2();
-        for topo in fabrics() {
-            let (near, far) = {
-                let h1 = topo.hops(a, b, chips);
-                let h2 = topo.hops(c, d, chips);
-                if h1 <= h2 { ((a, b), (c, d)) } else { ((c, d), (a, b)) }
-            };
-            prop_assert!(
-                topo.distance_cost_s(&cfg, near.0, near.1, chips, bytes)
-                    <= topo.distance_cost_s(&cfg, far.0, far.1, chips, bytes),
-                "{} route cost must be monotone in hop count",
-                topo.name()
-            );
-        }
     }
 
     /// Gathers never get cheaper as chips join the collective.
@@ -92,26 +57,6 @@ proptest! {
                     >= Topology::flat().gather_cost_s(&cfg, bytes, participants),
                 "{} cannot beat the ideal crossbar",
                 topo.name()
-            );
-        }
-    }
-
-    /// An intra-pod step never exceeds the inter-pod exchange for
-    /// the same payload — the hierarchy's cheap level really is the
-    /// cheap level.
-    #[test]
-    fn intra_pod_never_exceeds_inter_pod(
-        chips in 1usize..65,
-        bytes in 0usize..1 << 30,
-    ) {
-        let cfg = TpuConfig::tpu_v2();
-        for topo in fabrics() {
-            prop_assert!(
-                topo.intra_pod_cost_s(&cfg, bytes)
-                    <= topo.inter_pod_cost_s(&cfg, bytes, chips),
-                "{} intra-pod must not exceed inter-pod at {} chips",
-                topo.name(),
-                chips
             );
         }
     }
