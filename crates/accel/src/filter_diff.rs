@@ -1,23 +1,21 @@
-//! The fused filter-diff lane, `y − re(ifft2(fft2(x) ∘ filter))` — the
-//! only place that sequence is written — and the score lane, its
-//! Frobenius norm for an occluded `x`, taken in the spectrum. A queued
-//! flight runs [`lane`] or a score lane (a [`Spectra`]'s
-//! [`ScoreOperands::score`]) on each job; the built-in
-//! platforms' unqueued batches run them over the host pool ([`fused`],
-//! [`scores`]) and replay the staged chain's charges. Both filter-diff
-//! entries of a built-in platform — real lanes by value, borrowed
-//! complex ones ([`narrow`]) — and its contribution scores end here.
+//! Contribution scores, `‖y − x′ ∗ k‖_F` for `x′` an occlusion of `x`:
+//! one *score lane* per rectangle over one handle per request
+//! ([`Operands`], the [`ScoreOperands`] a
+//! [`KernelJob::Score`](xai_tpu::KernelJob::Score) lane holds), of one of two kinds read off the request:
 //!
-//! A lane owns its input from submission to result ([`LaneInput`]) and
-//! nothing copies it on the way. A real lane's `m × n` buffer is read
-//! by the forward transform, overwritten by the inverse — `y − re`
-//! taken row by row as it unpacks — and handed back: lane in, result
-//! out. The half spectrum and scratch row it needs besides are one
-//! `Vec` lent from lane to lane, per flight or per pool group of an
-//! unqueued batch. A complex lane allocates its real result.
+//! - **Spectral** ([`Spectra`]): an even row count and every element of
+//!   `x` finite. The score is taken in the spectrum — no occluded image,
+//!   no inverse transform per region, no difference matrix.
+//! - **Occluded**: any other request. The lane occludes `x` and runs the
+//!   complex sequence `forward → ∘ K → inverse → y − re` on it, then the
+//!   norm: per element the staged chain's arithmetic.
 //!
-//! A score lane owns nothing but its rectangle. What it reads is built
-//! at three lifetimes:
+//! A queued flight runs one score lane per job; the built-in platforms'
+//! unqueued requests run them over the host pool ([`scores`]) and
+//! replay the staged chain's charges.
+//!
+//! A spectral score lane owns nothing but its rectangle. What it reads
+//! is built at three lifetimes:
 //!
 //! - **Per model** ([`PreparedKernel`], one handle the model owns): the
 //!   filter spectrum, `K_h` (its Hermitian part on the kept columns),
@@ -46,61 +44,46 @@
 //!   and the lane returns `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`
 //!   ([`Fft2d::residual_energy`](xai_fourier::Fft2d::residual_energy)).
 //!
-//! Neither builds an occluded image, an inverse transform per region or
-//! a difference matrix. Every value built once per model is the same
-//! arithmetic on the same operands as if it were built per request, so
-//! where it was built cannot reach a score's bits.
+//! Every value built once per model is the same arithmetic on the same
+//! operands as if it were built per request, so where it was built
+//! cannot reach a score's bits.
 //!
 //! # Numerics contract
 //!
-//! A lane is *real* when every imaginary part of `x` is `== 0.0`, its
-//! row count is even and `x`, `filter` and `y` share one shape — what
-//! every occluded image or trace is. A real lane takes the real-input
-//! transform pair ([`Fft2d::forward_real`](xai_fourier::Fft2d::forward_real):
-//! half the butterflies) around the filter's Hermitian part
-//! ([`Fft2d::hadamard_real`](xai_fourier::Fft2d::hadamard_real), an
-//! identity for any filter); any other lane takes the complex sequence.
-//! A *score* ([`Accelerator::contribution_scores`]) is taken in the
-//! spectrum when its request could be sixteen real lanes — an even row
-//! count, `y` and `filter` of `x`'s shape — and every element of `x` is
-//! finite; any other request is scored lane by lane (occlude, the lanes
-//! above, `frobenius_norm`: the trait default). Every choice is read
-//! off the operands, never configured, and:
+//! A request reaches a score lane only once it is well formed — every
+//! rectangle inside `x`, `y` and the filter of `x`'s shape — and is
+//! refused before anything is charged otherwise
+//! ([`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores)). Its kind is read off `x`,
+//! never configured, and:
 //!
-//! 1. A lane's result is a pure function of `(x, filter, y)`, a score
-//!    of `(x, y, filter, rectangle)`: bit-identical across direct /
-//!    queued / pooled execution, flight composition, chip count,
-//!    `XAI_THREADS`, retries, and whether the prepared kernel is fresh
-//!    or shared with earlier requests. Within a request scored in the
-//!    spectrum the route of a rectangle is a function of its extent and
-//!    `x`'s shape alone: its box has fewer cells than `x` — block-local
-//!    (then the guard of point 3 decides, on the same operands) — or not
-//!    — the full-size lane; so the grid-4 blocks of a 128² or 16² image
-//!    take 64² or 8² boxes, and a grid-2 block, or any block of an 8²
-//!    image, the full-size lane.
-//! 2. A lane that is not real (any non-zero or NaN imaginary part, an
-//!    odd row count, a mismatched operand) runs the complex sequence:
-//!    the staged `fft2d → hadamard → ifft2d → to_real → sub` chain's
-//!    bits, error value and precedence. A request not scored in the
-//!    spectrum keeps the lane route's bits, errors and partial charges.
-//! 3. A real `m × n` lane is within
-//!    `C · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` in Frobenius
-//!    norm of the complex sequence on the same operands, with `C = 2`
-//!    and `ε = f64::EPSILON`, and both are within that bound of the
-//!    O(N²) definition (observed: ≤ 0.55 of it between the two
-//!    sequences, 0.14 on radix-2 shapes; `tests/real_lane.rs`). A
-//!    spectral score `s` is within the same bound of the lane route's
-//!    `s_ref` on the same operands, `|s − s_ref| ≤` it, and both of the
-//!    definition (`tests/spectral_score.rs`; observed ≤ 0.37 of it, at
-//!    128², ≤ 0.06 below 64 elements a side). Most of that is the
+//! 1. A score is a pure function of `(x, y, filter, rectangle)`:
+//!    bit-identical across direct / queued / pooled execution, flight
+//!    composition, chip count, `XAI_THREADS`, retries, and whether the
+//!    prepared kernel is fresh or shared with earlier requests. Within a
+//!    spectral request the route of a rectangle is a function of its
+//!    extent and `x`'s shape alone: its box has fewer cells than `x` —
+//!    block-local (then the guard of point 3 decides, on the same
+//!    operands) — or not — the full-size lane; so the grid-4 blocks of a
+//!    128² or 16² image take 64² or 8² boxes, and a grid-2 block, or any
+//!    block of an 8² image, the full-size lane.
+//! 2. An occluded score — an odd row count, or a NaN or ±inf in `x` —
+//!    is the staged `fft2d → hadamard → ifft2d → to_real → sub` chain's
+//!    difference on the occlusion and its `frobenius_norm`: the trait
+//!    default's score, bit for bit, on every placement.
+//! 3. A spectral score `s` is within
+//!    `C · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` of the trait
+//!    default's `s_ref` on the same operands, with `C = 2` and
+//!    `ε = f64::EPSILON`, `|s − s_ref| ≤` it, and both are within it of
+//!    the O(N²) definition (`tests/spectral_score.rs`; observed ≤ 0.37 of
+//!    it, at 128², ≤ 0.06 below 64 elements a side). Most of that is the
 //!    *reference*: `s_ref` ends in a serial sum of `mn` squares, which
 //!    on an image periodic enough for its squares to round alike drifts
 //!    past the budget on its own (70 ε·s at 128² on a period-23 table);
-//!    against the exactly summed norm of the lane route's difference the
-//!    spectral score holds the bound on that data too. Neither route is
-//!    the closer to the definition where the fit is good: one subtracts
-//!    two nearly equal images per region, the other two nearly equal
-//!    spectra per request.
+//!    against the exactly summed norm of the reference's difference the
+//!    spectral score holds the bound on that data too. Neither is the
+//!    closer to the definition where the fit is good: one subtracts two
+//!    nearly equal images per region, the other two nearly equal spectra
+//!    per request.
 //!
 //!    A block-local score is
 //!    `s̃² = ‖r‖² + 2⟨c, x_b⟩ + μ (Σ x_b)² + Σ w |B̂_L|² Â_L / (l_r l_c)`:
@@ -128,19 +111,18 @@
 //!    kept block-local scores are within 0.051 of the bound of the
 //!    full-size lane on the test shapes and 5.6e-4 of it (≤ 1.2e-12) on
 //!    `serve-large`'s requests.
-//! 4. A NaN or ±inf anywhere in a real lane leaves no finite element
-//!    in its result, as on the complex sequence: the pack, unpack and
-//!    filter steps are full complex arithmetic, never a skipped zero.
-//!    A NaN or ±inf in `x` is a pixel an occlusion may *remove*, which
-//!    `X − B_r` cannot: such a request takes the lane route and keeps
-//!    its per-region poison pattern. One in `y` or `filter` leaves no
-//!    finite score on either route.
-//! 5. Simulated time never sees which transform ran, nor whether one
+//! 4. A NaN or ±inf in `x` is a pixel an occlusion may *remove*, which
+//!    `X − B_r` cannot: such a request takes the occluded kind and keeps
+//!    the staged chain's per-region poison pattern — a score stays
+//!    finite exactly when its rectangle covers every such pixel. One in
+//!    `y` or `filter` leaves no finite score of either kind.
+//! 5. Simulated time never sees which kind ran, nor whether a transform
 //!    did: the *modelled* device runs the paper's complex matrix-form
 //!    transform (Eq. 10–13) and Eq. 5 literally — every charge is that
-//!    of the staged chain, a score lane's that of its filter-diff lane.
+//!    of the staged chain, a score lane's that of the fused chain of its
+//!    shape.
 
-use crate::traits::{lane_scores, rect_fits, staged_filter_diff, Accelerator};
+use crate::traits::{fit_rect, occluded};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -148,114 +130,15 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops;
-use xai_tensor::{Complex64, Matrix, Result, TensorError};
-use xai_tpu::{LaneInput, Rect, ScoreOperands};
-
-/// How a borrowed complex lane enters: as its real parts when it can
-/// take the real-input pair (an even row count, every imaginary part
-/// `== 0.0` — a scan, then a copy of half the bytes), else as a clone.
-pub(crate) fn narrow(x: &Matrix<Complex64>) -> LaneInput {
-    if x.rows().is_multiple_of(2) && x.iter().all(|z| z.im == 0.0) {
-        LaneInput::Real(x.to_real())
-    } else {
-        LaneInput::Complex(x.clone())
-    }
-}
-
-/// One lane, by value: forward → Hadamard → inverse → `y − re`. A real
-/// lane (see the module header) takes the real-input transform pair
-/// through `ws` — half spectrum, then a scratch row; resized only when
-/// the shape changes — and comes back in its own buffer. Any other, and
-/// every malformed lane, runs the complex sequence in its own (for a
-/// real image, lifted) buffer — per element exactly the staged
-/// `fft2d → hadamard → ifft2d → to_real → sub` arithmetic, bit for bit.
-pub(crate) fn lane(
-    x: LaneInput,
-    filter: &Matrix<Complex64>,
-    y: &Matrix<f64>,
-    ws: &mut Vec<Complex64>,
-) -> Result<Matrix<f64>> {
-    let shape @ (m, n) = x.shape();
-    let plan = global_plan_cache().plan_2d(m, n);
-    let real = m.is_multiple_of(2) && filter.shape() == shape && y.shape() == shape;
-    let mut buf = match x {
-        LaneInput::Real(mut x) if real => {
-            ws.resize(m * plan.half_cols() + n, Complex64::ZERO);
-            let (half, scratch) = ws.split_at_mut(m * plan.half_cols());
-            plan.forward_real(x.as_slice(), half, scratch);
-            plan.hadamard_real(half, filter);
-            plan.inverse_real(half, x.as_mut_slice(), scratch, |r, row| {
-                row.iter_mut().zip(y.row(r)).for_each(|(v, y)| *v = y - *v);
-            });
-            return Ok(x);
-        }
-        x => x.into_complex(),
-    };
-    plan.forward_in_place(&mut buf)?;
-    ops::hadamard_assign(&mut buf, filter)?;
-    plan.inverse_in_place(&mut buf)?;
-    ops::sub_re(y, &buf)
-}
-
-/// One lane of an unqueued batch: its input, then in place its result.
-enum Slot {
-    Lane(LaneInput),
-    Done(Result<Matrix<f64>>),
-}
-
-/// The owned-lane path the built-in platforms' entries share. A
-/// well-formed batch (non-empty, every lane, the filter and `y` of one
-/// shape) runs every lane through [`lane`] — whole lanes sharded over
-/// the host pool in `num_threads` contiguous groups (one fork-join per
-/// batch), each group lending lane after lane one workspace; a lane is
-/// a pure function of its own operands, so the grouping cannot reach
-/// the results — and then pays `charge(lanes)`, the platform's staged
-/// charges. Any other batch goes to the staged chain (its lanes lifted:
-/// a cold path), which owns its error value and partial charges.
-pub(crate) fn fused<A: Accelerator>(
-    acc: &A,
-    xs: impl Iterator<Item = LaneInput>,
-    filter: &Matrix<Complex64>,
-    y: &Matrix<f64>,
-    charge: impl FnOnce(usize) -> Result<()>,
-) -> Result<Vec<Matrix<f64>>> {
-    let mut slots: Vec<_> = xs.map(Slot::Lane).collect();
-    let shape = filter.shape();
-    let fits = |s: &Slot| matches!(s, Slot::Lane(x) if x.shape() == shape);
-    if slots.is_empty() || y.shape() != shape || !slots.iter().all(fits) {
-        let lifted = slots.into_iter().filter_map(|slot| match slot {
-            Slot::Lane(x) => Some(x.into_complex()),
-            Slot::Done(_) => None,
-        });
-        return staged_filter_diff(acc, &lifted.collect::<Vec<_>>(), filter, y);
-    }
-    let pool = xai_parallel::global();
-    let group = slots.len().div_ceil(pool.num_threads()).max(1);
-    pool.par_chunks_mut(&mut slots, group, |_, slots| {
-        let mut ws = Vec::new();
-        for slot in slots {
-            let taken = std::mem::replace(slot, Slot::Done(Err(TensorError::EmptyDimension)));
-            if let Slot::Lane(x) = taken {
-                *slot = Slot::Done(lane(x, filter, y, &mut ws));
-            }
-        }
-    });
-    let done = slots.into_iter().filter_map(|slot| match slot {
-        Slot::Lane(_) => None,
-        Slot::Done(out) => Some(out),
-    });
-    let out: Vec<_> = done.collect::<Result<_>>()?;
-    charge(out.len())?;
-    Ok(out)
-}
+use xai_tensor::{Complex64, Matrix, Result};
+use xai_tpu::{Rect, ScoreOperands};
 
 /// A distilled kernel prepared for contribution scores: a cheap handle
 /// (clones share one allocation) over everything a score reads that
 /// depends on the kernel alone.
 ///
 /// Built from the kernel's spectrum `K` in O(mn), with no transform:
-/// the spectrum itself (what a request not scored in the spectrum — the
-/// lane route — applies), `K_h`, `K`'s Hermitian part on the
+/// the spectrum itself (what an occluded request's lanes apply), `K_h`, `K`'s Hermitian part on the
 /// `m × (n/2 + 1)` columns a real-input transform keeps, the kernel
 /// mean's share `|K_h(0)|² / mn`, and `‖K‖_max`. What only a rectangle
 /// scored on its own box reads — the mean-free autocorrelation of the
@@ -348,7 +231,7 @@ impl PreparedKernel {
             power[0] = Complex64::ZERO;
             let mut a = vec![0.0; m * n];
             let scratch = &mut vec![Complex64::ZERO; n];
-            plan.inverse_real(&mut power, &mut a, scratch, |_, _| {});
+            plan.inverse_real(&mut power, &mut a, scratch);
             a
         })
     }
@@ -393,12 +276,49 @@ fn norm(v: &Matrix<f64>) -> f64 {
         .sqrt()
 }
 
-/// What the score lanes of one request share: `x` (borrowed by an
-/// unqueued request, owned by a queued one), the half spectrum of the
-/// unoccluded residual, `R̂ = Ŷ − X̂ ∘ K_h` (`m × (n/2 + 1)`), the
-/// model's [`PreparedKernel`] and, when some rectangle's [`local_box`]
-/// has fewer cells than `x`, what its block-local score reads of the
-/// request ([`Local`]).
+/// One request's score operands, of the kind read off `x` (module
+/// header): `x` is borrowed by an unqueued request and owned by a
+/// queued one.
+#[derive(Debug)]
+pub(crate) enum Operands<X> {
+    /// An even row count and every element of `x` finite.
+    Spectral(Spectra<X>),
+    /// Any other request: each lane occludes `x` and runs the complex
+    /// sequence against `y` and the kernel's spectrum.
+    Occluded {
+        x: X,
+        y: Matrix<f64>,
+        kernel: PreparedKernel,
+    },
+}
+
+/// The operands of a well-formed request (non-empty `rects`, each inside
+/// `x`; `y` and the kernel of `x`'s shape): [`Spectra`] when `x` has an
+/// even row count and every element finite — a NaN or ±inf pixel is one
+/// an occlusion may *remove*, which `X′ = X − B_r` cannot — and the
+/// occluded kind, with its own copy of `y`, otherwise.
+pub(crate) fn operands<X: Borrow<Matrix<f64>>>(
+    x: X,
+    y: &Matrix<f64>,
+    rects: &[Rect],
+    kernel: &PreparedKernel,
+) -> Operands<X> {
+    let image = x.borrow();
+    if image.rows().is_multiple_of(2) && image.iter().all(|v| v.is_finite()) {
+        return Operands::Spectral(spectra(x, y, rects, kernel));
+    }
+    Operands::Occluded {
+        x,
+        y: y.clone(),
+        kernel: kernel.clone(),
+    }
+}
+
+/// What the score lanes of a spectral request share: `x`, the half
+/// spectrum of the unoccluded residual, `R̂ = Ŷ − X̂ ∘ K_h`
+/// (`m × (n/2 + 1)`), the model's [`PreparedKernel`] and, when some
+/// rectangle's [`local_box`] has fewer cells than `x`, what its
+/// block-local score reads of the request ([`Local`]).
 #[derive(Debug)]
 pub(crate) struct Spectra<X> {
     x: X,
@@ -425,29 +345,18 @@ fn local_box((rows, cols): &Rect) -> (usize, usize) {
     (side(rows), side(cols))
 }
 
-/// The request's [`Spectra`] — two dense real-input forwards, and one
-/// dense inverse when some rectangle is scored block-locally — when it
-/// is scored in the spectrum: an even row count, `y` and the kernel of
-/// `x`'s shape, every rectangle inside it and every element of `x`
-/// finite (a NaN or ±inf pixel is one an occlusion may *remove*, which
-/// `X′ = X − B_r` cannot). `None` hands the request to [`lane_scores`].
-pub(crate) fn spectra<X: Borrow<Matrix<f64>>>(
+/// A spectral request's [`Spectra`] — two dense real-input forwards, and
+/// one dense inverse when some rectangle is scored block-locally. `x`
+/// has an even row count, and `y` and the kernel its shape
+/// ([`operands`]).
+fn spectra<X: Borrow<Matrix<f64>>>(
     x: X,
     y: &Matrix<f64>,
     rects: &[Rect],
     kernel: &PreparedKernel,
-) -> Option<Spectra<X>> {
+) -> Spectra<X> {
     let image = x.borrow();
-    let shape @ (m, n) = image.shape();
-    let spectral = !rects.is_empty()
-        && m.is_multiple_of(2)
-        && y.shape() == shape
-        && kernel.spectrum().shape() == shape
-        && rects.iter().all(|rect| rect_fits(shape, rect))
-        && image.iter().all(|v| v.is_finite());
-    if !spectral {
-        return None;
-    }
+    let (m, n) = image.shape();
     let plan = global_plan_cache().plan_2d(m, n);
     let h = plan.half_cols();
     let hermitian = &kernel.0.hermitian;
@@ -468,7 +377,7 @@ pub(crate) fn spectra<X: Borrow<Matrix<f64>>>(
             *z = *r * k.conj();
         }
         let mut c = vec![0.0; m * n];
-        plan.inverse_real(&mut spectrum, &mut c, scratch, |_, _| {});
+        plan.inverse_real(&mut spectrum, &mut c, scratch);
         let scale = kernel.0.max_abs * norm(image) + norm(y);
         Local { energy, scale, c }
     });
@@ -478,12 +387,12 @@ pub(crate) fn spectra<X: Borrow<Matrix<f64>>>(
     for b in boxes {
         kernel.window(b);
     }
-    Some(Spectra {
+    Spectra {
         x,
         residual,
         kernel: kernel.clone(),
         local,
-    })
+    }
 }
 
 /// `Â_L` of one box `l_r × l_c`: the real half spectrum (`l_r × (l_c/2 +
@@ -517,35 +426,54 @@ fn window(a: &[f64], (m, n): (usize, usize), (l_r, l_c): (usize, usize)) -> Vec<
     half.iter().map(|z| z.re).collect()
 }
 
-/// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` zeroed.
-/// When the request has block-local operands and `rect`'s box has fewer
-/// cells than `x`, it is taken on that box ([`local_score`]) unless the
-/// cancellation guard sends it on. Otherwise, and then, it is the
-/// full-size lane `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`, `B̂` the block-pruned
-/// forward of `x` restricted to `rect`. Transforms run through `ws` as in
-/// [`lane`].
-impl<X: Borrow<Matrix<f64>> + Debug + Send + Sync> ScoreOperands for Spectra<X> {
+/// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` zeroed,
+/// after the rectangle is checked against `x` (a hand-built lane may
+/// hold any). An occluded lane runs the complex sequence in a buffer of
+/// its own — per element the staged `fft2d → hadamard → ifft2d →
+/// to_real → sub` arithmetic, bit for bit — and a spectral one
+/// [`Spectra::score`] through `ws`.
+impl<X: Borrow<Matrix<f64>> + Debug + Send + Sync> ScoreOperands for Operands<X> {
     fn shape(&self) -> (usize, usize) {
-        self.x.borrow().shape()
+        match self {
+            Operands::Spectral(spectra) => spectra.x.borrow().shape(),
+            Operands::Occluded { x, .. } => x.borrow().shape(),
+        }
     }
 
     fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> Result<f64> {
+        let (m, n) = self.shape();
+        fit_rect((m, n), rect, "score lane")?;
+        let (x, y, kernel) = match self {
+            Operands::Spectral(spectra) => return Ok(spectra.score(rect, ws)),
+            Operands::Occluded { x, y, kernel } => (x.borrow(), y, kernel),
+        };
+        let plan = global_plan_cache().plan_2d(m, n);
+        let mut lane = occluded(x, rect)?.to_complex();
+        plan.forward_in_place(&mut lane)?;
+        ops::hadamard_assign(&mut lane, kernel.spectrum())?;
+        plan.inverse_in_place(&mut lane)?;
+        Ok(ops::sub_re(y, &lane)?.frobenius_norm())
+    }
+}
+
+impl<X: Borrow<Matrix<f64>>> Spectra<X> {
+    /// The score of a rectangle inside `x`. When the request has
+    /// block-local operands and `rect`'s box has fewer cells than `x`,
+    /// it is taken on that box ([`local_score`]) unless the cancellation
+    /// guard sends it on. Otherwise, and then, it is the full-size lane
+    /// `√(Σ w |R̂ + B̂ ∘ K_h|² / mn)`, `B̂` the block-pruned forward of `x`
+    /// restricted to `rect`. `ws` holds the transforms: a half spectrum
+    /// and a scratch row, resized only when the shape changes.
+    fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> f64 {
         let x = self.x.borrow();
-        let shape @ (m, n) = x.shape();
-        if !rect_fits(shape, rect) {
-            return Err(TensorError::ShapeMismatch {
-                left: (rect.0.end, rect.1.end),
-                right: shape,
-                op: "score lane",
-            });
-        }
+        let (m, n) = x.shape();
         let (l_r, l_c) = local_box(rect);
         let local = self
             .local
             .as_ref()
             .filter(|_| l_r.saturating_mul(l_c) < m * n);
         if let Some(s) = local.and_then(|local| local_score(x, local, &self.kernel, rect, ws)) {
-            return Ok(s);
+            return s;
         }
         let plan = global_plan_cache().plan_2d(m, n);
         let h = plan.half_cols();
@@ -554,7 +482,7 @@ impl<X: Borrow<Matrix<f64>> + Debug + Send + Sync> ScoreOperands for Spectra<X> 
         let (rows, cols) = rect.clone();
         plan.forward_real_block(x.as_slice(), rows, cols, block, scratch);
         let energy = plan.residual_energy(&self.residual, block, &self.kernel.0.hermitian);
-        Ok((energy / (m * n) as f64).sqrt())
+        (energy / (m * n) as f64).sqrt()
     }
 }
 
@@ -602,29 +530,25 @@ fn local_score(
     (magnitude <= scale * s).then_some(s)
 }
 
-/// [`Accelerator::contribution_scores`] of a built-in platform's
-/// unqueued route: a request [`spectra`] takes runs its score lanes
-/// over the host pool, grouped as [`fused`] groups filter-diff lanes,
-/// and then pays `charge(lanes)` — the platform's staged charges for as
-/// many filter-diff lanes; any other goes to [`lane_scores`].
-pub(crate) fn scores<A: Accelerator>(
-    acc: &A,
-    x: &Matrix<f64>,
-    y: &Matrix<f64>,
+/// [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores)
+/// of a built-in platform's unqueued route: the request's score lanes
+/// over the host pool — `num_threads` contiguous groups (one fork-join
+/// per request), each lending lane after lane one workspace; a score is
+/// a pure function of its operands, so the grouping cannot reach it —
+/// and then `charge(lanes)`, the platform's staged charges for as many
+/// occlusions.
+pub(crate) fn scores<X: Borrow<Matrix<f64>> + Debug + Send + Sync>(
+    request: &Operands<X>,
     rects: &[Rect],
-    kernel: &PreparedKernel,
     charge: impl FnOnce(usize) -> Result<()>,
 ) -> Result<Vec<f64>> {
-    let Some(spectra) = spectra(x, y, rects, kernel) else {
-        return lane_scores(acc, x, y, rects, kernel.spectrum());
-    };
     let mut slots: Vec<_> = rects.iter().map(|rect| (rect, Ok(0.0))).collect();
     let pool = xai_parallel::global();
     let group = slots.len().div_ceil(pool.num_threads()).max(1);
     pool.par_chunks_mut(&mut slots, group, |_, slots| {
         let mut ws = Vec::new();
         for (rect, score) in slots {
-            *score = spectra.score(rect, &mut ws);
+            *score = request.score(rect, &mut ws);
         }
     });
     let out: Vec<f64> = slots.into_iter().map(|(_, s)| s).collect::<Result<_>>()?;
@@ -635,7 +559,6 @@ pub(crate) fn scores<A: Accelerator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::occluded;
     use xai_fourier::{convolve2d_fft, fft2d};
 
     /// A seeded image in `[-0.5, 0.5)` (SplitMix64 draws).
@@ -678,17 +601,17 @@ mod tests {
             let bound = |len: usize| (2 * len).next_power_of_two().ilog2() as usize + 1;
             assert_eq!(kernel.0.windows.len(), bound(m) * bound(n), "{shape:?}");
             let whole = [(0..m, 0..n)];
-            let request = spectra(&x, &y, &whole, &kernel).expect("spectral");
-            request.score(&whole[0], &mut Vec::new()).unwrap();
+            let request = spectra(&x, &y, &whole, &kernel);
+            request.score(&whole[0], &mut Vec::new());
             assert!(request.local.is_none() && kernel.0.autocorrelation.get().is_none());
             assert_eq!(built(&kernel), 0, "{shape:?}: the whole image needs no box");
             let rects: Vec<Rect> = (1..=m)
                 .flat_map(|h| (1..=n).map(move |w| (m - h..m, 0..w)))
                 .collect();
-            let request = spectra(&x, &y, &rects, &kernel).expect("spectral");
+            let request = spectra(&x, &y, &rects, &kernel);
             let ws = &mut Vec::new();
             for rect in &rects {
-                request.score(rect, ws).unwrap();
+                request.score(rect, ws);
             }
             let mut boxes: Vec<_> = rects.iter().map(local_box).collect();
             boxes.retain(|&(l_r, l_c)| l_r * l_c < m * n);
@@ -707,7 +630,7 @@ mod tests {
         rects: &[Rect],
         kernel: &PreparedKernel,
     ) -> usize {
-        let request = spectra(x, y, rects, kernel).expect("spectral");
+        let request = spectra(x, y, rects, kernel);
         let local = request
             .local
             .as_ref()

@@ -21,10 +21,9 @@
 //! baselines use every core `XAI_THREADS` grants while staying
 //! bit-identical to serial execution; the simulated charges are
 //! functions of the workload shape and never of the worker count.
-//! Filter-diff batches shard whole lanes, not transform row blocks
-//! (each lane fused in its own buffer, [`crate::filter_diff`]), and
-//! replay the staged chain's charges afterwards; contribution scores
-//! are taken in the spectrum and charged as those lanes.
+//! Contribution scores shard whole score lanes, not transform row
+//! blocks ([`crate::filter_diff`]), and replay the staged filter-diff
+//! chain's charges afterwards.
 //!
 //! Sustained-throughput calibration: the models use *sustained* rather
 //! than peak figures, since the pipeline's kernels are small and
@@ -34,11 +33,11 @@ use crate::clock::Clock;
 use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::{cost, RooflineParams};
 use crate::stats::KernelStats;
-use crate::traits::Accelerator;
+use crate::traits::{check_request, Accelerator};
 use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
-use xai_tpu::{LaneInput, Rect};
+use xai_tpu::Rect;
 
 /// `lanes → (kernels per stage, lanes per kernel)` of a host model's
 /// batched launches.
@@ -200,20 +199,6 @@ impl HostModel {
         self.charge_fft2d(&plan, xs.len());
         Ok(out)
     }
-
-    /// Both filter-diff entries: the fused lanes, then the staged
-    /// chain's charges.
-    fn filter_diff(
-        &self,
-        xs: impl Iterator<Item = LaneInput>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        filter_diff::fused(self, xs, filter, y, |n| {
-            self.charge_filter_diff(filter.shape(), n);
-            Ok(())
-        })
-    }
 }
 
 impl Accelerator for HostModel {
@@ -286,22 +271,6 @@ impl Accelerator for HostModel {
             Ok(out)
         })
     }
-    fn filter_diff_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.filter_diff(xs.iter().map(filter_diff::narrow), filter, y)
-    }
-    fn filter_diff_real_batch(
-        &self,
-        xs: Vec<Matrix<f64>>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.filter_diff(xs.into_iter().map(LaneInput::Real), filter, y)
-    }
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -309,7 +278,12 @@ impl Accelerator for HostModel {
         rects: &[Rect],
         kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
-        filter_diff::scores(self, x, y, rects, kernel, |n| {
+        if rects.is_empty() {
+            return Ok(Vec::new());
+        }
+        check_request(x, y, rects, kernel)?;
+        let request = filter_diff::operands(x, y, rects, kernel);
+        filter_diff::scores(&request, rects, |n| {
             self.charge_filter_diff(x.shape(), n);
             Ok(())
         })

@@ -27,7 +27,7 @@ use crate::clock::Clock;
 use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::cost;
 use crate::stats::KernelStats;
-use crate::traits::{lane_scores, Accelerator};
+use crate::traits::{check_request, Accelerator};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +37,8 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, LaneInput, Rect, ScoreOperands,
-    ShardPlan, ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
+    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, Rect, ScoreOperands, ShardPlan,
+    ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
 };
 
 /// The fan-out probe memo is a leaf of the workspace lock hierarchy,
@@ -389,10 +389,10 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
             let n = b.cols();
             (cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n))
         }
-        // The fused chain's ledger entry is exactly the sum of its
-        // four staged entries: fft + hadamard + ifft + sub.
-        KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
-            let (m, n) = fused_chain_shape(job).expect("a fused-chain lane");
+        // A score lane's ledger entry is the fused chain's: exactly the
+        // sum of its four staged entries, fft + hadamard + ifft + sub.
+        KernelJob::Score { request, .. } => {
+            let (m, n) = request.shape();
             let (t_ops, t_bytes) = transform_ops_bytes(m, n);
             let len = (m * n) as f64;
             (
@@ -400,19 +400,6 @@ fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
                 2.0 * t_bytes + 48.0 * len + 24.0 * len,
             )
         }
-    }
-}
-
-/// The shape a lane is planned, recorded and charged the fused
-/// fft → hadamard → ifft → sub chain for: a filter-diff lane's input,
-/// and a score lane's — the *modelled* device runs Equation 5
-/// literally, so to every cost function below a score lane is the
-/// filter-diff lane of the same shape. `None` for every other kind.
-fn fused_chain_shape(job: &KernelJob) -> Option<(usize, usize)> {
-    match job {
-        KernelJob::FilterDiff { x, .. } => Some(x.shape()),
-        KernelJob::Score { request, .. } => Some(request.shape()),
-        _ => None,
     }
 }
 
@@ -438,8 +425,8 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
         KernelJob::Matmul { a, b } => 8 * a.rows() * b.cols(),
         // The one-gather win of the fused chain: only the final real
         // difference ships, not the three complex intermediates.
-        KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
-            let (m, n) = fused_chain_shape(job).expect("a fused-chain lane");
+        KernelJob::Score { request, .. } => {
+            let (m, n) = request.shape();
             8 * m * n
         }
     };
@@ -463,10 +450,10 @@ fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
     flight.into_iter().map(|j| lane_numerics(j, ws)).collect()
 }
 
-/// One lane's numerics. Transform and fused filter-diff lanes work in
-/// the lane's own `x` — the job owns it, so it *is* the working buffer
-/// and, for a real filter-diff lane, the result ([`filter_diff::lane`]
-/// is the chain, shared with the unqueued batches; `ws`, its workspace).
+/// One lane's numerics. A transform lane works in the lane's own `x` —
+/// the job owns it, so it *is* the working buffer and the result; a
+/// score lane runs its request's [`ScoreOperands::score`], the routine
+/// the unqueued requests share, with `ws` as its workspace.
 fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult> {
     match job {
         KernelJob::Transform { mut x, forward } => {
@@ -484,9 +471,6 @@ fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult
         }
         KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
         KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
-        KernelJob::FilterDiff { x, filter, y } => {
-            filter_diff::lane(x, &filter, &y, ws).map(KernelResult::Real)
-        }
         KernelJob::Score { request, rect } => request.score(&rect, ws).map(KernelResult::Score),
     }
 }
@@ -500,7 +484,7 @@ fn matmul_numerics(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
 }
 
 /// Ledger `(flops, bytes)` per element of the two elementwise stages
-/// of an unqueued filter-diff chain.
+/// of the staged filter-diff chain.
 const HADAMARD_PER_ELEM: (f64, f64) = (6.0, 48.0);
 const SUB_PER_ELEM: (f64, f64) = (1.0, 24.0);
 
@@ -552,9 +536,10 @@ struct ShardCharges {
     elementwise: Vec<(&'static str, usize)>,
     /// Matmul lanes' `(m, k, n)`, in lane order.
     matmuls: Vec<(usize, usize, usize)>,
-    /// Fused filter-diff lanes' shapes, in lane order: charged as
-    /// forward-transform stage + hadamard + inverse-transform stage +
-    /// sub, each stage priced exactly like its staged counterpart.
+    /// Score lanes' shapes, in lane order: each charged as the fused
+    /// chain — forward-transform stage + hadamard + inverse-transform
+    /// stage + sub, each stage priced exactly like its staged
+    /// counterpart.
     fused: Vec<(usize, usize)>,
 }
 
@@ -576,9 +561,7 @@ fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardChar
             KernelJob::PointwiseDiv { a, .. } => bump(&mut charges, job.kind(), a.len()),
             KernelJob::Sub { a, .. } => bump(&mut charges, job.kind(), a.len()),
             KernelJob::Matmul { a, b } => charges.matmuls.push((a.rows(), a.cols(), b.cols())),
-            KernelJob::FilterDiff { .. } | KernelJob::Score { .. } => {
-                charges.fused.extend(fused_chain_shape(job));
-            }
+            KernelJob::Score { request, .. } => charges.fused.push(request.shape()),
         }
     }
     charges
@@ -705,7 +688,8 @@ impl TpuAccel {
     /// leader runs each lane in the job's own buffers and only a faulted
     /// pool's retry clone copies one again. A kernel method that borrows
     /// must copy each operand into its job (at 128 × 128, the price of a
-    /// forward transform); [`Accelerator::filter_diff_real_batch`] lends.
+    /// forward transform); a score lane holds only its rectangle and one
+    /// handle on its request's operands.
     fn queued(&self, jobs: Vec<KernelJob>) -> Result<Vec<KernelResult>> {
         let queue = self.queue.as_ref().expect("batching enabled");
         // Per-lane results: a data-dependent error in one lane fails
@@ -720,41 +704,9 @@ impl TpuAccel {
         Ok(out.pop().expect("one lane, one result"))
     }
 
-    /// Both filter-diff entries, lanes owned: with batching enabled,
-    /// every input rides ONE [`KernelJob::FilterDiff`] lane — fft →
-    /// hadamard → ifft → sub pipeline on-device as a single submission
-    /// with a single result gather, per-stage charges identical to the
-    /// staged chain, and concurrent submitters' lanes coalescing into
-    /// shared flights that shard across a pool. Without batching, the
-    /// lanes run fused over the host pool and the four batched kernels'
-    /// charges are replayed (four gathers). Bit-identical either way.
-    fn filter_diff_lanes(
-        &self,
-        lanes: impl ExactSizeIterator<Item = LaneInput>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        if self.queue.is_some() && lanes.len() > 0 {
-            // Broadcast operands ship once per flight, not per lane.
-            let filter = Arc::new(filter.clone());
-            let y = Arc::new(y.clone());
-            let jobs = lanes
-                .map(|x| KernelJob::FilterDiff {
-                    x,
-                    filter: Arc::clone(&filter),
-                    y: Arc::clone(&y),
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_real).collect());
-        }
-        filter_diff::fused(self, lanes, filter, y, |lanes| {
-            self.charge_staged_chain(filter.shape(), lanes)
-        })
-    }
-
-    /// The four batched kernels' charges of an unqueued filter-diff
-    /// chain over `lanes` inputs of `shape` (four gathers).
+    /// The four batched kernels' charges of the staged filter-diff chain
+    /// over `lanes` inputs of `shape` (four gathers): what an unqueued
+    /// request's score lanes pay.
     fn charge_staged_chain(&self, shape @ (m, n): (usize, usize), lanes: usize) -> Result<()> {
         let shapes = vec![shape; lanes];
         self.charge_transform_flight(&shapes)?;
@@ -768,14 +720,18 @@ impl TpuAccel {
     /// [`flight_numerics`]), then one atomic charge region applying each
     /// kind's direct-path cost model ([`charge_kernel_shard`]). Over
     /// a pool with more than one chip, the flight's lanes are sharded
-    /// across the chips instead (see
-    /// [`TpuAccel::dispatch_pooled_flight`]).
+    /// across the chips instead when that wins (see
+    /// [`TpuAccel::dispatch_pooled_flight`]); a pool with a fault plan
+    /// runs every multi-lane flight through its faulted dispatch, one
+    /// chip or many.
     fn dispatch_flight(&self, flight: Vec<KernelJob>) -> Result<Vec<Result<KernelResult>>> {
         let charges = shard_charges(&flight);
         if let Some(pool) = &self.pool {
-            if pool.num_devices() > 1 && flight.len() > 1 {
-                if let Some((plan, gather_bytes)) = self.fanout_plan(pool, &flight, &charges) {
-                    return self.dispatch_pooled_flight(pool, flight, &plan, gather_bytes);
+            if flight.len() > 1 {
+                if pool.num_devices() > 1 {
+                    if let Some((plan, gather_bytes)) = self.fanout_plan(pool, &flight, &charges) {
+                        return self.dispatch_pooled_flight(pool, flight, &plan, gather_bytes);
+                    }
                 }
                 if pool.fault_plan().is_some() {
                     // Fault injection must see every multi-lane
@@ -1141,32 +1097,12 @@ impl Accelerator for TpuAccel {
         Ok(out)
     }
 
-    fn filter_diff_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.filter_diff_lanes(xs.iter().map(filter_diff::narrow), filter, y)
-    }
-
-    fn filter_diff_real_batch(
-        &self,
-        xs: Vec<Matrix<f64>>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.filter_diff_lanes(xs.into_iter().map(LaneInput::Real), filter, y)
-    }
-
-    /// With batching enabled, every rectangle of a request scored in
-    /// the spectrum (`filter_diff::spectra`) rides ONE
-    /// [`KernelJob::Score`] lane — the rectangle and one shared handle
-    /// on the request's operands — planned and charged as the
-    /// filter-diff lane it stands for; without, the lanes run over the
-    /// host pool and the staged chain's charges are replayed. Any other
-    /// request takes the trait default — its filter-diff lanes, either
-    /// way.
+    /// One score lane per rectangle over one handle per request
+    /// (`filter_diff::operands`). With batching enabled, the lanes ride
+    /// the queue as [`KernelJob::Score`] jobs — one flight, planned and
+    /// charged as the fused chain of the request's shape; without, they
+    /// run over the host pool and the staged chain's charges are
+    /// replayed.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -1174,15 +1110,18 @@ impl Accelerator for TpuAccel {
         rects: &[Rect],
         kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
+        if rects.is_empty() {
+            return Ok(Vec::new());
+        }
+        check_request(x, y, rects, kernel)?;
         if self.queue.is_none() {
-            return filter_diff::scores(self, x, y, rects, kernel, |lanes| {
+            let request = filter_diff::operands(x, y, rects, kernel);
+            return filter_diff::scores(&request, rects, |lanes| {
                 self.charge_staged_chain(x.shape(), lanes)
             });
         }
-        let Some(spectra) = filter_diff::spectra(x.clone(), y, rects, kernel) else {
-            return lane_scores(self, x, y, rects, kernel.spectrum());
-        };
-        let request: Arc<dyn ScoreOperands> = Arc::new(spectra);
+        let operands = filter_diff::operands(x.clone(), y, rects, kernel);
+        let request: Arc<dyn ScoreOperands> = Arc::new(operands);
         let jobs = rects
             .iter()
             .map(|rect| KernelJob::Score {
@@ -1889,10 +1828,13 @@ mod tests {
                 a: real(m, n),
                 b: real(n, m),
             },
-            _ => KernelJob::FilterDiff {
-                x: LaneInput::Complex(cplx(m, n)),
-                filter: Arc::new(cplx(m, n)),
-                y: Arc::new(real(m, n)),
+            _ => KernelJob::Score {
+                request: Arc::new(filter_diff::Operands::Occluded {
+                    x: real(m, n),
+                    y: real(m, n),
+                    kernel: PreparedKernel::new(cplx(m, n)),
+                }),
+                rect: (0..m.div_ceil(2), n / 2..n),
             },
         }
     }
@@ -1977,11 +1919,12 @@ mod tests {
         }
     }
 
-    /// To every cost function a score lane is the filter-diff lane of
-    /// its shape — planner cost, ledger entry, shard charge — whether it
-    /// is scored on its own box or full-size, and a hand-built lane
-    /// whose rectangle leaves the input fails alone, with a typed error,
-    /// inside a flight that lands.
+    /// To every cost function a score lane of either kind is the fused
+    /// chain of its shape — its device time and ledger entry those of
+    /// the four staged kernels, and planner cost and shard charge the
+    /// same for both kinds — whether it is scored on its own box or full-size,
+    /// and a hand-built lane whose rectangle leaves the input fails
+    /// alone, with a typed error, inside a flight that lands.
     #[test]
     fn a_score_lane_costs_its_filter_diff_lane_and_fails_alone() {
         let (m, n) = (6, 10);
@@ -1990,28 +1933,57 @@ mod tests {
         let kernel = PreparedKernel::new(filter.clone());
         // Full-size, full-size, and on a 2 × 4 box.
         let rects = [(1..4, 2..7), (0..m, 0..n), (2..3, 4..6)];
-        let spectra = filter_diff::spectra(x.clone(), &x, &rects, &kernel).expect("built");
-        let request: Arc<dyn ScoreOperands> = Arc::new(spectra);
-        let score = |rect: &Rect| KernelJob::Score {
-            request: Arc::clone(&request),
+        let spectral: Arc<dyn ScoreOperands> =
+            Arc::new(filter_diff::operands(x.clone(), &x, &rects, &kernel));
+        // A NaN inside the third rectangle: its occlusion is finite.
+        let mut poisoned = x.clone();
+        poisoned[(2, 4)] = f64::NAN;
+        let occluded: Arc<dyn ScoreOperands> =
+            Arc::new(filter_diff::operands(poisoned, &x, &rects, &kernel));
+        let score = |request: &Arc<dyn ScoreOperands>, rect: &Rect| KernelJob::Score {
+            request: Arc::clone(request),
             rect: rect.clone(),
         };
-        let lane = KernelJob::FilterDiff {
-            x: LaneInput::Real(x.clone()),
-            filter: Arc::new(filter),
-            y: Arc::new(x),
+        let staged = [
+            KernelJob::Transform {
+                x: filter.clone(),
+                forward: true,
+            },
+            KernelJob::Hadamard {
+                a: filter.clone(),
+                b: Arc::new(filter.clone()),
+            },
+            KernelJob::Transform {
+                x: filter,
+                forward: false,
+            },
+            KernelJob::Sub {
+                a: Arc::new(x.clone()),
+                b: x.clone(),
+            },
+        ];
+        // The staged kernels one flight each, against the lane alone.
+        let charged = |shards: &[&KernelJob]| {
+            let mut device = TpuDevice::with_cores(TpuConfig::small_test(), 2);
+            for job in shards {
+                charge_kernel_shard(&mut device, &shard_charges([*job])).unwrap();
+            }
+            device.wall_seconds().to_bits()
         };
+        let staged_seconds = charged(&staged.iter().collect::<Vec<_>>());
         for rect in &rects {
-            let job = score(rect);
-            assert_eq!(kernel_ops_bytes(&job), kernel_ops_bytes(&lane));
-            assert_eq!(kernel_lane_cost(&job), kernel_lane_cost(&lane));
-            assert_eq!(shard_charges([&job]), shard_charges([&lane]));
+            let (job, other) = (score(&spectral, rect), score(&occluded, rect));
+            assert_eq!(charged(&[&job]), staged_seconds);
+            assert_eq!(kernel_ops_bytes(&job), flight_stats(&staged));
+            assert_eq!(kernel_ops_bytes(&job), kernel_ops_bytes(&other));
+            assert_eq!(kernel_lane_cost(&job), kernel_lane_cost(&other));
+            assert_eq!(shard_charges([&job]), shard_charges([&other]));
         }
         let flight = vec![
-            score(&rects[0]),
-            score(&rects[2]),
-            score(&(0..m + 1, 0..n)),
-            score(&(2..3, 4..n + 1)),
+            score(&spectral, &rects[0]),
+            score(&occluded, &rects[2]),
+            score(&spectral, &(0..m + 1, 0..n)),
+            score(&occluded, &(2..3, 4..n + 1)),
         ];
         let out = TpuAccel::tpu_v2()
             .with_batching(Duration::ZERO, 8)
@@ -2026,6 +1998,56 @@ mod tests {
                 matches!(lane, Err(xai_tensor::TensorError::ShapeMismatch { op: o, .. }) if *o == op)
             );
         }
+    }
+
+    /// A pool of one chip runs its multi-lane flights through the
+    /// installed fault plan, as a pool of many does: a dead chip or a
+    /// chip that faults every draw exhausts the budget, and counts what
+    /// it saw. An empty plan leaves the flight's bits and clock where no
+    /// plan leaves them.
+    #[test]
+    fn a_one_chip_pool_sees_its_fault_plan() {
+        let xs: Vec<_> = (0..4)
+            .map(|s| {
+                Matrix::from_fn(8, 8, |r, c| ((r * 3 + c + s) % 7) as f64)
+                    .unwrap()
+                    .to_complex()
+            })
+            .collect();
+        let one_chip = |plan: Option<xai_tpu::FaultPlan>| {
+            let pool = DevicePool::new(TpuConfig::small_test(), 1);
+            if let Some(plan) = plan {
+                pool.install_fault_plan(plan);
+            }
+            TpuAccel::over_pool(pool, Duration::ZERO, 8)
+        };
+        for plan in [
+            xai_tpu::FaultPlan::seeded(1).fail_stop(0, 0.0),
+            xai_tpu::FaultPlan::seeded(1).transient(1.0),
+        ] {
+            let acc = one_chip(Some(plan.clone()));
+            let err = acc.fft2d_batch(&xs).unwrap_err();
+            assert!(
+                matches!(err, xai_tensor::TensorError::FaultBudgetExhausted { .. }),
+                "{plan:?}: {err:?}"
+            );
+            let stats = acc.pool().unwrap().fault_stats();
+            assert_eq!(stats.budget_exhausted, 1, "{plan:?}");
+            assert!(stats.fail_stops + stats.transient_faults > 0, "{plan:?}");
+        }
+        let (plain, empty) = (
+            one_chip(None),
+            one_chip(Some(xai_tpu::FaultPlan::seeded(1))),
+        );
+        let bits = |acc: &TpuAccel| {
+            let out = acc.fft2d_batch(&xs).unwrap();
+            let values: Vec<u64> = out
+                .iter()
+                .flat_map(|m| m.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]))
+                .collect();
+            (values, acc.elapsed_seconds().to_bits(), acc.stats())
+        };
+        assert_eq!(bits(&empty), bits(&plain));
     }
 
     /// The memo is cleared when full, so a sweep over ten times its

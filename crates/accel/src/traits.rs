@@ -152,28 +152,14 @@ pub trait Accelerator: Send + Sync {
         preds.iter().map(|p| self.sub(y, p)).collect()
     }
 
-    /// The fused serving chain of §III-D: for every occluded input
-    /// `xᵢ`, computes `y − re(ifft2(fft2(xᵢ) ∘ filter))` — forward
-    /// transform, spectral filter, inverse transform and the
-    /// Equation-5 difference — as one batched submission.
-    ///
-    /// The default implementation stages the four batched kernels and
-    /// is the reference. An override may compute the stages any way it
-    /// likes (the built-in platforms fuse them per lane) but keeps the
-    /// staged chain's result bits, leaves the clock and
-    /// [`Accelerator::stats`] where the staged kernels' charge
-    /// sequence would, and fails a malformed batch with the staged
-    /// chain's error and partial charges. A coalescing queue (the
-    /// TPU's fused flight: one submission, one result gather) keeps
-    /// the bits and states its own schedule and per-lane errors.
-    ///
-    /// One stated exception to "keeps the bits": on a *real* lane
-    /// (every imaginary part `== 0.0`, an even row count) the built-in
-    /// platforms run a real-input transform and may differ from this
-    /// staged default within
-    /// `2 · ε · log₂(2mn) · (‖filter‖_max ‖x‖_F + ‖y‖_F)` (Frobenius) —
-    /// identically on every platform and route; see ARCHITECTURE.md,
-    /// "Interpretation-phase numerics".
+    /// The serving chain of §III-D: for every occluded input `xᵢ`,
+    /// computes `y − re(ifft2(fft2(xᵢ) ∘ filter))` — forward transform,
+    /// spectral filter, inverse transform and the Equation-5 difference
+    /// — as the four batched kernels, staged. This is the reference the
+    /// interpretation phase's scores are held to
+    /// ([`Accelerator::contribution_scores`]); it keeps each stage's
+    /// charges, and a malformed batch fails with the first stage's
+    /// error after the charges of the stages before it.
     ///
     /// # Errors
     ///
@@ -185,27 +171,14 @@ pub trait Accelerator: Send + Sync {
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
-        staged_filter_diff(self, xs, filter, y)
-    }
-
-    /// [`Accelerator::filter_diff_batch`] for *real* inputs — every
-    /// occluded image or trace — lent by value: the results, errors and
-    /// charges of lifting each `xᵢ` to complex and calling that method,
-    /// which is what the default does. On the built-in platforms the two
-    /// entries are one routine and this one makes no copy: a lane's own
-    /// buffer comes back as its result (ARCHITECTURE.md, "Ownership").
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::filter_diff_batch`].
-    fn filter_diff_real_batch(
-        &self,
-        xs: Vec<Matrix<f64>>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        let lifted: Vec<_> = xs.iter().map(Matrix::to_complex).collect();
-        self.filter_diff_batch(&lifted, filter, y)
+        let spectra = self.fft2d_batch(xs)?;
+        let filtered = self.hadamard_batch(&spectra, filter)?;
+        let preds: Vec<Matrix<f64>> = self
+            .ifft2d_batch(&filtered)?
+            .into_iter()
+            .map(|p| p.to_real())
+            .collect();
+        self.sub_batch(y, &preds)
     }
 
     /// Contribution scores (Equation 5): for every rectangle `r` of
@@ -214,31 +187,33 @@ pub trait Accelerator: Send + Sync {
     /// interpretation phase keeps of a filter-diff batch.
     ///
     /// The default is the reference: occlude `x` once per rectangle,
-    /// lend the copies to [`Accelerator::filter_diff_real_batch`] with
-    /// [`PreparedKernel::spectrum`], take each difference's Frobenius
-    /// norm. An override may compute the scores any other way but keeps,
-    /// on the same operands, the default's charges (clock and
-    /// [`Accelerator::stats`]), its error for every batch it rejects —
-    /// before anything is submitted or charged when a rectangle leaves
-    /// `x` — and every score within
-    /// `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of the default's.
-    /// The built-in platforms take the norm in the spectrum (no occluded
-    /// image, no inverse transform, no difference) whenever `x` has an
-    /// even row count, `y` and the kernel its shape, and no NaN or ±inf
-    /// element — one an occlusion could have *removed* — and run this
-    /// default otherwise. In the spectrum a rectangle is scored on a
-    /// torus of its own — per side the power of two at least twice its
-    /// extent — when that has fewer cells than `x` (a 32 × 32 block of a
-    /// 128 × 128 image: 64 × 64), unless a cancellation guard sends it to
-    /// the full-size transform; see ARCHITECTURE.md, "Interpretation-phase
-    /// numerics". What that reads of the kernel alone is built once per
-    /// [`PreparedKernel`] and shared by every request scored with it
-    /// (and its clones), with the bits of a kernel prepared per request.
+    /// lift the copies to complex, run [`Accelerator::filter_diff_batch`]
+    /// with [`PreparedKernel::spectrum`] and take each difference's
+    /// Frobenius norm. An override may compute the scores any other way
+    /// but keeps, on the same operands, the default's charges (clock and
+    /// [`Accelerator::stats`]) or states its own schedule, refuses what
+    /// the default refuses before anything is charged, and keeps every
+    /// score within `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of the
+    /// default's. The built-in platforms run one score lane per
+    /// rectangle over one handle per request: in the spectrum (no
+    /// occluded image, no inverse transform, no difference) when `x` has
+    /// an even row count and no NaN or ±inf element — one an occlusion
+    /// could have *removed* — and otherwise the default's complex
+    /// sequence on the occlusion, bit for bit. In the spectrum a
+    /// rectangle is scored on a torus of its own — per side the power of
+    /// two at least twice its extent — when that has fewer cells than
+    /// `x` (a 32 × 32 block of a 128 × 128 image: 64 × 64), unless a
+    /// cancellation guard sends it to the full-size transform; see
+    /// ARCHITECTURE.md, "Interpretation-phase numerics". What that reads
+    /// of the kernel alone is built once per [`PreparedKernel`] and
+    /// shared by every request scored with it (and its clones), with the
+    /// bits of a kernel prepared per request.
     ///
     /// # Errors
     ///
     /// [`TensorError::ShapeMismatch`] when a rectangle does not lie
-    /// inside `x`; otherwise as [`Accelerator::filter_diff_real_batch`].
+    /// inside `x`, or when `y` or the kernel does not have `x`'s shape;
+    /// an empty `rects` is `Ok(vec![])` whatever the operands.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -246,7 +221,16 @@ pub trait Accelerator: Send + Sync {
         rects: &[Rect],
         kernel: &PreparedKernel,
     ) -> Result<Vec<f64>> {
-        lane_scores(self, x, y, rects, kernel.spectrum())
+        if rects.is_empty() {
+            return Ok(Vec::new());
+        }
+        check_request(x, y, rects, kernel)?;
+        let lanes: Vec<_> = rects
+            .iter()
+            .map(|r| occluded(x, r).map(|lane| lane.to_complex()))
+            .collect::<Result<_>>()?;
+        let diffs = self.filter_diff_batch(&lanes, kernel.spectrum(), y)?;
+        Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
     }
 
     /// Advances the clock for an externally-described workload of
@@ -292,28 +276,46 @@ pub trait Accelerator: Send + Sync {
     fn reset(&self);
 }
 
-/// The default [`Accelerator::filter_diff_batch`]: a free function so
-/// that an override can hand it the batches it does not fuse.
-pub(crate) fn staged_filter_diff<A: Accelerator + ?Sized>(
-    acc: &A,
-    xs: &[Matrix<Complex64>],
-    filter: &Matrix<Complex64>,
-    y: &Matrix<f64>,
-) -> Result<Vec<Matrix<f64>>> {
-    let spectra = acc.fft2d_batch(xs)?;
-    let filtered = acc.hadamard_batch(&spectra, filter)?;
-    let preds: Vec<Matrix<f64>> = acc
-        .ifft2d_batch(&filtered)?
-        .into_iter()
-        .map(|p| p.to_real())
-        .collect();
-    acc.sub_batch(y, &preds)
+/// `Ok` when `rect` lies inside a `rows × cols` matrix, else the
+/// [`TensorError::ShapeMismatch`] that names it `op`.
+pub(crate) fn fit_rect((rows, cols): (usize, usize), rect: &Rect, op: &'static str) -> Result<()> {
+    let fits = |r: &std::ops::Range<usize>, len| r.start <= r.end && r.end <= len;
+    if fits(&rect.0, rows) && fits(&rect.1, cols) {
+        return Ok(());
+    }
+    Err(TensorError::ShapeMismatch {
+        left: (rect.0.end, rect.1.end),
+        right: (rows, cols),
+        op,
+    })
 }
 
-/// Whether `rect` lies inside a `rows × cols` matrix.
-pub(crate) fn rect_fits((rows, cols): (usize, usize), rect: &Rect) -> bool {
-    let fits = |r: &std::ops::Range<usize>, len| r.start <= r.end && r.end <= len;
-    fits(&rect.0, rows) && fits(&rect.1, cols)
+/// What every [`Accelerator::contribution_scores`] refuses before
+/// anything is charged: a rectangle that does not lie inside `x`, and a
+/// `y` or kernel not of `x`'s shape.
+pub(crate) fn check_request(
+    x: &Matrix<f64>,
+    y: &Matrix<f64>,
+    rects: &[Rect],
+    kernel: &PreparedKernel,
+) -> Result<()> {
+    let shape = x.shape();
+    for rect in rects {
+        fit_rect(shape, rect, "occluded rectangle")?;
+    }
+    for (operand, op) in [
+        (y.shape(), "observed output"),
+        (kernel.spectrum().shape(), "kernel"),
+    ] {
+        if operand != shape {
+            return Err(TensorError::ShapeMismatch {
+                left: operand,
+                right: shape,
+                op,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// `x` with the rectangle `rect` zeroed — the `X′` of Equation 5, and
@@ -324,36 +326,12 @@ pub(crate) fn rect_fits((rows, cols): (usize, usize), rect: &Rect) -> bool {
 ///
 /// [`TensorError::ShapeMismatch`] when `rect` does not lie inside `x`.
 pub fn occluded(x: &Matrix<f64>, rect: &Rect) -> Result<Matrix<f64>> {
-    if !rect_fits(x.shape(), rect) {
-        return Err(TensorError::ShapeMismatch {
-            left: (rect.0.end, rect.1.end),
-            right: x.shape(),
-            op: "occluded rectangle",
-        });
-    }
+    fit_rect(x.shape(), rect, "occluded rectangle")?;
     let mut out = x.clone();
     for r in rect.0.clone() {
         out.row_mut(r)[rect.1.clone()].fill(0.0);
     }
     Ok(out)
-}
-
-/// The default [`Accelerator::contribution_scores`]: a free function so
-/// that an override can hand it the requests it does not take in the
-/// spectrum.
-pub(crate) fn lane_scores<A: Accelerator + ?Sized>(
-    acc: &A,
-    x: &Matrix<f64>,
-    y: &Matrix<f64>,
-    rects: &[Rect],
-    filter: &Matrix<Complex64>,
-) -> Result<Vec<f64>> {
-    let lanes: Vec<_> = rects
-        .iter()
-        .map(|r| occluded(x, r))
-        .collect::<Result<_>>()?;
-    let diffs = acc.filter_diff_real_batch(lanes, filter, y)?;
-    Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
 }
 
 /// Times a closure on an accelerator, returning `(result, seconds)` —

@@ -1,22 +1,26 @@
-//! Contribution scores taken in the spectrum
-//! (`Accelerator::contribution_scores` on the built-in platforms)
-//! against the route they replace and still fall back to — the trait
-//! default: occlude, `filter_diff_real_batch`, Frobenius norm — under
-//! the interpretation-phase numerics contract (`filter_diff.rs` module
-//! header): point 3's bound on the score, point 1's route identity,
-//! point 5's untouched charges.
+//! Contribution scores on the built-in platforms
+//! (`Accelerator::contribution_scores`: score lanes, taken in the
+//! spectrum or on the occlusion) against the trait default they are
+//! held to — occlude, lift, `filter_diff_batch`'s staged chain,
+//! Frobenius norm — under the interpretation-phase numerics contract
+//! (`filter_diff.rs` module header): point 3's bound on the score,
+//! points 1 and 2's route identity, point 5's untouched charges.
 //!
 //! Known mutations this must catch: weighting the self-conjugate
 //! columns twice (or column `n/2` of an odd width once); packing the
 //! rectangle's rows from row 0 instead of `r0`; leaving the rows of the
 //! half spectrum outside the rectangle unzeroed between lanes (the
-//! workspace is reused); dropping the all-finite test on `x` (every
-//! score of a poisoned request turns NaN); charging a score lane
-//! anything but its filter-diff lane; dropping the cancellation guard of
-//! the block-local score (a block whose occlusion explains `y` scores
-//! far past the bound); keying the prepared kernel's box cells by
-//! anything but the box shape (a shared kernel then scores one box
-//! against another's window).
+//! workspace is reused); multiplying by the filter's kept columns
+//! instead of its Hermitian part `K_h` (the filters here are not
+//! Hermitian); mirroring bin `k` onto `n − k − 1` in the real-input
+//! unpack; dropping the all-finite test on `x` (every score of a
+//! poisoned request turns NaN); charging a score lane anything but the
+//! fused chain of its shape (unqueued; a queued lane's charge is pinned
+//! in `tpu_accel`'s unit tests); dropping the cancellation guard of the
+//! block-local score (a block whose occlusion explains `y` scores far
+//! past the bound); keying the prepared kernel's box cells by anything
+//! but the box shape (a shared kernel then scores one box against
+//! another's window).
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -29,13 +33,13 @@ use xai_tpu::{DevicePool, FaultPlan, TpuConfig};
 /// The constant of contract point 3, as `filter_diff.rs` states it.
 const C: f64 = 2.0;
 
-/// The even-row shapes `real_lane.rs` sweeps: degenerate, odd-column,
-/// Bluestein (6, 10, 3), radix-2, tall, the `serve-large` shape.
+/// Even-row shapes: degenerate, odd-column, Bluestein (6, 10, 3),
+/// radix-2, tall, the `serve-large` shape.
 const SHAPES: [(usize, usize); 6] = [(2, 1), (4, 3), (6, 10), (8, 8), (16, 4), (128, 128)];
 
-/// Every kernel, batch method and filter-diff entry of the wrapped
+/// Every kernel, batch method and `filter_diff_batch` of the wrapped
 /// platform, and *not* `contribution_scores`: the trait default on that
-/// platform — its own filter-diff lanes, its own charges.
+/// platform — its own staged chain, its own charges.
 struct LaneRoute(Box<dyn Accelerator>);
 
 impl Accelerator for LaneRoute {
@@ -72,14 +76,6 @@ impl Accelerator for LaneRoute {
         y: &Matrix<f64>,
     ) -> Result<Vec<Matrix<f64>>> {
         self.0.filter_diff_batch(xs, filter, y)
-    }
-    fn filter_diff_real_batch(
-        &self,
-        xs: Vec<Matrix<f64>>,
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.0.filter_diff_real_batch(xs, filter, y)
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.0.charge_workload(flops, bytes);
@@ -239,8 +235,8 @@ proptest! {
 
     /// (a) Point 3 for the score: on every even-row shape and every
     /// kind of rectangle the spectral score is within the bound of the
-    /// lane route's on the same platform; odd rows take the lane route,
-    /// bit for bit.
+    /// lane route's on the same platform; odd rows — 5 × 4, 5 × 3,
+    /// 3 × 3, 1 × 5 — keep the lane route's bits (point 2).
     #[test]
     fn spectral_scores_are_within_the_bound_of_the_lane_route(
         vals in proptest::collection::vec(-2.0f64..2.0, 23),
@@ -260,21 +256,31 @@ proptest! {
                 );
             }
         }
-        let shape = (5, 4);
-        let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
-        let rects: Vec<Rect> = rects((4, 4)).into_iter().chain([(4..5, 0..4)]).collect();
-        for (name, make) in PLACEMENTS {
-            let odd = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
-            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
-            prop_assert_eq!(bits(&odd), bits(&lanes), "{}: odd rows keep the lane route", name);
+        // Odd × even, odd × odd, a single row.
+        let odd_rects = [
+            rects((4, 4)).into_iter().chain([(4..5, 0..4)]).collect(),
+            rects((5, 3)),
+            rects((3, 3)),
+            vec![(0..1, 0..1), (0..1, 4..5), (0..1, 1..4), (0..1, 0..5), (0..0, 0..0)],
+        ];
+        for (shape, rects) in [(5, 4), (5, 3), (3, 3), (1, 5)].into_iter().zip(odd_rects) {
+            let rects: Vec<Rect> = rects;
+            let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
+            for (name, make) in PLACEMENTS {
+                let odd = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+                let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+                prop_assert_eq!(bits(&odd), bits(&lanes), "{}: {:?} keeps the lane route", name, shape);
+            }
         }
     }
 }
 
 /// (b) Points 1 and 5: a score's bits do not depend on the platform,
-/// the queue, the pool, a retried shard or the request it rides with,
-/// and every placement is left with the clock and statistics the lane
-/// route leaves it.
+/// the queue, the pool, a retried shard or the request it rides with.
+/// Every unqueued placement is left with the clock and statistics the
+/// lane route (the staged chain) leaves it; every queued one — one score
+/// flight where the staged chain flies four — with those of the same
+/// request forced onto occluded operands by one NaN pixel.
 #[test]
 fn scores_are_route_independent_and_charged_as_their_lanes() {
     let vals = fixed_vals();
@@ -286,18 +292,31 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
                 .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap(),
         );
-        for (name, make) in PLACEMENTS {
-            let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
+        let mut poisoned = x.clone();
+        poisoned[(0, 0)] = f64::NAN;
+        // The first three placements are unqueued.
+        for (p, (name, make)) in PLACEMENTS.into_iter().enumerate() {
+            let spectral_on = make();
             let spectral = spectral_on
                 .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap();
-            lanes_on
-                .contribution_scores(&x, &y, &rects, &prepared(&k))
-                .unwrap();
+            let lanes_on: Box<dyn Accelerator> = if p < 3 {
+                let lanes_on = Box::new(LaneRoute(make()));
+                lanes_on
+                    .contribution_scores(&x, &y, &rects, &prepared(&k))
+                    .unwrap();
+                lanes_on
+            } else {
+                let occluded_on = make();
+                occluded_on
+                    .contribution_scores(&poisoned, &y, &rects, &prepared(&k))
+                    .unwrap();
+                occluded_on
+            };
             assert_eq!(bits(&spectral), reference, "{name}: {shape:?}");
             assert_eq!(
                 ledger(spectral_on.as_ref()),
-                ledger(&lanes_on),
+                ledger(lanes_on.as_ref()),
                 "{name}: {shape:?}: ledger"
             );
             // One rectangle alone is the same lane.
@@ -415,8 +434,11 @@ fn the_spectral_score_is_within_the_bound_of_the_exactly_summed_norm() {
         let spectral = acc
             .contribution_scores(&x, &y, &rects, &prepared(&k))
             .unwrap();
-        let lanes = rects.iter().map(|rect| occluded(&x, rect)).collect();
-        let diffs = acc.filter_diff_real_batch(lanes, &k, &y).unwrap();
+        let lanes: Vec<_> = rects
+            .iter()
+            .map(|rect| occluded(&x, rect).to_complex())
+            .collect();
+        let diffs = acc.filter_diff_batch(&lanes, &k, &y).unwrap();
         let limit = bound(&x, &k, &y);
         for ((s, d), rect) in spectral.iter().zip(&diffs).zip(&rects) {
             let err = (s - exact_norm(d.iter().copied())).abs();
@@ -453,9 +475,12 @@ fn a_cancelled_block_is_within_the_bound() {
             .collect();
         let y = xai_fourier::convolve2d_fft(&occluded(&x, &rects[cancelled]), &kernel).unwrap();
         let limit = bound(&x, &k, &y);
-        let lanes = rects.iter().map(|rect| occluded(&x, rect)).collect();
+        let lanes: Vec<_> = rects
+            .iter()
+            .map(|rect| occluded(&x, rect).to_complex())
+            .collect();
         let diffs = CpuModel::i7_3700()
-            .filter_diff_real_batch(lanes, &k, &y)
+            .filter_diff_batch(&lanes, &k, &y)
             .unwrap();
         for (name, make) in PLACEMENTS {
             let scores = make()
@@ -482,8 +507,9 @@ fn a_cancelled_block_is_within_the_bound() {
 
 /// (d) Point 4 for the score. A NaN or ±inf pixel is one an occlusion
 /// may remove, which the spectrum's `X − B_r` cannot: such a request
-/// takes the lane route on every placement — the score of a rectangle
-/// covering the pixel stays finite, every other is not. A non-finite
+/// takes occluded operands and keeps the lane route's bits on every
+/// placement — the score of a rectangle covering the pixel stays
+/// finite, every other is not. A non-finite
 /// `y` or `filter` leaves no finite score on either route.
 #[test]
 fn non_finite_operands_poison_what_the_lane_route_poisons() {
@@ -528,8 +554,8 @@ fn non_finite_operands_poison_what_the_lane_route_poisons() {
     }
 }
 
-/// Requests the spectrum does not take fail as the lane route fails
-/// them, partial charges included; a stray rectangle is refused before
+/// Misshapen requests fail as the lane route fails them: a `y` or filter
+/// not of `x`'s shape, like a stray rectangle, is refused before
 /// anything is submitted or charged.
 #[test]
 fn rejected_requests_fail_as_the_lane_route_fails_them() {

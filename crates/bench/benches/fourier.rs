@@ -125,15 +125,14 @@ fn bench_2d_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-/// One fused filter-diff lane, as every built-in platform runs it.
-/// `complex` is the sequence a lane with imaginary parts takes: its own
-/// 256 KB copy of `x` goes forward, through the filter and back in
-/// place, and `y − re` is a fresh 128 KB result. `real` is the one a
-/// real image takes: its own 128 KB copy (what `occlude` hands over)
-/// is read by `forward_real`, filtered as a half spectrum in a reused
-/// workspace and overwritten by `inverse_real` with `y − re` — the
-/// lane is the result, so the row includes no complex lift, no 256 KB
-/// copy and no result allocation.
+/// One filter-diff lane at 8² and 128². `complex` is the sequence an
+/// occluded score lane runs: its own 256 KB copy of `x` goes forward,
+/// through the filter and back in place, and `y − re` is a fresh 128 KB
+/// result. `real` is the same lane through the real-input pair: its own
+/// 128 KB copy is read by `forward_real`, multiplied by the filter's
+/// Hermitian part (formed once, outside the row) as a half spectrum in
+/// a reused workspace, overwritten by `inverse_real` and subtracted from
+/// `y` in place — no complex lift, no 256 KB copy, no result allocation.
 fn bench_filter_diff_lane(c: &mut Criterion) {
     let mut group = c.benchmark_group("filter-diff-lane");
     group.sample_size(20);
@@ -151,16 +150,18 @@ fn bench_filter_diff_lane(c: &mut Criterion) {
                 ops::sub_re(&y, &lane).expect("equal shapes")
             });
         });
+        let mut hermitian = vec![Complex64::ZERO; n * plan.half_cols()];
+        plan.hermitian_part(&mut hermitian, &filter);
         group.bench_with_input(BenchmarkId::new("real", n), &x.to_real(), |b, x| {
             let mut half = vec![Complex64::ZERO; n * plan.half_cols()];
             let mut scratch = vec![Complex64::ZERO; n];
             b.iter(|| {
                 let mut lane = black_box(x).clone();
                 plan.forward_real(lane.as_slice(), &mut half, &mut scratch);
-                plan.hadamard_real(&mut half, &filter);
-                plan.inverse_real(&mut half, lane.as_mut_slice(), &mut scratch, |r, row| {
-                    row.iter_mut().zip(y.row(r)).for_each(|(v, y)| *v = y - *v);
-                });
+                half.iter_mut().zip(&hermitian).for_each(|(z, k)| *z *= *k);
+                plan.inverse_real(&mut half, lane.as_mut_slice(), &mut scratch);
+                let pairs = lane.as_mut_slice().iter_mut().zip(y.as_slice());
+                pairs.for_each(|(v, y)| *v = y - *v);
                 lane
             });
         });
@@ -168,8 +169,8 @@ fn bench_filter_diff_lane(c: &mut Criterion) {
     group.finish();
 }
 
-/// One score lane, as every built-in platform runs it: the norm of the
-/// `filter-diff-lane/real` result for an occluded grid-2 block, taken
+/// One spectral score lane, as every built-in platform runs it: the norm
+/// of the `filter-diff-lane/real` result for an occluded grid-2 block, taken
 /// in the spectrum — the block-pruned forward of the block and one
 /// Parseval sweep against the request's residual spectrum and `K_h`
 /// (built once per request and once per model, outside the row). No copy of `x`, no
@@ -236,7 +237,7 @@ fn bench_grid4_score_lane(group: &mut BenchmarkGroup<'_>) {
         .map(|k| Complex64::from_real(k.norm_sqr()))
         .collect();
     let mut a = vec![0.0; n * n];
-    plan.inverse_real(&mut power, &mut a, &mut scratch, |_, _| {});
+    plan.inverse_real(&mut power, &mut a, &mut scratch);
     let lag = |i: usize| {
         if i < l / 2 {
             Some(i)

@@ -126,16 +126,16 @@ fn bench_collectives(c: &mut Criterion) {
     group.finish();
 }
 
-/// Host time of one pooled `filter_diff_batch` flight on 4 small
-/// chips, from the serving shape (8×8 ×4) up to heavy lanes: the
-/// sizes at which running a flight's shards on its leader's thread
-/// was weighed against a host thread per chip. `filter-diff-real` is
-/// the same flight with its lanes lent by value
-/// (`filter_diff_real_batch`); the row includes cloning the real
-/// lanes it lends, as `occlude` builds them per request.
+/// Host time of one pooled request on 4 small chips, from the serving
+/// shape (8×8 ×4) up to heavy lanes: the sizes at which running a
+/// flight's shards on its leader's thread was weighed against a host
+/// thread per chip. `scores-x{lanes}` is one `contribution_scores`
+/// request — one flight of score lanes over the blocks of grid 2 or 4;
+/// `filter-diff-x{lanes}` is `filter_diff_batch` on as many occlusions,
+/// the staged chain's four flights.
 fn bench_pooled_flight(c: &mut Criterion) {
     use std::time::Duration;
-    use xai_accel::{Accelerator, TpuAccel};
+    use xai_accel::{Accelerator, PreparedKernel, TpuAccel};
     use xai_tpu::{DevicePool, TpuConfig};
     let mut group = c.benchmark_group("pooled-flight");
     group.sample_size(10);
@@ -155,11 +155,20 @@ fn bench_pooled_flight(c: &mut Criterion) {
                     .expect("pooled flight")
             });
         });
-        let reals: Vec<_> = xs.iter().map(Matrix::to_real).collect();
-        let id = BenchmarkId::new(format!("filter-diff-real-x{lanes}"), n);
+        let (x, kernel) = (real_matrix(n, 0), PreparedKernel::new(filter.clone()));
+        let (grid, side) = (lanes.isqrt(), n / lanes.isqrt());
+        let rects: Vec<_> = (0..lanes)
+            .map(|b| {
+                (
+                    b / grid * side..(b / grid + 1) * side,
+                    b % grid * side..(b % grid + 1) * side,
+                )
+            })
+            .collect();
+        let id = BenchmarkId::new(format!("scores-x{lanes}"), n);
         group.bench_with_input(id, &n, |b, _| {
             b.iter(|| {
-                acc.filter_diff_real_batch(black_box(&reals).clone(), &filter, &y)
+                acc.contribution_scores(black_box(&x), black_box(&y), &rects, &kernel)
                     .expect("pooled flight")
             });
         });
@@ -168,16 +177,12 @@ fn bench_pooled_flight(c: &mut Criterion) {
 }
 
 /// Host time of one unqueued `filter_diff_batch` at the
-/// `pipeline-offline` shape (16 lanes × 128²) on each platform — the
-/// fused lanes sharded over the host pool — with the four staged
-/// batch kernels on the TPU kept as the comparison. `owned-real/*` is
-/// the entry `contributions_batch_on` takes, lanes lent by value; the
-/// row includes cloning the sixteen real lanes it lends (what
-/// `occlude` builds per request).
+/// `pipeline-offline` shape (16 lanes × 128²) on each platform: the
+/// staged chain every platform runs, the reference the scores of
+/// `contribution_scores/*` are held to.
 fn bench_filter_diff_direct(c: &mut Criterion) {
     use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
-    let reals: Vec<_> = (0..16).map(|i| real_matrix(128, i)).collect();
-    let xs: Vec<_> = reals.iter().map(Matrix::to_complex).collect();
+    let xs: Vec<_> = (0..16).map(|i| real_matrix(128, i).to_complex()).collect();
     let filter = real_matrix(128, 97).to_complex();
     let y = real_matrix(128, 98);
     let platforms: [(&str, Box<dyn Accelerator>); 3] = [
@@ -194,29 +199,7 @@ fn bench_filter_diff_direct(c: &mut Criterion) {
                     .expect("shapes")
             });
         });
-        group.bench_function(&format!("owned-real/{label}"), |b| {
-            b.iter(|| {
-                acc.filter_diff_real_batch(black_box(&reals).clone(), &filter, &y)
-                    .expect("shapes")
-            });
-        });
     }
-    let tpu = TpuAccel::tpu_v2();
-    group.bench_function("staged-chain/tpu", |b| {
-        b.iter(|| {
-            let spectra = tpu.fft2d_batch(black_box(&xs)).expect("shapes");
-            let filtered = tpu
-                .hadamard_batch(&spectra, black_box(&filter))
-                .expect("shapes");
-            let preds: Vec<_> = tpu
-                .ifft2d_batch(&filtered)
-                .expect("shapes")
-                .iter()
-                .map(Matrix::to_real)
-                .collect();
-            tpu.sub_batch(black_box(&y), &preds).expect("shapes")
-        });
-    });
     group.finish();
 }
 
@@ -225,8 +208,8 @@ fn bench_filter_diff_direct(c: &mut Criterion) {
 /// 128²) on each platform — what `contributions_batch_on` calls, with
 /// the kernel prepared once outside the timed loop, as a model holds it.
 /// The built-in platforms score in the spectrum; `lane-route/tpu` is the
-/// trait default they replace on the same operands: sixteen occluded
-/// copies through `filter_diff_real_batch`, then the norms. `prepare`
+/// trait default they are held to on the same operands: sixteen occluded
+/// copies lifted to complex through `filter_diff_batch`, then the norms. `prepare`
 /// is the same request on the TPU with a kernel prepared inside the
 /// loop: the `tpu` row plus the per-model build (`K_h`, `‖K‖_max`, the
 /// autocorrelation and the 64² box's window) that every other row
@@ -264,12 +247,15 @@ fn bench_contribution_scores(c: &mut Criterion) {
     });
     group.bench_function("lane-route/tpu", |b| {
         b.iter(|| {
-            let lanes = rects
+            let lanes: Vec<_> = rects
                 .iter()
-                .map(|rect| occluded(black_box(&x), rect).expect("inside x"));
-            let diffs = tpu
-                .filter_diff_real_batch(lanes.collect(), &filter, &y)
-                .expect("shapes");
+                .map(|rect| {
+                    occluded(black_box(&x), rect)
+                        .expect("inside x")
+                        .to_complex()
+                })
+                .collect();
+            let diffs = tpu.filter_diff_batch(&lanes, &filter, &y).expect("shapes");
             diffs.iter().map(Matrix::frobenius_norm).collect::<Vec<_>>()
         });
     });

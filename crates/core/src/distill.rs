@@ -166,15 +166,17 @@ impl DistilledModel {
         })
     }
 
+    /// The pair's first operand not of `shape`, `x` before `y`, is the
+    /// error's `left`.
     fn check_pair(x: &Matrix<f64>, y: &Matrix<f64>, shape: (usize, usize)) -> Result<()> {
-        if x.shape() != shape || y.shape() != shape {
-            return Err(TensorError::ShapeMismatch {
-                left: x.shape(),
+        match [x.shape(), y.shape()].into_iter().find(|&s| s != shape) {
+            Some(left) => Err(TensorError::ShapeMismatch {
+                left,
                 right: shape,
                 op: "distillation pair shape",
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn solve_spectrum(
@@ -413,14 +415,38 @@ mod tests {
         assert!(DistilledModel::fit(&[], SolveStrategy::default()).is_err());
     }
 
+    /// The error names the operand that does not fit the first pair's
+    /// shape — `y` when only `y` is off, else `x` — on both entries and
+    /// both strategies.
     #[test]
     fn inconsistent_pair_shapes_rejected() {
+        use xai_accel::CpuModel;
         let a = (input(0), input(1));
         let b = (
             Matrix::<f64>::zeros(3, 3).unwrap(),
             Matrix::<f64>::zeros(3, 3).unwrap(),
         );
         assert!(DistilledModel::fit(&[a, b], SolveStrategy::default()).is_err());
+        let (square, wide) = (input(0), Matrix::<f64>::zeros(4, 6).unwrap());
+        let cases = [
+            vec![(square.clone(), wide.clone())],
+            vec![(square.clone(), square.clone()), (wide, square)],
+        ];
+        let mismatch = Err(TensorError::ShapeMismatch {
+            left: (4, 6),
+            right: (4, 4),
+            op: "distillation pair shape",
+        });
+        let naive = SolveStrategy::Naive {
+            policy: DivPolicy::Clamp { floor: 1e-12 },
+        };
+        let cpu = CpuModel::i7_3700();
+        for pairs in cases {
+            for strategy in [SolveStrategy::default(), naive] {
+                assert_eq!(DistilledModel::fit(&pairs, strategy), mismatch);
+                assert_eq!(DistilledModel::fit_on(&cpu, &pairs, strategy), mismatch);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | Bluestein chirp-z | [`bluestein`] | O(N log N), any N | arbitrary shapes |
 //! | DFT-matrix matmul | [`matrix_form`] | O(N²) as *matmul* | the TPU mapping (Eq. 10–13) |
 //! | row–column 2-D | [`fft2d()`] | O(MN log MN) | Algorithm 1 decomposition |
-//! | real-input 2-D | [`Fft2d::forward_real`] / [`Fft2d::hadamard_real`] / [`Fft2d::inverse_real`] (split-buffer: a real `&[f64]` image, a caller-owned `rows × (cols/2 + 1)` half spectrum) | half of row–column | the filter-diff lane of a real image (`xai-accel`'s `filter_diff::lane`: `filter_diff_real_batch`, and every request `contribution_scores` does not take in the spectrum), which never widens the image to complex; within a stated bound of row–column, not bit-identical to it |
+//! | real-input 2-D | [`Fft2d::forward_real`] / [`Fft2d::inverse_real`] (split-buffer: a real `&[f64]` image, a caller-owned `rows × (cols/2 + 1)` half spectrum) | half of row–column | the per-request spectra of a contribution score (`xai-accel`'s `filter_diff`: the residual spectrum, `c = r ⋆ k_h` and the kernel's autocorrelation), which never widen the image to complex; within a stated bound of row–column, not bit-identical to it |
 //! | block-pruned real-input forward | [`Fft2d::forward_real_block`] (an image read as zero outside one rectangle: the row pass packs the rectangle's `bh` rows two by two straight from the image, the column pass is whole) with [`Fft2d::hermitian_part`] / [`Fft2d::residual_energy`] (Parseval on the kept half, the dropped mirror columns counted by weight) and [`Fft2d::weighted_energy`] (the same sum against a real weight — the transform of a kernel's autocorrelation — with its magnitude) | `⌈bh/2⌉` of the `rows/2` row transforms, no inverse; on a block's own power-of-two box (≥ 2× its extent a side), a transform of that box | a contribution *score* (`xai-accel`'s score lane in `filter_diff`, i.e. every `contributions_batch_on` on a built-in platform): the norm of a filter-diff lane without the occluded image, the inverse transform or the difference — on the block's box when it has fewer cells than the image (a 128² grid-4 block: 64² instead of 128²), else on the full image; the full rectangle is `forward_real` bit for bit |
 //!
 //! ## Example: the convolution theorem the paper's solver rests on

@@ -7,8 +7,8 @@
 //! `Z = F(a + i·b)`, then `A[k] = (Z[k] + conj Z[n−k])/2` and
 //! `B[k] = (Z[k] − conj Z[n−k])/2i` for `k ≤ n/2`. Column pass: the
 //! whole-row column kernel over the `h` kept columns. The inverse
-//! mirrors both, and [`Fft2d::hadamard_real`] applies a full-size
-//! spectral filter in between. The image is a real `rows × cols`
+//! mirrors both, and a full-size spectral filter applies in between as
+//! a product with its Hermitian part ([`Fft2d::hermitian_part`]). The image is a real `rows × cols`
 //! slice and the half spectrum a complex `rows × h` one, both
 //! row-major and both the caller's: a real image is never widened to
 //! complex, and the inverse may write over the image the forward read.
@@ -123,39 +123,20 @@ impl Fft2d {
         self.col_plan.forward_columns(half, h, Norm::Backward);
     }
 
-    /// `half ← half ∘ K_h` on a `rows × half_cols()` half spectrum,
-    /// where `K_h[u,v] = (K[u,v] + conj K[(m−u)%m,(n−v)%n])/2` is the
-    /// Hermitian part of the full-size `filter`, formed on the fly. For
-    /// real `x`, `re(ifft2(fft2(x) ∘ K))` is `forward_real`, this and
-    /// `inverse_real` whatever `K` is (the real part of `x ∗ k` is
+    /// `K_h`, the Hermitian part of the full-size `filter` on the kept
+    /// columns, written over the `rows × half_cols()` `half`:
+    /// `K_h[u,v] = (K[u,v] + conj K[(m−u)%m,(n−v)%n])/2`. For real `x`,
+    /// `re(ifft2(fft2(x) ∘ K))` is `forward_real`, a product with this
+    /// and `inverse_real` whatever `K` is (the real part of `x ∗ k` is
     /// `x ∗ re(k)`, whose spectrum is `K_h`), so nothing is assumed
-    /// about the filter.
+    /// about the filter. Formed once for a caller that applies one
+    /// filter to many half spectra ([`Fft2d::residual_energy`]).
     ///
     /// # Panics
     ///
     /// Panics unless `filter` has the planned shape and
     /// `half.len() == rows * half_cols()`.
-    pub fn hadamard_real(&self, half: &mut [Complex64], filter: &Matrix<Complex64>) {
-        self.zip_hermitian_part(half, filter, |z, k| *z *= k);
-    }
-
-    /// `K_h` itself, written over `half` — for a caller that applies
-    /// one filter to many half spectra ([`Fft2d::residual_energy`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`Fft2d::hadamard_real`].
     pub fn hermitian_part(&self, half: &mut [Complex64], filter: &Matrix<Complex64>) {
-        self.zip_hermitian_part(half, filter, |z, k| *z = k);
-    }
-
-    /// `f(z, K_h[u,v])` on every element `z` of `half`, row-major.
-    fn zip_hermitian_part(
-        &self,
-        half: &mut [Complex64],
-        filter: &Matrix<Complex64>,
-        mut f: impl FnMut(&mut Complex64, Complex64),
-    ) {
         let (m, h) = (self.rows, self.half_cols());
         assert!(
             filter.shape() == (m, self.cols) && half.len() == m * h,
@@ -167,10 +148,10 @@ impl Fft2d {
         for (u, row) in half.chunks_exact_mut(h).enumerate() {
             let (k, mirror) = (filter.row(u), filter.row(if u == 0 { 0 } else { m - u }));
             // Column 0 mirrors itself; column v ≥ 1 mirrors column n − v.
-            f(&mut row[0], part(k[0], mirror[0]));
+            row[0] = part(k[0], mirror[0]);
             let parts = k[1..].iter().zip(mirror.iter().rev());
             for (z, (&a, &b)) in row[1..].iter_mut().zip(parts) {
-                f(z, part(a, b));
+                *z = part(a, b);
             }
         }
     }
@@ -259,10 +240,6 @@ impl Fft2d {
     /// `half` (consumed as working space) back to the real
     /// `rows × cols` `image`. The spectrum is read as the kept half of
     /// a Hermitian one (the real part of the complex inverse).
-    /// `finish(r, row)` runs once on every image row `r` as it is
-    /// unpacked and still in cache — where a caller folds a pointwise
-    /// last step (the filter-diff lane's `y − ·`) into the unpack;
-    /// `|_, _| {}` for the plain inverse.
     ///
     /// # Panics
     ///
@@ -272,12 +249,11 @@ impl Fft2d {
         half: &mut [Complex64],
         image: &mut [f64],
         scratch: &mut [Complex64],
-        mut finish: impl FnMut(usize, &mut [f64]),
     ) {
         let (n, h) = self.check_real(image.len(), half.len(), scratch.len());
         self.col_plan.inverse_columns(half, h, Norm::Backward);
         let pairs = image.chunks_exact_mut(2 * n).zip(half.chunks_exact(2 * h));
-        for (j, (rows, halves)) in pairs.enumerate() {
+        for (rows, halves) in pairs {
             let (a, b) = halves.split_at(h);
             // Z[k] = A[k] + i·B[k] on the kept bins, and on the bins
             // above n/2 from the mirrors A[k] = conj A[n−k].
@@ -293,8 +269,6 @@ impl Fft2d {
             for ((z, a), b) in scratch.iter().zip(ra.iter_mut()).zip(rb.iter_mut()) {
                 (*a, *b) = (z.re, z.im);
             }
-            finish(2 * j, ra);
-            finish(2 * j + 1, rb);
         }
     }
 
@@ -378,7 +352,7 @@ mod tests {
             let mut buf = x.clone();
             let (mut half, mut scratch) = workspace(&plan);
             plan.forward_real(buf.as_slice(), &mut half, &mut scratch);
-            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch, |_, _| {});
+            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch);
             assert!(x.max_abs_diff(&buf).unwrap() < 1e-9, "{m}x{n}");
         }
     }
@@ -401,39 +375,19 @@ mod tests {
             let mut buf = x.clone();
             let (mut half, mut scratch) = workspace(&plan);
             plan.forward_real(buf.as_slice(), &mut half, &mut scratch);
-            plan.hadamard_real(&mut half, &k);
-            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch, |_, _| {});
+            filter_by_hermitian_part(&plan, &mut half, &k);
+            plan.inverse_real(&mut half, buf.as_mut_slice(), &mut scratch);
             for (got, want) in buf.iter().zip(complex.iter()) {
                 assert!((got - want.re).abs() < 1e-9, "{m}x{n}");
             }
         }
     }
 
-    #[test]
-    fn the_row_epilogue_sees_every_unpacked_row_once() {
-        // `inverse_real(.., y − ·)` is the plain inverse then the
-        // difference, bit for bit, each row visited exactly once.
-        let (m, n) = (6, 10);
-        let plan = Fft2d::new(m, n);
-        let y = Matrix::from_fn(m, n, |r, c| (r * n + c) as f64 * 0.5 - 7.0).unwrap();
-        let (mut half, mut scratch) = workspace(&plan);
-        let (mut plain, mut fused) = (real_image(m, n), real_image(m, n));
-        plan.forward_real(plain.as_slice(), &mut half, &mut scratch);
-        let spectrum = half.clone();
-        plan.inverse_real(&mut half, plain.as_mut_slice(), &mut scratch, |_, _| {});
-        let mut seen = Vec::new();
-        half.copy_from_slice(&spectrum);
-        plan.inverse_real(&mut half, fused.as_mut_slice(), &mut scratch, |r, row| {
-            seen.push(r);
-            for (v, y) in row.iter_mut().zip(y.row(r)) {
-                *v = y - *v;
-            }
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, (0..m).collect::<Vec<_>>());
-        for ((got, p), y) in fused.iter().zip(plain.iter()).zip(y.iter()) {
-            assert_eq!(got.to_bits(), (y - p).to_bits());
-        }
+    /// `half ← half ∘ K_h`: the filter applied to a half spectrum.
+    fn filter_by_hermitian_part(plan: &Fft2d, half: &mut [Complex64], k: &Matrix<Complex64>) {
+        let mut part = vec![Complex64::ZERO; half.len()];
+        plan.hermitian_part(&mut part, k);
+        half.iter_mut().zip(&part).for_each(|(z, k)| *z *= *k);
     }
 
     /// A filter with no symmetry at all.
@@ -489,20 +443,20 @@ mod tests {
     }
 
     #[test]
-    fn hermitian_part_is_what_hadamard_real_multiplies_by() {
+    fn hermitian_part_is_the_mirror_average_of_the_filter() {
         for (m, n) in [(2, 1), (4, 3), (6, 10), (8, 8)] {
             let plan = Fft2d::new(m, n);
             let k = lopsided_filter(m, n);
-            let mut filtered = half_spectrum(&plan);
-            plan.hadamard_real(&mut filtered, &k);
-            let mut part = vec![Complex64::ZERO; filtered.len()];
+            let mut part = vec![Complex64::new(7.0, -7.0); m * plan.half_cols()];
             plan.hermitian_part(&mut part, &k);
-            let by_hand: Vec<_> = half_spectrum(&plan)
-                .iter()
-                .zip(&part)
-                .map(|(z, k)| *z * *k)
+            let by_hand: Vec<_> = (0..m)
+                .flat_map(|u| (0..plan.half_cols()).map(move |v| (u, v)))
+                .map(|(u, v)| {
+                    let (a, b) = (k[(u, v)], k[((m - u) % m, (n - v) % n)].conj());
+                    Complex64::new(0.5 * (a.re + b.re), 0.5 * (a.im + b.im))
+                })
                 .collect();
-            assert_eq!(filtered, by_hand, "{m}x{n}");
+            assert_eq!(part, by_hand, "{m}x{n}");
         }
     }
 
@@ -529,7 +483,7 @@ mod tests {
                 .map(|(r, (b, k))| *r + *b * *k)
                 .collect();
             let mut image = vec![0.0; m * n];
-            plan.inverse_real(&mut sum, &mut image, &mut scratch, |_, _| {});
+            plan.inverse_real(&mut sum, &mut image, &mut scratch);
             let want = image.iter().map(|v| v * v).sum::<f64>() * (m * n) as f64;
             assert!(
                 (energy - want).abs() <= 1e-12 * want.max(1.0),
@@ -557,7 +511,7 @@ mod tests {
                 .map(|k| Complex64::from_real(k.norm_sqr()))
                 .collect();
             let mut a = vec![0.0; m * n];
-            plan.inverse_real(&mut power, &mut a, &mut scratch, |_, _| {});
+            plan.inverse_real(&mut power, &mut a, &mut scratch);
             // Element; a row and a column (each box wider than the image
             // one way, narrower the other); off the origin.
             let rects = [
@@ -603,9 +557,9 @@ mod tests {
                     Matrix::from_fn(m, n, |r, c| if inside(r, c) { x[(r, c)] } else { 0.0 });
                 let (mut half, _) = workspace(&plan);
                 plan.forward_real(padded.unwrap().as_slice(), &mut half, &mut scratch);
-                plan.hadamard_real(&mut half, &lopsided_filter(m, n));
+                filter_by_hermitian_part(&plan, &mut half, &lopsided_filter(m, n));
                 let mut filtered = vec![0.0; m * n];
-                plan.inverse_real(&mut half, &mut filtered, &mut scratch, |_, _| {});
+                plan.inverse_real(&mut half, &mut filtered, &mut scratch);
                 let want = filtered.iter().map(|v| v * v).sum::<f64>();
                 let at = format!("{m}x{n} {rows:?} x {cols:?} on {l_r}x{l_c}");
                 assert!((got - want).abs() <= 1e-12 * want, "{at}: {got} vs {want}");
@@ -663,7 +617,7 @@ mod tests {
                     if forward {
                         plan.forward_real(&image, &mut half, &mut scratch);
                     } else {
-                        plan.inverse_real(&mut half, &mut image, &mut scratch, |_, _| {});
+                        plan.inverse_real(&mut half, &mut image, &mut scratch);
                     }
                 })
                 .is_err()
@@ -675,7 +629,7 @@ mod tests {
         }
         let k = Matrix::filled(4, 4, Complex64::ONE).unwrap();
         let wrong_half = std::panic::catch_unwind(|| {
-            plan.hadamard_real(&mut [Complex64::ZERO; 16], &k);
+            plan.hermitian_part(&mut [Complex64::ZERO; 16], &k);
         });
         assert!(wrong_half.is_err());
         // Past the image, and (spelled out, as the literal is a lint)

@@ -17,7 +17,8 @@ use xai_tensor::{Complex64, Matrix, TensorError};
 pub enum ExplainJob {
     /// A `grid × grid` block-contribution map for the pair `(x, y)` —
     /// the paper's Figure-5 occlusion sweep, served as one §III-D
-    /// batched kernel submission (`grid²` fused filter-diff lanes).
+    /// batched kernel submission (`grid²` score lanes, each charged as
+    /// the fused filter-diff chain).
     Contributions {
         /// The input whose features are explained.
         x: Matrix<f64>,

@@ -198,27 +198,15 @@ pub enum KernelJob {
         /// Right factor (`k × n`).
         b: Matrix<f64>,
     },
-    /// The fused serving chain fft → hadamard → ifft → sub as a
-    /// *single* lane: `re(ifft2(fft2(x) ∘ filter))` subtracted from
-    /// `y`. The dependent stages pipeline on-device — the flight
-    /// ships one real gather instead of four per-stage round-trips —
-    /// while per-stage charges stay identical to the staged chain.
-    FilterDiff {
-        /// The occluded input, spatial domain.
-        x: LaneInput,
-        /// Frequency-domain filter, broadcast across the batch.
-        filter: Arc<Matrix<Complex64>>,
-        /// Observed output (the minuend), broadcast across the batch.
-        y: Arc<Matrix<f64>>,
-    },
     /// One contribution score `‖y − x′ ∗ k‖_F`, `x′` the input with
-    /// `rect` zeroed, taken in the spectrum: the Frobenius norm of a
-    /// [`KernelJob::FilterDiff`] lane's result without the occluded
-    /// image, the inverse transform or the difference. The modelled
-    /// device still runs that fused chain — a score lane is planned,
-    /// recorded and charged as the filter-diff lane of
-    /// [`ScoreOperands::shape`]. Everything but the rectangle is one
-    /// handle per request: a retry clone of the lane copies no element.
+    /// `rect` zeroed (Equation 5). The modelled device runs the fused
+    /// fft → hadamard → ifft → sub chain on the occlusion as one lane —
+    /// one real gather instead of four per-stage round-trips, per-stage
+    /// charges identical to the staged chain — so a score lane is
+    /// planned, recorded and charged as that chain on an input of
+    /// [`ScoreOperands::shape`], however the host computes it. Everything
+    /// but the rectangle is one handle per request: a retry clone of the
+    /// lane copies no element.
     Score {
         /// The operands every lane of the request shares — its input,
         /// its residual spectrum and the model's prepared kernel.
@@ -235,8 +223,7 @@ pub enum KernelJob {
 /// the cost model reads [`ScoreOperands::shape`] alone.
 pub trait ScoreOperands: std::fmt::Debug + Send + Sync {
     /// `(rows, cols)` of the input the occlusions are cut from: a score
-    /// lane is planned and charged as the filter-diff lane of this
-    /// shape.
+    /// lane is planned and charged as the fused chain of this shape.
     fn shape(&self) -> (usize, usize);
 
     /// The score of the occlusion of `rect`, a pure function of the
@@ -254,36 +241,6 @@ pub trait ScoreOperands: std::fmt::Debug + Send + Sync {
 /// zeroes.
 pub type Rect = (Range<usize>, Range<usize>);
 
-/// The input of a [`KernelJob::FilterDiff`] lane, owned by the job from
-/// submission to result. That an occluded image or trace is *real* is
-/// part of its type: half the bytes of its complex lift, in a buffer the
-/// accelerator layer may hand back as the result. Charges read the shape.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LaneInput {
-    /// A real image: every imaginary part is zero by construction.
-    Real(Matrix<f64>),
-    /// A general complex input.
-    Complex(Matrix<Complex64>),
-}
-
-impl LaneInput {
-    /// `(rows, cols)` of the input.
-    pub fn shape(&self) -> (usize, usize) {
-        match self {
-            LaneInput::Real(x) => x.shape(),
-            LaneInput::Complex(x) => x.shape(),
-        }
-    }
-
-    /// The matrix a complex transform works in: a real image lifted.
-    pub fn into_complex(self) -> Matrix<Complex64> {
-        match self {
-            LaneInput::Real(x) => x.to_complex(),
-            LaneInput::Complex(x) => x,
-        }
-    }
-}
-
 impl KernelJob {
     /// Short static label of the lane's kernel kind, for traces and
     /// error messages.
@@ -294,7 +251,6 @@ impl KernelJob {
             KernelJob::PointwiseDiv { .. } => "pointwise-div",
             KernelJob::Sub { .. } => "sub",
             KernelJob::Matmul { .. } => "matmul",
-            KernelJob::FilterDiff { .. } => "filter-diff",
             KernelJob::Score { .. } => "score",
         }
     }
@@ -937,15 +893,7 @@ mod tests {
                 a: Arc::new(r.clone()),
                 b: r.clone(),
             },
-            KernelJob::Matmul {
-                a: r.clone(),
-                b: r.clone(),
-            },
-            KernelJob::FilterDiff {
-                x: LaneInput::Complex(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
-                filter: Arc::new(Matrix::filled(2, 2, Complex64::ONE).unwrap()),
-                y: Arc::new(r),
-            },
+            KernelJob::Matmul { a: r.clone(), b: r },
             KernelJob::Score {
                 request: Arc::new(Unscored),
                 rect: (0..1, 0..2),
@@ -960,7 +908,6 @@ mod tests {
                 "pointwise-div",
                 "sub",
                 "matmul",
-                "filter-diff",
                 "score"
             ]
         );

@@ -60,8 +60,7 @@ pub mod topology;
 pub mod trace;
 
 pub use batch::{
-    BatchQueue, KernelJob, KernelResult, LaneInput, ManualTime, QueueTime, Rect, ScoreOperands,
-    WallTime,
+    BatchQueue, KernelJob, KernelResult, ManualTime, QueueTime, Rect, ScoreOperands, WallTime,
 };
 pub use config::{Precision, TpuConfig};
 pub use core::{bf16_round, TpuCore};

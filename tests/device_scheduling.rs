@@ -308,7 +308,9 @@ fn device_totals(accel: &TpuAccel) -> (Vec<CoreTotals>, u64) {
 /// themselves (cycles, energy, wall seconds) must not move by a bit.
 #[test]
 fn golden_totals_match_the_event_log_they_replaced() {
-    // (a) One 4-lane fused FilterDiff flight on a 2-core chip.
+    // (a) A 4-lane `filter_diff_batch` on a 2-core chip: the staged
+    // chain's four flights, which charge each core what the event log
+    // recorded for the fused chain's one flight.
     let accel = TpuAccel::with_config(TpuConfig::small_test()).with_batching(Duration::ZERO, 4);
     let xs: Vec<Matrix<Complex64>> = (0..4)
         .map(|i| spectrum_input(8, 8).map(|z| z * Complex64::from_real(1.0 + i as f64)))

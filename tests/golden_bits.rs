@@ -88,8 +88,8 @@ fn fft2d_bits_match_the_transposing_implementation() {
     assert_eq!(got, TRANSFORMS, "{got:#x?}");
 }
 
-/// One served block map: 16×16, grid 4, through the fused
-/// `FilterDiff` flight. Block (1, 2) of the input is all zeros (an
+/// One served block map: 16×16, grid 4, through one queued flight of
+/// score lanes. Block (1, 2) of the input is all zeros (an
 /// occluded-looking block the butterflies must carry as exact zeros)
 /// and one element is `-0.0`.
 ///

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
+use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, PreparedKernel, TpuAccel};
 use tpu_xai::core::{explain_batch_on, explain_batch_parallel_on, DistilledModel, SolveStrategy};
 use tpu_xai::fourier::Fft2d;
 use tpu_xai::parallel;
@@ -149,54 +149,52 @@ fn parallel_strict_division_reports_first_zero_index() {
     );
 }
 
-/// The direct filter-diff path shards whole lanes over the pool: with
-/// 7 workers 16 lanes split 3-3-3-3-3-1, and every platform's batch
-/// must equal its sixteen one-lane calls (one group, no sharing of a
-/// working buffer) bit for bit. The lanes are real with an even row
-/// count, so this is the real-input transform's placement pin under a
-/// ragged pool: the queued and the pooled flight (one leader thread,
-/// no grouping at all) must leave the same bits as the direct paths.
+/// The direct score path shards whole score lanes over the pool: with
+/// 7 workers 16 rectangles split 3-3-3-3-3-1, and every platform's
+/// request must equal its sixteen one-rectangle requests (one group, no
+/// sharing of a workspace) bit for bit — for a request scored in the
+/// spectrum (even rows) and one on its occlusions (odd rows). The queued
+/// and the pooled flight (one leader thread, no grouping at all) must
+/// leave the same bits as the direct paths.
 #[test]
 fn direct_filter_diff_lanes_are_independent_of_the_grouping() {
     setup();
-    let lanes: Vec<_> = (0..16)
-        .map(|s| {
-            Matrix::from_fn(12, 16, |r, c| {
-                Complex64::new(((r * 5 + c * 3 + s) % 13) as f64 - 6.0, 0.0)
-            })
-            .unwrap()
+    for rows in [12, 13] {
+        let x = Matrix::from_fn(rows, 16, |r, c| ((r * 5 + c * 3) % 13) as f64 - 6.0).unwrap();
+        let spectrum = Matrix::from_fn(rows, 16, |r, c| {
+            Complex64::new(((r + c) % 5) as f64 - 1.5, 0.25)
         })
-        .collect();
-    let kernel = Matrix::from_fn(12, 16, |r, c| {
-        Complex64::new(((r + c) % 5) as f64 - 1.5, 0.25)
-    })
-    .unwrap();
-    let y = Matrix::from_fn(12, 16, |r, c| ((r + 2 * c) % 7) as f64 * 0.5).unwrap();
-    let pooled = TpuAccel::over_pool(
-        DevicePool::new(TpuConfig::small_test(), 4),
-        Duration::ZERO,
-        16,
-    );
-    let platforms: [Box<dyn Accelerator>; 5] = [
-        Box::new(CpuModel::i7_3700()),
-        Box::new(GpuModel::gtx1080()),
-        Box::new(TpuAccel::tpu_v2()),
-        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
-        Box::new(pooled),
-    ];
-    let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let mut reference: Option<Vec<Vec<u64>>> = None;
-    for acc in platforms {
-        let batch = acc.filter_diff_batch(&lanes, &kernel, &y).unwrap();
-        for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
-            let one = acc
-                .filter_diff_batch(std::slice::from_ref(lane), &kernel, &y)
-                .unwrap();
-            assert_eq!(bits(got), bits(&one[0]), "{} lane {i}", acc.name());
+        .unwrap();
+        let kernel = PreparedKernel::new(spectrum);
+        let y = Matrix::from_fn(rows, 16, |r, c| ((r + 2 * c) % 7) as f64 * 0.5).unwrap();
+        let rects: Vec<_> = (0..16)
+            .map(|b| (b / 4 * 3..b / 4 * 3 + 3, b % 4 * 4..b % 4 * 4 + 4))
+            .collect();
+        let pooled = TpuAccel::over_pool(
+            DevicePool::new(TpuConfig::small_test(), 4),
+            Duration::ZERO,
+            16,
+        );
+        let platforms: [Box<dyn Accelerator>; 5] = [
+            Box::new(CpuModel::i7_3700()),
+            Box::new(GpuModel::gtx1080()),
+            Box::new(TpuAccel::tpu_v2()),
+            Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+            Box::new(pooled),
+        ];
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut reference: Option<Vec<u64>> = None;
+        for acc in platforms {
+            let batch = acc.contribution_scores(&x, &y, &rects, &kernel).unwrap();
+            for (i, (rect, got)) in rects.iter().zip(&batch).enumerate() {
+                let one = acc
+                    .contribution_scores(&x, &y, std::slice::from_ref(rect), &kernel)
+                    .unwrap();
+                assert_eq!(got.to_bits(), one[0].to_bits(), "{} rect {i}", acc.name());
+            }
+            let reference = reference.get_or_insert_with(|| bits(&batch));
+            assert_eq!(&bits(&batch), reference, "{} vs the CPU model", acc.name());
         }
-        let batch: Vec<_> = batch.iter().map(bits).collect();
-        let reference = reference.get_or_insert_with(|| batch.clone());
-        assert_eq!(&batch, reference, "{} vs the CPU model", acc.name());
     }
 }
 
@@ -315,16 +313,14 @@ fn pooled_flights_spawn_no_host_threads() {
         Duration::ZERO,
         64,
     );
-    let lanes: Vec<_> = (0..8)
-        .map(|s| {
-            Matrix::from_fn(8, 8, |r, c| {
-                Complex64::new(((r * 3 + c + s) % 7) as f64, 0.0)
-            })
-            .unwrap()
-        })
+    // Eight score lanes: the 2×4 blocks of one 8x8 request.
+    let x = Matrix::from_fn(8, 8, |r, c| ((r * 3 + c) % 7) as f64).unwrap();
+    let rects: Vec<_> = (0..8)
+        .map(|b| (b / 2 * 2..b / 2 * 2 + 2, b % 2 * 4..b % 2 * 4 + 4))
         .collect();
-    let kernel =
-        Matrix::from_fn(8, 8, |r, c| Complex64::new(((r + c) % 5) as f64 + 1.0, 0.5)).unwrap();
+    let kernel = PreparedKernel::new(
+        Matrix::from_fn(8, 8, |r, c| Complex64::new(((r + c) % 5) as f64 + 1.0, 0.5)).unwrap(),
+    );
     let y = Matrix::from_fn(8, 8, |r, c| ((r + 2 * c) % 4) as f64).unwrap();
     // A worker names itself as it starts: wait until the whole
     // compute fleet shows before taking the first count.
@@ -333,7 +329,7 @@ fn pooled_flights_spawn_no_host_threads() {
     }
     let (threads, crew) = (runtime_threads(), runtime.crew_threads());
     for _ in 0..200 {
-        acc.filter_diff_batch(&lanes, &kernel, &y).unwrap();
+        acc.contribution_scores(&x, &y, &rects, &kernel).unwrap();
     }
     let pool = acc.pool().expect("pooled");
     assert_eq!(pool.sharded_flights(), 200, "every flight fanned out");

@@ -72,27 +72,24 @@ fn transforms_and_hadamards_coalesce_into_one_mixed_flight() {
     );
 }
 
-/// Two submitters' fused filter-diff lanes of the *same* `x` shape ride
-/// one flight; one submitter's filter has the wrong shape. That is a
+/// Two submitters' Hadamard lanes of the *same* `x` shape ride one
+/// flight; one submitter's filter has the wrong shape. That is a
 /// per-lane error: its owner gets the typed `ShapeMismatch`, and the
-/// stranger whose lanes shared the flight gets its correct maps.
+/// stranger whose lanes shared the flight gets its correct products.
 #[test]
 fn wrong_shaped_filter_fails_only_its_own_submitter() {
     let lanes = 4usize;
     let xs: Vec<Matrix<Complex64>> = (0..lanes).map(|s| complex_input(8, s)).collect();
     let filter = complex_input(8, 42);
     let bad_filter = Matrix::filled(8, 4, Complex64::ONE).unwrap();
-    let y = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f64 * 0.125 - 3.0).unwrap();
-    let want = TpuAccel::tpu_v2()
-        .filter_diff_batch(&xs, &filter, &y)
-        .unwrap();
+    let want = TpuAccel::tpu_v2().hadamard_batch(&xs, &filter).unwrap();
 
     // max_lanes equals both submissions' total: the flight leaves the
     // moment both are in (the long window is the straggler guard).
     let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), 2 * lanes);
     let (good, bad) = std::thread::scope(|scope| {
-        let good = scope.spawn(|| acc.filter_diff_batch(&xs, &filter, &y));
-        let bad = scope.spawn(|| acc.filter_diff_batch(&xs, &bad_filter, &y));
+        let good = scope.spawn(|| acc.hadamard_batch(&xs, &filter));
+        let bad = scope.spawn(|| acc.hadamard_batch(&xs, &bad_filter));
         (good.join().unwrap(), bad.join().unwrap())
     });
     assert_eq!(acc.stats().kernels, 1, "both submissions rode one flight");
@@ -106,7 +103,11 @@ fn wrong_shaped_filter_fails_only_its_own_submitter() {
     );
     let good = good.expect("a stranger's bad filter must not fail these lanes");
     for (a, b) in want.iter().zip(&good) {
-        let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |m: &Matrix<Complex64>| {
+            m.iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect::<Vec<_>>()
+        };
         assert_eq!(bits(a), bits(b));
     }
 }
