@@ -1,7 +1,7 @@
 //! Contribution scores, `‖y − x′ ∗ k‖_F` for `x′` an occlusion of `x`:
-//! one *score lane* per rectangle over one handle per request
-//! ([`Operands`], the [`ScoreOperands`] a
-//! [`KernelJob::Score`](xai_tpu::KernelJob::Score) lane holds), of one of two kinds read off the request:
+//! one *score lane* per rectangle over one set of operands per request
+//! ([`Operands`], borrowing the request's `x`, `y` and prepared kernel),
+//! of one of two kinds read off the request:
 //!
 //! - **Spectral** ([`Spectra`]): an even row count and every element of
 //!   `x` finite. The score is taken in the spectrum — no occluded image,
@@ -10,9 +10,11 @@
 //!   complex sequence `forward → ∘ K → inverse → y − re` on it, then the
 //!   norm: per element the staged chain's arithmetic.
 //!
-//! A queued flight runs one score lane per job; the built-in platforms'
-//! unqueued requests run them over the host pool ([`scores`]) and
-//! replay the staged chain's charges.
+//! The built-in platforms' unqueued requests run the lanes over the host
+//! pool ([`scores`]) and replay the staged chain's charges; a queued
+//! `TpuAccel` request runs them one after another on its own thread and
+//! then submits one shape-only `Score` lane per rectangle, so a flight
+//! carries no operand.
 //!
 //! A spectral score lane owns nothing but its rectangle. What it reads
 //! is built at three lifetimes:
@@ -122,16 +124,13 @@
 //!    of the staged chain, a score lane's that of the fused chain of its
 //!    shape.
 
-use crate::traits::{fit_rect, occluded};
-use std::borrow::Borrow;
+use crate::traits::{occluded, Rect};
 use std::cmp::Ordering;
-use std::fmt::Debug;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops;
 use xai_tensor::{Complex64, Matrix, Result};
-use xai_tpu::{Rect, ScoreOperands};
 
 /// A distilled kernel prepared for contribution scores: a cheap handle
 /// (clones share one allocation) over everything a score reads that
@@ -277,18 +276,17 @@ fn norm(v: &Matrix<f64>) -> f64 {
 }
 
 /// One request's score operands, of the kind read off `x` (module
-/// header): `x` is borrowed by an unqueued request and owned by a
-/// queued one.
+/// header), borrowing the request's own.
 #[derive(Debug)]
-pub(crate) enum Operands<X> {
+pub(crate) enum Operands<'a> {
     /// An even row count and every element of `x` finite.
-    Spectral(Spectra<X>),
+    Spectral(Spectra<'a>),
     /// Any other request: each lane occludes `x` and runs the complex
     /// sequence against `y` and the kernel's spectrum.
     Occluded {
-        x: X,
-        y: Matrix<f64>,
-        kernel: PreparedKernel,
+        x: &'a Matrix<f64>,
+        y: &'a Matrix<f64>,
+        kernel: &'a PreparedKernel,
     },
 }
 
@@ -296,22 +294,17 @@ pub(crate) enum Operands<X> {
 /// `x`; `y` and the kernel of `x`'s shape): [`Spectra`] when `x` has an
 /// even row count and every element finite — a NaN or ±inf pixel is one
 /// an occlusion may *remove*, which `X′ = X − B_r` cannot — and the
-/// occluded kind, with its own copy of `y`, otherwise.
-pub(crate) fn operands<X: Borrow<Matrix<f64>>>(
-    x: X,
-    y: &Matrix<f64>,
+/// occluded kind otherwise.
+pub(crate) fn operands<'a>(
+    x: &'a Matrix<f64>,
+    y: &'a Matrix<f64>,
     rects: &[Rect],
-    kernel: &PreparedKernel,
-) -> Operands<X> {
-    let image = x.borrow();
-    if image.rows().is_multiple_of(2) && image.iter().all(|v| v.is_finite()) {
+    kernel: &'a PreparedKernel,
+) -> Operands<'a> {
+    if x.rows().is_multiple_of(2) && x.iter().all(|v| v.is_finite()) {
         return Operands::Spectral(spectra(x, y, rects, kernel));
     }
-    Operands::Occluded {
-        x,
-        y: y.clone(),
-        kernel: kernel.clone(),
-    }
+    Operands::Occluded { x, y, kernel }
 }
 
 /// What the score lanes of a spectral request share: `x`, the half
@@ -320,10 +313,10 @@ pub(crate) fn operands<X: Borrow<Matrix<f64>>>(
 /// rectangle's [`local_box`] has fewer cells than `x`, what its
 /// block-local score reads of the request ([`Local`]).
 #[derive(Debug)]
-pub(crate) struct Spectra<X> {
-    x: X,
+pub(crate) struct Spectra<'a> {
+    x: &'a Matrix<f64>,
     residual: Vec<Complex64>,
-    kernel: PreparedKernel,
+    kernel: &'a PreparedKernel,
     local: Option<Local>,
 }
 
@@ -349,14 +342,13 @@ fn local_box((rows, cols): &Rect) -> (usize, usize) {
 /// one dense inverse when some rectangle is scored block-locally. `x`
 /// has an even row count, and `y` and the kernel its shape
 /// ([`operands`]).
-fn spectra<X: Borrow<Matrix<f64>>>(
-    x: X,
+fn spectra<'a>(
+    x: &'a Matrix<f64>,
     y: &Matrix<f64>,
     rects: &[Rect],
-    kernel: &PreparedKernel,
-) -> Spectra<X> {
-    let image = x.borrow();
-    let (m, n) = image.shape();
+    kernel: &'a PreparedKernel,
+) -> Spectra<'a> {
+    let (m, n) = x.shape();
     let plan = global_plan_cache().plan_2d(m, n);
     let h = plan.half_cols();
     let hermitian = &kernel.0.hermitian;
@@ -365,7 +357,7 @@ fn spectra<X: Borrow<Matrix<f64>>>(
     let mut spectrum = vec![Complex64::ZERO; m * h];
     let scratch = &mut vec![Complex64::ZERO; n];
     plan.forward_real(y.as_slice(), &mut residual, scratch);
-    plan.forward_real(image.as_slice(), &mut spectrum, scratch);
+    plan.forward_real(x.as_slice(), &mut spectrum, scratch);
     for ((r, x), k) in residual.iter_mut().zip(&spectrum).zip(hermitian) {
         *r -= *x * *k;
     }
@@ -378,7 +370,7 @@ fn spectra<X: Borrow<Matrix<f64>>>(
         }
         let mut c = vec![0.0; m * n];
         plan.inverse_real(&mut spectrum, &mut c, scratch);
-        let scale = kernel.0.max_abs * norm(image) + norm(y);
+        let scale = kernel.0.max_abs * norm(x) + norm(y);
         Local { energy, scale, c }
     });
     // The kernel's windows are built here, on the submitting thread,
@@ -390,7 +382,7 @@ fn spectra<X: Borrow<Matrix<f64>>>(
     Spectra {
         x,
         residual,
-        kernel: kernel.clone(),
+        kernel,
         local,
     }
 }
@@ -426,28 +418,19 @@ fn window(a: &[f64], (m, n): (usize, usize), (l_r, l_c): (usize, usize)) -> Vec<
     half.iter().map(|z| z.re).collect()
 }
 
-/// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` zeroed,
-/// after the rectangle is checked against `x` (a hand-built lane may
-/// hold any). An occluded lane runs the complex sequence in a buffer of
-/// its own — per element the staged `fft2d → hadamard → ifft2d →
-/// to_real → sub` arithmetic, bit for bit — and a spectral one
-/// [`Spectra::score`] through `ws`.
-impl<X: Borrow<Matrix<f64>> + Debug + Send + Sync> ScoreOperands for Operands<X> {
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Operands::Spectral(spectra) => spectra.x.borrow().shape(),
-            Operands::Occluded { x, .. } => x.borrow().shape(),
-        }
-    }
-
-    fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> Result<f64> {
-        let (m, n) = self.shape();
-        fit_rect((m, n), rect, "score lane")?;
+impl Operands<'_> {
+    /// One score lane: `‖y − x′ ∗ k‖_F` for `x′ = x` with `rect` — a
+    /// rectangle inside `x` — zeroed. An occluded lane runs the complex
+    /// sequence in a buffer of its own — per element the staged `fft2d →
+    /// hadamard → ifft2d → to_real → sub` arithmetic, bit for bit — and a
+    /// spectral one [`Spectra::score`] through `ws`, the workspace lent
+    /// from lane to lane (its contents on entry are not read).
+    pub(crate) fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> Result<f64> {
         let (x, y, kernel) = match self {
             Operands::Spectral(spectra) => return Ok(spectra.score(rect, ws)),
-            Operands::Occluded { x, y, kernel } => (x.borrow(), y, kernel),
+            Operands::Occluded { x, y, kernel } => (x, y, kernel),
         };
-        let plan = global_plan_cache().plan_2d(m, n);
+        let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
         let mut lane = occluded(x, rect)?.to_complex();
         plan.forward_in_place(&mut lane)?;
         ops::hadamard_assign(&mut lane, kernel.spectrum())?;
@@ -456,7 +439,7 @@ impl<X: Borrow<Matrix<f64>> + Debug + Send + Sync> ScoreOperands for Operands<X>
     }
 }
 
-impl<X: Borrow<Matrix<f64>>> Spectra<X> {
+impl Spectra<'_> {
     /// The score of a rectangle inside `x`. When the request has
     /// block-local operands and `rect`'s box has fewer cells than `x`,
     /// it is taken on that box ([`local_score`]) unless the cancellation
@@ -465,14 +448,14 @@ impl<X: Borrow<Matrix<f64>>> Spectra<X> {
     /// restricted to `rect`. `ws` holds the transforms: a half spectrum
     /// and a scratch row, resized only when the shape changes.
     fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> f64 {
-        let x = self.x.borrow();
+        let x = self.x;
         let (m, n) = x.shape();
         let (l_r, l_c) = local_box(rect);
         let local = self
             .local
             .as_ref()
             .filter(|_| l_r.saturating_mul(l_c) < m * n);
-        if let Some(s) = local.and_then(|local| local_score(x, local, &self.kernel, rect, ws)) {
+        if let Some(s) = local.and_then(|local| local_score(x, local, self.kernel, rect, ws)) {
             return s;
         }
         let plan = global_plan_cache().plan_2d(m, n);
@@ -530,18 +513,13 @@ fn local_score(
     (magnitude <= scale * s).then_some(s)
 }
 
-/// [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores)
-/// of a built-in platform's unqueued route: the request's score lanes
-/// over the host pool — `num_threads` contiguous groups (one fork-join
-/// per request), each lending lane after lane one workspace; a score is
-/// a pure function of its operands, so the grouping cannot reach it —
-/// and then `charge(lanes)`, the platform's staged charges for as many
-/// occlusions.
-pub(crate) fn scores<X: Borrow<Matrix<f64>> + Debug + Send + Sync>(
-    request: &Operands<X>,
-    rects: &[Rect],
-    charge: impl FnOnce(usize) -> Result<()>,
-) -> Result<Vec<f64>> {
+/// The scores of a built-in platform's unqueued
+/// [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores):
+/// the request's score lanes over the host pool — `num_threads`
+/// contiguous groups (one fork-join per request), each lending lane
+/// after lane one workspace; a score is a pure function of its operands,
+/// so the grouping cannot reach it. The caller charges afterwards.
+pub(crate) fn scores(request: &Operands<'_>, rects: &[Rect]) -> Result<Vec<f64>> {
     let mut slots: Vec<_> = rects.iter().map(|rect| (rect, Ok(0.0))).collect();
     let pool = xai_parallel::global();
     let group = slots.len().div_ceil(pool.num_threads()).max(1);
@@ -551,9 +529,7 @@ pub(crate) fn scores<X: Borrow<Matrix<f64>> + Debug + Send + Sync>(
             *score = request.score(rect, &mut ws);
         }
     });
-    let out: Vec<f64> = slots.into_iter().map(|(_, s)| s).collect::<Result<_>>()?;
-    charge(out.len())?;
-    Ok(out)
+    slots.into_iter().map(|(_, s)| s).collect()
 }
 
 #[cfg(test)]

@@ -33,11 +33,10 @@ use crate::clock::Clock;
 use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::{cost, RooflineParams};
 use crate::stats::KernelStats;
-use crate::traits::{check_request, Accelerator};
+use crate::traits::{check_request, Accelerator, Rect};
 use xai_fourier::{global_plan_cache, Fft2d};
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
-use xai_tpu::Rect;
 
 /// `lanes → (kernels per stage, lanes per kernel)` of a host model's
 /// batched launches.
@@ -282,11 +281,9 @@ impl Accelerator for HostModel {
             return Ok(Vec::new());
         }
         check_request(x, y, rects, kernel)?;
-        let request = filter_diff::operands(x, y, rects, kernel);
-        filter_diff::scores(&request, rects, |n| {
-            self.charge_filter_diff(x.shape(), n);
-            Ok(())
-        })
+        let out = filter_diff::scores(&filter_diff::operands(x, y, rects, kernel), rects)?;
+        self.charge_filter_diff(x.shape(), out.len());
+        Ok(out)
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.charge(flops, bytes);

@@ -52,5 +52,4 @@ pub use host::{CpuModel, GpuModel, HostModel};
 pub use roofline::RooflineParams;
 pub use stats::KernelStats;
 pub use tpu_accel::TpuAccel;
-pub use traits::{occluded, time_region, Accelerator};
-pub use xai_tpu::Rect;
+pub use traits::{occluded, time_region, Accelerator, Rect};

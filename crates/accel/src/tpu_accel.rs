@@ -27,9 +27,8 @@ use crate::clock::Clock;
 use crate::filter_diff::{self, PreparedKernel};
 use crate::roofline::cost;
 use crate::stats::KernelStats;
-use crate::traits::{check_request, Accelerator};
+use crate::traits::{check_request, Accelerator, Rect};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 use xai_fourier::global_plan_cache;
 use xai_sync::{LockClass, OrderedMutex};
@@ -37,8 +36,8 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, Rect, ScoreOperands, ShardPlan,
-    ShardStrategy, SharedDevice, TpuConfig, TpuDevice,
+    BatchQueue, DevicePool, KernelJob, LaneCost, ShardPlan, ShardStrategy, SharedDevice, TpuConfig,
+    TpuDevice,
 };
 
 /// The fan-out probe memo is a leaf of the workspace lock hierarchy,
@@ -97,7 +96,7 @@ pub struct TpuAccel {
     /// elementwise work and matmuls alike — is funnelled through this
     /// cross-request queue and dispatched as coalesced, possibly
     /// mixed-kind device flights (see [`TpuAccel::with_batching`]).
-    queue: Option<BatchQueue<KernelJob, KernelResult>>,
+    queue: Option<BatchQueue<KernelJob, ()>>,
     /// When present, coalesced flights additionally shard across this
     /// pool of simulated chips (see [`TpuAccel::with_pool`]);
     /// `device` aliases the pool's primary device and carries
@@ -253,15 +252,16 @@ impl TpuAccel {
     /// `max_lanes`, and `Duration::ZERO` keeps the code path with no
     /// cross-thread coalescing (and no waiting).
     ///
-    /// **Error granularity**: results are per-lane. One lane's
-    /// data-dependent error (e.g. a
+    /// **Errors**: a kernel runs its numerics on the calling thread
+    /// before it queues anything, and a flight carries only shapes. So a
+    /// kernel whose numerics fail (a shape mismatch, a
     /// [`DivPolicy::Strict`](xai_tensor::ops::DivPolicy) division by
-    /// zero) fails only the request that submitted that lane — the
-    /// other requests coalesced into the flight still receive their
-    /// results. Flight-wide failures (a panicking leader, a dispatch
-    /// error) still surface to every participant, matching
-    /// [`xai_tpu::BatchQueue`]'s documented `WorkerPanicked`
-    /// semantics.
+    /// zero) is refused on its own thread and charges nothing, as an
+    /// unqueued one is; a panic in one request's numerics unwinds on
+    /// that request's thread alone. Flight-wide failures (a panicking
+    /// dispatch, an exhausted fault budget) surface to every
+    /// participant, matching [`xai_tpu::BatchQueue`]'s documented
+    /// `WorkerPanicked` semantics.
     pub fn with_batching(mut self, window: Duration, max_lanes: usize) -> Self {
         self.queue = Some(BatchQueue::new(self.device.clone(), window, max_lanes));
         self
@@ -352,9 +352,7 @@ fn charge_transform_shard(d: &mut TpuDevice, shapes: &[(usize, usize)]) -> Resul
 
 /// The kernel-statistics ledger entry of one whole 2-D transform
 /// over an `m × n` input: complex flops of the two-stage matrix form
-/// and bytes moved. The single source shared by the direct transform
-/// paths, the unqueued batch path and the flight dispatch, so the
-/// ledger can never disagree between them.
+/// and bytes moved.
 fn transform_ops_bytes(m: usize, n: usize) -> (f64, f64) {
     (
         6.0 * 2.0 * (m * m * n + m * n * n) as f64,
@@ -362,39 +360,24 @@ fn transform_ops_bytes(m: usize, n: usize) -> (f64, f64) {
     )
 }
 
-/// Total (flops, bytes) of a flight of 2-D transforms, for the
-/// kernel-statistics ledger.
-fn flight_ops_bytes(shapes: &[(usize, usize)]) -> (f64, f64) {
-    shapes.iter().fold((0.0, 0.0), |(o, b), &(m, n)| {
-        let (ops, bytes) = transform_ops_bytes(m, n);
-        (o + ops, b + bytes)
-    })
-}
-
-/// Ledger (flops, bytes) of one kernel lane — the same per-kernel
-/// formulas the direct (unqueued) paths record, and the single source
-/// of per-lane flops for the shard planner, so the statistics ledger
-/// and the placement/fan-out decisions can never drift apart.
+/// Ledger (flops, bytes) of one kernel lane — what the direct (unqueued)
+/// paths record, and the single source of per-lane flops for the shard
+/// planner, so the statistics ledger and the placement/fan-out
+/// decisions can never drift apart.
 fn kernel_ops_bytes(job: &KernelJob) -> (f64, f64) {
-    match job {
-        KernelJob::Transform { x, .. } => {
-            let (m, n) = x.shape();
-            transform_ops_bytes(m, n)
-        }
-        KernelJob::Hadamard { a, .. } => (6.0 * a.len() as f64, 48.0 * a.len() as f64),
-        KernelJob::PointwiseDiv { a, .. } => (10.0 * a.len() as f64, 48.0 * a.len() as f64),
-        KernelJob::Sub { a, .. } => (a.len() as f64, 24.0 * a.len() as f64),
-        KernelJob::Matmul { a, b } => {
-            let (m, k) = a.shape();
-            let n = b.cols();
-            (cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n))
-        }
+    let per_elem =
+        |(ops, bytes): (f64, f64), elems: usize| (ops * elems as f64, bytes * elems as f64);
+    match *job {
+        KernelJob::Transform { rows, cols } => transform_ops_bytes(rows, cols),
+        KernelJob::Hadamard { elems } => per_elem(HADAMARD_PER_ELEM, elems),
+        KernelJob::PointwiseDiv { elems } => per_elem(DIV_PER_ELEM, elems),
+        KernelJob::Sub { elems } => per_elem(SUB_PER_ELEM, elems),
+        KernelJob::Matmul { m, k, n } => (cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n)),
         // A score lane's ledger entry is the fused chain's: exactly the
         // sum of its four staged entries, fft + hadamard + ifft + sub.
-        KernelJob::Score { request, .. } => {
-            let (m, n) = request.shape();
-            let (t_ops, t_bytes) = transform_ops_bytes(m, n);
-            let len = (m * n) as f64;
+        KernelJob::Score { rows, cols } => {
+            let (t_ops, t_bytes) = transform_ops_bytes(rows, cols);
+            let len = (rows * cols) as f64;
             (
                 2.0 * t_ops + 6.0 * len + len,
                 2.0 * t_bytes + 48.0 * len + 24.0 * len,
@@ -418,17 +401,14 @@ fn flight_stats(jobs: &[KernelJob]) -> (f64, f64) {
 /// ships over the inter-chip gather (16 per complex element, 8 per
 /// real — a different quantity than the ledger's traffic estimate).
 fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
-    let gather_bytes = match job {
-        KernelJob::Transform { x, .. } => 16 * x.len(),
-        KernelJob::Hadamard { a, .. } | KernelJob::PointwiseDiv { a, .. } => 16 * a.len(),
-        KernelJob::Sub { a, .. } => 8 * a.len(),
-        KernelJob::Matmul { a, b } => 8 * a.rows() * b.cols(),
+    let gather_bytes = match *job {
+        KernelJob::Transform { rows, cols } => 16 * rows * cols,
+        KernelJob::Hadamard { elems } | KernelJob::PointwiseDiv { elems } => 16 * elems,
+        KernelJob::Sub { elems } => 8 * elems,
+        KernelJob::Matmul { m, n, .. } => 8 * m * n,
         // The one-gather win of the fused chain: only the final real
         // difference ships, not the three complex intermediates.
-        KernelJob::Score { request, .. } => {
-            let (m, n) = request.shape();
-            8 * m * n
-        }
+        KernelJob::Score { rows, cols } => 8 * rows * cols,
     };
     LaneCost {
         compute: kernel_ops_bytes(job).0,
@@ -436,56 +416,9 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
     }
 }
 
-/// Numeric path of one kernel-generic flight, in lane order. Pure
-/// host arithmetic — no simulated-time charging — and lane at a time:
-/// every lane is a pure function of its own operands
-/// ([`lane_numerics`]), so the flight's numerics are
-/// placement-independent by construction and a lane's error is that
-/// lane's alone. The queue delivers it only to the submitter owning
-/// the lane; no stage is shared between lanes, so nothing — not even
-/// a wrong-shaped filter on a same-shape neighbour — can fail a lane
-/// other than its own.
-fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
-    let ws = &mut Vec::new();
-    flight.into_iter().map(|j| lane_numerics(j, ws)).collect()
-}
-
-/// One lane's numerics. A transform lane works in the lane's own `x` —
-/// the job owns it, so it *is* the working buffer and the result; a
-/// score lane runs its request's [`ScoreOperands::score`], the routine
-/// the unqueued requests share, with `ws` as its workspace.
-fn lane_numerics(job: KernelJob, ws: &mut Vec<Complex64>) -> Result<KernelResult> {
-    match job {
-        KernelJob::Transform { mut x, forward } => {
-            let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
-            if forward {
-                plan.forward_in_place(&mut x)?;
-            } else {
-                plan.inverse_in_place(&mut x)?;
-            }
-            Ok(KernelResult::Complex(x))
-        }
-        KernelJob::Hadamard { a, b } => ops::hadamard(&a, &b).map(KernelResult::Complex),
-        KernelJob::PointwiseDiv { a, b, policy } => {
-            ops::pointwise_div(&a, &b, policy).map(KernelResult::Complex)
-        }
-        KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
-        KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
-        KernelJob::Score { request, rect } => request.score(&rect, ws).map(KernelResult::Score),
-    }
-}
-
-/// The real matmul numeric path: int8 quantisation, as §II-A
-/// prescribes — shared by the direct kernel and the flight dispatch.
-fn matmul_numerics(a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-    let qa = QuantizedMatrix::quantize_symmetric(a)?;
-    let qb = QuantizedMatrix::quantize_symmetric(b)?;
-    qa.matmul_dequant(&qb)
-}
-
-/// Ledger `(flops, bytes)` per element of the two elementwise stages
-/// of the staged filter-diff chain.
+/// Ledger `(flops, bytes)` per element of the elementwise kernels.
 const HADAMARD_PER_ELEM: (f64, f64) = (6.0, 48.0);
+const DIV_PER_ELEM: (f64, f64) = (10.0, 48.0);
 const SUB_PER_ELEM: (f64, f64) = (1.0, 24.0);
 
 /// Charges one elementwise kernel of `elems` elements split evenly
@@ -525,8 +458,7 @@ fn charge_rowsharded_matmul(d: &mut TpuDevice, m: usize, k: usize, n: usize) -> 
 }
 
 /// The charge-relevant summary of one flight shard, grouped by kernel
-/// kind: computed *before* the numerics consume the jobs, charged
-/// atomically afterwards.
+/// kind and charged atomically.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 struct ShardCharges {
     /// Transform lanes' shapes, in lane order.
@@ -555,13 +487,13 @@ fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardChar
         None => charges.elementwise.push((kind, elems)),
     };
     for job in jobs {
-        match job {
-            KernelJob::Transform { x, .. } => charges.transforms.push(x.shape()),
-            KernelJob::Hadamard { a, .. } => bump(&mut charges, job.kind(), a.len()),
-            KernelJob::PointwiseDiv { a, .. } => bump(&mut charges, job.kind(), a.len()),
-            KernelJob::Sub { a, .. } => bump(&mut charges, job.kind(), a.len()),
-            KernelJob::Matmul { a, b } => charges.matmuls.push((a.rows(), a.cols(), b.cols())),
-            KernelJob::Score { request, .. } => charges.fused.push(request.shape()),
+        match *job {
+            KernelJob::Transform { rows, cols } => charges.transforms.push((rows, cols)),
+            KernelJob::Hadamard { elems }
+            | KernelJob::PointwiseDiv { elems }
+            | KernelJob::Sub { elems } => bump(&mut charges, job.kind(), elems),
+            KernelJob::Matmul { m, k, n } => charges.matmuls.push((m, k, n)),
+            KernelJob::Score { rows, cols } => charges.fused.push((rows, cols)),
         }
     }
     charges
@@ -622,16 +554,45 @@ impl TpuAccel {
         if xs.is_empty() {
             return Ok(Vec::new());
         }
-        let (m, n) = xs[0].shape();
-        let plan = global_plan_cache().plan_2d(m, n);
-        // A failed batch charges nothing, like every unqueued kernel.
+        let (rows, cols) = xs[0].shape();
+        let plan = global_plan_cache().plan_2d(rows, cols);
         let out = if forward {
             plan.forward_batch(xs)?
         } else {
             plan.inverse_batch(xs)?
         };
-        self.charge_transform_flight(&vec![(m, n); xs.len()])?;
+        // Unqueued, the batch is one flight on this accelerator's chip.
+        let jobs = vec![KernelJob::Transform { rows, cols }; xs.len()];
+        self.charge(jobs.clone(), || self.dispatch_flight(jobs).map(drop))?;
         Ok(out)
+    }
+
+    /// Charges a kernel (or batch) whose numerics have already run on
+    /// the calling thread: `direct()` when unqueued, otherwise `jobs` as
+    /// lanes of a coalesced flight, blocking until it lands. A kernel
+    /// whose numerics failed never gets here, so it charges nothing.
+    fn charge(&self, jobs: Vec<KernelJob>, direct: impl FnOnce() -> Result<()>) -> Result<()> {
+        match &self.queue {
+            None => direct(),
+            Some(queue) => queue
+                .submit(jobs, |_, flight| self.dispatch_flight(flight))
+                .map(drop),
+        }
+    }
+
+    /// Charges one single kernel: unqueued, `charge` on the device and
+    /// `job`'s ledger entry; queued, one lane.
+    fn charge_one(
+        &self,
+        job: KernelJob,
+        charge: impl FnOnce(&mut TpuDevice) -> Result<()>,
+    ) -> Result<()> {
+        self.charge(vec![job], || {
+            let dt = self.charge_region(charge)?;
+            let (ops, bytes) = kernel_ops_bytes(&job);
+            self.stats.record(dt, ops, bytes);
+            Ok(())
+        })
     }
 
     /// Charges one unqueued elementwise batch — `count` lanes of
@@ -641,20 +602,6 @@ impl TpuAccel {
         let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
         let total = (elems * count) as f64;
         self.stats.record(dt, cost.0 * total, cost.1 * total);
-        Ok(())
-    }
-
-    /// Charges one §III-D flight of whole transforms: every `(m, n)`
-    /// lane runs its full two-stage matrix-form transform
-    /// `(W_M · x) · W_N` on its own core (3 MXU passes per complex
-    /// stage), and the reassembly is ONE collective per transform
-    /// stage for the entire flight. This is the single cost model
-    /// shared by the per-request batch path and the cross-request
-    /// queue, so the two can never drift apart.
-    fn charge_transform_flight(&self, shapes: &[(usize, usize)]) -> Result<()> {
-        let dt = self.charge_flight_region(shapes.len(), |d| charge_transform_shard(d, shapes))?;
-        let (ops, bytes) = flight_ops_bytes(shapes);
-        self.stats.record(dt, ops, bytes);
         Ok(())
     }
 
@@ -680,51 +627,26 @@ impl TpuAccel {
         Ok(dt)
     }
 
-    /// Routes kernel lanes through the cross-request queue: this call
-    /// blocks until its flight lands and returns exactly its own
-    /// results, in lane order. Called only when batching is enabled.
-    ///
-    /// A job owns its operands from here to its result: the flight's
-    /// leader runs each lane in the job's own buffers and only a faulted
-    /// pool's retry clone copies one again. A kernel method that borrows
-    /// must copy each operand into its job (at 128 × 128, the price of a
-    /// forward transform); a score lane holds only its rectangle and one
-    /// handle on its request's operands.
-    fn queued(&self, jobs: Vec<KernelJob>) -> Result<Vec<KernelResult>> {
-        let queue = self.queue.as_ref().expect("batching enabled");
-        // Per-lane results: a data-dependent error in one lane fails
-        // only the submitter owning it, not the whole flight.
-        queue.submit_per_lane(jobs, |_, flight| self.dispatch_flight(flight))
-    }
-
-    /// Submits a single-lane kernel through the queue and unwraps its
-    /// one result.
-    fn queued_one(&self, job: KernelJob) -> Result<KernelResult> {
-        let mut out = self.queued(vec![job])?;
-        Ok(out.pop().expect("one lane, one result"))
-    }
-
     /// The four batched kernels' charges of the staged filter-diff chain
-    /// over `lanes` inputs of `shape` (four gathers): what an unqueued
-    /// request's score lanes pay.
-    fn charge_staged_chain(&self, shape @ (m, n): (usize, usize), lanes: usize) -> Result<()> {
-        let shapes = vec![shape; lanes];
-        self.charge_transform_flight(&shapes)?;
-        self.charge_elementwise_batch(m * n, lanes, HADAMARD_PER_ELEM)?;
-        self.charge_transform_flight(&shapes)?;
-        self.charge_elementwise_batch(m * n, lanes, SUB_PER_ELEM)
+    /// over `lanes` inputs of `rows × cols` (four gathers): what an
+    /// unqueued request's score lanes pay.
+    fn charge_staged_chain(&self, (rows, cols): (usize, usize), lanes: usize) -> Result<()> {
+        let transforms = vec![KernelJob::Transform { rows, cols }; lanes];
+        self.dispatch_flight(transforms.clone())?;
+        self.charge_elementwise_batch(rows * cols, lanes, HADAMARD_PER_ELEM)?;
+        self.dispatch_flight(transforms)?;
+        self.charge_elementwise_batch(rows * cols, lanes, SUB_PER_ELEM)
     }
 
-    /// Executes one coalesced flight, possibly mixing kernel kinds.
-    /// On a single device: the flight's numerics (lane at a time,
-    /// [`flight_numerics`]), then one atomic charge region applying each
-    /// kind's direct-path cost model ([`charge_kernel_shard`]). Over
-    /// a pool with more than one chip, the flight's lanes are sharded
-    /// across the chips instead when that wins (see
-    /// [`TpuAccel::dispatch_pooled_flight`]); a pool with a fault plan
-    /// runs every multi-lane flight through its faulted dispatch, one
-    /// chip or many.
-    fn dispatch_flight(&self, flight: Vec<KernelJob>) -> Result<Vec<Result<KernelResult>>> {
+    /// Charges one flight, possibly mixing kernel kinds — shapes only,
+    /// its numerics ran on each submitter's thread. On a single device:
+    /// one atomic charge region applying each kind's direct-path cost
+    /// model ([`charge_kernel_shard`]). Over a pool with more than one
+    /// chip, the flight's lanes are sharded across the chips instead
+    /// when that wins (see [`TpuAccel::dispatch_pooled_flight`]); a pool
+    /// with a fault plan runs every multi-lane flight through its
+    /// faulted dispatch, one chip or many.
+    fn dispatch_flight(&self, flight: Vec<KernelJob>) -> Result<Vec<()>> {
         let charges = shard_charges(&flight);
         if let Some(pool) = &self.pool {
             if flight.len() > 1 {
@@ -751,13 +673,9 @@ impl TpuAccel {
             }
         }
         let (ops, bytes) = flight_stats(&flight);
-        let lanes = flight.len();
-        let out = flight_numerics(flight);
-        // A failed lane still charges: the device ran the flight's
-        // schedule; only that lane's submitter sees the error.
-        let dt = self.charge_flight_region(lanes, |d| charge_kernel_shard(d, &charges))?;
+        let dt = self.charge_flight_region(flight.len(), |d| charge_kernel_shard(d, &charges))?;
         self.stats.record(dt, ops, bytes);
-        Ok(out)
+        Ok(vec![(); flight.len()])
     }
 
     /// Decides whether fanning a flight out across the pool's chips
@@ -864,36 +782,28 @@ impl TpuAccel {
         seconds
     }
 
-    /// Executes one coalesced flight sharded across the pool's chips
+    /// Charges one coalesced flight sharded across the pool's chips
     /// under the plan [`TpuAccel::fanout_plan`] already computed —
-    /// transform, elementwise and matmul lanes placed by one
-    /// flops-consistent cost — each chip runs its shard
-    /// as a full flight (numerics + the same per-device charges as
-    /// the single-chip path,
-    /// self-measured atomically under the chip's lock via
-    /// [`SharedDevice::timed`]), and the pool merges the slowest
-    /// shard's charge plus one inter-chip gather into its timeline.
-    /// Results are bit-identical to the single-device flight: lanes
-    /// are pure functions of their inputs regardless of placement.
+    /// transform, elementwise, matmul and score lanes placed by one
+    /// flops-consistent cost. Each chip charges its shard as a full
+    /// flight (the same per-device charges as the single-chip path,
+    /// self-measured atomically under the chip's lock through a lease on
+    /// its own core lanes, so co-scheduled flights on one chip overlap on
+    /// the lane timeline), and the pool merges the slowest shard's
+    /// charge plus one inter-chip gather into its timeline.
     fn dispatch_pooled_flight(
         &self,
         pool: &DevicePool,
         flight: Vec<KernelJob>,
         plan: &ShardPlan,
         gather_bytes: usize,
-    ) -> Result<Vec<Result<KernelResult>>> {
+    ) -> Result<Vec<()>> {
         let (ops, bytes) = flight_stats(&flight);
         let run = pool.run_planned(plan, gather_bytes, flight, |device, jobs| {
             let charges = shard_charges(&jobs);
-            let lanes = jobs.len();
-            let outs = flight_numerics(jobs);
-            // Each chip's shard charges through a lease on its own
-            // core lanes, so co-scheduled flights on one chip overlap
-            // on the lane timeline. The measured delta is identical
-            // to the pre-lane `device.timed` path.
-            let lease = device.lease(lanes);
+            let lease = device.lease(jobs.len());
             let ((), dt) = lease.timed(|d| charge_kernel_shard(d, &charges))?;
-            Ok((outs, dt))
+            Ok((vec![(); jobs.len()], dt))
         })?;
         self.stats.record(run.seconds, ops, bytes);
         Ok(run.results)
@@ -913,67 +823,41 @@ impl Accelerator for TpuAccel {
     }
 
     fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::Matmul {
-                a: a.clone(),
-                b: b.clone(),
-            })?;
-            return Ok(out.into_real());
-        }
         // Real numeric path: int8 quantisation, as §II-A prescribes.
-        let out = matmul_numerics(a, b)?;
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let dt = self.charge_region(|d| charge_rowsharded_matmul(d, m, k, n))?;
-        self.stats
-            .record(dt, cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n));
+        let qa = QuantizedMatrix::quantize_symmetric(a)?;
+        let qb = QuantizedMatrix::quantize_symmetric(b)?;
+        let out = qa.matmul_dequant(&qb)?;
+        let ((m, k), n) = (a.shape(), b.cols());
+        self.charge_one(KernelJob::Matmul { m, k, n }, |d| {
+            charge_rowsharded_matmul(d, m, k, n)
+        })?;
         Ok(out)
     }
 
     fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::Transform {
-                x: x.clone(),
-                forward: true,
-            })?;
-            return Ok(out.into_complex());
-        }
-        let (m, n) = x.shape();
-        let out = global_plan_cache().plan_2d(m, n).forward(x)?;
-        let dt = self.charge_region(|d| charge_fft2d(d, m, n))?;
-        let (ops, bytes) = transform_ops_bytes(m, n);
-        self.stats.record(dt, ops, bytes);
+        let (rows, cols) = x.shape();
+        let out = global_plan_cache().plan_2d(rows, cols).forward(x)?;
+        self.charge_one(KernelJob::Transform { rows, cols }, |d| {
+            charge_fft2d(d, rows, cols)
+        })?;
         Ok(out)
     }
 
     fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::Transform {
-                x: x.clone(),
-                forward: false,
-            })?;
-            return Ok(out.into_complex());
-        }
-        let (m, n) = x.shape();
-        let out = global_plan_cache().plan_2d(m, n).inverse(x)?;
-        let dt = self.charge_region(|d| charge_fft2d(d, m, n))?;
-        let (ops, bytes) = transform_ops_bytes(m, n);
-        self.stats.record(dt, ops, bytes);
+        let (rows, cols) = x.shape();
+        let out = global_plan_cache().plan_2d(rows, cols).inverse(x)?;
+        self.charge_one(KernelJob::Transform { rows, cols }, |d| {
+            charge_fft2d(d, rows, cols)
+        })?;
         Ok(out)
     }
 
     fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::Hadamard {
-                a: a.clone(),
-                b: Arc::new(b.clone()),
-            })?;
-            return Ok(out.into_complex());
-        }
         let out = ops::hadamard(a, b)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
-        self.stats
-            .record(dt, 6.0 * a.len() as f64, 48.0 * a.len() as f64);
+        let elems = a.len();
+        self.charge_one(KernelJob::Hadamard { elems }, |d| {
+            charge_sharded_elementwise(d, elems)
+        })?;
         Ok(out)
     }
 
@@ -983,32 +867,20 @@ impl Accelerator for TpuAccel {
         b: &Matrix<Complex64>,
         policy: DivPolicy,
     ) -> Result<Matrix<Complex64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::PointwiseDiv {
-                a: a.clone(),
-                b: b.clone(),
-                policy,
-            })?;
-            return Ok(out.into_complex());
-        }
         let out = ops::pointwise_div(a, b, policy)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
-        self.stats
-            .record(dt, 10.0 * a.len() as f64, 48.0 * a.len() as f64);
+        let elems = a.len();
+        self.charge_one(KernelJob::PointwiseDiv { elems }, |d| {
+            charge_sharded_elementwise(d, elems)
+        })?;
         Ok(out)
     }
 
     fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        if self.queue.is_some() {
-            let out = self.queued_one(KernelJob::Sub {
-                a: Arc::new(a.clone()),
-                b: b.clone(),
-            })?;
-            return Ok(out.into_real());
-        }
         let out = ops::sub(a, b)?;
-        let dt = self.charge_region(|d| charge_sharded_elementwise(d, a.len()))?;
-        self.stats.record(dt, a.len() as f64, 24.0 * a.len() as f64);
+        let elems = a.len();
+        self.charge_one(KernelJob::Sub { elems }, |d| {
+            charge_sharded_elementwise(d, elems)
+        })?;
         Ok(out)
     }
 
@@ -1018,32 +890,10 @@ impl Accelerator for TpuAccel {
     /// [`TpuAccel::with_batching`], batches from concurrent request
     /// threads additionally coalesce into shared flights.
     fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        if self.queue.is_some() && !xs.is_empty() {
-            let jobs = xs
-                .iter()
-                .map(|x| KernelJob::Transform {
-                    x: x.clone(),
-                    forward: true,
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_complex).collect());
-        }
         self.batch_transform(xs, true)
     }
 
     fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        if self.queue.is_some() && !xs.is_empty() {
-            let jobs = xs
-                .iter()
-                .map(|x| KernelJob::Transform {
-                    x: x.clone(),
-                    forward: false,
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_complex).collect());
-        }
         self.batch_transform(xs, false)
     }
 
@@ -1052,57 +902,41 @@ impl Accelerator for TpuAccel {
         xs: &[Matrix<Complex64>],
         k: &Matrix<Complex64>,
     ) -> Result<Vec<Matrix<Complex64>>> {
-        if self.queue.is_some() && !xs.is_empty() {
-            // The filter broadcasts across every lane: ship one copy
-            // per flight, not one per lane.
-            let k = Arc::new(k.clone());
-            let jobs = xs
-                .iter()
-                .map(|x| KernelJob::Hadamard {
-                    a: x.clone(),
-                    b: Arc::clone(&k),
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_complex).collect());
+        if xs.is_empty() {
+            return Ok(Vec::new());
         }
-        let out: Result<Vec<_>> = xs.iter().map(|x| ops::hadamard(x, k)).collect();
-        let out = out?;
-        if let Some(first) = xs.first() {
-            self.charge_elementwise_batch(first.len(), xs.len(), HADAMARD_PER_ELEM)?;
-        }
+        let out = xs
+            .iter()
+            .map(|x| ops::hadamard(x, k))
+            .collect::<Result<_>>()?;
+        let (elems, lanes) = (k.len(), xs.len());
+        self.charge(vec![KernelJob::Hadamard { elems }; lanes], || {
+            self.charge_elementwise_batch(elems, lanes, HADAMARD_PER_ELEM)
+        })?;
         Ok(out)
     }
 
     fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        if self.queue.is_some() && !preds.is_empty() {
-            // The observed output broadcasts against every prediction:
-            // one copy per flight, not one per lane.
-            let y = Arc::new(y.clone());
-            let jobs = preds
-                .iter()
-                .map(|p| KernelJob::Sub {
-                    a: Arc::clone(&y),
-                    b: p.clone(),
-                })
-                .collect();
-            let out = self.queued(jobs)?;
-            return Ok(out.into_iter().map(KernelResult::into_real).collect());
+        if preds.is_empty() {
+            return Ok(Vec::new());
         }
-        let out: Result<Vec<_>> = preds.iter().map(|p| ops::sub(y, p)).collect();
-        let out = out?;
-        if !preds.is_empty() {
-            self.charge_elementwise_batch(y.len(), preds.len(), SUB_PER_ELEM)?;
-        }
+        let out = preds
+            .iter()
+            .map(|p| ops::sub(y, p))
+            .collect::<Result<_>>()?;
+        let (elems, lanes) = (y.len(), preds.len());
+        self.charge(vec![KernelJob::Sub { elems }; lanes], || {
+            self.charge_elementwise_batch(elems, lanes, SUB_PER_ELEM)
+        })?;
         Ok(out)
     }
 
-    /// One score lane per rectangle over one handle per request
-    /// (`filter_diff::operands`). With batching enabled, the lanes ride
-    /// the queue as [`KernelJob::Score`] jobs — one flight, planned and
-    /// charged as the fused chain of the request's shape; without, they
-    /// run over the host pool and the staged chain's charges are
-    /// replayed.
+    /// One score lane per rectangle over the request's borrowed operands
+    /// (`filter_diff::operands`). Without batching the lanes run over the
+    /// host pool and the staged chain's charges are replayed; with it
+    /// they run on this thread and one flight of
+    /// [`KernelJob::Score`] lanes is charged as the fused chain of the
+    /// request's shape.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -1114,23 +948,22 @@ impl Accelerator for TpuAccel {
             return Ok(Vec::new());
         }
         check_request(x, y, rects, kernel)?;
-        if self.queue.is_none() {
-            let request = filter_diff::operands(x, y, rects, kernel);
-            return filter_diff::scores(&request, rects, |lanes| {
-                self.charge_staged_chain(x.shape(), lanes)
-            });
-        }
-        let operands = filter_diff::operands(x.clone(), y, rects, kernel);
-        let request: Arc<dyn ScoreOperands> = Arc::new(operands);
-        let jobs = rects
-            .iter()
-            .map(|rect| KernelJob::Score {
-                request: Arc::clone(&request),
-                rect: rect.clone(),
-            })
-            .collect();
-        let out = self.queued(jobs)?;
-        Ok(out.into_iter().map(KernelResult::into_score).collect())
+        let request = filter_diff::operands(x, y, rects, kernel);
+        let scores = if self.queue.is_none() {
+            filter_diff::scores(&request, rects)?
+        } else {
+            // Serial, one workspace, as a flight leader scored its lanes
+            // before; over the host pool a small request pays more in
+            // fork-join hand-offs than the lanes cost.
+            let ws = &mut Vec::new();
+            let lanes = rects.iter().map(|rect| request.score(rect, ws));
+            lanes.collect::<Result<_>>()?
+        };
+        let shape @ (rows, cols) = x.shape();
+        self.charge(vec![KernelJob::Score { rows, cols }; rects.len()], || {
+            self.charge_staged_chain(shape, rects.len())
+        })?;
+        Ok(scores)
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -1187,6 +1020,12 @@ mod tests {
     use super::*;
     use crate::host::{CpuModel, GpuModel};
     use proptest::prelude::*;
+    use std::time::Instant;
+
+    /// How long a test whose flights dispatch on `max_lanes` may take:
+    /// well under the 60 s straggler window, so a flight that waited the
+    /// window out fails instead of passing slowly.
+    const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 
     #[test]
     fn a_zero_core_config_runs_as_one_core() {
@@ -1229,6 +1068,34 @@ mod tests {
         let err = exact.max_abs_diff(&got).unwrap();
         assert!(err > 0.0, "int8 path must not be bit-exact");
         assert!(err < 0.1, "but must stay close");
+    }
+
+    /// int8 has no code for a NaN or ±inf: a TPU matmul with one in an
+    /// operand is refused, on every placement, and charges nothing,
+    /// while a host model keeps IEEE semantics.
+    #[test]
+    fn a_non_finite_matmul_operand_is_refused_and_free() {
+        let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64 / 8.0).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut poisoned = a.clone();
+            poisoned[(1, 2)] = bad;
+            for acc in [
+                TpuAccel::tpu_v2(),
+                TpuAccel::tpu_v2().with_batching(Duration::ZERO, 4),
+                TpuAccel::with_pool(2, Duration::ZERO, 4),
+            ] {
+                for (l, r) in [(&poisoned, &a), (&a, &poisoned)] {
+                    let err = acc.matmul(l, r).unwrap_err();
+                    assert!(
+                        matches!(err, xai_tensor::TensorError::InvalidQuantRange { .. }),
+                        "{bad}: {err:?}"
+                    );
+                }
+                assert_eq!((acc.elapsed_seconds(), acc.stats().kernels), (0.0, 0));
+            }
+            let host = CpuModel::i7_3700().matmul(&poisoned, &a).unwrap();
+            assert!(host.iter().any(|v| !v.is_finite()), "{bad}");
+        }
     }
 
     #[test]
@@ -1369,6 +1236,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_coalesce_into_fewer_collectives() {
+        let started = Instant::now();
         use std::sync::Arc;
         let threads = 4usize;
         let per_thread = 4usize; // transforms per request
@@ -1413,6 +1281,10 @@ mod tests {
             "coalesced flight must beat per-request dispatch: {} vs {}",
             batching.elapsed_seconds(),
             plain.elapsed_seconds()
+        );
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched every flight"
         );
     }
 
@@ -1463,6 +1335,7 @@ mod tests {
 
     #[test]
     fn four_chip_pool_beats_one_oversubscribed_chip() {
+        let started = Instant::now();
         use std::sync::Arc;
         use xai_tpu::DevicePool;
         let cores = 4usize;
@@ -1497,6 +1370,10 @@ mod tests {
         );
         assert_eq!(pooled.pool().unwrap().sharded_flights(), 1);
         assert!(pooled.pool().unwrap().gather_seconds() > 0.0);
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched every flight"
+        );
     }
 
     #[test]
@@ -1710,6 +1587,7 @@ mod tests {
 
     #[test]
     fn concurrent_matmuls_coalesce_and_shard_across_chips() {
+        let started = Instant::now();
         use std::sync::Arc;
         let a = Matrix::from_fn(128, 128, |r, c| ((r * 3 + c) % 11) as f64 / 11.0 - 0.5).unwrap();
         let reference = TpuAccel::with_cores(4).matmul(&a, &a).unwrap();
@@ -1733,6 +1611,10 @@ mod tests {
         // chip by the cost-model oracle.
         assert_eq!(acc.pool().unwrap().sharded_flights(), 1);
         assert!(acc.pool().unwrap().gather_seconds() > 0.0);
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched every flight"
+        );
     }
 
     #[test]
@@ -1802,40 +1684,13 @@ mod tests {
 
     /// One lane of `kind` (all six [`KernelJob`] kinds) at `m × n`.
     fn memo_test_job(kind: usize, m: usize, n: usize) -> KernelJob {
-        let real = |rows: usize, cols: usize| {
-            Matrix::from_fn(rows, cols, |r, c| ((r * 3 + c * 5 + kind) % 7) as f64 + 1.0).unwrap()
-        };
-        let cplx = |rows, cols| real(rows, cols).to_complex();
         match kind % 6 {
-            0 => KernelJob::Transform {
-                x: cplx(m, n),
-                forward: m.is_multiple_of(2),
-            },
-            1 => KernelJob::Hadamard {
-                a: cplx(m, n),
-                b: Arc::new(cplx(m, n)),
-            },
-            2 => KernelJob::PointwiseDiv {
-                a: cplx(m, n),
-                b: cplx(m, n),
-                policy: DivPolicy::Strict { tol: 0.0 },
-            },
-            3 => KernelJob::Sub {
-                a: Arc::new(real(m, n)),
-                b: real(m, n),
-            },
-            4 => KernelJob::Matmul {
-                a: real(m, n),
-                b: real(n, m),
-            },
-            _ => KernelJob::Score {
-                request: Arc::new(filter_diff::Operands::Occluded {
-                    x: real(m, n),
-                    y: real(m, n),
-                    kernel: PreparedKernel::new(cplx(m, n)),
-                }),
-                rect: (0..m.div_ceil(2), n / 2..n),
-            },
+            0 => KernelJob::Transform { rows: m, cols: n },
+            1 => KernelJob::Hadamard { elems: m * n },
+            2 => KernelJob::PointwiseDiv { elems: m * n },
+            3 => KernelJob::Sub { elems: m * n },
+            4 => KernelJob::Matmul { m, k: n, n: m },
+            _ => KernelJob::Score { rows: m, cols: n },
         }
     }
 
@@ -1919,85 +1774,56 @@ mod tests {
         }
     }
 
-    /// To every cost function a score lane of either kind is the fused
-    /// chain of its shape — its device time and ledger entry those of
-    /// the four staged kernels, and planner cost and shard charge the
-    /// same for both kinds — whether it is scored on its own box or full-size,
-    /// and a hand-built lane whose rectangle leaves the input fails
-    /// alone, with a typed error, inside a flight that lands.
+    /// To every cost function a score lane is the fused chain of its
+    /// shape — its device time and ledger entry those of the four staged
+    /// kernels, its planner cost their flops with one real gather — and a
+    /// queued request whose rectangle leaves the input fails alone:
+    /// refused, typed, before anything is charged, while a well-formed
+    /// request on the same accelerator lands.
     #[test]
     fn a_score_lane_costs_its_filter_diff_lane_and_fails_alone() {
-        let (m, n) = (6, 10);
-        let x = Matrix::from_fn(m, n, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
-        let filter = x.map(|v| Complex64::new(0.25 * v, 1.0));
-        let kernel = PreparedKernel::new(filter.clone());
-        // Full-size, full-size, and on a 2 × 4 box.
-        let rects = [(1..4, 2..7), (0..m, 0..n), (2..3, 4..6)];
-        let spectral: Arc<dyn ScoreOperands> =
-            Arc::new(filter_diff::operands(x.clone(), &x, &rects, &kernel));
-        // A NaN inside the third rectangle: its occlusion is finite.
-        let mut poisoned = x.clone();
-        poisoned[(2, 4)] = f64::NAN;
-        let occluded: Arc<dyn ScoreOperands> =
-            Arc::new(filter_diff::operands(poisoned, &x, &rects, &kernel));
-        let score = |request: &Arc<dyn ScoreOperands>, rect: &Rect| KernelJob::Score {
-            request: Arc::clone(request),
-            rect: rect.clone(),
-        };
+        let (rows, cols) = (6, 10);
+        let lane = KernelJob::Score { rows, cols };
+        let elems = rows * cols;
         let staged = [
-            KernelJob::Transform {
-                x: filter.clone(),
-                forward: true,
-            },
-            KernelJob::Hadamard {
-                a: filter.clone(),
-                b: Arc::new(filter.clone()),
-            },
-            KernelJob::Transform {
-                x: filter,
-                forward: false,
-            },
-            KernelJob::Sub {
-                a: Arc::new(x.clone()),
-                b: x.clone(),
-            },
+            KernelJob::Transform { rows, cols },
+            KernelJob::Hadamard { elems },
+            KernelJob::Transform { rows, cols },
+            KernelJob::Sub { elems },
         ];
         // The staged kernels one flight each, against the lane alone.
-        let charged = |shards: &[&KernelJob]| {
+        let charged = |shards: &[KernelJob]| {
             let mut device = TpuDevice::with_cores(TpuConfig::small_test(), 2);
             for job in shards {
-                charge_kernel_shard(&mut device, &shard_charges([*job])).unwrap();
+                charge_kernel_shard(&mut device, &shard_charges([job])).unwrap();
             }
             device.wall_seconds().to_bits()
         };
-        let staged_seconds = charged(&staged.iter().collect::<Vec<_>>());
-        for rect in &rects {
-            let (job, other) = (score(&spectral, rect), score(&occluded, rect));
-            assert_eq!(charged(&[&job]), staged_seconds);
-            assert_eq!(kernel_ops_bytes(&job), flight_stats(&staged));
-            assert_eq!(kernel_ops_bytes(&job), kernel_ops_bytes(&other));
-            assert_eq!(kernel_lane_cost(&job), kernel_lane_cost(&other));
-            assert_eq!(shard_charges([&job]), shard_charges([&other]));
-        }
-        let flight = vec![
-            score(&spectral, &rects[0]),
-            score(&occluded, &rects[2]),
-            score(&spectral, &(0..m + 1, 0..n)),
-            score(&occluded, &(2..3, 4..n + 1)),
-        ];
-        let out = TpuAccel::tpu_v2()
-            .with_batching(Duration::ZERO, 8)
-            .dispatch_flight(flight)
-            .expect("the flight lands");
-        for lane in &out[..2] {
-            assert!(matches!(lane, Ok(KernelResult::Score(s)) if s.is_finite()));
-        }
-        for lane in &out[2..] {
-            let op = "score lane";
-            assert!(
-                matches!(lane, Err(xai_tensor::TensorError::ShapeMismatch { op: o, .. }) if *o == op)
-            );
-        }
+        assert_eq!(charged(&[lane]), charged(&staged));
+        assert_eq!(kernel_ops_bytes(&lane), flight_stats(&staged));
+        let planned = LaneCost {
+            compute: flight_stats(&staged).0,
+            gather_bytes: 8 * elems,
+        };
+        assert_eq!(kernel_lane_cost(&lane), planned);
+
+        let x = Matrix::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) % 11) as f64 - 5.0).unwrap();
+        let kernel = PreparedKernel::new(x.map(|v| Complex64::new(0.25 * v, 1.0)));
+        let acc = TpuAccel::tpu_v2().with_batching(Duration::ZERO, 8);
+        let outside = [(1..4, 2..7), (2..3, 4..cols + 1)];
+        let err = acc.contribution_scores(&x, &x, &outside, &kernel);
+        assert!(matches!(
+            err,
+            Err(xai_tensor::TensorError::ShapeMismatch {
+                op: "occluded rectangle",
+                ..
+            })
+        ));
+        assert_eq!((acc.elapsed_seconds(), acc.stats().kernels), (0.0, 0));
+        let inside = [(1..4, 2..7), (2..3, 4..6)];
+        let scores = acc.contribution_scores(&x, &x, &inside, &kernel).unwrap();
+        assert!(scores.iter().all(|s| s.is_finite()));
+        assert_eq!(acc.stats().kernels, 1);
     }
 
     /// A pool of one chip runs its multi-lane flights through the

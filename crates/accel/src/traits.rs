@@ -16,9 +16,13 @@
 
 use crate::filter_diff::PreparedKernel;
 use crate::stats::KernelStats;
+use std::ops::Range;
 use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
-use xai_tpu::Rect;
+
+/// A rectangle of matrix elements, `(rows, cols)`: what one occlusion
+/// zeroes.
+pub type Rect = (Range<usize>, Range<usize>);
 
 /// A hardware platform that executes the pipeline's kernels and
 /// accounts simulated time for them.
@@ -195,7 +199,7 @@ pub trait Accelerator: Send + Sync {
     /// the default refuses before anything is charged, and keeps every
     /// score within `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of the
     /// default's. The built-in platforms run one score lane per
-    /// rectangle over one handle per request: in the spectrum (no
+    /// rectangle over the request's borrowed operands: in the spectrum (no
     /// occluded image, no inverse transform, no difference) when `x` has
     /// an even row count and no NaN or ±inf element — one an occlusion
     /// could have *removed* — and otherwise the default's complex
@@ -279,7 +283,7 @@ pub trait Accelerator: Send + Sync {
 /// `Ok` when `rect` lies inside a `rows × cols` matrix, else the
 /// [`TensorError::ShapeMismatch`] that names it `op`.
 pub(crate) fn fit_rect((rows, cols): (usize, usize), rect: &Rect, op: &'static str) -> Result<()> {
-    let fits = |r: &std::ops::Range<usize>, len| r.start <= r.end && r.end <= len;
+    let fits = |r: &Range<usize>, len| r.start <= r.end && r.end <= len;
     if fits(&rect.0, rows) && fits(&rect.1, cols) {
         return Ok(());
     }

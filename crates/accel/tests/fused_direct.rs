@@ -16,7 +16,9 @@
 //! Hermitian).
 
 use proptest::prelude::*;
+use std::time::Duration;
 use xai_accel::{occluded, Accelerator, CpuModel, GpuModel, PreparedKernel, Rect, TpuAccel};
+use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, Result};
 
 /// Radix-2 both axes, a Bluestein shape, and the degenerate 1×1.
@@ -271,7 +273,9 @@ fn lanes(vals: &[f64], (m, n): (usize, usize), count: usize) -> Vec<Matrix<Compl
 }
 
 /// The satellite bugfix: an unqueued batch that fails charges nothing,
-/// like every single-lane kernel.
+/// like every single-lane kernel — and so does a queued or pooled one,
+/// batch or single kernel: its numerics fail on the caller's thread
+/// before anything is queued.
 #[test]
 fn a_rejected_unqueued_batch_is_free() {
     let vals: Vec<f64> = (0..23).map(|i| i as f64 * 0.25 - 2.0).collect();
@@ -282,7 +286,18 @@ fn a_rejected_unqueued_batch_is_free() {
     let bad_k = filter(&vals, (8, 4));
     let reals: Vec<Matrix<f64>> = xs.iter().map(Matrix::to_real).collect();
     let bad_y = observed(&vals, (4, 4));
-    for (name, make) in PLATFORMS {
+    let mut zero_den = xs[1].clone();
+    zero_den[(3, 5)] = Complex64::ZERO;
+    let strict = DivPolicy::Strict { tol: 1e-12 };
+    let queued: [Platform; 2] = [
+        ("tpu-queued", || {
+            Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 8))
+        }),
+        ("tpu-pooled", || {
+            Box::new(TpuAccel::with_pool(2, Duration::ZERO, 8))
+        }),
+    ];
+    for (name, make) in PLATFORMS.into_iter().chain(queued) {
         let acc = make();
         let before = ledger(acc.as_ref());
         // A host model's transforms plan per lane, so only a batched
@@ -293,10 +308,14 @@ fn a_rejected_unqueued_batch_is_free() {
         }
         assert!(acc.hadamard_batch(&xs, &bad_k).is_err(), "{name}");
         assert!(acc.sub_batch(&bad_y, &reals).is_err(), "{name}");
+        assert!(acc.hadamard(&xs[0], &bad_k).is_err(), "{name}: hadamard");
+        let div = acc.pointwise_div(&xs[0], &zero_den, strict);
+        assert!(div.is_err(), "{name}: strict ÷0");
         assert_eq!(
             ledger(acc.as_ref()),
             before,
             "{name}: a failed batch charged"
         );
+        assert_eq!(acc.queue_depth(), 0, "{name}: a failed kernel queued");
     }
 }

@@ -8,12 +8,17 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xai_accel::{occluded, Accelerator, PreparedKernel, Rect, TpuAccel};
 use xai_tensor::{Complex64, Matrix};
 use xai_tpu::{DevicePool, TpuConfig};
 
 const COLS: usize = 4;
+
+/// How long a test whose flights dispatch on `max_lanes` may take:
+/// well under the 60 s straggler window, so a flight that waited the
+/// window out fails instead of passing slowly.
+const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 /// Each submitter's rectangles: an element, and a 2 × 3 block.
 const RECTS: [Rect; 2] = [(1..2, 2..3), (2..4, 0..3)];
 
@@ -52,7 +57,8 @@ fn run_staged(
     y: &Matrix<f64>,
 ) -> Vec<Vec<f64>> {
     let acc = pooled(devices, xs.len() * RECTS.len());
-    std::thread::scope(|scope| {
+    let started = Instant::now();
+    let scores = std::thread::scope(|scope| {
         let handles: Vec<_> = xs
             .iter()
             .map(|x| {
@@ -76,7 +82,12 @@ fn run_staged(
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    });
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
+    scores
 }
 
 /// The score flight, issued per submitter thread.
@@ -88,7 +99,8 @@ fn run_fused(
 ) -> Vec<Vec<f64>> {
     let acc = pooled(devices, xs.len() * RECTS.len());
     let kernel = PreparedKernel::new(k.clone());
-    std::thread::scope(|scope| {
+    let started = Instant::now();
+    let scores = std::thread::scope(|scope| {
         let handles: Vec<_> = xs
             .iter()
             .map(|x| {
@@ -97,7 +109,12 @@ fn run_fused(
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    });
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
+    scores
 }
 
 fn bits(scores: &[Vec<f64>]) -> Vec<Vec<u64>> {

@@ -23,7 +23,7 @@
 //! another's window).
 
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, PreparedKernel, Rect, TpuAccel};
 use xai_tensor::conv::conv2d_circular;
 use xai_tensor::ops::DivPolicy;
@@ -32,6 +32,11 @@ use xai_tpu::{DevicePool, FaultPlan, TpuConfig};
 
 /// The constant of contract point 3, as `filter_diff.rs` states it.
 const C: f64 = 2.0;
+
+/// How long a test whose flights dispatch on `max_lanes` may take:
+/// well under the 60 s straggler window, so a flight that waited the
+/// window out fails instead of passing slowly.
+const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 
 /// Even-row shapes: degenerate, odd-column, Bluestein (6, 10, 3),
 /// radix-2, tall, the `serve-large` shape.
@@ -355,6 +360,7 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
 /// its own scores back.
 #[test]
 fn two_requests_ride_one_flight() {
+    let started = Instant::now();
     let vals = fixed_vals();
     let shape = (8, 8);
     let (k, y) = (filter(&vals, shape), observed(&vals, shape));
@@ -377,6 +383,10 @@ fn two_requests_ride_one_flight() {
     });
     assert_eq!(acc.stats().kernels, 1, "both requests rode one flight");
     assert_eq!((bits(&s0), bits(&s1)), (alone(&x0), alone(&x1)));
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
 }
 
 /// (c) Both routes against the O(N²) definition, on an exact fit

@@ -10,7 +10,7 @@
 //! root) so later optimisation PRs have a perf trajectory to beat.
 
 use std::time::{Duration, Instant};
-use xai_accel::{occluded, Accelerator, CpuModel, GpuModel, PreparedKernel, TpuAccel};
+use xai_accel::{occluded, Accelerator, CpuModel, GpuModel, PreparedKernel, Rect, TpuAccel};
 use xai_bench::{distillation_pairs, TablePrinter};
 use xai_core::{
     block_contributions, explain_batch_parallel_on, interpret_on, transform_roundtrip_seconds,
@@ -25,9 +25,7 @@ use xai_serve::{
     run_load, synth_problem, ExplainJob, JobOutput, LoadConfig, LoadFault, ShedPolicy, SimServer,
 };
 use xai_tensor::{conv::conv2d_circular, ops, Matrix, Result};
-use xai_tpu::{
-    DevicePool, FaultPlan, LaneCost, Rect, ShardStrategy, SharedDevice, Topology, TpuConfig,
-};
+use xai_tpu::{DevicePool, FaultPlan, LaneCost, ShardStrategy, SharedDevice, Topology, TpuConfig};
 
 struct Claim {
     id: &'static str,

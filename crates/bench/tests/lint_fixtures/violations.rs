@@ -57,3 +57,13 @@ fn bounded(job: &Job2) {
         resubmit(job);
     }
 }
+
+fn ranks_on_hope(a: f64, b: f64) -> Ordering2 {
+    a.partial_cmp(&b) // rule 7: no-nan-panic
+        .expect("never NaN")
+}
+
+fn ranks_whatever_comes(a: f64, b: f64) -> Ordering2 {
+    // negative control: `None` handled, and a total order.
+    a.partial_cmp(&b).unwrap_or(a.total_cmp(&b))
+}

@@ -25,6 +25,7 @@ fn fixture_trips_each_rule_exactly_once_at_pinned_lines() {
             ("no-wall-clock", 19),
             ("safety-comment", 23),
             ("no-unbounded-retry", 51),
+            ("no-nan-panic", 62),
         ],
         "full diagnostics: {diags:#?}"
     );

@@ -14,7 +14,7 @@
 //! Kept because: it is the §I LIME claim — `report`'s "closed form vs
 //! LIME" row and `tests/reproduction.rs` compare the product against it.
 
-use crate::contribution::{occlude, Region};
+use crate::contribution::{nan_high, occlude, Region};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use xai_tensor::linalg::ridge_regression;
@@ -25,7 +25,8 @@ use xai_tensor::{Matrix, Result, TensorError};
 pub struct SurrogateExplanation {
     /// Linear surrogate weight per region (importance scores).
     pub weights: Vec<f64>,
-    /// Region with the largest absolute weight.
+    /// Region with the largest absolute weight (NaN ranks above every
+    /// number).
     pub top_region: usize,
     /// Number of black-box queries spent.
     pub model_queries: usize,
@@ -109,7 +110,7 @@ impl LimeExplainer {
         let top_region = weights
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("finite weights"))
+            .max_by(|a, b| nan_high(&a.1.abs(), &b.1.abs()))
             .map(|(i, _)| i)
             .unwrap_or(0);
         Ok(SurrogateExplanation {
@@ -126,7 +127,7 @@ pub fn top1_agreement(a: &[f64], b: &[f64]) -> f64 {
     let arg = |v: &[f64]| {
         v.iter()
             .enumerate()
-            .max_by(|x, y| x.1.abs().partial_cmp(&y.1.abs()).expect("finite"))
+            .max_by(|x, y| nan_high(&x.1.abs(), &y.1.abs()))
             .map(|(i, _)| i)
             .unwrap_or(0)
     };
@@ -148,7 +149,7 @@ pub fn spearman_correlation(a: &[f64], b: &[f64]) -> f64 {
     }
     let rank = |v: &[f64]| -> Vec<f64> {
         let mut idx: Vec<usize> = (0..v.len()).collect();
-        idx.sort_by(|&i, &j| v[i].partial_cmp(&v[j]).expect("finite scores"));
+        idx.sort_by(|&i, &j| nan_high(&v[i], &v[j]));
         let mut ranks = vec![0.0; v.len()];
         // Average ranks over ties (standard Spearman treatment).
         let mut start = 0;
@@ -287,6 +288,9 @@ mod tests {
         assert_eq!(spearman_correlation(&[1.0], &[1.0]), 0.0);
         assert_eq!(spearman_correlation(&[1.0, 2.0], &[1.0]), 0.0);
         assert_eq!(spearman_correlation(&[1.0, 1.0], &[1.0, 2.0]), 0.0);
+        // A NaN ranks above every number.
+        let rho = spearman_correlation(&[1.0, f64::NAN, 3.0], &[1.0, 3.0, 2.0]);
+        assert!((rho - 1.0).abs() < 1e-12, "{rho}");
     }
 
     #[test]
@@ -295,5 +299,26 @@ mod tests {
         assert_eq!(top1_agreement(&[1.0], &[1.0, 2.0]), 0.0);
         assert_eq!(top1_agreement(&[0.1, 0.9], &[5.0, 9.0]), 1.0);
         assert_eq!(top1_agreement(&[0.9, 0.1], &[5.0, 9.0]), 0.0);
+        // A NaN ranks above every number.
+        assert_eq!(top1_agreement(&[0.5, f64::NAN, 0.9], &[0.0, 9.0, 1.0]), 1.0);
+    }
+
+    /// A NaN weight ranks above every number: the top region points at
+    /// it instead of panicking.
+    #[test]
+    fn lime_ranks_a_nan_weight_first() {
+        let x = Matrix::filled(8, 8, 1.0).unwrap();
+        // NaN whenever the decisive block is kept.
+        let poisoned = |m: &Matrix<f64>| {
+            if m[(4, 4)] == 0.0 {
+                block_score(m)
+            } else {
+                Ok(f64::NAN)
+            }
+        };
+        let ex = LimeExplainer::new(50, 3)
+            .explain(poisoned, &x, &block_regions())
+            .unwrap();
+        assert!(ex.weights[ex.top_region].is_nan(), "{ex:?}");
     }
 }

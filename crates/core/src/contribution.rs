@@ -8,6 +8,7 @@
 //! per-column (Figure 6's trace clock cycles).
 
 use crate::distill::DistilledModel;
+use std::cmp::Ordering;
 use xai_accel::{occluded, Accelerator, Rect};
 use xai_tensor::ops;
 use xai_tensor::{Matrix, Result, TensorError};
@@ -205,16 +206,19 @@ pub fn column_contributions(
 /// occlusion that keeps it, and such a poisoned map points at the
 /// poison instead of panicking.
 pub fn argmax(scores: &[f64]) -> usize {
-    let nan_high = |a: &f64, b: &f64| {
-        a.partial_cmp(b)
-            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
-    };
     scores
         .iter()
         .enumerate()
         .max_by(|a, b| nan_high(a.1, b.1))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+/// The crate's order on scores: numbers by value, NaN above every number
+/// and equal to NaN — total, so no ranking panics on a poisoned score.
+pub(crate) fn nan_high(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 /// `(row, col)` of the highest-scoring cell of a score matrix (see

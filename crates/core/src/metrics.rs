@@ -10,7 +10,7 @@
 //! * **Gini sparseness** — how concentrated an importance vector is
 //!   (1 = all mass on one region, 0 = uniform).
 
-use crate::contribution::{occlude, Region};
+use crate::contribution::{nan_high, occlude, Region};
 use xai_tensor::{Matrix, Result, TensorError};
 
 /// Model outputs along the deletion trajectory: entry `i` is the
@@ -18,7 +18,7 @@ use xai_tensor::{Matrix, Result, TensorError};
 /// (entry 0 = unperturbed score).
 ///
 /// `importance[j]` ranks `regions[j]`; regions are deleted greedily
-/// in decreasing importance.
+/// in decreasing importance, a NaN first.
 ///
 /// # Errors
 ///
@@ -38,12 +38,7 @@ pub fn deletion_curve(
         });
     }
     let mut order: Vec<usize> = (0..regions.len()).collect();
-    order.sort_by(|&a, &b| {
-        importance[b]
-            .abs()
-            .partial_cmp(&importance[a].abs())
-            .expect("importance scores must be finite")
-    });
+    order.sort_by(|&a, &b| nan_high(&importance[b].abs(), &importance[a].abs()));
     let mut curve = Vec::with_capacity(regions.len() + 1);
     let mut current = x.clone();
     curve.push(score(&current)?);
@@ -79,7 +74,7 @@ pub fn gini_sparseness(scores: &[f64]) -> f64 {
         return 0.0;
     }
     let mut sorted: Vec<f64> = scores.iter().map(|v| v.abs()).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("scores must be finite"));
+    sorted.sort_by(nan_high);
     let total: f64 = sorted.iter().sum();
     if total <= 0.0 {
         return 0.0;
@@ -117,6 +112,12 @@ mod tests {
             assert!(pair[1] < pair[0]);
         }
         assert!(curve[4].abs() < 1e-12);
+        // A NaN importance ranks above every number: its region goes
+        // first. Block j holds j + 1, so each deletion names its block.
+        let x = Matrix::from_fn(8, 8, |r, c| (r / 4 * 2 + c / 4 + 1) as f64).unwrap();
+        let importance = [1.0, f64::NAN, 3.0, 2.0];
+        let curve = deletion_curve(|m| Ok(m.sum()), &x, &region_grid(), &importance).unwrap();
+        assert_eq!(curve, [160.0, 128.0, 80.0, 16.0, 0.0]);
     }
 
     #[test]
@@ -189,5 +190,9 @@ mod tests {
         let concentrated = gini_sparseness(&[0.0, 0.0, 0.0, 10.0]);
         assert!(concentrated > 0.7);
         assert!(gini_sparseness(&[1.0, 2.0, 3.0]) > uniform);
+        assert!(
+            gini_sparseness(&[1.0, f64::NAN, 2.0]).is_nan(),
+            "NaN, not a panic"
+        );
     }
 }

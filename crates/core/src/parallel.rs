@@ -218,6 +218,11 @@ mod tests {
 
     type Setup = (DistilledModel, Vec<(Matrix<f64>, Matrix<f64>)>);
 
+    /// How long a test whose flights dispatch on `max_lanes` may take:
+    /// well under the 60 s straggler window, so a flight that waited the
+    /// window out fails instead of passing slowly.
+    const STRAGGLER_BOUND: std::time::Duration = std::time::Duration::from_secs(30);
+
     fn setup(n: usize) -> Setup {
         let k = Matrix::from_fn(8, 8, |r, c| ((r + c * 3) % 5) as f64 * 0.25).unwrap();
         let batch: Vec<_> = (0..n)
@@ -293,7 +298,8 @@ mod tests {
 
     #[test]
     fn batching_accelerator_routes_through_queue_with_identical_results() {
-        use std::time::Duration;
+        let started = Instant::now();
+        use std::time::{Duration, Instant};
         let (model, batch) = setup(4);
         let serial = explain_batch_on(&TpuAccel::with_cores(8), &model, &batch, 4).unwrap();
         // 4 workers × one pair × 16 regions per queued kernel.
@@ -306,6 +312,10 @@ mod tests {
         }
         // One forward + one inverse flight for the whole fleet.
         assert_eq!(batching.device().collectives(), 4);
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched every flight"
+        );
     }
 
     #[test]

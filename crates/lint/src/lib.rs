@@ -21,6 +21,7 @@
 //! | `no-wall-clock` | `Instant::now`/`SystemTime` only in the sanctioned clock sources, bench bins and the criterion shim — protecting `SimServer`'s virtual-time determinism |
 //! | `no-unbounded-retry` | a `while`/`for` header keyed on a retry/attempt identifier must reference a budget/limit binding in the same header — retry loops are bounded by construction, never by hope |
 //! | `safety-comment` | every `unsafe` keyword is preceded by a `// SAFETY:` (or `# Safety` doc) comment within five lines |
+//! | `no-nan-panic` | outside tests, no `partial_cmp(…)` is followed by `.unwrap()` / `.expect(` — across line breaks, as rustfmt splits a chain: a NaN makes it `None`, so a ranking panics on one (`total_cmp` or a NaN-aware order instead) |
 //!
 //! A violation can be waived in place with
 //! `// lint:allow(<rule>): <reason>` on the offending line or the
@@ -35,13 +36,14 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The rule identifiers, in reporting order.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 7] = [
     "no-raw-mutex",
     "no-lock-unwrap",
     "no-thread-spawn",
     "no-wall-clock",
     "no-unbounded-retry",
     "safety-comment",
+    "no-nan-panic",
 ];
 
 /// One finding: `path:line: rule: message`.
@@ -315,6 +317,7 @@ struct Exemptions {
     raw_mutex: bool,
     thread_spawn: bool,
     wall_clock: bool,
+    nan_panic: bool,
 }
 
 fn path_exemptions(rel: &str) -> Exemptions {
@@ -322,8 +325,8 @@ fn path_exemptions(rel: &str) -> Exemptions {
     // Integration tests, bench bins and the shims may spawn helper
     // threads and read wall clocks: the spawn/time invariants protect
     // *serving* paths, not harnesses.
-    let harness = p.starts_with("tests/")
-        || p.contains("/tests/")
+    let tests = p.starts_with("tests/") || p.contains("/tests/");
+    let harness = tests
         || p.contains("/benches/")
         || p.contains("crates/bench/")
         || p.contains("crates/criterion-shim/");
@@ -333,7 +336,33 @@ fn path_exemptions(rel: &str) -> Exemptions {
         wall_clock: harness
             || p.ends_with("crates/tpu/src/batch.rs")
             || p.ends_with("crates/serve/src/clock.rs"),
+        nan_panic: tests,
     }
+}
+
+/// Whether a `partial_cmp(…)` call opening on line `idx` is followed by
+/// `.unwrap()` or `.expect(` — on the same line or, as rustfmt splits a
+/// method chain, a later one.
+fn unwraps_a_partial_cmp(lexed: &[LexedLine], idx: usize) -> bool {
+    let code = &lexed[idx].code;
+    let calls = code.match_indices("partial_cmp(");
+    let mut calls = calls.filter(|&(at, _)| !prev_is_word(code.as_bytes(), at));
+    calls.any(|(at, call)| {
+        let later = lexed[idx + 1..]
+            .iter()
+            .flat_map(|l| std::iter::once('\n').chain(l.code.chars()));
+        let mut tail = code[at + call.len()..].chars().chain(later);
+        let mut depth = 1;
+        for c in tail.by_ref() {
+            depth += usize::from(c == '(');
+            depth -= usize::from(c == ')');
+            if depth == 0 {
+                break;
+            }
+        }
+        let next: String = tail.skip_while(|c| c.is_whitespace()).take(9).collect();
+        next.starts_with(".unwrap()") || next.starts_with(".expect(")
+    })
 }
 
 /// Lints one file's `source`, reporting diagnostics under `rel` (the
@@ -444,6 +473,14 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Diagnostic> {
                         .to_string(),
                 );
             }
+        }
+        if !exempt.nan_panic && !in_test && unwraps_a_partial_cmp(&lexed, idx) {
+            report(
+                "no-nan-panic",
+                "`partial_cmp` is `None` for a NaN, so unwrapping it panics \
+                 on one; order with `total_cmp` or a NaN-aware comparator"
+                    .to_string(),
+            );
         }
         if find_word(code, "unsafe") {
             // Accept a SAFETY marker on this line or anywhere in the
@@ -778,6 +815,30 @@ mod tests {
         // Lint-level identifiers never trip the keyword match.
         let attr = "#![forbid(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n";
         assert!(rules_hit("crates/demo/src/lib.rs", attr).is_empty());
+    }
+
+    #[test]
+    fn nan_panic_scoping() {
+        let split = "fn f(v: &mut [f64]) {\n    v.sort_by(|a, b| {\n        a.partial_cmp(b)\n            .expect(\"finite\")\n    });\n}\n";
+        let hits = lint_source("crates/demo/src/lib.rs", split);
+        assert_eq!(
+            hits.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+            [("no-nan-panic", 3)]
+        );
+        let one_line = "fn f(a: f64, b: f64) { a.partial_cmp(&(b + 1.0)).unwrap(); }\n";
+        assert_eq!(
+            rules_hit("crates/demo/src/lib.rs", one_line),
+            ["no-nan-panic"]
+        );
+        // A fallback for `None` never panics; nor does a total order.
+        let handled =
+            "fn f(a: f64, b: f64) { a.partial_cmp(&b).unwrap_or(Equal); a.total_cmp(&b); }\n";
+        assert!(rules_hit("crates/demo/src/lib.rs", handled).is_empty());
+        let other_name = "fn f(a: Key, b: Key) { a.key_partial_cmp(&b).unwrap(); }\n";
+        assert!(rules_hit("crates/demo/src/lib.rs", other_name).is_empty());
+        assert!(rules_hit("crates/demo/tests/load.rs", one_line).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{one_line}}}\n");
+        assert!(rules_hit("crates/demo/src/lib.rs", &in_tests).is_empty());
     }
 
     #[test]

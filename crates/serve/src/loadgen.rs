@@ -282,7 +282,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
         .filter(|h| h.outcome() == Some(Outcome::Completed))
         .map(|h| h.latency_s().expect("resolved"))
         .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are never NaN"));
+    latencies.sort_by(f64::total_cmp);
     let max_over_deadline_s = latencies
         .last()
         .map_or(f64::NEG_INFINITY, |worst| worst - deadline_s);

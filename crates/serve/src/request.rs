@@ -222,8 +222,8 @@ impl ResponseHandle {
 }
 
 /// Whether a kernel failure is worth re-running the job for: fault
-/// injection and panicked flight-mates are transient conditions of the
-/// *device*, not of the request, so a retry can legitimately succeed.
+/// injection and a panicked flight dispatch are transient conditions of
+/// the *device*, not of the request, so a retry can legitimately succeed.
 /// Deterministic input errors (shape mismatch, strict ÷0, …) fail the
 /// same way every time and are never retried.
 pub(crate) fn retryable_kernel_error(e: &TensorError) -> bool {

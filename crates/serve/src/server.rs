@@ -30,7 +30,7 @@ pub struct ServeConfig {
     /// in-flight requests coalesce into shared device flights.
     pub workers: usize,
     /// Extra attempts for a request whose kernel failed *transiently*
-    /// (fault-injection budget exhausted, panicked flight-mate). A
+    /// (fault-injection budget exhausted, panicked flight dispatch). A
     /// retry is only taken while it can still finish inside the
     /// request's deadline; deterministic kernel errors (shape
     /// mismatch, strict ÷0, …) are never retried. `0` disables

@@ -58,7 +58,7 @@ impl SimServer {
     }
 
     /// Re-runs a request whose kernel failed transiently (fault budget
-    /// exhausted, panicked flight-mate) up to `budget` extra times —
+    /// exhausted, panicked flight dispatch) up to `budget` extra times —
     /// but only while a retry can still finish inside the request's
     /// deadline. Deterministic kernel errors are never retried.
     #[must_use]

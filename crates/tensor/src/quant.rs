@@ -80,9 +80,16 @@ impl QuantizedMatrix {
     ///
     /// # Errors
     ///
-    /// Propagates [`TensorError::InvalidQuantRange`] for non-finite data.
+    /// Returns [`TensorError::InvalidQuantRange`] for non-finite data.
     pub fn quantize_symmetric(m: &Matrix<f64>) -> Result<Self> {
-        let params = QuantParams::symmetric(m.max_abs())?;
+        // `max_abs` folds with `f64::max`, which drops a NaN: int8 has no
+        // code for one, so it is refused here.
+        let max_abs = if m.iter().any(|v| v.is_nan()) {
+            f64::NAN
+        } else {
+            m.max_abs()
+        };
+        let params = QuantParams::symmetric(max_abs)?;
         Ok(Self::quantize_with(m, params))
     }
 
@@ -192,6 +199,16 @@ mod tests {
         assert!(QuantParams::symmetric(f64::NAN).is_err());
         assert!(QuantParams::symmetric(f64::INFINITY).is_err());
         assert!(QuantParams::symmetric(-1.0).is_err());
+        // One non-finite element, NaN included, refuses the matrix.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = Matrix::filled(4, 4, 0.5).unwrap();
+            m[(1, 2)] = bad;
+            let err = QuantizedMatrix::quantize_symmetric(&m).unwrap_err();
+            assert!(
+                matches!(err, TensorError::InvalidQuantRange { .. }),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

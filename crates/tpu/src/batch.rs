@@ -18,20 +18,19 @@
 //! The queue is deliberately generic over work/result types so the
 //! accelerator layer can route *every* kernel kind through one queue
 //! without this crate knowing about plan caches or cost models.
-//! [`KernelJob`]/[`KernelResult`] are the ready-made payload for that:
-//! one flight can mix transform, elementwise and matmul lanes, and the
-//! whole mixed flight shards across a [`crate::DevicePool`] exactly
-//! like a homogeneous one.
+//! [`KernelJob`] is the ready-made payload for that: a shape-only lane
+//! descriptor — the submitter has already computed its numerics, so a
+//! flight carries no operand — and one flight can mix transform,
+//! elementwise, matmul and score lanes, sharding across a
+//! [`crate::DevicePool`] exactly like a homogeneous one.
 
 use crate::shared::SharedDevice;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xai_sync::{LockClass, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
-use xai_tensor::ops::DivPolicy;
-use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use xai_tensor::{Result, TensorError};
 
 /// The flight-forming queue state. Ranked between the serving front
 /// door (whose workers submit into queues) and the device locks a
@@ -142,104 +141,65 @@ impl QueueTime for ManualTime {
     }
 }
 
-/// One lane of a kernel-generic flight: the work-item type an
+/// One lane of a kernel-generic flight: the work-item descriptor an
 /// accelerator layer routes through a single [`BatchQueue`] so one
 /// coalesced dispatch can mix kernel kinds — 2-D transforms,
-/// elementwise vector work and real matmuls ride the same flight and
-/// shard across a [`crate::DevicePool`] together.
+/// elementwise vector work, real matmuls and contribution scores ride
+/// the same flight and shard across a [`crate::DevicePool`] together.
 ///
-/// This type is a data carrier: numerics, plan caches and cost models
-/// stay in the accelerator layer, so this crate keeps no opinion on
-/// *how* a lane executes — only on how lanes coalesce, dispatch and
-/// shard. The one lane that carries behaviour, [`KernelJob::Score`],
-/// holds it behind [`ScoreOperands`], which the accelerator layer
-/// implements; this crate reads only its shape. Broadcast operands —
-/// the filter of a Hadamard batch, the minuend of a difference batch,
-/// a request's score operands — are behind [`Arc`] so a whole batch
-/// ships one copy per flight, not one per lane.
-#[derive(Debug, Clone)]
+/// A lane is its kernel's kind and shapes, nothing else: the caller
+/// computes the numerics before it submits, and every charge the
+/// modelled device pays — planning, dispatch, retries, the ledger — is
+/// a function of the shapes alone. A transform lane prices the forward
+/// and the inverse alike, so it carries no direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelJob {
-    /// A whole 2-D Fourier transform of `x` (forward or inverse).
+    /// A whole 2-D Fourier transform of a `rows × cols` input.
     Transform {
-        /// The matrix to transform.
-        x: Matrix<Complex64>,
-        /// `true` for the forward transform, `false` for the inverse.
-        forward: bool,
+        /// Input rows.
+        rows: usize,
+        /// Input columns.
+        cols: usize,
     },
-    /// An elementwise Hadamard product `a ∘ b` on the vector units.
+    /// An elementwise Hadamard product `a ∘ b` of `elems` elements on
+    /// the vector units.
     Hadamard {
-        /// Left operand (per-lane).
-        a: Matrix<Complex64>,
-        /// Right operand — typically a filter broadcast across every
-        /// lane of a batch, hence shared.
-        b: Arc<Matrix<Complex64>>,
+        /// Elements per operand.
+        elems: usize,
     },
-    /// An elementwise division `a ⊘ b` under `policy`.
+    /// An elementwise division `a ⊘ b` of `elems` elements.
     PointwiseDiv {
-        /// Numerator.
-        a: Matrix<Complex64>,
-        /// Denominator.
-        b: Matrix<Complex64>,
-        /// Division-by-zero handling.
-        policy: DivPolicy,
+        /// Elements per operand.
+        elems: usize,
     },
-    /// An elementwise difference `a − b` (the Equation-5 residual).
+    /// An elementwise difference `a − b` of `elems` elements (the
+    /// Equation-5 residual).
     Sub {
-        /// Minuend — typically the observed output broadcast against
-        /// every prediction of a batch, hence shared.
-        a: Arc<Matrix<f64>>,
-        /// Subtrahend (per-lane).
-        b: Matrix<f64>,
+        /// Elements per operand.
+        elems: usize,
     },
-    /// A real matrix product `a · b` on the systolic MXU.
+    /// A real matrix product `m×k · k×n` on the systolic MXU.
     Matmul {
-        /// Left factor (`m × k`).
-        a: Matrix<f64>,
-        /// Right factor (`k × n`).
-        b: Matrix<f64>,
+        /// Rows of the left factor.
+        m: usize,
+        /// Inner dimension.
+        k: usize,
+        /// Columns of the right factor.
+        n: usize,
     },
-    /// One contribution score `‖y − x′ ∗ k‖_F`, `x′` the input with
-    /// `rect` zeroed (Equation 5). The modelled device runs the fused
-    /// fft → hadamard → ifft → sub chain on the occlusion as one lane —
-    /// one real gather instead of four per-stage round-trips, per-stage
-    /// charges identical to the staged chain — so a score lane is
-    /// planned, recorded and charged as that chain on an input of
-    /// [`ScoreOperands::shape`], however the host computes it. Everything
-    /// but the rectangle is one handle per request: a retry clone of the
-    /// lane copies no element.
+    /// One contribution score `‖y − x′ ∗ k‖_F` of a `rows × cols`
+    /// input (Equation 5). The modelled device runs the fused fft →
+    /// hadamard → ifft → sub chain on the occlusion as one lane — one
+    /// real gather instead of four per-stage round-trips, per-stage
+    /// charges identical to the staged chain — however the host
+    /// computed the score.
     Score {
-        /// The operands every lane of the request shares — its input,
-        /// its residual spectrum and the model's prepared kernel.
-        request: Arc<dyn ScoreOperands>,
-        /// The rectangle of the input this lane occludes.
-        rect: Rect,
+        /// Input rows.
+        rows: usize,
+        /// Input columns.
+        cols: usize,
     },
 }
-
-/// What the [`KernelJob::Score`] lanes of one request share, and how
-/// one of them is scored. The accelerator layer builds it once per
-/// request (from the input, the observed output and the model's
-/// prepared kernel); a flight calls [`ScoreOperands::score`] per lane and
-/// the cost model reads [`ScoreOperands::shape`] alone.
-pub trait ScoreOperands: std::fmt::Debug + Send + Sync {
-    /// `(rows, cols)` of the input the occlusions are cut from: a score
-    /// lane is planned and charged as the fused chain of this shape.
-    fn shape(&self) -> (usize, usize);
-
-    /// The score of the occlusion of `rect`, a pure function of the
-    /// operands and `rect`. `ws` is the flight's workspace, lent from
-    /// lane to lane; its contents on entry are not read.
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::ShapeMismatch`] when `rect` does not lie inside
-    /// the input.
-    fn score(&self, rect: &Rect, ws: &mut Vec<Complex64>) -> Result<f64>;
-}
-
-/// A rectangle of matrix elements, `(rows, cols)`: what one occlusion
-/// zeroes.
-pub type Rect = (Range<usize>, Range<usize>);
 
 impl KernelJob {
     /// Short static label of the lane's kernel kind, for traces and
@@ -252,67 +212,6 @@ impl KernelJob {
             KernelJob::Sub { .. } => "sub",
             KernelJob::Matmul { .. } => "matmul",
             KernelJob::Score { .. } => "score",
-        }
-    }
-}
-
-/// The result of one [`KernelJob`] lane: complex for transforms and
-/// complex elementwise kernels, real for differences and matmuls, one
-/// number for a score.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KernelResult {
-    /// A complex matrix (transform, Hadamard, pointwise division).
-    Complex(Matrix<Complex64>),
-    /// A real matrix (difference, matmul).
-    Real(Matrix<f64>),
-    /// A contribution score.
-    Score(f64),
-}
-
-impl KernelResult {
-    /// What the result holds, for the unwrap panics.
-    fn label(&self) -> &'static str {
-        match self {
-            KernelResult::Complex(_) => "a complex result",
-            KernelResult::Real(_) => "a real result",
-            KernelResult::Score(_) => "a score",
-        }
-    }
-
-    /// Unwraps the complex matrix of a transform/elementwise lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other result — the dispatcher produced a lane
-    /// kind the submitter did not queue.
-    pub fn into_complex(self) -> Matrix<Complex64> {
-        match self {
-            KernelResult::Complex(m) => m,
-            other => panic!("kernel lane produced {}, expected complex", other.label()),
-        }
-    }
-
-    /// Unwraps the real matrix of a difference/matmul lane.
-    ///
-    /// # Panics
-    ///
-    /// As [`KernelResult::into_complex`].
-    pub fn into_real(self) -> Matrix<f64> {
-        match self {
-            KernelResult::Real(m) => m,
-            other => panic!("kernel lane produced {}, expected real", other.label()),
-        }
-    }
-
-    /// Unwraps the number of a score lane.
-    ///
-    /// # Panics
-    ///
-    /// As [`KernelResult::into_complex`].
-    pub fn into_score(self) -> f64 {
-        match self {
-            KernelResult::Score(s) => s,
-            other => panic!("kernel lane produced {}, expected a score", other.label()),
         }
     }
 }
@@ -381,12 +280,9 @@ struct QueueState<W, R> {
 
 #[derive(Debug)]
 struct Landing<R> {
-    /// Per-item result slots (taken once each) or the flight's error.
-    /// Each slot carries its *own* `Result`, so a data-dependent
-    /// failure in one lane fails only the submitter owning that lane;
-    /// the outer `Err` is reserved for flight-wide failures (dispatch
-    /// error, arity mismatch, leader panic) that hit every submitter.
-    outcome: Result<Vec<Option<Result<R>>>>,
+    /// Per-item result slots (taken once each) or the flight's error,
+    /// which every submitter of the flight receives.
+    outcome: Result<Vec<Option<R>>>,
     /// Submissions that still have to collect from this landing.
     outstanding: usize,
 }
@@ -480,31 +376,6 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
         items: Vec<W>,
         dispatch: impl FnOnce(&SharedDevice, Vec<W>) -> Result<Vec<R>>,
     ) -> Result<Vec<R>> {
-        self.submit_per_lane(items, |device, batch| {
-            dispatch(device, batch).map(|results| results.into_iter().map(Ok).collect())
-        })
-    }
-
-    /// Like [`BatchQueue::submit`], but `dispatch` returns a
-    /// *per-lane* `Result` for each item: a data-dependent failure in
-    /// one lane (a strict division by zero, say) is delivered only to
-    /// the submitter whose items produced it — every other submitter
-    /// of the same coalesced flight still receives its results. The
-    /// outer `Result` keeps flight-wide semantics: a dispatch `Err`,
-    /// an arity mismatch or a leader panic fails all submitters, as
-    /// in [`BatchQueue::submit`].
-    ///
-    /// A submitter whose slice contains several failed lanes receives
-    /// the first failed lane's error.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchQueue::submit`], plus the per-lane errors above.
-    pub fn submit_per_lane(
-        &self,
-        items: Vec<W>,
-        dispatch: impl FnOnce(&SharedDevice, Vec<W>) -> Result<Vec<Result<R>>>,
-    ) -> Result<Vec<R>> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
@@ -538,7 +409,7 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
         &'q self,
         mut st: OrderedMutexGuard<'q, QueueState<W, R>>,
         generation: u64,
-        dispatch: impl FnOnce(&SharedDevice, Vec<W>) -> Result<Vec<Result<R>>>,
+        dispatch: impl FnOnce(&SharedDevice, Vec<W>) -> Result<Vec<R>>,
     ) -> OrderedMutexGuard<'q, QueueState<W, R>> {
         // The window is anchored at the flight's FIRST enqueue (not at
         // this leader's arrival in the wait loop): lanes already
@@ -623,13 +494,10 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
         loop {
             if let Some(landing) = st.landed.get_mut(&generation) {
                 let taken = match &mut landing.outcome {
-                    // Per-lane results: a failed lane fails only the
-                    // submitter owning it (first failure wins within
-                    // one submission's slice).
-                    Ok(slots) => slots[offset..offset + count]
+                    Ok(slots) => Ok(slots[offset..offset + count]
                         .iter_mut()
                         .map(|s| s.take().expect("each result slot is taken exactly once"))
-                        .collect(),
+                        .collect()),
                     Err(e) => Err(e.clone()),
                 };
                 landing.outstanding -= 1;
@@ -651,7 +519,13 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
 mod tests {
     use super::*;
     use crate::config::TpuConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    /// How long a test whose flights dispatch on `max_lanes` may take:
+    /// well under the 60 s straggler window, so a flight that waited the
+    /// window out fails instead of passing slowly.
+    const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 
     fn queue(window_ms: u64, max_lanes: usize) -> BatchQueue<u64, u64> {
         BatchQueue::new(
@@ -709,7 +583,6 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce_into_one_flight() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let threads = 4usize;
         let lanes_per = 3usize;
         // max_lanes equals the total, so the flight dispatches the
@@ -717,6 +590,7 @@ mod tests {
         // (the long window is only the straggler guard).
         let q = Arc::new(queue(60_000, threads * lanes_per));
         let dispatches = AtomicUsize::new(0);
+        let started = Instant::now();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads as u64)
                 .map(|t| {
@@ -739,6 +613,10 @@ mod tests {
                 h.join().unwrap();
             }
         });
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched the flight"
+        );
         assert_eq!(
             dispatches.load(Ordering::SeqCst),
             1,
@@ -814,6 +692,7 @@ mod tests {
     #[test]
     fn leader_panic_fails_followers_instead_of_stranding_them() {
         let q = Arc::new(queue(60_000, 2));
+        let started = Instant::now();
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|i| {
@@ -847,6 +726,10 @@ mod tests {
         // And the queue recovers for the next flight (two lanes so
         // the early-dispatch threshold fires instead of the window).
         assert_eq!(q.submit(vec![8, 9], |_, v| Ok(v)).unwrap(), vec![8, 9]);
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched both flights"
+        );
     }
 
     #[test]
@@ -858,46 +741,15 @@ mod tests {
         }
     }
 
-    /// Score operands that score nothing: a label needs no numerics.
-    #[derive(Debug)]
-    struct Unscored;
-
-    impl ScoreOperands for Unscored {
-        fn shape(&self) -> (usize, usize) {
-            (2, 2)
-        }
-        fn score(&self, _: &Rect, _: &mut Vec<Complex64>) -> Result<f64> {
-            Ok(0.0)
-        }
-    }
-
     #[test]
     fn kernel_job_kinds_are_labelled() {
-        let x = Matrix::filled(2, 2, Complex64::ONE).unwrap();
-        let r = Matrix::filled(2, 2, 1.0).unwrap();
         let jobs = [
-            KernelJob::Transform {
-                x: x.clone(),
-                forward: true,
-            },
-            KernelJob::Hadamard {
-                a: x.clone(),
-                b: Arc::new(x.clone()),
-            },
-            KernelJob::PointwiseDiv {
-                a: x.clone(),
-                b: x,
-                policy: DivPolicy::Clamp { floor: 1e-12 },
-            },
-            KernelJob::Sub {
-                a: Arc::new(r.clone()),
-                b: r.clone(),
-            },
-            KernelJob::Matmul { a: r.clone(), b: r },
-            KernelJob::Score {
-                request: Arc::new(Unscored),
-                rect: (0..1, 0..2),
-            },
+            KernelJob::Transform { rows: 2, cols: 2 },
+            KernelJob::Hadamard { elems: 4 },
+            KernelJob::PointwiseDiv { elems: 4 },
+            KernelJob::Sub { elems: 4 },
+            KernelJob::Matmul { m: 2, k: 2, n: 2 },
+            KernelJob::Score { rows: 2, cols: 2 },
         ];
         let kinds: Vec<_> = jobs.iter().map(KernelJob::kind).collect();
         assert_eq!(
@@ -913,144 +765,48 @@ mod tests {
         );
     }
 
-    /// Satellite: a data-dependent error in one lane fails only the
-    /// submitter owning that lane — the other seven submitters of the
-    /// same coalesced flight still land their results.
-    #[test]
-    fn per_lane_error_fails_only_its_submitter() {
-        let threads = 8usize;
-        let q: Arc<BatchQueue<u64, u64>> = Arc::new(queue(60_000, threads));
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    let q = Arc::clone(&q);
-                    scope.spawn(move || {
-                        q.submit_per_lane(vec![t], |_, batch| {
-                            Ok(batch
-                                .into_iter()
-                                .map(|v| {
-                                    if v == 3 {
-                                        // The poisoned lane: a strict
-                                        // ÷0-style data error.
-                                        Err(TensorError::DivisionByZero { index: 0 })
-                                    } else {
-                                        Ok(v * 2)
-                                    }
-                                })
-                                .collect())
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
-        });
-        for (t, r) in results.iter().enumerate() {
-            if t == 3 {
-                assert_eq!(
-                    r.clone().unwrap_err(),
-                    TensorError::DivisionByZero { index: 0 }
-                );
-            } else {
-                assert_eq!(r.clone().unwrap(), vec![t as u64 * 2], "lane {t}");
-            }
-        }
-    }
-
-    /// A submission spanning several lanes receives its *first*
-    /// failed lane's error; flight-wide errors still hit everyone.
-    #[test]
-    fn per_lane_first_error_wins_within_a_submission() {
-        let q = queue(0, 8);
-        let err = q
-            .submit_per_lane(vec![1u64, 2, 3], |_, batch| {
-                Ok(batch
-                    .into_iter()
-                    .map(|v| {
-                        if v >= 2 {
-                            Err(TensorError::EmptyDimension)
-                        } else {
-                            Ok(v)
-                        }
-                    })
-                    .collect())
-            })
-            .unwrap_err();
-        assert_eq!(err, TensorError::EmptyDimension);
-        // Flight-wide error path unchanged.
-        let err = q
-            .submit_per_lane(vec![1u64], |_, _| {
-                Err::<Vec<Result<u64>>, _>(TensorError::DivisionByZero { index: 0 })
-            })
-            .unwrap_err();
-        assert_eq!(err, TensorError::DivisionByZero { index: 0 });
-    }
-
-    #[test]
-    fn kernel_results_unwrap_by_kind() {
-        let c = Matrix::filled(2, 2, Complex64::I).unwrap();
-        let r = Matrix::filled(2, 2, 3.0).unwrap();
-        assert_eq!(
-            KernelResult::Complex(c.clone()).into_complex().as_slice(),
-            c.as_slice()
-        );
-        assert_eq!(
-            KernelResult::Real(r.clone()).into_real().as_slice(),
-            r.as_slice()
-        );
-        assert_eq!(KernelResult::Score(1.5).into_score(), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected complex")]
-    fn wrong_kind_unwrap_panics() {
-        KernelResult::Real(Matrix::filled(1, 1, 0.0).unwrap()).into_complex();
-    }
-
     /// The queue is payload-generic: a mixed-kind flight of
-    /// [`KernelJob`] lanes coalesces and returns per-lane results in
-    /// submission order, whatever the mix.
+    /// [`KernelJob`] lanes from two submitters coalesces and returns
+    /// per-lane results in submission order, whatever the mix.
     #[test]
     fn mixed_kernel_jobs_ride_one_queue() {
-        use xai_tensor::ops;
         let dev = SharedDevice::new(TpuConfig::small_test());
-        let q: BatchQueue<KernelJob, KernelResult> = BatchQueue::new(dev, Duration::ZERO, 8);
-        let x = Matrix::filled(2, 2, Complex64::new(2.0, 1.0)).unwrap();
-        let r = Matrix::filled(2, 2, 4.0).unwrap();
-        let out = q
-            .submit(
-                vec![
-                    KernelJob::Hadamard {
-                        a: x.clone(),
-                        b: Arc::new(x.clone()),
-                    },
-                    KernelJob::Sub {
-                        a: Arc::new(r.clone()),
-                        b: r.clone(),
-                    },
-                ],
-                |_, jobs| {
-                    jobs.into_iter()
-                        .map(|job| match job {
-                            KernelJob::Hadamard { a, b } => {
-                                Ok(KernelResult::Complex(ops::hadamard(&a, &b)?))
-                            }
-                            KernelJob::Sub { a, b } => Ok(KernelResult::Real(ops::sub(&a, &b)?)),
-                            other => panic!("unqueued kind {}", other.kind()),
-                        })
-                        .collect()
-                },
-            )
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        let had = out[0].clone().into_complex();
-        assert_eq!(
-            had[(0, 0)],
-            Complex64::new(2.0, 1.0) * Complex64::new(2.0, 1.0)
+        let q: Arc<BatchQueue<KernelJob, KernelJob>> =
+            Arc::new(BatchQueue::new(dev, Duration::from_secs(60), 5));
+        let submissions = [
+            vec![
+                KernelJob::Hadamard { elems: 16 },
+                KernelJob::Transform { rows: 4, cols: 4 },
+                KernelJob::Score { rows: 4, cols: 4 },
+            ],
+            vec![
+                KernelJob::Sub { elems: 16 },
+                KernelJob::Matmul { m: 4, k: 2, n: 3 },
+            ],
+        ];
+        let flights = AtomicUsize::new(0);
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            for jobs in &submissions {
+                let (q, flights) = (Arc::clone(&q), &flights);
+                scope.spawn(move || {
+                    let out = q.submit(jobs.clone(), |_, flight| {
+                        flights.fetch_add(1, Ordering::SeqCst);
+                        Ok(flight)
+                    });
+                    assert_eq!(
+                        out.unwrap(),
+                        *jobs,
+                        "each submitter gets its own lanes back"
+                    );
+                });
+            }
+        });
+        assert!(
+            started.elapsed() < STRAGGLER_BOUND,
+            "max_lanes dispatched the flight"
         );
-        assert_eq!(out[1].clone().into_real()[(1, 1)], 0.0);
+        assert_eq!(flights.load(Ordering::SeqCst), 1, "one mixed flight");
     }
 
     #[test]

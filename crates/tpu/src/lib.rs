@@ -59,9 +59,7 @@ pub mod systolic;
 pub mod topology;
 pub mod trace;
 
-pub use batch::{
-    BatchQueue, KernelJob, KernelResult, ManualTime, QueueTime, Rect, ScoreOperands, WallTime,
-};
+pub use batch::{BatchQueue, KernelJob, ManualTime, QueueTime, WallTime};
 pub use config::{Precision, TpuConfig};
 pub use core::{bf16_round, TpuCore};
 pub use device::{PhaseTime, TpuDevice};

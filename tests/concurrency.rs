@@ -9,6 +9,11 @@ use tpu_xai::core::{explain_batch_on, explain_batch_parallel_on, DistilledModel,
 use tpu_xai::fourier::{Fft2d, PlanCache};
 use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix};
 
+/// How long a test whose flights dispatch on `max_lanes` may take:
+/// well under the 60 s straggler window, so a flight that waited the
+/// window out fails instead of passing slowly.
+const STRAGGLER_BOUND: std::time::Duration = std::time::Duration::from_secs(30);
+
 fn batch(n: usize, size: usize) -> Vec<(Matrix<f64>, Matrix<f64>)> {
     let k = Matrix::from_fn(size, size, |r, c| ((r * 2 + c * 3) % 7) as f64 * 0.15).unwrap();
     (0..n)
@@ -111,7 +116,8 @@ fn one_plan_cache_shared_by_worker_threads_builds_each_plan_once() {
 
 #[test]
 fn batch_queue_coalesces_concurrent_explanations_bit_identically() {
-    use std::time::Duration;
+    let started = Instant::now();
+    use std::time::{Duration, Instant};
     // 8 request threads, one pair each, grid 4 → 16 regions per
     // request. With the cross-request queue sized to the full lane
     // count, the 8 forward (and 8 inverse) submissions coalesce into
@@ -149,6 +155,10 @@ fn batch_queue_coalesces_concurrent_explanations_bit_identically() {
     assert!(
         speedup >= 2.0,
         "coalesced serving must be ≥2x faster on the device clock, got {speedup:.2}x"
+    );
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
     );
 }
 

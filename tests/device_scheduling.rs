@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tpu_xai::accel::{Accelerator, TpuAccel};
 use tpu_xai::core::{
     explain_batch_on, explain_batch_parallel_on, fft2d_on_device, ifft2d_on_device, DistilledModel,
@@ -15,6 +15,11 @@ use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, TensorError};
 use tpu_xai::tpu::{
     BatchQueue, DevicePool, LaneCost, SharedDevice, SystolicArray, TpuConfig, TpuDevice,
 };
+
+/// How long a test whose flights dispatch on `max_lanes` may take:
+/// well under the 60 s straggler window, so a flight that waited the
+/// window out fails instead of passing slowly.
+const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 
 fn spectrum_input(m: usize, n: usize) -> Matrix<Complex64> {
     Matrix::from_fn(m, n, |r, c| {
@@ -115,6 +120,7 @@ proptest! {
 /// wedged.
 #[test]
 fn pool_recovers_from_panicking_shard_and_fails_followers() {
+    let started = Instant::now();
     let pool = Arc::new(DevicePool::new(TpuConfig::small_test(), 2));
     let queue: Arc<BatchQueue<u64, u64>> = Arc::new(BatchQueue::new(
         pool.primary().clone(),
@@ -175,6 +181,10 @@ fn pool_recovers_from_panicking_shard_and_fails_followers() {
             })
             .unwrap();
     }
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
 }
 
 /// The pool's merged timeline shows the strong-scaling win: the same
@@ -182,6 +192,7 @@ fn pool_recovers_from_panicking_shard_and_fails_followers() {
 /// than on one, while producing identical maps.
 #[test]
 fn four_chips_explain_faster_than_one() {
+    let started = Instant::now();
     let k = Matrix::from_fn(16, 16, |r, c| ((r * 3 + c) % 7) as f64 * 0.2).unwrap();
     let pairs: Vec<(Matrix<f64>, Matrix<f64>)> = (0..8)
         .map(|s| {
@@ -210,6 +221,10 @@ fn four_chips_explain_faster_than_one() {
         t_four < t_one,
         "4 chips ({t_four} s) must beat 1 chip ({t_one} s)"
     );
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
 }
 
 /// Pod-scale fleets: 16 and 64 chips produce bit-identical maps on
@@ -218,6 +233,7 @@ fn four_chips_explain_faster_than_one() {
 /// that the torus and ring degrade gracefully from.
 #[test]
 fn pod_scale_fleets_degrade_gracefully_by_fabric() {
+    let started = Instant::now();
     use tpu_xai::tpu::Topology;
     let k = Matrix::from_fn(16, 16, |r, c| ((r * 3 + c) % 7) as f64 * 0.2).unwrap();
     let pairs: Vec<(Matrix<f64>, Matrix<f64>)> = (0..8)
@@ -259,6 +275,10 @@ fn pod_scale_fleets_degrade_gracefully_by_fabric() {
             "{n_devices} chips must order flat {t_flat} s ≤ torus {t_torus} s ≤ ring {t_ring} s"
         );
     }
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched every flight"
+    );
 }
 
 #[test]

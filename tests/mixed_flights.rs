@@ -6,11 +6,15 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tpu_xai::accel::{Accelerator, TpuAccel};
 use tpu_xai::tensor::{Complex64, Matrix, TensorError};
-use tpu_xai::tpu::{BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, TpuConfig};
-use xai_tensor::ops;
+use tpu_xai::tpu::{BatchQueue, DevicePool, KernelJob, LaneCost, TpuConfig};
+
+/// How long a test whose flights dispatch on `max_lanes` may take:
+/// well under the 60 s straggler window, so a flight that waited the
+/// window out fails instead of passing slowly.
+const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 
 fn complex_input(n: usize, seed: usize) -> Matrix<Complex64> {
     Matrix::from_fn(n, n, |r, c| {
@@ -42,6 +46,7 @@ fn transforms_and_hadamards_coalesce_into_one_mixed_flight() {
     let acc = Arc::new(
         TpuAccel::with_cores(4).with_batching(Duration::from_secs(60), 2 * lanes_per_kind),
     );
+    let started = Instant::now();
     std::thread::scope(|scope| {
         let fft_acc = Arc::clone(&acc);
         let fft_xs = xs.clone();
@@ -63,6 +68,10 @@ fn transforms_and_hadamards_coalesce_into_one_mixed_flight() {
             }
         });
     });
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched the flight"
+    );
     // The statistics ledger records one entry per flight: both
     // submissions must have ridden a single mixed dispatch.
     assert_eq!(
@@ -72,10 +81,11 @@ fn transforms_and_hadamards_coalesce_into_one_mixed_flight() {
     );
 }
 
-/// Two submitters' Hadamard lanes of the *same* `x` shape ride one
-/// flight; one submitter's filter has the wrong shape. That is a
-/// per-lane error: its owner gets the typed `ShapeMismatch`, and the
-/// stranger whose lanes shared the flight gets its correct products.
+/// Two submitters' Hadamard batches of the *same* `x` shape reach one
+/// queue; one submitter's filter has the wrong shape. Its numerics fail
+/// on its own thread before it enqueues anything: its owner gets the
+/// typed `ShapeMismatch`, and the stranger's lanes fly alone — one
+/// flight, the correct products.
 #[test]
 fn wrong_shaped_filter_fails_only_its_own_submitter() {
     let lanes = 4usize;
@@ -84,15 +94,20 @@ fn wrong_shaped_filter_fails_only_its_own_submitter() {
     let bad_filter = Matrix::filled(8, 4, Complex64::ONE).unwrap();
     let want = TpuAccel::tpu_v2().hadamard_batch(&xs, &filter).unwrap();
 
-    // max_lanes equals both submissions' total: the flight leaves the
-    // moment both are in (the long window is the straggler guard).
-    let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), 2 * lanes);
+    // max_lanes equals the good submission's lanes: its flight leaves
+    // the moment they are in (the long window is the straggler guard).
+    let acc = TpuAccel::tpu_v2().with_batching(Duration::from_secs(60), lanes);
+    let started = Instant::now();
     let (good, bad) = std::thread::scope(|scope| {
         let good = scope.spawn(|| acc.hadamard_batch(&xs, &filter));
         let bad = scope.spawn(|| acc.hadamard_batch(&xs, &bad_filter));
         (good.join().unwrap(), bad.join().unwrap())
     });
-    assert_eq!(acc.stats().kernels, 1, "both submissions rode one flight");
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched the flight"
+    );
+    assert_eq!(acc.stats().kernels, 1, "only the good submission flew");
     assert_eq!(
         bad.unwrap_err(),
         TensorError::ShapeMismatch {
@@ -118,7 +133,7 @@ fn wrong_shaped_filter_fails_only_its_own_submitter() {
 #[test]
 fn panic_in_one_kind_fails_the_whole_mixed_flight() {
     let pool = DevicePool::new(TpuConfig::small_test(), 2);
-    let queue: Arc<BatchQueue<KernelJob, KernelResult>> = Arc::new(BatchQueue::new(
+    let queue: Arc<BatchQueue<KernelJob, KernelJob>> = Arc::new(BatchQueue::new(
         pool.primary().clone(),
         Duration::from_secs(60),
         2,
@@ -127,42 +142,33 @@ fn panic_in_one_kind_fails_the_whole_mixed_flight() {
         flight
             .into_iter()
             .map(|job| match job {
-                KernelJob::Transform { x, .. } => Ok(KernelResult::Complex(x)),
-                KernelJob::Hadamard { a, b } => {
+                KernelJob::Transform { .. } => Ok(job),
+                KernelJob::Hadamard { .. } => {
                     if crash_on_elementwise {
                         panic!("vector unit fault mid-flight");
                     }
-                    Ok(KernelResult::Complex(ops::hadamard(&a, &b)?))
+                    Ok(job)
                 }
                 other => panic!("unqueued kind {}", other.kind()),
             })
             .collect::<Result<Vec<_>, TensorError>>()
     };
+    let (transform, hadamard) = (
+        KernelJob::Transform { rows: 4, cols: 4 },
+        KernelJob::Hadamard { elems: 16 },
+    );
+    let started = Instant::now();
     let outcomes: Vec<_> = std::thread::scope(|scope| {
         let transform_lane = {
             let queue = Arc::clone(&queue);
-            scope.spawn(move || {
-                queue.submit(
-                    vec![KernelJob::Transform {
-                        x: complex_input(4, 0),
-                        forward: true,
-                    }],
-                    |_, flight| dispatch(flight, true),
-                )
-            })
+            scope.spawn(move || queue.submit(vec![transform], |_, flight| dispatch(flight, true)))
         };
         let hadamard_lane = {
             let queue = Arc::clone(&queue);
             scope.spawn(move || {
                 // Stagger so the transform submitter reliably leads.
                 std::thread::sleep(Duration::from_millis(50));
-                queue.submit(
-                    vec![KernelJob::Hadamard {
-                        a: complex_input(4, 1),
-                        b: Arc::new(complex_input(4, 2)),
-                    }],
-                    |_, flight| dispatch(flight, true),
-                )
+                queue.submit(vec![hadamard], |_, flight| dispatch(flight, true))
             })
         };
         vec![
@@ -185,21 +191,15 @@ fn panic_in_one_kind_fails_the_whole_mixed_flight() {
     ));
     // The queue is not wedged: a fresh mixed flight serves normally.
     let served = queue
-        .submit(
-            vec![
-                KernelJob::Transform {
-                    x: complex_input(4, 3),
-                    forward: true,
-                },
-                KernelJob::Hadamard {
-                    a: complex_input(4, 4),
-                    b: Arc::new(complex_input(4, 5)),
-                },
-            ],
-            |_, flight| dispatch(flight, false),
-        )
+        .submit(vec![transform, hadamard], |_, flight| {
+            dispatch(flight, false)
+        })
         .unwrap();
-    assert_eq!(served.len(), 2);
+    assert_eq!(served, [transform, hadamard]);
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched both flights"
+    );
 }
 
 proptest! {
@@ -389,6 +389,7 @@ fn mixed_flight_shards_across_chips_as_one_unit() {
         Duration::from_secs(60),
         2 * lanes_per_kind,
     ));
+    let started = Instant::now();
     std::thread::scope(|scope| {
         let fft_acc = Arc::clone(&acc);
         let fft_xs = xs.clone();
@@ -410,6 +411,10 @@ fn mixed_flight_shards_across_chips_as_one_unit() {
             }
         });
     });
+    assert!(
+        started.elapsed() < STRAGGLER_BOUND,
+        "max_lanes dispatched the flight"
+    );
     let pool = acc.pool().unwrap();
     assert_eq!(
         pool.sharded_flights(),
@@ -425,30 +430,21 @@ fn mixed_flight_shards_across_chips_as_one_unit() {
 /// instead of stacking on one chip while elementwise lanes fill in.
 #[test]
 fn mixed_lane_costs_are_flops_consistent() {
-    let t = KernelJob::Transform {
-        x: complex_input(16, 0),
-        forward: true,
-    };
-    let h = KernelJob::Hadamard {
-        a: complex_input(16, 1),
-        b: Arc::new(complex_input(16, 2)),
-    };
-    let lanes: Vec<LaneCost> = [&t, &t, &h, &h, &h, &h]
+    let t = KernelJob::Transform { rows: 16, cols: 16 };
+    let h = KernelJob::Hadamard { elems: 256 };
+    let lanes: Vec<LaneCost> = [t, t, h, h, h, h]
         .iter()
         .map(|j| {
             // Reconstruct the accel layer's lane costs through the
             // public planner contract: transforms must dominate.
-            match j {
-                KernelJob::Transform { x, .. } => {
-                    let (m, n) = x.shape();
-                    LaneCost {
-                        compute: 12.0 * (m * m * n + m * n * n) as f64,
-                        gather_bytes: 16 * m * n,
-                    }
-                }
-                KernelJob::Hadamard { a, .. } => LaneCost {
-                    compute: 6.0 * a.len() as f64,
-                    gather_bytes: 16 * a.len(),
+            match *j {
+                KernelJob::Transform { rows: m, cols: n } => LaneCost {
+                    compute: 12.0 * (m * m * n + m * n * n) as f64,
+                    gather_bytes: 16 * m * n,
+                },
+                KernelJob::Hadamard { elems } => LaneCost {
+                    compute: 6.0 * elems as f64,
+                    gather_bytes: 16 * elems,
                 },
                 _ => unreachable!(),
             }
