@@ -103,9 +103,21 @@ impl ImageDataset {
     pub fn class_block(&self, label: usize) -> (usize, usize) {
         assert!(label < self.config.classes, "label out of range");
         // Spread classes over the grid deterministically, skipping in a
-        // stride pattern so adjacent classes are not adjacent blocks.
+        // stride pattern so adjacent classes are not adjacent blocks. A
+        // stride coprime with the cell count visits every cell once
+        // before repeating; 7 unless it divides the count.
         let cells = self.config.grid * self.config.grid;
-        let idx = (label * 7 + 1) % cells;
+        let gcd = |mut a: usize, mut b: usize| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        let mut stride = 7;
+        while gcd(stride, cells) != 1 {
+            stride += 1;
+        }
+        let idx = (label * stride + 1) % cells;
         (idx / self.config.grid, idx % self.config.grid)
     }
 
@@ -219,6 +231,38 @@ mod tests {
         // all 4 classes get distinct blocks
         let blocks: std::collections::HashSet<_> = (0..4).map(|l| ds.class_block(l)).collect();
         assert_eq!(blocks.len(), 4);
+    }
+
+    #[test]
+    fn every_class_gets_its_own_block_on_every_grid() {
+        for grid in 1..=14 {
+            for classes in 1..=grid * grid {
+                let ds = ImageDataset::new(ImageConfig {
+                    classes,
+                    size: grid,
+                    grid,
+                    ..ImageConfig::default()
+                })
+                .unwrap();
+                let blocks: std::collections::HashSet<_> =
+                    (0..classes).map(|l| ds.class_block(l)).collect();
+                assert_eq!(blocks.len(), classes, "grid {grid}, {classes} classes");
+            }
+        }
+        // Where 7 is coprime with the cell count, the mapping is the
+        // one every config in the tree was generated with.
+        let ds = ImageDataset::new(ImageConfig {
+            classes: 16,
+            size: 16,
+            grid: 4,
+            ..ImageConfig::default()
+        })
+        .unwrap();
+        let blocks: Vec<_> = (0..16).map(|l| ds.class_block(l)).collect();
+        let want: Vec<_> = (0..16)
+            .map(|l| ((l * 7 + 1) % 16 / 4, (l * 7 + 1) % 4))
+            .collect();
+        assert_eq!(blocks, want);
     }
 
     #[test]

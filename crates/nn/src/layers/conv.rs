@@ -1,11 +1,38 @@
 //! 2-D convolution layer (cross-correlation convention, square
 //! kernel, configurable stride and zero padding).
 //!
-//! Both passes work a row at a time on the flat `as_slice()` views:
-//! one tap `(ky, kx)` of one channel pair meets one output row as a
-//! contiguous run of `acc += a * b`, which the compiler vectorises at
-//! stride 1. What the rows may *not* change is the order in which any
-//! one accumulator receives its terms: every trained weight,
+//! Each pass is one register-blocked kernel whose SIMD lanes run
+//! across *channels*, not columns: a block of `L` accumulators (8, or
+//! 4 when the laned side has at most 4 channels; SSE2 holds two per
+//! register) holds the same spatial element of `L` channels, and each
+//! tap is one broadcast scalar times `L` packed weights or gradients.
+//! All lanes of a block share their taps, so a tap that falls in the
+//! padding is skipped by the whole block at once, with no masking,
+//! and one loop nest per pass serves every stride and padding:
+//!
+//! - **Forward**: per block of output channels and output position,
+//!   the lanes start at `bias` and take their taps `ic → ky → kx`
+//!   from weights packed `[oc/L][ic][ky][kx][oc%L]`.
+//! - **Weight gradient**: the output gradient is transposed to
+//!   `[oc/L][oy·ow+ox][oc%L]`. Per tap `(ky, kx)` and block of output
+//!   channels, each lane loads its weight's accumulated gradient and
+//!   runs its own serial chain over `(oy, ox)` ascending.
+//! - **Input gradient**: per block of input channels and input
+//!   position, the lanes start at zero and take their taps
+//!   `oc → ky↓ → kx↓` from weights packed `[ic/L][oc][ky][kx][ic%L]`.
+//!
+//! Forward and input gradient are one gather kernel (`Gather`) with
+//! the two channel axes' roles swapped. To keep more than one block's
+//! chains in flight, it runs two adjacent positions of a row at once
+//! when their taps have the same `k`s, and the weight gradient runs
+//! two input channels at once (`Correlate`). Which taps reach which
+//! positions is worked out once, in [`Conv2d::new`], as per-row and
+//! per-column `(k, index)` lists (`Axis`), so no `%` or `/` runs per
+//! tap. The packed weights and the transposed gradient live in the
+//! layer and are reused from call to call.
+//!
+//! What the kernels may *not* change is the order in which any one
+//! accumulator receives its terms: every trained weight,
 //! `EpochReport` and localisation figure downstream is pinned to the
 //! bit. The numerics contract is three orders, each a plain sequence
 //! of `acc += a * b` (no FMA, no partial sums, no im2col regrouping —
@@ -28,8 +55,328 @@ use crate::layer::Layer;
 use crate::tensor3::Tensor3;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::ops::Range;
 use xai_tensor::{Result, TensorError};
+
+/// Lanes per accumulator block when `channels` channels are laned: 4
+/// when they all fit in such a block, else 8. The last block of a
+/// count that is not a multiple stores only its real lanes; its
+/// padded lanes read packed zeros. SSE2 holds two lanes per register.
+const fn lanes(channels: usize) -> usize {
+    if channels <= 4 {
+        4
+    } else {
+        8
+    }
+}
+
+/// One list of index pairs per index, stored flat.
+#[derive(Debug, Clone)]
+struct Lists {
+    items: Vec<(usize, usize)>,
+    /// Where each index's list starts in `items`, and where the last
+    /// one ends.
+    starts: Vec<usize>,
+}
+
+impl Lists {
+    /// The lists `list(i)` yields for `i` in `0..n`.
+    fn new<I: Iterator<Item = (usize, usize)>>(n: usize, list: impl Fn(usize) -> I) -> Lists {
+        let mut lists = Lists {
+            items: Vec::new(),
+            starts: vec![0],
+        };
+        for i in 0..n {
+            lists.items.extend(list(i));
+            lists.starts.push(lists.items.len());
+        }
+        lists
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn get(&self, i: usize) -> &[(usize, usize)] {
+        &self.items[self.starts[i]..self.starts[i + 1]]
+    }
+}
+
+/// The taps that reach each index on one side of a spatial axis, in
+/// the order that side's accumulators take them.
+#[derive(Debug, Clone)]
+struct Taps {
+    /// Per index: `(k, index on the other side)`.
+    of: Lists,
+    /// The indices in runs `(first, len)` of one, or two adjacent
+    /// indices whose taps have the same `k`s; the second one's
+    /// other-side indices are then the first one's plus `step`.
+    runs: Vec<(usize, usize)>,
+    step: usize,
+    /// Length of the other side.
+    other: usize,
+}
+
+impl Taps {
+    fn new(of: Lists, step: usize, other: usize) -> Taps {
+        let ks = |i: usize| of.get(i).iter().map(|&(k, _)| k);
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < of.len() {
+            let len = if i + 1 < of.len() && ks(i).eq(ks(i + 1)) {
+                2
+            } else {
+                1
+            };
+            runs.push((i, len));
+            i += len;
+        }
+        Taps {
+            of,
+            runs,
+            step,
+            other,
+        }
+    }
+}
+
+/// One spatial axis of a layer: tap `k` of output index `o` reads
+/// input index `o·stride + k − padding`. Each in-bounds
+/// `(o, k, input)` triple is listed three ways; a tap that lands in
+/// the padding is in no list.
+#[derive(Debug, Clone)]
+struct Axis {
+    /// Per output index: `(k, input index)`, `k` ascending.
+    fwd: Taps,
+    /// Per input index: `(k, output index)`, output ascending, which
+    /// is `k` descending.
+    bwd: Taps,
+    /// Per `k`: `(output index, input index)`, output ascending.
+    by_tap: Lists,
+}
+
+impl Axis {
+    fn new(len: usize, out_len: usize, kernel: usize, stride: usize, padding: usize) -> Axis {
+        let input =
+            move |o: usize, k: usize| (o * stride + k).checked_sub(padding).filter(|&i| i < len);
+        let fwd = Lists::new(out_len, |o| {
+            (0..kernel).filter_map(move |k| Some((k, input(o, k)?)))
+        });
+        let bwd = Lists::new(len, |i| {
+            (0..out_len).filter_map(move |o| {
+                let k = (i + padding).checked_sub(o * stride)?;
+                (k < kernel).then_some((k, o))
+            })
+        });
+        let by_tap = Lists::new(kernel, |k| {
+            (0..out_len).filter_map(move |o| Some((o, input(o, k)?)))
+        });
+        Axis {
+            fwd: Taps::new(fwd, stride, len),
+            bwd: Taps::new(bwd, 1, out_len),
+            by_tap,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bwd.of.len()
+    }
+
+    fn out_len(&self) -> usize {
+        self.fwd.of.len()
+    }
+}
+
+/// Packs `weights` (`[oc][ic][tap]`, `kk` taps) into the front of
+/// `buf`, block-major for lanes across output channels
+/// (`[oc/L][ic][tap][oc%L]`) or, without `lanes_over_oc`, across input
+/// channels (`[ic/L][oc][tap][ic%L]`), padded lanes zero, and returns
+/// that front.
+fn pack<'a, const L: usize>(
+    buf: &'a mut [f64],
+    weights: &[f64],
+    ic_n: usize,
+    kk: usize,
+    lanes_over_oc: bool,
+) -> &'a [f64] {
+    let oc_n = weights.len() / (ic_n * kk);
+    let (laned, planes) = if lanes_over_oc {
+        (oc_n, ic_n)
+    } else {
+        (ic_n, oc_n)
+    };
+    let packed = &mut buf[..laned.next_multiple_of(L) * planes * kk];
+    packed.fill(0.0);
+    for (i, &w) in weights.iter().enumerate() {
+        let (oc, ic, tap) = (i / (ic_n * kk), i / kk % ic_n, i % kk);
+        let (lane, plane) = if lanes_over_oc { (oc, ic) } else { (ic, oc) };
+        packed[((lane / L * planes + plane) * kk + tap) * L + lane % L] = w;
+    }
+    packed
+}
+
+/// A gather pass, forward or input gradient: destination element
+/// `(c, y, x)` takes `src` plane by plane, then the taps of
+/// `rows.of[y]`, then those of `cols.of[x]`, each times the packed
+/// weight of its `(c, plane, ky, kx)`.
+struct Gather<'a> {
+    src: &'a [f64],
+    rows: &'a Taps,
+    cols: &'a Taps,
+    kernel: usize,
+}
+
+impl Gather<'_> {
+    /// Fills `dst` (`[c][y][x]`) in blocks of `L` channels, from
+    /// weights packed block-major; every element starts at `init[c]`,
+    /// or at zero without one.
+    fn run<const L: usize>(&self, packed: &[f64], init: Option<&[f64]>, dst: &mut [f64]) {
+        let (h, w) = (self.rows.of.len(), self.cols.of.len());
+        let channels = dst.len() / (h * w);
+        let planes = self.src.len() / (self.rows.other * self.cols.other);
+        let block = planes * self.kernel * self.kernel * L;
+        for (b, weights) in packed.chunks_exact(block).enumerate() {
+            let (c0, n) = (b * L, L.min(channels - b * L));
+            let mut start = [0.0; L];
+            if let Some(init) = init {
+                start[..n].copy_from_slice(&init[c0..c0 + n]);
+            }
+            for y in 0..h {
+                for &(x, len) in &self.cols.runs {
+                    let acc: &[[f64; L]] = if len == 2 {
+                        &self.taps::<L, 2>(weights, start, y, x)
+                    } else {
+                        &self.taps::<L, 1>(weights, start, y, x)
+                    };
+                    for (p, acc) in acc.iter().enumerate() {
+                        for (l, a) in acc[..n].iter().enumerate() {
+                            dst[((c0 + l) * h + y) * w + x + p] = *a;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `L` lanes of one block (its packed `weights`) at `P`
+    /// adjacent positions `(y, x..x + P)`, which share the taps of
+    /// `(y, x)`.
+    #[inline(always)]
+    fn taps<const L: usize, const P: usize>(
+        &self,
+        weights: &[f64],
+        start: [f64; L],
+        y: usize,
+        x: usize,
+    ) -> [[f64; L]; P] {
+        let (k, width, step) = (self.kernel, self.cols.other, self.cols.step);
+        let plane = self.rows.other * width;
+        let (row_taps, col_taps) = (self.rows.of.get(y), self.cols.of.get(x));
+        let mut acc = [start; P];
+        for (src, weights) in self
+            .src
+            .chunks_exact(plane)
+            .zip(weights.chunks_exact(k * k * L))
+        {
+            for &(ky, sy) in row_taps {
+                let src = &src[sy * width..][..width];
+                let weights = &weights[ky * k * L..][..k * L];
+                for &(kx, sx) in col_taps {
+                    let w = &weights[kx * L..][..L];
+                    for (p, acc) in acc.iter_mut().enumerate() {
+                        let v = src[sx + p * step];
+                        for (a, w) in acc.iter_mut().zip(w) {
+                            *a += v * w;
+                        }
+                    }
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// The weight-gradient pass: the lanes of an output-channel block run
+/// the serial chains of one weight tap `(ky, kx)` for `P` adjacent
+/// input channels at once, over `g · x` at the positions
+/// `rows.by_tap[ky] × cols.by_tap[kx]`, `(oy, ox)` ascending.
+struct Correlate<'a> {
+    x: &'a [f64],
+    rows: &'a Axis,
+    cols: &'a Axis,
+}
+
+impl Correlate<'_> {
+    /// Accumulates `g` (`[oc][oy][ox]`) onto `grad_weights`
+    /// (`[oc][ic][ky][kx]`) in blocks of `L` output channels, through
+    /// `grad_t`, which receives `g` transposed block-major
+    /// (`[oc/L][oy·ow+ox][oc%L]`).
+    fn run<const L: usize>(&self, g: &[f64], grad_t: &mut [f64], grad_weights: &mut [f64]) {
+        let plane = self.rows.out_len() * self.cols.out_len();
+        let kernel = self.rows.by_tap.len();
+        for (oc, g) in g.chunks_exact(plane).enumerate() {
+            for (pos, v) in g.iter().enumerate() {
+                grad_t[(oc / L * plane + pos) * L + oc % L] = *v;
+            }
+        }
+        let in_channels = self.x.len() / (self.rows.len() * self.cols.len());
+        for (b, g) in grad_t.chunks_exact(plane * L).enumerate() {
+            for ic in (0..in_channels).step_by(2) {
+                for tap in (0..kernel).flat_map(|ky| (0..kernel).map(move |kx| (ky, kx))) {
+                    if ic + 1 < in_channels {
+                        self.chains::<L, 2>(g, b * L, ic, tap, grad_weights);
+                    } else {
+                        self.chains::<L, 1>(g, b * L, ic, tap, grad_weights);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The chains of tap `(ky, kx)` for output channels `o0..o0 + L`
+    /// (transposed gradient `g`) and input channels `ic..ic + P`,
+    /// each lane continuing from its weight's accumulated gradient.
+    #[inline(always)]
+    fn chains<const L: usize, const P: usize>(
+        &self,
+        g: &[f64],
+        o0: usize,
+        ic: usize,
+        (ky, kx): (usize, usize),
+        grad_weights: &mut [f64],
+    ) {
+        let (kernel, width, out_width) =
+            (self.rows.by_tap.len(), self.cols.len(), self.cols.out_len());
+        let plane = self.rows.len() * width;
+        let in_channels = self.x.len() / plane;
+        let n = L.min(grad_weights.len() / (in_channels * kernel * kernel) - o0);
+        let index =
+            |l: usize, p: usize| (((o0 + l) * in_channels + ic + p) * kernel + ky) * kernel + kx;
+        let mut acc = [[0.0; L]; P];
+        for (p, acc) in acc.iter_mut().enumerate() {
+            for (l, a) in acc[..n].iter_mut().enumerate() {
+                *a = grad_weights[index(l, p)];
+            }
+        }
+        let x = &self.x[ic * plane..][..P * plane];
+        for &(oy, sy) in self.rows.by_tap.get(ky) {
+            let g = &g[oy * out_width * L..][..out_width * L];
+            for &(ox, sx) in self.cols.by_tap.get(kx) {
+                let g = &g[ox * L..][..L];
+                for (p, acc) in acc.iter_mut().enumerate() {
+                    let v = x[p * plane + sy * width + sx];
+                    for (a, g) in acc.iter_mut().zip(g) {
+                        *a += g * v;
+                    }
+                }
+            }
+        }
+        for (p, acc) in acc.iter().enumerate() {
+            for (l, a) in acc[..n].iter().enumerate() {
+                grad_weights[index(l, p)] = *a;
+            }
+        }
+    }
+}
 
 /// A multi-channel 2-D convolution layer.
 #[derive(Debug, Clone)]
@@ -40,6 +387,8 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     in_shape: (usize, usize, usize),
+    rows: Axis,
+    cols: Axis,
     /// Weights, flat `[oc][ic][ky][kx]`.
     weights: Vec<f64>,
     bias: Vec<f64>,
@@ -48,6 +397,11 @@ pub struct Conv2d {
     vel_weights: Vec<f64>,
     vel_bias: Vec<f64>,
     cached_input: Option<Tensor3>,
+    /// `weights` packed for the pass at hand: with lanes across output
+    /// channels (forward) or input channels (input gradient).
+    packed: Vec<f64>,
+    /// The weight gradient's operand: the output gradient transposed.
+    grad_t: Vec<f64>,
 }
 
 impl Conv2d {
@@ -87,6 +441,10 @@ impl Conv2d {
         let weights = (0..n_weights)
             .map(|_| (rng.random::<f64>() * 2.0 - 1.0) * scale)
             .collect();
+        let out_len = |len: usize| (len + 2 * padding - kernel) / stride + 1;
+        let (oh, ow) = (out_len(in_h), out_len(in_w));
+        let oc_padded = out_channels.next_multiple_of(lanes(out_channels));
+        let ic_padded = in_channels.next_multiple_of(lanes(in_channels));
         Ok(Conv2d {
             in_channels,
             out_channels,
@@ -94,6 +452,8 @@ impl Conv2d {
             stride,
             padding,
             in_shape: (in_channels, in_h, in_w),
+            rows: Axis::new(in_h, oh, kernel, stride, padding),
+            cols: Axis::new(in_w, ow, kernel, stride, padding),
             weights,
             bias: vec![0.0; out_channels],
             grad_weights: vec![0.0; n_weights],
@@ -101,82 +461,21 @@ impl Conv2d {
             vel_weights: vec![0.0; n_weights],
             vel_bias: vec![0.0; out_channels],
             cached_input: None,
+            packed: vec![
+                0.0;
+                (oc_padded * in_channels).max(ic_padded * out_channels) * kernel * kernel
+            ],
+            grad_t: vec![0.0; oc_padded * oh * ow],
         })
     }
 
-    #[inline]
-    fn w_index(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> usize {
-        ((oc * self.in_channels + ic) * self.kernel + ky) * self.kernel + kx
-    }
-
     fn out_hw(&self) -> (usize, usize) {
-        let (_, h, w) = self.in_shape;
-        (
-            (h + 2 * self.padding - self.kernel) / self.stride + 1,
-            (w + 2 * self.padding - self.kernel) / self.stride + 1,
-        )
-    }
-
-    /// The input row that tap `ky` of output row `oy` reads, unless it
-    /// lies in the padding.
-    #[inline]
-    fn tap_row(&self, oy: usize, ky: usize) -> Option<usize> {
-        (oy * self.stride + ky)
-            .checked_sub(self.padding)
-            .filter(|&sy| sy < self.in_shape.1)
-    }
-
-    /// Per `kx`: the output columns whose tap lands inside the input
-    /// row (`0 <= ox·stride + kx − padding < width`), and the input
-    /// column the first of them reads. A tap that only ever lands in
-    /// the padding gets an empty span.
-    fn tap_cols(&self) -> Vec<(Range<usize>, usize)> {
-        let (iw, ow) = (self.in_shape.2, self.out_hw().1);
-        (0..self.kernel)
-            .map(|kx| {
-                // First output column whose tap is at or past input column `x`.
-                let reach = |x: usize| (x + self.padding).saturating_sub(kx).div_ceil(self.stride);
-                let (lo, hi) = (reach(0), reach(iw).min(ow));
-                if lo < hi {
-                    (lo..hi, lo * self.stride + kx - self.padding)
-                } else {
-                    (0..0, 0)
-                }
-            })
-            .collect()
+        (self.rows.out_len(), self.cols.out_len())
     }
 
     /// Read-only weight view (used by explanation tooling).
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-}
-
-/// `dst[i·dst_step] += src[i·src_step] · w` for every `i` both sides
-/// have. One of the steps is the layer's stride, the other 1; at
-/// stride 1 this is the contiguous zip the compiler vectorises.
-#[inline]
-fn axpy(dst: &mut [f64], dst_step: usize, src: &[f64], src_step: usize, w: f64) {
-    if dst_step == 1 && src_step == 1 {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s * w;
-        }
-    } else {
-        let src = src.iter().step_by(src_step);
-        for (d, s) in dst.iter_mut().step_by(dst_step).zip(src) {
-            *d += s * w;
-        }
-    }
-}
-
-/// `acc + Σᵢ g[i] · src[i·stride]`, one term after the other.
-#[inline]
-fn dot(acc: f64, g: &[f64], src: &[f64], stride: usize) -> f64 {
-    if stride == 1 {
-        g.iter().zip(src).fold(acc, |acc, (g, s)| acc + g * s)
-    } else {
-        let src = src.iter().step_by(stride);
-        g.iter().zip(src).fold(acc, |acc, (g, s)| acc + g * s)
     }
 }
 
@@ -202,26 +501,21 @@ impl Layer for Conv2d {
             });
         }
         let (oh, ow) = self.out_hw();
-        let (_, ih, iw) = self.in_shape;
-        let cols = self.tap_cols();
-        let x = input.as_slice();
         let mut out = Tensor3::zeros(self.out_channels, oh, ow)?;
-        for (oc, plane) in out.as_mut_slice().chunks_exact_mut(oh * ow).enumerate() {
-            plane.fill(self.bias[oc]);
-            for ic in 0..self.in_channels {
-                for ky in 0..self.kernel {
-                    for (kx, (span, sx)) in cols.iter().enumerate() {
-                        let w = self.weights[self.w_index(oc, ic, ky, kx)];
-                        for (oy, out_row) in plane.chunks_exact_mut(ow).enumerate() {
-                            let Some(sy) = self.tap_row(oy, ky) else {
-                                continue;
-                            };
-                            let taps = &x[(ic * ih + sy) * iw..][..iw][*sx..];
-                            axpy(&mut out_row[span.clone()], 1, taps, self.stride, w);
-                        }
-                    }
-                }
-            }
+        let kk = self.kernel * self.kernel;
+        let pass = Gather {
+            src: input.as_slice(),
+            rows: &self.rows.fwd,
+            cols: &self.cols.fwd,
+            kernel: self.kernel,
+        };
+        let (buf, bias) = (&mut self.packed, Some(self.bias.as_slice()));
+        if lanes(self.out_channels) == 4 {
+            let packed = pack::<4>(buf, &self.weights, self.in_channels, kk, true);
+            pass.run::<4>(packed, bias, out.as_mut_slice());
+        } else {
+            let packed = pack::<8>(buf, &self.weights, self.in_channels, kk, true);
+            pass.run::<8>(packed, bias, out.as_mut_slice());
         }
         self.cached_input = Some(input.clone());
         Ok(out)
@@ -240,37 +534,36 @@ impl Layer for Conv2d {
                 op: "conv backward grad",
             });
         }
-        let (_, ih, iw) = self.in_shape;
-        let cols = self.tap_cols();
-        let x = input.as_slice();
-        let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
-        let gin = grad_in.as_mut_slice();
-        // Walking `oy` upwards outside the taps gives every weight its
-        // terms row-major and every input-gradient element its terms
-        // in `oy`-ascending order (one `ky` per `oy` reaches it); `kx`
-        // runs downwards because that is `ox` upwards for a fixed
-        // input column. Consecutive taps feed different weights, so
-        // their serial sums overlap in the pipeline.
-        for (oc, g_oc) in grad.as_slice().chunks_exact(oh * ow).enumerate() {
+        let g = grad.as_slice();
+        for (oc, g_oc) in g.chunks_exact(oh * ow).enumerate() {
             self.grad_bias[oc] = g_oc.iter().fold(self.grad_bias[oc], |acc, g| acc + g);
-            for ic in 0..self.in_channels {
-                for (oy, g_row) in g_oc.chunks_exact(ow).enumerate() {
-                    for ky in 0..self.kernel {
-                        let Some(sy) = self.tap_row(oy, ky) else {
-                            continue;
-                        };
-                        let row = (ic * ih + sy) * iw..(ic * ih + sy + 1) * iw;
-                        let (in_row, gin_row) = (&x[row.clone()], &mut gin[row]);
-                        for (kx, (span, sx)) in cols.iter().enumerate().rev() {
-                            let wi = self.w_index(oc, ic, ky, kx);
-                            let g = &g_row[span.clone()];
-                            self.grad_weights[wi] =
-                                dot(self.grad_weights[wi], g, &in_row[*sx..], self.stride);
-                            axpy(&mut gin_row[*sx..], self.stride, g, 1, self.weights[wi]);
-                        }
-                    }
-                }
-            }
+        }
+        let pass = Correlate {
+            x: input.as_slice(),
+            rows: &self.rows,
+            cols: &self.cols,
+        };
+        if lanes(self.out_channels) == 4 {
+            pass.run::<4>(g, &mut self.grad_t, &mut self.grad_weights);
+        } else {
+            pass.run::<8>(g, &mut self.grad_t, &mut self.grad_weights);
+        }
+        let (_, ih, iw) = self.in_shape;
+        let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
+        let kk = self.kernel * self.kernel;
+        let pass = Gather {
+            src: g,
+            rows: &self.rows.bwd,
+            cols: &self.cols.bwd,
+            kernel: self.kernel,
+        };
+        let buf = &mut self.packed;
+        if lanes(self.in_channels) == 4 {
+            let packed = pack::<4>(buf, &self.weights, self.in_channels, kk, false);
+            pass.run::<4>(packed, None, grad_in.as_mut_slice());
+        } else {
+            let packed = pack::<8>(buf, &self.weights, self.in_channels, kk, false);
+            pass.run::<8>(packed, None, grad_in.as_mut_slice());
         }
         Ok(grad_in)
     }
@@ -316,10 +609,14 @@ mod tests {
     use super::*;
     use crate::layer::finite_difference_check;
 
-    /// The seven-loop nests this layer ran before it became row
+    /// The seven-loop nests this layer ran before its blocked
     /// kernels, kept verbatim as the reference the differential below
     /// compares against.
     impl Conv2d {
+        fn w_index(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> usize {
+            ((oc * self.in_channels + ic) * self.kernel + ky) * self.kernel + kx
+        }
+
         fn reference_forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
             if input.shape() != self.in_shape {
                 return Err(TensorError::ShapeMismatch {
@@ -454,6 +751,25 @@ mod tests {
         }
     }
 
+    /// The kernels against the seven-loop reference, bit for bit:
+    /// every kernel size 1..=4, stride 1..=3 and padding 0..=2 that
+    /// fits, channel pairs inside one lane block, across two (8→16)
+    /// and with a partial tail block (9→17, 17→9), three value fills,
+    /// two backward passes per forward. Each of these mutations, made
+    /// by hand on a copy, fails it (first failing case):
+    ///
+    /// - padded column taps multiplied by zero instead of skipped:
+    ///   `NegativeZeros k1 s1 p1 2→3 7×7`, `output[9]` `+0.0` against
+    ///   `-0.0`;
+    /// - `kx` ascending in the input gradient: `Finite k2 s1 p0 1→1
+    ///   3×5`, `grad_in[6]`, 1 ulp;
+    /// - `ky` ascending in the input gradient: the same case and
+    ///   element, 1 ulp;
+    /// - a weight-gradient lane block that starts from `0.0` instead
+    ///   of the accumulated value: `Finite k1 s1 p0 1→1 1×1`,
+    ///   `grad_weights[0]`;
+    /// - a tail block that stores its padded lanes: `Finite k1 s1 p0
+    ///   1→1 1×1` panics, index out of bounds in the forward store.
     #[test]
     fn row_kernels_match_the_seven_loop_reference_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -463,7 +779,7 @@ mod tests {
                 .flat_map(|k| (1..=3usize).map(move |s| (k, s)))
                 .flat_map(|(k, s)| (0..=2usize).map(move |p| (k, s, p)))
             {
-                for (ic, oc) in [(1, 1), (2, 3), (3, 2)] {
+                for (ic, oc) in [(1, 1), (2, 3), (3, 2), (8, 16), (9, 17), (17, 9)] {
                     for (h, w) in [(1, 1), (3, 5), (6, 4), (7, 7), (8, 8)] {
                         let Ok(mut conv) = Conv2d::new(ic, oc, kernel, stride, padding, h, w, 5)
                         else {
@@ -502,7 +818,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 1485);
+        assert_eq!(cases, 2970);
     }
 
     #[test]

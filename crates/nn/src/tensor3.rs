@@ -6,6 +6,20 @@
 
 use xai_tensor::{Matrix, Result, TensorError};
 
+/// The element count of a `channels × height × width` volume,
+/// refusing an empty or overflowing shape.
+fn element_count(channels: usize, height: usize, width: usize) -> Result<usize> {
+    if channels == 0 || height == 0 || width == 0 {
+        return Err(TensorError::EmptyDimension);
+    }
+    channels
+        .checked_mul(height)
+        .and_then(|n| n.checked_mul(width))
+        .ok_or(TensorError::ShapeOverflow {
+            dims: vec![channels, height, width],
+        })
+}
+
 /// A dense `C × H × W` volume of `f64` activations.
 ///
 /// # Examples
@@ -34,16 +48,15 @@ impl Tensor3 {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::EmptyDimension`] if any dimension is 0.
+    /// Returns [`TensorError::EmptyDimension`] if any dimension is 0
+    /// and [`TensorError::ShapeOverflow`] if their product overflows.
     pub fn zeros(channels: usize, height: usize, width: usize) -> Result<Self> {
-        if channels == 0 || height == 0 || width == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
+        let len = element_count(channels, height, width)?;
         Ok(Tensor3 {
             channels,
             height,
             width,
-            data: vec![0.0; channels * height * width],
+            data: vec![0.0; len],
         })
     }
 
@@ -51,15 +64,14 @@ impl Tensor3 {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DataLength`] on a length mismatch and
-    /// [`TensorError::EmptyDimension`] for zero dimensions.
+    /// Returns [`TensorError::DataLength`] on a length mismatch,
+    /// [`TensorError::EmptyDimension`] for zero dimensions and
+    /// [`TensorError::ShapeOverflow`] if their product overflows.
     pub fn from_vec(channels: usize, height: usize, width: usize, data: Vec<f64>) -> Result<Self> {
-        if channels == 0 || height == 0 || width == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
-        if data.len() != channels * height * width {
+        let len = element_count(channels, height, width)?;
+        if data.len() != len {
             return Err(TensorError::DataLength {
-                expected: channels * height * width,
+                expected: len,
                 actual: data.len(),
             });
         }
@@ -287,6 +299,23 @@ mod tests {
         assert!(Tensor3::zeros(0, 1, 1).is_err());
         assert!(Tensor3::from_vec(1, 1, 2, vec![0.0]).is_err());
         assert!(Tensor3::from_features(vec![]).is_err());
+    }
+
+    #[test]
+    fn overflowing_shapes_are_refused() {
+        // (2^32, 2^32, 1) on a 64-bit target: the product wraps to 0.
+        let half = 1usize << (usize::BITS / 2);
+        let quarter = 1usize << (usize::BITS / 4);
+        for dims in [[half, half, 1], [1, half, half], [quarter, quarter, half]] {
+            let [c, h, w] = dims;
+            let overflow = TensorError::ShapeOverflow {
+                dims: dims.to_vec(),
+            };
+            assert_eq!(Tensor3::from_vec(c, h, w, vec![]).unwrap_err(), overflow);
+            assert_eq!(Tensor3::zeros(c, h, w).unwrap_err(), overflow);
+            let t = Tensor3::from_fn(c, h, w, |_, _, _| unreachable!("no element is built"));
+            assert_eq!(t.unwrap_err(), overflow);
+        }
     }
 
     #[test]

@@ -30,6 +30,12 @@ pub enum TensorError {
     },
     /// A matrix dimension was zero where a non-empty matrix is required.
     EmptyDimension,
+    /// A shape's element count (the product of its extents) does not
+    /// fit in `usize`, so no buffer can hold it.
+    ShapeOverflow {
+        /// The extents whose product overflowed.
+        dims: Vec<usize>,
+    },
     /// Division encountered a zero (or near-zero) denominator and the
     /// chosen policy forbids it.
     DivisionByZero {
@@ -77,6 +83,9 @@ impl fmt::Display for TensorError {
                 "data length {actual} does not match rows*cols = {expected}"
             ),
             TensorError::EmptyDimension => write!(f, "matrix dimensions must be non-zero"),
+            TensorError::ShapeOverflow { dims } => {
+                write!(f, "shape {dims:?} has more elements than usize can count")
+            }
             TensorError::DivisionByZero { index } => {
                 write!(f, "division by zero at flat index {index}")
             }
@@ -132,6 +141,17 @@ mod tests {
             actual: 5,
         };
         assert_eq!(e.to_string(), "data length 5 does not match rows*cols = 6");
+    }
+
+    #[test]
+    fn shape_overflow_names_the_extents() {
+        let e = TensorError::ShapeOverflow {
+            dims: vec![usize::MAX, 2],
+        };
+        assert!(
+            e.to_string().contains(&format!("[{}, 2]", usize::MAX)),
+            "{e}"
+        );
     }
 
     #[test]

@@ -81,20 +81,30 @@ pub struct Matrix<T> {
     data: Vec<T>,
 }
 
+/// The element count of a `rows × cols` matrix, refusing an empty or
+/// overflowing shape.
+fn element_count(rows: usize, cols: usize) -> Result<usize> {
+    if rows == 0 || cols == 0 {
+        return Err(TensorError::EmptyDimension);
+    }
+    rows.checked_mul(cols).ok_or(TensorError::ShapeOverflow {
+        dims: vec![rows, cols],
+    })
+}
+
 impl<T: Scalar> Matrix<T> {
     /// Creates a `rows × cols` matrix filled with zeros.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0.
+    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0
+    /// and [`TensorError::ShapeOverflow`] if `rows · cols` overflows.
     pub fn zeros(rows: usize, cols: usize) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
+        let len = element_count(rows, cols)?;
         Ok(Matrix {
             rows,
             cols,
-            data: vec![T::ZERO; rows * cols],
+            data: vec![T::ZERO; len],
         })
     }
 
@@ -102,15 +112,14 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0.
+    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0
+    /// and [`TensorError::ShapeOverflow`] if `rows · cols` overflows.
     pub fn filled(rows: usize, cols: usize, value: T) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
+        let len = element_count(rows, cols)?;
         Ok(Matrix {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; len],
         })
     }
 
@@ -131,15 +140,14 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DataLength`] when `data.len() != rows*cols`
-    /// and [`TensorError::EmptyDimension`] for zero dimensions.
+    /// Returns [`TensorError::DataLength`] when `data.len() != rows*cols`,
+    /// [`TensorError::EmptyDimension`] for zero dimensions and
+    /// [`TensorError::ShapeOverflow`] if `rows · cols` overflows.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
-        if data.len() != rows * cols {
+        let len = element_count(rows, cols)?;
+        if data.len() != len {
             return Err(TensorError::DataLength {
-                expected: rows * cols,
+                expected: len,
                 actual: data.len(),
             });
         }
@@ -178,7 +186,8 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0.
+    /// Returns [`TensorError::EmptyDimension`] if either dimension is 0
+    /// and [`TensorError::ShapeOverflow`] if `rows · cols` overflows.
     ///
     /// # Examples
     ///
@@ -191,10 +200,7 @@ impl<T: Scalar> Matrix<T> {
     /// # }
     /// ```
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(TensorError::EmptyDimension);
-        }
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Vec::with_capacity(element_count(rows, cols)?);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -572,6 +578,31 @@ mod tests {
             Matrix::<f64>::zeros(3, 0).unwrap_err(),
             TensorError::EmptyDimension
         );
+    }
+
+    #[test]
+    fn overflowing_shapes_are_refused() {
+        // 2^33 × 2^31 on a 64-bit target: the product wraps to 0.
+        let (rows, cols) = (
+            1usize << (usize::BITS / 2 + 1),
+            1usize << (usize::BITS / 2 - 1),
+        );
+        let overflow = TensorError::ShapeOverflow {
+            dims: vec![rows, cols],
+        };
+        assert_eq!(
+            Matrix::<f64>::from_vec(rows, cols, vec![]).unwrap_err(),
+            overflow
+        );
+        assert_eq!(Matrix::<f64>::zeros(rows, cols).unwrap_err(), overflow);
+        assert_eq!(Matrix::filled(rows, cols, 1.0).unwrap_err(), overflow);
+        let m = Matrix::from_fn(rows, cols, |_, _| -> f64 {
+            unreachable!("no element is built")
+        });
+        assert_eq!(m.unwrap_err(), overflow);
+        // The largest shapes that do fit are still only a length check.
+        let err = Matrix::<f64>::from_vec(usize::MAX, 1, vec![]).unwrap_err();
+        assert!(matches!(err, TensorError::DataLength { actual: 0, .. }));
     }
 
     #[test]
