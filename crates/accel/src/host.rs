@@ -3,44 +3,29 @@
 //! Both execute the real kernels on the host (results are exact) and
 //! charge a roofline time model calibrated to the paper's evaluation
 //! parts: an Intel i7 3.70 GHz host CPU and an NVIDIA GeForce
-//! GTX 1080 (§IV-A). The two are one type, [`HostModel`], and one
-//! `Accelerator` implementation: a host-class platform is a
-//! [`RooflineParams`] and a launch grid — how many kernels a batch of
-//! `n` lanes costs. The CPU launches a kernel per lane, the GPU one
-//! grid per batch, and that is all that differs.
+//! GTX 1080 (§IV-A). The two are one type, [`HostModel`]: a host-class
+//! platform is a [`RooflineParams`] and how many lanes of a batch one
+//! kernel launch carries. The CPU launches a kernel per lane, the GPU
+//! one grid per batch, and that is all that differs. The kernel bodies
+//! are the built-in platforms' one implementation
+//! (`platform.rs`); this module states only the charges.
 //!
 //! Kernels take `&self` — the only mutable state is the [`Clock`]
 //! ledger — so a single model can be shared across worker threads as
-//! `Arc<dyn Accelerator>`. Transform plans come from the process-wide
-//! [`xai_fourier::global_plan_cache`], so plan construction amortises
-//! across threads and models alike.
-//!
-//! The numeric kernels themselves run on the shared
-//! [`xai_parallel`] work-stealing pool (blocked matmul panels, 2-D
-//! transform row blocks, large elementwise chunks), so the host
-//! baselines use every core `XAI_THREADS` grants while staying
-//! bit-identical to serial execution; the simulated charges are
-//! functions of the workload shape and never of the worker count.
-//! Contribution scores shard whole score lanes, not transform row
-//! blocks ([`crate::filter_diff`]), and replay the staged filter-diff
-//! chain's charges afterwards.
+//! `Arc<dyn Accelerator>`.
 //!
 //! Sustained-throughput calibration: the models use *sustained* rather
 //! than peak figures, since the pipeline's kernels are small and
 //! latency/occupancy-bound on real hardware.
 
 use crate::clock::Clock;
-use crate::filter_diff::{self, PreparedKernel};
+use crate::platform::charge_staged_chain;
 use crate::roofline::{cost, RooflineParams};
 use crate::stats::KernelStats;
-use crate::traits::{check_request, Accelerator, Rect};
-use xai_fourier::{global_plan_cache, Fft2d};
-use xai_tensor::ops::{self, DivPolicy};
-use xai_tensor::{Complex64, Matrix, Result};
-
-/// `lanes → (kernels per stage, lanes per kernel)` of a host model's
-/// batched launches.
-type Grid = fn(usize) -> (usize, usize);
+use xai_fourier::global_plan_cache;
+use xai_tensor::ops;
+use xai_tensor::{Matrix, Result};
+use xai_tpu::KernelJob;
 
 /// A host-class platform: real kernels on the host, a roofline charge
 /// per kernel launch. [`CpuModel`] and [`GpuModel`] name its two
@@ -52,7 +37,8 @@ type Grid = fn(usize) -> (usize, usize);
 pub struct HostModel {
     name: String,
     params: RooflineParams,
-    grid: Grid,
+    /// How many of a batch's `n` lanes one kernel launch carries.
+    lanes_per_launch: fn(usize) -> usize,
     clock: Clock,
 }
 
@@ -94,7 +80,7 @@ impl HostModel {
     /// partially hidden).
     pub fn gtx1080() -> Self {
         HostModel {
-            grid: |n| (1, n),
+            lanes_per_launch: |n| n,
             ..Self::with_params(
                 "GPU (NVIDIA GTX 1080)",
                 RooflineParams {
@@ -111,7 +97,7 @@ impl HostModel {
         HostModel {
             name: name.into(),
             params,
-            grid: |n| (n, 1),
+            lanes_per_launch: |_| 1,
             clock: Clock::new(),
         }
     }
@@ -120,170 +106,46 @@ impl HostModel {
         let t = self.params.kernel_seconds(flops, bytes);
         self.clock.record(t, flops, bytes);
     }
-
-    /// One kernel launch transforming `lanes` matrices of `plan`'s
-    /// shape. Scaling by one lane is exact, so the single-matrix
-    /// kernels and the GPU's batch grids share these three charges.
-    fn charge_fft2d(&self, plan: &Fft2d, lanes: usize) {
-        let (m, n) = plan.shape();
-        let (row_ops, col_ops) = plan.op_counts();
-        let b = lanes as f64;
-        self.charge(
-            cost::fft2d_flops(m, n, row_ops, col_ops) * b,
-            cost::fft2d_bytes(m, n) * b,
-        );
-    }
-
-    /// One launch of `lanes` Hadamard products of `elems` elements.
-    fn charge_hadamard(&self, elems: usize, lanes: usize) {
-        let b = lanes as f64;
-        self.charge(
-            cost::elementwise_flops(elems, 6.0) * b,
-            cost::elementwise_bytes(elems) * b,
-        );
-    }
-
-    /// One launch of `lanes` real differences of `elems` elements.
-    fn charge_sub(&self, elems: usize, lanes: usize) {
-        let b = lanes as f64;
-        self.charge(elems as f64 * b, 24.0 * elems as f64 * b);
-    }
-
-    /// The staged filter-diff chain's charges for `n` lanes of `shape`,
-    /// stage-major (the order is part of the clock's bits), at this
-    /// platform's grid.
-    fn charge_filter_diff(&self, (rows, cols): (usize, usize), n: usize) {
-        let (launches, lanes) = (self.grid)(n);
-        let plan = global_plan_cache().plan_2d(rows, cols);
-        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-        (0..launches).for_each(|_| self.charge_hadamard(rows * cols, lanes));
-        (0..launches).for_each(|_| self.charge_fft2d(&plan, lanes));
-        (0..launches).for_each(|_| self.charge_sub(rows * cols, lanes));
-    }
-
-    /// A batched kernel as this platform's launches over `lanes`:
-    /// `launch` runs the numerics of one launch's lanes and then charges
-    /// that launch. So the CPU charges lane by lane and a malformed
-    /// batch keeps the charges of the lanes before the odd one; the GPU
-    /// charges one grid or nothing; an empty batch launches nothing.
-    fn launches<T, R>(
-        &self,
-        lanes: &[T],
-        launch: impl Fn(&[T]) -> Result<Vec<R>>,
-    ) -> Result<Vec<R>> {
-        let mut out = Vec::with_capacity(lanes.len());
-        if !lanes.is_empty() {
-            let (_, per_launch) = (self.grid)(lanes.len());
-            for group in lanes.chunks(per_launch) {
-                out.extend(launch(group)?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// One launch transforming `xs` (non-empty) on the plan of its
-    /// first lane's shape: a single lane in row blocks over the host
-    /// pool, several as whole matrices — bit-identical either way. A
-    /// failed launch charges nothing, like every other kernel here.
-    fn transform(&self, xs: &[Matrix<Complex64>], forward: bool) -> Result<Vec<Matrix<Complex64>>> {
-        let (m, n) = xs[0].shape();
-        let workers = xai_parallel::global().num_threads();
-        let plan = global_plan_cache().plan_2d(m, n);
-        let out = match (xs, forward) {
-            ([x], true) => vec![plan.forward_parallel(x, workers)?],
-            ([x], false) => vec![plan.inverse_parallel(x, workers)?],
-            (_, true) => plan.forward_batch_parallel(xs, workers)?,
-            (_, false) => plan.inverse_batch_parallel(xs, workers)?,
-        };
-        self.charge_fft2d(&plan, xs.len());
-        Ok(out)
-    }
 }
 
-impl Accelerator for HostModel {
+impl crate::platform::Platform for HostModel {
     fn name(&self) -> String {
         self.name.clone()
     }
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::matmul_blocked_parallel(a, b, ops::DEFAULT_BLOCK)?;
-        let (m, k) = a.shape();
-        let n = b.cols();
-        self.charge(cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n));
-        Ok(out)
+    fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        ops::matmul_blocked_parallel(a, b, ops::DEFAULT_BLOCK)
     }
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        Ok(self.transform(std::slice::from_ref(x), true)?.remove(0))
+    fn lanes_per_launch(&self, n: usize) -> usize {
+        (self.lanes_per_launch)(n)
     }
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        Ok(self.transform(std::slice::from_ref(x), false)?.remove(0))
-    }
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let out = ops::hadamard(a, b)?;
-        self.charge_hadamard(a.len(), 1);
-        Ok(out)
-    }
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::pointwise_div(a, b, policy)?;
-        self.charge(
-            cost::elementwise_flops(a.len(), 10.0),
-            cost::elementwise_bytes(a.len()),
-        );
-        Ok(out)
-    }
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::sub(a, b)?;
-        self.charge_sub(a.len(), 1);
-        Ok(out)
-    }
-    fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.launches(xs, |group| self.transform(group, true))
-    }
-    fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.launches(xs, |group| self.transform(group, false))
-    }
-    fn hadamard_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        k: &Matrix<Complex64>,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        self.launches(xs, |group| {
-            let out: Vec<_> = group
-                .iter()
-                .map(|x| ops::hadamard(x, k))
-                .collect::<Result<_>>()?;
-            self.charge_hadamard(group[0].len(), group.len());
-            Ok(out)
-        })
-    }
-    fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        self.launches(preds, |group| {
-            let out: Vec<_> = group
-                .iter()
-                .map(|p| ops::sub(y, p))
-                .collect::<Result<_>>()?;
-            self.charge_sub(y.len(), group.len());
-            Ok(out)
-        })
-    }
-    fn contribution_scores(
-        &self,
-        x: &Matrix<f64>,
-        y: &Matrix<f64>,
-        rects: &[Rect],
-        kernel: &PreparedKernel,
-    ) -> Result<Vec<f64>> {
-        if rects.is_empty() {
-            return Ok(Vec::new());
-        }
-        check_request(x, y, rects, kernel)?;
-        let out = filter_diff::scores(&filter_diff::operands(x, y, rects, kernel), rects)?;
-        self.charge_filter_diff(x.shape(), out.len());
-        Ok(out)
+    /// One roofline charge of `lanes` lanes' flops and bytes (scaling by
+    /// one lane is exact); a request's score lanes pay the staged chain.
+    fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()> {
+        let (flops, bytes) = match job {
+            KernelJob::Transform { rows, cols } => {
+                let (row_ops, col_ops) = global_plan_cache().plan_2d(rows, cols).op_counts();
+                (
+                    cost::fft2d_flops(rows, cols, row_ops, col_ops),
+                    cost::fft2d_bytes(rows, cols),
+                )
+            }
+            KernelJob::Hadamard { elems } => (
+                cost::elementwise_flops(elems, 6.0),
+                cost::elementwise_bytes(elems),
+            ),
+            KernelJob::PointwiseDiv { elems } => (
+                cost::elementwise_flops(elems, 10.0),
+                cost::elementwise_bytes(elems),
+            ),
+            KernelJob::Sub { elems } => (elems as f64, 24.0 * elems as f64),
+            KernelJob::Matmul { m, k, n } => {
+                (cost::matmul_flops(m, k, n), cost::matmul_bytes(m, k, n))
+            }
+            KernelJob::Score { rows, cols } => return charge_staged_chain(self, rows, cols, lanes),
+        };
+        let b = lanes as f64;
+        self.charge(flops * b, bytes * b);
+        Ok(())
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         self.charge(flops, bytes);
@@ -302,6 +164,9 @@ impl Accelerator for HostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Accelerator;
+    use xai_tensor::ops::DivPolicy;
+    use xai_tensor::Complex64;
 
     #[test]
     fn cpu_and_gpu_compute_identical_results() {
@@ -334,7 +199,7 @@ mod tests {
         let a = Matrix::filled(2, 2, 1.0).unwrap();
         cpu.sub(&a, &a).unwrap();
         gpu.sub(&a, &a).unwrap();
-        // 4-element kernel: the GPU pays 10 µs launch, the CPU ~0.2 µs.
+        // 4-element kernel: the GPU pays 3 µs launch, the CPU ~0.2 µs.
         assert!(gpu.elapsed_seconds() > cpu.elapsed_seconds());
     }
 

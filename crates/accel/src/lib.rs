@@ -15,6 +15,8 @@
 //! results can be compared across platforms) while advancing a
 //! simulated clock from its hardware cost model — "timing is
 //! simulated, compute is real", the first invariant of ARCHITECTURE.md.
+//! So the three share one implementation of every kernel, and each
+//! states only its matmul arithmetic, its launches and its charges.
 //!
 //! ```
 //! use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
@@ -41,6 +43,7 @@
 mod clock;
 mod filter_diff;
 mod host;
+mod platform;
 mod roofline;
 mod stats;
 mod tpu_accel;

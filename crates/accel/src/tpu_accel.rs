@@ -1,6 +1,6 @@
 //! The proposed platform: TPU-accelerated execution (the paper's
 //! contribution), adapting the `xai-tpu` device simulator to the
-//! [`Accelerator`] trait.
+//! [`Accelerator`](crate::Accelerator) trait.
 //!
 //! Scheduling follows the paper exactly:
 //!
@@ -17,6 +17,11 @@
 //! and the *quantised int8* path for real matmuls, so quantisation
 //! error is physically present where the paper's §II-A says it is.
 //!
+//! The kernel bodies are the built-in platforms' one implementation
+//! (`platform.rs`), the host models' numerics on the calling thread;
+//! this module states only what the TPU charges for them — directly on
+//! its chip, or as lanes of coalesced flights when batching.
+//!
 //! The simulated device lives behind a [`SharedDevice`] handle and
 //! every kernel takes `&self`: one `TpuAccel` (or one device shared
 //! by several) can serve many worker threads, with each kernel's
@@ -24,17 +29,14 @@
 //! numeric work runs outside it.
 
 use crate::clock::Clock;
-use crate::filter_diff::{self, PreparedKernel};
+use crate::platform::charge_staged_chain;
 use crate::roofline::cost;
 use crate::stats::KernelStats;
-use crate::traits::{check_request, Accelerator, Rect};
 use std::collections::HashMap;
 use std::time::Duration;
-use xai_fourier::global_plan_cache;
 use xai_sync::{LockClass, OrderedMutex};
-use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
-use xai_tensor::{Complex64, Matrix, Result};
+use xai_tensor::{Matrix, Result};
 use xai_tpu::{
     BatchQueue, DevicePool, KernelJob, LaneCost, ShardPlan, ShardStrategy, SharedDevice, TpuConfig,
     TpuDevice,
@@ -187,7 +189,8 @@ impl TpuAccel {
     /// the simulated schedule (and therefore the clock) changes.
     /// Single-lane flights run on the pool's primary chip and are
     /// merged into the same timeline, so
-    /// [`TpuAccel::elapsed_seconds`] remains one coherent clock.
+    /// [`Accelerator::elapsed_seconds`](crate::Accelerator::elapsed_seconds)
+    /// remains one coherent clock.
     pub fn with_pool(n_devices: usize, window: Duration, max_lanes: usize) -> Self {
         Self::over_pool(
             DevicePool::new(TpuConfig::tpu_v2(), n_devices),
@@ -290,19 +293,6 @@ impl TpuAccel {
             Some(pool) => pool.energy_pj(),
             None => self.device.energy_pj(),
         }
-    }
-
-    /// Runs `charge` with exclusive device access and returns the
-    /// simulated seconds it advanced the wall clock — the atomic
-    /// charge-and-measure step behind every *unqueued* kernel. A
-    /// pooled accelerator always queues, so no pool timeline is
-    /// involved here.
-    fn charge_region(&self, charge: impl FnOnce(&mut TpuDevice) -> Result<()>) -> Result<f64> {
-        self.device.with(|d| {
-            let before = d.wall_seconds();
-            charge(d)?;
-            Ok(d.wall_seconds() - before)
-        })
     }
 }
 
@@ -545,70 +535,10 @@ fn scratch_probe(device: &SharedDevice, charges: &ShardCharges) -> Option<f64> {
 }
 
 impl TpuAccel {
-    /// Batched transforms, one whole transform per core (§III-D).
-    fn batch_transform(
-        &self,
-        xs: &[Matrix<Complex64>],
-        forward: bool,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        if xs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (rows, cols) = xs[0].shape();
-        let plan = global_plan_cache().plan_2d(rows, cols);
-        let out = if forward {
-            plan.forward_batch(xs)?
-        } else {
-            plan.inverse_batch(xs)?
-        };
-        // Unqueued, the batch is one flight on this accelerator's chip.
-        let jobs = vec![KernelJob::Transform { rows, cols }; xs.len()];
-        self.charge(jobs.clone(), || self.dispatch_flight(jobs).map(drop))?;
-        Ok(out)
-    }
-
-    /// Charges a kernel (or batch) whose numerics have already run on
-    /// the calling thread: `direct()` when unqueued, otherwise `jobs` as
-    /// lanes of a coalesced flight, blocking until it lands. A kernel
-    /// whose numerics failed never gets here, so it charges nothing.
-    fn charge(&self, jobs: Vec<KernelJob>, direct: impl FnOnce() -> Result<()>) -> Result<()> {
-        match &self.queue {
-            None => direct(),
-            Some(queue) => queue
-                .submit(jobs, |_, flight| self.dispatch_flight(flight))
-                .map(drop),
-        }
-    }
-
-    /// Charges one single kernel: unqueued, `charge` on the device and
-    /// `job`'s ledger entry; queued, one lane.
-    fn charge_one(
-        &self,
-        job: KernelJob,
-        charge: impl FnOnce(&mut TpuDevice) -> Result<()>,
-    ) -> Result<()> {
-        self.charge(vec![job], || {
-            let dt = self.charge_region(charge)?;
-            let (ops, bytes) = kernel_ops_bytes(&job);
-            self.stats.record(dt, ops, bytes);
-            Ok(())
-        })
-    }
-
-    /// Charges one unqueued elementwise batch — `count` lanes of
-    /// `elems` elements, a whole lane per core — and records it at
-    /// `cost = (flops, bytes)` per element.
-    fn charge_elementwise_batch(&self, elems: usize, count: usize, cost: (f64, f64)) -> Result<()> {
-        let dt = self.charge_region(|d| charge_per_lane_elementwise(d, elems, count))?;
-        let total = (elems * count) as f64;
-        self.stats.record(dt, cost.0 * total, cost.1 * total);
-        Ok(())
-    }
-
     /// Charges one flight through a per-core lane lease: up to `want`
     /// lanes are leased (clamped to the chip's cores), the charge is
     /// measured under the device lock exactly as
-    /// [`TpuAccel::charge_region`] would — the ledger arithmetic is
+    /// [`SharedDevice::timed`] would — the ledger arithmetic is
     /// identical, so totals stay bit-identical — and the lane
     /// timeline records the flight's span so concurrent flights on
     /// disjoint cores register as overlap. The pool timeline advances
@@ -625,17 +555,6 @@ impl TpuAccel {
             pool.advance_external(dt);
         }
         Ok(dt)
-    }
-
-    /// The four batched kernels' charges of the staged filter-diff chain
-    /// over `lanes` inputs of `rows × cols` (four gathers): what an
-    /// unqueued request's score lanes pay.
-    fn charge_staged_chain(&self, (rows, cols): (usize, usize), lanes: usize) -> Result<()> {
-        let transforms = vec![KernelJob::Transform { rows, cols }; lanes];
-        self.dispatch_flight(transforms.clone())?;
-        self.charge_elementwise_batch(rows * cols, lanes, HADAMARD_PER_ELEM)?;
-        self.dispatch_flight(transforms)?;
-        self.charge_elementwise_batch(rows * cols, lanes, SUB_PER_ELEM)
     }
 
     /// Charges one flight, possibly mixing kernel kinds — shapes only,
@@ -810,7 +729,7 @@ impl TpuAccel {
     }
 }
 
-impl Accelerator for TpuAccel {
+impl crate::platform::Platform for TpuAccel {
     fn name(&self) -> String {
         match &self.pool {
             Some(pool) => format!(
@@ -822,148 +741,74 @@ impl Accelerator for TpuAccel {
         }
     }
 
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        // Real numeric path: int8 quantisation, as §II-A prescribes.
+    /// Int8 quantisation, as §II-A prescribes.
+    fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
         let qa = QuantizedMatrix::quantize_symmetric(a)?;
         let qb = QuantizedMatrix::quantize_symmetric(b)?;
-        let out = qa.matmul_dequant(&qb)?;
-        let ((m, k), n) = (a.shape(), b.cols());
-        self.charge_one(KernelJob::Matmul { m, k, n }, |d| {
-            charge_rowsharded_matmul(d, m, k, n)
-        })?;
-        Ok(out)
+        qa.matmul_dequant(&qb)
     }
 
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let (rows, cols) = x.shape();
-        let out = global_plan_cache().plan_2d(rows, cols).forward(x)?;
-        self.charge_one(KernelJob::Transform { rows, cols }, |d| {
-            charge_fft2d(d, rows, cols)
-        })?;
-        Ok(out)
+    /// Multi-input parallelism (§III-D): a batch is one launch, each
+    /// lane on its own core.
+    fn lanes_per_launch(&self, n: usize) -> usize {
+        n
     }
 
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let (rows, cols) = x.shape();
-        let out = global_plan_cache().plan_2d(rows, cols).inverse(x)?;
-        self.charge_one(KernelJob::Transform { rows, cols }, |d| {
-            charge_fft2d(d, rows, cols)
-        })?;
-        Ok(out)
-    }
-
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let out = ops::hadamard(a, b)?;
-        let elems = a.len();
-        self.charge_one(KernelJob::Hadamard { elems }, |d| {
-            charge_sharded_elementwise(d, elems)
-        })?;
-        Ok(out)
-    }
-
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::pointwise_div(a, b, policy)?;
-        let elems = a.len();
-        self.charge_one(KernelJob::PointwiseDiv { elems }, |d| {
-            charge_sharded_elementwise(d, elems)
-        })?;
-        Ok(out)
-    }
-
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::sub(a, b)?;
-        let elems = a.len();
-        self.charge_one(KernelJob::Sub { elems }, |d| {
-            charge_sharded_elementwise(d, elems)
-        })?;
-        Ok(out)
-    }
-
-    /// Multi-input parallelism (§III-D): each input's whole
-    /// matrix-form transform runs on its own core; the reassembly is
-    /// two collectives for the entire batch. With
-    /// [`TpuAccel::with_batching`], batches from concurrent request
-    /// threads additionally coalesce into shared flights.
-    fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.batch_transform(xs, true)
-    }
-
-    fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        self.batch_transform(xs, false)
-    }
-
-    fn hadamard_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        k: &Matrix<Complex64>,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        if xs.is_empty() {
-            return Ok(Vec::new());
+    /// Queued, one lane. Unqueued, the kind's direct charge on this
+    /// accelerator's chip — a transform's two column-sharded stages, an
+    /// elementwise kernel split across the vector units, the row-sharded
+    /// MXU schedule — and its ledger entry.
+    fn charge_kernel(&self, job: KernelJob) -> Result<()> {
+        if self.queue.is_some() {
+            return self.charge_launch(job, 1);
         }
-        let out = xs
-            .iter()
-            .map(|x| ops::hadamard(x, k))
-            .collect::<Result<_>>()?;
-        let (elems, lanes) = (k.len(), xs.len());
-        self.charge(vec![KernelJob::Hadamard { elems }; lanes], || {
-            self.charge_elementwise_batch(elems, lanes, HADAMARD_PER_ELEM)
+        let ((), dt) = self.device.timed(|d| match job {
+            KernelJob::Transform { rows, cols } => charge_fft2d(d, rows, cols),
+            KernelJob::Hadamard { elems }
+            | KernelJob::PointwiseDiv { elems }
+            | KernelJob::Sub { elems } => charge_sharded_elementwise(d, elems),
+            KernelJob::Matmul { m, k, n } => charge_rowsharded_matmul(d, m, k, n),
+            // No single score lane arrives; it would pay a flight's charge.
+            KernelJob::Score { .. } => charge_kernel_shard(d, &shard_charges([&job])),
         })?;
-        Ok(out)
+        let (ops, bytes) = kernel_ops_bytes(&job);
+        self.stats.record(dt, ops, bytes);
+        Ok(())
     }
 
-    fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        if preds.is_empty() {
-            return Ok(Vec::new());
+    /// Queued, the lanes of one coalesced flight, blocking until it
+    /// lands. Unqueued, a transform (or matmul, or division) batch is one
+    /// flight on this accelerator's chip, a Hadamard or difference batch
+    /// one phase of whole lanes, a core each, and a request's score
+    /// lanes pay the staged chain.
+    fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()> {
+        let jobs = vec![job; lanes];
+        if let Some(queue) = &self.queue {
+            return queue
+                .submit(jobs, |_, flight| self.dispatch_flight(flight))
+                .map(drop);
         }
-        let out = preds
-            .iter()
-            .map(|p| ops::sub(y, p))
-            .collect::<Result<_>>()?;
-        let (elems, lanes) = (y.len(), preds.len());
-        self.charge(vec![KernelJob::Sub { elems }; lanes], || {
-            self.charge_elementwise_batch(elems, lanes, SUB_PER_ELEM)
-        })?;
-        Ok(out)
+        match job {
+            KernelJob::Hadamard { elems } | KernelJob::Sub { elems } => {
+                let ((), dt) = self
+                    .device
+                    .timed(|d| charge_per_lane_elementwise(d, elems, lanes))?;
+                let (ops, bytes) = flight_stats(&jobs);
+                self.stats.record(dt, ops, bytes);
+                Ok(())
+            }
+            KernelJob::Score { rows, cols } => charge_staged_chain(self, rows, cols, lanes),
+            KernelJob::Transform { .. }
+            | KernelJob::Matmul { .. }
+            | KernelJob::PointwiseDiv { .. } => self.dispatch_flight(jobs).map(drop),
+        }
     }
 
-    /// One score lane per rectangle over the request's borrowed operands
-    /// (`filter_diff::operands`). Without batching the lanes run over the
-    /// host pool and the staged chain's charges are replayed; with it
-    /// they run on this thread and one flight of
-    /// [`KernelJob::Score`] lanes is charged as the fused chain of the
-    /// request's shape.
-    fn contribution_scores(
-        &self,
-        x: &Matrix<f64>,
-        y: &Matrix<f64>,
-        rects: &[Rect],
-        kernel: &PreparedKernel,
-    ) -> Result<Vec<f64>> {
-        if rects.is_empty() {
-            return Ok(Vec::new());
-        }
-        check_request(x, y, rects, kernel)?;
-        let request = filter_diff::operands(x, y, rects, kernel);
-        let scores = if self.queue.is_none() {
-            filter_diff::scores(&request, rects)?
-        } else {
-            // Serial, one workspace, as a flight leader scored its lanes
-            // before; over the host pool a small request pays more in
-            // fork-join hand-offs than the lanes cost.
-            let ws = &mut Vec::new();
-            let lanes = rects.iter().map(|rect| request.score(rect, ws));
-            lanes.collect::<Result<_>>()?
-        };
-        let shape @ (rows, cols) = x.shape();
-        self.charge(vec![KernelJob::Score { rows, cols }; rects.len()], || {
-            self.charge_staged_chain(shape, rects.len())
-        })?;
-        Ok(scores)
+    /// A queued request's score lanes run one after another on its own
+    /// thread: over the host pool a small request pays more in fork-join
+    /// hand-offs than the lanes cost.
+    fn scores_on_caller(&self) -> bool {
+        self.queue.is_some()
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -1018,9 +863,13 @@ impl Accelerator for TpuAccel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter_diff::PreparedKernel;
     use crate::host::{CpuModel, GpuModel};
+    use crate::Accelerator;
     use proptest::prelude::*;
     use std::time::Instant;
+    use xai_tensor::ops::{self, DivPolicy};
+    use xai_tensor::Complex64;
 
     /// How long a test whose flights dispatch on `max_lanes` may take:
     /// well under the 60 s straggler window, so a flight that waited the

@@ -42,9 +42,11 @@ const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 /// radix-2, tall, the `serve-large` shape.
 const SHAPES: [(usize, usize); 6] = [(2, 1), (4, 3), (6, 10), (8, 8), (16, 4), (128, 128)];
 
-/// Every kernel, batch method and `filter_diff_batch` of the wrapped
-/// platform, and *not* `contribution_scores`: the trait default on that
-/// platform — its own staged chain, its own charges.
+/// Every single kernel and `filter_diff_batch` of the wrapped platform,
+/// and *not* `contribution_scores`: the trait default on that platform —
+/// its own staged chain, its own charges. No built-in platform overrides
+/// `filter_diff_batch`, so over a CPU model this is also a third-party
+/// accelerator that implements only the kernels.
 struct LaneRoute(Box<dyn Accelerator>);
 
 impl Accelerator for LaneRoute {
@@ -599,50 +601,6 @@ fn rejected_requests_fail_as_the_lane_route_fails_them() {
     }
 }
 
-/// A third-party accelerator: the primitive kernels only.
-struct KernelsOnly(CpuModel);
-
-impl Accelerator for KernelsOnly {
-    fn name(&self) -> String {
-        "kernels only".into()
-    }
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.0.matmul(a, b)
-    }
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.fft2d(x)
-    }
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.ifft2d(x)
-    }
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.hadamard(a, b)
-    }
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        self.0.pointwise_div(a, b, policy)
-    }
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.0.sub(a, b)
-    }
-    fn charge_workload(&self, flops: f64, bytes: f64) {
-        self.0.charge_workload(flops, bytes);
-    }
-    fn elapsed_seconds(&self) -> f64 {
-        self.0.elapsed_seconds()
-    }
-    fn stats(&self) -> KernelStats {
-        self.0.stats()
-    }
-    fn reset(&self) {
-        self.0.reset();
-    }
-}
-
 /// (e) The trait default is the reference: an accelerator that
 /// implements only the kernels scores, charges and fails as its own
 /// staged chain on the occluded images lifted to complex — the complex
@@ -654,8 +612,8 @@ fn a_kernels_only_accelerator_inherits_the_lane_route() {
         let (x, k, y) = operands(&vals, shape);
         let rects = rects((4, 3));
         let (scored_on, staged_on) = (
-            KernelsOnly(CpuModel::i7_3700()),
-            KernelsOnly(CpuModel::i7_3700()),
+            LaneRoute(Box::new(CpuModel::i7_3700())),
+            LaneRoute(Box::new(CpuModel::i7_3700())),
         );
         let scores = scored_on
             .contribution_scores(&x, &y, &rects, &prepared(&k))

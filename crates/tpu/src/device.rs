@@ -63,7 +63,16 @@ pub struct TpuDevice {
 
 impl TpuDevice {
     /// Creates a device with `cfg.cores` cores (clamped to ≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless `cfg.clock_hz`,
+    /// `cfg.hbm_bytes_per_sec` and `cfg.link_bytes_per_sec` are finite
+    /// and > 0 and `cfg.link_latency_s` is finite and ≥ 0: a zero rate
+    /// would wrap the cycle counter or read an infinite clock, and a
+    /// negative one would run it backwards.
     pub fn new(mut cfg: TpuConfig) -> Self {
+        check_rates(&cfg);
         cfg.cores = cfg.cores.max(1);
         let cores = (0..cfg.cores)
             .map(|i| TpuCore::with_id(cfg.clone(), i))
@@ -80,6 +89,10 @@ impl TpuDevice {
 
     /// Creates a device overriding the configured core count — used by
     /// the core-count ablation (`fig4 -- --sweep-cores`).
+    ///
+    /// # Panics
+    ///
+    /// As [`TpuDevice::new`].
     pub fn with_cores(mut cfg: TpuConfig, cores: usize) -> Self {
         cfg.cores = cores;
         Self::new(cfg)
@@ -249,9 +262,60 @@ impl TpuDevice {
     }
 }
 
+/// The refusal of [`TpuDevice::new`]: every rate a charge divides by
+/// finite and positive, the link latency finite and non-negative.
+fn check_rates(cfg: &TpuConfig) {
+    let rates = [
+        ("clock_hz", cfg.clock_hz),
+        ("hbm_bytes_per_sec", cfg.hbm_bytes_per_sec),
+        ("link_bytes_per_sec", cfg.link_bytes_per_sec),
+    ];
+    for (field, rate) in rates {
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "TpuConfig::{field} must be finite and > 0, got {rate}"
+        );
+    }
+    let latency = cfg.link_latency_s;
+    assert!(
+        latency.is_finite() && latency >= 0.0,
+        "TpuConfig::link_latency_s must be finite and >= 0, got {latency}"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_config_with_a_zero_negative_or_non_finite_rate_is_refused() {
+        type Set = fn(&mut TpuConfig, f64);
+        let rate = [0.0, -1.0, f64::NAN, f64::INFINITY];
+        let bad: [(&str, Set, &[f64]); 4] = [
+            ("clock_hz", |c, v| c.clock_hz = v, &rate),
+            ("hbm_bytes_per_sec", |c, v| c.hbm_bytes_per_sec = v, &rate),
+            ("link_bytes_per_sec", |c, v| c.link_bytes_per_sec = v, &rate),
+            ("link_latency_s", |c, v| c.link_latency_s = v, &rate[1..]),
+        ];
+        for (field, set, values) in bad {
+            for &value in values {
+                let mut cfg = TpuConfig::tpu_v2();
+                set(&mut cfg, value);
+                for build in [TpuDevice::new, |cfg| TpuDevice::with_cores(cfg, 2)] {
+                    let refusal = std::panic::catch_unwind(|| build(cfg.clone())).unwrap_err();
+                    let message = refusal.downcast_ref::<String>().unwrap();
+                    assert!(message.contains(field), "{field} = {value}: {message}");
+                }
+            }
+        }
+        let no_latency = TpuConfig {
+            link_latency_s: 0.0,
+            ..TpuConfig::small_test()
+        };
+        for cfg in [TpuConfig::tpu_v2(), TpuConfig::small_test(), no_latency] {
+            assert!(TpuDevice::new(cfg).num_cores() > 0);
+        }
+    }
 
     fn shard(v: f64) -> Matrix<f64> {
         Matrix::filled(4, 4, v).unwrap()

@@ -9,7 +9,7 @@
 //! them all; these constants cannot move with the code.
 
 use std::time::Duration;
-use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
+use tpu_xai::accel::{Accelerator, CpuModel, GpuModel, PreparedKernel, TpuAccel};
 use tpu_xai::core::parallel::block_contributions_on;
 use tpu_xai::core::{occlude, DistilledModel, Region, SolveStrategy};
 use tpu_xai::data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
@@ -17,7 +17,9 @@ use tpu_xai::fourier::Fft2d;
 use tpu_xai::nn::layers::Conv2d;
 use tpu_xai::nn::{models, Layer, Tensor3, Trainer};
 use tpu_xai::tensor::conv::conv2d_circular;
-use tpu_xai::tensor::{Complex64, Matrix};
+use tpu_xai::tensor::ops::DivPolicy;
+use tpu_xai::tensor::{Complex64, Matrix, Result};
+use tpu_xai::tpu::{DevicePool, TpuConfig};
 
 /// FNV-1a over 64-bit words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -230,6 +232,94 @@ fn complex_lane_block_map_bits_did_not_move_with_the_real_transform() {
         let bits: Vec<u64> = diffs.iter().map(|d| d.frobenius_norm().to_bits()).collect();
         assert_eq!(bits, COMPLEX_BLOCK_MAP, "{}: {bits:#x?}", acc.name());
     }
+}
+
+/// The charge trail of [`every_kernel_charge_matches_the_parent`], one
+/// per placement: CPU, GPU, unqueued TPU, queued TPU, queued pool of two
+/// small chips. Recorded from the commit *before* the built-in
+/// platforms shared one kernel body, which re-routed every charge.
+const CHARGE_TRAIL: [u64; 5] = [
+    0xc7bc_2052_436f_3e89,
+    0x6fd9_730d_bfbe_a1af,
+    0xa848_6c3b_0807_73dd,
+    0xb97d_21da_0766_c424,
+    0x4066_6163_1854_8fcc,
+];
+
+/// Every kernel of the trait once on a fixed script — the four singles,
+/// the four batches on three lanes, a spectral and an occluded
+/// `contribution_scores`, a workload charge — folding the clock's bits
+/// and the whole ledger after each call. No other recorded constant
+/// pins a single kernel's or a batch's charge on a queued or pooled
+/// placement.
+#[test]
+fn every_kernel_charge_matches_the_parent() {
+    let real = |rows, cols, salt: usize| {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * 7 + c * 3 + salt) % 13) as f64 * 0.25 - 1.5
+        })
+        .unwrap()
+    };
+    let prepared = |rows, cols| {
+        let k = real(rows, cols, 5).to_complex();
+        PreparedKernel::new(Fft2d::new(rows, cols).forward(&k).unwrap())
+    };
+    let (a, b) = (real(8, 6, 0), real(6, 4, 1));
+    let (x, y) = (input(8, 8), real(8, 8, 2));
+    let z = input(8, 8).map(|v| v + Complex64::new(1.0, 0.5));
+    let lanes: Vec<_> = (0..3).map(|i| real(8, 8, i).to_complex()).collect();
+    let preds: Vec<_> = (0..3).map(|i| real(8, 8, i + 3)).collect();
+    let quadrants = [(0..4, 0..4), (0..4, 4..8), (4..8, 0..4), (4..8, 4..8)];
+    let (k8, k7) = (prepared(8, 8), prepared(7, 8));
+    let (x8, x7, y7) = (real(8, 8, 7), real(7, 8, 4), real(7, 8, 6));
+    let placements: [Box<dyn Accelerator>; 5] = [
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(TpuAccel::over_pool(
+            DevicePool::new(TpuConfig::small_test(), 2),
+            Duration::ZERO,
+            16,
+        )),
+    ];
+    let got = placements.map(|acc| {
+        let acc = acc.as_ref();
+        let div = DivPolicy::Clamp { floor: 1e-12 };
+        let occluded = [(0..3, 0..4), (3..7, 2..8)];
+        let script: [&dyn Fn() -> Result<()>; 13] = [
+            &|| acc.matmul(&a, &b).map(drop),
+            &|| acc.fft2d(&x).map(drop),
+            &|| acc.ifft2d(&x).map(drop),
+            &|| acc.hadamard(&x, &z).map(drop),
+            &|| acc.pointwise_div(&x, &z, div).map(drop),
+            &|| acc.sub(&y, &preds[0]).map(drop),
+            &|| acc.fft2d_batch(&lanes).map(drop),
+            &|| acc.ifft2d_batch(&lanes).map(drop),
+            &|| acc.hadamard_batch(&lanes, &z).map(drop),
+            &|| acc.sub_batch(&y, &preds).map(drop),
+            &|| acc.contribution_scores(&x8, &y, &quadrants, &k8).map(drop),
+            &|| acc.contribution_scores(&x7, &y7, &occluded, &k7).map(drop),
+            &|| {
+                acc.charge_workload(1e9, 2e8);
+                Ok(())
+            },
+        ];
+        let mut trail = Vec::new();
+        for call in script {
+            call().unwrap();
+            let stats = acc.stats();
+            trail.extend([
+                acc.elapsed_seconds().to_bits(),
+                stats.seconds.to_bits(),
+                stats.ops.to_bits(),
+                stats.bytes.to_bits(),
+                stats.kernels,
+            ]);
+        }
+        fnv(trail)
+    });
+    assert_eq!(got, CHARGE_TRAIL, "{got:#x?}");
 }
 
 /// FNV-1a over `f64` bit patterns.
