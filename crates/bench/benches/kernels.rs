@@ -269,7 +269,7 @@ fn bench_contribution_scores(c: &mut Criterion) {
 fn bench_conv2d(c: &mut Criterion) {
     use xai_data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
     use xai_nn::layers::Conv2d;
-    use xai_nn::{models, Layer, Tensor3, Trainer};
+    use xai_nn::{models, Layer, Tape, Tensor3, Trainer};
     let volume = |channels: usize, size: usize, seed: usize| {
         Tensor3::from_fn(channels, size, size, |c, y, x| {
             ((c * 13 + y * 7 + x * 3 + seed) % 23) as f64 / 23.0 - 0.5
@@ -288,11 +288,20 @@ fn bench_conv2d(c: &mut Criterion) {
         let (x, grad) = (volume(ic, size, 1), volume(oc, size, 2));
         let shape = format!("{ic}to{oc}-{size}x{size}");
         group.bench_with_input(BenchmarkId::new("fwd", &shape), &shape, |b, _| {
-            b.iter(|| conv.forward(black_box(&x)).expect("forward"));
+            b.iter(|| conv.forward(black_box(&x), None).expect("forward"));
         });
-        // Every call accumulates onto the same cached forward pass.
+        // Every call backpropagates through a copy of the same recorded
+        // forward pass and accumulates it as a batch of one.
+        let mut recorded = Tape::default();
+        conv.forward(&x, Some(&mut recorded)).expect("forward");
         group.bench_with_input(BenchmarkId::new("bwd", &shape), &shape, |b, _| {
-            b.iter(|| conv.backward(black_box(&grad)).expect("backward"));
+            b.iter(|| {
+                let mut tape = recorded.clone();
+                conv.backward(black_box(&grad), &mut tape, true)
+                    .expect("backward");
+                conv.accumulate(std::slice::from_mut(&mut tape))
+                    .expect("accumulate");
+            });
         });
     }
     let config = ImageConfig {

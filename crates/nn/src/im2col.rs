@@ -145,12 +145,12 @@ mod tests {
     fn lowered_conv_matches_direct_layer() {
         // Run the same weights through Conv2d's loops and the matmul
         // lowering; results must agree to machine precision.
-        let mut layer = Conv2d::new(2, 3, 3, 1, 1, 5, 5, 17).unwrap();
+        let layer = Conv2d::new(2, 3, 3, 1, 1, 5, 5, 17).unwrap();
         let x = Tensor3::from_fn(2, 5, 5, |c, y, xx| {
             ((c * 11 + y * 3 + xx * 7) % 13) as f64 * 0.2 - 1.0
         })
         .unwrap();
-        let direct = layer.forward(&x).unwrap();
+        let direct = layer.forward(&x, None).unwrap();
         // Rebuild the weight matrix in im2col layout.
         let w = Matrix::from_vec(3, 2 * 9, layer.weights().to_vec()).unwrap();
         let lowered = conv_via_matmul(&x, &w, &[0.0; 3], 3, 1, 1).unwrap();
@@ -165,9 +165,9 @@ mod tests {
 
     #[test]
     fn strided_lowering_matches_direct_layer() {
-        let mut layer = Conv2d::new(1, 2, 2, 2, 0, 6, 6, 3).unwrap();
+        let layer = Conv2d::new(1, 2, 2, 2, 0, 6, 6, 3).unwrap();
         let x = Tensor3::from_fn(1, 6, 6, |_, y, xx| ((y * 5 + xx) % 7) as f64 * 0.3).unwrap();
-        let direct = layer.forward(&x).unwrap();
+        let direct = layer.forward(&x, None).unwrap();
         let w = Matrix::from_vec(2, 4, layer.weights().to_vec()).unwrap();
         let lowered = conv_via_matmul(&x, &w, &[0.0; 2], 2, 2, 0).unwrap();
         let max_err = direct

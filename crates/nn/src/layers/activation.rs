@@ -1,6 +1,6 @@
 //! Parameter-free layers: ReLU and 2×2 max pooling.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Record, Tape};
 use crate::tensor3::Tensor3;
 use xai_tensor::{Result, TensorError};
 
@@ -8,7 +8,6 @@ use xai_tensor::{Result, TensorError};
 #[derive(Debug, Clone)]
 pub struct Relu {
     shape: (usize, usize, usize),
-    mask: Option<Vec<bool>>,
 }
 
 impl Relu {
@@ -16,7 +15,6 @@ impl Relu {
     pub fn new(channels: usize, height: usize, width: usize) -> Self {
         Relu {
             shape: (channels, height, width),
-            mask: None,
         }
     }
 }
@@ -26,7 +24,7 @@ impl Layer for Relu {
         "relu".to_string()
     }
 
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
+    fn forward(&self, input: &Tensor3, tape: Option<&mut Tape>) -> Result<Tensor3> {
         if input.shape() != self.shape {
             return Err(TensorError::ShapeMismatch {
                 left: (input.channels(), input.height() * input.width()),
@@ -34,12 +32,23 @@ impl Layer for Relu {
                 op: "relu forward input",
             });
         }
-        self.mask = Some(input.as_slice().iter().map(|&v| v > 0.0).collect());
+        if let Some(tape) = tape {
+            tape.push(Record::Mask(
+                input.as_slice().iter().map(|&v| v > 0.0).collect(),
+            ));
+        }
         Ok(input.map(|v| v.max(0.0)))
     }
 
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let mask = self.mask.as_ref().ok_or(TensorError::EmptyDimension)?;
+    fn backward(
+        &self,
+        grad: &Tensor3,
+        tape: &mut Tape,
+        input_grad: bool,
+    ) -> Result<Option<Tensor3>> {
+        let Record::Mask(mask) = tape.pop()? else {
+            return Err(TensorError::EmptyDimension);
+        };
         if grad.len() != mask.len() {
             return Err(TensorError::ShapeMismatch {
                 left: (grad.len(), 1),
@@ -47,16 +56,17 @@ impl Layer for Relu {
                 op: "relu backward grad",
             });
         }
+        if !input_grad {
+            return Ok(None);
+        }
         let mut out = grad.clone();
-        for (v, &m) in out.as_mut_slice().iter_mut().zip(mask) {
+        for (v, m) in out.as_mut_slice().iter_mut().zip(mask) {
             if !m {
                 *v = 0.0;
             }
         }
-        Ok(out)
+        Ok(Some(out))
     }
-
-    fn apply_gradients(&mut self, _lr: f64, _momentum: f64, _batch: usize) {}
 
     fn flops_per_sample(&self) -> u64 {
         (self.shape.0 * self.shape.1 * self.shape.2) as u64
@@ -75,8 +85,6 @@ impl Layer for Relu {
 #[derive(Debug, Clone)]
 pub struct MaxPool2 {
     in_shape: (usize, usize, usize),
-    /// Flat index (into the input) of each output's winning element.
-    argmax: Option<Vec<usize>>,
 }
 
 impl MaxPool2 {
@@ -96,7 +104,6 @@ impl MaxPool2 {
         }
         Ok(MaxPool2 {
             in_shape: (channels, height, width),
-            argmax: None,
         })
     }
 }
@@ -106,7 +113,7 @@ impl Layer for MaxPool2 {
         "maxpool 2x2".to_string()
     }
 
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
+    fn forward(&self, input: &Tensor3, tape: Option<&mut Tape>) -> Result<Tensor3> {
         if input.shape() != self.in_shape {
             return Err(TensorError::ShapeMismatch {
                 left: (input.channels(), input.height() * input.width()),
@@ -116,6 +123,7 @@ impl Layer for MaxPool2 {
         }
         let (c, h, w) = self.in_shape;
         let mut out = Tensor3::zeros(c, h / 2, w / 2)?;
+        // Flat index (into the input) of each output's winning element.
         let mut argmax = Vec::with_capacity(c * (h / 2) * (w / 2));
         for ch in 0..c {
             for oy in 0..h / 2 {
@@ -139,12 +147,21 @@ impl Layer for MaxPool2 {
                 }
             }
         }
-        self.argmax = Some(argmax);
+        if let Some(tape) = tape {
+            tape.push(Record::Argmax(argmax));
+        }
         Ok(out)
     }
 
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let argmax = self.argmax.as_ref().ok_or(TensorError::EmptyDimension)?;
+    fn backward(
+        &self,
+        grad: &Tensor3,
+        tape: &mut Tape,
+        input_grad: bool,
+    ) -> Result<Option<Tensor3>> {
+        let Record::Argmax(argmax) = tape.pop()? else {
+            return Err(TensorError::EmptyDimension);
+        };
         if grad.len() != argmax.len() {
             return Err(TensorError::ShapeMismatch {
                 left: (grad.len(), 1),
@@ -152,15 +169,16 @@ impl Layer for MaxPool2 {
                 op: "maxpool backward grad",
             });
         }
+        if !input_grad {
+            return Ok(None);
+        }
         let (c, h, w) = self.in_shape;
         let mut out = Tensor3::zeros(c, h, w)?;
-        for (&idx, &g) in argmax.iter().zip(grad.as_slice()) {
+        for (idx, &g) in argmax.into_iter().zip(grad.as_slice()) {
             out.as_mut_slice()[idx] += g;
         }
-        Ok(out)
+        Ok(Some(out))
     }
-
-    fn apply_gradients(&mut self, _lr: f64, _momentum: f64, _batch: usize) {}
 
     fn flops_per_sample(&self) -> u64 {
         (self.in_shape.0 * self.in_shape.1 * self.in_shape.2) as u64
@@ -180,69 +198,73 @@ mod tests {
     use super::*;
     use crate::layer::finite_difference_check;
 
+    /// Forward with a fresh tape, then backward through it.
+    fn round_trip(layer: &dyn Layer, x: &Tensor3, grad: &Tensor3) -> (Tensor3, Tensor3) {
+        let mut tape = Tape::default();
+        let y = layer.forward(x, Some(&mut tape)).unwrap();
+        let gi = layer.backward(grad, &mut tape, true).unwrap().unwrap();
+        (y, gi)
+    }
+
     #[test]
     fn relu_clamps_negatives() {
-        let mut relu = Relu::new(1, 2, 2);
+        let relu = Relu::new(1, 2, 2);
         let x = Tensor3::from_vec(1, 2, 2, vec![-1.0, 2.0, 0.0, -0.5]).unwrap();
-        let y = relu.forward(&x).unwrap();
+        let y = relu.forward(&x, None).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
     fn relu_gradient_is_masked() {
-        let mut relu = Relu::new(1, 2, 2);
+        let relu = Relu::new(1, 2, 2);
         let x = Tensor3::from_vec(1, 2, 2, vec![-1.0, 2.0, 3.0, -0.5]).unwrap();
-        relu.forward(&x).unwrap();
         let g = Tensor3::from_vec(1, 2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let gi = relu.backward(&g).unwrap();
+        let (_, gi) = round_trip(&relu, &x, &g);
         assert_eq!(gi.as_slice(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn relu_fd_check_away_from_kink() {
-        let mut relu = Relu::new(1, 3, 3);
+        let relu = Relu::new(1, 3, 3);
         // Keep values away from 0 so finite differences are valid.
         let x =
             Tensor3::from_fn(1, 3, 3, |_, y, x| if (y + x) % 2 == 0 { 1.5 } else { -1.5 }).unwrap();
-        let err = finite_difference_check(&mut relu, &x, 1e-5).unwrap();
+        let err = finite_difference_check(&relu, &x, 1e-5).unwrap();
         assert!(err < 1e-7);
     }
 
     #[test]
     fn maxpool_takes_maximum() {
-        let mut pool = MaxPool2::new(1, 2, 2).unwrap();
+        let pool = MaxPool2::new(1, 2, 2).unwrap();
         let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 5.0, 3.0, 2.0]).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = pool.forward(&x, None).unwrap();
         assert_eq!(y.shape(), (1, 1, 1));
         assert_eq!(y.get(0, 0, 0), 5.0);
     }
 
     #[test]
     fn maxpool_routes_gradient_to_winner() {
-        let mut pool = MaxPool2::new(1, 2, 2).unwrap();
+        let pool = MaxPool2::new(1, 2, 2).unwrap();
         let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 5.0, 3.0, 2.0]).unwrap();
-        pool.forward(&x).unwrap();
-        let gi = pool
-            .backward(&Tensor3::from_vec(1, 1, 1, vec![7.0]).unwrap())
-            .unwrap();
+        let g = Tensor3::from_vec(1, 1, 1, vec![7.0]).unwrap();
+        let (_, gi) = round_trip(&pool, &x, &g);
         assert_eq!(gi.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
     }
 
     #[test]
     fn maxpool_keeps_the_gradient_of_a_non_finite_window_in_that_window() {
         // Channel 1 is an all-`-inf` window beside an all-NaN one.
-        let mut pool = MaxPool2::new(2, 2, 4).unwrap();
+        let pool = MaxPool2::new(2, 2, 4).unwrap();
         let x = Tensor3::from_fn(2, 2, 4, |c, y, x| match (c, x < 2) {
             (0, _) => (y * 4 + x) as f64,
             (_, true) => f64::NEG_INFINITY,
             (_, false) => f64::NAN,
         })
         .unwrap();
-        let y = pool.forward(&x).unwrap();
+        let grad = Tensor3::from_vec(2, 1, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let (y, gi) = round_trip(&pool, &x, &grad);
         assert_eq!(y.get(1, 0, 0), f64::NEG_INFINITY);
         assert!(y.get(1, 0, 1).is_nan());
-        let grad = Tensor3::from_vec(2, 1, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let gi = pool.backward(&grad).unwrap();
         // Channel 0: each window's gradient at its maximum, nothing else.
         assert_eq!(
             &gi.as_slice()[..8],
@@ -263,10 +285,15 @@ mod tests {
 
     #[test]
     fn backward_before_forward_errors() {
-        let mut relu = Relu::new(1, 1, 1);
-        assert!(relu.backward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
-        let mut pool = MaxPool2::new(1, 2, 2).unwrap();
-        assert!(pool.backward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
+        let g = Tensor3::zeros(1, 1, 1).unwrap();
+        let relu = Relu::new(1, 1, 1);
+        assert!(relu.backward(&g, &mut Tape::default(), true).is_err());
+        let pool = MaxPool2::new(1, 2, 2).unwrap();
+        assert!(pool.backward(&g, &mut Tape::default(), true).is_err());
+        // Each pops only its own kind of record.
+        let mut tape = Tape::default();
+        relu.forward(&g, Some(&mut tape)).unwrap();
+        assert!(pool.backward(&g, &mut tape, true).is_err());
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! - **Forward**: per block of output channels and output position,
 //!   the lanes start at `bias` and take their taps `ic → ky → kx`
 //!   from weights packed `[oc/L][ic][ky][kx][oc%L]`.
-//! - **Weight gradient**: the output gradient is transposed to
-//!   `[oc/L][oy·ow+ox][oc%L]`. Per tap `(ky, kx)` and block of output
-//!   channels, each lane loads its weight's accumulated gradient and
-//!   runs its own serial chain over `(oy, ox)` ascending.
+//! - **Weight gradient**: the backward pass leaves the output gradient
+//!   on the sample's tape, transposed to `[oc/L][oy·ow+ox][oc%L]`.
+//!   [`Layer::accumulate`] then takes a whole batch: per tap `(ky, kx)`
+//!   and block of output channels, each lane loads its weight's
+//!   accumulated gradient and runs its own serial chain over the
+//!   samples, `(oy, ox)` ascending within each.
 //! - **Input gradient**: per block of input channels and input
 //!   position, the lanes start at zero and take their taps
 //!   `oc → ky↓ → kx↓` from weights packed `[ic/L][oc][ky][kx][ic%L]`.
@@ -28,8 +30,10 @@
 //! two input channels at once (`Correlate`). Which taps reach which
 //! positions is worked out once, in [`Conv2d::new`], as per-row and
 //! per-column `(k, index)` lists (`Axis`), so no `%` or `/` runs per
-//! tap. The packed weights and the transposed gradient live in the
-//! layer and are reused from call to call.
+//! tap. The weights are packed for both gather passes whenever they
+//! change, and the weight gradient is accumulated in the forward
+//! packing, so each `(output-channel block, input-channel pair)` unit
+//! is one contiguous slice: one pool task.
 //!
 //! What the kernels may *not* change is the order in which any one
 //! accumulator receives its terms: every trained weight,
@@ -41,8 +45,10 @@
 //! 1. **Output** `(oc, oy, ox)`: starts at `bias[oc]`, then takes its
 //!    taps in `ic`, `ky`, `kx` ascending order.
 //! 2. **`grad_bias[oc]`, `grad_weights[oc, ic, ky, kx]`**: continue
-//!    from the value accumulated so far and take their terms in `oy`,
-//!    `ox` ascending (row-major) order.
+//!    from the value accumulated so far and take the terms of the
+//!    batch's samples in sample order, each sample's in `oy`, `ox`
+//!    ascending (row-major) order — the bits of one sample after
+//!    another on one thread, whichever worker runs the unit.
 //! 3. **Input gradient** `(ic, sy, sx)`: starts at zero and takes its
 //!    terms in `oc`, `oy`, `ox` ascending order — for a fixed `oc`
 //!    that is `ky` descending, then `kx` descending.
@@ -51,10 +57,11 @@
 //! by a padded zero: `acc + 0.0 * w` turns an accumulated `-0.0` into
 //! `+0.0` and `0.0 * inf` into NaN, so the two are different functions.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Tape};
 use crate::tensor3::Tensor3;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use xai_tensor::ops::par_map;
 use xai_tensor::{Result, TensorError};
 
 /// Lanes per accumulator block when `channels` channels are laned: 4
@@ -186,32 +193,26 @@ impl Axis {
     }
 }
 
-/// Packs `weights` (`[oc][ic][tap]`, `kk` taps) into the front of
-/// `buf`, block-major for lanes across output channels
-/// (`[oc/L][ic][tap][oc%L]`) or, without `lanes_over_oc`, across input
-/// channels (`[ic/L][oc][tap][ic%L]`), padded lanes zero, and returns
-/// that front.
-fn pack<'a, const L: usize>(
-    buf: &'a mut [f64],
+/// Packs `weights` (`[oc][ic][tap]`, `kk` taps) into `packed` in
+/// blocks of `l` lanes across output channels (`[oc/l][ic][tap][oc%l]`)
+/// or, without `lanes_over_oc`, across input channels
+/// (`[ic/l][oc][tap][ic%l]`), padded lanes zero.
+fn pack(
+    packed: &mut [f64],
     weights: &[f64],
     ic_n: usize,
     kk: usize,
+    l: usize,
     lanes_over_oc: bool,
-) -> &'a [f64] {
+) {
     let oc_n = weights.len() / (ic_n * kk);
-    let (laned, planes) = if lanes_over_oc {
-        (oc_n, ic_n)
-    } else {
-        (ic_n, oc_n)
-    };
-    let packed = &mut buf[..laned.next_multiple_of(L) * planes * kk];
+    let planes = if lanes_over_oc { ic_n } else { oc_n };
     packed.fill(0.0);
     for (i, &w) in weights.iter().enumerate() {
         let (oc, ic, tap) = (i / (ic_n * kk), i / kk % ic_n, i % kk);
         let (lane, plane) = if lanes_over_oc { (oc, ic) } else { (ic, oc) };
-        packed[((lane / L * planes + plane) * kk + tap) * L + lane % L] = w;
+        packed[((lane / l * planes + plane) * kk + tap) * l + lane % l] = w;
     }
-    packed
 }
 
 /// A gather pass, forward or input gradient: destination element
@@ -295,85 +296,71 @@ impl Gather<'_> {
     }
 }
 
-/// The weight-gradient pass: the lanes of an output-channel block run
-/// the serial chains of one weight tap `(ky, kx)` for `P` adjacent
-/// input channels at once, over `g · x` at the positions
-/// `rows.by_tap[ky] × cols.by_tap[kx]`, `(oy, ox)` ascending.
+/// The weight-gradient pass over a batch: the lanes of an
+/// output-channel block run the serial chains of one weight tap
+/// `(ky, kx)` for `P` adjacent input channels at once, over `g · x` at
+/// the positions `rows.by_tap[ky] × cols.by_tap[kx]`, sample by
+/// sample, `(oy, ox)` ascending within each.
 struct Correlate<'a> {
-    x: &'a [f64],
+    /// Per sample: its input (`[ic][y][x]`) and its output gradient
+    /// transposed block-major (`[oc/L][oy·ow+ox][oc%L]`).
+    samples: &'a [(&'a [f64], &'a [f64])],
     rows: &'a Axis,
     cols: &'a Axis,
 }
 
 impl Correlate<'_> {
-    /// Accumulates `g` (`[oc][oy][ox]`) onto `grad_weights`
-    /// (`[oc][ic][ky][kx]`) in blocks of `L` output channels, through
-    /// `grad_t`, which receives `g` transposed block-major
-    /// (`[oc/L][oy·ow+ox][oc%L]`).
-    fn run<const L: usize>(&self, g: &[f64], grad_t: &mut [f64], grad_weights: &mut [f64]) {
-        let plane = self.rows.out_len() * self.cols.out_len();
-        let kernel = self.rows.by_tap.len();
-        for (oc, g) in g.chunks_exact(plane).enumerate() {
-            for (pos, v) in g.iter().enumerate() {
-                grad_t[(oc / L * plane + pos) * L + oc % L] = *v;
-            }
-        }
-        let in_channels = self.x.len() / (self.rows.len() * self.cols.len());
-        for (b, g) in grad_t.chunks_exact(plane * L).enumerate() {
-            for ic in (0..in_channels).step_by(2) {
-                for tap in (0..kernel).flat_map(|ky| (0..kernel).map(move |kx| (ky, kx))) {
-                    if ic + 1 < in_channels {
-                        self.chains::<L, 2>(g, b * L, ic, tap, grad_weights);
-                    } else {
-                        self.chains::<L, 1>(g, b * L, ic, tap, grad_weights);
-                    }
-                }
+    /// Accumulates onto `unit`, the gradients of output-channel block
+    /// `b` and input channels `ic..` (one or two of them) packed
+    /// `[ic][ky][kx][oc%L]`, every tap in turn.
+    fn run<const L: usize>(&self, b: usize, ic: usize, unit: &mut [f64]) {
+        let kk = self.rows.by_tap.len() * self.cols.by_tap.len();
+        for tap in 0..kk {
+            if unit.len() == 2 * kk * L {
+                self.chains::<L, 2>(b, ic, tap, unit);
+            } else {
+                self.chains::<L, 1>(b, ic, tap, unit);
             }
         }
     }
 
-    /// The chains of tap `(ky, kx)` for output channels `o0..o0 + L`
-    /// (transposed gradient `g`) and input channels `ic..ic + P`,
-    /// each lane continuing from its weight's accumulated gradient.
+    /// The chains of tap `tap = ky·k + kx` for output-channel block `b`
+    /// and input channels `ic..ic + P`, each lane continuing from its
+    /// weight's accumulated gradient.
     #[inline(always)]
     fn chains<const L: usize, const P: usize>(
         &self,
-        g: &[f64],
-        o0: usize,
+        b: usize,
         ic: usize,
-        (ky, kx): (usize, usize),
-        grad_weights: &mut [f64],
+        tap: usize,
+        unit: &mut [f64],
     ) {
         let (kernel, width, out_width) =
             (self.rows.by_tap.len(), self.cols.len(), self.cols.out_len());
-        let plane = self.rows.len() * width;
-        let in_channels = self.x.len() / plane;
-        let n = L.min(grad_weights.len() / (in_channels * kernel * kernel) - o0);
-        let index =
-            |l: usize, p: usize| (((o0 + l) * in_channels + ic + p) * kernel + ky) * kernel + kx;
+        let (ky, kx, kk) = (tap / kernel, tap % kernel, kernel * kernel);
+        let (plane, out_plane) = (self.rows.len() * width, self.rows.out_len() * out_width);
         let mut acc = [[0.0; L]; P];
         for (p, acc) in acc.iter_mut().enumerate() {
-            for (l, a) in acc[..n].iter_mut().enumerate() {
-                *a = grad_weights[index(l, p)];
-            }
+            acc.copy_from_slice(&unit[(p * kk + tap) * L..][..L]);
         }
-        let x = &self.x[ic * plane..][..P * plane];
-        for &(oy, sy) in self.rows.by_tap.get(ky) {
-            let g = &g[oy * out_width * L..][..out_width * L];
-            for &(ox, sx) in self.cols.by_tap.get(kx) {
-                let g = &g[ox * L..][..L];
-                for (p, acc) in acc.iter_mut().enumerate() {
-                    let v = x[p * plane + sy * width + sx];
-                    for (a, g) in acc.iter_mut().zip(g) {
-                        *a += g * v;
+        for (x, g) in self.samples {
+            let x = &x[ic * plane..][..P * plane];
+            let g = &g[b * out_plane * L..][..out_plane * L];
+            for &(oy, sy) in self.rows.by_tap.get(ky) {
+                let g = &g[oy * out_width * L..][..out_width * L];
+                for &(ox, sx) in self.cols.by_tap.get(kx) {
+                    let g = &g[ox * L..][..L];
+                    for (p, acc) in acc.iter_mut().enumerate() {
+                        let v = x[p * plane + sy * width + sx];
+                        for (a, g) in acc.iter_mut().zip(g) {
+                            *a += g * v;
+                        }
                     }
                 }
             }
         }
         for (p, acc) in acc.iter().enumerate() {
-            for (l, a) in acc[..n].iter().enumerate() {
-                grad_weights[index(l, p)] = *a;
-            }
+            unit[(p * kk + tap) * L..][..L].copy_from_slice(acc);
         }
     }
 }
@@ -392,16 +379,28 @@ pub struct Conv2d {
     /// Weights, flat `[oc][ic][ky][kx]`.
     weights: Vec<f64>,
     bias: Vec<f64>,
+    /// `weights` packed for the forward pass: lanes across output
+    /// channels, `[oc/L][ic][ky][kx][oc%L]`. Repacked whenever the
+    /// weights change.
+    fwd: Vec<f64>,
+    /// `weights` packed for the input gradient: lanes across input
+    /// channels, `[ic/L][oc][ky][kx][ic%L]`.
+    bwd: Vec<f64>,
+    /// The accumulated weight gradient, in `fwd`'s layout (padded
+    /// lanes are never read).
     grad_weights: Vec<f64>,
     grad_bias: Vec<f64>,
     vel_weights: Vec<f64>,
     vel_bias: Vec<f64>,
-    cached_input: Option<Tensor3>,
-    /// `weights` packed for the pass at hand: with lanes across output
-    /// channels (forward) or input channels (input gradient).
-    packed: Vec<f64>,
-    /// The weight gradient's operand: the output gradient transposed.
-    grad_t: Vec<f64>,
+}
+
+/// `dims`' product, or [`TensorError::ShapeOverflow`].
+fn product(dims: &[usize]) -> Result<usize> {
+    dims.iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| TensorError::ShapeOverflow {
+            dims: dims.to_vec(),
+        })
 }
 
 impl Conv2d {
@@ -412,7 +411,9 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`TensorError::EmptyDimension`] if any structural
-    /// parameter is zero or the kernel doesn't fit the padded input.
+    /// parameter is zero or the kernel doesn't fit the padded input,
+    /// and [`TensorError::ShapeOverflow`] if a parameter or activation
+    /// count overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         in_channels: usize,
@@ -427,25 +428,50 @@ impl Conv2d {
         if in_channels == 0 || out_channels == 0 || kernel == 0 || stride == 0 {
             return Err(TensorError::EmptyDimension);
         }
-        if in_h + 2 * padding < kernel || in_w + 2 * padding < kernel {
+        let padded = |len: usize| {
+            padding
+                .checked_mul(2)
+                .and_then(|p| p.checked_add(len))
+                .ok_or_else(|| TensorError::ShapeOverflow {
+                    dims: vec![len, padding, 2],
+                })
+        };
+        let (padded_h, padded_w) = (padded(in_h)?, padded(in_w)?);
+        if padded_h < kernel || padded_w < kernel {
             return Err(TensorError::ShapeMismatch {
-                left: (in_h + 2 * padding, in_w + 2 * padding),
+                left: (padded_h, padded_w),
                 right: (kernel, kernel),
                 op: "conv kernel larger than padded input",
             });
         }
+        let (oh, ow) = (
+            (padded_h - kernel) / stride + 1,
+            (padded_w - kernel) / stride + 1,
+        );
+        let padded_channels = |channels: usize| {
+            channels
+                .checked_next_multiple_of(lanes(channels))
+                .ok_or_else(|| TensorError::ShapeOverflow {
+                    dims: vec![channels, lanes(channels)],
+                })
+        };
+        let (oc_padded, ic_padded) = (
+            padded_channels(out_channels)?,
+            padded_channels(in_channels)?,
+        );
+        let n_weights = product(&[out_channels, in_channels, kernel, kernel])?;
+        let n_fwd = product(&[oc_padded, in_channels, kernel, kernel])?;
+        let n_bwd = product(&[ic_padded, out_channels, kernel, kernel])?;
+        // Per-sample activation and transposed-gradient sizes.
+        product(&[in_channels, in_h, in_w])?;
+        product(&[oc_padded, oh, ow])?;
         let mut rng = StdRng::seed_from_u64(seed);
         let fan_in = (in_channels * kernel * kernel) as f64;
         let scale = (2.0 / fan_in).sqrt();
-        let n_weights = out_channels * in_channels * kernel * kernel;
         let weights = (0..n_weights)
             .map(|_| (rng.random::<f64>() * 2.0 - 1.0) * scale)
             .collect();
-        let out_len = |len: usize| (len + 2 * padding - kernel) / stride + 1;
-        let (oh, ow) = (out_len(in_h), out_len(in_w));
-        let oc_padded = out_channels.next_multiple_of(lanes(out_channels));
-        let ic_padded = in_channels.next_multiple_of(lanes(in_channels));
-        Ok(Conv2d {
+        let mut conv = Conv2d {
             in_channels,
             out_channels,
             kernel,
@@ -456,17 +482,15 @@ impl Conv2d {
             cols: Axis::new(in_w, ow, kernel, stride, padding),
             weights,
             bias: vec![0.0; out_channels],
-            grad_weights: vec![0.0; n_weights],
+            fwd: vec![0.0; n_fwd],
+            bwd: vec![0.0; n_bwd],
+            grad_weights: vec![0.0; n_fwd],
             grad_bias: vec![0.0; out_channels],
             vel_weights: vec![0.0; n_weights],
             vel_bias: vec![0.0; out_channels],
-            cached_input: None,
-            packed: vec![
-                0.0;
-                (oc_padded * in_channels).max(ic_padded * out_channels) * kernel * kernel
-            ],
-            grad_t: vec![0.0; oc_padded * oh * ow],
-        })
+        };
+        conv.repack();
+        Ok(conv)
     }
 
     fn out_hw(&self) -> (usize, usize) {
@@ -476,6 +500,25 @@ impl Conv2d {
     /// Read-only weight view (used by explanation tooling).
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// Packs `weights` for both gather passes.
+    fn repack(&mut self) {
+        let (ic_n, kk) = (self.in_channels, self.kernel * self.kernel);
+        let (lo, li) = (lanes(self.out_channels), lanes(self.in_channels));
+        pack(&mut self.fwd, &self.weights, ic_n, kk, lo, true);
+        pack(&mut self.bwd, &self.weights, ic_n, kk, li, false);
+    }
+
+    /// Index of weight `i` (`[oc][ic][ky][kx]`) in `fwd`'s layout.
+    fn packed_index(&self, i: usize) -> usize {
+        let (ic_n, kk, l) = (
+            self.in_channels,
+            self.kernel * self.kernel,
+            lanes(self.out_channels),
+        );
+        let (oc, ic, tap) = (i / (ic_n * kk), i / kk % ic_n, i % kk);
+        ((oc / l * ic_n + ic) * kk + tap) * l + oc % l
     }
 }
 
@@ -492,7 +535,7 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
+    fn forward(&self, input: &Tensor3, tape: Option<&mut Tape>) -> Result<Tensor3> {
         if input.shape() != self.in_shape {
             return Err(TensorError::ShapeMismatch {
                 left: (input.channels(), input.height() * input.width()),
@@ -502,30 +545,34 @@ impl Layer for Conv2d {
         }
         let (oh, ow) = self.out_hw();
         let mut out = Tensor3::zeros(self.out_channels, oh, ow)?;
-        let kk = self.kernel * self.kernel;
         let pass = Gather {
             src: input.as_slice(),
             rows: &self.rows.fwd,
             cols: &self.cols.fwd,
             kernel: self.kernel,
         };
-        let (buf, bias) = (&mut self.packed, Some(self.bias.as_slice()));
+        let bias = Some(self.bias.as_slice());
         if lanes(self.out_channels) == 4 {
-            let packed = pack::<4>(buf, &self.weights, self.in_channels, kk, true);
-            pass.run::<4>(packed, bias, out.as_mut_slice());
+            pass.run::<4>(&self.fwd, bias, out.as_mut_slice());
         } else {
-            let packed = pack::<8>(buf, &self.weights, self.in_channels, kk, true);
-            pass.run::<8>(packed, bias, out.as_mut_slice());
+            pass.run::<8>(&self.fwd, bias, out.as_mut_slice());
         }
-        self.cached_input = Some(input.clone());
+        if let Some(tape) = tape {
+            tape.push_input(input);
+        }
         Ok(out)
     }
 
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(TensorError::EmptyDimension)?;
+    /// Leaves the input and the output gradient, transposed
+    /// block-major (`[oc/L][oy·ow+ox][oc%L]`), for
+    /// [`accumulate`](Layer::accumulate).
+    fn backward(
+        &self,
+        grad: &Tensor3,
+        tape: &mut Tape,
+        input_grad: bool,
+    ) -> Result<Option<Tensor3>> {
+        let (input, _) = tape.pop_input()?;
         let (oh, ow) = self.out_hw();
         if grad.shape() != (self.out_channels, oh, ow) {
             return Err(TensorError::ShapeMismatch {
@@ -534,53 +581,100 @@ impl Layer for Conv2d {
                 op: "conv backward grad",
             });
         }
-        let g = grad.as_slice();
-        for (oc, g_oc) in g.chunks_exact(oh * ow).enumerate() {
-            self.grad_bias[oc] = g_oc.iter().fold(self.grad_bias[oc], |acc, g| acc + g);
+        let (g, l, plane) = (grad.as_slice(), lanes(self.out_channels), oh * ow);
+        let grad_t = tape.store(self.out_channels.next_multiple_of(l) * plane, |grad_t| {
+            for (oc, g) in g.chunks_exact(plane).enumerate() {
+                for (pos, v) in g.iter().enumerate() {
+                    grad_t[(oc / l * plane + pos) * l + oc % l] = *v;
+                }
+            }
+        });
+        let grad_in = if input_grad {
+            let (_, ih, iw) = self.in_shape;
+            let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
+            let pass = Gather {
+                src: g,
+                rows: &self.rows.bwd,
+                cols: &self.cols.bwd,
+                kernel: self.kernel,
+            };
+            if lanes(self.in_channels) == 4 {
+                pass.run::<4>(&self.bwd, None, grad_in.as_mut_slice());
+            } else {
+                pass.run::<8>(&self.bwd, None, grad_in.as_mut_slice());
+            }
+            Some(grad_in)
+        } else {
+            None
+        };
+        tape.push_grads(input, grad_t);
+        Ok(grad_in)
+    }
+
+    fn tape_len(&self) -> usize {
+        let (oh, ow) = self.out_hw();
+        let (c, ih, iw) = self.in_shape;
+        c * ih * iw + self.out_channels.next_multiple_of(lanes(self.out_channels)) * oh * ow
+    }
+
+    /// The bias on the calling thread, then one task per output-channel
+    /// block and input-channel pair (its weights are contiguous in the
+    /// packed layout); every gradient takes its samples' terms in tape
+    /// order.
+    fn accumulate(&mut self, tapes: &mut [Tape]) -> Result<()> {
+        let samples = tapes
+            .iter_mut()
+            .map(Tape::pop_grads)
+            .collect::<Result<Vec<_>>>()?;
+        let (l, kk) = (lanes(self.out_channels), self.kernel * self.kernel);
+        let (oh, ow) = self.out_hw();
+        for (b, acc) in self.grad_bias.chunks_mut(l).enumerate() {
+            for (_, g) in &samples {
+                for g in g[b * oh * ow * l..][..oh * ow * l].chunks_exact(l) {
+                    for (a, g) in acc.iter_mut().zip(g) {
+                        *a += g;
+                    }
+                }
+            }
         }
+        let units: Vec<_> = self
+            .grad_weights
+            .chunks_mut(self.in_channels * kk * l)
+            .enumerate()
+            .flat_map(|(b, block)| {
+                let pairs = block.chunks_mut(2 * kk * l).enumerate();
+                pairs.map(move |(pair, unit)| (b, 2 * pair, unit))
+            })
+            .collect();
         let pass = Correlate {
-            x: input.as_slice(),
+            samples: &samples,
             rows: &self.rows,
             cols: &self.cols,
         };
-        if lanes(self.out_channels) == 4 {
-            pass.run::<4>(g, &mut self.grad_t, &mut self.grad_weights);
-        } else {
-            pass.run::<8>(g, &mut self.grad_t, &mut self.grad_weights);
-        }
-        let (_, ih, iw) = self.in_shape;
-        let mut grad_in = Tensor3::zeros(self.in_channels, ih, iw)?;
-        let kk = self.kernel * self.kernel;
-        let pass = Gather {
-            src: g,
-            rows: &self.rows.bwd,
-            cols: &self.cols.bwd,
-            kernel: self.kernel,
-        };
-        let buf = &mut self.packed;
-        if lanes(self.in_channels) == 4 {
-            let packed = pack::<4>(buf, &self.weights, self.in_channels, kk, false);
-            pass.run::<4>(packed, None, grad_in.as_mut_slice());
-        } else {
-            let packed = pack::<8>(buf, &self.weights, self.in_channels, kk, false);
-            pass.run::<8>(packed, None, grad_in.as_mut_slice());
-        }
-        Ok(grad_in)
+        par_map(units, |(b, ic, unit)| {
+            if l == 4 {
+                pass.run::<4>(b, ic, unit);
+            } else {
+                pass.run::<8>(b, ic, unit);
+            }
+        });
+        Ok(())
     }
 
     fn apply_gradients(&mut self, lr: f64, momentum: f64, batch: usize) {
         let scale = 1.0 / batch.max(1) as f64;
         for i in 0..self.weights.len() {
-            self.vel_weights[i] =
-                momentum * self.vel_weights[i] - lr * self.grad_weights[i] * scale;
+            let grad = self.grad_weights[self.packed_index(i)];
+            self.vel_weights[i] = momentum * self.vel_weights[i] - lr * grad * scale;
             self.weights[i] += self.vel_weights[i];
-            self.grad_weights[i] = 0.0;
         }
+        self.grad_weights.fill(0.0);
         for i in 0..self.bias.len() {
             self.vel_bias[i] = momentum * self.vel_bias[i] - lr * self.grad_bias[i] * scale;
             self.bias[i] += self.vel_bias[i];
             self.grad_bias[i] = 0.0;
         }
+        self.repack();
     }
 
     fn parameter_count(&self) -> usize {
@@ -617,7 +711,7 @@ mod tests {
             ((oc * self.in_channels + ic) * self.kernel + ky) * self.kernel + kx
         }
 
-        fn reference_forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
+        fn reference_forward(&self, input: &Tensor3) -> Result<Tensor3> {
             if input.shape() != self.in_shape {
                 return Err(TensorError::ShapeMismatch {
                     left: (input.channels(), input.height() * input.width()),
@@ -653,16 +747,19 @@ mod tests {
                     }
                 }
             }
-            self.cached_input = Some(input.clone());
             Ok(out)
         }
 
-        fn reference_backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-            let input = self
-                .cached_input
-                .as_ref()
-                .ok_or(TensorError::EmptyDimension)?
-                .clone();
+        /// Backward for the forward pass of `input`, accumulating onto
+        /// `grad_weights` (`[oc][ic][ky][kx]`) and `grad_bias`.
+        #[allow(clippy::needless_range_loop)] // the seven loops, as they were
+        fn reference_backward(
+            &self,
+            input: &Tensor3,
+            grad: &Tensor3,
+            grad_weights: &mut [f64],
+            grad_bias: &mut [f64],
+        ) -> Result<Tensor3> {
             let (oh, ow) = self.out_hw();
             if grad.shape() != (self.out_channels, oh, ow) {
                 return Err(TensorError::ShapeMismatch {
@@ -677,7 +774,7 @@ mod tests {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let g = grad.get(oc, oy, ox);
-                        self.grad_bias[oc] += g;
+                        grad_bias[oc] += g;
                         for ic in 0..self.in_channels {
                             for ky in 0..self.kernel {
                                 let sy = (oy * self.stride + ky) as isize - self.padding as isize;
@@ -691,8 +788,7 @@ mod tests {
                                         continue;
                                     }
                                     let wi = self.w_index(oc, ic, ky, kx);
-                                    self.grad_weights[wi] +=
-                                        g * input.get(ic, sy as usize, sx as usize);
+                                    grad_weights[wi] += g * input.get(ic, sy as usize, sx as usize);
                                     grad_in.add_at(
                                         ic,
                                         sy as usize,
@@ -706,6 +802,13 @@ mod tests {
                 }
             }
             Ok(grad_in)
+        }
+
+        /// The accumulated weight gradient, `[oc][ic][ky][kx]`.
+        fn unpacked_grad_weights(&self) -> Vec<f64> {
+            (0..self.weights.len())
+                .map(|i| self.grad_weights[self.packed_index(i)])
+                .collect()
         }
     }
 
@@ -755,8 +858,10 @@ mod tests {
     /// every kernel size 1..=4, stride 1..=3 and padding 0..=2 that
     /// fits, channel pairs inside one lane block, across two (8→16)
     /// and with a partial tail block (9→17, 17→9), three value fills,
-    /// two backward passes per forward. Each of these mutations, made
-    /// by hand on a copy, fails it (first failing case):
+    /// a batch of two backward passes per forward, accumulated twice
+    /// (the second batch continues from the first). Each of these
+    /// mutations, made by hand on a copy, fails it (first failing
+    /// case):
     ///
     /// - padded column taps multiplied by zero instead of skipped:
     ///   `NegativeZeros k1 s1 p1 2→3 7×7`, `output[9]` `+0.0` against
@@ -789,30 +894,43 @@ mod tests {
                             format!("{values:?} k{kernel} s{stride} p{padding} {ic}→{oc} {h}×{w}");
                         fill(values, &mut rng, &mut conv.weights);
                         fill(values, &mut rng, &mut conv.bias);
-                        let mut reference = conv.clone();
+                        conv.repack();
                         let mut x = Tensor3::zeros(ic, h, w).unwrap();
                         fill(values, &mut rng, x.as_mut_slice());
-                        let out = conv.forward(&x).unwrap();
-                        let want = reference.reference_forward(&x).unwrap();
+                        let mut tapes = vec![Tape::default(), Tape::default()];
+                        let out = conv.forward(&x, Some(&mut tapes[0])).unwrap();
+                        conv.forward(&x, Some(&mut tapes[1])).unwrap();
+                        let want = conv.reference_forward(&x).unwrap();
                         assert_eq!(out.shape(), want.shape(), "{case}");
                         assert_same_bits("output", &case, out.as_slice(), want.as_slice());
-                        // Two backward passes per forward: the second
-                        // accumulates onto the first, as a batch does.
-                        for _ in 0..2 {
+                        let mut grads = Vec::new();
+                        let mut grad_weights = vec![0.0; conv.weights.len()];
+                        let mut grad_bias = vec![0.0; oc];
+                        for tape in &mut tapes {
                             let mut grad = out.clone();
                             fill(values, &mut rng, grad.as_mut_slice());
-                            let gin = conv.backward(&grad).unwrap();
-                            let want = reference.reference_backward(&grad).unwrap();
+                            let gin = conv.backward(&grad, tape, true).unwrap().unwrap();
+                            let want = conv
+                                .reference_backward(&x, &grad, &mut grad_weights, &mut grad_bias)
+                                .unwrap();
                             assert_eq!(gin.shape(), want.shape(), "{case}");
                             assert_same_bits("grad_in", &case, gin.as_slice(), want.as_slice());
+                            grads.push(grad);
                         }
+                        for grad in &grads {
+                            conv.reference_backward(&x, grad, &mut grad_weights, &mut grad_bias)
+                                .unwrap();
+                        }
+                        let mut again = tapes.clone();
+                        conv.accumulate(&mut tapes).unwrap();
+                        conv.accumulate(&mut again).unwrap();
                         assert_same_bits(
                             "grad_weights",
                             &case,
-                            &conv.grad_weights,
-                            &reference.grad_weights,
+                            &conv.unpacked_grad_weights(),
+                            &grad_weights,
                         );
-                        assert_same_bits("grad_bias", &case, &conv.grad_bias, &reference.grad_bias);
+                        assert_same_bits("grad_bias", &case, &conv.grad_bias, &grad_bias);
                         cases += 1;
                     }
                 }
@@ -827,8 +945,9 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, 3, 3, 0).unwrap();
         conv.weights[0] = 1.0;
         conv.bias[0] = 0.0;
+        conv.repack();
         let x = Tensor3::from_fn(1, 3, 3, |_, y, x| (y * 3 + x) as f64).unwrap();
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(&x, None).unwrap();
         assert_eq!(y, x);
     }
 
@@ -848,27 +967,28 @@ mod tests {
         // kernel = [[1, 2], [3, 4]], bias = 10
         conv.weights.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         conv.bias[0] = 10.0;
+        conv.repack();
         let x = Tensor3::from_vec(1, 2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward(&x, None).unwrap();
         assert_eq!(y.get(0, 0, 0), 20.0);
     }
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 4, 4, 42).unwrap();
+        let conv = Conv2d::new(2, 3, 3, 1, 1, 4, 4, 42).unwrap();
         let x = Tensor3::from_fn(2, 4, 4, |c, y, x| {
             ((c * 13 + y * 5 + x * 3) % 7) as f64 / 7.0 - 0.4
         })
         .unwrap();
-        let err = finite_difference_check(&mut conv, &x, 1e-5).unwrap();
+        let err = finite_difference_check(&conv, &x, 1e-5).unwrap();
         assert!(err < 1e-6, "max fd error {err}");
     }
 
     #[test]
     fn strided_gradient_matches_finite_differences() {
-        let mut conv = Conv2d::new(1, 2, 2, 2, 0, 4, 4, 7).unwrap();
+        let conv = Conv2d::new(1, 2, 2, 2, 0, 4, 4, 7).unwrap();
         let x = Tensor3::from_fn(1, 4, 4, |_, y, x| ((y * 4 + x) % 5) as f64 * 0.2).unwrap();
-        let err = finite_difference_check(&mut conv, &x, 1e-5).unwrap();
+        let err = finite_difference_check(&conv, &x, 1e-5).unwrap();
         assert!(err < 1e-6, "max fd error {err}");
     }
 
@@ -877,16 +997,18 @@ mod tests {
         // One SGD step on loss = Σ out² must reduce the loss.
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, 4, 4, 3).unwrap();
         let x = Tensor3::from_fn(1, 4, 4, |_, y, x| ((y + x) % 3) as f64 - 1.0).unwrap();
-        let loss = |c: &mut Conv2d, x: &Tensor3| -> f64 {
-            let o = c.forward(x).unwrap();
+        let loss = |c: &Conv2d, x: &Tensor3| -> f64 {
+            let o = c.forward(x, None).unwrap();
             o.as_slice().iter().map(|v| v * v).sum::<f64>()
         };
-        let before = loss(&mut conv, &x);
-        let out = conv.forward(&x).unwrap();
+        let before = loss(&conv, &x);
+        let mut tape = Tape::default();
+        let out = conv.forward(&x, Some(&mut tape)).unwrap();
         let grad = out.map(|v| 2.0 * v);
-        conv.backward(&grad).unwrap();
+        conv.backward(&grad, &mut tape, false).unwrap();
+        conv.accumulate(std::slice::from_mut(&mut tape)).unwrap();
         conv.apply_gradients(0.01, 0.0, 1);
-        let after = loss(&mut conv, &x);
+        let after = loss(&conv, &x);
         assert!(after < before, "{after} !< {before}");
     }
 
@@ -894,14 +1016,18 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, 2, 2, 0).unwrap();
         let g = Tensor3::zeros(1, 2, 2).unwrap();
-        assert!(conv.backward(&g).is_err());
+        assert!(conv.backward(&g, &mut Tape::default(), true).is_err());
+        // Nor may parameter gradients be accumulated before a backward.
+        let mut tape = Tape::default();
+        conv.forward(&g, Some(&mut tape)).unwrap();
+        assert!(conv.accumulate(std::slice::from_mut(&mut tape)).is_err());
     }
 
     #[test]
     fn wrong_input_shape_rejected() {
-        let mut conv = Conv2d::new(1, 1, 3, 1, 1, 4, 4, 0).unwrap();
+        let conv = Conv2d::new(1, 1, 3, 1, 1, 4, 4, 0).unwrap();
         let x = Tensor3::zeros(2, 4, 4).unwrap();
-        assert!(conv.forward(&x).is_err());
+        assert!(conv.forward(&x, None).is_err());
     }
 
     #[test]
@@ -909,6 +1035,30 @@ mod tests {
         assert!(Conv2d::new(0, 1, 3, 1, 1, 4, 4, 0).is_err());
         assert!(Conv2d::new(1, 1, 5, 1, 0, 4, 4, 0).is_err()); // kernel > input
         assert!(Conv2d::new(1, 1, 3, 0, 1, 4, 4, 0).is_err()); // zero stride
+    }
+
+    #[test]
+    fn overflowing_parameter_and_activation_counts_are_refused() {
+        // (2^32, 2^32) on a 64-bit target: the product wraps to 0.
+        let half = 1usize << (usize::BITS / 2);
+        let overflow = |dims: &[usize]| TensorError::ShapeOverflow {
+            dims: dims.to_vec(),
+        };
+        // out · in · k · k
+        let err = Conv2d::new(half, half, 1, 1, 0, 1, 1, 0).unwrap_err();
+        assert_eq!(err, overflow(&[half, half, 1, 1]));
+        // in · h · w, then out_padded · oh · ow: the weights fit, one
+        // sample's input or output does not.
+        let err = Conv2d::new(1, 8, 1, 1, 0, half, half, 0).unwrap_err();
+        assert_eq!(err, overflow(&[1, half, half]));
+        let err = Conv2d::new(1, 8, 1, 1, half, 1, half / 2, 0).unwrap_err();
+        assert_eq!(err, overflow(&[8, 2 * half + 1, 2 * half + half / 2]));
+        // 2 · padding
+        let err = Conv2d::new(1, 1, 1, 1, usize::MAX / 2 + 1, 1, 1, 0).unwrap_err();
+        assert_eq!(err, overflow(&[1, usize::MAX / 2 + 1, 2]));
+        // A channel count that cannot be rounded up to a lane block.
+        let err = Conv2d::new(usize::MAX, 1, 1, 1, 0, 1, 1, 0).unwrap_err();
+        assert_eq!(err, overflow(&[usize::MAX, 8]));
     }
 
     #[test]
@@ -924,17 +1074,20 @@ mod tests {
     fn momentum_accumulates_velocity() {
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, 1, 1, 0).unwrap();
         conv.weights[0] = 1.0;
+        conv.repack();
         let x = Tensor3::from_vec(1, 1, 1, vec![1.0]).unwrap();
+        let step = |conv: &mut Conv2d| {
+            let mut tape = Tape::default();
+            conv.forward(&x, Some(&mut tape)).unwrap();
+            conv.backward(&x, &mut tape, true).unwrap();
+            conv.accumulate(std::slice::from_mut(&mut tape)).unwrap();
+        };
         // Two identical steps with momentum: second step moves farther.
-        conv.forward(&x).unwrap();
-        conv.backward(&Tensor3::from_vec(1, 1, 1, vec![1.0]).unwrap())
-            .unwrap();
+        step(&mut conv);
         let w0 = conv.weights[0];
         conv.apply_gradients(0.1, 0.9, 1);
         let d1 = (conv.weights[0] - w0).abs();
-        conv.forward(&x).unwrap();
-        conv.backward(&Tensor3::from_vec(1, 1, 1, vec![1.0]).unwrap())
-            .unwrap();
+        step(&mut conv);
         let w1 = conv.weights[0];
         conv.apply_gradients(0.1, 0.9, 1);
         let d2 = (conv.weights[0] - w1).abs();

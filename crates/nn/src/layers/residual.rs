@@ -2,7 +2,7 @@
 //! makes the ResNet-style benchmark model (paper §IV-A benchmark 2) a
 //! genuine ResNet and not a plain stack.
 
-use crate::layer::Layer;
+use crate::layer::{accumulate_stack, backward_stack, forward_stack, Layer, Tape};
 use crate::tensor3::Tensor3;
 use xai_tensor::{Result, TensorError};
 
@@ -51,29 +51,29 @@ impl Layer for Residual {
         format!("residual[{} layers]", self.path.len())
     }
 
-    fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        let (first, rest) = self
-            .path
-            .split_first_mut()
-            .ok_or(TensorError::EmptyDimension)?;
-        let mut h = first.forward(input)?;
-        for layer in rest {
-            h = layer.forward(&h)?;
-        }
-        h.zip_with(input, |a, b| a + b)
+    fn forward(&self, input: &Tensor3, tape: Option<&mut Tape>) -> Result<Tensor3> {
+        forward_stack(&self.path, input, tape)?.zip_with(input, |a, b| a + b)
     }
 
-    fn backward(&mut self, grad: &Tensor3) -> Result<Tensor3> {
-        let (last, rest) = self
-            .path
-            .split_last_mut()
-            .ok_or(TensorError::EmptyDimension)?;
-        let mut g = last.backward(grad)?;
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
+    fn backward(
+        &self,
+        grad: &Tensor3,
+        tape: &mut Tape,
+        input_grad: bool,
+    ) -> Result<Option<Tensor3>> {
+        let Some(g) = backward_stack(&self.path, grad, tape, input_grad)? else {
+            return Ok(None);
+        };
         // Skip connection adds the output gradient directly.
-        g.zip_with(grad, |a, b| a + b)
+        g.zip_with(grad, |a, b| a + b).map(Some)
+    }
+
+    fn tape_len(&self) -> usize {
+        self.path.iter().map(|l| l.tape_len()).sum()
+    }
+
+    fn accumulate(&mut self, tapes: &mut [Tape]) -> Result<()> {
+        accumulate_stack(&mut self.path, tapes)
     }
 
     fn apply_gradients(&mut self, lr: f64, momentum: f64, batch: usize) {
@@ -121,34 +121,24 @@ mod tests {
 
     #[test]
     fn identity_path_doubles_input() {
-        // A 1×1 conv with weight 1 is identity ⇒ residual output = 2x.
-        let mut conv = Conv2d::new(1, 1, 1, 1, 0, 2, 2, 0).unwrap();
-        // force exact identity weights
-        let mut probe = Tensor3::from_vec(1, 2, 2, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        let out = conv.forward(&probe).unwrap();
-        // build a true identity by rescaling the single weight
-        let w = out.get(0, 0, 0);
-        let mut res_conv = Conv2d::new(1, 1, 1, 1, 0, 2, 2, 0).unwrap();
-        let _ = w; // weight value only used to confirm conv works
-                   // manually craft: use the public API — simpler to test with conv weights set
-                   // via a fresh layer trained is overkill; instead verify residual adds skip:
-        let mut block =
-            Residual::new(vec![Box::new(res_conv.clone_as_layer())], (1, 2, 2)).unwrap();
-        probe.set(0, 0, 0, 3.0);
-        let y = block.forward(&probe).unwrap();
-        let inner = res_conv.forward(&probe).unwrap();
+        // The block's output is its path's output plus the skip.
+        let res_conv = Conv2d::new(1, 1, 1, 1, 0, 2, 2, 0).unwrap();
+        let block = Residual::new(vec![Box::new(res_conv.clone())], (1, 2, 2)).unwrap();
+        let probe = Tensor3::from_vec(1, 2, 2, vec![3.0, 0.0, 0.0, 0.0]).unwrap();
+        let y = block.forward(&probe, None).unwrap();
+        let inner = res_conv.forward(&probe, None).unwrap();
         let expect = inner.zip_with(&probe, |a, b| a + b).unwrap();
         assert_eq!(y, expect);
     }
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let mut b = block();
+        let b = block();
         let x = Tensor3::from_fn(2, 4, 4, |c, y, x| {
             ((c * 3 + y * 7 + x) % 5) as f64 * 0.3 - 0.6
         })
         .unwrap();
-        let err = finite_difference_check(&mut b, &x, 1e-5).unwrap();
+        let err = finite_difference_check(&b, &x, 1e-5).unwrap();
         assert!(err < 1e-6, "max fd error {err}");
     }
 
@@ -166,12 +156,5 @@ mod tests {
         assert!(b.flops_per_sample() > 32);
         assert_eq!(b.output_shape(), (2, 4, 4));
         assert!(b.name().contains("residual"));
-    }
-
-    // Helper so the identity test can clone a conv into a boxed layer.
-    impl Conv2d {
-        fn clone_as_layer(&self) -> Conv2d {
-            self.clone()
-        }
     }
 }

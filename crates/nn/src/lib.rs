@@ -38,7 +38,7 @@ pub mod opcount;
 mod tensor3;
 mod trainer;
 
-pub use layer::{finite_difference_check, Layer};
+pub use layer::{finite_difference_check, Layer, Tape};
 pub use network::{cross_entropy, softmax, Network};
 pub use opcount::NetworkWorkload;
 pub use tensor3::Tensor3;

@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn vgg_small_builds_and_runs() {
-        let mut net = vgg_small(3, 8, 10, 0).unwrap();
+        let net = vgg_small(3, 8, 10, 0).unwrap();
         let x = Tensor3::zeros(3, 8, 8).unwrap();
         let y = net.forward(&x).unwrap();
         assert_eq!(y.len(), 10);
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn resnet_small_builds_and_runs() {
-        let mut net = resnet_small(1, 8, 2, 0).unwrap();
+        let net = resnet_small(1, 8, 2, 0).unwrap();
         let x = Tensor3::zeros(1, 8, 8).unwrap();
         let y = net.forward(&x).unwrap();
         assert_eq!(y.len(), 2);

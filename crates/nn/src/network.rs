@@ -1,7 +1,8 @@
 //! Sequential network container with softmax-cross-entropy training.
 
-use crate::layer::Layer;
+use crate::layer::{accumulate_stack, backward_stack, forward_stack, Layer, Tape};
 use crate::tensor3::Tensor3;
+use xai_tensor::ops::par_map;
 use xai_tensor::{Result, TensorError};
 
 /// Numerically-stable softmax of a logit slice.
@@ -97,16 +98,8 @@ impl Network {
     ///
     /// Returns [`TensorError::EmptyDimension`] for an empty network or
     /// shape errors from the layers.
-    pub fn forward(&mut self, input: &Tensor3) -> Result<Tensor3> {
-        let (first, rest) = self
-            .layers
-            .split_first_mut()
-            .ok_or(TensorError::EmptyDimension)?;
-        let mut h = first.forward(input)?;
-        for layer in rest {
-            h = layer.forward(&h)?;
-        }
-        Ok(h)
+    pub fn forward(&self, input: &Tensor3) -> Result<Tensor3> {
+        forward_stack(&self.layers, input, None)
     }
 
     /// Predicted class (argmax of logits).
@@ -114,18 +107,57 @@ impl Network {
     /// # Errors
     ///
     /// Propagates forward errors.
-    pub fn predict(&mut self, input: &Tensor3) -> Result<usize> {
+    pub fn predict(&self, input: &Tensor3) -> Result<usize> {
         Ok(self.forward(input)?.argmax())
     }
 
     /// Runs one forward+backward pass for `(input, label)` and
-    /// accumulates gradients. Returns the sample's cross-entropy loss.
+    /// accumulates gradients: a batch of one. Returns the sample's
+    /// cross-entropy loss.
     ///
     /// # Errors
     ///
     /// Propagates layer errors; label out of range is a shape error.
     pub fn accumulate_gradients(&mut self, input: &Tensor3, label: usize) -> Result<f64> {
-        let logits = self.forward(input)?;
+        Ok(self.accumulate_batch(&[(input, label)])?[0])
+    }
+
+    /// One mini-batch's gradients, accumulated onto the layers in
+    /// sample order; returns each sample's loss, in order.
+    ///
+    /// Two phases over the host pool. First one task per sample runs
+    /// its forward pass, loss and input-gradient backward pass on a
+    /// tape of its own: the weights do not change until
+    /// [`Network::apply_gradients`], so the samples are independent.
+    /// Only when every sample has passed does each layer add the
+    /// tapes' parameter gradients, each accumulator taking its
+    /// samples' terms in sample order — the bits of one sample after
+    /// another on one thread. The first error in sample order is
+    /// returned before any accumulator is touched.
+    pub(crate) fn accumulate_batch(&mut self, batch: &[(&Tensor3, usize)]) -> Result<Vec<f64>> {
+        // The tapes are sized here, so their buffers are not the pool
+        // workers' allocations.
+        let tape_len = self.layers.iter().map(|l| l.tape_len()).sum();
+        let items = batch
+            .iter()
+            .map(|&sample| (sample, Tape::with_capacity(tape_len)))
+            .collect();
+        let passes = par_map(items, |((x, label), tape)| {
+            self.backward_pass(x, label, tape)
+        });
+        let (losses, mut tapes): (Vec<f64>, Vec<Tape>) = passes
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        accumulate_stack(&mut self.layers, &mut tapes)?;
+        Ok(losses)
+    }
+
+    /// One sample's forward and backward pass: its loss and its tape.
+    /// The first layer's input gradient is never computed.
+    fn backward_pass(&self, input: &Tensor3, label: usize, mut tape: Tape) -> Result<(f64, Tape)> {
+        let logits = forward_stack(&self.layers, input, Some(&mut tape))?;
         if label >= logits.len() {
             return Err(TensorError::ShapeMismatch {
                 left: (label, 1),
@@ -138,11 +170,9 @@ impl Network {
         // ∂CE∘softmax/∂logit = p - 1{label}
         let mut grad = probs;
         grad[label] -= 1.0;
-        let mut g = Tensor3::from_features(grad)?;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
-        }
-        Ok(loss)
+        let grad = Tensor3::from_features(grad)?;
+        backward_stack(&self.layers, &grad, &mut tape, false)?;
+        Ok((loss, tape))
     }
 
     /// Applies accumulated gradients (SGD + momentum, batch-averaged).
@@ -152,22 +182,21 @@ impl Network {
         }
     }
 
-    /// Classification accuracy over a labelled set.
+    /// Classification accuracy over a labelled set, one pool task per
+    /// sample.
     ///
     /// # Errors
     ///
-    /// Propagates forward errors.
-    pub fn accuracy(&mut self, samples: &[(Tensor3, usize)]) -> Result<f64> {
+    /// Propagates forward errors (the first in sample order).
+    pub fn accuracy(&self, samples: &[(Tensor3, usize)]) -> Result<f64> {
         if samples.is_empty() {
             return Ok(0.0);
         }
-        let mut correct = 0usize;
-        for (x, label) in samples {
-            if self.predict(x)? == *label {
-                correct += 1;
-            }
-        }
-        Ok(correct as f64 / samples.len() as f64)
+        let hits = par_map(samples.iter().collect(), |(x, label)| {
+            Ok(self.predict(x)? == *label)
+        });
+        let correct = hits.into_iter().collect::<Result<Vec<bool>>>()?;
+        Ok(correct.iter().filter(|&&hit| hit).count() as f64 / samples.len() as f64)
     }
 }
 
@@ -223,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_network_errors() {
-        let mut net = Network::new();
+        let net = Network::new();
         assert!(net.forward(&Tensor3::zeros(1, 1, 1).unwrap()).is_err());
         assert!(net.is_empty());
     }
@@ -249,6 +278,66 @@ mod tests {
         assert_eq!(net.accuracy(&data).unwrap(), 1.0);
     }
 
+    /// A dense layer whose input-gradient pass panics.
+    struct NoInputGradient(Dense);
+
+    impl Layer for NoInputGradient {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn forward(&self, input: &Tensor3, tape: Option<&mut Tape>) -> Result<Tensor3> {
+            self.0.forward(input, tape)
+        }
+
+        fn backward(
+            &self,
+            grad: &Tensor3,
+            tape: &mut Tape,
+            input_grad: bool,
+        ) -> Result<Option<Tensor3>> {
+            assert!(
+                !input_grad,
+                "nothing reads the first layer's input gradient"
+            );
+            self.0.backward(grad, tape, input_grad)
+        }
+
+        fn accumulate(&mut self, tapes: &mut [Tape]) -> Result<()> {
+            self.0.accumulate(tapes)
+        }
+
+        fn apply_gradients(&mut self, lr: f64, momentum: f64, batch: usize) {
+            self.0.apply_gradients(lr, momentum, batch);
+        }
+
+        fn flops_per_sample(&self) -> u64 {
+            self.0.flops_per_sample()
+        }
+
+        fn bytes_per_sample(&self) -> u64 {
+            self.0.bytes_per_sample()
+        }
+
+        fn output_shape(&self) -> (usize, usize, usize) {
+            self.0.output_shape()
+        }
+    }
+
+    #[test]
+    fn the_first_layers_input_gradient_is_never_computed() {
+        let mut net = Network::new();
+        net.push(Box::new(NoInputGradient(Dense::new(4, 8, 7).unwrap())));
+        net.push(Box::new(Relu::new(8, 1, 1)));
+        net.push(Box::new(Dense::new(8, 2, 8).unwrap()));
+        let data = xor_ish_dataset();
+        let reports = crate::Trainer::new(0.5, 0.9, 3, 0)
+            .fit(&mut net, &data, 40)
+            .unwrap();
+        assert!(reports[39].mean_loss < reports[0].mean_loss);
+        assert_eq!(net.accuracy(&data).unwrap(), 1.0);
+    }
+
     #[test]
     fn label_out_of_range_rejected() {
         let mut net = tiny_net(0);
@@ -268,7 +357,7 @@ mod tests {
 
     #[test]
     fn accuracy_on_empty_set_is_zero() {
-        let mut net = tiny_net(0);
+        let net = tiny_net(0);
         assert_eq!(net.accuracy(&[]).unwrap(), 0.0);
     }
 }

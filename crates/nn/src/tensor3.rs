@@ -1,8 +1,8 @@
 //! A channels × height × width activation tensor.
 //!
-//! The NN substrate works on 3-D volumes (one sample at a time;
-//! batching is a loop at the trainer level, which keeps backward
-//! passes simple and explicit).
+//! The NN substrate works on 3-D volumes, one sample at a time: a
+//! mini-batch is a set of per-sample passes, which keeps backward
+//! passes simple and explicit.
 
 use xai_tensor::{Matrix, Result, TensorError};
 

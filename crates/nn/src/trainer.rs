@@ -55,11 +55,14 @@ impl Trainer {
 
     /// Trains `net` for `epochs` epochs over `data`, returning one
     /// report per epoch. A `batch_size` of 0 trains as 1, as
-    /// [`Trainer::new`] clamps it.
+    /// [`Trainer::new`] clamps it. Each mini-batch runs its samples
+    /// over the host pool, with the bits of a serial pass (see
+    /// [`Network::accumulate_gradients`]).
     ///
     /// # Errors
     ///
-    /// Propagates layer shape errors.
+    /// Propagates layer shape errors, the first in sample order of the
+    /// failing batch; that batch leaves no gradient behind.
     pub fn fit(
         &self,
         net: &mut Network,
@@ -73,9 +76,10 @@ impl Trainer {
             order.shuffle(&mut rng);
             let mut total_loss = 0.0;
             for chunk in order.chunks(self.batch_size.max(1)) {
-                for &i in chunk {
-                    let (x, y) = &data[i];
-                    total_loss += net.accumulate_gradients(x, *y)?;
+                let batch: Vec<(&Tensor3, usize)> =
+                    chunk.iter().map(|&i| (&data[i].0, data[i].1)).collect();
+                for loss in net.accumulate_batch(&batch)? {
+                    total_loss += loss;
                 }
                 net.apply_gradients(self.lr, self.momentum, chunk.len());
             }
@@ -146,6 +150,23 @@ mod tests {
         let reports = Trainer::default().fit(&mut net, &data, 3).unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(reports[2].epoch, 2);
+    }
+
+    /// A batch that fails at its fourth sample (an out-of-range label)
+    /// returns the error and leaves no gradient of the three samples
+    /// before it: a step afterwards moves no weight.
+    #[test]
+    fn a_failing_sample_leaves_no_partial_gradient() {
+        let mut data = two_class_images(4);
+        data[3].1 = 2;
+        let mut net = vgg_small(3, 8, 2, 3).unwrap();
+        let probe = &data[0].0;
+        let bits = |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = bits(&net.forward(probe).unwrap());
+        let err = Trainer::new(0.05, 0.9, 8, 0).fit(&mut net, &data, 1);
+        assert!(err.is_err(), "{err:?}");
+        net.apply_gradients(0.05, 0.9, 8);
+        assert_eq!(bits(&net.forward(probe).unwrap()), before);
     }
 
     #[test]

@@ -26,8 +26,8 @@ proptest! {
 
     #[test]
     fn dense_gradients_check_for_random_inputs(x in volume(1, 1, 6), seed in 0u64..100) {
-        let mut layer = Dense::new(6, 3, seed).unwrap();
-        let err = finite_difference_check(&mut layer, &x, 1e-5).unwrap();
+        let layer = Dense::new(6, 3, seed).unwrap();
+        let err = finite_difference_check(&layer, &x, 1e-5).unwrap();
         prop_assert!(err < 1e-5, "fd error {err}");
     }
 
@@ -38,16 +38,16 @@ proptest! {
         padding in 0usize..3,
         seed in 0u64..100,
     ) {
-        let mut layer = Conv2d::new(3, 2, 3, stride, padding, 5, 6, seed).unwrap();
-        let err = finite_difference_check(&mut layer, &x, 1e-5).unwrap();
+        let layer = Conv2d::new(3, 2, 3, stride, padding, 5, 6, seed).unwrap();
+        let err = finite_difference_check(&layer, &x, 1e-5).unwrap();
         prop_assert!(err < 1e-5, "fd error {err}");
     }
 
     #[test]
     fn relu_is_idempotent(x in volume(1, 3, 3)) {
-        let mut relu = Relu::new(1, 3, 3);
-        let once = relu.forward(&x).unwrap();
-        let twice = relu.forward(&once).unwrap();
+        let relu = Relu::new(1, 3, 3);
+        let once = relu.forward(&x, None).unwrap();
+        let twice = relu.forward(&once, None).unwrap();
         prop_assert_eq!(once, twice);
     }
 

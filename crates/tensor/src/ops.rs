@@ -114,6 +114,41 @@ pub fn matmul_blocked_parallel<T: Scalar>(
     Ok(out)
 }
 
+/// Runs `f` on every item over the shared [`xai_parallel`] pool, one
+/// task per item, and returns the results in item order.
+///
+/// Each item is one task running the caller's sequential code, so the
+/// results do not depend on the worker count: with `XAI_THREADS=1`
+/// (or one item) this is `items.into_iter().map(f).collect()`. Items
+/// that own `&mut` borrows of disjoint buffers let the tasks write
+/// without locks.
+///
+/// ```
+/// let squares = xai_tensor::ops::par_map((1..=4).collect(), |v: u64| v * v);
+/// assert_eq!(squares, [1, 4, 9, 16]);
+/// ```
+///
+/// # Panics
+///
+/// Re-raises the first panic from `f` after every task finished.
+pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let pool = global();
+    if pool.num_threads() <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    pool.scope(|s| {
+        let f = &f;
+        for (item, slot) in items.into_iter().zip(&mut slots) {
+            s.spawn(move || *slot = Some(f(item)));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("the scope joined every task"))
+        .collect()
+}
+
 /// Shared argument validation of the blocked matmul family; `op`
 /// labels the caller in the error.
 fn check_blocked_args<T: Scalar>(
@@ -463,6 +498,21 @@ mod tests {
 
     fn mat(rows: &[&[f64]]) -> Matrix<f64> {
         Matrix::from_rows(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_and_writes_disjoint_borrows() {
+        let mut data = vec![0u64; 40];
+        let items: Vec<(usize, &mut [u64])> = data.chunks_mut(3).enumerate().collect();
+        let lens = par_map(items, |(i, chunk)| {
+            chunk.fill(i as u64);
+            chunk.len()
+        });
+        assert_eq!(lens.len(), 14);
+        assert_eq!(lens[13], 1);
+        assert!(lens[..13].iter().all(|&n| n == 3));
+        assert!(data.iter().enumerate().all(|(k, &v)| v == (k / 3) as u64));
+        assert!(par_map(Vec::<u8>::new(), |v| v).is_empty());
     }
 
     #[test]

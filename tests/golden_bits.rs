@@ -2,8 +2,10 @@
 //! was rewritten: the 2-D transform's move to the in-place row pass +
 //! whole-row column pass, `Conv2d`'s move from seven nested loops to
 //! row kernels, the unqueued platforms' move from the staged
-//! filter-diff chain to fused lanes, and real lanes' move to the
-//! real-input transform (complex lanes must not have moved with them).
+//! filter-diff chain to fused lanes, real lanes' move to the
+//! real-input transform (complex lanes must not have moved with them),
+//! and a mini-batch's move from one sample after another to the host
+//! pool.
 //! Every other bit-identity check in the tree compares two paths of
 //! the same build, so a drift that moves both the same way would pass
 //! them all; these constants cannot move with the code.
@@ -15,7 +17,7 @@ use tpu_xai::core::{occlude, DistilledModel, Region, SolveStrategy};
 use tpu_xai::data::cifar::{as_training_pairs, ImageConfig, ImageDataset};
 use tpu_xai::fourier::Fft2d;
 use tpu_xai::nn::layers::Conv2d;
-use tpu_xai::nn::{models, Layer, Tensor3, Trainer};
+use tpu_xai::nn::{models, Layer, Tape, Tensor3, Trainer};
 use tpu_xai::tensor::conv::conv2d_circular;
 use tpu_xai::tensor::ops::DivPolicy;
 use tpu_xai::tensor::{Complex64, Matrix, Result};
@@ -392,11 +394,93 @@ fn first_conv_step_bits_match_the_seven_loop_convolution() {
     })
     .unwrap();
     let mut passes = Vec::new();
+    let mut tapes = Vec::new();
     for (x, _) in &training_set()[..2] {
-        passes.extend_from_slice(conv.forward(x).unwrap().as_slice());
-        passes.extend_from_slice(conv.backward(&grad).unwrap().as_slice());
+        let mut tape = Tape::default();
+        passes.extend_from_slice(conv.forward(x, Some(&mut tape)).unwrap().as_slice());
+        let grad_in = conv.backward(&grad, &mut tape, true).unwrap().unwrap();
+        passes.extend_from_slice(grad_in.as_slice());
+        tapes.push(tape);
     }
+    conv.accumulate(&mut tapes).unwrap();
     conv.apply_gradients(0.05, 0.9, 2);
     let got = (fold_f64(&passes), fold_f64(conv.weights()));
     assert_eq!(got, FIRST_CONV, "{got:#x?}");
+}
+
+/// `(mean_loss bits, accuracy bits, fold of the logits)`, as
+/// [`VGG_EPOCH`].
+type EpochBits = (u64, u64, u64);
+
+/// `(batch size, VGG_EPOCH-style bits, RESNET_EPOCH-style bits)` of
+/// the same seeded epoch at other batch sizes, recorded from the commit
+/// *before* a mini-batch ran its samples on more than one core: one
+/// sample per step, a ragged tail batch (64 = 21·3 + 1) and one batch
+/// of the whole set (more samples than pool workers).
+const EPOCHS_BY_BATCH: [(usize, EpochBits, EpochBits); 3] = [
+    (
+        1,
+        (
+            0x3ff8_2d9f_df5c_191b,
+            0x3fd0_0000_0000_0000,
+            0x685c_a061_c2cf_53f3,
+        ),
+        (
+            0x3ff9_5b12_72c4_a8e7,
+            0x3fd0_0000_0000_0000,
+            0xa059_9cb4_51d1_e7a5,
+        ),
+    ),
+    (
+        3,
+        (
+            0x3ff1_bdfb_070e_b136,
+            0x3ff0_0000_0000_0000,
+            0x7bfa_85c2_8c4b_e9fc,
+        ),
+        (
+            0x3fe0_9e89_ee0b_2edb,
+            0x3ff0_0000_0000_0000,
+            0x308d_f6ef_6337_343e,
+        ),
+    ),
+    (
+        64,
+        (
+            0x3ff6_22b3_34a9_77b7,
+            0x3fe0_0000_0000_0000,
+            0xb710_4776_df9d_9efb,
+        ),
+        (
+            0x3ff6_e3e2_5e4f_1071,
+            0x0000_0000_0000_0000,
+            0x5278_4f95_97a8_76f3,
+        ),
+    ),
+];
+
+#[test]
+fn trained_epoch_bits_at_other_batch_sizes_match_the_serial_trainer() {
+    let samples = training_set();
+    let epoch = |mut net: tpu_xai::nn::Network, batch: usize| {
+        let trainer = Trainer::new(0.05, 0.9, batch, 1);
+        let report = trainer.fit(&mut net, &samples, 1).unwrap().pop().unwrap();
+        let logits: Vec<f64> = samples
+            .iter()
+            .flat_map(|(x, _)| net.forward(x).unwrap().as_slice().to_vec())
+            .collect();
+        (
+            report.mean_loss.to_bits(),
+            report.accuracy.to_bits(),
+            fold_f64(&logits),
+        )
+    };
+    let got = EPOCHS_BY_BATCH.map(|(batch, _, _)| {
+        (
+            batch,
+            epoch(models::vgg_small(3, 16, 4, 1).unwrap(), batch),
+            epoch(models::resnet_small(3, 16, 4, 1).unwrap(), batch),
+        )
+    });
+    assert_eq!(got, EPOCHS_BY_BATCH, "{got:#x?}");
 }
