@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 mod clock;
+mod distill;
 mod filter_diff;
 mod host;
 mod platform;
@@ -50,6 +51,7 @@ mod tpu_accel;
 mod traits;
 
 pub use clock::Clock;
+pub use distill::{distill_spectrum, SolveStrategy};
 pub use filter_diff::PreparedKernel;
 pub use host::{CpuModel, GpuModel, HostModel};
 pub use roofline::RooflineParams;

@@ -16,6 +16,7 @@
 //! of the lanes before a malformed one, the GPU and the TPU charge one
 //! launch or nothing.
 
+use crate::distill::{self, SolveStrategy};
 use crate::filter_diff::{self, PreparedKernel};
 use crate::stats::KernelStats;
 use crate::traits::{check_request, Accelerator, Rect};
@@ -225,6 +226,20 @@ impl<P: Platform> Accelerator for P {
         let (rows, cols) = x.shape();
         self.charge_launch(KernelJob::Score { rows, cols }, rects.len())?;
         Ok(scores)
+    }
+    /// Solved once on the calling thread and the host pool
+    /// ([`distill::distill_spectrum`]), then charged as the staged body's
+    /// kernels, one by one in its order.
+    fn distill_spectrum(
+        &self,
+        pairs: &[(Matrix<f64>, Matrix<f64>)],
+        strategy: SolveStrategy,
+    ) -> Result<Matrix<Complex64>> {
+        let spectrum = distill::distill_spectrum(pairs, strategy)?;
+        for job in distill::staged_jobs(spectrum.shape(), pairs.len(), strategy) {
+            self.charge_kernel(job)?;
+        }
+        Ok(spectrum)
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         Platform::charge_workload(self, flops, bytes);

@@ -14,6 +14,7 @@
 //! are pure functions of the inputs, so concurrent and serial
 //! execution produce bit-identical values.
 
+use crate::distill::{self, SolveStrategy};
 use crate::filter_diff::PreparedKernel;
 use crate::stats::KernelStats;
 use std::ops::Range;
@@ -235,6 +236,29 @@ pub trait Accelerator: Send + Sync {
             .collect::<Result<_>>()?;
         let diffs = self.filter_diff_batch(&lanes, kernel.spectrum(), y)?;
         Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
+    }
+
+    /// The distilled kernel's spectrum `F(K)` (Equation 4) solved by
+    /// `strategy` from `(X, Y)` pairs — the interpretation phase's fit.
+    ///
+    /// The default is the staged body: per pair, two
+    /// [`Accelerator::fft2d`], then an [`Accelerator::pointwise_div`]
+    /// (naive) or two [`Accelerator::hadamard`] (Wiener), and the Wiener
+    /// division last. An override keeps the default's bits and charges on
+    /// a fit that succeeds. The built-in platforms solve once on the host
+    /// ([`distill_spectrum`](crate::distill_spectrum)), then charge the
+    /// default's kernels in its order, so a fit that fails charges
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`distill_spectrum`](crate::distill_spectrum).
+    fn distill_spectrum(
+        &self,
+        pairs: &[(Matrix<f64>, Matrix<f64>)],
+        strategy: SolveStrategy,
+    ) -> Result<Matrix<Complex64>> {
+        distill::staged(self, pairs, strategy)
     }
 
     /// Advances the clock for an externally-described workload of

@@ -1,9 +1,11 @@
 //! Benchmarks of the distillation core (the solve-strategy ablation:
-//! naive division vs Wiener solve) and the contribution-factor
-//! machinery, including the §III-D host-thread batch parallelism.
+//! naive division vs Wiener solve; the accelerated fit at
+//! `pipeline-offline`'s shape) and the contribution-factor machinery,
+//! including the §III-D host-thread batch parallelism.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use xai_accel::{Accelerator, CpuModel, TpuAccel};
 use xai_bench::distillation_pairs;
 use xai_core::{explain_batch, explain_batch_parallel, DistilledModel, SolveStrategy};
 use xai_tensor::ops::DivPolicy;
@@ -27,6 +29,28 @@ fn bench_solve_strategies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("wiener", size), &pairs, |b, pairs| {
             b.iter(|| {
                 DistilledModel::fit(black_box(pairs), SolveStrategy::Wiener { lambda: 1e-6 })
+                    .expect("fits")
+            });
+        });
+    }
+    group.finish();
+}
+
+/// `DistilledModel::fit_on` as `pipeline-offline` runs it: the default
+/// Wiener solve of 4 pairs at 128², on the CPU model and an unqueued
+/// TPU — Eq. 4's kernel and its inverse transform, host time per fit.
+fn bench_accelerated_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distill-fit-on");
+    group.sample_size(20);
+    let pairs = distillation_pairs(4, 128).expect("valid config");
+    let platforms: [(&str, Box<dyn Accelerator>); 2] = [
+        ("cpu", Box::new(CpuModel::i7_3700())),
+        ("tpu", Box::new(TpuAccel::tpu_v2())),
+    ];
+    for (name, acc) in &platforms {
+        group.bench_with_input(BenchmarkId::new(*name, 128), &pairs, |b, pairs| {
+            b.iter(|| {
+                DistilledModel::fit_on(acc.as_ref(), black_box(pairs), SolveStrategy::default())
                     .expect("fits")
             });
         });
@@ -74,6 +98,7 @@ fn bench_batch_parallelism(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solve_strategies,
+    bench_accelerated_fit,
     bench_prediction,
     bench_batch_parallelism
 );

@@ -47,7 +47,7 @@ fn main() -> Result<()> {
     //     per region batch.
     let inputs: Vec<Tensor3> = images.iter().map(|li| li.image.clone()).collect();
     let t0 = Instant::now();
-    let pairs = pairs_from_network(&mut net, &inputs)?;
+    let pairs = pairs_from_network(&net, &inputs)?;
     let model = DistilledModel::fit(&pairs, SolveStrategy::default())?;
     let mut fast_scores = Vec::new();
     for (x, y) in &pairs {

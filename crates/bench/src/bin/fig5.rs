@@ -34,10 +34,10 @@ fn main() -> Result<()> {
         reports.last().map(|r| r.accuracy).unwrap_or(0.0) * 100.0
     );
 
-    let explainer = ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default())?;
+    let explainer = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default())?;
 
     for li in images.iter().take(4) {
-        let ex = explainer.explain(&mut net, &li.image)?;
+        let ex = explainer.explain(&net, &li.image)?;
         println!(
             "class {} (predicted {}), ground-truth salient block {:?}, top block {:?}{}",
             li.label,
@@ -54,7 +54,7 @@ fn main() -> Result<()> {
         println!();
     }
 
-    let acc = explainer.localization_accuracy(&mut net, &images)?;
+    let acc = explainer.localization_accuracy(&net, &images)?;
     println!(
         "block localization accuracy over {} images: {:.0}%",
         images.len(),
@@ -66,7 +66,7 @@ fn main() -> Result<()> {
     let mut auc_total = 0.0;
     let mut gini_total = 0.0;
     for li in &images {
-        let ex = explainer.explain(&mut net, &li.image)?;
+        let ex = explainer.explain(&net, &li.image)?;
         let scores: Vec<f64> = ex.block_scores.as_slice().to_vec();
         let x = xai_core::volume_to_matrix(&li.image);
         let channels = li.image.channels();

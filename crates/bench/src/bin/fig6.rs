@@ -33,14 +33,14 @@ fn main() -> Result<()> {
         reports.last().map(|r| r.accuracy).unwrap_or(0.0) * 100.0
     );
 
-    let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default())?;
+    let explainer = TraceExplainer::fit(&net, &traces, SolveStrategy::default())?;
 
     // Show one malicious trace like the paper's snapshot — prefer a
     // correctly-localised example (the paper's figure is a success
     // case; the aggregate accuracy below reports the full picture).
     let mut chosen = None;
     for t in traces.iter().filter(|t| t.label == TraceLabel::Malicious) {
-        let ex = explainer.explain(&mut net, t)?;
+        let ex = explainer.explain(&net, t)?;
         if Some(ex.top_cycle) == t.attack_cycle {
             chosen = Some((t, ex));
             break;
@@ -66,7 +66,7 @@ fn main() -> Result<()> {
         }
     );
 
-    let acc = explainer.attack_localization_accuracy(&mut net, &traces)?;
+    let acc = explainer.attack_localization_accuracy(&net, &traces)?;
     println!(
         "\nattack-cycle localization accuracy over all malicious traces: {:.0}%",
         acc * 100.0

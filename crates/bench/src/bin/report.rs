@@ -156,8 +156,8 @@ fn main() -> Result<()> {
         let images = ds.generate(16)?;
         let mut net = vgg_small(3, 12, 4, 3)?;
         Trainer::new(0.05, 0.9, 8, 0).fit(&mut net, &as_training_pairs(&images), 16)?;
-        let explainer = ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default())?;
-        let acc = explainer.localization_accuracy(&mut net, &images)?;
+        let explainer = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default())?;
+        let acc = explainer.localization_accuracy(&net, &images)?;
         metrics.push(("fig5_block_localization_accuracy", acc));
         claims.push(Claim {
             id: "Fig.5 image saliency",
@@ -181,8 +181,8 @@ fn main() -> Result<()> {
             .collect();
         let mut net = resnet_small(1, 8, 2, 5)?;
         Trainer::new(0.05, 0.9, 8, 0).fit(&mut net, &pairs, 6)?;
-        let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default())?;
-        let acc = explainer.attack_localization_accuracy(&mut net, &traces)?;
+        let explainer = TraceExplainer::fit(&net, &traces, SolveStrategy::default())?;
+        let acc = explainer.attack_localization_accuracy(&net, &traces)?;
         metrics.push(("fig6_attack_localization_accuracy", acc));
         claims.push(Claim {
             id: "Fig.6 trace attribution",

@@ -63,7 +63,7 @@ pub fn matrix_to_volume(m: &Matrix<f64>, channels: usize) -> Result<Tensor3> {
 ///
 /// Propagates network forward errors; logits must fit one row.
 pub fn pairs_from_network(
-    net: &mut Network,
+    net: &Network,
     inputs: &[Tensor3],
 ) -> Result<Vec<(Matrix<f64>, Matrix<f64>)>> {
     let mut pairs = Vec::with_capacity(inputs.len());
@@ -116,11 +116,11 @@ mod tests {
 
     #[test]
     fn pairs_have_matching_shapes_and_real_logits() {
-        let mut net = vgg_small(3, 8, 4, 0).unwrap();
+        let net = vgg_small(3, 8, 4, 0).unwrap();
         let inputs: Vec<Tensor3> = (0..3)
             .map(|i| Tensor3::from_fn(3, 8, 8, |_, y, x| ((y + x + i) % 5) as f64 * 0.2).unwrap())
             .collect();
-        let pairs = pairs_from_network(&mut net, &inputs).unwrap();
+        let pairs = pairs_from_network(&net, &inputs).unwrap();
         assert_eq!(pairs.len(), 3);
         for ((x, y), input) in pairs.iter().zip(&inputs) {
             assert_eq!(x.shape(), (8, 8));

@@ -14,36 +14,18 @@
 //! [`SolveStrategy::Wiener`] is the least-squares/Tikhonov version
 //! `F(K) = Σ F(Yᵢ)·conj(F(Xᵢ)) / (Σ|F(Xᵢ)|² + λ)`, which is what the
 //! naive formula degenerates to for one pair and `λ → 0`, and which
-//! is well-posed for many pairs and noisy spectra. The `distill`
-//! bench (`cargo bench -p xai-bench --bench distill`) times the two.
+//! is well-posed for many pairs and noisy spectra. The solve has one
+//! body, [`xai_accel::distill_spectrum`]: [`DistilledModel::fit`] runs it
+//! on the host, [`DistilledModel::fit_on`] as the accelerator kernel
+//! [`Accelerator::distill_spectrum`], so the two give the same bits. The
+//! `distill` bench (`cargo bench -p xai-bench --bench distill`) times
+//! both strategies and the accelerated fit.
 
-use xai_accel::{Accelerator, PreparedKernel};
+pub use xai_accel::SolveStrategy;
+use xai_accel::{distill_spectrum, Accelerator, PreparedKernel};
 use xai_fourier::global_plan_cache;
-use xai_tensor::ops::{self, DivPolicy};
+use xai_tensor::ops;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
-
-/// How to invert the spectral system `F(X) ◦ F(K) = F(Y)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SolveStrategy {
-    /// Equation 4 verbatim: per-pair division `F(Y)/F(X)` (averaged
-    /// over pairs), guarded by a [`DivPolicy`].
-    Naive {
-        /// Division policy for (near-)zero spectral bins.
-        policy: DivPolicy,
-    },
-    /// Regularised least squares over all pairs:
-    /// `F(K) = Σᵢ F(Yᵢ)·conj(F(Xᵢ)) / (Σᵢ |F(Xᵢ)|² + λ)`.
-    Wiener {
-        /// Tikhonov damping `λ ≥ 0`.
-        lambda: f64,
-    },
-}
-
-impl Default for SolveStrategy {
-    fn default() -> Self {
-        SolveStrategy::Wiener { lambda: 1e-6 }
-    }
-}
 
 /// The distilled model: a single convolution kernel in both domains.
 ///
@@ -84,21 +66,16 @@ impl DistilledModel {
     /// [`TensorError::ShapeMismatch`] for inconsistent pair shapes,
     /// and division errors per the naive strategy's policy.
     pub fn fit(pairs: &[(Matrix<f64>, Matrix<f64>)], strategy: SolveStrategy) -> Result<Self> {
-        let first = pairs.first().ok_or(TensorError::EmptyDimension)?;
-        let (m, n) = first.0.shape();
-        let plan = global_plan_cache().plan_2d(m, n);
-        let spectrum = Self::solve_spectrum(pairs, strategy, (m, n), |x| plan.forward(x))?;
-        let kernel = plan.inverse(&spectrum)?.to_real();
-        Ok(DistilledModel {
-            kernel,
-            prepared: PreparedKernel::new(spectrum),
-        })
+        let spectrum = distill_spectrum(pairs, strategy)?;
+        let (rows, cols) = spectrum.shape();
+        let kernel = global_plan_cache().plan_2d(rows, cols).inverse(&spectrum)?;
+        Ok(Self::new(kernel.to_real(), spectrum))
     }
 
     /// Fits the distilled kernel on an [`Accelerator`], charging the
     /// platform's simulated time for every transform, product and
     /// division — the operation the paper's Tables I/II race across
-    /// CPU/GPU/TPU.
+    /// CPU/GPU/TPU. The bits are [`DistilledModel::fit`]'s.
     ///
     /// # Errors
     ///
@@ -108,120 +85,15 @@ impl DistilledModel {
         pairs: &[(Matrix<f64>, Matrix<f64>)],
         strategy: SolveStrategy,
     ) -> Result<Self> {
-        let first = pairs.first().ok_or(TensorError::EmptyDimension)?;
-        let (m, n) = first.0.shape();
-        // Accumulate per-pair spectra through the accelerator.
-        let spectrum = match strategy {
-            SolveStrategy::Naive { policy } => {
-                let mut acc_spec: Option<Matrix<Complex64>> = None;
-                for (x, y) in pairs {
-                    Self::check_pair(x, y, (m, n))?;
-                    let fx = acc.fft2d(&x.to_complex())?;
-                    let fy = acc.fft2d(&y.to_complex())?;
-                    let q = acc.pointwise_div(&fy, &fx, policy)?;
-                    acc_spec = Some(match acc_spec {
-                        None => q,
-                        Some(s) => s.zip_with(&q, |a, b| a + b)?,
-                    });
-                }
-                let s = acc_spec.expect("non-empty pairs");
-                let scale = 1.0 / pairs.len() as f64;
-                s.map(|z| z.scale(scale))
-            }
-            SolveStrategy::Wiener { lambda } => {
-                let mut num: Option<Matrix<Complex64>> = None;
-                let mut den: Option<Matrix<Complex64>> = None;
-                for (x, y) in pairs {
-                    Self::check_pair(x, y, (m, n))?;
-                    let fx = acc.fft2d(&x.to_complex())?;
-                    let fy = acc.fft2d(&y.to_complex())?;
-                    let cross = acc.hadamard(&fy, &fx.conj())?;
-                    let power = acc.hadamard(&fx, &fx.conj())?;
-                    num = Some(match num {
-                        None => cross,
-                        Some(s) => s.zip_with(&cross, |a, b| a + b)?,
-                    });
-                    den = Some(match den {
-                        None => power,
-                        Some(s) => s.zip_with(&power, |a, b| a + b)?,
-                    });
-                }
-                let num = num.expect("non-empty pairs");
-                let den = den
-                    .expect("non-empty pairs")
-                    .map(|z| z + Complex64::from_real(lambda));
-                acc.pointwise_div(
-                    &num,
-                    &den,
-                    DivPolicy::Clamp {
-                        floor: f64::MIN_POSITIVE,
-                    },
-                )?
-            }
-        };
+        let spectrum = acc.distill_spectrum(pairs, strategy)?;
         let kernel = acc.ifft2d(&spectrum)?.to_real();
-        Ok(DistilledModel {
+        Ok(Self::new(kernel, spectrum))
+    }
+
+    fn new(kernel: Matrix<f64>, spectrum: Matrix<Complex64>) -> Self {
+        DistilledModel {
             kernel,
             prepared: PreparedKernel::new(spectrum),
-        })
-    }
-
-    /// The pair's first operand not of `shape`, `x` before `y`, is the
-    /// error's `left`.
-    fn check_pair(x: &Matrix<f64>, y: &Matrix<f64>, shape: (usize, usize)) -> Result<()> {
-        match [x.shape(), y.shape()].into_iter().find(|&s| s != shape) {
-            Some(left) => Err(TensorError::ShapeMismatch {
-                left,
-                right: shape,
-                op: "distillation pair shape",
-            }),
-            None => Ok(()),
-        }
-    }
-
-    fn solve_spectrum(
-        pairs: &[(Matrix<f64>, Matrix<f64>)],
-        strategy: SolveStrategy,
-        shape: (usize, usize),
-        mut fft: impl FnMut(&Matrix<Complex64>) -> Result<Matrix<Complex64>>,
-    ) -> Result<Matrix<Complex64>> {
-        match strategy {
-            SolveStrategy::Naive { policy } => {
-                let mut acc: Option<Matrix<Complex64>> = None;
-                for (x, y) in pairs {
-                    Self::check_pair(x, y, shape)?;
-                    let fx = fft(&x.to_complex())?;
-                    let fy = fft(&y.to_complex())?;
-                    let q = ops::pointwise_div(&fy, &fx, policy)?;
-                    acc = Some(match acc {
-                        None => q,
-                        Some(s) => s.zip_with(&q, |a, b| a + b)?,
-                    });
-                }
-                let s = acc.expect("non-empty pairs");
-                let scale = 1.0 / pairs.len() as f64;
-                Ok(s.map(|z| z.scale(scale)))
-            }
-            SolveStrategy::Wiener { lambda } => {
-                let (m, n) = shape;
-                let mut num = Matrix::<Complex64>::zeros(m, n)?;
-                let mut den = Matrix::<Complex64>::zeros(m, n)?;
-                for (x, y) in pairs {
-                    Self::check_pair(x, y, shape)?;
-                    let fx = fft(&x.to_complex())?;
-                    let fy = fft(&y.to_complex())?;
-                    num = num.zip_with(&ops::hadamard(&fy, &fx.conj())?, |a, b| a + b)?;
-                    den = den.zip_with(&ops::hadamard(&fx, &fx.conj())?, |a, b| a + b)?;
-                }
-                let den = den.map(|z| z + Complex64::from_real(lambda));
-                ops::pointwise_div(
-                    &num,
-                    &den,
-                    DivPolicy::Clamp {
-                        floor: f64::MIN_POSITIVE,
-                    },
-                )
-            }
         }
     }
 
@@ -309,6 +181,7 @@ impl DistilledModel {
 mod tests {
     use super::*;
     use xai_tensor::conv::conv2d_circular;
+    use xai_tensor::ops::DivPolicy;
 
     fn kernel_4x4() -> Matrix<f64> {
         Matrix::from_fn(4, 4, |r, c| ((r * 3 + c * 5) % 7) as f64 * 0.25 - 0.5).unwrap()
@@ -458,22 +331,59 @@ mod tests {
         assert!(model.predict(&Matrix::<f64>::zeros(3, 3).unwrap()).is_err());
     }
 
+    /// The kernel's and the spectrum's bits, in that order.
+    fn bits(model: &DistilledModel) -> Vec<u64> {
+        let spectrum = model.kernel_spectrum().iter().flat_map(|z| [z.re, z.im]);
+        model
+            .kernel()
+            .iter()
+            .copied()
+            .chain(spectrum)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// `fit_on` is `fit` bit for bit — over seeds, pair counts, both
+    /// strategies and every [`DivPolicy`] — and charges the fit.
     #[test]
     fn accelerated_fit_matches_host_fit() {
-        use xai_accel::CpuModel;
+        use xai_accel::{CpuModel, TpuAccel};
+        let naive = |policy| SolveStrategy::Naive { policy };
+        let strategies = [
+            SolveStrategy::default(),
+            SolveStrategy::Wiener { lambda: 0.0 },
+            naive(DivPolicy::Strict { tol: 1e-9 }),
+            naive(DivPolicy::ZeroFill { tol: 1e-9 }),
+            naive(DivPolicy::Clamp { floor: 1e-12 }),
+        ];
         let k = kernel_4x4();
-        let pairs: Vec<_> = (0..3)
-            .map(|s| {
-                let x = input(s);
-                let y = conv2d_circular(&x, &k).unwrap();
-                (x, y)
-            })
-            .collect();
-        let host = DistilledModel::fit(&pairs, SolveStrategy::default()).unwrap();
-        let cpu = CpuModel::i7_3700();
-        let accel = DistilledModel::fit_on(&cpu, &pairs, SolveStrategy::default()).unwrap();
-        assert!(host.kernel().max_abs_diff(accel.kernel()).unwrap() < 1e-9);
-        assert!(cpu.elapsed_seconds() > 0.0, "fit must be timed");
+        let platforms: [&dyn Accelerator; 2] = [&CpuModel::i7_3700(), &TpuAccel::with_cores(4)];
+        for seed in 0..6 {
+            let pairs: Vec<_> = (0..=seed % 3)
+                .map(|s| {
+                    // The delta keeps the spectrum free of nulls, for the
+                    // strict division.
+                    let mut x = input(seed + 4 * s);
+                    x[(0, 0)] += 10.0;
+                    let y = conv2d_circular(&x, &k).unwrap();
+                    (x, y)
+                })
+                .collect();
+            for strategy in strategies {
+                let host = bits(&DistilledModel::fit(&pairs, strategy).unwrap());
+                for acc in platforms {
+                    let before = acc.elapsed_seconds();
+                    let accel = DistilledModel::fit_on(acc, &pairs, strategy).unwrap();
+                    assert_eq!(
+                        bits(&accel),
+                        host,
+                        "seed {seed}, {strategy:?}, {}",
+                        acc.name()
+                    );
+                    assert!(acc.elapsed_seconds() > before, "fit must be timed");
+                }
+            }
+        }
     }
 
     #[test]

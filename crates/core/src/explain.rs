@@ -61,7 +61,7 @@ impl ImageExplainer {
     ///
     /// Propagates distillation errors; requires a non-empty image set.
     pub fn fit(
-        net: &mut Network,
+        net: &Network,
         images: &[LabelledImage],
         grid: usize,
         strategy: SolveStrategy,
@@ -87,7 +87,7 @@ impl ImageExplainer {
     /// # Errors
     ///
     /// Propagates network and shape errors.
-    pub fn explain(&self, net: &mut Network, image: &Tensor3) -> Result<ImageExplanation> {
+    pub fn explain(&self, net: &Network, image: &Tensor3) -> Result<ImageExplanation> {
         let logits = net.forward(image)?;
         let x = volume_to_matrix(image);
         let y = embed_output(logits.as_slice(), x.shape())?;
@@ -106,11 +106,7 @@ impl ImageExplainer {
     /// # Errors
     ///
     /// Propagates explanation errors; empty input yields 0.
-    pub fn localization_accuracy(
-        &self,
-        net: &mut Network,
-        images: &[LabelledImage],
-    ) -> Result<f64> {
+    pub fn localization_accuracy(&self, net: &Network, images: &[LabelledImage]) -> Result<f64> {
         if images.is_empty() {
             return Ok(0.0);
         }
@@ -171,11 +167,7 @@ impl TraceExplainer {
     /// # Errors
     ///
     /// Propagates distillation errors; requires a non-empty trace set.
-    pub fn fit(
-        net: &mut Network,
-        traces: &[RegisterTrace],
-        strategy: SolveStrategy,
-    ) -> Result<Self> {
+    pub fn fit(net: &Network, traces: &[RegisterTrace], strategy: SolveStrategy) -> Result<Self> {
         if traces.is_empty() {
             return Err(TensorError::EmptyDimension);
         }
@@ -200,7 +192,7 @@ impl TraceExplainer {
     /// # Errors
     ///
     /// Propagates network and shape errors.
-    pub fn explain(&self, net: &mut Network, trace: &RegisterTrace) -> Result<TraceExplanation> {
+    pub fn explain(&self, net: &Network, trace: &RegisterTrace) -> Result<TraceExplanation> {
         let input = trace_input(trace);
         let logits = net.forward(&input)?;
         let y = embed_output(logits.as_slice(), trace.table.shape())?;
@@ -221,7 +213,7 @@ impl TraceExplainer {
     /// Propagates explanation errors.
     pub fn attack_localization_accuracy(
         &self,
-        net: &mut Network,
+        net: &Network,
         traces: &[RegisterTrace],
     ) -> Result<f64> {
         let malicious: Vec<_> = traces.iter().filter(|t| t.attack_cycle.is_some()).collect();
@@ -274,10 +266,9 @@ mod tests {
 
     #[test]
     fn image_explainer_finds_ground_truth_blocks() {
-        let (mut net, _ds, images) = trained_image_setup();
-        let explainer =
-            ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default()).unwrap();
-        let acc = explainer.localization_accuracy(&mut net, &images).unwrap();
+        let (net, _ds, images) = trained_image_setup();
+        let explainer = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default()).unwrap();
+        let acc = explainer.localization_accuracy(&net, &images).unwrap();
         assert!(
             acc >= 0.75,
             "block localization accuracy {acc} below threshold"
@@ -287,10 +278,9 @@ mod tests {
 
     #[test]
     fn image_explanation_structure() {
-        let (mut net, _ds, images) = trained_image_setup();
-        let explainer =
-            ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default()).unwrap();
-        let ex = explainer.explain(&mut net, &images[0].image).unwrap();
+        let (net, _ds, images) = trained_image_setup();
+        let explainer = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default()).unwrap();
+        let ex = explainer.explain(&net, &images[0].image).unwrap();
         assert_eq!(ex.block_scores.shape(), (3, 3));
         assert!(ex.predicted_class < 4);
         let heat = ex.to_heatmap();
@@ -302,7 +292,7 @@ mod tests {
         // (this panicked in `argmax2`).
         let mut poisoned = images[0].image.clone();
         poisoned.set(0, 5, 5, f64::NAN);
-        let ex = explainer.explain(&mut net, &poisoned).unwrap();
+        let ex = explainer.explain(&net, &poisoned).unwrap();
         assert!(ex.block_scores.iter().filter(|v| v.is_nan()).count() >= 8);
         assert!(ex.block_scores[ex.top_block].is_nan());
         assert!(ex.predicted_class < 4);
@@ -325,9 +315,9 @@ mod tests {
         Trainer::new(0.05, 0.9, 8, 0)
             .fit(&mut net, &pairs, 6)
             .unwrap();
-        let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default()).unwrap();
+        let explainer = TraceExplainer::fit(&net, &traces, SolveStrategy::default()).unwrap();
         let acc = explainer
-            .attack_localization_accuracy(&mut net, &traces)
+            .attack_localization_accuracy(&net, &traces)
             .unwrap();
         assert!(acc >= 0.7, "cycle localization accuracy {acc}");
     }
@@ -336,9 +326,9 @@ mod tests {
     fn trace_explanation_renders_weight_row() {
         let ds = TraceDataset::new(TraceConfig::default()).unwrap();
         let traces = ds.generate(8).unwrap();
-        let mut net = resnet_small(1, 8, 2, 1).unwrap();
-        let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default()).unwrap();
-        let ex = explainer.explain(&mut net, &traces[1]).unwrap();
+        let net = resnet_small(1, 8, 2, 1).unwrap();
+        let explainer = TraceExplainer::fit(&net, &traces, SolveStrategy::default()).unwrap();
+        let ex = explainer.explain(&net, &traces[1]).unwrap();
         assert_eq!(ex.cycle_weights.len(), 8);
         let row = ex.to_weight_row();
         assert!(row.contains("weight:"));
@@ -347,7 +337,7 @@ mod tests {
 
     #[test]
     fn empty_trace_set_rejected() {
-        let mut net = resnet_small(1, 8, 2, 0).unwrap();
-        assert!(TraceExplainer::fit(&mut net, &[], SolveStrategy::default()).is_err());
+        let net = resnet_small(1, 8, 2, 0).unwrap();
+        assert!(TraceExplainer::fit(&net, &[], SolveStrategy::default()).is_err());
     }
 }

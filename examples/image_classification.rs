@@ -35,9 +35,9 @@ fn main() -> Result<(), TensorError> {
     );
 
     // Distil and explain.
-    let explainer = ImageExplainer::fit(&mut net, &train, 3, SolveStrategy::default())?;
+    let explainer = ImageExplainer::fit(&net, &train, 3, SolveStrategy::default())?;
     for li in test.iter().take(3) {
-        let ex = explainer.explain(&mut net, &li.image)?;
+        let ex = explainer.explain(&net, &li.image)?;
         println!(
             "\nlabel {} → predicted {}; ground-truth block {:?}, explanation's top block {:?}",
             li.label, ex.predicted_class, li.salient_block, ex.top_block
@@ -45,7 +45,7 @@ fn main() -> Result<(), TensorError> {
         print!("{}", ex.to_heatmap());
     }
 
-    let acc = explainer.localization_accuracy(&mut net, &test)?;
+    let acc = explainer.localization_accuracy(&net, &test)?;
     println!(
         "\nexplanation localization accuracy on held-out images: {:.0}%",
         acc * 100.0

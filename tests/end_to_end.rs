@@ -29,9 +29,9 @@ fn image_pipeline_localizes_salient_blocks() {
         "classifier must learn the synthetic task"
     );
 
-    let explainer = ImageExplainer::fit(&mut net, &train, 3, SolveStrategy::default()).unwrap();
+    let explainer = ImageExplainer::fit(&net, &train, 3, SolveStrategy::default()).unwrap();
     // Held-out generalization of the explanation, not just train fit.
-    let acc = explainer.localization_accuracy(&mut net, &test).unwrap();
+    let acc = explainer.localization_accuracy(&net, &test).unwrap();
     assert!(acc >= 0.75, "held-out localization accuracy {acc}");
 }
 
@@ -55,10 +55,8 @@ fn malware_pipeline_localizes_attack_cycles() {
         .fit(&mut net, &to_pairs(&train), 6)
         .unwrap();
 
-    let explainer = TraceExplainer::fit(&mut net, &train, SolveStrategy::default()).unwrap();
-    let acc = explainer
-        .attack_localization_accuracy(&mut net, &test)
-        .unwrap();
+    let explainer = TraceExplainer::fit(&net, &train, SolveStrategy::default()).unwrap();
+    let acc = explainer.attack_localization_accuracy(&net, &test).unwrap();
     assert!(acc >= 0.6, "held-out attack localization accuracy {acc}");
 }
 
@@ -66,10 +64,10 @@ fn malware_pipeline_localizes_attack_cycles() {
 fn explanations_are_deterministic() {
     let dataset = ImageDataset::new(ImageConfig::default()).unwrap();
     let images = dataset.generate(8).unwrap();
-    let mut net = vgg_small(3, 12, 4, 5).unwrap();
-    let explainer1 = ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default()).unwrap();
-    let ex1 = explainer1.explain(&mut net, &images[0].image).unwrap();
-    let explainer2 = ImageExplainer::fit(&mut net, &images, 3, SolveStrategy::default()).unwrap();
-    let ex2 = explainer2.explain(&mut net, &images[0].image).unwrap();
+    let net = vgg_small(3, 12, 4, 5).unwrap();
+    let explainer1 = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default()).unwrap();
+    let ex1 = explainer1.explain(&net, &images[0].image).unwrap();
+    let explainer2 = ImageExplainer::fit(&net, &images, 3, SolveStrategy::default()).unwrap();
+    let ex2 = explainer2.explain(&net, &images[0].image).unwrap();
     assert_eq!(ex1, ex2);
 }

@@ -20,7 +20,7 @@ use tpu_xai::nn::layers::Conv2d;
 use tpu_xai::nn::{models, Layer, Tape, Tensor3, Trainer};
 use tpu_xai::tensor::conv::conv2d_circular;
 use tpu_xai::tensor::ops::DivPolicy;
-use tpu_xai::tensor::{Complex64, Matrix, Result};
+use tpu_xai::tensor::{Complex64, Matrix, Result, TensorError};
 use tpu_xai::tpu::{DevicePool, TpuConfig};
 
 /// FNV-1a over 64-bit words.
@@ -248,6 +248,34 @@ const CHARGE_TRAIL: [u64; 5] = [
     0x4066_6163_1854_8fcc,
 ];
 
+/// The five placements of [`CHARGE_TRAIL`]: CPU, GPU, unqueued TPU,
+/// queued TPU, queued pool of two small chips.
+fn placements() -> [Box<dyn Accelerator>; 5] {
+    [
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(TpuAccel::over_pool(
+            DevicePool::new(TpuConfig::small_test(), 2),
+            Duration::ZERO,
+            16,
+        )),
+    ]
+}
+
+/// The clock's bits and the whole ledger of `acc`.
+fn ledger(acc: &dyn Accelerator) -> [u64; 5] {
+    let stats = acc.stats();
+    [
+        acc.elapsed_seconds().to_bits(),
+        stats.seconds.to_bits(),
+        stats.ops.to_bits(),
+        stats.bytes.to_bits(),
+        stats.kernels,
+    ]
+}
+
 /// Every kernel of the trait once on a fixed script — the four singles,
 /// the four batches on three lanes, a spectral and an occluded
 /// `contribution_scores`, a workload charge — folding the clock's bits
@@ -274,18 +302,7 @@ fn every_kernel_charge_matches_the_parent() {
     let quadrants = [(0..4, 0..4), (0..4, 4..8), (4..8, 0..4), (4..8, 4..8)];
     let (k8, k7) = (prepared(8, 8), prepared(7, 8));
     let (x8, x7, y7) = (real(8, 8, 7), real(7, 8, 4), real(7, 8, 6));
-    let placements: [Box<dyn Accelerator>; 5] = [
-        Box::new(CpuModel::i7_3700()),
-        Box::new(GpuModel::gtx1080()),
-        Box::new(TpuAccel::tpu_v2()),
-        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
-        Box::new(TpuAccel::over_pool(
-            DevicePool::new(TpuConfig::small_test(), 2),
-            Duration::ZERO,
-            16,
-        )),
-    ];
-    let got = placements.map(|acc| {
+    let got = placements().map(|acc| {
         let acc = acc.as_ref();
         let div = DivPolicy::Clamp { floor: 1e-12 };
         let occluded = [(0..3, 0..4), (3..7, 2..8)];
@@ -310,18 +327,173 @@ fn every_kernel_charge_matches_the_parent() {
         let mut trail = Vec::new();
         for call in script {
             call().unwrap();
-            let stats = acc.stats();
-            trail.extend([
-                acc.elapsed_seconds().to_bits(),
-                stats.seconds.to_bits(),
-                stats.ops.to_bits(),
-                stats.bytes.to_bits(),
-                stats.kernels,
-            ]);
+            trail.extend(ledger(acc));
         }
         fnv(trail)
     });
     assert_eq!(got, CHARGE_TRAIL, "{got:#x?}");
+}
+
+/// An FNV fold, over every case of [`fit_cases`], of the fitted
+/// kernel's bits and its spectrum's: what `fit`, and `fit_on` on each
+/// placement of [`CHARGE_TRAIL`], all gave. Recorded from the commit
+/// *before* Eq. 4 became one accelerator kernel.
+const FIT_BITS: u64 = 0x86ec_2640_7e8d_0bcb;
+
+/// The clock and the ledger after each `fit_on` of
+/// [`fitted_bits_and_charges_match_the_parent`], one fold per
+/// placement, recorded with [`FIT_BITS`].
+const FIT_CHARGE_TRAIL: [u64; 5] = [
+    0x2c09_71a6_d9ff_c872,
+    0xc8df_8ede_036d_7ee6,
+    0xb096_9467_d99e_0650,
+    0x0906_549b_2336_c42c,
+    0xcc0a_4c4a_fc2f_86e0,
+];
+
+/// `fit_on`'s fold, as in [`FIT_BITS`], over a constant input under
+/// every solve that accepts its nulls; recorded with [`FIT_BITS`], on
+/// the CPU (every placement gave these bits).
+const NULL_FIT_BITS: u64 = 0xa418_744f_028c_d114;
+
+type Pairs = Vec<(Matrix<f64>, Matrix<f64>)>;
+
+/// Seeded pairs of `rows × cols` on integer steps, so their spectra
+/// hold exact zeros and the solves' signed zeros are pinned too; the
+/// delta keeps the inputs' spectra free of nulls.
+fn fit_pairs(rows: usize, cols: usize, n: usize) -> Pairs {
+    let m = |salt: usize, step: f64| {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * 37 + c * 11 + salt * 5) % 23) as f64 * step - 4.0
+        })
+        .unwrap()
+    };
+    (0..n)
+        .map(|i| {
+            let mut x = m(i, 0.375);
+            x[(0, 0)] += 9.0;
+            (x, m(i + 7, 0.5))
+        })
+        .collect()
+}
+
+/// The solves that accept a spectral null.
+fn lenient_solves() -> [SolveStrategy; 4] {
+    let naive = |policy| SolveStrategy::Naive { policy };
+    [
+        SolveStrategy::default(),
+        SolveStrategy::Wiener { lambda: 0.0 },
+        naive(DivPolicy::ZeroFill { tol: 1e-9 }),
+        naive(DivPolicy::Clamp { floor: 1e-12 }),
+    ]
+}
+
+/// Every solve on every shape: radix-2, odd rows, Bluestein both axes,
+/// and `pipeline-offline`'s 4 pairs at 128².
+fn fit_cases() -> Vec<(Pairs, SolveStrategy)> {
+    let strict = SolveStrategy::Naive {
+        policy: DivPolicy::Strict { tol: 1e-9 },
+    };
+    let mut cases = Vec::new();
+    for (rows, cols, n) in [(8, 8, 3), (7, 8, 3), (12, 10, 2), (128, 128, 4)] {
+        for strategy in lenient_solves().into_iter().chain([strict]) {
+            cases.push((fit_pairs(rows, cols, n), strategy));
+        }
+    }
+    cases
+}
+
+/// An FNV fold of a fitted model's kernel and spectrum bits.
+fn fold_model(model: &DistilledModel) -> u64 {
+    fnv([
+        fold_f64(model.kernel().as_slice()),
+        fold(model.kernel_spectrum()),
+    ])
+}
+
+#[test]
+fn fitted_bits_and_charges_match_the_parent() {
+    let cases = fit_cases();
+    let host = cases
+        .iter()
+        .map(|(pairs, strategy)| fold_model(&DistilledModel::fit(pairs, *strategy).unwrap()));
+    let mut bits = vec![fnv(host)];
+    let mut trails = Vec::new();
+    for acc in placements() {
+        let mut folds = Vec::new();
+        let mut trail = Vec::new();
+        for (pairs, strategy) in &cases {
+            let model = DistilledModel::fit_on(acc.as_ref(), pairs, *strategy).unwrap();
+            folds.push(fold_model(&model));
+            trail.extend(ledger(acc.as_ref()));
+        }
+        bits.push(fnv(folds));
+        trails.push(fnv(trail));
+    }
+    assert_eq!(
+        (bits.as_slice(), trails.as_slice()),
+        ([FIT_BITS; 6].as_slice(), FIT_CHARGE_TRAIL.as_slice()),
+        "{bits:#x?} {trails:#x?}"
+    );
+}
+
+/// A constant input has a null in every bin but DC, where the Wiener
+/// solve's sums are exact zeros. `fit_on` seeds them from the first
+/// pair and keeps their signs; `fit` gives the same bits, because both
+/// run one body (before it, `fit` seeded from `+0` and read `+0` in
+/// three bins of the default solve's spectrum where `fit_on` read `−0`).
+#[test]
+fn fitted_null_bits_match_the_parent_fit_on() {
+    let flat = vec![(
+        Matrix::filled(8, 8, 1.5).unwrap(),
+        fit_pairs(8, 8, 1)[0].1.clone(),
+    )];
+    let fold_all = |fit: &dyn Fn(SolveStrategy) -> DistilledModel| {
+        fnv(lenient_solves().map(|strategy| fold_model(&fit(strategy))))
+    };
+    let mut got = vec![fold_all(&|s| DistilledModel::fit(&flat, s).unwrap())];
+    for acc in placements() {
+        got.push(fold_all(&|s| {
+            DistilledModel::fit_on(acc.as_ref(), &flat, s).unwrap()
+        }));
+    }
+    assert_eq!(got, [NULL_FIT_BITS; 6], "{got:#x?}");
+}
+
+/// A fit that fails charges nothing: a second pair of another shape,
+/// and a strict naive solve meeting a null, return the error the staged
+/// body returns and leave the clock and the ledger where they were.
+#[test]
+fn a_failed_fit_charges_nothing() {
+    let good = fit_pairs(8, 8, 1).remove(0);
+    let wide = (Matrix::zeros(8, 6).unwrap(), good.1.clone());
+    let flat = (Matrix::filled(8, 8, 1.5).unwrap(), good.1.clone());
+    let strict = SolveStrategy::Naive {
+        policy: DivPolicy::Strict { tol: 1e-9 },
+    };
+    let mismatch = TensorError::ShapeMismatch {
+        left: (8, 6),
+        right: (8, 8),
+        op: "distillation pair shape",
+    };
+    let null = TensorError::DivisionByZero { index: 1 };
+    let wiener = SolveStrategy::default();
+    let cases = [
+        (vec![good.clone(), wide.clone()], wiener, mismatch.clone()),
+        (vec![good.clone(), wide.clone()], strict, mismatch),
+        (vec![good.clone(), flat.clone()], strict, null.clone()),
+        // The staged body meets the null before the misshapen pair.
+        (vec![good, flat, wide], strict, null),
+    ];
+    for acc in placements() {
+        let acc = acc.as_ref();
+        for (pairs, strategy, error) in &cases {
+            let before = ledger(acc);
+            let got = DistilledModel::fit_on(acc, pairs, *strategy);
+            assert_eq!(got.unwrap_err(), *error, "{}", acc.name());
+            assert_eq!(ledger(acc), before, "{}", acc.name());
+        }
+    }
 }
 
 /// FNV-1a over `f64` bit patterns.

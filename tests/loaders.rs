@@ -101,9 +101,9 @@ fn trace_text_roundtrips_into_the_explainer() {
         .fit(&mut net, &pairs, 5)
         .unwrap();
 
-    let explainer = TraceExplainer::fit(&mut net, &traces, SolveStrategy::default()).unwrap();
+    let explainer = TraceExplainer::fit(&net, &traces, SolveStrategy::default()).unwrap();
     let acc = explainer
-        .attack_localization_accuracy(&mut net, &traces)
+        .attack_localization_accuracy(&net, &traces)
         .unwrap();
     assert!(acc >= 0.8, "parsed-trace localization {acc}");
 }
