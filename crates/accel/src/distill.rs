@@ -8,12 +8,12 @@
 //! and [`SolveStrategy::Wiener`], its least-squares form over all pairs.
 //!
 //! The solve has one body, [`distill_spectrum`]: the host fit is that
-//! function, and every built-in platform's
-//! [`Accelerator::distill_spectrum`] runs it once and then charges the
-//! staged kernels it stands for ([`staged_jobs`]), in their order. The
-//! staged body itself ([`staged`], the trait default) is what a
-//! third-party platform inherits; it keeps the same arithmetic, so the
-//! two give the same bits.
+//! function, and every platform's
+//! [`Accelerator::distill_spectrum`](crate::Accelerator::distill_spectrum)
+//! runs it once and then charges the staged kernels it stands for
+//! ([`staged_jobs`]), in their order. The staged body itself, the
+//! reference those charges name, is test code; it keeps the same
+//! arithmetic, so the two give the same bits.
 //!
 //! Every buffer is allocated on the calling thread. One pair at a time,
 //! its `x` and `y` are widened to complex there and transformed whole
@@ -22,7 +22,6 @@
 //! rather than from zeros (which keeps the signs of exact zeros), so
 //! besides them only one pair's spectra are ever alive.
 
-use crate::traits::Accelerator;
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
@@ -76,7 +75,8 @@ fn mismatch((x, y): &Pair, shape: (usize, usize)) -> Option<TensorError> {
 }
 
 /// The kernel spectrum `F(K)` that `strategy` solves from `pairs` — the
-/// numerics of every [`Accelerator::distill_spectrum`].
+/// numerics of every
+/// [`Accelerator::distill_spectrum`](crate::Accelerator::distill_spectrum).
 ///
 /// # Errors
 ///
@@ -168,7 +168,7 @@ fn solve(pairs: &[Pair], strategy: SolveStrategy) -> Result<Matrix<Complex64>> {
     }
 }
 
-/// The kernels the staged body ([`staged`]) launches on `n` pairs of
+/// The kernels the staged body launches on `n` pairs of
 /// `rows × cols`, in order: per pair two transforms, then a division
 /// (naive) or two Hadamard products (Wiener); then the Wiener division.
 pub(crate) fn staged_jobs(
@@ -194,56 +194,57 @@ pub(crate) fn staged_jobs(
         .collect()
 }
 
-/// The staged body of [`Accelerator::distill_spectrum`]: per pair, two
-/// [`Accelerator::fft2d`] and either an [`Accelerator::pointwise_div`]
-/// (naive) or two [`Accelerator::hadamard`] (Wiener); then the Wiener
-/// division. Each kernel charges as it runs, so a fit that fails keeps
-/// the charges of the kernels before the failure.
-pub(crate) fn staged<A: Accelerator + ?Sized>(
-    acc: &A,
-    pairs: &[Pair],
-    strategy: SolveStrategy,
-) -> Result<Matrix<Complex64>> {
-    let shape = pairs.first().ok_or(TensorError::EmptyDimension)?.0.shape();
-    let mut spectra = pairs.iter().map(|pair| match mismatch(pair, shape) {
-        Some(error) => Err(error),
-        None => Ok((
-            acc.fft2d(&pair.0.to_complex())?,
-            acc.fft2d(&pair.1.to_complex())?,
-        )),
-    });
-    match strategy {
-        SolveStrategy::Naive { policy } => {
-            let mut sum: Option<Matrix<Complex64>> = None;
-            for pair in spectra {
-                let (fx, fy) = pair?;
-                let q = acc.pointwise_div(&fy, &fx, policy)?;
-                sum = Some(match sum {
-                    None => q,
-                    Some(s) => s.zip_with(&q, |a, b| a + b)?,
-                });
-            }
-            let scale = 1.0 / pairs.len() as f64;
-            Ok(sum.expect("non-empty pairs").map(|z| z.scale(scale)))
-        }
-        SolveStrategy::Wiener { lambda } => {
-            let (fx, fy) = spectra.next().expect("non-empty pairs")?;
-            let mut num = acc.hadamard(&fy, &fx.conj())?;
-            let mut den = acc.hadamard(&fx, &fx.conj())?;
-            for pair in spectra {
-                let (fx, fy) = pair?;
-                num = num.zip_with(&acc.hadamard(&fy, &fx.conj())?, |a, b| a + b)?;
-                den = den.zip_with(&acc.hadamard(&fx, &fx.conj())?, |a, b| a + b)?;
-            }
-            let den = den.map(|z| z + Complex64::from_real(lambda));
-            acc.pointwise_div(&num, &den, WIENER_DIV)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Accelerator;
+
+    /// The staged body of [`Accelerator::distill_spectrum`]: per pair, two
+    /// [`Accelerator::fft2d`] and either an [`Accelerator::pointwise_div`]
+    /// (naive) or two [`Accelerator::hadamard`] (Wiener); then the Wiener
+    /// division. Each kernel charges as it runs, so a fit that fails keeps
+    /// the charges of the kernels before the failure.
+    fn staged<A: Accelerator + ?Sized>(
+        acc: &A,
+        pairs: &[Pair],
+        strategy: SolveStrategy,
+    ) -> Result<Matrix<Complex64>> {
+        let shape = pairs.first().ok_or(TensorError::EmptyDimension)?.0.shape();
+        let mut spectra = pairs.iter().map(|pair| match mismatch(pair, shape) {
+            Some(error) => Err(error),
+            None => Ok((
+                acc.fft2d(&pair.0.to_complex())?,
+                acc.fft2d(&pair.1.to_complex())?,
+            )),
+        });
+        match strategy {
+            SolveStrategy::Naive { policy } => {
+                let mut sum: Option<Matrix<Complex64>> = None;
+                for pair in spectra {
+                    let (fx, fy) = pair?;
+                    let q = acc.pointwise_div(&fy, &fx, policy)?;
+                    sum = Some(match sum {
+                        None => q,
+                        Some(s) => s.zip_with(&q, |a, b| a + b)?,
+                    });
+                }
+                let scale = 1.0 / pairs.len() as f64;
+                Ok(sum.expect("non-empty pairs").map(|z| z.scale(scale)))
+            }
+            SolveStrategy::Wiener { lambda } => {
+                let (fx, fy) = spectra.next().expect("non-empty pairs")?;
+                let mut num = acc.hadamard(&fy, &fx.conj())?;
+                let mut den = acc.hadamard(&fx, &fx.conj())?;
+                for pair in spectra {
+                    let (fx, fy) = pair?;
+                    num = num.zip_with(&acc.hadamard(&fy, &fx.conj())?, |a, b| a + b)?;
+                    den = den.zip_with(&acc.hadamard(&fx, &fx.conj())?, |a, b| a + b)?;
+                }
+                let den = den.map(|z| z + Complex64::from_real(lambda));
+                acc.pointwise_div(&num, &den, WIENER_DIV)
+            }
+        }
+    }
 
     fn pairs(rows: usize, cols: usize, n: usize) -> Vec<Pair> {
         let m = |salt: usize| {

@@ -16,7 +16,9 @@
 //! simulated clock from its hardware cost model — "timing is
 //! simulated, compute is real", the first invariant of ARCHITECTURE.md.
 //! So the three share one implementation of every kernel, and each
-//! states only its matmul arithmetic, its launches and its charges.
+//! states only its matmul arithmetic, its launches and its charges: a
+//! [`Platform`]. That is also how another crate adds hardware —
+//! [`Accelerator`] is sealed, implemented once for every [`Platform`].
 //!
 //! ```
 //! use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
@@ -54,6 +56,7 @@ pub use clock::Clock;
 pub use distill::{distill_spectrum, SolveStrategy};
 pub use filter_diff::PreparedKernel;
 pub use host::{CpuModel, GpuModel, HostModel};
+pub use platform::{charge_staged_chain, Platform};
 pub use roofline::RooflineParams;
 pub use stats::KernelStats;
 pub use tpu_accel::TpuAccel;

@@ -1,13 +1,16 @@
-//! The one kernel body of the built-in platforms.
+//! [`Platform`], the seam a piece of hardware plugs into, and the one
+//! kernel body every platform gets.
 //!
 //! The paper's evaluation (§IV-A) runs one algorithm on three
 //! platforms, and "timing is simulated, compute is real": the platforms
-//! differ only in what they charge. So every [`Accelerator`] kernel of
-//! [`HostModel`](crate::HostModel) and [`TpuAccel`](crate::TpuAccel) is
+//! differ only in what they charge. So every [`Accelerator`] kernel is
 //! written once here, generically over [`Platform`] — the few things a
-//! built-in platform decides: its matmul arithmetic, how many lanes of
-//! a batch one launch carries, and the charge of one kernel and of one
-//! launch, as shapes ([`KernelJob`]).
+//! platform decides: its matmul arithmetic, how many lanes of a batch
+//! one launch carries, and the charge of one kernel and of one launch,
+//! as shapes ([`KernelJob`]). [`HostModel`](crate::HostModel) and
+//! [`TpuAccel`](crate::TpuAccel) are platforms, and so is any type of
+//! another crate that implements the trait: it states a cost model, and
+//! it gets the built-ins' bits.
 //!
 //! Each kernel runs its numerics on the calling thread (the transforms
 //! and contribution scores over the host pool, bit-identical to serial
@@ -25,24 +28,119 @@ use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
 use xai_tpu::KernelJob;
 
-/// What a built-in platform decides; [`Accelerator`] follows from it.
-/// The methods without a comment are [`Accelerator`]'s own.
-pub(crate) trait Platform: Send + Sync {
+/// A piece of hardware as its cost model: what it charges for each
+/// kernel, and nothing of the kernel's numerics. Every `Platform` is an
+/// [`Accelerator`] — one kernel body for all of them — so a new
+/// platform computes the built-ins' bits and differs from them only in
+/// its simulated clock and ledger.
+///
+/// The methods without a default are the name, the matmul arithmetic,
+/// the launch width, the charge of one launch and the ledger
+/// (`charge_workload`, `elapsed_seconds`, `stats`, `reset`). A method
+/// that shares its name with an [`Accelerator`] method is what that
+/// method returns; so in a module that has both traits in scope, call
+/// it through `dyn Accelerator` or as `Accelerator::stats(&p)`, since
+/// `p.stats()` on a concrete platform is ambiguous (E0034).
+///
+/// # Examples
+///
+/// A 1 TFLOP/s, 100 GB/s part that launches a kernel per lane and
+/// charges a request's score lanes as the staged chain:
+///
+/// ```
+/// use xai_accel::{charge_staged_chain, Accelerator, Clock, CpuModel, KernelStats, Platform};
+/// use xai_tensor::{ops, Matrix, Result};
+/// use xai_tpu::KernelJob;
+///
+/// #[derive(Default)]
+/// struct Part {
+///     clock: Clock,
+/// }
+///
+/// impl Part {
+///     fn charge(&self, flops: f64, bytes: f64) {
+///         self.clock.record((flops / 1e12).max(bytes / 1e11), flops, bytes);
+///     }
+/// }
+///
+/// impl Platform for Part {
+///     fn name(&self) -> String {
+///         "part".to_string()
+///     }
+///     fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+///         ops::matmul_blocked(a, b, ops::DEFAULT_BLOCK)
+///     }
+///     fn lanes_per_launch(&self, _: usize) -> usize {
+///         1
+///     }
+///     fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()> {
+///         let elems = match job {
+///             KernelJob::Score { rows, cols } => return charge_staged_chain(self, rows, cols, lanes),
+///             KernelJob::Transform { rows, cols } => rows * cols,
+///             KernelJob::Hadamard { elems }
+///             | KernelJob::PointwiseDiv { elems }
+///             | KernelJob::Sub { elems } => elems,
+///             KernelJob::Matmul { m, k, n } => m * k * n,
+///         };
+///         let elems = (elems * lanes) as f64;
+///         self.charge(8.0 * elems, 16.0 * elems);
+///         Ok(())
+///     }
+///     fn charge_workload(&self, flops: f64, bytes: f64) {
+///         self.charge(flops, bytes);
+///     }
+///     fn elapsed_seconds(&self) -> f64 {
+///         self.clock.seconds()
+///     }
+///     fn stats(&self) -> KernelStats {
+///         self.clock.stats()
+///     }
+///     fn reset(&self) {
+///         self.clock.reset();
+///     }
+/// }
+///
+/// # fn main() -> Result<()> {
+/// let x = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f64)?.to_complex();
+/// let part: Box<dyn Accelerator> = Box::new(Part::default());
+/// assert_eq!(part.fft2d(&x)?, CpuModel::i7_3700().fft2d(&x)?);
+/// assert_eq!(part.stats().kernels, 1);
+/// # Ok(())
+/// # }
+/// ```
+pub trait Platform: Send + Sync {
+    /// Human-readable platform name ([`Accelerator::name`]).
     fn name(&self) -> String;
 
-    /// The arithmetic of [`Accelerator::matmul`].
+    /// The arithmetic of [`Accelerator::matmul`]: the platform's
+    /// precision hook (the TPU's is int8, as §II-A prescribes).
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatch of the inner dimensions.
     fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>>;
 
-    /// How many of a batch's `n` lanes one launch carries.
+    /// How many of a batch's `n` lanes one launch carries: `1` launches
+    /// a kernel per lane, `n` one launch per batch. `0` is read as `1`.
     fn lanes_per_launch(&self, n: usize) -> usize;
 
-    /// Charges one single kernel.
+    /// Charges one single kernel; by default, a launch of one lane.
+    ///
+    /// # Errors
+    ///
+    /// A charge the platform cannot pay (the TPU's: a fault budget
+    /// exhausted, a failed flight); the kernel's result is then lost.
     fn charge_kernel(&self, job: KernelJob) -> Result<()> {
         self.charge_launch(job, 1)
     }
 
     /// Charges one batched launch of `lanes` lanes of `job`; for
-    /// [`KernelJob::Score`], the lanes of one request.
+    /// [`KernelJob::Score`], the lanes of one request — which unqueued
+    /// platforms charge as the staged chain ([`charge_staged_chain`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Platform::charge_kernel`].
     fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()>;
 
     /// `true` when a request's score lanes run one after another on the
@@ -51,34 +149,54 @@ pub(crate) trait Platform: Send + Sync {
         false
     }
 
+    /// [`Accelerator::charge_workload`].
     fn charge_workload(&self, flops: f64, bytes: f64);
 
+    /// [`Accelerator::queue_depth`]; `0` for a platform without a
+    /// coalescing queue.
     fn queue_depth(&self) -> usize {
         0
     }
 
+    /// [`Accelerator::healthy_fraction`]; `1.0` for a platform without
+    /// fault domains.
     fn healthy_fraction(&self) -> f64 {
         1.0
     }
 
+    /// [`Accelerator::elapsed_seconds`].
     fn elapsed_seconds(&self) -> f64;
 
+    /// [`Accelerator::stats`].
     fn stats(&self) -> KernelStats;
 
+    /// [`Accelerator::reset`].
     fn reset(&self);
+}
+
+/// How many of `n` lanes one of `p`'s launches carries: at least one.
+fn launch_width(p: &impl Platform, n: usize) -> usize {
+    p.lanes_per_launch(n).max(1)
 }
 
 /// The staged filter-diff chain's charges for `lanes` lanes of
 /// `rows × cols` — forward transform, Hadamard, inverse transform,
 /// difference — stage-major at `p`'s launches (the order is part of the
-/// clock's bits): what an unqueued request's score lanes pay.
-pub(crate) fn charge_staged_chain(
+/// clock's bits): what an unqueued request's score lanes pay, and what a
+/// platform's [`Platform::charge_launch`] of [`KernelJob::Score`] lanes
+/// calls to charge them so.
+///
+/// # Errors
+///
+/// The first launch that `p` cannot charge; the launches before it stay
+/// charged.
+pub fn charge_staged_chain(
     p: &impl Platform,
     rows: usize,
     cols: usize,
     lanes: usize,
 ) -> Result<()> {
-    let per_launch = p.lanes_per_launch(lanes);
+    let per_launch = launch_width(p, lanes);
     let elems = rows * cols;
     let transform = KernelJob::Transform { rows, cols };
     for job in [
@@ -104,7 +222,7 @@ fn launches<T, R>(
     numerics: impl Fn(&[T]) -> Result<Vec<R>>,
 ) -> Result<Vec<R>> {
     let mut out = Vec::with_capacity(lanes.len());
-    for group in lanes.chunks(p.lanes_per_launch(lanes.len()).max(1)) {
+    for group in lanes.chunks(launch_width(p, lanes.len())) {
         out.extend(numerics(group)?);
         p.charge_launch(job(&group[0]), group.len())?;
     }
@@ -199,6 +317,22 @@ impl<P: Platform> Accelerator for P {
         launches(self, preds, job, |group| {
             group.iter().map(|p| ops::sub(y, p)).collect()
         })
+    }
+    /// The four batched kernels, staged.
+    fn filter_diff_batch(
+        &self,
+        xs: &[Matrix<Complex64>],
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        let spectra = self.fft2d_batch(xs)?;
+        let filtered = self.hadamard_batch(&spectra, filter)?;
+        let preds: Vec<Matrix<f64>> = self
+            .ifft2d_batch(&filtered)?
+            .into_iter()
+            .map(|p| p.to_real())
+            .collect();
+        self.sub_batch(y, &preds)
     }
     /// One score lane per rectangle over the request's borrowed operands
     /// (`filter_diff::operands`): over the host pool, or one after

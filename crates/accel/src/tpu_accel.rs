@@ -183,7 +183,7 @@ impl TpuAccel {
     /// pool's placement strategy, executed chip by chip on the
     /// flight leader's thread (the chips are concurrent in simulated
     /// time only), and merged with one inter-chip gather per flight
-    /// ([`xai_tpu::DevicePool::run_sharded`]).
+    /// ([`xai_tpu::DevicePool::run_planned`]).
     ///
     /// Results stay bit-identical to single-device execution; only
     /// the simulated schedule (and therefore the clock) changes.
@@ -213,21 +213,9 @@ impl TpuAccel {
         }
     }
 
-    /// `true` when this accelerator shards flights across a device
-    /// pool.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// The device pool, when sharding is enabled.
     pub fn pool(&self) -> Option<&DevicePool> {
         self.pool.as_ref()
-    }
-
-    /// Number of simulated chips this accelerator drives (1 when not
-    /// pooled).
-    pub fn num_devices(&self) -> usize {
-        self.pool.as_ref().map_or(1, DevicePool::num_devices)
     }
 
     /// Enables cross-request batching: kernels submitted by
@@ -268,11 +256,6 @@ impl TpuAccel {
     pub fn with_batching(mut self, window: Duration, max_lanes: usize) -> Self {
         self.queue = Some(BatchQueue::new(self.device.clone(), window, max_lanes));
         self
-    }
-
-    /// `true` when cross-request batching is enabled.
-    pub fn is_batching(&self) -> bool {
-        self.queue.is_some()
     }
 
     /// A handle to the underlying simulated device (shares the
@@ -1067,7 +1050,7 @@ mod tests {
             .collect();
         let plain = TpuAccel::with_cores(4);
         let batching = TpuAccel::with_cores(4).with_batching(Duration::ZERO, 4);
-        assert!(batching.is_batching() && !plain.is_batching());
+        assert!(batching.queue.is_some() && plain.queue.is_none());
         let a = plain.fft2d_batch(&xs).unwrap();
         let b = batching.fft2d_batch(&xs).unwrap();
         for (x, y) in a.iter().zip(&b) {
@@ -1141,7 +1124,7 @@ mod tests {
     fn batching_clone_gets_independent_device_and_queue() {
         let a = TpuAccel::with_cores(2).with_batching(Duration::ZERO, 2);
         let b = a.clone();
-        assert!(b.is_batching());
+        assert!(b.queue.is_some());
         assert!(!a.device().same_device(&b.device()));
         let x = Matrix::filled(4, 4, Complex64::ONE).unwrap();
         b.fft2d(&x).unwrap();
@@ -1167,8 +1150,7 @@ mod tests {
                 Duration::ZERO,
                 4,
             );
-            assert!(pooled.is_pooled());
-            assert_eq!(pooled.num_devices(), n_devices);
+            assert_eq!(pooled.pool().map(DevicePool::num_devices), Some(n_devices));
             let out = pooled.fft2d_batch(&xs).unwrap();
             for (a, b) in reference.iter().zip(&out) {
                 assert_eq!(a.as_slice(), b.as_slice(), "n_devices={n_devices}");
@@ -1489,7 +1471,7 @@ mod tests {
         let x = Matrix::filled(4, 4, Complex64::ONE).unwrap();
         a.fft2d(&x).unwrap();
         let b = a.clone();
-        assert!(b.is_pooled() && b.is_batching());
+        assert!(b.pool().is_some() && b.queue.is_some());
         assert_eq!(b.elapsed_seconds(), a.elapsed_seconds());
         b.fft2d_batch(&vec![x.clone(); 4]).unwrap();
         assert!(b.elapsed_seconds() > a.elapsed_seconds());

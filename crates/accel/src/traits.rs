@@ -7,6 +7,12 @@
 //! pipeline in `xai-core` is written once against `dyn Accelerator`
 //! and timed on each implementation.
 //!
+//! "Timing is simulated, compute is real", so the platforms differ
+//! only in what they charge. The trait is sealed: its one
+//! implementation is the kernel body every [`Platform`] gets, and a
+//! new piece of hardware is added by implementing [`Platform`] — its
+//! charges — never by writing numerics.
+//!
 //! Kernel methods take `&self` and the trait requires `Send + Sync`:
 //! an accelerator is a *device handle*, shareable across worker
 //! threads as `Arc<dyn Accelerator>`. Simulated-time accounting lives
@@ -14,8 +20,9 @@
 //! are pure functions of the inputs, so concurrent and serial
 //! execution produce bit-identical values.
 
-use crate::distill::{self, SolveStrategy};
+use crate::distill::SolveStrategy;
 use crate::filter_diff::PreparedKernel;
+use crate::platform::Platform;
 use crate::stats::KernelStats;
 use std::ops::Range;
 use xai_tensor::ops::DivPolicy;
@@ -28,11 +35,48 @@ pub type Rect = (Range<usize>, Range<usize>);
 /// A hardware platform that executes the pipeline's kernels and
 /// accounts simulated time for them.
 ///
-/// Implementations compute *real* numeric results (tests compare them
-/// across platforms) while advancing an internal simulated clock
-/// according to their hardware cost model. All methods take `&self`:
-/// implementations keep their clocks behind interior mutability so a
-/// single device can serve many threads concurrently.
+/// Every accelerator runs the same kernel bodies for *real* on the
+/// host — only the matmul arithmetic is its platform's
+/// ([`Platform::product`]) — while advancing its simulated clock by its
+/// platform's cost model: the trait is implemented once, for every
+/// [`Platform`], and sealed. All methods take `&self`: a platform keeps its clock behind
+/// interior mutability so a single device can serve many threads
+/// concurrently.
+///
+/// A type of another crate becomes an accelerator by implementing
+/// [`Platform`]; implementing `Accelerator` itself is refused:
+///
+/// ```compile_fail
+/// use xai_accel::{Accelerator, KernelStats, PreparedKernel, Rect, SolveStrategy};
+/// use xai_tensor::ops::DivPolicy;
+/// use xai_tensor::{Complex64, Matrix, Result};
+///
+/// struct Npu;
+///
+/// impl Accelerator for Npu {
+/// #   fn name(&self) -> String { unimplemented!() }
+/// #   fn matmul(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> { unimplemented!() }
+/// #   fn fft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn ifft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn hadamard(&self, _: &Matrix<Complex64>, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn pointwise_div(&self, _: &Matrix<Complex64>, _: &Matrix<Complex64>, _: DivPolicy) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn sub(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> { unimplemented!() }
+/// #   fn fft2d_batch(&self, _: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> { unimplemented!() }
+/// #   fn ifft2d_batch(&self, _: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> { unimplemented!() }
+/// #   fn hadamard_batch(&self, _: &[Matrix<Complex64>], _: &Matrix<Complex64>) -> Result<Vec<Matrix<Complex64>>> { unimplemented!() }
+/// #   fn sub_batch(&self, _: &Matrix<f64>, _: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> { unimplemented!() }
+/// #   fn filter_diff_batch(&self, _: &[Matrix<Complex64>], _: &Matrix<Complex64>, _: &Matrix<f64>) -> Result<Vec<Matrix<f64>>> { unimplemented!() }
+/// #   fn contribution_scores(&self, _: &Matrix<f64>, _: &Matrix<f64>, _: &[Rect], _: &PreparedKernel) -> Result<Vec<f64>> { unimplemented!() }
+/// #   fn distill_spectrum(&self, _: &[(Matrix<f64>, Matrix<f64>)], _: SolveStrategy) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn charge_workload(&self, _: f64, _: f64) {}
+/// #   fn queue_depth(&self) -> usize { 0 }
+/// #   fn healthy_fraction(&self) -> f64 { 1.0 }
+/// #   fn elapsed_seconds(&self) -> f64 { 0.0 }
+/// #   fn stats(&self) -> KernelStats { KernelStats::default() }
+/// #   fn reset(&self) {}
+///     // … every kernel written by hand …
+/// }
+/// ```
 ///
 /// # Examples
 ///
@@ -60,11 +104,12 @@ pub type Rect = (Range<usize>, Range<usize>);
 /// # Ok(())
 /// # }
 /// ```
-pub trait Accelerator: Send + Sync {
+pub trait Accelerator: sealed::Sealed + Send + Sync {
     /// Human-readable platform name (e.g. `"TPU (simulated v2)"`).
     fn name(&self) -> String;
 
-    /// Real matrix product.
+    /// Real matrix product, in the platform's arithmetic
+    /// ([`Platform::product`]).
     ///
     /// # Errors
     ///
@@ -113,25 +158,21 @@ pub trait Accelerator: Send + Sync {
     fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>>;
 
     /// Batched forward 2-D DFTs — the paper's §III-D multi-input
-    /// parallelism. The default implementation loops; platform models
-    /// override it to amortise dispatch (GPU) or to spread inputs
-    /// across cores (TPU).
+    /// parallelism: the bits of [`Accelerator::fft2d`] per input, charged
+    /// as the platform's launches ([`Platform::lanes_per_launch`]), so a
+    /// GPU amortises dispatch and a TPU spreads the inputs across cores.
     ///
     /// # Errors
     ///
     /// As [`Accelerator::fft2d`].
-    fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        xs.iter().map(|x| self.fft2d(x)).collect()
-    }
+    fn fft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>>;
 
     /// Batched inverse 2-D DFTs (see [`Accelerator::fft2d_batch`]).
     ///
     /// # Errors
     ///
     /// As [`Accelerator::ifft2d`].
-    fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>> {
-        xs.iter().map(|x| self.ifft2d(x)).collect()
-    }
+    fn ifft2d_batch(&self, xs: &[Matrix<Complex64>]) -> Result<Vec<Matrix<Complex64>>>;
 
     /// Batched Hadamard products of many spectra with one shared
     /// kernel spectrum (the distilled `F(K)`).
@@ -143,9 +184,7 @@ pub trait Accelerator: Send + Sync {
         &self,
         xs: &[Matrix<Complex64>],
         k: &Matrix<Complex64>,
-    ) -> Result<Vec<Matrix<Complex64>>> {
-        xs.iter().map(|x| self.hadamard(x, k)).collect()
-    }
+    ) -> Result<Vec<Matrix<Complex64>>>;
 
     /// Batched differences `y - predᵢ` (Equation 5's perturbation
     /// deltas for a whole region batch).
@@ -153,14 +192,12 @@ pub trait Accelerator: Send + Sync {
     /// # Errors
     ///
     /// As [`Accelerator::sub`].
-    fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> {
-        preds.iter().map(|p| self.sub(y, p)).collect()
-    }
+    fn sub_batch(&self, y: &Matrix<f64>, preds: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>>;
 
     /// The serving chain of §III-D: for every occluded input `xᵢ`,
     /// computes `y − re(ifft2(fft2(xᵢ) ∘ filter))` — forward transform,
     /// spectral filter, inverse transform and the Equation-5 difference
-    /// — as the four batched kernels, staged. This is the reference the
+    /// — as the four batched kernels, staged. This is the chain the
     /// interpretation phase's scores are held to
     /// ([`Accelerator::contribution_scores`]); it keeps each stage's
     /// charges, and a malformed batch fails with the first stage's
@@ -175,44 +212,35 @@ pub trait Accelerator: Send + Sync {
         xs: &[Matrix<Complex64>],
         filter: &Matrix<Complex64>,
         y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        let spectra = self.fft2d_batch(xs)?;
-        let filtered = self.hadamard_batch(&spectra, filter)?;
-        let preds: Vec<Matrix<f64>> = self
-            .ifft2d_batch(&filtered)?
-            .into_iter()
-            .map(|p| p.to_real())
-            .collect();
-        self.sub_batch(y, &preds)
-    }
+    ) -> Result<Vec<Matrix<f64>>>;
 
     /// Contribution scores (Equation 5): for every rectangle `r` of
     /// `rects`, `‖y − x′ᵣ ∗ k‖_F`, where `x′ᵣ` is `x` with `r` zeroed and
     /// `kernel` is `k` prepared from its spectrum — what the
     /// interpretation phase keeps of a filter-diff batch.
     ///
-    /// The default is the reference: occlude `x` once per rectangle,
-    /// lift the copies to complex, run [`Accelerator::filter_diff_batch`]
-    /// with [`PreparedKernel::spectrum`] and take each difference's
-    /// Frobenius norm. An override may compute the scores any other way
-    /// but keeps, on the same operands, the default's charges (clock and
-    /// [`Accelerator::stats`]) or states its own schedule, refuses what
-    /// the default refuses before anything is charged, and keeps every
-    /// score within `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)` of the
-    /// default's. The built-in platforms run one score lane per
-    /// rectangle over the request's borrowed operands: in the spectrum (no
-    /// occluded image, no inverse transform, no difference) when `x` has
-    /// an even row count and no NaN or ±inf element — one an occlusion
-    /// could have *removed* — and otherwise the default's complex
-    /// sequence on the occlusion, bit for bit. In the spectrum a
-    /// rectangle is scored on a torus of its own — per side the power of
-    /// two at least twice its extent — when that has fewer cells than
-    /// `x` (a 32 × 32 block of a 128 × 128 image: 64 × 64), unless a
-    /// cancellation guard sends it to the full-size transform; see
-    /// ARCHITECTURE.md, "Interpretation-phase numerics". What that reads
-    /// of the kernel alone is built once per [`PreparedKernel`] and
-    /// shared by every request scored with it (and its clones), with the
-    /// bits of a kernel prepared per request.
+    /// The reference is the lane route, a composition of public calls:
+    /// [`occluded`] once per rectangle, lifted to complex, through
+    /// [`Accelerator::filter_diff_batch`] with
+    /// [`PreparedKernel::spectrum`], and each difference's Frobenius
+    /// norm. The scores run one score lane per rectangle over the
+    /// request's borrowed operands: in the spectrum (no occluded image,
+    /// no inverse transform, no difference) when `x` has an even row
+    /// count and no NaN or ±inf element — one an occlusion could have
+    /// *removed* — within `2 · ε · log₂(2mn) · (‖K‖_max ‖x‖_F + ‖y‖_F)`
+    /// of the reference, and otherwise the reference's complex sequence
+    /// on the occlusion, bit for bit. In the spectrum a rectangle is
+    /// scored on a torus of its own — per side the power of two at least
+    /// twice its extent — when that has fewer cells than `x` (a 32 × 32
+    /// block of a 128 × 128 image: 64 × 64), unless a cancellation guard
+    /// sends it to the full-size transform; see ARCHITECTURE.md,
+    /// "Interpretation-phase numerics". What that reads of the kernel
+    /// alone is built once per [`PreparedKernel`] and shared by every
+    /// request scored with it (and its clones), with the bits of a
+    /// kernel prepared per request. A request is refused before anything
+    /// is charged, and otherwise charged as [`KernelJob::Score`](xai_tpu::KernelJob::Score) lanes —
+    /// unqueued, the reference's staged chain
+    /// ([`charge_staged_chain`](crate::charge_staged_chain)).
     ///
     /// # Errors
     ///
@@ -225,30 +253,18 @@ pub trait Accelerator: Send + Sync {
         y: &Matrix<f64>,
         rects: &[Rect],
         kernel: &PreparedKernel,
-    ) -> Result<Vec<f64>> {
-        if rects.is_empty() {
-            return Ok(Vec::new());
-        }
-        check_request(x, y, rects, kernel)?;
-        let lanes: Vec<_> = rects
-            .iter()
-            .map(|r| occluded(x, r).map(|lane| lane.to_complex()))
-            .collect::<Result<_>>()?;
-        let diffs = self.filter_diff_batch(&lanes, kernel.spectrum(), y)?;
-        Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
-    }
+    ) -> Result<Vec<f64>>;
 
     /// The distilled kernel's spectrum `F(K)` (Equation 4) solved by
     /// `strategy` from `(X, Y)` pairs — the interpretation phase's fit.
     ///
-    /// The default is the staged body: per pair, two
+    /// The reference is the staged body: per pair, two
     /// [`Accelerator::fft2d`], then an [`Accelerator::pointwise_div`]
     /// (naive) or two [`Accelerator::hadamard`] (Wiener), and the Wiener
-    /// division last. An override keeps the default's bits and charges on
-    /// a fit that succeeds. The built-in platforms solve once on the host
-    /// ([`distill_spectrum`](crate::distill_spectrum)), then charge the
-    /// default's kernels in its order, so a fit that fails charges
-    /// nothing.
+    /// division last. The fit solves once on the host
+    /// ([`distill_spectrum`](crate::distill_spectrum)), with the staged
+    /// body's bits, then charges its kernels in its order, so a fit that
+    /// fails charges nothing.
     ///
     /// # Errors
     ///
@@ -257,9 +273,7 @@ pub trait Accelerator: Send + Sync {
         &self,
         pairs: &[(Matrix<f64>, Matrix<f64>)],
         strategy: SolveStrategy,
-    ) -> Result<Matrix<Complex64>> {
-        distill::staged(self, pairs, strategy)
-    }
+    ) -> Result<Matrix<Complex64>>;
 
     /// Advances the clock for an externally-described workload of
     /// `flops` arithmetic and `bytes` traffic (roofline charge). Used
@@ -275,9 +289,7 @@ pub trait Accelerator: Send + Sync {
     /// arrivals should be shed early rather than queued behind it.
     /// Accelerators without a batching queue report `0` (nothing ever
     /// waits).
-    fn queue_depth(&self) -> usize {
-        0
-    }
+    fn queue_depth(&self) -> usize;
 
     /// Fraction of this accelerator's execution capacity currently
     /// healthy, in `(0, 1]`.
@@ -287,9 +299,7 @@ pub trait Accelerator: Send + Sync {
     /// admission capacity by this so it sheds proactively against the
     /// shrunken pool instead of queueing work the fleet can no longer
     /// absorb. Accelerators without fault domains are always whole.
-    fn healthy_fraction(&self) -> f64 {
-        1.0
-    }
+    fn healthy_fraction(&self) -> f64;
 
     /// Simulated seconds elapsed since construction or reset.
     ///
@@ -302,6 +312,15 @@ pub trait Accelerator: Send + Sync {
 
     /// Zeroes the clock and statistics.
     fn reset(&self);
+}
+
+/// Seals [`Accelerator`]: its one implementation is the kernel body of
+/// every [`Platform`].
+mod sealed {
+    /// Implemented for every [`Platform`](super::Platform) and nothing else.
+    pub trait Sealed {}
+
+    impl<P: super::Platform> Sealed for P {}
 }
 
 /// `Ok` when `rect` lies inside a `rows × cols` matrix, else the
@@ -347,8 +366,8 @@ pub(crate) fn check_request(
 }
 
 /// `x` with the rectangle `rect` zeroed — the `X′` of Equation 5, and
-/// the lane the default [`Accelerator::contribution_scores`] builds
-/// per rectangle.
+/// the lane the reference of [`Accelerator::contribution_scores`]
+/// builds per rectangle.
 ///
 /// # Errors
 ///

@@ -84,7 +84,7 @@ fn observed(vals: &[f64], (m, n): (usize, usize)) -> Matrix<f64> {
     Matrix::from_fn(m, n, |r, c| vals[(r * n + c + 3) % vals.len()] * 1.5).unwrap()
 }
 
-/// The four batch kernels spelled out — the trait default's chain,
+/// The four batch kernels spelled out — `filter_diff_batch`'s chain,
 /// written against the public kernels so it cannot move with it.
 fn staged_chain(
     acc: &dyn Accelerator,

@@ -7,13 +7,18 @@
 //! `fused_direct.rs` cannot see a drift here: its reference, the staged
 //! chain, runs through these same batch methods.
 //!
+//! A platform whose launch width reads 0 launches lane by lane.
+//!
 //! Known mutations this must catch: charging a CPU batch as one grid or
 //! a GPU batch lane by lane; charging a group before its numerics ran
 //! (a rejected GPU batch would then cost time); a GPU grid planned from
-//! any lane but the first.
+//! any lane but the first; stepping a request's staged-chain charges by
+//! an unclamped launch width (a panic at width 0).
 
-use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats};
-use xai_tensor::{Complex64, Matrix, Result, TensorError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, PreparedKernel};
+use xai_tensor::{ops, Complex64, Matrix, Result, TensorError};
+use xai_tpu::KernelJob;
 
 type Lane = Matrix<Complex64>;
 const SHAPE: (usize, usize) = (8, 8);
@@ -195,4 +200,75 @@ fn a_malformed_batch_fails_with_the_partial_charges_of_its_launches() {
         );
         assert_eq!(ledger(&gpu), (0.0f64.to_bits(), KernelStats::new()));
     }
+}
+
+/// A platform that asks for launches of no lanes, and counts the
+/// launches it is charged and whether any carried other than one lane.
+#[derive(Default)]
+struct NoWidth {
+    launches: AtomicUsize,
+    wide: AtomicBool,
+}
+
+impl NoWidth {
+    /// Launches charged so far, all of one lane.
+    fn single_lane_launches(&self) -> usize {
+        assert!(
+            !self.wide.load(Ordering::Relaxed),
+            "a launch of other than one lane"
+        );
+        self.launches.load(Ordering::Relaxed)
+    }
+}
+
+impl xai_accel::Platform for NoWidth {
+    fn name(&self) -> String {
+        "no width".to_string()
+    }
+    fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        ops::matmul_blocked(a, b, ops::DEFAULT_BLOCK)
+    }
+    fn lanes_per_launch(&self, _: usize) -> usize {
+        0
+    }
+    fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()> {
+        if let KernelJob::Score { rows, cols } = job {
+            return xai_accel::charge_staged_chain(self, rows, cols, lanes);
+        }
+        self.launches.fetch_add(1, Ordering::Relaxed);
+        if lanes != 1 {
+            self.wide.store(true, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+    fn charge_workload(&self, _: f64, _: f64) {}
+    fn elapsed_seconds(&self) -> f64 {
+        0.0
+    }
+    fn stats(&self) -> KernelStats {
+        KernelStats::new()
+    }
+    fn reset(&self) {}
+}
+
+/// A launch width of 0 reads as 1: every batch kernel, the staged
+/// chain and a request's score lanes launch one lane at a time.
+#[test]
+fn a_launch_width_of_zero_launches_lane_by_lane() {
+    let xs = lanes(3);
+    for kernel in &KERNELS {
+        let acc = NoWidth::default();
+        (kernel.batch)(&acc, &xs).unwrap();
+        assert_eq!(acc.single_lane_launches(), 3, "{}", kernel.name);
+    }
+    let (filter, y) = (lane(99, SHAPE), lane(98, SHAPE).to_real());
+    let acc = NoWidth::default();
+    acc.filter_diff_batch(&xs, &filter, &y).unwrap();
+    assert_eq!(acc.single_lane_launches(), 4 * 3, "filter_diff_batch");
+    let acc = NoWidth::default();
+    let rects = [(0..4, 0..4), (4..8, 0..8), (0..8, 4..8)];
+    let kernel = PreparedKernel::new(filter);
+    let scores = acc.contribution_scores(&xs[0].to_real(), &y, &rects, &kernel);
+    assert_eq!(scores.unwrap().len(), 3);
+    assert_eq!(acc.single_lane_launches(), 4 * 3, "contribution_scores");
 }

@@ -1,8 +1,8 @@
 //! Contribution scores on the built-in platforms
 //! (`Accelerator::contribution_scores`: score lanes, taken in the
-//! spectrum or on the occlusion) against the trait default they are
-//! held to — occlude, lift, `filter_diff_batch`'s staged chain,
-//! Frobenius norm — under the interpretation-phase numerics contract
+//! spectrum or on the occlusion) against the lane route they are held
+//! to — occlude, lift, `filter_diff_batch`'s staged chain, Frobenius
+//! norm — under the interpretation-phase numerics contract
 //! (`filter_diff.rs` module header): point 3's bound on the score,
 //! points 1 and 2's route identity, point 5's untouched charges.
 //!
@@ -26,7 +26,6 @@ use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use xai_accel::{Accelerator, CpuModel, GpuModel, KernelStats, PreparedKernel, Rect, TpuAccel};
 use xai_tensor::conv::conv2d_circular;
-use xai_tensor::ops::DivPolicy;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
 use xai_tpu::{DevicePool, FaultPlan, TpuConfig};
 
@@ -42,60 +41,40 @@ const STRAGGLER_BOUND: Duration = Duration::from_secs(30);
 /// radix-2, tall, the `serve-large` shape.
 const SHAPES: [(usize, usize); 6] = [(2, 1), (4, 3), (6, 10), (8, 8), (16, 4), (128, 128)];
 
-/// Every single kernel and `filter_diff_batch` of the wrapped platform,
-/// and *not* `contribution_scores`: the trait default on that platform —
-/// its own staged chain, its own charges. No built-in platform overrides
-/// `filter_diff_batch`, so over a CPU model this is also a third-party
-/// accelerator that implements only the kernels.
-struct LaneRoute(Box<dyn Accelerator>);
-
-impl Accelerator for LaneRoute {
-    fn name(&self) -> String {
-        self.0.name()
+/// The reference of `Accelerator::contribution_scores` on `acc`, the
+/// lane route: refuse what every platform refuses before anything is
+/// charged, then occlude `x` once per rectangle, lift the copies to
+/// complex, run `filter_diff_batch` — the staged chain, its charges —
+/// with the kernel's spectrum and take each difference's Frobenius norm.
+fn lane_route(
+    acc: &dyn Accelerator,
+    x: &Matrix<f64>,
+    y: &Matrix<f64>,
+    rects: &[Rect],
+    kernel: &PreparedKernel,
+) -> Result<Vec<f64>> {
+    if rects.is_empty() {
+        return Ok(Vec::new());
     }
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.0.matmul(a, b)
+    let lanes = rects
+        .iter()
+        .map(|rect| xai_accel::occluded(x, rect).map(|lane| lane.to_complex()))
+        .collect::<Result<Vec<_>>>()?;
+    let shape = x.shape();
+    for (operand, op) in [
+        (y.shape(), "observed output"),
+        (kernel.spectrum().shape(), "kernel"),
+    ] {
+        if operand != shape {
+            return Err(TensorError::ShapeMismatch {
+                left: operand,
+                right: shape,
+                op,
+            });
+        }
     }
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.fft2d(x)
-    }
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.ifft2d(x)
-    }
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        self.0.hadamard(a, b)
-    }
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        self.0.pointwise_div(a, b, policy)
-    }
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        self.0.sub(a, b)
-    }
-    fn filter_diff_batch(
-        &self,
-        xs: &[Matrix<Complex64>],
-        filter: &Matrix<Complex64>,
-        y: &Matrix<f64>,
-    ) -> Result<Vec<Matrix<f64>>> {
-        self.0.filter_diff_batch(xs, filter, y)
-    }
-    fn charge_workload(&self, flops: f64, bytes: f64) {
-        self.0.charge_workload(flops, bytes);
-    }
-    fn elapsed_seconds(&self) -> f64 {
-        self.0.elapsed_seconds()
-    }
-    fn stats(&self) -> KernelStats {
-        self.0.stats()
-    }
-    fn reset(&self) {
-        self.0.reset();
-    }
+    let diffs = acc.filter_diff_batch(&lanes, kernel.spectrum(), y)?;
+    Ok(diffs.iter().map(Matrix::frobenius_norm).collect())
 }
 
 /// The three unqueued platforms, a queued chip, a 4-chip pool, and that
@@ -174,7 +153,7 @@ fn operands(vals: &[f64], shape: (usize, usize)) -> (Matrix<f64>, Matrix<Complex
     )
 }
 
-/// `x` with `rect` zeroed: the lane the default route builds.
+/// `x` with `rect` zeroed: the lane `lane_route` builds.
 fn occluded(x: &Matrix<f64>, (rows, cols): &Rect) -> Matrix<f64> {
     let mut lane = x.clone();
     for r in rows.clone() {
@@ -254,7 +233,7 @@ proptest! {
             let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
             let rects = rects(shape);
             let spectral = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
-            let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+            let lanes = lane_route(make().as_ref(), &x, &y, &rects, &prepared(&k)).unwrap();
             let limit = bound(&x, &k, &y);
             for (j, (s, l)) in spectral.iter().zip(&lanes).enumerate() {
                 prop_assert!(
@@ -275,7 +254,7 @@ proptest! {
             let (x, k, y) = (input(&vals, shape), filter(&kvals, shape), observed(&vals, shape));
             for (name, make) in PLACEMENTS {
                 let odd = make().contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
-                let lanes = LaneRoute(make()).contribution_scores(&x, &y, &rects, &prepared(&k)).unwrap();
+                let lanes = lane_route(make().as_ref(), &x, &y, &rects, &prepared(&k)).unwrap();
                 prop_assert_eq!(bits(&odd), bits(&lanes), "{}: {:?} keeps the lane route", name, shape);
             }
         }
@@ -308,10 +287,8 @@ fn scores_are_route_independent_and_charged_as_their_lanes() {
                 .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap();
             let lanes_on: Box<dyn Accelerator> = if p < 3 {
-                let lanes_on = Box::new(LaneRoute(make()));
-                lanes_on
-                    .contribution_scores(&x, &y, &rects, &prepared(&k))
-                    .unwrap();
+                let lanes_on = make();
+                lane_route(lanes_on.as_ref(), &x, &y, &rects, &prepared(&k)).unwrap();
                 lanes_on
             } else {
                 let occluded_on = make();
@@ -411,9 +388,7 @@ fn on_an_exact_fit_both_routes_are_within_the_bound_of_the_definition() {
         let spectral = CpuModel::i7_3700()
             .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
             .unwrap();
-        let lanes = LaneRoute(Box::new(CpuModel::i7_3700()))
-            .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
-            .unwrap();
+        let lanes = lane_route(&CpuModel::i7_3700(), &x, &y, &rects, &prepared(&spectrum)).unwrap();
         for (j, rect) in rects.iter().enumerate() {
             let pred = conv2d_circular(&occluded(&x, rect), &k).unwrap();
             let exact = exact_norm(y.iter().zip(pred.iter()).map(|(y, p)| y - p));
@@ -498,9 +473,7 @@ fn a_cancelled_block_is_within_the_bound() {
             let scores = make()
                 .contribution_scores(&x, &y, &rects, &prepared(&k))
                 .unwrap();
-            let lanes = LaneRoute(make())
-                .contribution_scores(&x, &y, &rects, &prepared(&k))
-                .unwrap();
+            let lanes = lane_route(make().as_ref(), &x, &y, &rects, &prepared(&k)).unwrap();
             let at = format!("{name}: {m}² cancelling block {cancelled}");
             assert!(scores[cancelled] <= limit, "{at}: {:e}", scores[cancelled]);
             for (j, (s, l)) in scores.iter().zip(&lanes).enumerate() {
@@ -540,9 +513,7 @@ fn non_finite_operands_poison_what_the_lane_route_poisons() {
                 let got = make()
                     .contribution_scores(&x, &y, &rects, &prepared(&k))
                     .unwrap();
-                let lanes = LaneRoute(make())
-                    .contribution_scores(&x, &y, &rects, &prepared(&k))
-                    .unwrap();
+                let lanes = lane_route(make().as_ref(), &x, &y, &rects, &prepared(&k)).unwrap();
                 assert_eq!(bits(&got), bits(&lanes), "{name}: {shape:?} {v} in x");
                 assert_eq!(finite(&got), expected, "{name}: {shape:?} {v} in x");
             }
@@ -555,9 +526,7 @@ fn non_finite_operands_poison_what_the_lane_route_poisons() {
                     let got = make()
                         .contribution_scores(&x, y, &rects, &prepared(k))
                         .unwrap();
-                    let lanes = LaneRoute(make())
-                        .contribution_scores(&x, y, &rects, &prepared(k))
-                        .unwrap();
+                    let lanes = lane_route(make().as_ref(), &x, y, &rects, &prepared(k)).unwrap();
                     let any = got.iter().chain(&lanes).any(|s| s.is_finite());
                     assert!(!any, "{name}: {shape:?} {v} in {what}: {got:?} / {lanes:?}");
                 }
@@ -578,12 +547,16 @@ fn rejected_requests_fail_as_the_lane_route_fails_them() {
     let (short_y, wide_k) = (observed(&vals, (m - 2, n)), filter(&vals, (m, n + 2)));
     for (name, make) in PLACEMENTS {
         for (what, y, k) in [("y", &short_y, &k), ("filter", &y, &wide_k)] {
-            let (spectral_on, lanes_on) = (make(), LaneRoute(make()));
+            let (spectral_on, lanes_on) = (make(), make());
             let got = spectral_on.contribution_scores(&x, y, &rects, &prepared(k));
-            let want = lanes_on.contribution_scores(&x, y, &rects, &prepared(k));
+            let want = lane_route(lanes_on.as_ref(), &x, y, &rects, &prepared(k));
             assert!(got.is_err(), "{name}: misshapen {what}");
             assert_eq!(got, want, "{name}: misshapen {what}");
-            assert_eq!(ledger(spectral_on.as_ref()), ledger(&lanes_on), "{name}");
+            assert_eq!(
+                ledger(spectral_on.as_ref()),
+                ledger(lanes_on.as_ref()),
+                "{name}"
+            );
         }
         for stray in [(0..m + 1, 0..n), (0..m, n..n + 1), (0..usize::MAX, 0..1)] {
             let acc = make();
@@ -598,42 +571,6 @@ fn rejected_requests_fail_as_the_lane_route_fails_them() {
             make().contribution_scores(&x, &y, &[], &prepared(&k)),
             Ok(Vec::new())
         );
-    }
-}
-
-/// (e) The trait default is the reference: an accelerator that
-/// implements only the kernels scores, charges and fails as its own
-/// staged chain on the occluded images lifted to complex — the complex
-/// sequence, nothing taken in the spectrum.
-#[test]
-fn a_kernels_only_accelerator_inherits_the_lane_route() {
-    let vals = fixed_vals();
-    for shape in [(4, 3), (5, 4), (8, 8)] {
-        let (x, k, y) = operands(&vals, shape);
-        let rects = rects((4, 3));
-        let (scored_on, staged_on) = (
-            LaneRoute(Box::new(CpuModel::i7_3700())),
-            LaneRoute(Box::new(CpuModel::i7_3700())),
-        );
-        let scores = scored_on
-            .contribution_scores(&x, &y, &rects, &prepared(&k))
-            .unwrap();
-        let lifted: Vec<_> = rects
-            .iter()
-            .map(|rect| occluded(&x, rect).to_complex())
-            .collect();
-        let spectra = staged_on.fft2d_batch(&lifted).unwrap();
-        let filtered = staged_on.hadamard_batch(&spectra, &k).unwrap();
-        let preds: Vec<_> = staged_on.ifft2d_batch(&filtered).unwrap();
-        let preds: Vec<_> = preds.iter().map(Matrix::to_real).collect();
-        let staged: Vec<f64> = staged_on
-            .sub_batch(&y, &preds)
-            .unwrap()
-            .iter()
-            .map(Matrix::frobenius_norm)
-            .collect();
-        assert_eq!(bits(&scores), bits(&staged), "{shape:?}");
-        assert_eq!(ledger(&scored_on), ledger(&staged_on), "{shape:?}: ledger");
     }
 }
 
@@ -750,9 +687,7 @@ fn blocks_of_bluestein_images_are_scored_on_their_boxes_within_the_bound() {
             let scores = make()
                 .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
                 .unwrap();
-            let lanes = LaneRoute(make())
-                .contribution_scores(&x, &y, &rects, &prepared(&spectrum))
-                .unwrap();
+            let lanes = lane_route(make().as_ref(), &x, &y, &rects, &prepared(&spectrum)).unwrap();
             for (j, s) in scores.iter().enumerate() {
                 for (what, reference) in [("lane route", lanes[j]), ("definition", exact[j])] {
                     let err = (s - reference).abs();

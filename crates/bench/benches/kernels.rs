@@ -208,7 +208,7 @@ fn bench_filter_diff_direct(c: &mut Criterion) {
 /// 128²) on each platform — what `contributions_batch_on` calls, with
 /// the kernel prepared once outside the timed loop, as a model holds it.
 /// The built-in platforms score in the spectrum; `lane-route/tpu` is the
-/// trait default they are held to on the same operands: sixteen occluded
+/// reference they are held to on the same operands: sixteen occluded
 /// copies lifted to complex through `filter_diff_batch`, then the norms. `prepare`
 /// is the same request on the TPU with a kernel prepared inside the
 /// loop: the `tpu` row plus the per-model build (`K_h`, `‖K‖_max`, the

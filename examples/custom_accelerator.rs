@@ -1,26 +1,29 @@
 //! Extending the workspace with your own hardware model: implement
-//! [`Accelerator`] for a hypothetical low-power edge NPU and race it
-//! against the paper's three platforms on the interpretation
-//! pipeline.
+//! [`Platform`] — a cost model — for a hypothetical low-power edge NPU
+//! and race it against the paper's three platforms on the
+//! interpretation pipeline.
 //!
-//! The trait takes `&self` everywhere — mutable state (the simulated
-//! clock) lives behind interior mutability, here the ready-made
-//! [`Clock`] ledger — so the finished model is `Send + Sync` and can
-//! be shared across worker threads as `Arc<dyn Accelerator>` with no
-//! further work, as the final section demonstrates.
+//! A platform states only what each kernel costs; the kernels
+//! themselves are the workspace's one implementation, so the NPU
+//! computes the built-in platforms' bits. Its mutable state (the
+//! simulated clock) lives behind interior mutability, here the
+//! ready-made [`Clock`] ledger, so the finished model is `Send + Sync`
+//! and can be shared across worker threads as `Arc<dyn Accelerator>`
+//! with no further work, as the final section demonstrates.
 //!
 //! Run: `cargo run --release --example custom_accelerator`
 
 use std::sync::Arc;
-use tpu_xai::accel::{Accelerator, Clock, CpuModel, GpuModel, KernelStats, TpuAccel};
+use tpu_xai::accel::{
+    charge_staged_chain, Accelerator, Clock, CpuModel, GpuModel, KernelStats, Platform, TpuAccel,
+};
 use tpu_xai::core::{explain_batch_parallel_on, interpret_on, SolveStrategy};
-use tpu_xai::fourier::global_plan_cache;
-use tpu_xai::tensor::ops::{self, DivPolicy};
-use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, Result};
+use tpu_xai::tensor::{conv::conv2d_circular, ops, Matrix, Result};
+use tpu_xai::tpu::KernelJob;
 
 /// A hypothetical 2 W edge NPU: modest compute (250 GFLOP/s int8
 /// class), modest bandwidth (25 GB/s LPDDR), no launch overhead
-/// (tightly-coupled command queue).
+/// (tightly-coupled command queue), one kernel per lane.
 #[derive(Debug, Clone, Default)]
 struct EdgeNpu {
     clock: Clock,
@@ -36,63 +39,40 @@ impl EdgeNpu {
     }
 }
 
-impl Accelerator for EdgeNpu {
+impl Platform for EdgeNpu {
     fn name(&self) -> String {
         "EdgeNPU (hypothetical 2 W part)".to_string()
     }
 
-    fn matmul(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::matmul_blocked(a, b, ops::DEFAULT_BLOCK)?;
-        let (m, k) = a.shape();
-        let n = b.cols();
-        self.charge(
-            2.0 * (m * k * n) as f64,
-            8.0 * (m * k + k * n + m * n) as f64,
-        );
-        Ok(out)
+    fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        ops::matmul_blocked(a, b, ops::DEFAULT_BLOCK)
     }
 
-    fn fft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let (m, n) = x.shape();
-        let out = global_plan_cache().plan_2d(m, n).forward(x)?;
-        self.charge(
-            6.0 * (m * n) as f64 * ((m * n) as f64).log2(),
-            64.0 * (m * n) as f64,
-        );
-        Ok(out)
+    fn lanes_per_launch(&self, _: usize) -> usize {
+        1
     }
 
-    fn ifft2d(&self, x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let (m, n) = x.shape();
-        let out = global_plan_cache().plan_2d(m, n).inverse(x)?;
-        self.charge(
-            6.0 * (m * n) as f64 * ((m * n) as f64).log2(),
-            64.0 * (m * n) as f64,
-        );
-        Ok(out)
-    }
-
-    fn hadamard(&self, a: &Matrix<Complex64>, b: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        let out = ops::hadamard(a, b)?;
-        self.charge(6.0 * a.len() as f64, 48.0 * a.len() as f64);
-        Ok(out)
-    }
-
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-        policy: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        let out = ops::pointwise_div(a, b, policy)?;
-        self.charge(10.0 * a.len() as f64, 48.0 * a.len() as f64);
-        Ok(out)
-    }
-
-    fn sub(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let out = ops::sub(a, b)?;
-        self.charge(a.len() as f64, 24.0 * a.len() as f64);
-        Ok(out)
+    /// Flops and bytes of one lane of `job`, times `lanes`; a request's
+    /// score lanes pay the staged transform, product, transform and
+    /// difference.
+    fn charge_launch(&self, job: KernelJob, lanes: usize) -> Result<()> {
+        let (flops, bytes) = match job {
+            KernelJob::Matmul { m, k, n } => (
+                2.0 * (m * k * n) as f64,
+                8.0 * (m * k + k * n + m * n) as f64,
+            ),
+            KernelJob::Transform { rows, cols } => (
+                6.0 * (rows * cols) as f64 * ((rows * cols) as f64).log2(),
+                64.0 * (rows * cols) as f64,
+            ),
+            KernelJob::Hadamard { elems } => (6.0 * elems as f64, 48.0 * elems as f64),
+            KernelJob::PointwiseDiv { elems } => (10.0 * elems as f64, 48.0 * elems as f64),
+            KernelJob::Sub { elems } => (elems as f64, 24.0 * elems as f64),
+            KernelJob::Score { rows, cols } => return charge_staged_chain(self, rows, cols, lanes),
+        };
+        let lanes = lanes as f64;
+        self.charge(flops * lanes, bytes * lanes);
+        Ok(())
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -141,7 +121,7 @@ fn main() -> Result<()> {
         );
     }
 
-    // Because the trait is `&self` + `Send + Sync`, the custom model
+    // Because a platform is `&self` + `Send + Sync`, the custom model
     // is immediately shareable: four host threads explain the batch
     // through ONE EdgeNpu, and the results match serial execution.
     let model = tpu_xai::core::DistilledModel::fit(&pairs, SolveStrategy::default())?;

@@ -1,9 +1,14 @@
 //! Cross-platform integration tests: the three hardware models must
 //! agree numerically and disagree (in the paper's order) on time.
 
-use tpu_xai::accel::{time_region, Accelerator, CpuModel, GpuModel, TpuAccel};
+use tpu_xai::accel::{
+    time_region, Accelerator, Clock, CpuModel, GpuModel, KernelStats, PreparedKernel, Rect,
+    TpuAccel,
+};
 use tpu_xai::core::{interpret_on, transform_roundtrip_seconds, SolveStrategy};
-use tpu_xai::tensor::{conv::conv2d_circular, Matrix};
+use tpu_xai::tensor::ops::{self, DivPolicy};
+use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, Result};
+use tpu_xai::tpu::KernelJob;
 
 fn pairs(n: usize, size: usize) -> Vec<(Matrix<f64>, Matrix<f64>)> {
     let k = Matrix::from_fn(size, size, |r, c| ((r + c * 2) % 5) as f64 * 0.2).unwrap();
@@ -144,4 +149,110 @@ fn a_nan_pixel_poisons_the_same_blocks_on_every_platform() {
         assert_eq!(nan(&map), expected, "{}", acc.name());
         assert!(map[(1, 2)].is_finite(), "{}", acc.name());
     }
+}
+
+/// A platform that states nothing but charges: blocked f64 matmuls, a
+/// launch per lane, one constant charge per launch.
+#[derive(Default)]
+struct ChargesOnly {
+    clock: Clock,
+}
+
+impl tpu_xai::accel::Platform for ChargesOnly {
+    fn name(&self) -> String {
+        "charges only".to_string()
+    }
+    fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
+        ops::matmul_blocked(a, b, ops::DEFAULT_BLOCK)
+    }
+    fn lanes_per_launch(&self, _: usize) -> usize {
+        1
+    }
+    fn charge_launch(&self, _: KernelJob, lanes: usize) -> Result<()> {
+        self.clock.record(1e-6 * lanes as f64, 1.0, 1.0);
+        Ok(())
+    }
+    fn charge_workload(&self, flops: f64, bytes: f64) {
+        self.clock.record(1e-6, flops, bytes);
+    }
+    fn elapsed_seconds(&self) -> f64 {
+        self.clock.seconds()
+    }
+    fn stats(&self) -> KernelStats {
+        self.clock.stats()
+    }
+    fn reset(&self) {
+        self.clock.reset();
+    }
+}
+
+fn bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+    values.into_iter().map(|v| v.to_bits()).collect()
+}
+
+fn complex_bits(m: &Matrix<Complex64>) -> Vec<u64> {
+    m.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
+}
+
+/// A platform of another crate is a cost model and nothing else: on
+/// every kernel it returns the bits the CPU model returns — scores taken
+/// in the spectrum (even rows) and on the occlusion (odd rows), Eq. 4's
+/// fit under both strategies, the staged filter-diff chain, both
+/// transforms and the matmul.
+#[test]
+fn a_charges_only_platform_computes_the_built_ins_bits() {
+    use tpu_xai::core::DistilledModel;
+    let platforms: [Box<dyn Accelerator>; 2] = [
+        Box::new(ChargesOnly::default()),
+        Box::new(CpuModel::i7_3700()),
+    ];
+    let [plain, cpu] = platforms.each_ref().map(|acc| acc.as_ref());
+    let ps = pairs(3, 16);
+    let model = DistilledModel::fit(&ps, SolveStrategy::default()).unwrap();
+    let (x, y) = &ps[0];
+    let grid = |(m, n): (usize, usize)| -> Vec<Rect> {
+        (0..4)
+            .map(|b| {
+                (
+                    b / 2 * m / 2..(b / 2 + 1) * m / 2,
+                    b % 2 * n / 2..(b % 2 + 1) * n / 2,
+                )
+            })
+            .collect()
+    };
+    let kernel = PreparedKernel::new(model.kernel_spectrum().clone());
+    let odd = pairs(1, 15).remove(0);
+    let odd_kernel =
+        PreparedKernel::new(Matrix::filled(15, 15, Complex64::new(0.5, 0.25)).unwrap());
+    for (x, y, kernel) in [(x, y, &kernel), (&odd.0, &odd.1, &odd_kernel)] {
+        let rects = grid(x.shape());
+        let [got, want] =
+            [plain, cpu].map(|acc| acc.contribution_scores(x, y, &rects, kernel).unwrap());
+        assert_eq!(bits(&got), bits(&want), "scores of {:?}", x.shape());
+    }
+    for strategy in [
+        SolveStrategy::default(),
+        SolveStrategy::Naive {
+            policy: DivPolicy::default(),
+        },
+    ] {
+        let [got, want] = [plain, cpu].map(|acc| acc.distill_spectrum(&ps, strategy).unwrap());
+        assert_eq!(complex_bits(&got), complex_bits(&want), "{strategy:?}");
+    }
+    let xs: Vec<_> = ps.iter().map(|(x, _)| x.to_complex()).collect();
+    let [got, want] = [plain, cpu].map(|acc| {
+        acc.filter_diff_batch(&xs, model.kernel_spectrum(), y)
+            .unwrap()
+    });
+    for (got, want) in got.iter().zip(&want) {
+        assert_eq!(bits(got.iter()), bits(want.iter()), "filter_diff_batch");
+    }
+    let [got, want] = [plain, cpu].map(|acc| acc.fft2d(&xs[0]).unwrap());
+    assert_eq!(complex_bits(&got), complex_bits(&want), "fft2d");
+    let [got, want] = [plain, cpu].map(|acc| acc.ifft2d(&xs[0]).unwrap());
+    assert_eq!(complex_bits(&got), complex_bits(&want), "ifft2d");
+    let [got, want] = [plain, cpu].map(|acc| acc.matmul(x, y).unwrap());
+    assert_eq!(bits(got.iter()), bits(want.iter()), "matmul");
 }

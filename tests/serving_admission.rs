@@ -9,13 +9,14 @@
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use tpu_xai::accel::{Accelerator, KernelStats};
+use tpu_xai::accel::{KernelStats, Platform};
 use tpu_xai::serve::{
     load_accelerator, synth_problem, DrainMode, ExplainJob, ExplainServer, Outcome, ServeConfig,
     ShedPolicy, SimServer,
 };
 use tpu_xai::tensor::ops::DivPolicy;
 use tpu_xai::tensor::{Complex64, Matrix, Result};
+use tpu_xai::tpu::KernelJob;
 
 fn div_job(lane: usize) -> ExplainJob {
     ExplainJob::RecoverSpectrum {
@@ -118,45 +119,36 @@ proptest! {
     }
 }
 
-/// An accelerator whose first `pointwise_div` parks its caller between
-/// two rendezvous, so a test can hold the server's only worker inside a
-/// kernel while it fills the queue behind it. Serves nothing else.
+/// A platform whose first `pointwise_div` parks its caller between two
+/// rendezvous in the kernel's charge, so a test can hold the server's
+/// only worker inside a kernel while it fills the queue behind it.
+/// Charges nothing.
 struct Gated {
     armed: AtomicBool,
     entered: Barrier,
     release: Barrier,
 }
 
-impl Accelerator for Gated {
+impl Platform for Gated {
     fn name(&self) -> String {
         "gated".to_string()
     }
-    fn pointwise_div(
-        &self,
-        a: &Matrix<Complex64>,
-        _: &Matrix<Complex64>,
-        _: DivPolicy,
-    ) -> Result<Matrix<Complex64>> {
-        if self.armed.swap(false, Ordering::SeqCst) {
+    fn product(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> {
+        unreachable!("div jobs only")
+    }
+    fn lanes_per_launch(&self, _: usize) -> usize {
+        1
+    }
+    fn charge_kernel(&self, job: KernelJob) -> Result<()> {
+        if matches!(job, KernelJob::PointwiseDiv { .. }) && self.armed.swap(false, Ordering::SeqCst)
+        {
             self.entered.wait();
             self.release.wait();
         }
-        Ok(a.clone())
+        Ok(())
     }
-    fn matmul(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> {
-        unreachable!("div jobs only")
-    }
-    fn fft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        unreachable!("div jobs only")
-    }
-    fn ifft2d(&self, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        unreachable!("div jobs only")
-    }
-    fn hadamard(&self, _: &Matrix<Complex64>, _: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
-        unreachable!("div jobs only")
-    }
-    fn sub(&self, _: &Matrix<f64>, _: &Matrix<f64>) -> Result<Matrix<f64>> {
-        unreachable!("div jobs only")
+    fn charge_launch(&self, _: KernelJob, _: usize) -> Result<()> {
+        Ok(())
     }
     fn charge_workload(&self, _: f64, _: f64) {}
     fn elapsed_seconds(&self) -> f64 {
