@@ -125,6 +125,7 @@
 //!    shape.
 
 use crate::traits::{occluded, Rect};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -469,6 +470,13 @@ impl Spectra<'_> {
     }
 }
 
+thread_local! {
+    /// [`local_score`]'s box image, lent from lane to lane on one
+    /// thread: the block-pruned forward reads only the block's
+    /// rectangle, which each lane writes, so it is never zero-filled.
+    static BOX_IMAGE: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The block-local score of a score lane:
 /// `s² = ‖r‖² + 2⟨c, x_b⟩ + μ · (Σ x_b)² + Σ w |B̂_L|² Â_L / (l_r l_c)`,
 /// `B̂_L` the block-pruned forward of the block alone at the box's
@@ -487,13 +495,15 @@ fn local_score(
     let (l_r, l_c) = local_box(rect);
     let plan = global_plan_cache().plan_2d(l_r, l_c);
     let h = plan.half_cols();
-    let mut block = vec![0.0; l_r * l_c];
-    for (at, r) in block.chunks_exact_mut(l_c).zip(rows.clone()) {
-        at[..cols.len()].copy_from_slice(&x.row(r)[cols.clone()]);
-    }
     ws.resize(l_r * h + l_c, Complex64::ZERO);
     let (half, scratch) = ws.split_at_mut(l_r * h);
-    plan.forward_real_block(&block, 0..rows.len(), 0..cols.len(), half, scratch);
+    BOX_IMAGE.with_borrow_mut(|block| {
+        block.resize(l_r * l_c, 0.0);
+        for (at, r) in block.chunks_exact_mut(l_c).zip(rows.clone()) {
+            at[..cols.len()].copy_from_slice(&x.row(r)[cols.clone()]);
+        }
+        plan.forward_real_block(block, 0..rows.len(), 0..cols.len(), half, scratch);
+    });
     let (q, q_magnitude) = plan.weighted_energy(half, Some(kernel.window((l_r, l_c))));
     let n = x.cols();
     let (cross, sum) = rows.fold((0.0, 0.0), |(cross, sum), r| {

@@ -22,21 +22,26 @@ fn complex_matrix(n: usize) -> Matrix<Complex64> {
     .expect("n > 0")
 }
 
-/// 1-D algorithms: naive definition vs radix-2 vs Bluestein.
+/// 1-D algorithms: naive definition vs the power-of-two kernel vs
+/// Bluestein. The kernel also runs at 8 (the 8 × 8 shape of the small
+/// serving and chaos workloads) and 128 (the large one).
 fn bench_1d_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft1d");
-    for n in [64usize, 256] {
+    for n in [8usize, 64, 128, 256] {
         let x = signal(n);
-        group.bench_with_input(BenchmarkId::new("naive-dft", n), &x, |b, x| {
-            b.iter(|| dft(black_box(x), Norm::Backward));
-        });
         let plan = FftPlan::new(n);
-        group.bench_with_input(BenchmarkId::new("radix2", n), &x, |b, x| {
+        group.bench_with_input(BenchmarkId::new("power-of-two", n), &x, |b, x| {
             b.iter(|| {
                 let mut buf = x.clone();
                 plan.forward(&mut buf, Norm::Backward);
                 buf
             });
+        });
+    }
+    for n in [64usize, 256] {
+        let x = signal(n);
+        group.bench_with_input(BenchmarkId::new("naive-dft", n), &x, |b, x| {
+            b.iter(|| dft(black_box(x), Norm::Backward));
         });
         // Bluestein on a prime near n (forces the chirp path).
         let np = if n == 64 { 67 } else { 257 };

@@ -3,7 +3,7 @@
 //! size — which is exactly the operation shape the TPU's matrix engine
 //! (and our simulator) accelerates.
 
-use crate::fft::Radix2Plan;
+use crate::fft::Pow2Plan;
 use crate::norm::Norm;
 use xai_tensor::Complex64;
 
@@ -17,7 +17,7 @@ pub struct BluesteinPlan {
     chirp: Vec<Complex64>,
     /// FFT of the (wrapped, conjugated) chirp filter, length m.
     filter_spec: Vec<Complex64>,
-    inner: Radix2Plan,
+    inner: Pow2Plan,
 }
 
 impl BluesteinPlan {
@@ -36,7 +36,7 @@ impl BluesteinPlan {
                 Complex64::twiddle(j2, 2 * n)
             })
             .collect();
-        let inner = Radix2Plan::new(m);
+        let inner = Pow2Plan::new(m);
         // Filter b[j] = conj(chirp[|j|]) wrapped circularly: b[0..n] and b[m-j] for j in 1..n.
         let mut filter = vec![Complex64::ZERO; m];
         for (j, &c) in chirp.iter().enumerate() {

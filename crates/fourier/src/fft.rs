@@ -1,23 +1,25 @@
-//! Iterative radix-2 Cooley–Tukey FFT.
+//! Iterative radix-4 Cooley–Tukey FFT for power-of-two lengths
+//! (arbitrary lengths: [`crate::bluestein`]).
 //!
-//! O(N log N) for power-of-two lengths; arbitrary lengths are handled
-//! by [`crate::bluestein`]. A plan precomputes the bit-reversal swap
-//! list and, per butterfly stage, a *contiguous* run of that stage's
-//! twiddles (forward and conjugate), so the butterfly loops are plain
-//! zips over slices: no stride arithmetic, no bounds checks and no
-//! direction test per butterfly.
+//! After the bit reversal, a stage combines four transformed blocks of
+//! length `l` (their block's input residues 0, 2, 1, 3 mod 4) into one
+//! of length `4l`: point `q` of the last three is multiplied by
+//! `w_{2l}^q`, `w_{4l}^q` and `w_{4l}^{3q}` (three multiplies per four
+//! points where two radix-2 stages take four; each twiddle is
+//! `Complex64::twiddle(k, n)`, never a product of two) and `∓i` is a
+//! swap and a sign flip. When log₂ n is odd a radix-2 stage runs first.
+//! Point `q = 0` multiplies nothing, so neither do the `l = 1` stage and
+//! the radix-2 stage. The stage sequence depends on `n` alone, and a
+//! plan holds each stage's twiddles as one contiguous run.
 //!
-//! The same butterflies come in two loop nests. [`Radix2Plan::forward`]
-//! / [`Radix2Plan::inverse`] transform one contiguous signal. The
-//! column form transforms every column of a row-major buffer at once
-//! by treating each *row* as one element: a butterfly combines two
-//! whole rows, its inner loop runs across the columns with one hoisted
-//! twiddle. That is what lets [`mod@crate::fft2d`] run its column pass in
-//! place — unit-stride memory access without a transpose.
-//!
-//! The trivial twiddles `1` and `−i` are multiplied like any other:
-//! `(−0.0)·1 + 0.0·0` is `+0.0`, so skipping the multiply would flip
-//! signed zeros, and occluded blocks feed these loops exact zeros.
+//! The stages come in two loop nests: the 1-D form transforms one
+//! signal; the column form transforms every column of a row-major
+//! buffer at once, butterflying whole rows with the twiddles hoisted —
+//! what lets [`mod@crate::fft2d`] run its column pass in place, unit
+//! stride. Skipping a unit multiply changes signed zeros and non-finite
+//! values (`(−0.0)·1 + 0.0·0` is `+0.0`, `∞·0` is NaN); that is safe
+//! because every path — 1-D, column, pool-sharded, real-input,
+//! block-pruned, Bluestein's inner transform — runs this one kernel.
 
 use crate::norm::Norm;
 use xai_tensor::Complex64;
@@ -28,38 +30,96 @@ pub fn is_power_of_two(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
-/// Precomputed state for radix-2 transforms of a fixed length.
+/// Precomputed state for transforms of one power-of-two length.
 #[derive(Debug, Clone)]
-pub struct Radix2Plan {
+pub(crate) struct Pow2Plan {
     n: usize,
     /// Bit-reversal permutation as the swaps `(i, j)`, `i < j`.
     swaps: Vec<(u32, u32)>,
-    /// Forward twiddles laid out stage by stage: the stage with
-    /// half-length `h` reads `[h − 1 .. 2h − 1)`, which holds
-    /// `e^{-2πi·k/2h}` for k in 0..h. `n − 1` entries in all.
-    twiddles: Vec<Complex64>,
-    /// `.conj()` of every entry of `twiddles`, for the inverse.
-    inverse_twiddles: Vec<Complex64>,
+    /// Forward twiddles (`[0]`) and their conjugates (`[1]`), stage by
+    /// stage: the stage of block length `l` reads `l` entries from
+    /// `(l − first_l(n)) / 3`, entry `q` `[w_{2l}^q, w_{4l}^q, w_{4l}^{3q}]`.
+    twiddles: [Vec<[Complex64; 3]>; 2],
 }
 
-/// One butterfly: `(a, b) ← (a + b·w, a − b·w)`.
+/// The radix-4 butterfly on point `q` of four blocks, `b`, `c` and `d`
+/// already multiplied by their twiddles.
 #[inline(always)]
-fn butterfly(a: &mut Complex64, b: &mut Complex64, w: Complex64) {
-    let even = *a;
-    let odd = *b * w;
-    *a = even + odd;
-    *b = even - odd;
+fn radix4<const INV: bool>([a, b, c, d]: [Complex64; 4]) -> [Complex64; 4] {
+    let (u0, u1, v0, v1) = (a + b, a - b, c + d, c - d);
+    // `v1 · (−i)` forward, `v1 · i` inverse.
+    let v1 = if INV {
+        Complex64::new(-v1.im, v1.re)
+    } else {
+        Complex64::new(v1.im, -v1.re)
+    };
+    [u0 + v0, u1 + v1, u0 - v0, u1 - v1]
 }
 
-/// Butterflies between the rows of `lo` and the rows of `hi` (both
-/// row-major, `cols` wide), row pair `k` under twiddle `ws[k]`.
-fn butterfly_rows(lo: &mut [Complex64], hi: &mut [Complex64], ws: &[Complex64], cols: usize) {
-    let rows = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
-    for ((lo_row, hi_row), &w) in rows.zip(ws) {
-        for (a, b) in lo_row.iter_mut().zip(hi_row) {
-            butterfly(a, b, w);
+/// The radix-2 stage on rows `cols` wide: pairs, unit twiddles.
+fn pairs(data: &mut [Complex64], cols: usize) {
+    for pair in data.chunks_exact_mut(2 * cols) {
+        let (a, b) = pair.split_at_mut(cols);
+        for (a, b) in a.iter_mut().zip(b) {
+            (*a, *b) = (*a + *b, *a - *b);
         }
     }
+}
+
+/// Radix-4 butterflies between the rows of four equal runs (row-major,
+/// `cols` wide), row quadruple `q` under twiddles `ws[q]`; `TW = false`
+/// multiplies nothing.
+fn quad_rows<const INV: bool, const TW: bool>(
+    [a, b, c, d]: [&mut [Complex64]; 4],
+    ws: &[[Complex64; 3]],
+    cols: usize,
+) {
+    let rows = a.chunks_exact_mut(cols).zip(b.chunks_exact_mut(cols));
+    let rows = rows.zip(c.chunks_exact_mut(cols).zip(d.chunks_exact_mut(cols)));
+    for (((a, b), (c, d)), w) in rows.zip(ws) {
+        for ((a, b), (c, d)) in a.iter_mut().zip(b).zip(c.iter_mut().zip(d)) {
+            [*a, *b, *c, *d] = if TW {
+                radix4::<INV>([*a, *b * w[0], *c * w[1], *d * w[2]])
+            } else {
+                radix4::<INV>([*a, *b, *c, *d])
+            };
+        }
+    }
+}
+
+/// One stage on matching runs of a block's four quarters under `ws`;
+/// `head` when the runs start at `q = 0`.
+fn quad(
+    runs: [&mut [Complex64]; 4],
+    ws: &[[Complex64; 3]],
+    cols: usize,
+    inverse: bool,
+    head: bool,
+) {
+    let k = usize::from(head);
+    let [(a0, a), (b0, b), (c0, c), (d0, d)] = runs.map(|run| run.split_at_mut(k * cols));
+    let (heads, tails, (w0, ws)) = ([a0, b0, c0, d0], [a, b, c, d], ws.split_at(k));
+    if inverse {
+        quad_rows::<true, false>(heads, w0, cols);
+        quad_rows::<true, true>(tails, ws, cols);
+    } else {
+        quad_rows::<false, false>(heads, w0, cols);
+        quad_rows::<false, true>(tails, ws, cols);
+    }
+}
+
+/// The four equal runs of `block`.
+fn quarters(block: &mut [Complex64]) -> [&mut [Complex64]; 4] {
+    let (lo, hi) = block.split_at_mut(block.len() / 2);
+    let (a, b) = lo.split_at_mut(lo.len() / 2);
+    let (c, d) = hi.split_at_mut(hi.len() / 2);
+    [a, b, c, d]
+}
+
+/// The block length of the first radix-4 stage: 2 after the radix-2
+/// stage when log₂ n is odd, else 1.
+fn first_l(n: usize) -> usize {
+    1 + (n.trailing_zeros() as usize & 1)
 }
 
 fn scale_all(data: &mut [Complex64], s: f64) {
@@ -70,7 +130,7 @@ fn scale_all(data: &mut [Complex64], s: f64) {
     }
 }
 
-impl Radix2Plan {
+impl Pow2Plan {
     /// Builds a plan for length `n`.
     ///
     /// # Panics
@@ -80,7 +140,7 @@ impl Radix2Plan {
     pub fn new(n: usize) -> Self {
         assert!(
             is_power_of_two(n),
-            "radix-2 FFT requires power-of-two length, got {n}"
+            "FFT plan requires power-of-two length, got {n}"
         );
         let bits = n.trailing_zeros();
         let swaps = (0..n as u32)
@@ -89,24 +149,18 @@ impl Radix2Plan {
                 (i < j).then_some((i, j))
             })
             .collect();
-        // Stage h's k-th twiddle is e^{-2πi·k/2h} = e^{-2πi·(k·n/2h)/n},
-        // taken from the length-n roots in the second form: the value
-        // every stage has always used, so the tables hold the same bits.
-        let roots: Vec<Complex64> = (0..n / 2)
-            .map(|k| Complex64::twiddle(k as i64, n))
-            .collect();
-        let mut twiddles: Vec<Complex64> = Vec::with_capacity(n.saturating_sub(1));
-        let mut half = 1;
-        while half < n {
-            twiddles.extend(roots.iter().step_by(n / (2 * half)));
-            half *= 2;
+        let mut forward = Vec::new();
+        let mut l = first_l(n);
+        while 4 * l <= n {
+            let w = |q: usize| Complex64::twiddle((q * n / (4 * l)) as i64, n);
+            forward.extend((0..l).map(|q| [w(2 * q), w(q), w(3 * q)]));
+            l *= 4;
         }
-        let inverse_twiddles = twiddles.iter().map(|w| w.conj()).collect();
-        Radix2Plan {
+        let inverse = forward.iter().map(|t| t.map(|w| w.conj())).collect();
+        Pow2Plan {
             n,
             swaps,
-            twiddles,
-            inverse_twiddles,
+            twiddles: [forward, inverse],
         }
     }
 
@@ -115,18 +169,13 @@ impl Radix2Plan {
         self.n
     }
 
-    /// `true` iff the plan length is zero (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward FFT with the given normalisation.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.len()`.
     pub fn forward(&self, data: &mut [Complex64], norm: Norm) {
-        self.transform(data, false);
+        self.transform::<false>(data);
         scale_all(data, norm.forward_scale(self.n));
     }
 
@@ -136,50 +185,52 @@ impl Radix2Plan {
     ///
     /// Panics if `data.len() != self.len()`.
     pub fn inverse(&self, data: &mut [Complex64], norm: Norm) {
-        self.transform(data, true);
+        self.transform::<true>(data);
         scale_all(data, norm.inverse_scale(self.n));
     }
 
-    fn table(&self, inverse: bool) -> &[Complex64] {
-        if inverse {
-            &self.inverse_twiddles
-        } else {
-            &self.twiddles
-        }
+    /// The twiddles of the radix-4 stage of block length `l`.
+    fn table(&self, l: usize, inverse: bool) -> &[[Complex64; 3]] {
+        &self.twiddles[usize::from(inverse)][(l - first_l(self.n)) / 3..][..l]
     }
 
-    fn transform(&self, data: &mut [Complex64], inverse: bool) {
+    /// The 1-D form: the column form's stages, point by point.
+    fn transform<const INV: bool>(&self, data: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan length");
         for &(i, j) in &self.swaps {
             data.swap(i as usize, j as usize);
         }
-        let table = self.table(inverse);
-        let mut half = 1;
-        while half < self.n {
-            let ws = &table[half - 1..2 * half - 1];
-            for block in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(ws) {
-                    butterfly(a, b, w);
+        let mut l = first_l(self.n);
+        if l == 2 {
+            pairs(data, 1);
+        }
+        while 4 * l <= self.n {
+            let ws = self.table(l, INV);
+            for block in data.chunks_exact_mut(4 * l) {
+                let [a, b, c, d] = quarters(block);
+                [a[0], b[0], c[0], d[0]] = radix4::<INV>([a[0], b[0], c[0], d[0]]);
+                let (a, b, c, d) = (&mut a[1..], &mut b[1..], &mut c[1..], &mut d[1..]);
+                let points = a.iter_mut().zip(b).zip(c.iter_mut().zip(d));
+                for (((a, b), (c, d)), w) in points.zip(&ws[1..]) {
+                    [*a, *b, *c, *d] = radix4::<INV>([*a, *b * w[0], *c * w[1], *d * w[2]]);
                 }
             }
-            half *= 2;
+            l *= 4;
         }
     }
 
     /// The column form: transforms every column of the row-major
     /// `self.len() × cols` buffer `data` in place, each exactly as
-    /// [`Radix2Plan::forward`] / [`Radix2Plan::inverse`] would
-    /// transform it alone.
+    /// [`Pow2Plan::forward`] / [`Pow2Plan::inverse`] would transform it
+    /// alone.
     ///
-    /// `workers > 1` shards the pass over the shared pool: stages
-    /// whose butterflies stay inside one of `w` contiguous row groups
-    /// (`w` the largest power of two within `workers` and `n / 2`) run
-    /// as one task per group, and each of the last `log₂ w` stages,
-    /// whose row pairs span groups, as `w` tasks of lo/hi row runs.
-    /// Every element sees the same butterflies in the same order
-    /// whatever the split, so the result does not depend on `workers`
-    /// or on the pool size.
+    /// `workers > 1` shards the pass over the shared pool: stages whose
+    /// blocks stay inside one of `w` contiguous row groups (`w` the
+    /// largest power of two within `workers` and `n / 2`) run as a task
+    /// per group, each later stage as tasks of matching `q` runs of a
+    /// block's quarters. Every element sees the same butterflies in the
+    /// same order whatever the split, so the bits do not depend on
+    /// `workers` or on the pool size.
     ///
     /// # Panics
     ///
@@ -201,22 +252,25 @@ impl Radix2Plan {
             let (head, tail) = data.split_at_mut(j as usize * cols);
             head[i as usize * cols..][..cols].swap_with_slice(&mut tail[..cols]);
         }
-        let table = self.table(!forward);
-        let stages = |data: &mut [Complex64], from: usize, to: usize| {
-            let mut half = from;
-            while half < to {
-                let ws = &table[half - 1..2 * half - 1];
-                for block in data.chunks_exact_mut(2 * half * cols) {
-                    let (lo, hi) = block.split_at_mut(half * cols);
-                    butterfly_rows(lo, hi, ws, cols);
-                }
-                half *= 2;
-            }
-        };
         let scale = if forward {
             norm.forward_scale(n)
         } else {
             norm.inverse_scale(n)
+        };
+        // The stages whose blocks span at most `span` rows, on whole
+        // blocks.
+        let stages = |data: &mut [Complex64], span: usize| {
+            let mut l = first_l(n);
+            if l == 2 {
+                pairs(data, cols);
+            }
+            while 4 * l <= span {
+                let ws = self.table(l, !forward);
+                for block in data.chunks_exact_mut(4 * l * cols) {
+                    quad(quarters(block), ws, cols, !forward, true);
+                }
+                l *= 4;
+            }
         };
         let groups = match workers.min(n / 2) {
             0 | 1 => 1,
@@ -224,30 +278,32 @@ impl Radix2Plan {
         };
         if groups == 1 {
             // The serial pass never touches (or spins up) the pool.
-            stages(data, 1, n);
+            stages(data, n);
             scale_all(data, scale);
             return;
         }
         let pool = xai_parallel::global();
         let group = n / groups;
-        pool.par_chunks_mut(data, group * cols, |_, rows| stages(rows, 1, group));
-        // From here a butterfly's two rows lie in different groups:
-        // split each block's lo and hi halves into matching runs of
-        // `group / 2` row pairs, `groups` tasks per stage.
-        let run = group / 2;
-        let mut half = group;
-        while half < n {
-            let ws = &table[half - 1..2 * half - 1];
+        pool.par_chunks_mut(data, group * cols, |_, rows| stages(rows, group));
+        // From here a block spans groups: its quarters go in matching
+        // runs of `group / 4` rows (at least one), one task per run.
+        let run = (group / 4).max(1);
+        let mut l = first_l(n);
+        while 4 * l <= group {
+            l *= 4;
+        }
+        while 4 * l <= n {
+            let ws = self.table(l, !forward);
             pool.scope(|s| {
-                for block in data.chunks_exact_mut(2 * half * cols) {
-                    let (lo, hi) = block.split_at_mut(half * cols);
-                    let runs = lo.chunks_mut(run * cols).zip(hi.chunks_mut(run * cols));
-                    for ((lo, hi), ws) in runs.zip(ws.chunks(run)) {
-                        s.spawn(move || butterfly_rows(lo, hi, ws, cols));
+                for block in data.chunks_exact_mut(4 * l * cols) {
+                    let [a, b, c, d] = quarters(block).map(|q| q.chunks_mut(run * cols));
+                    let runs = a.zip(b).zip(c.zip(d)).zip(ws.chunks(run)).enumerate();
+                    for (i, (((a, b), (c, d)), ws)) in runs {
+                        s.spawn(move || quad([a, b, c, d], ws, cols, !forward, i == 0));
                     }
                 }
             });
-            half *= 2;
+            l *= 4;
         }
         if scale != 1.0 {
             pool.par_chunks_mut(data, group * cols, |_, rows| scale_all(rows, scale));
@@ -290,7 +346,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn plan_rejects_non_power_of_two() {
-        let _ = Radix2Plan::new(12);
+        let _ = Pow2Plan::new(12);
     }
 
     #[test]
@@ -299,7 +355,7 @@ mod tests {
             let x = signal(n);
             let expect = dft(&x, Norm::Backward);
             let mut got = x.clone();
-            Radix2Plan::new(n).forward(&mut got, Norm::Backward);
+            Pow2Plan::new(n).forward(&mut got, Norm::Backward);
             assert!(max_diff(&expect, &got) < 1e-9, "n={n}");
         }
     }
@@ -310,7 +366,7 @@ mod tests {
             let x = signal(n);
             let expect = idft(&x, Norm::Backward);
             let mut got = x.clone();
-            Radix2Plan::new(n).inverse(&mut got, Norm::Backward);
+            Pow2Plan::new(n).inverse(&mut got, Norm::Backward);
             assert!(max_diff(&expect, &got) < 1e-9, "n={n}");
         }
     }
@@ -319,7 +375,7 @@ mod tests {
     fn roundtrip_all_norms() {
         let n = 64;
         let x = signal(n);
-        let plan = Radix2Plan::new(n);
+        let plan = Pow2Plan::new(n);
         for norm in [Norm::Backward, Norm::Ortho, Norm::Forward] {
             let mut buf = x.clone();
             plan.forward(&mut buf, norm);
@@ -330,7 +386,7 @@ mod tests {
 
     #[test]
     fn plan_is_reusable() {
-        let plan = Radix2Plan::new(16);
+        let plan = Pow2Plan::new(16);
         for trial in 0..4 {
             let mut x = signal(16);
             x[0] = Complex64::new(trial as f64, 0.0);
@@ -342,7 +398,7 @@ mod tests {
 
     #[test]
     fn length_one_is_identity() {
-        let plan = Radix2Plan::new(1);
+        let plan = Pow2Plan::new(1);
         let mut x = vec![Complex64::new(5.0, -1.0)];
         plan.forward(&mut x, Norm::Backward);
         assert_eq!(x[0], Complex64::new(5.0, -1.0));
@@ -351,7 +407,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer length")]
     fn wrong_buffer_length_panics() {
-        let plan = Radix2Plan::new(8);
+        let plan = Pow2Plan::new(8);
         let mut x = vec![Complex64::ZERO; 4];
         plan.forward(&mut x, Norm::Backward);
     }
@@ -361,7 +417,7 @@ mod tests {
         let n = 128;
         let x = signal(n);
         let mut spec = x.clone();
-        Radix2Plan::new(n).forward(&mut spec, Norm::Ortho);
+        Pow2Plan::new(n).forward(&mut spec, Norm::Ortho);
         let te: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let fe: f64 = spec.iter().map(|z| z.norm_sqr()).sum();
         assert!((te - fe).abs() < 1e-8);

@@ -6,9 +6,11 @@
 //! **in place on one row-major buffer**: the row pass transforms each
 //! contiguous row, and the column pass butterflies whole rows against
 //! each other ([`FftPlan::forward_columns`]) — a column butterfly
-//! between rows `r` and `r + h` is the same arithmetic on every
-//! column, so walking it across the two rows is unit-stride in memory
-//! and needs no re-laid-out copy. [`Fft2d::forward`] is a clone plus
+//! between rows `r`, `r + l`, `r + 2l` and `r + 3l` is the same
+//! arithmetic on every column, so walking it across the rows is
+//! unit-stride in memory and needs no re-laid-out copy. Both passes
+//! run the one kernel of [`crate::fft`], so a column's bits are its
+//! 1-D transform's. [`Fft2d::forward`] is a clone plus
 //! the in-place transform; a batch is that, matrix by matrix.
 //!
 //! Rows (and then columns) are fully independent, so they shard across
@@ -35,9 +37,10 @@ pub struct Fft2d {
 
 impl Fft2d {
     /// Complex-MAC counts of one length-`cols` row transform and one
-    /// length-`rows` column transform — the cost figures accelerator
-    /// models charge, exposed here so they need not build duplicate
-    /// 1-D plans just to read them.
+    /// length-`rows` column transform ([`FftPlan::op_count`]: the
+    /// modelled radix-2 algorithm's, not the host kernel's) — the cost
+    /// figures accelerator models charge, exposed here so they need not
+    /// build duplicate 1-D plans just to read them.
     pub fn op_counts(&self) -> (u64, u64) {
         (self.row_plan.op_count(), self.col_plan.op_count())
     }

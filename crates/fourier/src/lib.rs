@@ -9,7 +9,7 @@
 //! | Strategy | Module | Complexity | Role |
 //! |---|---|---|---|
 //! | naive definition | [`dft()`] | O(N²) | reference / CPU baseline |
-//! | radix-2 Cooley–Tukey | [`fft`] | O(N log N) | fast host path |
+//! | radix-4 Cooley–Tukey (one radix-2 stage when log₂ N is odd) | [`fft`] | O(N log N) | the one power-of-two kernel: 1-D, column and pool-sharded column forms |
 //! | Bluestein chirp-z | [`bluestein`] | O(N log N), any N | arbitrary shapes |
 //! | DFT-matrix matmul | [`matrix_form`] | O(N²) as *matmul* | the TPU mapping (Eq. 10–13) |
 //! | row–column 2-D | [`fft2d()`] | O(MN log MN) | Algorithm 1 decomposition |
@@ -48,7 +48,6 @@ mod real;
 pub use bluestein::BluesteinPlan;
 pub use cache::{global_plan_cache, PlanCache};
 pub use dft::{dft, idft};
-pub use fft::Radix2Plan;
 pub use fft2d::{convolve2d_fft, fft2d, fft2d_batch, ifft2d, ifft2d_batch, Fft2d};
 pub use matrix_form::{dft_matrix, fft2d_via_matmul, idft_matrix, ifft2d_via_matmul};
 pub use norm::Norm;

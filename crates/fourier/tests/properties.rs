@@ -264,3 +264,187 @@ proptest! {
         }
     }
 }
+
+/// Every power of two the kernel plans, 1 to 4096: both parities of
+/// log₂ n (a leading radix-2 stage or none) and up to six radix-4
+/// stages.
+const POWERS: [usize; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+
+/// A seeded value in `[-1, 1)` (SplitMix64 draws).
+fn draw(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+fn seeded_signal(n: usize, seed: u64) -> Vec<Complex64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| Complex64::new(draw(&mut state), draw(&mut state)))
+        .collect()
+}
+
+/// [`assert_same_bits`] on slices.
+fn assert_same_slice_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+    let n = got.len();
+    let shape = |v: &[Complex64]| Matrix::from_vec(1, n.max(1), v.to_vec()).unwrap();
+    if n > 0 {
+        assert_same_bits(&shape(got), &shape(want), what);
+    }
+}
+
+#[test]
+fn column_form_is_the_1d_form_bit_for_bit_at_every_power_of_two() {
+    // Three columns: finite values with a `-0.0` and a zero block,
+    // the same with NaN / ±inf planted, and an exact-zero column but
+    // for one `-0.0`.
+    let cols = 3;
+    for n in POWERS {
+        let finite = seeded_signal(n, n as u64);
+        let column = |c: usize| -> Vec<Complex64> {
+            (0..n)
+                .map(|r| match (c, r) {
+                    (_, r) if r == n / 3 => Complex64::new(-0.0, -0.0),
+                    (2, _) => Complex64::ZERO,
+                    (_, r) if (n / 4..n / 2).contains(&r) => Complex64::ZERO,
+                    (1, r) if r == n - 1 => Complex64::new(f64::NAN, 1.0),
+                    (1, r) if r == n / 2 => Complex64::new(f64::INFINITY, 0.0),
+                    (1, r) if r == n / 8 && n >= 8 => Complex64::new(0.5, f64::NEG_INFINITY),
+                    _ => finite[r],
+                })
+                .collect()
+        };
+        let columns: Vec<Vec<Complex64>> = (0..cols).map(column).collect();
+        let data: Vec<Complex64> = (0..n * cols).map(|i| columns[i % cols][i / cols]).collect();
+        let plan = FftPlan::new(n);
+        for norm in [Norm::Backward, Norm::Ortho, Norm::Forward] {
+            for forward in [true, false] {
+                let mut got = data.clone();
+                if forward {
+                    plan.forward_columns(&mut got, cols, norm);
+                } else {
+                    plan.inverse_columns(&mut got, cols, norm);
+                }
+                for (c, column) in columns.iter().enumerate() {
+                    let mut want = column.clone();
+                    if forward {
+                        plan.forward(&mut want, norm);
+                    } else {
+                        plan.inverse(&mut want, norm);
+                    }
+                    let got: Vec<Complex64> = got.iter().skip(c).step_by(cols).copied().collect();
+                    let what = format!("n={n} column {c} {norm:?} forward={forward}");
+                    assert_same_slice_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_transforms_are_the_serial_ones_bit_for_bit() {
+    for (m, n) in [(64, 64), (128, 128), (256, 64), (512, 512)] {
+        let plan = Fft2d::new(m, n);
+        let signal = seeded_signal(m * n, (m * n) as u64);
+        let x = Matrix::from_vec(m, n, signal).unwrap();
+        let pair = [x.clone(), x.map(|z| z * Complex64::new(0.5, -2.0))];
+        let forward = plan.forward(&x).unwrap();
+        let inverse = plan.inverse(&x).unwrap();
+        let forwards = plan.forward_batch(&pair).unwrap();
+        let inverses = plan.inverse_batch(&pair).unwrap();
+        for workers in 1..=8 {
+            let what = |name: &str| format!("{name} {m}x{n} w={workers}");
+            let got = plan.forward_parallel(&x, workers).unwrap();
+            assert_same_bits(&got, &forward, &what("forward_parallel"));
+            let got = plan.inverse_parallel(&x, workers).unwrap();
+            assert_same_bits(&got, &inverse, &what("inverse_parallel"));
+            let got = plan.forward_batch_parallel(&pair, workers).unwrap();
+            for (g, w) in got.iter().zip(&forwards) {
+                assert_same_bits(g, w, &what("forward_batch_parallel"));
+            }
+            let got = plan.inverse_batch_parallel(&pair, workers).unwrap();
+            for (g, w) in got.iter().zip(&inverses) {
+                assert_same_bits(g, w, &what("inverse_batch_parallel"));
+            }
+        }
+    }
+}
+
+/// The orthonormal DFT of `x` from the definition, each twiddle's index
+/// reduced mod n (`dft` takes `e^{-2πi·mk/n}` of the unreduced `mk`,
+/// whose angle costs it ≈ `ε · 2π · mk / n` per term — at n = 4096
+/// more than the bound below) and each sum compensated (Neumaier), so
+/// its own error is a few ε of `‖x‖`.
+fn reference_dft(x: &[Complex64], inverse: bool) -> Vec<Complex64> {
+    let n = x.len();
+    let scale = 1.0 / (n as f64).sqrt();
+    let sum = |terms: &mut dyn Iterator<Item = f64>| {
+        let (mut s, mut comp) = (0.0f64, 0.0f64);
+        for t in terms {
+            let next = s + t;
+            comp += if s.abs() >= t.abs() {
+                (s - next) + t
+            } else {
+                (t - next) + s
+            };
+            s = next;
+        }
+        s + comp
+    };
+    (0..n)
+        .map(|k| {
+            let w = |m: usize| {
+                let w = Complex64::twiddle((m * k % n) as i64, n);
+                if inverse {
+                    w.conj()
+                } else {
+                    w
+                }
+            };
+            let re = sum(&mut (0..n).flat_map(|m| {
+                let w = w(m);
+                [x[m].re * w.re, -(x[m].im * w.im)]
+            }));
+            let im = sum(&mut (0..n).flat_map(|m| {
+                let w = w(m);
+                [x[m].re * w.im, x[m].im * w.re]
+            }));
+            Complex64::new(re * scale, im * scale)
+        })
+        .collect()
+}
+
+/// The kernel's error bound: `‖X̃ − X‖₂ ≤ C · ε · log₂ n · ‖x‖₂` for the
+/// orthonormal transform (so `‖X‖₂ = ‖x‖₂`), forward and inverse, with
+/// `C = 1`. Measured on these seeded signals, the ratio
+/// `‖X̃ − X‖₂ / (ε · log₂ n · ‖x‖₂)` is 0.55 at n = 2 (the orthonormal
+/// scale's rounding) and at most 0.26 above it, at n = 4096 0.14; the
+/// radix-2 kernel this one replaced read 0.55, at most 0.26 and 0.17.
+#[test]
+fn error_against_the_definition_is_within_c_eps_log_n() {
+    const C: f64 = 1.0;
+    let norm2 = |v: &[Complex64]| v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+    for n in POWERS {
+        let x = seeded_signal(n, 7 + n as u64);
+        let plan = FftPlan::new(n);
+        for inverse in [false, true] {
+            let mut got = x.clone();
+            if inverse {
+                plan.inverse(&mut got, Norm::Ortho);
+            } else {
+                plan.forward(&mut got, Norm::Ortho);
+            }
+            let want = reference_dft(&x, inverse);
+            let diff: Vec<Complex64> = got.iter().zip(&want).map(|(a, b)| *a - *b).collect();
+            let bound = C * f64::EPSILON * n.ilog2() as f64 * norm2(&x);
+            let err = norm2(&diff);
+            assert!(
+                err <= bound,
+                "n={n} inverse={inverse}: error {err:e} above {bound:e} (ratio {})",
+                err / (f64::EPSILON * n.ilog2().max(1) as f64 * norm2(&x))
+            );
+        }
+    }
+}

@@ -15,7 +15,7 @@
 //! | Crate | Role |
 //! |---|---|
 //! | [`tensor`] | matrices, complex numbers, convolution, int8 quantisation |
-//! | [`fourier`] | naive DFT, radix-2, Bluestein, DFT-matrix form, 2-D row–column |
+//! | [`fourier`] | naive DFT, radix-4, Bluestein, DFT-matrix form, 2-D row–column |
 //! | [`tpu`] | cycle-level systolic-array / multi-core TPU simulator |
 //! | [`accel`] | `Accelerator` trait + CPU/GPU/TPU hardware cost models |
 //! | [`nn`] | from-scratch CNN substrate (VGG-style, ResNet-style) |

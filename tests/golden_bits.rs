@@ -5,7 +5,10 @@
 //! filter-diff chain to fused lanes, real lanes' move to the
 //! real-input transform (complex lanes must not have moved with them),
 //! and a mini-batch's move from one sample after another to the host
-//! pool.
+//! pool. The transform-derived pins (`TRANSFORMS`, both block maps and
+//! both fit folds) were re-recorded once more when every power-of-two
+//! transform moved from radix-2 to the radix-4 kernel, which rounds
+//! differently; each constant's doc states how far its values moved.
 //! Every other bit-identity check in the tree compares two paths of
 //! the same build, so a drift that moves both the same way would pass
 //! them all; these constants cannot move with the code.
@@ -46,33 +49,37 @@ fn input(rows: usize, cols: usize) -> Matrix<Complex64> {
 }
 
 /// `(rows, cols, fold(forward), forward[last] bits, fold(inverse), inverse[last] bits)`
-/// — radix-2 both axes, radix-2 tall, and Bluestein columns (6) with
-/// Bluestein rows (10).
+/// — power of two both axes, power of two tall, and Bluestein columns
+/// (6) with Bluestein rows (10). Re-recorded for the radix-4 kernel:
+/// 268 of the 376 complex values moved, by at most 3.4e-15 of their
+/// own magnitude (at most 3.1e-16 of their matrix's largest; the
+/// largest own-magnitude distance, 0.49, is a bin of order 1e-15 that
+/// is zero in exact arithmetic).
 type Golden = (usize, usize, u64, (u64, u64), u64, (u64, u64));
 const TRANSFORMS: [Golden; 3] = [
     (
         8,
         8,
-        0x4fdb_985e_7476_3f7f,
-        (0xbfea_debc_19b7_1720, 0x402c_7316_881c_9de9),
-        0xd9a8_6045_5dc3_e1c2,
+        0x3bdd_0b88_5abe_a034,
+        (0xbfea_debc_19b7_1720, 0x402c_7316_881c_9de8),
+        0xf106_ded3_f0e9_e51b,
         (0x3f8a_debc_19b7_1700, 0xbfc4_573f_04e5_bb09),
     ),
     (
         16,
         4,
-        0x048a_c403_8dcc_a353,
-        (0xc02d_7295_6340_963c, 0xc00f_3c95_89fc_5512),
-        0x7ce1_6558_8018_a538,
-        (0xbfcd_7295_6340_963c, 0x3fc0_9605_6402_1736),
+        0x0c40_c372_7070_b6c0,
+        (0xc02d_7295_6340_963c, 0xc00f_3c95_89fc_5510),
+        0x8b01_272a_08cc_7f56,
+        (0xbfcd_7295_6340_963c, 0x3fc0_9605_6402_1735),
     ),
     (
         6,
         10,
-        0xff9b_b8a7_7b64_b7e9,
-        (0xc01e_27e3_2ac6_1b4a, 0x400a_bd76_2209_db11),
-        0x2c5f_f3c6_d0d3_ab09,
-        (0xbfc0_dec8_f501_66fe, 0xbfa2_d511_7bce_4fdc),
+        0x82fb_80eb_e293_a6cc,
+        (0xc01e_27e3_2ac6_1b58, 0x400a_bd76_2209_db03),
+        0xe4ee_b40b_591d_ec93,
+        (0xbfc0_dec8_f501_6701, 0xbfa2_d511_7bce_4fbe),
     ),
 ];
 
@@ -124,23 +131,28 @@ fn fft2d_bits_match_the_transposing_implementation() {
 /// full-size lane sums it.
 /// [`COMPLEX_BLOCK_MAP`] pins that the complex sequence itself moved
 /// none of these times.
+///
+/// The fourth time, every transform under the scores moved to the
+/// radix-4 kernel. Observed distance from the constants before: at most
+/// 3 ulp (5.4e-16 relative) on the fifteen scores of order 40–55 (three
+/// did not move); score 6 moved by 5.6e-15 (5.1e-9 of the residue).
 const BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c155,
-    0x4048_3348_d9d5_808c,
-    0x4049_b2a9_9450_7bba,
-    0x4043_95d4_98e0_c3ad,
-    0x4045_4a2f_3e47_eeee,
+    0x4044_fe89_1515_c158,
+    0x4048_3348_d9d5_8089,
+    0x4049_b2a9_9450_7bb8,
+    0x4043_95d4_98e0_c3b0,
+    0x4045_4a2f_3e47_eef0,
     0x4043_95d4_9706_36b6,
-    0x3eb2_9f39_c05f_8472,
+    0x3eb2_9f39_c1f5_6c91,
     0x4048_3348_dd99_5627,
-    0x404b_57a4_1ab1_5990,
+    0x404b_57a4_1ab1_5991,
     0x4043_cb06_a365_1ec5,
-    0x4043_cb06_a167_ff5e,
-    0x404b_57a4_1b11_7bd2,
-    0x4047_d60e_0048_2990,
-    0x4049_b2a9_93be_5860,
-    0x4043_95d4_9785_e453,
-    0x4045_4a2f_3c0d_4215,
+    0x4043_cb06_a167_ff5d,
+    0x404b_57a4_1b11_7bd3,
+    0x4047_d60e_0048_2991,
+    0x4049_b2a9_93be_585f,
+    0x4043_95d4_9785_e451,
+    0x4045_4a2f_3c0d_4216,
 ];
 
 /// The model and pair behind [`BLOCK_MAP`].
@@ -192,23 +204,26 @@ fn direct_block_map_bits_and_charges_match_the_staged_direct_paths() {
 /// part (`im = re / 4`), handed to `filter_diff_batch` directly: lanes
 /// the complex sequence runs. Recorded at the commit before real lanes
 /// took the real-input transform (PR 19), which must not move them.
+/// Re-recorded when the transforms moved to the radix-4 kernel: at most
+/// 5 ulp (6.5e-16 relative) on the fifteen scores of order 40–55 (four
+/// did not move); score 6 moved by 3.6e-15 (3.3e-9 of its value).
 const COMPLEX_BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c156,
-    0x4048_3348_d9d5_808e,
+    0x4044_fe89_1515_c158,
+    0x4048_3348_d9d5_808b,
     0x4049_b2a9_9450_7bb6,
-    0x4043_95d4_98e0_c3ab,
-    0x4045_4a2f_3e47_eef1,
+    0x4043_95d4_98e0_c3ac,
+    0x4045_4a2f_3e47_eef0,
     0x4043_95d4_9706_36b7,
-    0x3eb2_9f39_c1e3_312c,
-    0x4048_3348_dd99_5628,
-    0x404b_57a4_1ab1_5994,
-    0x4043_cb06_a365_1ec8,
-    0x4043_cb06_a167_ff5c,
+    0x3eb2_9f39_c0dd_9e2c,
+    0x4048_3348_dd99_5627,
+    0x404b_57a4_1ab1_598f,
+    0x4043_cb06_a365_1ec7,
+    0x4043_cb06_a167_ff5d,
     0x404b_57a4_1b11_7bd3,
     0x4047_d60e_0048_2991,
-    0x4049_b2a9_93be_5860,
-    0x4043_95d4_9785_e452,
-    0x4045_4a2f_3c0d_4214,
+    0x4049_b2a9_93be_585f,
+    0x4043_95d4_9785_e451,
+    0x4045_4a2f_3c0d_4212,
 ];
 
 #[test]
@@ -337,8 +352,13 @@ fn every_kernel_charge_matches_the_parent() {
 /// An FNV fold, over every case of [`fit_cases`], of the fitted
 /// kernel's bits and its spectrum's: what `fit`, and `fit_on` on each
 /// placement of [`CHARGE_TRAIL`], all gave. Recorded from the commit
-/// *before* Eq. 4 became one accelerator kernel.
-const FIT_BITS: u64 = 0x86ec_2640_7e8d_0bcb;
+/// *before* Eq. 4 became one accelerator kernel; re-recorded when the
+/// transforms moved to the radix-4 kernel (the charges did not move):
+/// 164 704 of the 166 240 kernel and spectrum values moved, by at most
+/// 1.1e-11 of their array's largest magnitude (4.1e-8 of their own, for
+/// values above 1e-9 of it; below that are round-off residues of exact
+/// zeros).
+const FIT_BITS: u64 = 0x02a2_fa97_d4bf_39d4;
 
 /// The clock and the ledger after each `fit_on` of
 /// [`fitted_bits_and_charges_match_the_parent`], one fold per
@@ -353,8 +373,10 @@ const FIT_CHARGE_TRAIL: [u64; 5] = [
 
 /// `fit_on`'s fold, as in [`FIT_BITS`], over a constant input under
 /// every solve that accepts its nulls; recorded with [`FIT_BITS`], on
-/// the CPU (every placement gave these bits).
-const NULL_FIT_BITS: u64 = 0xa418_744f_028c_d114;
+/// the CPU (every placement gave these bits). Re-recorded with
+/// [`FIT_BITS`]: 44 of 512 values moved, by at most 7.8e-16 relative;
+/// the NaNs of the null bins stayed where they were.
+const NULL_FIT_BITS: u64 = 0x0cc3_5548_e95d_2929;
 
 type Pairs = Vec<(Matrix<f64>, Matrix<f64>)>;
 
