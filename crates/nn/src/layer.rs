@@ -160,13 +160,6 @@ pub trait Layer: Send + Sync {
         0
     }
 
-    /// FLOPs of one forward pass for the configured input shape
-    /// (used by the hardware timing models; backward ≈ 2× forward).
-    fn flops_per_sample(&self) -> u64;
-
-    /// Bytes of activation+weight traffic for one forward pass.
-    fn bytes_per_sample(&self) -> u64;
-
     /// Output shape for the configured input shape.
     fn output_shape(&self) -> (usize, usize, usize);
 }

@@ -68,14 +68,6 @@ impl Layer for Relu {
         Ok(Some(out))
     }
 
-    fn flops_per_sample(&self) -> u64 {
-        (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        16 * (self.shape.0 * self.shape.1 * self.shape.2) as u64
-    }
-
     fn output_shape(&self) -> (usize, usize, usize) {
         self.shape
     }
@@ -178,14 +170,6 @@ impl Layer for MaxPool2 {
             out.as_mut_slice()[idx] += g;
         }
         Ok(Some(out))
-    }
-
-    fn flops_per_sample(&self) -> u64 {
-        (self.in_shape.0 * self.in_shape.1 * self.in_shape.2) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        10 * (self.in_shape.0 * self.in_shape.1 * self.in_shape.2) as u64
     }
 
     fn output_shape(&self) -> (usize, usize, usize) {

@@ -681,17 +681,6 @@ impl Layer for Conv2d {
         self.weights.len() + self.bias.len()
     }
 
-    fn flops_per_sample(&self) -> u64 {
-        let (oh, ow) = self.out_hw();
-        2 * (self.out_channels * oh * ow * self.in_channels * self.kernel * self.kernel) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        let (oh, ow) = self.out_hw();
-        let (_, ih, iw) = self.in_shape;
-        8 * (self.in_channels * ih * iw + self.weights.len() + self.out_channels * oh * ow) as u64
-    }
-
     fn output_shape(&self) -> (usize, usize, usize) {
         let (oh, ow) = self.out_hw();
         (self.out_channels, oh, ow)
@@ -1065,9 +1054,6 @@ mod tests {
     fn flops_and_params_counting() {
         let conv = Conv2d::new(3, 16, 3, 1, 1, 32, 32, 0).unwrap();
         assert_eq!(conv.parameter_count(), 16 * 3 * 9 + 16);
-        // 2 · 16·32·32·3·9
-        assert_eq!(conv.flops_per_sample(), 2 * 16 * 32 * 32 * 3 * 9);
-        assert!(conv.bytes_per_sample() > 0);
     }
 
     #[test]

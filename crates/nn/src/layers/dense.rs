@@ -181,14 +181,6 @@ impl Layer for Dense {
         self.weights.len() + self.bias.len()
     }
 
-    fn flops_per_sample(&self) -> u64 {
-        2 * (self.in_features * self.out_features) as u64
-    }
-
-    fn bytes_per_sample(&self) -> u64 {
-        8 * (self.in_features + self.weights.len() + self.out_features) as u64
-    }
-
     fn output_shape(&self) -> (usize, usize, usize) {
         (self.out_features, 1, 1)
     }
@@ -320,7 +312,6 @@ mod tests {
     fn counters() {
         let d = Dense::new(10, 4, 0).unwrap();
         assert_eq!(d.parameter_count(), 44);
-        assert_eq!(d.flops_per_sample(), 80);
         assert_eq!(d.output_shape(), (4, 1, 1));
         assert_eq!(d.in_features(), 10);
         assert_eq!(d.out_features(), 4);

@@ -82,16 +82,6 @@ impl Network {
         self.layers.iter().map(|l| l.parameter_count()).sum()
     }
 
-    /// FLOPs of one forward pass.
-    pub fn flops_per_sample(&self) -> u64 {
-        self.layers.iter().map(|l| l.flops_per_sample()).sum()
-    }
-
-    /// Activation + weight bytes of one forward pass.
-    pub fn bytes_per_sample(&self) -> u64 {
-        self.layers.iter().map(|l| l.bytes_per_sample()).sum()
-    }
-
     /// Forward pass to logits.
     ///
     /// # Errors
@@ -311,14 +301,6 @@ mod tests {
             self.0.apply_gradients(lr, momentum, batch);
         }
 
-        fn flops_per_sample(&self) -> u64 {
-            self.0.flops_per_sample()
-        }
-
-        fn bytes_per_sample(&self) -> u64 {
-            self.0.bytes_per_sample()
-        }
-
         fn output_shape(&self) -> (usize, usize, usize) {
             self.0.output_shape()
         }
@@ -351,8 +333,6 @@ mod tests {
         assert!(net.summary().contains("dense 4→8"));
         assert_eq!(net.len(), 3);
         assert_eq!(net.parameter_count(), 4 * 8 + 8 + 8 * 2 + 2);
-        assert!(net.flops_per_sample() > 0);
-        assert!(net.bytes_per_sample() > 0);
     }
 
     #[test]

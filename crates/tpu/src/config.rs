@@ -41,6 +41,12 @@ impl Precision {
 
 /// Static description of one simulated TPU device.
 ///
+/// Every field is a term of some charge, and a charge moves only a
+/// core's cycles and energy and a device's wall and comm seconds and
+/// collective count: the HBM rate sets a matmul's memory-bound cycles,
+/// the picojoule fields its energy, the link fields a collective's
+/// seconds.
+///
 /// # Examples
 ///
 /// ```
@@ -62,8 +68,6 @@ pub struct TpuConfig {
     pub cores: usize,
     /// Aggregate HBM bandwidth in bytes/second (whole device).
     pub hbm_bytes_per_sec: f64,
-    /// Unified (on-chip activation) buffer capacity per core, bytes.
-    pub unified_buffer_bytes: usize,
     /// Fixed latency of one inter-core collective step, seconds (the
     /// α term of the `cross_replica_sum` cost `α + β·bytes`).
     pub link_latency_s: f64,
@@ -92,7 +96,6 @@ impl TpuConfig {
             // 128 cores ⇒ 64 TPUv2 chips at ~375 GB/s HBM each:
             // ~24 TB/s aggregate (≈187 GB/s per core).
             hbm_bytes_per_sec: 2.4e13,
-            unified_buffer_bytes: 24 * 1024 * 1024,
             link_latency_s: 1.0e-6,
             link_bytes_per_sec: 70.0e9,
             double_buffered_weights: true,
@@ -112,7 +115,6 @@ impl TpuConfig {
             clock_hz: 1.0e6,
             cores: 2,
             hbm_bytes_per_sec: 1.0e9,
-            unified_buffer_bytes: 64 * 1024,
             link_latency_s: 1.0e-6,
             link_bytes_per_sec: 1.0e9,
             double_buffered_weights: false,

@@ -1,16 +1,14 @@
-//! A single simulated TPU core: systolic MXU + vector unit + memory
-//! accounting.
+//! A single simulated TPU core: systolic MXU + vector unit.
 //!
 //! Every operation *computes its real numeric result on the host*
 //! (through the configured precision's quantisation, so int8 error is
-//! real and measurable) and simultaneously charges cycles, bytes and
-//! energy to the core — "timing is simulated, compute is real", the
-//! first invariant of ARCHITECTURE.md.
+//! real and measurable) and simultaneously charges the core — "timing
+//! is simulated, compute is real", the first invariant of
+//! ARCHITECTURE.md. A charge moves exactly two counters, cycles and
+//! energy; the bytes an op moves are a term of both, not a ledger.
 
 use crate::config::{Precision, TpuConfig};
-use crate::memory::MemoryModel;
-use crate::systolic::{weight_load_cycles, SystolicArray};
-use crate::trace::{OpKind, Trace};
+use crate::systolic::SystolicArray;
 use xai_tensor::ops;
 use xai_tensor::quant::QuantizedMatrix;
 use xai_tensor::{Complex64, Matrix, Result};
@@ -44,40 +42,22 @@ pub fn bf16_round(x: f64) -> f64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TpuCore {
-    id: usize,
     cfg: TpuConfig,
     array: SystolicArray,
-    memory: MemoryModel,
-    /// `pub(crate)` so the device can attribute a collective to core 0.
-    pub(crate) trace: Trace,
     cycles: u64,
     energy_pj: f64,
 }
 
 impl TpuCore {
-    /// Creates core 0 with the given configuration.
+    /// Creates a core with the given configuration.
     pub fn new(cfg: TpuConfig) -> Self {
-        Self::with_id(cfg, 0)
-    }
-
-    /// Creates a core with an explicit id (used by the multi-core
-    /// device).
-    pub fn with_id(cfg: TpuConfig, id: usize) -> Self {
         let array = SystolicArray::from_config(&cfg);
         TpuCore {
-            id,
             cfg,
             array,
-            memory: MemoryModel::new(),
-            trace: Trace::new(),
             cycles: 0,
             energy_pj: 0.0,
         }
-    }
-
-    /// Core id within its device.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Hardware configuration.
@@ -100,20 +80,8 @@ impl TpuCore {
         self.energy_pj
     }
 
-    /// Per-kind totals of everything this core was charged.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Memory-traffic accounting.
-    pub fn memory(&self) -> &MemoryModel {
-        &self.memory
-    }
-
-    /// Zeroes all counters and the trace.
+    /// Zeroes the cycle and energy counters.
     pub fn reset(&mut self) {
-        self.memory.reset();
-        self.trace.clear();
         self.cycles = 0;
         self.energy_pj = 0.0;
     }
@@ -173,7 +141,7 @@ impl TpuCore {
         Ok(result)
     }
 
-    /// Charges the cycle/energy/traffic cost of an `m×k·k×n` MXU
+    /// Charges the cycle and energy cost of an `m×k·k×n` MXU
     /// matmul (`passes` repetitions) without computing it — used by
     /// schedulers that compute results on a fast host path while
     /// simulating device timing ("timing is simulated, compute is
@@ -192,18 +160,9 @@ impl TpuCore {
         // Compute and memory overlap; the core is busy for the max.
         let total = compute_cycles.max(mem_cycles);
         self.cycles += total;
-        self.memory.record_read(((m * k + k * n) as u64) * elem);
-        self.memory.record_write((m * n) as u64 * 4);
-        self.memory.record_working_set(bytes, &self.cfg);
         let energy_factor = (self.cfg.precision.bytes() * self.cfg.precision.bytes()) as f64;
         self.energy_pj += macs as f64 * self.cfg.pj_per_mac * energy_factor
             + bytes as f64 * self.cfg.pj_per_hbm_byte;
-        self.trace.record(OpKind::MatMul, total, bytes, macs);
-        if !self.cfg.double_buffered_weights {
-            // weight loads already inside matmul_cycles; counted separately for visibility
-            let cycles = weight_load_cycles(k.min(self.cfg.array_rows));
-            self.trace.record(OpKind::WeightLoad, cycles, 0, 0);
-        }
     }
 
     /// Charges the cost of an elementwise vector-unit op over `elems`
@@ -216,11 +175,8 @@ impl TpuCore {
         let cycles = elems.div_ceil(lanes);
         let bytes = elems * 8;
         self.cycles += cycles;
-        self.memory.record_read(bytes);
         self.energy_pj +=
             (elems * FLOPS_PER_ELEM) as f64 * self.cfg.pj_per_mac + bytes as f64 * 2.0;
-        self.trace
-            .record(OpKind::Elementwise, cycles, bytes, elems * FLOPS_PER_ELEM);
     }
 }
 
@@ -253,7 +209,6 @@ mod tests {
         assert!(exact.max_abs_diff(&got).unwrap() < 0.05);
         assert!(core.elapsed_cycles() > 0);
         assert!(core.energy_pj() > 0.0);
-        assert_eq!(core.trace().len(), 2); // matmul + weight-load log
     }
 
     #[test]
@@ -304,8 +259,6 @@ mod tests {
         core.reset();
         assert_eq!(core.elapsed_cycles(), 0);
         assert_eq!(core.energy_pj(), 0.0);
-        assert!(core.trace().is_empty());
-        assert_eq!(core.memory().total_bytes(), 0);
     }
 
     #[test]
@@ -316,20 +269,6 @@ mod tests {
         core.reset();
         core.matmul(&unit_matrix(16), &unit_matrix(16)).unwrap();
         assert!(core.elapsed_cycles() > small);
-    }
-
-    #[test]
-    fn utilization_counts_mxu_work_only() {
-        // Vector-unit work keeps the core busy but is not a MAC on the
-        // systolic array: every cycle lands in the elementwise row.
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        core.charge_elementwise_work(16);
-        assert!(core.elapsed_cycles() > 0);
-        assert_eq!(
-            core.trace().cycles_of(OpKind::Elementwise),
-            core.elapsed_cycles()
-        );
-        assert!(core.trace().total_ops() > 0);
     }
 
     #[test]

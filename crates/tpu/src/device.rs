@@ -4,28 +4,12 @@
 //! decomposition (each core works on an independent shard,
 //! [`TpuDevice::run_phase`]) and multi-input parallelism, with the
 //! `cross_replica_sum` reassembly collective of §III-D charged at
-//! `α + β·bytes`.
+//! `α + β·bytes`. A device adds three counters to its cores' cycles
+//! and energy: wall seconds, comm seconds and the collective count.
 
 use crate::config::TpuConfig;
 use crate::core::TpuCore;
-use crate::trace::OpKind;
 use xai_tensor::{Complex64, Matrix, Result, Scalar, TensorError};
-
-/// Wall-clock accounting for a parallel phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PhaseTime {
-    /// Longest per-core busy time in the phase, seconds.
-    pub compute_s: f64,
-    /// Collective-communication time in the phase, seconds.
-    pub comm_s: f64,
-}
-
-impl PhaseTime {
-    /// Total phase wall time.
-    pub fn total_s(&self) -> f64 {
-        self.compute_s + self.comm_s
-    }
-}
 
 /// A simulated multi-core TPU.
 ///
@@ -58,7 +42,6 @@ pub struct TpuDevice {
     wall_seconds: f64,
     comm_seconds: f64,
     collectives: u64,
-    last_phase: PhaseTime,
 }
 
 impl TpuDevice {
@@ -74,16 +57,13 @@ impl TpuDevice {
     pub fn new(mut cfg: TpuConfig) -> Self {
         check_rates(&cfg);
         cfg.cores = cfg.cores.max(1);
-        let cores = (0..cfg.cores)
-            .map(|i| TpuCore::with_id(cfg.clone(), i))
-            .collect();
+        let cores = (0..cfg.cores).map(|_| TpuCore::new(cfg.clone())).collect();
         TpuDevice {
             cfg,
             cores,
             wall_seconds: 0.0,
             comm_seconds: 0.0,
             collectives: 0,
-            last_phase: PhaseTime::default(),
         }
     }
 
@@ -128,13 +108,6 @@ impl TpuDevice {
         self.collectives
     }
 
-    /// Timing of the most recent [`TpuDevice::run_phase`] /
-    /// collective pair: compute time of the phase and communication
-    /// time of any collective issued since.
-    pub fn last_phase(&self) -> PhaseTime {
-        self.last_phase
-    }
-
     /// Total energy across cores, picojoules.
     pub fn energy_pj(&self) -> f64 {
         self.cores.iter().map(TpuCore::energy_pj).sum()
@@ -148,7 +121,6 @@ impl TpuDevice {
         self.wall_seconds = 0.0;
         self.comm_seconds = 0.0;
         self.collectives = 0;
-        self.last_phase = PhaseTime::default();
     }
 
     /// Executes one data-decomposition phase: work item `i` runs on
@@ -181,12 +153,7 @@ impl TpuDevice {
             .map(|(c, &b)| c.elapsed_cycles() - b)
             .max()
             .unwrap_or(0);
-        let compute_s = self.cfg.cycles_to_seconds(max_delta);
-        self.wall_seconds += compute_s;
-        self.last_phase = PhaseTime {
-            compute_s,
-            comm_s: 0.0,
-        };
+        self.wall_seconds += self.cfg.cycles_to_seconds(max_delta);
         Ok(results)
     }
 
@@ -206,15 +173,7 @@ impl TpuDevice {
         for p in &partials[1..] {
             acc = acc.zip_with(p, |a, b| a + b)?;
         }
-        let bytes = (acc.len() * std::mem::size_of::<T>()) as u64;
-        let cost = self.charge_collective_cost(bytes as usize);
-        // Attribute the collective to core 0's totals for visibility;
-        // its time is accounted at device level (wall/comm clocks).
-        if let Some(c0) = self.cores.first_mut() {
-            let cycles = (cost * self.cfg.clock_hz) as u64;
-            let ops = acc.len() as u64 * partials.len() as u64;
-            c0.trace.record(OpKind::Collective, cycles, bytes, ops);
-        }
+        self.charge_collective(acc.len() * std::mem::size_of::<T>());
         Ok(acc)
     }
 
@@ -222,20 +181,15 @@ impl TpuDevice {
     /// without materialising a result — used by schedulers that model
     /// the reassembly traffic of a transform whose numeric result is
     /// computed on the fast host path.
-    pub fn charge_collective(&mut self, bytes: usize) {
-        self.charge_collective_cost(bytes);
-    }
-
+    ///
     /// The one place a device-level collective charges its clocks:
     /// the device's cores are one link apart, so the collective is a
     /// single [`TpuConfig::cross_replica_cost_s`] step.
-    fn charge_collective_cost(&mut self, bytes: usize) -> f64 {
+    pub fn charge_collective(&mut self, bytes: usize) {
         let cost = self.cfg.cross_replica_cost_s(bytes);
         self.comm_seconds += cost;
         self.wall_seconds += cost;
         self.collectives += 1;
-        self.last_phase.comm_s += cost;
-        cost
     }
 
     /// Advances the device wall clock by externally-accounted work
@@ -257,7 +211,7 @@ impl TpuDevice {
     pub fn gather_rows(&mut self, shards: &[Matrix<Complex64>]) -> Result<Matrix<Complex64>> {
         let merged = Matrix::vstack(shards)?;
         let bytes = merged.len() * std::mem::size_of::<Complex64>();
-        self.charge_collective_cost(bytes);
+        self.charge_collective(bytes);
         Ok(merged)
     }
 }
@@ -417,20 +371,6 @@ mod tests {
         assert_eq!(dev.wall_seconds(), 0.0);
         assert_eq!(dev.collectives(), 0);
         assert_eq!(dev.energy_pj(), 0.0);
-    }
-
-    #[test]
-    fn last_phase_reports_compute_and_comm() {
-        let mut dev = TpuDevice::new(TpuConfig::small_test());
-        dev.run_phase(vec![shard(0.5)], |c, w| c.matmul(&w, &w))
-            .unwrap();
-        let phase = dev.last_phase();
-        assert!(phase.compute_s > 0.0);
-        assert_eq!(phase.comm_s, 0.0);
-        dev.cross_replica_sum(&[shard(1.0), shard(2.0)]).unwrap();
-        let phase = dev.last_phase();
-        assert!(phase.comm_s > 0.0);
-        assert!((phase.total_s() - phase.compute_s - phase.comm_s).abs() < 1e-15);
     }
 
     #[test]

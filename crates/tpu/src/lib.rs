@@ -12,9 +12,9 @@
 //! * [`systolic`] — a weight-stationary 256×256 systolic array,
 //!   simulated cycle by cycle at small scale (behavioural ground
 //!   truth) and analytically at full scale;
-//! * [`TpuCore`] — MXU + vector unit + memory accounting; every op
-//!   computes its real numeric result (with real int8/bf16 error)
-//!   while charging cycles, bytes and picojoules;
+//! * [`TpuCore`] — MXU + vector unit; every op computes its real
+//!   numeric result (with real int8/bf16 error) while charging cycles
+//!   and picojoules;
 //! * [`TpuDevice`] — 128 cores with `cross_replica_sum` collectives
 //!   costed at `α + β·bytes` (§III-D of the paper);
 //! * [`SharedDevice`] / [`BatchQueue`] / [`DevicePool`] — the serving
@@ -22,6 +22,11 @@
 //!   queue, and a multi-chip pool that shards coalesced flights
 //!   across simulated devices and merges their clocks into one
 //!   timeline.
+//!
+//! A charge moves only what the paper reports — a core's cycles and
+//! energy, a device's wall and comm seconds and its collective count.
+//! HBM traffic enters the cycle and energy charges as a term, not as a
+//! counter of its own.
 //!
 //! ## Example
 //!
@@ -52,21 +57,17 @@ mod config;
 mod core;
 mod device;
 pub mod fault;
-pub mod memory;
 pub mod pool;
 mod shared;
 pub mod systolic;
 pub mod topology;
-pub mod trace;
 
 pub use batch::{BatchQueue, KernelJob, ManualTime, QueueTime, WallTime};
 pub use config::{Precision, TpuConfig};
 pub use core::{bf16_round, TpuCore};
-pub use device::{PhaseTime, TpuDevice};
+pub use device::TpuDevice;
 pub use fault::{FailStop, FaultPlan, FaultStats};
-pub use memory::MemoryModel;
 pub use pool::{DevicePool, LaneCost, ShardOutcome, ShardPlan, ShardStrategy, ShardedRun};
 pub use shared::{LaneLease, SharedDevice};
-pub use systolic::{tile_stream_cycles, weight_load_cycles, SystolicArray, TileResult};
+pub use systolic::{tile_stream_cycles, SystolicArray, TileResult};
 pub use topology::Topology;
-pub use trace::{OpKind, Trace};

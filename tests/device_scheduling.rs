@@ -293,39 +293,24 @@ fn device_energy_scales_with_work() {
     assert!(d2.energy_pj() > e_small);
 }
 
-/// Per core: `(len, total_cycles, total_bytes, total_ops,
-/// cycles_of(MatMul), cycles_of(Elementwise), elapsed_cycles, energy
-/// bits)`; plus the device's `wall_seconds` bits.
-type CoreTotals = (usize, u64, u64, u64, u64, u64, u64, u64);
+/// Per core: `(elapsed_cycles, energy bits)`; plus the device's
+/// `wall_seconds` bits.
+type CoreTotals = (u64, u64);
 
 fn device_totals(accel: &TpuAccel) -> (Vec<CoreTotals>, u64) {
-    use tpu_xai::tpu::OpKind;
     accel.device().with(|d| {
         let cores = d
             .cores()
             .iter()
-            .map(|c| {
-                let t = c.trace();
-                (
-                    t.len(),
-                    t.total_cycles(),
-                    t.total_bytes(),
-                    t.total_ops(),
-                    t.cycles_of(OpKind::MatMul),
-                    t.cycles_of(OpKind::Elementwise),
-                    c.elapsed_cycles(),
-                    c.energy_pj().to_bits(),
-                )
-            })
+            .map(|c| (c.elapsed_cycles(), c.energy_pj().to_bits()))
             .collect();
         (cores, d.wall_seconds().to_bits())
     })
 }
 
-/// What the simulator counts is pinned to the values the per-event log
-/// produced at the commit that deleted it (PR 14): the per-kind table
-/// must total exactly what summing that log did, and the charges
-/// themselves (cycles, energy, wall seconds) must not move by a bit.
+/// What the simulator charges (cycles, energy, wall seconds) is pinned
+/// to bits recorded when every charge was also logged per event: a
+/// change to what the simulator keeps must not move a charge by a bit.
 #[test]
 fn golden_totals_match_the_event_log_they_replaced() {
     // (a) A 4-lane `filter_diff_batch` on a 2-core chip: the staged
@@ -339,9 +324,7 @@ fn golden_totals_match_the_event_log_they_replaced() {
     let y = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f64 / 64.0).unwrap();
     accel.filter_diff_batch(&xs, &filter, &y).unwrap();
     let (cores, wall) = device_totals(&accel);
-    // total_cycles (1824) exceeds elapsed_cycles (1792): weight loads
-    // are counted for visibility but already inside the matmul charge.
-    let core: CoreTotals = (18, 1824, 5120, 13824, 1728, 64, 1792, 0x40e9_d999_9999_9998);
+    let core: CoreTotals = (1792, 0x40e9_d999_9999_9998);
     assert_eq!(cores, vec![core; 2]);
     assert_eq!(wall, 0x3f5d_7e26_5cc7_3c7a);
 
@@ -350,8 +333,8 @@ fn golden_totals_match_the_event_log_they_replaced() {
     let accel = TpuAccel::tpu_v2();
     accel.fft2d(&spectrum_input(64, 64)).unwrap();
     let (cores, wall) = device_totals(&accel);
-    let busy: CoreTotals = (2, 1146, 8832, 24576, 1146, 0, 1146, 0x4100_c599_9999_999a);
-    let idle: CoreTotals = (0, 0, 0, 0, 0, 0, 0, 0);
+    let busy: CoreTotals = (1146, 0x4100_c599_9999_999a);
+    let idle: CoreTotals = (0, 0);
     assert_eq!(cores[..64], vec![busy; 64]);
     assert_eq!(cores[64..], vec![idle; 64]);
     assert_eq!(wall, 0x3ece_c188_b74e_545a);
