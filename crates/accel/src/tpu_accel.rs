@@ -14,8 +14,9 @@
 //!
 //! Numeric results use the exact host path for spectral work (real
 //! TPUs do this class of work in bf16 — the paper's reference [3]),
-//! and the *quantised int8* path for real matmuls, so quantisation
-//! error is physically present where the paper's §II-A says it is.
+//! and the configured MXU precision for real matmuls — *quantised
+//! int8* by default, or bf16-rounded operands — so quantisation error
+//! is physically present where the paper's §II-A says it is.
 //!
 //! The kernel bodies are the built-in platforms' one implementation
 //! (`platform.rs`), the host models' numerics on the calling thread;
@@ -35,11 +36,12 @@ use crate::stats::KernelStats;
 use std::collections::HashMap;
 use std::time::Duration;
 use xai_sync::{LockClass, OrderedMutex};
-use xai_tensor::quant::QuantizedMatrix;
+use xai_tensor::ops;
+use xai_tensor::quant::{bf16_round, QuantizedMatrix};
 use xai_tensor::{Matrix, Result};
 use xai_tpu::{
-    BatchQueue, DevicePool, KernelJob, LaneCost, ShardPlan, ShardStrategy, SharedDevice, TpuConfig,
-    TpuDevice,
+    BatchQueue, DevicePool, KernelJob, LaneCost, Precision, ShardPlan, ShardStrategy, SharedDevice,
+    TpuConfig, TpuDevice,
 };
 
 /// The fan-out probe memo is a leaf of the workspace lock hierarchy,
@@ -113,6 +115,11 @@ pub struct TpuAccel {
     /// changes after the pool is built, so the chip's index stands in
     /// for the first half of the key.
     probes: OrderedMutex<ProbeMemo>,
+    /// The MXU datapath's operand precision, read from the device's
+    /// configuration at construction (a device's configuration never
+    /// changes): [`Platform::product`](crate::Platform::product)'s
+    /// arithmetic.
+    precision: Precision,
 }
 
 impl Clone for TpuAccel {
@@ -137,6 +144,7 @@ impl Clone for TpuAccel {
             stats: self.stats.clone(),
             pool,
             probes: empty_probe_memo(),
+            precision: self.precision,
         }
     }
 }
@@ -166,6 +174,7 @@ impl TpuAccel {
     /// behave like several host threads queueing work on one chip.
     pub fn over_device(device: SharedDevice) -> Self {
         TpuAccel {
+            precision: device.with(|d| d.config().precision),
             device,
             stats: Clock::new(),
             queue: None,
@@ -206,6 +215,7 @@ impl TpuAccel {
         let device = pool.primary().clone();
         TpuAccel {
             queue: Some(BatchQueue::new(device.clone(), window, max_lanes)),
+            precision: device.with(|d| d.config().precision),
             device,
             stats: Clock::new(),
             pool: Some(pool),
@@ -289,10 +299,7 @@ fn charge_sharded_complex_matmul(d: &mut TpuDevice, l: usize, w: usize) -> Resul
         .map(|i| per_core_cols.min(w.saturating_sub(i * per_core_cols)))
         .filter(|&c| c > 0)
         .collect();
-    d.run_phase(work, |core, cols| {
-        core.charge_matmul_work(l, l, cols, 3);
-        Ok(())
-    })?;
+    d.run_phase(work, |core, cols| core.charge_matmul_work(l, l, cols, 3))?;
     // Reassembly: each core contributes its 16-byte-per-element shard.
     d.charge_collective(16 * l * per_core_cols);
     Ok(())
@@ -315,7 +322,6 @@ fn charge_transform_shard(d: &mut TpuDevice, shapes: &[(usize, usize)]) -> Resul
     d.run_phase(shapes.to_vec(), |core, (m, n)| {
         core.charge_matmul_work(m, m, n, 3);
         core.charge_matmul_work(m, n, n, 3);
-        Ok(())
     })?;
     let shard_bytes = shapes.iter().map(|&(m, n)| 16 * m * n).max().unwrap_or(0);
     d.charge_collective(shard_bytes);
@@ -405,10 +411,8 @@ fn charge_sharded_elementwise(d: &mut TpuDevice, elems: usize) -> Result<()> {
 /// each, one whole lane per core (round-robin past the core count).
 fn charge_per_lane_elementwise(d: &mut TpuDevice, elems: usize, count: usize) -> Result<()> {
     d.run_phase(vec![elems as u64; count], |core, e| {
-        core.charge_elementwise_work(e);
-        Ok(())
-    })?;
-    Ok(())
+        core.charge_elementwise_work(e)
+    })
 }
 
 /// Charges one row-sharded real matmul `m×k · k×n` across the
@@ -422,10 +426,7 @@ fn charge_rowsharded_matmul(d: &mut TpuDevice, m: usize, k: usize, n: usize) -> 
         .map(|i| per_rows.min(m.saturating_sub(i * per_rows)))
         .filter(|&r| r > 0)
         .collect();
-    d.run_phase(work, |core, rows| {
-        core.charge_matmul_work(rows, k, n, 1);
-        Ok(())
-    })?;
+    d.run_phase(work, |core, rows| core.charge_matmul_work(rows, k, n, 1))?;
     d.charge_collective(4 * per_rows * n);
     Ok(())
 }
@@ -724,11 +725,17 @@ impl crate::platform::Platform for TpuAccel {
         }
     }
 
-    /// Int8 quantisation, as §II-A prescribes.
+    /// The configured MXU precision: symmetric int8 quantisation, as
+    /// §II-A prescribes, or bf16-rounded operands.
     fn product(&self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let qa = QuantizedMatrix::quantize_symmetric(a)?;
-        let qb = QuantizedMatrix::quantize_symmetric(b)?;
-        qa.matmul_dequant(&qb)
+        match self.precision {
+            Precision::Int8 => {
+                let qa = QuantizedMatrix::quantize_symmetric(a)?;
+                let qb = QuantizedMatrix::quantize_symmetric(b)?;
+                qa.matmul_dequant(&qb)
+            }
+            Precision::Bf16 => ops::matmul(&a.map(bf16_round), &b.map(bf16_round)),
+        }
     }
 
     /// Multi-input parallelism (§III-D): a batch is one launch, each
@@ -997,15 +1004,17 @@ mod tests {
         assert!(TpuAccel::with_cores(16).name().contains("16"));
     }
 
+    /// A TPUv2 accelerator whose MXU runs at `precision`.
+    fn with_precision(precision: Precision) -> TpuAccel {
+        TpuAccel::with_config(TpuConfig {
+            precision,
+            ..TpuConfig::tpu_v2()
+        })
+    }
+
     #[test]
     fn bf16_precision_is_slower_but_present() {
-        use xai_tpu::Precision;
         let a = Matrix::from_fn(64, 64, |r, c| ((r + c) % 7) as f64 / 7.0).unwrap();
-        let with_precision = |precision| {
-            let mut cfg = TpuConfig::tpu_v2();
-            cfg.precision = precision;
-            TpuAccel::with_config(cfg)
-        };
         let int8 = with_precision(Precision::Int8);
         let bf16 = with_precision(Precision::Bf16);
         int8.matmul(&a, &a).unwrap();
@@ -1016,6 +1025,43 @@ mod tests {
         // at least both run).
         assert!(bf16.elapsed_seconds() >= int8.elapsed_seconds());
         assert_eq!(bf16.config().precision, Precision::Bf16);
+    }
+
+    fn unit_matrix(n: usize) -> Matrix<f64> {
+        Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3) % 13) as f64 / 13.0 - 0.5).unwrap()
+    }
+
+    #[test]
+    fn matmul_bf16_is_more_accurate_than_int8() {
+        let a = unit_matrix(8);
+        let exact = ops::matmul(&a, &a).unwrap();
+        let error = |precision| {
+            let got = with_precision(precision).matmul(&a, &a).unwrap();
+            exact.max_abs_diff(&got).unwrap()
+        };
+        let (e_int8, e_bf16) = (error(Precision::Int8), error(Precision::Bf16));
+        assert!(e_bf16 < e_int8, "bf16 {e_bf16} should beat int8 {e_int8}");
+    }
+
+    /// A bf16 chip's product is exactly `ops::matmul` of the
+    /// bf16-rounded operands, on every placement.
+    #[test]
+    fn a_bf16_matmul_is_the_host_product_of_rounded_operands() {
+        use xai_tensor::quant::bf16_round;
+        let a = unit_matrix(8);
+        let b = Matrix::from_fn(8, 5, |r, c| (r * 5 + c) as f64 / 7.0 - 2.0).unwrap();
+        let want = ops::matmul(&a.map(bf16_round), &b.map(bf16_round)).unwrap();
+        let bf16 = Precision::Bf16;
+        let pool = DevicePool::new(with_precision(bf16).config(), 2);
+        for acc in [
+            with_precision(bf16),
+            with_precision(bf16).with_batching(Duration::ZERO, 4),
+            TpuAccel::over_pool(pool, Duration::ZERO, 4),
+        ] {
+            let got = acc.matmul(&a, &b).unwrap();
+            let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", acc.name());
+        }
     }
 
     #[test]

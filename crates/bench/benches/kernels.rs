@@ -96,9 +96,7 @@ fn bench_collectives(c: &mut Criterion) {
     let mut group = c.benchmark_group("collectives");
     group.sample_size(10);
     for chips in [4usize, 16, 64] {
-        let work: Vec<Matrix<f64>> = (0..2 * chips)
-            .map(|i| real_matrix(8, i).map(|v| v * 0.5))
-            .collect();
+        let work = vec![8usize; 2 * chips];
         for (label, topology) in [
             ("flat-gather", Topology::flat()),
             ("ring-gather", Topology::ring()),
@@ -110,12 +108,17 @@ fn bench_collectives(c: &mut Criterion) {
                 b.iter(|| {
                     pool.run_sharded(
                         black_box(work.clone()),
-                        |m| LaneCost {
-                            compute: m.len() as f64,
-                            gather_bytes: 8 * m.len(),
+                        |&n| LaneCost {
+                            compute: (n * n) as f64,
+                            gather_bytes: 8 * n * n,
                         },
-                        |device, items| {
-                            device.timed(|d| d.run_phase(items, |core, s| core.matmul(&s, &s)))
+                        |device, sizes| {
+                            device.timed(|d| {
+                                d.run_phase(sizes.clone(), |core, n| {
+                                    core.charge_matmul_work(n, n, n, 1)
+                                })?;
+                                Ok(sizes)
+                            })
                         },
                     )
                     .expect("sharded gather flight")

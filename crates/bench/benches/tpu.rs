@@ -1,10 +1,10 @@
 //! Benchmarks of the TPU simulator itself: systolic tile simulation
-//! throughput, device phase scheduling, and the int8 quantisation
-//! pipeline (the precision ablation: int8 vs bf16 MXU operands).
+//! throughput, device phase charging, and the MXU operand arithmetic
+//! of the precision ablation (int8 vs bf16 operands, against f64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use xai_tensor::quant::QuantizedMatrix;
+use xai_tensor::quant::{bf16_round, QuantizedMatrix};
 use xai_tensor::Matrix;
 use xai_tpu::{SystolicArray, TpuConfig, TpuDevice};
 
@@ -34,23 +34,27 @@ fn bench_systolic_tile(c: &mut Criterion) {
     group.finish();
 }
 
-/// Device phase dispatch overhead as core count grows.
+/// Device phase charging overhead as core count grows: one 16×16
+/// product per core.
 fn bench_device_phase(c: &mut Criterion) {
     let mut group = c.benchmark_group("device-phase");
     for cores in [2usize, 8, 32] {
-        let shards: Vec<Matrix<f64>> = (0..cores).map(|_| real_matrix(16)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(cores), &cores, |b, &cores| {
             b.iter(|| {
                 let mut dev = TpuDevice::with_cores(TpuConfig::small_test(), cores);
-                dev.run_phase(shards.clone(), |core, s| core.matmul(&s, &s))
-                    .expect("phase runs")
+                dev.run_phase(black_box(vec![16; cores]), |core, n| {
+                    core.charge_matmul_work(n, n, n, 1)
+                })
+                .expect("phase runs");
+                dev
             });
         });
     }
     group.finish();
 }
 
-/// Quantise → int8 matmul → dequantise versus f64 matmul (A4).
+/// Quantise → int8 matmul → dequantise, and bf16-rounded operands into
+/// an f64 matmul, versus the f64 matmul (A4).
 fn bench_quantized_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantised-matmul");
     for n in [16usize, 64] {
@@ -61,6 +65,13 @@ fn bench_quantized_matmul(c: &mut Criterion) {
                 let qa = QuantizedMatrix::quantize_symmetric(black_box(&a)).expect("finite");
                 let qb = QuantizedMatrix::quantize_symmetric(black_box(&b_)).expect("finite");
                 qa.matmul_dequant(&qb).expect("shapes agree")
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("bf16", n), &n, |bch, _| {
+            bch.iter(|| {
+                let ta = black_box(&a).map(bf16_round);
+                let tb = black_box(&b_).map(bf16_round);
+                xai_tensor::ops::matmul(&ta, &tb).expect("shapes agree")
             });
         });
         group.bench_with_input(BenchmarkId::new("f64", n), &n, |bch, _| {

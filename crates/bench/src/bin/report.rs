@@ -322,22 +322,22 @@ fn main() -> Result<()> {
         // small 4×4-array config keeps compute — not link latency —
         // the dominant charge, so imbalance actually shows up.
         let skew = |i: usize| if i.is_multiple_of(4) { 32usize } else { 8 };
-        let work = || -> Result<Vec<Matrix<f64>>> {
-            (0..64)
-                .map(|i| Matrix::filled(skew(i), skew(i), 0.5))
-                .collect()
-        };
         let run = |strategy: ShardStrategy| -> Result<f64> {
             let pool = DevicePool::with_cores(TpuConfig::small_test(), 16, 1)
                 .with_strategy(strategy)
                 .with_topology(Topology::ring());
             pool.run_sharded(
-                work()?,
-                |m| LaneCost {
-                    compute: m.len() as f64,
-                    gather_bytes: 8 * m.len(),
+                (0..64).map(skew).collect(),
+                |&n| LaneCost {
+                    compute: (n * n) as f64,
+                    gather_bytes: 8 * n * n,
                 },
-                |device, items| device.timed(|d| d.run_phase(items, |core, s| core.matmul(&s, &s))),
+                |device, sizes| {
+                    device.timed(|d| {
+                        d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+                        Ok(sizes)
+                    })
+                },
             )?;
             Ok(pool.wall_seconds())
         };

@@ -13,8 +13,10 @@
 //! 2. **Outcome interpretation** ([`contribution()`]) — contribution
 //!    factors `con(xᵢ) = Y − X′ ∗ K` (Equation 5) at feature, block
 //!    (Figure 5) and clock-cycle (Figure 6) granularity;
-//! 3. **Data decomposition** ([`decompose`]) — Algorithm 1 executed
-//!    on the simulated multi-core TPU;
+//! 3. **Data decomposition** — Algorithm 1, charged on the simulated
+//!    multi-core TPU by [`xai_accel::TpuAccel`]: each 2-D transform's
+//!    two matrix-product stages sharded over the cores, one
+//!    `cross_replica_sum` per stage;
 //! 4. **Parallel computation** ([`parallel`]) — multi-input batches
 //!    across cores/threads (§III-D).
 //!
@@ -47,7 +49,6 @@
 pub mod adapter;
 pub mod baseline;
 pub mod contribution;
-pub mod decompose;
 mod distill;
 pub mod explain;
 pub mod metrics;
@@ -60,7 +61,6 @@ pub use contribution::{
     argmax, argmax2, block_contributions, column_contributions, contribution, contribution_on,
     contributions_batch_on, occlude, Region,
 };
-pub use decompose::{fft2d_on_device, ifft2d_on_device};
 pub use distill::{DistilledModel, SolveStrategy};
 pub use explain::{ImageExplainer, ImageExplanation, TraceExplainer, TraceExplanation};
 pub use metrics::{deletion_auc, deletion_curve, gini_sparseness};

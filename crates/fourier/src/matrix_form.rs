@@ -5,13 +5,13 @@
 //! and Equation 13 assembles the 2-D transform as
 //! `X = (W_M · x) · W_N`. A systolic matrix engine evaluates both
 //! products natively; this module provides the host-side reference of
-//! that formulation (the `xai-tpu` simulator consumes the same
-//! matrices).
+//! that formulation, whose two products' shapes are what the `xai-tpu`
+//! simulator is charged for (`xai-accel`'s `TpuAccel`, Algorithm 1).
 //!
 //! Kept because: no served request runs it (numerics run on the host
 //! FFT), but the matrix form is what the *modelled* device is charged
-//! for, `xai-core::decompose` runs Algorithm 1 through these matrices,
-//! and it is the oracle of `tests/paper_equations.rs` (Equations 10–13).
+//! for, and it is the oracle of `tests/paper_equations.rs` (Equations
+//! 10–13).
 
 use crate::norm::Norm;
 use xai_tensor::ops::matmul;

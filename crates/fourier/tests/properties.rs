@@ -270,6 +270,12 @@ proptest! {
 /// stages.
 const POWERS: [usize; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
+/// Lengths that are not powers of two, so `FftPlan` runs Bluestein's
+/// chirp-z over a power-of-two convolution: primes (3, 1 009, 4 093),
+/// composites (100, 1 000, 3 000, 4 095) and 97, whose convolution
+/// length 256 is barely above `2n − 1`.
+const BLUESTEIN: [usize; 8] = [3, 97, 100, 1000, 1009, 3000, 4093, 4095];
+
 /// A seeded value in `[-1, 1)` (SplitMix64 draws).
 fn draw(state: &mut u64) -> f64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -384,7 +390,7 @@ fn sharded_transforms_are_the_serial_ones_bit_for_bit() {
 fn error_against_the_definition_is_within_c_eps_log_n() {
     const C: f64 = 1.0;
     let norm2 = |v: &[Complex64]| v.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-    for n in POWERS {
+    for n in POWERS.into_iter().chain(BLUESTEIN) {
         let x = seeded_signal(n, 7 + n as u64);
         let plan = FftPlan::new(n);
         for inverse in [false, true] {
@@ -400,12 +406,13 @@ fn error_against_the_definition_is_within_c_eps_log_n() {
                 dft(&x, Norm::Ortho)
             };
             let diff: Vec<Complex64> = got.iter().zip(&want).map(|(a, b)| *a - *b).collect();
-            let bound = C * f64::EPSILON * n.ilog2() as f64 * norm2(&x);
+            let log2_n = (n as f64).log2();
+            let bound = C * f64::EPSILON * log2_n * norm2(&x);
             let err = norm2(&diff);
             assert!(
                 err <= bound,
                 "n={n} inverse={inverse}: error {err:e} above {bound:e} (ratio {})",
-                err / (f64::EPSILON * n.ilog2().max(1) as f64 * norm2(&x))
+                err / (f64::EPSILON * log2_n.max(1.0) * norm2(&x))
             );
         }
     }

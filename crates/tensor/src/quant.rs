@@ -1,10 +1,11 @@
-//! 8-bit integer quantisation.
+//! 8-bit integer quantisation, and bfloat16 rounding.
 //!
 //! The paper names quantisation as one of the two pillars of TPU
 //! efficiency (§II-A): "uses 8-bit integers to approximate 16-bit or
 //! 32-bit floating-point numbers". This module implements the
-//! symmetric linear quantisation the `xai-tpu` MXU datapath applies to
-//! both operands of a matmul.
+//! symmetric linear quantisation the TPU platform applies to both
+//! operands of a matmul, and [`bf16_round`], what its operands become
+//! on a bf16 MXU datapath instead.
 
 use crate::error::{Result, TensorError};
 use crate::matrix::Matrix;
@@ -163,9 +164,29 @@ impl QuantizedMatrix {
     }
 }
 
+/// Truncates an `f64` to bfloat16 precision (8-bit exponent, 7-bit
+/// mantissa) and back — the numeric behaviour of a bf16 MXU datapath.
+pub fn bf16_round(x: f64) -> f64 {
+    let bits = (x as f32).to_bits();
+    // Round-to-nearest-even on the dropped 16 bits.
+    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
+    f32::from_bits(rounded & 0xFFFF_0000) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bf16_round_behaviour() {
+        // bf16 has ~3 significant decimal digits.
+        assert_eq!(bf16_round(1.0), 1.0);
+        assert_eq!(bf16_round(0.0), 0.0);
+        let x = 1.2345678;
+        let r = bf16_round(x);
+        assert!((r - x).abs() < 0.01);
+        assert!(r != x); // precision actually dropped
+    }
 
     #[test]
     fn symmetric_roundtrip_error_bounded_by_half_step() {

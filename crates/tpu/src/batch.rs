@@ -812,24 +812,16 @@ mod tests {
     #[test]
     fn dispatch_sees_the_shared_device() {
         let dev = SharedDevice::new(TpuConfig::small_test());
-        let q: BatchQueue<f64, f64> = BatchQueue::new(dev.clone(), Duration::ZERO, 4);
+        let q: BatchQueue<usize, usize> = BatchQueue::new(dev.clone(), Duration::ZERO, 4);
         let out = q
-            .submit(vec![0.5, 1.5], |device, items| {
-                use xai_tensor::Matrix;
-                let shards: Vec<Matrix<f64>> = items
-                    .iter()
-                    .map(|&v| Matrix::filled(4, 4, v).unwrap())
-                    .collect();
-                let sums = device.run_phase(shards, |core, s| core.matmul(&s, &s))?;
-                Ok(sums.iter().map(|m| m[(0, 0)]).collect())
+            .submit(vec![4, 8], |device, sizes| {
+                device.with(|d| {
+                    d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))
+                })?;
+                Ok(sizes.iter().map(|n| n * n).collect())
             })
             .unwrap();
-        // The core's matmul carries real int8 quantisation error, so
-        // compare approximately.
-        assert!(
-            (out[0] - 1.0).abs() < 0.05 && (out[1] - 9.0).abs() < 0.05,
-            "{out:?}"
-        );
+        assert_eq!(out, vec![16, 64]);
         assert!(dev.wall_seconds() > 0.0, "dispatch charged the device");
         assert!(q.device().same_device(&dev));
     }

@@ -1,44 +1,26 @@
 //! A single simulated TPU core: systolic MXU + vector unit.
 //!
-//! Every operation *computes its real numeric result on the host*
-//! (through the configured precision's quantisation, so int8 error is
-//! real and measurable) and simultaneously charges the core — "timing
-//! is simulated, compute is real", the first invariant of
-//! ARCHITECTURE.md. A charge moves exactly two counters, cycles and
-//! energy; the bytes an op moves are a term of both, not a ledger.
+//! A core computes nothing: it is charged the cost of work whose
+//! numeric result is computed on the host ("timing is simulated,
+//! compute is real", the first invariant of ARCHITECTURE.md; the
+//! numerics, int8 or bf16 as configured, live in `xai-accel`'s
+//! platforms). A charge moves exactly two counters, cycles and energy;
+//! the bytes an op moves are a term of both, not a ledger.
 
-use crate::config::{Precision, TpuConfig};
+use crate::config::TpuConfig;
 use crate::systolic::SystolicArray;
-use xai_tensor::ops;
-use xai_tensor::quant::QuantizedMatrix;
-use xai_tensor::{Complex64, Matrix, Result};
 
-/// Truncates an `f64` to bfloat16 precision (8-bit exponent, 7-bit
-/// mantissa) and back — the numeric behaviour of a bf16 MXU datapath.
-pub fn bf16_round(x: f64) -> f64 {
-    let bits = (x as f32).to_bits();
-    // Round-to-nearest-even on the dropped 16 bits.
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    f32::from_bits(rounded & 0xFFFF_0000) as f64
-}
-
-/// One simulated TPU core.
+/// One simulated TPU core: a cycle and energy ledger charged by shape.
 ///
 /// # Examples
 ///
 /// ```
 /// use xai_tpu::{TpuConfig, TpuCore};
-/// use xai_tensor::Matrix;
 ///
-/// # fn main() -> Result<(), xai_tensor::TensorError> {
 /// let mut core = TpuCore::new(TpuConfig::small_test());
-/// let a = Matrix::from_fn(4, 4, |r, c| (r + c) as f64 / 8.0)?;
-/// let b = Matrix::identity(4)?;
-/// let c = core.matmul(&a, &b)?;
-/// assert!(a.max_abs_diff(&c)? < 0.01); // int8 round-trip error only
+/// core.charge_matmul_work(4, 4, 4, 1); // one 4×4 · 4×4 MXU product
 /// assert!(core.elapsed_cycles() > 0);
-/// # Ok(())
-/// # }
+/// assert!(core.energy_pj() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TpuCore {
@@ -88,64 +70,9 @@ impl TpuCore {
 
     // --- charged operations -------------------------------------------
 
-    /// Real matrix product through the MXU datapath.
-    ///
-    /// Under [`Precision::Int8`] both operands round-trip through
-    /// symmetric int8 quantisation (real quantisation error); under
-    /// [`Precision::Bf16`] they are truncated to bfloat16.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when inner dimensions disagree.
-    pub fn matmul(&mut self, a: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>> {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let result = match self.cfg.precision {
-            Precision::Int8 => {
-                let qa = QuantizedMatrix::quantize_symmetric(a)?;
-                let qb = QuantizedMatrix::quantize_symmetric(b)?;
-                qa.matmul_dequant(&qb)?
-            }
-            Precision::Bf16 => {
-                let ta = a.map(bf16_round);
-                let tb = b.map(bf16_round);
-                ops::matmul(&ta, &tb)?
-            }
-        };
-        self.charge_matmul_work(m, k, n, 1);
-        Ok(result)
-    }
-
-    /// Complex matrix product, evaluated as three real products
-    /// (Karatsuba decomposition) on the MXU.
-    ///
-    /// Spectra are kept at full precision numerically (the DFT-matrix
-    /// path is bf16-class work on real TPUs — see Lu et al.,
-    /// "Large-scale discrete Fourier transform on TPUs", the paper's
-    /// reference \[3\]); the *cost* is charged at the configured
-    /// precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when inner dimensions disagree.
-    pub fn matmul_complex(
-        &mut self,
-        a: &Matrix<Complex64>,
-        b: &Matrix<Complex64>,
-    ) -> Result<Matrix<Complex64>> {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let result = ops::matmul(a, b)?;
-        // Karatsuba: 3 real m×k·k×n products instead of 4.
-        self.charge_matmul_work(m, k, n, 3);
-        Ok(result)
-    }
-
     /// Charges the cycle and energy cost of an `m×k·k×n` MXU
-    /// matmul (`passes` repetitions) without computing it — used by
-    /// schedulers that compute results on a fast host path while
-    /// simulating device timing ("timing is simulated, compute is
-    /// real"; the *result* comes from elsewhere).
+    /// matmul, `passes` times (a complex product is three real passes,
+    /// Karatsuba), at the configured precision's operand width.
     pub fn charge_matmul_work(&mut self, m: usize, k: usize, n: usize, passes: u64) {
         // Weight loads are already folded into matmul_cycles for both
         // buffering modes.
@@ -166,8 +93,7 @@ impl TpuCore {
     }
 
     /// Charges the cost of an elementwise vector-unit op over `elems`
-    /// elements (six flops each, a complex multiply) without computing
-    /// it.
+    /// elements (six flops each, a complex multiply).
     pub fn charge_elementwise_work(&mut self, elems: u64) {
         const FLOPS_PER_ELEM: u64 = 6;
         // Vector unit processes one lane-width row per cycle.
@@ -184,77 +110,10 @@ impl TpuCore {
 mod tests {
     use super::*;
 
-    fn unit_matrix(n: usize) -> Matrix<f64> {
-        Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3) % 13) as f64 / 13.0 - 0.5).unwrap()
-    }
-
-    #[test]
-    fn bf16_round_behaviour() {
-        // bf16 has ~3 significant decimal digits.
-        assert_eq!(bf16_round(1.0), 1.0);
-        assert_eq!(bf16_round(0.0), 0.0);
-        let x = 1.2345678;
-        let r = bf16_round(x);
-        assert!((r - x).abs() < 0.01);
-        assert!(r != x); // precision actually dropped
-    }
-
-    #[test]
-    fn matmul_int8_result_is_close_and_charged() {
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = unit_matrix(6);
-        let b = unit_matrix(6);
-        let exact = ops::matmul(&a, &b).unwrap();
-        let got = core.matmul(&a, &b).unwrap();
-        assert!(exact.max_abs_diff(&got).unwrap() < 0.05);
-        assert!(core.elapsed_cycles() > 0);
-        assert!(core.energy_pj() > 0.0);
-    }
-
-    #[test]
-    fn matmul_bf16_is_more_accurate_than_int8() {
-        let a = unit_matrix(8);
-        let b = unit_matrix(8);
-        let exact = ops::matmul(&a, &b).unwrap();
-
-        let mut int8_core = TpuCore::new(TpuConfig::small_test());
-        let e_int8 = exact
-            .max_abs_diff(&int8_core.matmul(&a, &b).unwrap())
-            .unwrap();
-
-        let mut cfg = TpuConfig::small_test();
-        cfg.precision = Precision::Bf16;
-        let mut bf16_core = TpuCore::new(cfg);
-        let e_bf16 = exact
-            .max_abs_diff(&bf16_core.matmul(&a, &b).unwrap())
-            .unwrap();
-
-        assert!(e_bf16 < e_int8, "bf16 {e_bf16} should beat int8 {e_int8}");
-    }
-
-    #[test]
-    fn complex_matmul_is_exact_and_charges_three_passes() {
-        let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = Matrix::from_fn(4, 4, |r, c| Complex64::new(r as f64, c as f64)).unwrap();
-        let id = Matrix::<Complex64>::identity(4).unwrap();
-        let before = core.elapsed_cycles();
-        let out = core.matmul_complex(&a, &id).unwrap();
-        assert!(out.max_abs_diff(&a).unwrap() < 1e-12);
-        let complex_cost = core.elapsed_cycles() - before;
-
-        let mut real_core = TpuCore::new(TpuConfig::small_test());
-        let ra = unit_matrix(4);
-        real_core.matmul(&ra, &ra).unwrap();
-        let real_cost = real_core.elapsed_cycles();
-        assert!(complex_cost >= 3 * real_cost.min(complex_cost / 3));
-        assert!(complex_cost > real_cost);
-    }
-
     #[test]
     fn reset_clears_everything() {
         let mut core = TpuCore::new(TpuConfig::small_test());
-        let a = unit_matrix(4);
-        core.matmul(&a, &a).unwrap();
+        core.charge_matmul_work(4, 4, 4, 1);
         assert!(core.elapsed_cycles() > 0);
         core.reset();
         assert_eq!(core.elapsed_cycles(), 0);
@@ -264,10 +123,10 @@ mod tests {
     #[test]
     fn bigger_matmul_costs_more() {
         let mut core = TpuCore::new(TpuConfig::small_test());
-        core.matmul(&unit_matrix(4), &unit_matrix(4)).unwrap();
+        core.charge_matmul_work(4, 4, 4, 1);
         let small = core.elapsed_cycles();
         core.reset();
-        core.matmul(&unit_matrix(16), &unit_matrix(16)).unwrap();
+        core.charge_matmul_work(16, 16, 16, 1);
         assert!(core.elapsed_cycles() > small);
     }
 

@@ -1,37 +1,36 @@
 //! Multi-core TPU device with collective communication.
 //!
-//! Implements the two acceleration activities of the paper: data
-//! decomposition (each core works on an independent shard,
+//! Charges the two acceleration activities of the paper: data
+//! decomposition (each core is charged an independent shard,
 //! [`TpuDevice::run_phase`]) and multi-input parallelism, with the
 //! `cross_replica_sum` reassembly collective of §III-D charged at
-//! `α + β·bytes`. A device adds three counters to its cores' cycles
-//! and energy: wall seconds, comm seconds and the collective count.
+//! `α + β·bytes` ([`TpuDevice::charge_collective`]). A device adds
+//! three counters to its cores' cycles and energy: wall seconds, comm
+//! seconds and the collective count.
 
 use crate::config::TpuConfig;
 use crate::core::TpuCore;
-use xai_tensor::{Complex64, Matrix, Result, Scalar, TensorError};
+use xai_tensor::{Result, TensorError};
 
 /// A simulated multi-core TPU.
 ///
-/// Work dispatched through [`TpuDevice::run_phase`] executes
-/// sequentially on the host but is *timed* as if the cores ran
-/// concurrently: the phase's wall time is the maximum per-core busy
-/// time, plus any collective cost.
+/// Work charged through [`TpuDevice::run_phase`] is charged core by
+/// core on the host but *timed* as if the cores ran concurrently: the
+/// phase's wall time is the maximum per-core busy time, plus any
+/// collective cost.
 ///
 /// # Examples
 ///
 /// ```
 /// use xai_tpu::{TpuConfig, TpuDevice};
-/// use xai_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), xai_tensor::TensorError> {
 /// let mut dev = TpuDevice::new(TpuConfig::small_test()); // 2 cores
-/// let shards: Vec<Matrix<f64>> = (0..2)
-///     .map(|i| Matrix::filled(4, 4, i as f64 + 0.25))
-///     .collect::<Result<_, _>>()?;
-/// let outs = dev.run_phase(shards, |core, shard| core.matmul(&shard, &shard))?;
-/// assert_eq!(outs.len(), 2);
+/// // Two 4×4 · 4×4 products, one per core, then their reassembly.
+/// dev.run_phase(vec![4, 4], |core, n| core.charge_matmul_work(n, n, n, 1))?;
+/// dev.charge_collective(4 * 4 * 8);
 /// assert!(dev.wall_seconds() > 0.0);
+/// assert_eq!(dev.collectives(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -123,28 +122,22 @@ impl TpuDevice {
         self.collectives = 0;
     }
 
-    /// Executes one data-decomposition phase: work item `i` runs on
-    /// core `i % cores`. The phase's wall-clock contribution is the
-    /// *maximum* per-core busy-time delta (cores run concurrently).
+    /// Charges one data-decomposition phase: `f` charges work item
+    /// `i` to core `i % cores`. The phase's wall-clock contribution is
+    /// the *maximum* per-core busy-time delta (cores run concurrently).
     ///
     /// # Errors
     ///
-    /// Returns the first error produced by `f`, or
-    /// [`TensorError::EmptyDimension`] for an empty work list.
-    pub fn run_phase<W, R>(
-        &mut self,
-        work: Vec<W>,
-        mut f: impl FnMut(&mut TpuCore, W) -> Result<R>,
-    ) -> Result<Vec<R>> {
+    /// Returns [`TensorError::EmptyDimension`] for an empty work list,
+    /// charging nothing.
+    pub fn run_phase<W>(&mut self, work: Vec<W>, mut f: impl FnMut(&mut TpuCore, W)) -> Result<()> {
         if work.is_empty() {
             return Err(TensorError::EmptyDimension);
         }
         let n_cores = self.cores.len();
         let before: Vec<u64> = self.cores.iter().map(TpuCore::elapsed_cycles).collect();
-        let mut results = Vec::with_capacity(work.len());
         for (i, w) in work.into_iter().enumerate() {
-            let core = &mut self.cores[i % n_cores];
-            results.push(f(core, w)?);
+            f(&mut self.cores[i % n_cores], w);
         }
         let max_delta = self
             .cores
@@ -154,33 +147,13 @@ impl TpuDevice {
             .max()
             .unwrap_or(0);
         self.wall_seconds += self.cfg.cycles_to_seconds(max_delta);
-        Ok(results)
+        Ok(())
     }
 
-    /// `cross_replica_sum` over per-core partial matrices: returns
-    /// their elementwise sum and charges one collective of the
-    /// partial's byte size (§III-D: "required at every iteration of
-    /// \[the\] reassembly process to compute the summation of the
-    /// partial matrices across the cores").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] for no partials and
-    /// [`TensorError::ShapeMismatch`] for inconsistent shapes.
-    pub fn cross_replica_sum<T: Scalar>(&mut self, partials: &[Matrix<T>]) -> Result<Matrix<T>> {
-        let first = partials.first().ok_or(TensorError::EmptyDimension)?;
-        let mut acc = first.clone();
-        for p in &partials[1..] {
-            acc = acc.zip_with(p, |a, b| a + b)?;
-        }
-        self.charge_collective(acc.len() * std::mem::size_of::<T>());
-        Ok(acc)
-    }
-
-    /// Charges one `cross_replica_sum`-shaped collective of `bytes`
-    /// without materialising a result — used by schedulers that model
-    /// the reassembly traffic of a transform whose numeric result is
-    /// computed on the fast host path.
+    /// Charges one `cross_replica_sum` collective whose per-core shard
+    /// is `bytes` (§III-D: "required at every iteration of \[the\]
+    /// reassembly process to compute the summation of the partial
+    /// matrices across the cores").
     ///
     /// The one place a device-level collective charges its clocks:
     /// the device's cores are one link apart, so the collective is a
@@ -199,20 +172,6 @@ impl TpuDevice {
         if seconds > 0.0 {
             self.wall_seconds += seconds;
         }
-    }
-
-    /// Convenience: gathers row shards from cores (Algorithm 1's
-    /// "merge results") and charges one collective for the traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyDimension`] for an empty shard list
-    /// or [`TensorError::ShapeMismatch`] for inconsistent widths.
-    pub fn gather_rows(&mut self, shards: &[Matrix<Complex64>]) -> Result<Matrix<Complex64>> {
-        let merged = Matrix::vstack(shards)?;
-        let bytes = merged.len() * std::mem::size_of::<Complex64>();
-        self.charge_collective(bytes);
-        Ok(merged)
     }
 }
 
@@ -271,8 +230,9 @@ mod tests {
         }
     }
 
-    fn shard(v: f64) -> Matrix<f64> {
-        Matrix::filled(4, 4, v).unwrap()
+    /// One `n×n · n×n` product per work item.
+    fn square(core: &mut TpuCore, n: usize) {
+        core.charge_matmul_work(n, n, n, 1);
     }
 
     #[test]
@@ -288,22 +248,22 @@ mod tests {
     #[test]
     fn run_phase_distributes_round_robin() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let work: Vec<Matrix<f64>> = (0..4).map(|i| shard(i as f64 * 0.1)).collect();
-        let results = dev.run_phase(work, |core, w| core.matmul(&w, &w)).unwrap();
-        assert_eq!(results.len(), 4);
+        dev.run_phase(vec![4; 4], square).unwrap();
         // Both cores must have been used (2 items each).
         assert!(dev.cores()[0].elapsed_cycles() > 0);
-        assert!(dev.cores()[1].elapsed_cycles() > 0);
+        assert_eq!(
+            dev.cores()[0].elapsed_cycles(),
+            dev.cores()[1].elapsed_cycles()
+        );
     }
 
     #[test]
     fn phase_wall_time_is_max_not_sum() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let work: Vec<Matrix<f64>> = (0..2).map(|_| shard(0.5)).collect();
-        dev.run_phase(work, |core, w| core.matmul(&w, &w)).unwrap();
+        dev.run_phase(vec![4; 2], square).unwrap();
         let per_core = dev.cores()[0].elapsed_seconds();
-        // Two equal items on two cores: wall ≈ one item's time, not two.
-        assert!((dev.wall_seconds() - per_core).abs() < per_core * 0.5 + 1e-12);
+        // Two equal items on two cores: wall is one item's time, not two.
+        assert_eq!(dev.wall_seconds(), per_core);
         let sum: f64 = dev.cores().iter().map(TpuCore::elapsed_seconds).sum();
         assert!(dev.wall_seconds() < sum);
     }
@@ -311,62 +271,35 @@ mod tests {
     #[test]
     fn empty_phase_rejected() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let r = dev.run_phase(Vec::<Matrix<f64>>::new(), |core, w| core.matmul(&w, &w));
-        assert!(r.is_err());
+        assert!(dev.run_phase(Vec::new(), square).is_err());
+        assert_eq!(dev.wall_seconds(), 0.0);
     }
 
     #[test]
-    fn cross_replica_sum_adds_partials() {
+    fn charge_collective_is_one_link_step() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let partials = vec![shard(1.0), shard(2.0), shard(3.0)];
-        let sum = dev.cross_replica_sum(&partials).unwrap();
-        assert_eq!(sum[(2, 2)], 6.0);
+        dev.charge_collective(128);
+        let cost = dev.config().cross_replica_cost_s(128);
         assert_eq!(dev.collectives(), 1);
+        assert_eq!((dev.comm_seconds(), dev.wall_seconds()), (cost, cost));
         assert!(dev.comm_seconds() >= dev.config().link_latency_s);
-    }
-
-    #[test]
-    fn cross_replica_sum_shape_mismatch() {
-        let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let partials = vec![shard(1.0), Matrix::filled(3, 3, 1.0).unwrap()];
-        assert!(dev.cross_replica_sum(&partials).is_err());
-        assert!(dev.cross_replica_sum::<f64>(&[]).is_err());
-    }
-
-    #[test]
-    fn gather_rows_merges_and_charges() {
-        let mut dev = TpuDevice::new(TpuConfig::small_test());
-        let a = Matrix::filled(2, 3, Complex64::ONE).unwrap();
-        let b = Matrix::filled(1, 3, Complex64::I).unwrap();
-        let merged = dev.gather_rows(&[a, b]).unwrap();
-        assert_eq!(merged.shape(), (3, 3));
-        assert_eq!(merged[(2, 0)], Complex64::I);
-        assert_eq!(dev.collectives(), 1);
+        assert_eq!(dev.energy_pj(), 0.0, "a collective moves no core counter");
     }
 
     #[test]
     fn more_cores_reduce_phase_time() {
-        let work = |n: usize| -> Vec<Matrix<f64>> {
-            (0..8)
-                .map(|_| shard(0.5))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .take(n)
-                .collect()
-        };
         let mut d2 = TpuDevice::with_cores(TpuConfig::small_test(), 2);
-        d2.run_phase(work(8), |c, w| c.matmul(&w, &w)).unwrap();
+        d2.run_phase(vec![4; 8], square).unwrap();
         let mut d8 = TpuDevice::with_cores(TpuConfig::small_test(), 8);
-        d8.run_phase(work(8), |c, w| c.matmul(&w, &w)).unwrap();
+        d8.run_phase(vec![4; 8], square).unwrap();
         assert!(d8.wall_seconds() < d2.wall_seconds());
     }
 
     #[test]
     fn reset_zeroes_device() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        dev.run_phase(vec![shard(0.1)], |c, w| c.matmul(&w, &w))
-            .unwrap();
-        dev.cross_replica_sum(&[shard(1.0)]).unwrap();
+        dev.run_phase(vec![4], square).unwrap();
+        dev.charge_collective(128);
         dev.reset();
         assert_eq!(dev.wall_seconds(), 0.0);
         assert_eq!(dev.collectives(), 0);
@@ -376,8 +309,7 @@ mod tests {
     #[test]
     fn energy_sums_across_cores() {
         let mut dev = TpuDevice::new(TpuConfig::small_test());
-        dev.run_phase(vec![shard(0.1), shard(0.2)], |c, w| c.matmul(&w, &w))
-            .unwrap();
+        dev.run_phase(vec![4, 8], square).unwrap();
         let total: f64 = dev.cores().iter().map(TpuCore::energy_pj).sum();
         assert_eq!(dev.energy_pj(), total);
         assert!(total > 0.0);

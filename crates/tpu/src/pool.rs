@@ -236,7 +236,7 @@ impl ShardPlan {
 
     /// The gather's per-shard payload: the largest single lane's
     /// `gather_bytes`. The inter-chip gather follows the same §III-D
-    /// convention as [`crate::TpuDevice::cross_replica_sum`] —
+    /// convention as [`crate::TpuDevice::charge_collective`] —
     /// participants ship their shards over parallel links, so the
     /// collective is priced at `α + β·bytes` of **one** shard (the
     /// largest), not the summed traffic.
@@ -311,19 +311,22 @@ struct PoolTimeline {
 ///
 /// ```
 /// use xai_tpu::{DevicePool, LaneCost, TpuConfig};
-/// use xai_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), xai_tensor::TensorError> {
 /// let pool = DevicePool::new(TpuConfig::small_test(), 4);
-/// let work: Vec<Matrix<f64>> = (0..8)
-///     .map(|i| Matrix::filled(4, 4, 0.1 * (i + 1) as f64))
-///     .collect::<Result<_, _>>()?;
+/// // Eight lanes, each an `n×n · n×n` product.
+/// let work: Vec<usize> = (1..=8).collect();
 /// let run = pool.run_sharded(
 ///     work,
-///     |m| LaneCost { compute: m.len() as f64, gather_bytes: 8 * m.len() },
+///     |&n| LaneCost { compute: (n * n) as f64, gather_bytes: 8 * n * n },
 ///     // Each shard charges its chip and reports the exact delta,
 ///     // measured atomically under the device lock.
-///     |device, shard| device.timed(|d| d.run_phase(shard, |core, s| core.matmul(&s, &s))),
+///     |device, shard| {
+///         device.timed(|d| {
+///             d.run_phase(shard.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+///             Ok(shard)
+///         })
+///     },
 /// )?;
 /// assert_eq!(run.results.len(), 8);
 /// // Chips ran concurrently: the merged timeline advanced by the
@@ -630,7 +633,7 @@ impl DevicePool {
     /// priced at [`DevicePool::gather_cost_s`] over the largest
     /// single lane's gather payload and the occupied chip count (the
     /// same per-shard parallel-links convention as
-    /// [`crate::TpuDevice::cross_replica_sum`], hierarchical on a
+    /// [`crate::TpuDevice::charge_collective`], hierarchical on a
     /// torus fabric). Because every shard
     /// measures its own charge under its device lock, concurrent
     /// flights and concurrent [`DevicePool::advance_external`]
@@ -1050,7 +1053,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use std::sync::atomic::AtomicUsize;
-    use xai_tensor::Matrix;
 
     fn lane(compute: f64) -> LaneCost {
         LaneCost {
@@ -1059,15 +1061,18 @@ mod tests {
         }
     }
 
-    fn shard_mat(v: f64) -> Matrix<f64> {
-        Matrix::filled(4, 4, v).unwrap()
+    /// An `n×n · n×n` matmul lane: its compute is its element count.
+    fn square_lane(n: &usize) -> LaneCost {
+        lane((n * n) as f64)
     }
 
-    fn matmul_shard(
-        device: &SharedDevice,
-        items: Vec<Matrix<f64>>,
-    ) -> Result<(Vec<Matrix<f64>>, f64)> {
-        device.timed(|d| d.run_phase(items, |core, s| core.matmul(&s, &s)))
+    /// Charges each lane's `n×n · n×n` product, a core each, and hands
+    /// the lanes back.
+    fn matmul_shard(device: &SharedDevice, sizes: Vec<usize>) -> Result<(Vec<usize>, f64)> {
+        device.timed(|d| {
+            d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+            Ok(sizes)
+        })
     }
 
     /// A shard for pure-data tests: no device work, zero charge.
@@ -1141,7 +1146,7 @@ mod tests {
         let plan = ShardPlan::plan(&lanes, 2, ShardStrategy::RoundRobin);
         // Per-shard pricing: lanes ship over parallel links, so the
         // collective costs one (largest) shard, as in
-        // TpuDevice::cross_replica_sum.
+        // TpuDevice::charge_collective.
         assert_eq!(plan.gather_shard_bytes(&lanes), 300);
     }
 
@@ -1197,14 +1202,13 @@ mod tests {
     fn pool_of_four_beats_one_device_on_oversubscribed_batch() {
         // 8 equal matmul lanes on 1-core chips: one chip serialises
         // all 8, four chips run 2 each concurrently.
-        let work = || -> Vec<Matrix<f64>> { (0..8).map(|_| shard_mat(0.5)).collect() };
+        let work = || vec![4usize; 8];
         let single = DevicePool::with_cores(TpuConfig::small_test(), 1, 1);
         single
-            .run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
+            .run_sharded(work(), square_lane, matmul_shard)
             .unwrap();
         let pool = DevicePool::with_cores(TpuConfig::small_test(), 4, 1);
-        pool.run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
-            .unwrap();
+        pool.run_sharded(work(), square_lane, matmul_shard).unwrap();
         assert!(
             pool.wall_seconds() < single.wall_seconds(),
             "4 chips {} s must beat 1 chip {} s",
@@ -1221,11 +1225,7 @@ mod tests {
     fn merged_timeline_is_slowest_chip_plus_gather() {
         let pool = DevicePool::with_cores(TpuConfig::small_test(), 2, 1);
         let run = pool
-            .run_sharded(
-                vec![shard_mat(1.0), shard_mat(2.0)],
-                |m| lane(m.len() as f64),
-                matmul_shard,
-            )
+            .run_sharded(vec![4, 4], square_lane, matmul_shard)
             .unwrap();
         // Nothing else charged these fresh chips, so each chip's wall
         // clock equals its shard's self-reported delta.
@@ -1242,12 +1242,8 @@ mod tests {
     #[test]
     fn single_device_pool_charges_no_gather() {
         let pool = DevicePool::new(TpuConfig::small_test(), 1);
-        pool.run_sharded(
-            vec![shard_mat(1.0), shard_mat(2.0)],
-            |m| lane(m.len() as f64),
-            matmul_shard,
-        )
-        .unwrap();
+        pool.run_sharded(vec![4, 4], square_lane, matmul_shard)
+            .unwrap();
         assert!(pool.wall_seconds() > 0.0);
         assert_eq!(pool.gather_seconds(), 0.0);
         assert_eq!(pool.sharded_flights(), 0);
@@ -1298,9 +1294,7 @@ mod tests {
                 (0..8u64).collect(),
                 |_| lane(1.0),
                 |device, items| {
-                    let (_, dt) = device.timed(|d| {
-                        d.run_phase(vec![shard_mat(0.5)], |core, s| core.matmul(&s, &s))
-                    })?;
+                    let (_, dt) = matmul_shard(device, vec![4])?;
                     Ok((items, dt))
                 },
             )
@@ -1318,22 +1312,17 @@ mod tests {
     fn failed_flight_merges_no_partial_charges_into_the_timeline() {
         let pool = DevicePool::with_cores(TpuConfig::small_test(), 2, 1);
         let err = pool
-            .run_sharded(
-                vec![shard_mat(0.1), shard_mat(2.0)],
-                |m| lane(m.len() as f64),
-                |device, items| {
-                    // Both shards charge real work under their chip
-                    // lock; the shard whose product is large then
-                    // crashes — after charging, the worst case for a
-                    // timeline leak.
-                    let (out, dt) =
-                        device.timed(|d| d.run_phase(items, |core, s| core.matmul(&s, &s)))?;
-                    if out.iter().any(|m| m[(0, 0)] > 1.0) {
-                        device.with(|_| panic!("chip crash after charging its shard"));
-                    }
-                    Ok((out, dt))
-                },
-            )
+            .run_sharded(vec![4, 5], square_lane, |device, items| {
+                // Both shards charge real work under their chip
+                // lock; the shard with the larger product then
+                // crashes — after charging, the worst case for a
+                // timeline leak.
+                let (out, dt) = matmul_shard(device, items)?;
+                if out.contains(&5) {
+                    device.with(|_| panic!("chip crash after charging its shard"));
+                }
+                Ok((out, dt))
+            })
             .unwrap_err();
         assert!(matches!(err, TensorError::WorkerPanicked { .. }));
         // The chips recorded the partial work they really did...
@@ -1417,7 +1406,7 @@ mod tests {
                         |device, items| match per_chip[items[0]] {
                             No => Ok((items, 1.5)),
                             Charge => {
-                                let (_, dt) = matmul_shard(device, vec![shard_mat(0.5)])?;
+                                let (_, dt) = matmul_shard(device, vec![4])?;
                                 charged.borrow_mut()[items[0]] = dt;
                                 Ok((items, dt))
                             }
@@ -1535,10 +1524,8 @@ mod tests {
                     // they charged inside their timed region.
                     device.with(|d| d.charge_external_seconds(5.0));
                     pool.advance_external(5.0);
-                    device.timed(|d| {
-                        d.run_phase(vec![shard_mat(0.5)], |core, s| core.matmul(&s, &s))?;
-                        Ok(items)
-                    })
+                    let (_, dt) = matmul_shard(device, vec![4])?;
+                    Ok((items, dt))
                 },
             )
             .unwrap();
@@ -1571,12 +1558,8 @@ mod tests {
         pool.advance_external(1.0);
         let copy = pool.deep_clone();
         assert_eq!(copy.wall_seconds(), 1.0);
-        copy.run_sharded(
-            vec![shard_mat(1.0), shard_mat(2.0)],
-            |m| lane(m.len() as f64),
-            matmul_shard,
-        )
-        .unwrap();
+        copy.run_sharded(vec![4, 4], square_lane, matmul_shard)
+            .unwrap();
         assert!(copy.wall_seconds() > 1.0);
         assert_eq!(pool.wall_seconds(), 1.0, "original untouched");
         assert!(!pool.primary().same_device(copy.primary()));
@@ -1619,11 +1602,10 @@ mod tests {
         assert!(ring.gather_cost_s(512, 4) > flat.gather_cost_s(512, 4));
         // The fabric survives a deep clone and shows in the merged
         // timeline: the same flight pays more reassembly on the ring.
-        let work = || -> Vec<Matrix<f64>> { (0..4).map(|_| shard_mat(0.5)).collect() };
+        let work = || vec![4usize; 4];
         let ring = ring.deep_clone();
         for pool in [&flat, &ring] {
-            pool.run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
-                .unwrap();
+            pool.run_sharded(work(), square_lane, matmul_shard).unwrap();
         }
         assert!(ring.gather_seconds() > flat.gather_seconds());
     }
@@ -1661,17 +1643,12 @@ mod tests {
         // pay the same ring gather, so the placement alone decides
         // the merged timeline.
         let skew = |i: usize| if i.is_multiple_of(4) { 16usize } else { 4 };
-        let work = || -> Vec<Matrix<f64>> {
-            (0..16)
-                .map(|i| Matrix::filled(skew(i), skew(i), 0.5).unwrap())
-                .collect()
-        };
+        let work = || -> Vec<usize> { (0..16).map(skew).collect() };
         let run = |strategy: ShardStrategy| -> f64 {
             let pool = DevicePool::with_cores(TpuConfig::small_test(), 4, 1)
                 .with_strategy(strategy)
                 .with_topology(Topology::ring());
-            pool.run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
-                .unwrap();
+            pool.run_sharded(work(), square_lane, matmul_shard).unwrap();
             pool.wall_seconds()
         };
         let rr = run(ShardStrategy::RoundRobin);
@@ -1687,15 +1664,15 @@ mod tests {
         // A plan with nothing scheduled must reproduce the healthy
         // path's merged timeline bit-for-bit (same makespan, same
         // gather, no backoff), and identical results.
-        let work = || -> Vec<Matrix<f64>> { (0..8).map(|i| shard_mat(0.1 * i as f64)).collect() };
+        let work = || vec![4usize; 8];
         let healthy = DevicePool::with_cores(TpuConfig::small_test(), 4, 1);
         let planned = DevicePool::with_cores(TpuConfig::small_test(), 4, 1)
             .with_fault_plan(FaultPlan::seeded(99));
         let a = healthy
-            .run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
+            .run_sharded(work(), square_lane, matmul_shard)
             .unwrap();
         let b = planned
-            .run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
+            .run_sharded(work(), square_lane, matmul_shard)
             .unwrap();
         assert_eq!(a.results, b.results);
         assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
@@ -1711,18 +1688,17 @@ mod tests {
 
     #[test]
     fn transient_fault_retries_to_bit_identical_results() {
-        let work =
-            || -> Vec<Matrix<f64>> { (0..4).map(|i| shard_mat(0.2 * (i + 1) as f64)).collect() };
+        let work = || vec![4usize; 4];
         let healthy = DevicePool::with_cores(TpuConfig::small_test(), 2, 1);
         let reference = healthy
-            .run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
+            .run_sharded(work(), square_lane, matmul_shard)
             .unwrap();
         // Draw 0 = the first shard of the first flight: device 0
         // faults once, its lanes retry on the survivor.
         let faulted = DevicePool::with_cores(TpuConfig::small_test(), 2, 1)
             .with_fault_plan(FaultPlan::seeded(7).transient_draw(0));
         let run = faulted
-            .run_sharded(work(), |m| lane(m.len() as f64), matmul_shard)
+            .run_sharded(work(), square_lane, matmul_shard)
             .unwrap();
         assert_eq!(run.results, reference.results, "results bit-identical");
         assert!(
@@ -1774,11 +1750,7 @@ mod tests {
         let pool = DevicePool::with_cores(TpuConfig::small_test(), 2, 1)
             .with_fault_plan(FaultPlan::seeded(5).transient(1.0).with_retry_budget(2));
         let err = pool
-            .run_sharded(
-                vec![shard_mat(0.5), shard_mat(0.7)],
-                |m| lane(m.len() as f64),
-                matmul_shard,
-            )
+            .run_sharded(vec![4, 4], square_lane, matmul_shard)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1897,12 +1869,8 @@ mod tests {
     #[test]
     fn reset_zeroes_every_chip_and_the_timeline() {
         let pool = DevicePool::new(TpuConfig::small_test(), 3);
-        pool.run_sharded(
-            (0..6).map(|i| shard_mat(i as f64 * 0.1)).collect(),
-            |m| lane(m.len() as f64),
-            matmul_shard,
-        )
-        .unwrap();
+        pool.run_sharded(vec![4; 6], square_lane, matmul_shard)
+            .unwrap();
         assert!(pool.energy_pj() > 0.0);
         pool.reset();
         assert_eq!(pool.wall_seconds(), 0.0);

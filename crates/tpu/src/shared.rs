@@ -48,15 +48,12 @@ static DEVICE_LANES: LockClass = LockClass::new("device::lanes", 34);
 ///
 /// ```
 /// use xai_tpu::{SharedDevice, TpuConfig};
-/// use xai_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), xai_tensor::TensorError> {
 /// let dev = SharedDevice::new(TpuConfig::small_test());
 /// let handle = dev.clone(); // same device
-/// let shards: Vec<Matrix<f64>> = (0..2)
-///     .map(|i| Matrix::filled(4, 4, i as f64 + 0.5))
-///     .collect::<Result<_, _>>()?;
-/// handle.run_phase(shards, |core, s| core.matmul(&s, &s))?;
+/// // Two 4×4 · 4×4 products, one per core.
+/// handle.with(|d| d.run_phase(vec![4, 4], |core, n| core.charge_matmul_work(n, n, n, 1)))?;
 /// assert!(dev.wall_seconds() > 0.0); // visible through every handle
 /// # Ok(())
 /// # }
@@ -223,19 +220,6 @@ impl SharedDevice {
         })
     }
 
-    /// Convenience forward of [`TpuDevice::run_phase`] under the lock.
-    ///
-    /// # Errors
-    ///
-    /// As [`TpuDevice::run_phase`].
-    pub fn run_phase<W, R>(
-        &self,
-        work: Vec<W>,
-        f: impl FnMut(&mut crate::TpuCore, W) -> xai_tensor::Result<R>,
-    ) -> xai_tensor::Result<Vec<R>> {
-        self.lock().run_phase(work, f)
-    }
-
     /// Device configuration (cloned snapshot).
     pub fn config(&self) -> TpuConfig {
         self.lock().config().clone()
@@ -346,10 +330,10 @@ impl Drop for LaneLease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xai_tensor::Matrix;
 
-    fn shard(v: f64) -> Matrix<f64> {
-        Matrix::filled(4, 4, v).unwrap()
+    /// One phase of `n×n · n×n` products, one per work item.
+    fn squares(d: &mut TpuDevice, work: Vec<usize>) -> xai_tensor::Result<()> {
+        d.run_phase(work, |core, n| core.charge_matmul_work(n, n, n, 1))
     }
 
     #[test]
@@ -357,9 +341,7 @@ mod tests {
         let dev = SharedDevice::new(TpuConfig::small_test());
         let other = dev.clone();
         assert!(dev.same_device(&other));
-        other
-            .run_phase(vec![shard(1.0)], |core, s| core.matmul(&s, &s))
-            .unwrap();
+        other.with(|d| squares(d, vec![4])).unwrap();
         assert!(dev.wall_seconds() > 0.0);
         assert_eq!(dev.wall_seconds(), other.wall_seconds());
     }
@@ -367,33 +349,29 @@ mod tests {
     #[test]
     fn timed_measures_exactly_its_own_charge() {
         let dev = SharedDevice::new(TpuConfig::small_test());
-        let (out, dt) = dev
-            .timed(|d| d.run_phase(vec![shard(1.0)], |core, s| core.matmul(&s, &s)))
-            .unwrap();
-        assert_eq!(out.len(), 1);
+        let ((), dt) = dev.timed(|d| squares(d, vec![4])).unwrap();
         assert!(dt > 0.0);
         assert_eq!(dev.wall_seconds(), dt);
         // A second timed region measures only its own delta.
-        let (_, dt2) = dev
-            .timed(|d| d.run_phase(vec![shard(2.0)], |core, s| core.matmul(&s, &s)))
-            .unwrap();
+        let (_, dt2) = dev.timed(|d| squares(d, vec![4])).unwrap();
         assert!((dev.wall_seconds() - dt - dt2).abs() < 1e-18);
     }
 
     #[test]
     fn with_gives_atomic_multi_step_access() {
         let dev = SharedDevice::new(TpuConfig::small_test());
-        let (sum, dt) = dev
+        let (comm, dt) = dev
             .with(|d| {
                 let before = d.wall_seconds();
-                let parts =
-                    d.run_phase(vec![shard(1.0), shard(2.0)], |core, s| core.matmul(&s, &s))?;
-                let sum = d.cross_replica_sum(&parts)?;
-                Ok::<_, xai_tensor::TensorError>((sum, d.wall_seconds() - before))
+                squares(d, vec![4, 4])?;
+                d.charge_collective(4 * 4 * 8);
+                Ok::<_, xai_tensor::TensorError>((d.comm_seconds(), d.wall_seconds() - before))
             })
             .unwrap();
-        assert_eq!(sum.shape(), (4, 4));
-        assert!(dt > 0.0);
+        assert!(
+            dt > comm && comm > 0.0,
+            "phase and collective in one region"
+        );
         assert_eq!(dev.collectives(), 1);
     }
 
@@ -404,9 +382,7 @@ mod tests {
             for _ in 0..4 {
                 let handle = dev.clone();
                 scope.spawn(move || {
-                    handle
-                        .run_phase(vec![shard(0.5)], |core, s| core.matmul(&s, &s))
-                        .unwrap();
+                    handle.with(|d| squares(d, vec![4])).unwrap();
                 });
             }
         });
@@ -415,9 +391,7 @@ mod tests {
         // interleaving.
         let serial = SharedDevice::new(TpuConfig::small_test());
         for _ in 0..4 {
-            serial
-                .run_phase(vec![shard(0.5)], |core, s| core.matmul(&s, &s))
-                .unwrap();
+            serial.with(|d| squares(d, vec![4])).unwrap();
         }
         assert!((dev.wall_seconds() - serial.wall_seconds()).abs() < 1e-15);
     }
@@ -425,8 +399,7 @@ mod tests {
     #[test]
     fn poisoned_device_recovers_and_keeps_serving() {
         let dev = SharedDevice::new(TpuConfig::small_test());
-        dev.run_phase(vec![shard(1.0)], |core, s| core.matmul(&s, &s))
-            .unwrap();
+        dev.with(|d| squares(d, vec![4])).unwrap();
         let before = dev.wall_seconds();
         // A worker panics while holding the device lock (`with` holds
         // it for the whole closure) — the worst case for poisoning.
@@ -437,8 +410,7 @@ mod tests {
         assert!(dev.inner.is_poisoned(), "lock must actually be poisoned");
         // Subsequent requests on every other handle still serve and
         // the ledger keeps accumulating.
-        dev.run_phase(vec![shard(2.0)], |core, s| core.matmul(&s, &s))
-            .unwrap();
+        dev.with(|d| squares(d, vec![4])).unwrap();
         assert!(dev.wall_seconds() > before);
     }
 
@@ -453,12 +425,8 @@ mod tests {
         assert_eq!(a.cores().len(), 4);
         assert_eq!(b.cores().len(), 4);
         assert!(a.cores().iter().all(|c| !b.cores().contains(c)));
-        let (_, dta) = a
-            .timed(|d| d.run_phase(vec![shard(1.0)], |core, s| core.matmul(&s, &s)))
-            .unwrap();
-        let (_, dtb) = b
-            .timed(|d| d.run_phase(vec![shard(2.0)], |core, s| core.matmul(&s, &s)))
-            .unwrap();
+        let (_, dta) = a.timed(|d| squares(d, vec![4])).unwrap();
+        let (_, dtb) = b.timed(|d| squares(d, vec![4])).unwrap();
         drop(a);
         drop(b);
         assert!(dta > 0.0 && dtb > 0.0);
@@ -472,11 +440,9 @@ mod tests {
     #[test]
     fn sequential_leases_chain_without_overlap() {
         let dev = SharedDevice::with_cores(TpuConfig::small_test(), 8);
-        for v in [1.0, 2.0, 3.0] {
+        for n in [4, 5, 6] {
             let lease = dev.lease(4);
-            lease
-                .timed(|d| d.run_phase(vec![shard(v)], |core, s| core.matmul(&s, &s)))
-                .unwrap();
+            lease.timed(|d| squares(d, vec![n])).unwrap();
         }
         // Back-to-back flights re-lease the most-recently-busy lanes,
         // so the timeline stays serial: no phantom overlap.
@@ -508,9 +474,7 @@ mod tests {
     fn lane_clocks_reset_with_the_device() {
         let dev = SharedDevice::with_cores(TpuConfig::small_test(), 4);
         let lease = dev.lease(2);
-        lease
-            .timed(|d| d.run_phase(vec![shard(1.0)], |core, s| core.matmul(&s, &s)))
-            .unwrap();
+        lease.timed(|d| squares(d, vec![4])).unwrap();
         drop(lease);
         assert!(dev.lane_serial_seconds() > 0.0);
         dev.reset();
@@ -523,8 +487,7 @@ mod tests {
     fn reset_visible_through_all_handles() {
         let dev = SharedDevice::with_cores(TpuConfig::small_test(), 4);
         assert_eq!(dev.num_cores(), 4);
-        dev.run_phase(vec![shard(0.1)], |core, s| core.matmul(&s, &s))
-            .unwrap();
+        dev.with(|d| squares(d, vec![4])).unwrap();
         let other = dev.clone();
         other.reset();
         assert_eq!(dev.wall_seconds(), 0.0);

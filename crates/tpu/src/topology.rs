@@ -19,7 +19,7 @@
 //!   pod-aggregated payloads over the inter-pod ring.
 //!
 //! All costs follow the per-shard parallel-links convention of
-//! [`crate::TpuDevice::cross_replica_sum`]: `bytes` is one (the
+//! [`crate::TpuDevice::charge_collective`]: `bytes` is one (the
 //! largest) participant's payload, not the summed traffic; latency
 //! scales with the farthest participant's hop count, bandwidth time
 //! with how many payloads serialise through the root's links. Every
@@ -102,7 +102,7 @@ impl Topology {
     /// Cost in seconds of one gather/all-reduce collective in which
     /// each of `participants` chips contributes a `bytes`-sized shard
     /// (the per-shard convention of
-    /// [`crate::TpuDevice::cross_replica_sum`]). Fewer than two
+    /// [`crate::TpuDevice::charge_collective`]). Fewer than two
     /// participants exchange nothing.
     ///
     /// * Flat crossbar: one parallel-links step, `α + β·bytes`,

@@ -69,8 +69,7 @@ proptest! {
         let mut core = xai_tpu::TpuCore::new(TpuConfig::small_test());
         let mut last = 0;
         for n in ops {
-            let m = Matrix::filled(n, n, 0.5).unwrap();
-            core.matmul(&m, &m).unwrap();
+            core.charge_matmul_work(n, n, n, 1);
             prop_assert!(core.elapsed_cycles() > last);
             last = core.elapsed_cycles();
         }
@@ -79,10 +78,8 @@ proptest! {
     #[test]
     fn phase_wall_time_bounded_by_serial_sum(n_items in 1usize..8) {
         let mut dev = TpuDevice::with_cores(TpuConfig::small_test(), 4);
-        let work: Vec<Matrix<f64>> = (0..n_items)
-            .map(|i| Matrix::filled(4, 4, 0.1 * (i + 1) as f64).unwrap())
-            .collect();
-        dev.run_phase(work, |core, w| core.matmul(&w, &w)).unwrap();
+        let work: Vec<usize> = (1..=n_items).collect();
+        dev.run_phase(work, |core, n| core.charge_matmul_work(n, n, n, 1)).unwrap();
         let serial_sum: f64 = dev.cores().iter().map(|c| c.elapsed_seconds()).sum();
         prop_assert!(dev.wall_seconds() <= serial_sum + 1e-12);
         prop_assert!(dev.wall_seconds() > 0.0);

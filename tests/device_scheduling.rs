@@ -1,20 +1,15 @@
 //! Integration tests of Algorithm 1 and the device-level scheduling:
-//! the simulated TPU must produce host-identical numerics while its
-//! clocks behave like hardware — on one chip, and sharded across a
-//! multi-chip [`DevicePool`].
+//! the TPU platform must produce host-identical numerics while the
+//! simulator's clocks behave like hardware — on one chip, and sharded
+//! across a multi-chip [`DevicePool`].
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tpu_xai::accel::{Accelerator, TpuAccel};
-use tpu_xai::core::{
-    explain_batch_on, explain_batch_parallel_on, fft2d_on_device, ifft2d_on_device, DistilledModel,
-    SolveStrategy,
-};
+use tpu_xai::core::{explain_batch_on, explain_batch_parallel_on, DistilledModel, SolveStrategy};
 use tpu_xai::tensor::{conv::conv2d_circular, Complex64, Matrix, TensorError};
-use tpu_xai::tpu::{
-    BatchQueue, DevicePool, LaneCost, SharedDevice, SystolicArray, TpuConfig, TpuDevice,
-};
+use tpu_xai::tpu::{BatchQueue, DevicePool, LaneCost, SystolicArray, TpuConfig, TpuDevice};
 
 /// How long a test whose flights dispatch on `max_lanes` may take:
 /// well under the 60 s straggler window, so a flight that waited the
@@ -31,16 +26,35 @@ fn spectrum_input(m: usize, n: usize) -> Matrix<Complex64> {
     .unwrap()
 }
 
+fn bits(m: &Matrix<Complex64>) -> Vec<(u64, u64)> {
+    m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// Algorithm 1 on the product path: the TPU's transforms are the host
+/// FFT's bits on any core count, and sharding a transform over more
+/// cores never costs more device time.
 #[test]
 fn algorithm1_is_exact_for_every_core_count() {
-    let x = spectrum_input(12, 12);
-    let host = tpu_xai::fourier::fft2d(&x).unwrap();
-    for cores in [1usize, 2, 3, 5, 12, 64] {
-        let device = SharedDevice::with_cores(TpuConfig::small_test(), cores);
-        let dev = fft2d_on_device(&device, &x).unwrap();
-        assert!(host.max_abs_diff(&dev).unwrap() < 1e-9, "cores={cores}");
-        let back = ifft2d_on_device(&device, &dev).unwrap();
-        assert!(x.max_abs_diff(&back).unwrap() < 1e-9, "cores={cores}");
+    for (m, n) in [(12, 12), (6, 10)] {
+        let x = spectrum_input(m, n);
+        let host = tpu_xai::fourier::fft2d(&x).unwrap();
+        let inverse = tpu_xai::fourier::ifft2d(&host).unwrap();
+        let mut last_wall = f64::INFINITY;
+        for cores in [1usize, 2, 3, 5, 12, 64] {
+            let tpu = TpuAccel::with_cores(cores);
+            let spectrum = tpu.fft2d(&x).unwrap();
+            assert_eq!(bits(&spectrum), bits(&host), "{m}x{n}, cores={cores}");
+            let device = tpu.device();
+            let wall = device.wall_seconds();
+            assert!(
+                wall > 0.0 && wall <= last_wall,
+                "{m}x{n}, cores={cores}: {wall} s"
+            );
+            assert_eq!(device.collectives(), 2, "one reassembly per stage");
+            last_wall = wall;
+            let back = tpu.ifft2d(&spectrum).unwrap();
+            assert_eq!(bits(&back), bits(&inverse), "{m}x{n}, cores={cores}");
+        }
     }
 }
 
@@ -59,14 +73,10 @@ fn systolic_array_agrees_with_quantized_matmul() {
 #[test]
 fn communication_cost_scales_with_payload() {
     let mut device = TpuDevice::with_cores(TpuConfig::tpu_v2(), 4);
-    let small: Vec<Matrix<f64>> = (0..4).map(|_| Matrix::filled(8, 8, 1.0).unwrap()).collect();
-    device.cross_replica_sum(&small).unwrap();
+    device.charge_collective(8 * 8 * 8);
     let t_small = device.comm_seconds();
     device.reset();
-    let large: Vec<Matrix<f64>> = (0..4)
-        .map(|_| Matrix::filled(64, 64, 1.0).unwrap())
-        .collect();
-    device.cross_replica_sum(&large).unwrap();
+    device.charge_collective(64 * 64 * 8);
     assert!(device.comm_seconds() > t_small);
 }
 
@@ -176,9 +186,7 @@ fn pool_recovers_from_panicking_shard_and_fails_followers() {
     assert_eq!(served, vec![7, 8]);
     for device in pool.devices() {
         device
-            .run_phase(vec![Matrix::filled(4, 4, 0.5).unwrap()], |core, s| {
-                core.matmul(&s, &s)
-            })
+            .with(|d| d.run_phase(vec![4], |core, n| core.charge_matmul_work(n, n, n, 1)))
             .unwrap();
     }
     assert!(
@@ -283,14 +291,14 @@ fn pod_scale_fleets_degrade_gracefully_by_fabric() {
 
 #[test]
 fn device_energy_scales_with_work() {
-    let x_small = spectrum_input(8, 8);
-    let x_large = spectrum_input(16, 16);
-    let d1 = SharedDevice::with_cores(TpuConfig::small_test(), 2);
-    fft2d_on_device(&d1, &x_small).unwrap();
-    let e_small = d1.energy_pj();
-    let d2 = SharedDevice::with_cores(TpuConfig::small_test(), 2);
-    fft2d_on_device(&d2, &x_large).unwrap();
-    assert!(d2.energy_pj() > e_small);
+    let energy = |n: usize| {
+        let tpu = TpuAccel::with_cores(2);
+        tpu.fft2d(&spectrum_input(n, n)).unwrap();
+        tpu.energy_pj()
+    };
+    let e_small = energy(8);
+    assert!(e_small > 0.0);
+    assert!(energy(16) > e_small);
 }
 
 /// Per core: `(elapsed_cycles, energy bits)`; plus the device's
