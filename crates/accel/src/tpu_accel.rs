@@ -34,6 +34,7 @@ use crate::platform::charge_staged_chain;
 use crate::roofline::cost;
 use crate::stats::KernelStats;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use xai_sync::{LockClass, OrderedMutex};
 use xai_tensor::ops;
@@ -44,23 +45,27 @@ use xai_tpu::{
     TpuConfig, TpuDevice,
 };
 
-/// The fan-out probe memo is a leaf of the workspace lock hierarchy,
-/// like the clock ledger beside it: a lookup or an insert holds it for
-/// one map operation and acquires nothing underneath.
+/// The fan-out decision memo is a leaf of the workspace lock
+/// hierarchy, like the clock ledger beside it: a lookup or an insert
+/// holds it for one map operation and acquires nothing underneath.
 static ACCEL_PROBE: LockClass = LockClass::new("accel::probe", 51);
 
-/// Distinct `(chip, shard shape)` probes the memo holds before it is
+/// Distinct flight shapes the decision memo holds before it is
 /// cleared. A serving fleet sees a handful of flight shapes; a sweep
-/// over many refills it from the scratch run.
-const PROBE_MEMO_CAPACITY: usize = 1024;
+/// over many refills it from the dry run.
+const DECISION_MEMO_CAPACITY: usize = 1024;
 
-/// Memoised dry-run probes: `(chip index in the pool, shard charges)`
-/// → the scratch simulator's wall seconds, `None` when the shard is
-/// unchargeable.
-type ProbeMemo = HashMap<(usize, ShardCharges), Option<f64>>;
+/// One fan-out decision ([`TpuAccel::fanout_plan`]): the plan and the
+/// gather payload of a flight that shards across the pool, `None` for
+/// one that stays on the primary chip.
+type Decision = Option<Arc<(ShardPlan, usize)>>;
 
-fn empty_probe_memo() -> OrderedMutex<ProbeMemo> {
-    OrderedMutex::new(&ACCEL_PROBE, ProbeMemo::new())
+/// Memoised fan-out decisions: `(the flight's lanes in lane order, the
+/// pool's healthy chip indices)` → [`Decision`].
+type DecisionMemo = HashMap<(Vec<KernelJob>, Vec<usize>), Decision>;
+
+fn empty_decision_memo() -> OrderedMutex<DecisionMemo> {
+    OrderedMutex::new(&ACCEL_PROBE, DecisionMemo::new())
 }
 
 /// TPU-based accelerator (the "Proposed Approach" column of the
@@ -109,12 +114,12 @@ pub struct TpuAccel {
     /// `queue.is_some()` — a pool is only ever installed together with
     /// a queue ([`TpuAccel::over_pool`]) and a queue is never removed.
     pool: Option<DevicePool>,
-    /// [`TpuAccel::fanout_plan`]'s dry-run probes, memoised. A probe
-    /// is a pure function of a chip's `(TpuConfig, cores)` and the
-    /// shard's charges, and a pooled chip's configuration never
-    /// changes after the pool is built, so the chip's index stands in
-    /// for the first half of the key.
-    probes: OrderedMutex<ProbeMemo>,
+    /// [`TpuAccel::fanout_plan`]'s decisions, memoised. A decision is
+    /// a pure function of the flight's lanes and the pool's healthy
+    /// chips: a pool's chips, fabric and strategy are fixed when it is
+    /// built. The memo belongs to this accelerator, so no other one
+    /// (built later at the same address, say) ever reads it.
+    decisions: OrderedMutex<DecisionMemo>,
     /// The MXU datapath's operand precision, read from the device's
     /// configuration at construction (a device's configuration never
     /// changes): [`Platform::product`](crate::Platform::product)'s
@@ -127,7 +132,7 @@ impl Clone for TpuAccel {
     /// pooled, an independent pool of devices — with the same
     /// configuration and current counters (and, when batching is
     /// enabled, its own queue over the cloned primary device). The
-    /// probe memo is keyed on this accelerator's pool, so the clone
+    /// decision memo describes this accelerator's pool, so the clone
     /// starts an empty one.
     fn clone(&self) -> Self {
         let pool = self.pool.as_ref().map(DevicePool::deep_clone);
@@ -143,7 +148,7 @@ impl Clone for TpuAccel {
             device,
             stats: self.stats.clone(),
             pool,
-            probes: empty_probe_memo(),
+            decisions: empty_decision_memo(),
             precision: self.precision,
         }
     }
@@ -179,7 +184,7 @@ impl TpuAccel {
             stats: Clock::new(),
             queue: None,
             pool: None,
-            probes: empty_probe_memo(),
+            decisions: empty_decision_memo(),
         }
     }
 
@@ -219,7 +224,7 @@ impl TpuAccel {
             device,
             stats: Clock::new(),
             pool: Some(pool),
-            probes: empty_probe_memo(),
+            decisions: empty_decision_memo(),
         }
     }
 
@@ -295,11 +300,13 @@ impl TpuAccel {
 fn charge_sharded_complex_matmul(d: &mut TpuDevice, l: usize, w: usize) -> Result<()> {
     let p = d.num_cores().min(w.max(1));
     let per_core_cols = w.div_ceil(p);
-    let work: Vec<usize> = (0..p)
-        .map(|i| per_core_cols.min(w.saturating_sub(i * per_core_cols)))
-        .filter(|&c| c > 0)
-        .collect();
-    d.run_phase(work, |core, cols| core.charge_matmul_work(l, l, cols, 3))?;
+    // Core i takes columns from i·per_core_cols on: every core up to
+    // the last one a column reaches (none when w = 0).
+    let shards = w.div_ceil(per_core_cols.max(1));
+    d.run_phase(0..shards, |core, i| {
+        let cols = per_core_cols.min(w - i * per_core_cols);
+        core.charge_matmul_work(l, l, cols, 3)
+    })?;
     // Reassembly: each core contributes its 16-byte-per-element shard.
     d.charge_collective(16 * l * per_core_cols);
     Ok(())
@@ -318,12 +325,15 @@ fn charge_fft2d(d: &mut TpuDevice, m: usize, n: usize) -> Result<()> {
 /// plus one reassembly collective per transform stage. Used verbatim
 /// by the single-device flight path and by each chip of a pooled
 /// flight, so the two cost models can never drift apart.
-fn charge_transform_shard(d: &mut TpuDevice, shapes: &[(usize, usize)]) -> Result<()> {
-    d.run_phase(shapes.to_vec(), |core, (m, n)| {
+fn charge_transform_shard(
+    d: &mut TpuDevice,
+    shapes: impl Iterator<Item = (usize, usize)> + Clone,
+) -> Result<()> {
+    d.run_phase(shapes.clone(), |core, (m, n)| {
         core.charge_matmul_work(m, m, n, 3);
         core.charge_matmul_work(m, n, n, 3);
     })?;
-    let shard_bytes = shapes.iter().map(|&(m, n)| 16 * m * n).max().unwrap_or(0);
+    let shard_bytes = shapes.map(|(m, n)| 16 * m * n).max().unwrap_or(0);
     d.charge_collective(shard_bytes);
     d.charge_collective(shard_bytes);
     Ok(())
@@ -410,8 +420,8 @@ fn charge_sharded_elementwise(d: &mut TpuDevice, elems: usize) -> Result<()> {
 /// Charges one phase of `count` elementwise lanes of `elems` elements
 /// each, one whole lane per core (round-robin past the core count).
 fn charge_per_lane_elementwise(d: &mut TpuDevice, elems: usize, count: usize) -> Result<()> {
-    d.run_phase(vec![elems as u64; count], |core, e| {
-        core.charge_elementwise_work(e)
+    d.run_phase(0..count, |core, _| {
+        core.charge_elementwise_work(elems as u64)
     })
 }
 
@@ -422,99 +432,85 @@ fn charge_per_lane_elementwise(d: &mut TpuDevice, elems: usize, count: usize) ->
 fn charge_rowsharded_matmul(d: &mut TpuDevice, m: usize, k: usize, n: usize) -> Result<()> {
     let p = d.num_cores().min(m.max(1));
     let per_rows = m.div_ceil(p);
-    let work: Vec<usize> = (0..p)
-        .map(|i| per_rows.min(m.saturating_sub(i * per_rows)))
-        .filter(|&r| r > 0)
-        .collect();
-    d.run_phase(work, |core, rows| core.charge_matmul_work(rows, k, n, 1))?;
+    let shards = m.div_ceil(per_rows.max(1));
+    d.run_phase(0..shards, |core, i| {
+        core.charge_matmul_work(per_rows.min(m - i * per_rows), k, n, 1)
+    })?;
     d.charge_collective(4 * per_rows * n);
     Ok(())
 }
 
-/// The charge-relevant summary of one flight shard, grouped by kernel
-/// kind and charged atomically.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
-struct ShardCharges {
-    /// Transform lanes' shapes, in lane order.
-    transforms: Vec<(usize, usize)>,
-    /// Total elements per elementwise kernel kind, in first-seen
-    /// order: each kind is charged as its own phase.
-    elementwise: Vec<(&'static str, usize)>,
-    /// Matmul lanes' `(m, k, n)`, in lane order.
-    matmuls: Vec<(usize, usize, usize)>,
-    /// Score lanes' shapes, in lane order: each charged as the fused
-    /// chain — forward-transform stage + hadamard + inverse-transform
-    /// stage + sub, each stage priced exactly like its staged
-    /// counterpart.
-    fused: Vec<(usize, usize)>,
-}
-
-/// Summarises a shard's lanes for [`charge_kernel_shard`].
-fn shard_charges<'a>(jobs: impl IntoIterator<Item = &'a KernelJob>) -> ShardCharges {
-    let mut charges = ShardCharges::default();
-    let bump = |charges: &mut ShardCharges, kind: &'static str, elems: usize| match charges
-        .elementwise
-        .iter_mut()
-        .find(|(k, _)| *k == kind)
-    {
-        Some((_, total)) => *total += elems,
-        None => charges.elementwise.push((kind, elems)),
-    };
+/// The per-device charge of one kernel-generic flight shard, straight
+/// from its lanes: the shard's transform lanes pay
+/// [`charge_transform_shard`] (one phase, a whole transform per core
+/// lane, one collective per stage), its elementwise lanes pay
+/// [`charge_sharded_elementwise`] once per kernel kind (the kind's
+/// elements summed, split across the vector units), each matmul lane
+/// pays the row-sharded MXU schedule ([`charge_rowsharded_matmul`]),
+/// and the score lanes pay the fused chain. The charges run in that
+/// order — transforms in lane order, the elementwise kinds in
+/// first-seen order, then matmuls, then score lanes — and every
+/// sub-charge is the same cost function the direct (unqueued) kernel
+/// path uses.
+fn charge_kernel_shard(d: &mut TpuDevice, jobs: &[KernelJob]) -> Result<()> {
+    let transforms = jobs.iter().filter_map(|job| match *job {
+        KernelJob::Transform { rows, cols } => Some((rows, cols)),
+        _ => None,
+    });
+    if transforms.clone().next().is_some() {
+        charge_transform_shard(d, transforms)?;
+    }
+    // Each elementwise kind is its own phase: a stack slot per kind,
+    // in the order the kinds first appear.
+    let mut elementwise = [None::<(std::mem::Discriminant<KernelJob>, usize)>; 3];
     for job in jobs {
-        match *job {
-            KernelJob::Transform { rows, cols } => charges.transforms.push((rows, cols)),
-            KernelJob::Hadamard { elems }
-            | KernelJob::PointwiseDiv { elems }
-            | KernelJob::Sub { elems } => bump(&mut charges, job.kind(), elems),
-            KernelJob::Matmul { m, k, n } => charges.matmuls.push((m, k, n)),
-            KernelJob::Score { rows, cols } => charges.fused.push((rows, cols)),
+        if let KernelJob::Hadamard { elems }
+        | KernelJob::PointwiseDiv { elems }
+        | KernelJob::Sub { elems } = *job
+        {
+            let kind = std::mem::discriminant(job);
+            let slot = elementwise
+                .iter_mut()
+                .find(|slot| slot.is_none_or(|(seen, _)| seen == kind))
+                .expect("one slot per elementwise kind");
+            slot.get_or_insert((kind, 0)).1 += elems;
         }
     }
-    charges
-}
-
-/// The per-device charge of one kernel-generic flight shard: the
-/// shard's transform lanes pay [`charge_transform_shard`] (one phase,
-/// a whole transform per core lane, one collective per stage), its
-/// elementwise lanes pay [`charge_sharded_elementwise`] per kernel
-/// kind (elements split across the vector units), and each matmul
-/// lane pays the row-sharded MXU schedule
-/// ([`charge_rowsharded_matmul`]). Simulated time is a sum, so the
-/// per-kind order is immaterial; every sub-charge is the same cost
-/// function the direct (unqueued) kernel path uses.
-fn charge_kernel_shard(d: &mut TpuDevice, charges: &ShardCharges) -> Result<()> {
-    if !charges.transforms.is_empty() {
-        charge_transform_shard(d, &charges.transforms)?;
-    }
-    for &(_, elems) in &charges.elementwise {
+    for (_, elems) in elementwise.into_iter().flatten() {
         charge_sharded_elementwise(d, elems)?;
     }
-    for &(m, k, n) in &charges.matmuls {
-        charge_rowsharded_matmul(d, m, k, n)?;
+    for job in jobs {
+        if let KernelJob::Matmul { m, k, n } = *job {
+            charge_rowsharded_matmul(d, m, k, n)?;
+        }
     }
-    if !charges.fused.is_empty() {
+    let fused = jobs.iter().filter_map(|job| match *job {
+        KernelJob::Score { rows, cols } => Some((rows, cols)),
+        _ => None,
+    });
+    if fused.clone().next().is_some() {
         // The fused chain pays its four stages exactly as the staged
         // chain would — a transform flight per transform stage (one
         // collective pair each) and the two elementwise stages — but
         // in ONE flight, so only the final real difference ships over
         // the inter-chip gather instead of all four stage results.
-        let elems: usize = charges.fused.iter().map(|&(m, n)| m * n).sum();
-        charge_transform_shard(d, &charges.fused)?;
+        let elems: usize = fused.clone().map(|(m, n)| m * n).sum();
+        charge_transform_shard(d, fused.clone())?;
         charge_sharded_elementwise(d, elems)?;
-        charge_transform_shard(d, &charges.fused)?;
+        charge_transform_shard(d, fused)?;
         charge_sharded_elementwise(d, elems)?;
     }
     Ok(())
 }
 
-/// The memo's miss path and its definition: replays `charges` through
-/// the exact charge functions the real dispatch uses, on a scratch
-/// simulator mirroring `device`'s configuration and core count, and
-/// reads the wall seconds off it. `None` when the shard is
+/// One dry-run probe, the fan-out decision's unit: replays `jobs`
+/// through the exact charge function the real dispatch uses, on a
+/// scratch simulator mirroring `device`'s configuration and core
+/// count, and reads the wall seconds off it. `None` when the shard is
 /// unchargeable (an empty phase). Touches no real chip's clock.
-fn scratch_probe(device: &SharedDevice, charges: &ShardCharges) -> Option<f64> {
+fn scratch_probe(device: &SharedDevice, jobs: &[KernelJob]) -> Option<f64> {
     let mut scratch = TpuDevice::with_cores(device.config(), device.num_cores());
-    charge_kernel_shard(&mut scratch, charges).ok()?;
+    charge_kernel_shard(&mut scratch, jobs).ok()?;
     Some(scratch.wall_seconds())
 }
 
@@ -546,19 +542,22 @@ impl TpuAccel {
     /// one atomic charge region applying each kind's direct-path cost
     /// model ([`charge_kernel_shard`]). Over a pool with more than one
     /// chip, the flight's lanes are sharded across the chips instead
-    /// when that wins (see [`TpuAccel::dispatch_pooled_flight`]); a pool
+    /// when that wins (see [`TpuAccel::fanout_decision`]); a pool
     /// with a fault plan runs every multi-lane flight through its
     /// faulted dispatch, one chip or many.
-    fn dispatch_flight(&self, flight: Vec<KernelJob>) -> Result<Vec<()>> {
-        let charges = shard_charges(&flight);
+    fn dispatch_flight(&self, mut flight: Vec<KernelJob>) -> Result<Vec<()>> {
         if let Some(pool) = &self.pool {
             if flight.len() > 1 {
+                let mut healthy = pool.healthy_device_indices();
                 if pool.num_devices() > 1 {
-                    if let Some((plan, gather_bytes)) = self.fanout_plan(pool, &flight, &charges) {
-                        return self.dispatch_pooled_flight(pool, flight, &plan, gather_bytes);
+                    let decision;
+                    (flight, healthy, decision) = self.fanout_decision(pool, flight, healthy);
+                    if let Some(decision) = decision {
+                        let (plan, gather_bytes) = &*decision;
+                        return self.dispatch_pooled_flight(pool, flight, plan, *gather_bytes);
                     }
                 }
-                if pool.fault_plan().is_some() {
+                if pool.has_fault_plan() {
                     // Fault injection must see every multi-lane
                     // flight: when a plan is installed, the
                     // single-chip fallback also runs through the
@@ -567,7 +566,6 @@ impl TpuAccel {
                     // included. Without a plan this branch is never
                     // taken and the fallback below stays bit-identical.
                     let lanes: Vec<LaneCost> = flight.iter().map(kernel_lane_cost).collect();
-                    let healthy = pool.healthy_device_indices();
                     let plan =
                         ShardPlan::plan_width(&lanes, 1, 1).project(&healthy, pool.num_devices());
                     let gather_bytes = plan.gather_shard_bytes(&lanes);
@@ -576,27 +574,60 @@ impl TpuAccel {
             }
         }
         let (ops, bytes) = flight_stats(&flight);
-        let dt = self.charge_flight_region(flight.len(), |d| charge_kernel_shard(d, &charges))?;
+        let dt = self.charge_flight_region(flight.len(), |d| charge_kernel_shard(d, &flight))?;
         self.stats.record(dt, ops, bytes);
         Ok(vec![(); flight.len()])
     }
 
-    /// Decides whether fanning a flight out across the pool's chips
-    /// beats keeping it on the primary device, by *dry-running* the
-    /// cost model: the per-kind charges are replayed on scratch
+    /// The fan-out decision for `flight` over `pool`'s `healthy` chips:
+    /// [`TpuAccel::fanout_plan`]'s answer, run once per distinct
+    /// `(flight, healthy)` pair and answered from a bounded memo
+    /// afterwards. The answer is a pure function of that pair, since a
+    /// pool's chips, fabric and strategy never change once it is built.
+    /// A hit copies nothing: the two vectors move into the lookup key
+    /// and back out to the caller. The dry run happens outside the
+    /// memo's lock; two threads missing on one key both run it and
+    /// insert the same answer.
+    fn fanout_decision(
+        &self,
+        pool: &DevicePool,
+        flight: Vec<KernelJob>,
+        healthy: Vec<usize>,
+    ) -> (Vec<KernelJob>, Vec<usize>, Decision) {
+        let key = (flight, healthy);
+        let hit = self.decisions.lock_recover().get(&key).cloned();
+        let decision = match hit {
+            Some(decision) => decision,
+            None => {
+                let decision = self.fanout_plan(pool, &key.0, &key.1).map(Arc::new);
+                let mut memo = self.decisions.lock_recover();
+                if memo.len() >= DECISION_MEMO_CAPACITY {
+                    memo.clear();
+                }
+                memo.insert(key.clone(), decision.clone());
+                decision
+            }
+        };
+        let (flight, healthy) = key;
+        (flight, healthy, decision)
+    }
+
+    /// Decides whether fanning a flight out across the pool's `healthy`
+    /// chips beats keeping it on the primary device, by *dry-running*
+    /// the cost model: the flight's lanes are replayed on scratch
     /// simulators — once as if the whole flight ran on the primary
     /// chip, once per planned shard, each scratch chip mirroring the
     /// real chip's configuration and core count (pools may be
     /// heterogeneous) — and the sharded makespan plus the inter-chip
     /// gather is compared against the single-chip wall time. Because
-    /// the dry run calls the exact charge functions the real dispatch
-    /// uses, the decision can never drift from the cost model it
-    /// optimises; it touches no real chip's clock. A probe is a pure
-    /// function of the chip and the shard's charges, so each distinct
-    /// one runs its scratch simulator once and is answered from a
-    /// bounded memo afterwards ([`TpuAccel::probe`]). On a win the
+    /// the dry run calls the exact charge function the real dispatch
+    /// uses ([`scratch_probe`]), the decision can never drift from the
+    /// cost model it optimises; it touches no real chip's clock. A
+    /// probe that recurs within one decision (the same shard on the
+    /// same chip under two candidate widths) runs once. On a win the
     /// plan and gather payload are returned so the pooled dispatch
-    /// reuses them instead of planning again.
+    /// reuses them instead of planning again. Dispatch reaches this
+    /// through the memo of [`TpuAccel::fanout_decision`].
     ///
     /// Transform-heavy flights fan out (MXU work dwarfs the gather);
     /// small elementwise flights stay on the primary chip, where the
@@ -618,7 +649,7 @@ impl TpuAccel {
         &self,
         pool: &DevicePool,
         flight: &[KernelJob],
-        whole_flight_charges: &ShardCharges,
+        healthy: &[usize],
     ) -> Option<(ShardPlan, usize)> {
         let lanes: Vec<LaneCost> = flight.iter().map(kernel_lane_cost).collect();
         let n = pool.num_devices();
@@ -626,21 +657,30 @@ impl TpuAccel {
         // back onto full-pool device indices. With no fault plan
         // installed the healthy set is the identity, so this is
         // bit-identical to planning over the whole pool.
-        let healthy = pool.healthy_device_indices();
         let h = healthy.len();
         let fabric = pool.topology();
         let candidates: Vec<ShardPlan> = match pool.strategy() {
             ShardStrategy::TopologyAware => fabric
                 .fanout_widths(h)
                 .into_iter()
-                .map(|w| ShardPlan::plan_width(&lanes, h, w).project(&healthy, n))
+                .map(|w| ShardPlan::plan_width(&lanes, h, w).project(healthy, n))
                 .collect(),
-            strategy => vec![ShardPlan::plan_on(&lanes, h, strategy, fabric).project(&healthy, n)],
+            strategy => vec![ShardPlan::plan_on(&lanes, h, strategy, fabric).project(healthy, n)],
+        };
+        let mut probed: Vec<(usize, Vec<KernelJob>, Option<f64>)> = Vec::new();
+        let mut probe = |chip: usize, shard: Vec<KernelJob>| {
+            let seen = probed.iter().find(|(c, s, _)| *c == chip && *s == shard);
+            if let Some(&(_, _, seconds)) = seen {
+                return seconds;
+            }
+            let seconds = scratch_probe(pool.device(chip), &shard);
+            probed.push((chip, shard, seconds));
+            seconds
         };
         // An unchargeable probe (empty phase) means the real dispatch
         // would fail identically on either path; prefer the simpler
         // primary-chip path. `self.device` is the pool's chip 0.
-        let single = self.probe(pool, 0, whole_flight_charges.clone())?;
+        let single = probe(0, flight.to_vec())?;
         let mut best: Option<(f64, ShardPlan, usize)> = None;
         for plan in candidates {
             if plan.occupied_devices() < 2 {
@@ -651,8 +691,7 @@ impl TpuAccel {
                 if assigned.is_empty() {
                     continue;
                 }
-                let charges = shard_charges(assigned.iter().map(|&i| &flight[i]));
-                slowest = slowest.max(self.probe(pool, d, charges)?);
+                slowest = slowest.max(probe(d, assigned.iter().map(|&i| flight[i]).collect())?);
             }
             let gather_bytes = plan.gather_shard_bytes(&lanes);
             let gather = pool.gather_cost_s(gather_bytes, plan.occupied_devices());
@@ -665,28 +704,8 @@ impl TpuAccel {
         (cost < single).then_some((plan, gather_bytes))
     }
 
-    /// One dry-run probe: the simulated seconds `charges` would cost
-    /// chip `chip` of `pool`, from the memo or — on a miss — from
-    /// [`scratch_probe`]. The scratch run happens outside the memo's
-    /// lock; two threads missing on one key both run it and insert
-    /// the same value.
-    fn probe(&self, pool: &DevicePool, chip: usize, charges: ShardCharges) -> Option<f64> {
-        let key = (chip, charges);
-        let hit = self.probes.lock_recover().get(&key).copied();
-        if let Some(seconds) = hit {
-            return seconds;
-        }
-        let seconds = scratch_probe(pool.device(chip), &key.1);
-        let mut memo = self.probes.lock_recover();
-        if memo.len() >= PROBE_MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.insert(key, seconds);
-        seconds
-    }
-
     /// Charges one coalesced flight sharded across the pool's chips
-    /// under the plan [`TpuAccel::fanout_plan`] already computed —
+    /// under the plan [`TpuAccel::fanout_decision`] already reached —
     /// transform, elementwise, matmul and score lanes placed by one
     /// flops-consistent cost. Each chip charges its shard as a full
     /// flight (the same per-device charges as the single-chip path,
@@ -703,9 +722,8 @@ impl TpuAccel {
     ) -> Result<Vec<()>> {
         let (ops, bytes) = flight_stats(&flight);
         let run = pool.run_planned(plan, gather_bytes, flight, |device, jobs| {
-            let charges = shard_charges(&jobs);
             let lease = device.lease(jobs.len());
-            let ((), dt) = lease.timed(|d| charge_kernel_shard(d, &charges))?;
+            let ((), dt) = lease.timed(|d| charge_kernel_shard(d, &jobs))?;
             Ok((vec![(); jobs.len()], dt))
         })?;
         self.stats.record(run.seconds, ops, bytes);
@@ -759,7 +777,7 @@ impl crate::platform::Platform for TpuAccel {
             | KernelJob::Sub { elems } => charge_sharded_elementwise(d, elems),
             KernelJob::Matmul { m, k, n } => charge_rowsharded_matmul(d, m, k, n),
             // No single score lane arrives; it would pay a flight's charge.
-            KernelJob::Score { .. } => charge_kernel_shard(d, &shard_charges([&job])),
+            KernelJob::Score { .. } => charge_kernel_shard(d, &[job]),
         })?;
         let (ops, bytes) = kernel_ops_bytes(&job);
         self.stats.record(dt, ops, bytes);
@@ -1574,15 +1592,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Memo ≡ scratch, differentially: an accelerator that keeps
-        /// its probe memo and one whose memo is emptied before every
-        /// decision (so each probe is a scratch run) make the same
-        /// fan-out decisions and leave the same clocks on every chip,
-        /// over mixed flights on heterogeneous pools under every
-        /// strategy, with a transient fault and a fail-stop
+        /// Memo ≡ dry run, differentially: an accelerator that keeps
+        /// its decision memo and one whose memo is emptied before
+        /// every decision (so each decision is a fresh dry run) make
+        /// the same fan-out decisions and leave the same clocks on
+        /// every chip, over mixed flights on heterogeneous pools under
+        /// every strategy, with a transient fault and a fail-stop
         /// quarantining chips mid-sequence.
         #[test]
-        fn memoised_probes_decide_and_charge_exactly_like_scratch_probes(
+        fn memoised_decisions_decide_and_charge_exactly_like_fresh_dry_runs(
             flights in proptest::collection::vec(
                 proptest::collection::vec((0usize..6, 1usize..18, 1usize..18), 1usize..13),
                 1usize..5,
@@ -1616,17 +1634,17 @@ mod tests {
             let (warm, fresh) = (accel(), accel());
             let (warm_pool, fresh_pool) = (warm.pool().unwrap(), fresh.pool().unwrap());
             // Every flight twice over: the second pass finds each
-            // repeated probe already memoised on the warm side.
+            // repeated decision already memoised on the warm side.
             for lanes in flights.iter().chain(&flights) {
                 let flight: Vec<KernelJob> =
                     lanes.iter().map(|&(k, m, n)| memo_test_job(k, m, n)).collect();
-                let charges = shard_charges(&flight);
-                fresh.probes.lock_recover().clear();
-                prop_assert_eq!(
-                    warm.fanout_plan(warm_pool, &flight, &charges),
-                    fresh.fanout_plan(fresh_pool, &flight, &charges)
-                );
-                fresh.probes.lock_recover().clear();
+                fresh.decisions.lock_recover().clear();
+                let decide = |acc: &TpuAccel, pool: &DevicePool| {
+                    let healthy = pool.healthy_device_indices();
+                    acc.fanout_decision(pool, flight.clone(), healthy)
+                };
+                prop_assert_eq!(decide(&warm, warm_pool), decide(&fresh, fresh_pool));
+                fresh.decisions.lock_recover().clear();
                 prop_assert_eq!(
                     warm.dispatch_flight(flight.clone()),
                     fresh.dispatch_flight(flight)
@@ -1640,13 +1658,13 @@ mod tests {
             for (w, f) in warm_pool.devices().iter().zip(fresh_pool.devices()) {
                 prop_assert_eq!(w.wall_seconds().to_bits(), f.wall_seconds().to_bits());
             }
-            // And entry by entry: what the memo holds is what the
-            // scratch run says.
-            let memo = warm.probes.lock_recover().clone();
+            // And entry by entry: what the memo holds is what a dry
+            // run says.
+            let memo = warm.decisions.lock_recover().clone();
             prop_assert!(!memo.is_empty());
-            for ((chip, charges), seconds) in memo {
-                let scratch = scratch_probe(warm_pool.device(chip), &charges);
-                prop_assert_eq!(seconds.map(f64::to_bits), scratch.map(f64::to_bits));
+            for ((flight, healthy), decision) in memo {
+                let dry_run = warm.fanout_plan(warm_pool, &flight, &healthy);
+                prop_assert_eq!(decision.as_deref(), dry_run.as_ref());
             }
         }
     }
@@ -1672,7 +1690,7 @@ mod tests {
         let charged = |shards: &[KernelJob]| {
             let mut device = TpuDevice::with_cores(TpuConfig::small_test(), 2);
             for job in shards {
-                charge_kernel_shard(&mut device, &shard_charges([job])).unwrap();
+                charge_kernel_shard(&mut device, std::slice::from_ref(job)).unwrap();
             }
             device.wall_seconds().to_bits()
         };
@@ -1756,7 +1774,7 @@ mod tests {
     /// The memo is cleared when full, so a sweep over ten times its
     /// capacity in distinct shapes never holds more than the capacity.
     #[test]
-    fn probe_memo_never_exceeds_its_capacity() {
+    fn decision_memo_never_exceeds_its_capacity() {
         let acc = TpuAccel::over_pool(
             DevicePool::new(TpuConfig::small_test(), 2),
             Duration::ZERO,
@@ -1764,15 +1782,95 @@ mod tests {
         );
         let pool = acc.pool().unwrap();
         let mut high_water = 0;
-        for elems in 1..=10 * PROBE_MEMO_CAPACITY {
-            let charges = ShardCharges {
-                elementwise: vec![("sub", elems)],
-                ..ShardCharges::default()
-            };
-            let first = acc.probe(pool, elems % 2, charges.clone());
-            assert_eq!(first, acc.probe(pool, elems % 2, charges), "hit == miss");
-            high_water = high_water.max(acc.probes.lock_recover().len());
+        for elems in 1..=10 * DECISION_MEMO_CAPACITY {
+            let flight = vec![
+                KernelJob::Sub { elems },
+                KernelJob::Transform {
+                    rows: 2,
+                    cols: elems % 7 + 1,
+                },
+            ];
+            let healthy = vec![0, 1];
+            let first = acc.fanout_decision(pool, flight.clone(), healthy.clone());
+            assert_eq!(
+                first,
+                acc.fanout_decision(pool, flight, healthy),
+                "hit == miss"
+            );
+            high_water = high_water.max(acc.decisions.lock_recover().len());
         }
-        assert_eq!(high_water, PROBE_MEMO_CAPACITY);
+        assert_eq!(high_water, DECISION_MEMO_CAPACITY);
+    }
+
+    /// A memoised decision follows the healthy set through a fault
+    /// plan's life: a transient fault quarantines a chip, its cooldown
+    /// re-admits it, and the plan is cleared — at every step the warm
+    /// accelerator decides, charges and counts exactly as one that
+    /// decides afresh, and the memo holds one decision per healthy set
+    /// it saw.
+    #[test]
+    fn memoised_decisions_follow_quarantine_readmission_and_a_cleared_plan() {
+        let accel = || {
+            let plan = xai_tpu::FaultPlan::seeded(5)
+                .transient_draw(0)
+                .with_cooldown_s(1.0e-6);
+            let pool = DevicePool::new(TpuConfig::small_test(), 4).with_fault_plan(plan);
+            TpuAccel::over_pool(pool, Duration::ZERO, 16)
+        };
+        let flight: Vec<KernelJob> = (0..6)
+            .map(|_| KernelJob::Transform { rows: 16, cols: 16 })
+            .collect();
+        let (warm, fresh) = (accel(), accel());
+        let (warm_pool, fresh_pool) = (warm.pool().unwrap(), fresh.pool().unwrap());
+        let mut healthy_sets = Vec::new();
+        let step = |label: &str, healthy_sets: &mut Vec<Vec<usize>>| {
+            let healthy = warm_pool.healthy_device_indices();
+            assert_eq!(healthy, fresh_pool.healthy_device_indices(), "{label}");
+            if !healthy_sets.contains(&healthy) {
+                healthy_sets.push(healthy);
+            }
+            fresh.decisions.lock_recover().clear();
+            assert_eq!(
+                warm.dispatch_flight(flight.clone()),
+                fresh.dispatch_flight(flight.clone()),
+                "{label}"
+            );
+            assert_eq!(
+                warm_pool.wall_seconds().to_bits(),
+                fresh_pool.wall_seconds().to_bits(),
+                "{label}"
+            );
+            assert_eq!(warm_pool.fault_stats(), fresh_pool.fault_stats(), "{label}");
+            for (w, f) in warm_pool.devices().iter().zip(fresh_pool.devices()) {
+                assert_eq!(
+                    w.wall_seconds().to_bits(),
+                    f.wall_seconds().to_bits(),
+                    "{label}"
+                );
+            }
+        };
+        // Draw 0 faults the first shard: its chip is quarantined.
+        step("faulted", &mut healthy_sets);
+        assert_eq!(warm_pool.fault_stats().quarantines, 1);
+        step("quarantined", &mut healthy_sets);
+        // Past the cooldown the next flight's probe re-admits the chip.
+        for pool in [warm_pool, fresh_pool] {
+            pool.advance_external(1.0);
+        }
+        step("re-admitted", &mut healthy_sets);
+        step("whole again", &mut healthy_sets);
+        assert_eq!(warm_pool.fault_stats().readmissions, 1);
+        for pool in [warm_pool, fresh_pool] {
+            pool.clear_fault_plan();
+        }
+        step("plan cleared", &mut healthy_sets);
+        assert!(healthy_sets.len() >= 2, "{healthy_sets:?}");
+        let memo = warm.decisions.lock_recover();
+        for healthy in &healthy_sets {
+            assert!(
+                memo.contains_key(&(flight.clone(), healthy.clone())),
+                "{healthy:?}"
+            );
+        }
     }
 }

@@ -114,7 +114,7 @@ fn bench_collectives(c: &mut Criterion) {
                         },
                         |device, sizes| {
                             device.timed(|d| {
-                                d.run_phase(sizes.clone(), |core, n| {
+                                d.run_phase(sizes.iter().copied(), |core, n| {
                                     core.charge_matmul_work(n, n, n, 1)
                                 })?;
                                 Ok(sizes)

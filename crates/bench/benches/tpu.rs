@@ -1,12 +1,16 @@
 //! Benchmarks of the TPU simulator itself: systolic tile simulation
-//! throughput, device phase charging, and the MXU operand arithmetic
-//! of the precision ablation (int8 vs bf16 operands, against f64).
+//! throughput, device phase charging, a pooled flight's dispatch, and
+//! the MXU operand arithmetic of the precision ablation (int8 vs bf16
+//! operands, against f64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Duration;
+use xai_accel::{Platform, TpuAccel};
+use xai_sync::{OrderedCondvar, OrderedMutex};
 use xai_tensor::quant::{bf16_round, QuantizedMatrix};
 use xai_tensor::Matrix;
-use xai_tpu::{SystolicArray, TpuConfig, TpuDevice};
+use xai_tpu::{DevicePool, FaultPlan, KernelJob, SystolicArray, Topology, TpuConfig, TpuDevice};
 
 fn int_matrix(rows: usize, cols: usize) -> Matrix<i8> {
     Matrix::from_fn(rows, cols, |r, c| (((r * 31 + c * 17) % 21) as i8) - 10).expect("dims > 0")
@@ -42,7 +46,7 @@ fn bench_device_phase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(cores), &cores, |b, &cores| {
             b.iter(|| {
                 let mut dev = TpuDevice::with_cores(TpuConfig::small_test(), cores);
-                dev.run_phase(black_box(vec![16; cores]), |core, n| {
+                dev.run_phase(black_box(std::iter::repeat_n(16, cores)), |core, n| {
                     core.charge_matmul_work(n, n, n, 1)
                 })
                 .expect("phase runs");
@@ -50,6 +54,45 @@ fn bench_device_phase(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// The simulated cost of one queued flight, host side: four
+/// `Score { 8, 8 }` lanes charged through `Platform::charge_launch`
+/// on a flat 4-chip pool and on a 16-chip 4×4 torus, each healthy and
+/// under a seeded 5 % transient-fault plan — the fan-out decision, the
+/// faulted dispatch and every shard's charge, with no numerics. Then
+/// the wake a flight's landing issues when nobody waits on it.
+fn bench_flight_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flight-dispatch");
+    let lane = KernelJob::Score { rows: 8, cols: 8 };
+    let fabrics = [
+        ("flat-4", 4, Topology::flat()),
+        ("torus-16", 16, Topology::torus(4)),
+    ];
+    for (name, chips, topology) in fabrics {
+        for faulted in [false, true] {
+            let pool = DevicePool::new(TpuConfig::small_test(), chips).with_topology(topology);
+            if faulted {
+                pool.install_fault_plan(FaultPlan::seeded(42).transient(0.05));
+            }
+            let acc = TpuAccel::over_pool(pool, Duration::ZERO, 4);
+            let label = if faulted { "transient-5pct" } else { "healthy" };
+            group.bench_function(&format!("{name}/{label}"), |b| {
+                // An exhausted retry budget is a typed error, and part
+                // of what a faulted flight costs.
+                b.iter(|| acc.charge_launch(black_box(lane), 4).is_ok());
+            });
+        }
+    }
+    let state = OrderedMutex::<u64>::default();
+    let cv = OrderedCondvar::new();
+    group.bench_function("notify-all-no-waiter", |b| {
+        b.iter(|| {
+            *state.lock_recover() += 1;
+            cv.notify_all();
+        });
+    });
     group.finish();
 }
 
@@ -85,6 +128,7 @@ criterion_group!(
     benches,
     bench_systolic_tile,
     bench_device_phase,
+    bench_flight_dispatch,
     bench_quantized_matmul
 );
 criterion_main!(benches);

@@ -334,7 +334,9 @@ fn main() -> Result<()> {
                 },
                 |device, sizes| {
                     device.timed(|d| {
-                        d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+                        d.run_phase(sizes.iter().copied(), |core, n| {
+                            core.charge_matmul_work(n, n, n, 1)
+                        })?;
                         Ok(sizes)
                     })
                 },

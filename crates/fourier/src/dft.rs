@@ -44,46 +44,58 @@ pub fn idft(input: &[Complex64], norm: Norm) -> Vec<Complex64> {
 }
 
 /// `s·Σₘ x[m]·w^{mk}` for each `k`, with `w = e^{∓2πi/N}` (the upper
-/// sign forward) and the index `mk` reduced mod `N`.
+/// sign forward) and the index `mk` reduced mod `N`: the `N` powers of
+/// `w` are built once, and each bin sums its real and imaginary parts
+/// in one pass over `m`.
 fn definition(x: &[Complex64], scale: f64, inverse: bool) -> Vec<Complex64> {
     let n = x.len();
+    let powers: Vec<Complex64> = (0..n)
+        .map(|j| {
+            let w = Complex64::twiddle(j as i64, n);
+            if inverse {
+                w.conj()
+            } else {
+                w
+            }
+        })
+        .collect();
     (0..n)
         .map(|k| {
-            let w = |m: usize| {
-                let w = Complex64::twiddle((m * k % n) as i64, n);
-                if inverse {
-                    w.conj()
-                } else {
-                    w
-                }
-            };
-            let re = neumaier((0..n).flat_map(|m| {
-                let w = w(m);
-                [x[m].re * w.re, -(x[m].im * w.im)]
-            }));
-            let im = neumaier((0..n).flat_map(|m| {
-                let w = w(m);
-                [x[m].re * w.im, x[m].im * w.re]
-            }));
-            Complex64::new(re * scale, im * scale)
+            let (mut re, mut im) = (Neumaier::default(), Neumaier::default());
+            for (m, xm) in x.iter().enumerate() {
+                let w = powers[m * k % n];
+                re.add(xm.re * w.re);
+                re.add(-(xm.im * w.im));
+                im.add(xm.re * w.im);
+                im.add(xm.im * w.re);
+            }
+            Complex64::new(re.sum() * scale, im.sum() * scale)
         })
         .collect()
 }
 
-/// The sum of `terms` with Neumaier's compensation: the rounding error
-/// of each addition is carried and added back once at the end.
-fn neumaier(terms: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut carry) = (0.0f64, 0.0f64);
-    for t in terms {
-        let next = sum + t;
-        carry += if sum.abs() >= t.abs() {
-            (sum - next) + t
+/// A sum with Neumaier's compensation: the rounding error of each
+/// addition is carried and added back once at the end.
+#[derive(Default)]
+struct Neumaier {
+    sum: f64,
+    carry: f64,
+}
+
+impl Neumaier {
+    fn add(&mut self, t: f64) {
+        let next = self.sum + t;
+        self.carry += if self.sum.abs() >= t.abs() {
+            (self.sum - next) + t
         } else {
-            (t - next) + sum
+            (t - next) + self.sum
         };
-        sum = next;
+        self.sum = next;
     }
-    sum + carry
+
+    fn sum(&self) -> f64 {
+        self.sum + self.carry
+    }
 }
 
 #[cfg(test)]

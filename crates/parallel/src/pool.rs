@@ -504,7 +504,9 @@ impl Pool {
                 // its deque, where the owner pops first (LIFO keeps the
                 // working set warm) and thieves steal from the front.
                 // The deque lock is released before `inner` is taken to
-                // notify — the lock order every other path relies on.
+                // notify — the lock order every other path relies on —
+                // and taking `inner` after the push is what lets the
+                // notify skip its wake when no worker is parked.
                 self.shared.deque(i).push_back(task);
                 let _guard = self.shared.lock();
                 self.shared.work_available.notify_all();

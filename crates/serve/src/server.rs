@@ -192,6 +192,8 @@ impl ExplainServer {
             let healthy = self.shared.acc.healthy_fraction();
             st.queue.admit(healthy, job, now, deadline_s)
         };
+        // Admitted under the state lock: a worker about to park has
+        // raised the condvar's waiter count, so this wake reaches it.
         self.shared.arrivals.notify_one();
         handle
     }

@@ -50,6 +50,22 @@
 //! lockdep` in CI, every concurrency test, proptest and load test in
 //! the workspace doubles as a lock-order witness.
 //!
+//! # Wakes
+//!
+//! Every condition variable is an [`OrderedCondvar`], which counts its
+//! parked waiters and makes a notify with nobody parked a single
+//! atomic load instead of a futex system call. The count is sound
+//! only under one rule, and every notifier in the workspace keeps it:
+//! **the state a waiter tests is changed under the paired
+//! [`OrderedMutex`], or the notifier takes that mutex after changing
+//! it and before notifying.** A waiter raises the count while it
+//! still holds the mutex, so a notifier that took the mutex after the
+//! waiter parked reads a non-zero count, and one that took it before
+//! changed the state the waiter then tests and finds set. A notifier
+//! that changed the waited-on state without ever taking the mutex
+//! could read a zero count while a waiter is about to park, and its
+//! wake would be lost.
+//!
 //! # Examples
 //!
 //! ```
@@ -67,6 +83,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
@@ -278,12 +295,26 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutexGuard<'_, T> {
 /// A condition variable for [`OrderedMutex`]-guarded state, with the
 /// workspace poison policy built into [`OrderedCondvar::wait`].
 ///
+/// It counts the threads parked on it: [`OrderedCondvar::notify_one`]
+/// and [`OrderedCondvar::notify_all`] with nobody parked return after
+/// one atomic load, without the system call a bare
+/// [`std::sync::Condvar`] may make. That holds only while every
+/// notifier keeps the rule in the [crate docs](crate#wakes): the state
+/// a waiter tests is changed under the paired mutex, or the notifier
+/// takes that mutex between the change and the notify.
+///
 /// During a wait the class stays on the waiter's held-lock stack:
 /// the parked thread acquires nothing else, and on wake it holds
 /// exactly what it held before, so no re-validation is needed.
 #[derive(Debug, Default)]
 pub struct OrderedCondvar {
     inner: Condvar,
+    /// Threads inside [`OrderedCondvar::wait`] or
+    /// [`OrderedCondvar::wait_timeout`]: raised while the waiter still
+    /// holds the mutex, lowered after it has taken the mutex back. A
+    /// `u32`, not a `usize`: every response handle carries a condvar
+    /// for as long as its client holds the handle.
+    waiters: AtomicU32,
 }
 
 impl OrderedCondvar {
@@ -291,23 +322,26 @@ impl OrderedCondvar {
     pub const fn new() -> Self {
         OrderedCondvar {
             inner: Condvar::new(),
+            waiters: AtomicU32::new(0),
         }
     }
 
     /// Releases `guard` and blocks until notified, then re-acquires
     /// (recovering a poisoned lock) and returns the guard.
     pub fn wait<'a, T>(&self, guard: OrderedMutexGuard<'a, T>) -> OrderedMutexGuard<'a, T> {
+        // Relaxed suffices: the raise is ordered before the mutex's
+        // release inside `Condvar::wait`, and a notifier reads the
+        // count only after acquiring that mutex itself.
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         #[cfg(not(feature = "lockdep"))]
-        {
-            OrderedMutexGuard {
-                inner: self
-                    .inner
-                    .wait(guard.inner)
-                    .unwrap_or_else(PoisonError::into_inner),
-            }
-        }
+        let guard = OrderedMutexGuard {
+            inner: self
+                .inner
+                .wait(guard.inner)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
         #[cfg(feature = "lockdep")]
-        {
+        let guard = {
             let mut guard = guard;
             let class = guard.class;
             let inner = guard.inner.take().expect("guard holds the lock");
@@ -320,7 +354,9 @@ impl OrderedCondvar {
                 ),
                 class,
             }
-        }
+        };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        guard
     }
 
     /// As [`OrderedCondvar::wait`], giving up after `timeout` — the
@@ -330,16 +366,17 @@ impl OrderedCondvar {
         guard: OrderedMutexGuard<'a, T>,
         timeout: Duration,
     ) -> (OrderedMutexGuard<'a, T>, WaitTimeoutResult) {
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         #[cfg(not(feature = "lockdep"))]
-        {
+        let woken = {
             let (inner, timed_out) = self
                 .inner
                 .wait_timeout(guard.inner, timeout)
                 .unwrap_or_else(PoisonError::into_inner);
             (OrderedMutexGuard { inner }, timed_out)
-        }
+        };
         #[cfg(feature = "lockdep")]
-        {
+        let woken = {
             let mut guard = guard;
             let class = guard.class;
             let inner = guard.inner.take().expect("guard holds the lock");
@@ -355,17 +392,23 @@ impl OrderedCondvar {
                 },
                 timed_out,
             )
+        };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        woken
+    }
+
+    /// Wakes one waiter; returns at once when none is parked.
+    pub fn notify_one(&self) {
+        if self.waiters.load(Ordering::Relaxed) != 0 {
+            self.inner.notify_one();
         }
     }
 
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter.
+    /// Wakes every waiter; returns at once when none is parked.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::Relaxed) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -600,6 +643,177 @@ mod tests {
         drop(guard);
         // The lock still serves after a timed-out wait.
         drop(lock.lock_recover());
+    }
+
+    /// Spins (yielding) until `done` holds, failing the test once
+    /// `deadline` passes instead of hanging it.
+    fn spin_until(deadline: std::time::Instant, what: &str, done: impl Fn() -> bool) {
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The waiter count is back at zero after each way out of a wait:
+    /// a wake after a state change, a wake with no state change, and
+    /// a timed-out wait. While a waiter is parked it reads one.
+    #[test]
+    fn waiter_count_returns_to_zero_after_every_way_out_of_a_wait() {
+        static CVC_CLASS: LockClass = LockClass::new("test::cv-count", 92);
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let pair = Arc::new((OrderedMutex::new(&CVC_CLASS, false), OrderedCondvar::new()));
+        // A state change, then a wake.
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (lock, cv) = &*pair;
+                let mut ready = lock.lock_recover();
+                while !*ready {
+                    ready = cv.wait(ready);
+                }
+            })
+        };
+        let (lock, cv) = &*pair;
+        spin_until(deadline, "the waiter parks", || {
+            cv.waiters.load(Ordering::Relaxed) == 1
+        });
+        *lock.lock_recover() = true;
+        cv.notify_all();
+        waiter.join().unwrap();
+        assert_eq!(
+            cv.waiters.load(Ordering::Relaxed),
+            0,
+            "after a wake with a state change"
+        );
+        // A wake with nothing changed: one wait, no predicate loop.
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (lock, cv) = &*pair;
+                drop(cv.wait(lock.lock_recover()));
+            })
+        };
+        spin_until(deadline, "the waiter parks again", || {
+            cv.waiters.load(Ordering::Relaxed) == 1
+        });
+        // Taking the mutex first means the waiter has parked: it
+        // raised the count while holding it.
+        drop(lock.lock_recover());
+        cv.notify_one();
+        spin_until(deadline, "the bare wake lands", || waiter.is_finished());
+        waiter.join().unwrap();
+        assert_eq!(
+            cv.waiters.load(Ordering::Relaxed),
+            0,
+            "after a wake with no state change"
+        );
+        // A timed-out wait.
+        let (guard, timed_out) = cv.wait_timeout(lock.lock_recover(), Duration::from_millis(1));
+        assert!(timed_out.timed_out());
+        drop(guard);
+        assert_eq!(
+            cv.waiters.load(Ordering::Relaxed),
+            0,
+            "after a timed-out wait"
+        );
+        // A notify with nobody parked is a no-op that leaves it at zero.
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.waiters.load(Ordering::Relaxed), 0);
+        // The count costs four bytes, no more: every response handle
+        // carries a condvar for as long as its client holds it.
+        assert!(
+            std::mem::size_of::<OrderedCondvar>() <= std::mem::size_of::<Condvar>() + 4,
+            "the waiter count must stay a u32"
+        );
+    }
+
+    /// Seeded stress of the wake protocol: consumers park on one
+    /// token count, some in `wait` and some in `wait_timeout`, while
+    /// producers add tokens under the mutex and wake with
+    /// `notify_one` or `notify_all`, inside the critical section or
+    /// just after it. Every token must be taken; a lost wake leaves a
+    /// consumer parked forever, so the run fails by a deadline rather
+    /// than hanging the suite.
+    #[test]
+    fn no_wake_is_lost_under_seeded_stress() {
+        static STRESS: LockClass = LockClass::new("test::cv-stress", 93);
+        const CONSUMERS: usize = 4;
+        const PRODUCERS: usize = 2;
+        const TOKENS_EACH: u64 = 200;
+        let xorshift = |s: &mut u64| {
+            *s ^= *s << 13;
+            *s ^= *s >> 7;
+            *s ^= *s << 17;
+            *s
+        };
+        for seed in 1..=8u64 {
+            let shared = Arc::new((OrderedMutex::new(&STRESS, 0u64), OrderedCondvar::new()));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let mut threads = Vec::new();
+            for c in 0..CONSUMERS {
+                let (shared, done_tx) = (Arc::clone(&shared), done_tx.clone());
+                let mut rng = seed * 0x9E37_79B9 + c as u64 + 1;
+                threads.push(std::thread::spawn(move || {
+                    let (lock, cv) = &*shared;
+                    let timed = xorshift(&mut rng) % 2 == 0;
+                    let quota = PRODUCERS as u64 * TOKENS_EACH / CONSUMERS as u64;
+                    for _ in 0..quota {
+                        let mut tokens = lock.lock_recover();
+                        while *tokens == 0 {
+                            tokens = if timed {
+                                let wait = Duration::from_micros(xorshift(&mut rng) % 200);
+                                cv.wait_timeout(tokens, wait).0
+                            } else {
+                                cv.wait(tokens)
+                            };
+                        }
+                        *tokens -= 1;
+                    }
+                    done_tx.send(()).unwrap();
+                }));
+            }
+            for p in 0..PRODUCERS {
+                let shared = Arc::clone(&shared);
+                let mut rng = seed * 0x85EB_CA6B + p as u64 + 101;
+                threads.push(std::thread::spawn(move || {
+                    let (lock, cv) = &*shared;
+                    for _ in 0..TOKENS_EACH {
+                        for _ in 0..xorshift(&mut rng) % 4 {
+                            std::thread::yield_now();
+                        }
+                        let draw = xorshift(&mut rng);
+                        let mut tokens = lock.lock_recover();
+                        *tokens += 1;
+                        let notify = |cv: &OrderedCondvar| match draw % 2 {
+                            0 => cv.notify_one(),
+                            _ => cv.notify_all(),
+                        };
+                        if draw & 4 == 0 {
+                            notify(cv);
+                            drop(tokens);
+                        } else {
+                            drop(tokens);
+                            notify(cv);
+                        }
+                    }
+                }));
+            }
+            drop(done_tx);
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            for _ in 0..CONSUMERS {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                done_rx
+                    .recv_timeout(left)
+                    .unwrap_or_else(|_| panic!("seed {seed}: a consumer never woke"));
+            }
+            for t in threads {
+                t.join().unwrap();
+            }
+            let (lock, cv) = &*shared;
+            assert_eq!(*lock.lock_recover(), 0, "seed {seed}: every token taken");
+            assert_eq!(cv.waiters.load(Ordering::Relaxed), 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -349,14 +349,6 @@ impl<W: Send, R: Send> BatchQueue<W, R> {
         self.lock().pending.len()
     }
 
-    /// When the forming flight's first lane was enqueued, on the
-    /// queue's [`QueueTime`] — `None` while no flight is forming. The
-    /// flight dispatches no later than this instant plus
-    /// [`BatchQueue::window`].
-    pub fn window_open_at(&self) -> Option<Duration> {
-        self.lock().window_open
-    }
-
     /// Submits `items` and blocks until their results are available,
     /// returning them in the order given. One submitter per flight —
     /// the leader — executes `dispatch` over the *whole* coalesced
@@ -522,6 +514,13 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// When the forming flight's first lane was enqueued, on the
+    /// queue's [`QueueTime`] — `None` while no flight is forming. The
+    /// flight dispatches no later than this instant plus the window.
+    fn window_open_at<W: Send, R: Send>(q: &BatchQueue<W, R>) -> Option<Duration> {
+        q.lock().window_open
+    }
+
     /// How long a test whose flights dispatch on `max_lanes` may take:
     /// well under the 60 s straggler window, so a flight that waited the
     /// window out fails instead of passing slowly.
@@ -652,7 +651,7 @@ mod tests {
             while q.pending_lanes() < 1 {
                 std::thread::yield_now();
             }
-            assert_eq!(q.window_open_at(), Some(Duration::from_secs(10)));
+            assert_eq!(window_open_at(&q), Some(Duration::from_secs(10)));
 
             // A follower arriving at t = 13 s must not re-anchor it.
             time.set(Duration::from_secs(13));
@@ -665,7 +664,7 @@ mod tests {
             while q.pending_lanes() < 2 {
                 std::thread::yield_now();
             }
-            assert_eq!(q.window_open_at(), Some(Duration::from_secs(10)));
+            assert_eq!(window_open_at(&q), Some(Duration::from_secs(10)));
 
             // While the queue clock is frozen short of the deadline the
             // flight stays open no matter how much real time passes...
@@ -683,7 +682,7 @@ mod tests {
             "dispatch is pinned at first-enqueue + window on the queue clock"
         );
         assert_eq!(
-            q.window_open_at(),
+            window_open_at(&q),
             None,
             "the window anchor clears when the flight closes"
         );
@@ -816,7 +815,9 @@ mod tests {
         let out = q
             .submit(vec![4, 8], |device, sizes| {
                 device.with(|d| {
-                    d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))
+                    d.run_phase(sizes.iter().copied(), |core, n| {
+                        core.charge_matmul_work(n, n, n, 1)
+                    })
                 })?;
                 Ok(sizes.iter().map(|n| n * n).collect())
             })

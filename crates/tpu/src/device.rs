@@ -126,26 +126,41 @@ impl TpuDevice {
     /// `i` to core `i % cores`. The phase's wall-clock contribution is
     /// the *maximum* per-core busy-time delta (cores run concurrently).
     ///
+    /// The phase is charged core by core, each core's items in their
+    /// order, over clones of `work`'s iterator — so it keeps no list
+    /// of its own, and every core sees the same additions in the same
+    /// order as when the items are dealt out one by one. Pass a
+    /// borrowing iterator (`shapes.iter().copied()`, a mapped range)
+    /// where the phase is hot: a `Vec`'s iterator clones its buffer.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::EmptyDimension`] for an empty work list,
     /// charging nothing.
-    pub fn run_phase<W>(&mut self, work: Vec<W>, mut f: impl FnMut(&mut TpuCore, W)) -> Result<()> {
-        if work.is_empty() {
-            return Err(TensorError::EmptyDimension);
-        }
+    pub fn run_phase<I>(&mut self, work: I, mut f: impl FnMut(&mut TpuCore, I::Item)) -> Result<()>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+    {
+        let work = work.into_iter();
         let n_cores = self.cores.len();
-        let before: Vec<u64> = self.cores.iter().map(TpuCore::elapsed_cycles).collect();
-        for (i, w) in work.into_iter().enumerate() {
-            f(&mut self.cores[i % n_cores], w);
+        let mut max_delta = 0u64;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let mut items = work.clone().skip(c).step_by(n_cores);
+            let Some(first) = items.next() else {
+                // Core c has no item, and neither has any later core.
+                if c == 0 {
+                    return Err(TensorError::EmptyDimension);
+                }
+                break;
+            };
+            let before = core.elapsed_cycles();
+            f(core, first);
+            for w in items {
+                f(core, w);
+            }
+            max_delta = max_delta.max(core.elapsed_cycles() - before);
         }
-        let max_delta = self
-            .cores
-            .iter()
-            .zip(&before)
-            .map(|(c, &b)| c.elapsed_cycles() - b)
-            .max()
-            .unwrap_or(0);
         self.wall_seconds += self.cfg.cycles_to_seconds(max_delta);
         Ok(())
     }
@@ -304,6 +319,82 @@ mod tests {
         assert_eq!(dev.wall_seconds(), 0.0);
         assert_eq!(dev.collectives(), 0);
         assert_eq!(dev.energy_pj(), 0.0);
+    }
+
+    /// The phase body before it charged core by core: items dealt
+    /// one by one, `i` to core `i % cores`, against a snapshot of
+    /// every core's cycles.
+    fn run_phase_dealt<W>(
+        dev: &mut TpuDevice,
+        work: Vec<W>,
+        mut f: impl FnMut(&mut TpuCore, W),
+    ) -> Result<()> {
+        if work.is_empty() {
+            return Err(TensorError::EmptyDimension);
+        }
+        let n_cores = dev.cores.len();
+        let before: Vec<u64> = dev.cores.iter().map(TpuCore::elapsed_cycles).collect();
+        for (i, w) in work.into_iter().enumerate() {
+            f(&mut dev.cores[i % n_cores], w);
+        }
+        let max_delta = dev
+            .cores
+            .iter()
+            .zip(&before)
+            .map(|(c, &b)| c.elapsed_cycles() - b)
+            .max()
+            .unwrap_or(0);
+        dev.wall_seconds += dev.cfg.cycles_to_seconds(max_delta);
+        Ok(())
+    }
+
+    /// One work item: a matmul `m×k · k×n` of `passes` passes, or an
+    /// elementwise kernel of `m·k·n` elements.
+    fn charge_item(core: &mut TpuCore, (kind, m, k, n): (u8, usize, usize, usize)) {
+        match kind % 3 {
+            0 => core.charge_matmul_work(m, k, n, 1),
+            1 => core.charge_matmul_work(m, k, n, 3),
+            _ => core.charge_elementwise_work((m * k * n) as u64),
+        }
+    }
+
+    /// Every counter a phase moves, as bits.
+    fn ledger_bits(dev: &TpuDevice) -> (Vec<(u64, u64)>, u64) {
+        let cores = dev
+            .cores()
+            .iter()
+            .map(|c| (c.elapsed_cycles(), c.energy_pj().to_bits()))
+            .collect();
+        (cores, dev.wall_seconds().to_bits())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Charging core by core moves the same bits as dealing the
+        /// items out one by one: every core's cycles and energy and
+        /// the device's wall, after phases shorter than, as long as
+        /// and longer than the core count, and an empty one that
+        /// charges nothing.
+        #[test]
+        fn run_phase_moves_the_bits_of_dealing_items_one_by_one(
+            cores in 1usize..9,
+            items in proptest::collection::vec(
+                (0u8..3, 1usize..40, 1usize..40, 1usize..40),
+                27usize..40,
+            ),
+        ) {
+            let mut dealt = TpuDevice::with_cores(TpuConfig::small_test(), cores);
+            let mut by_core = dealt.clone();
+            for len in [cores - 1, cores, cores + 1, 0, 3 * cores, items.len()] {
+                let phase = &items[..len];
+                let old = run_phase_dealt(&mut dealt, phase.to_vec(), charge_item);
+                let new = by_core.run_phase(phase.iter().copied(), charge_item);
+                proptest::prop_assert_eq!(old.is_err(), new.is_err());
+                proptest::prop_assert_eq!(new.is_err(), len == 0);
+                proptest::prop_assert_eq!(ledger_bits(&dealt), ledger_bits(&by_core));
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::shared::SharedDevice;
 use crate::topology::Topology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use xai_sync::{LockClass, OrderedMutex, OrderedMutexGuard};
 
 /// The pool's merged lane timeline. Ranked between the flight queue
@@ -46,10 +47,12 @@ use xai_tensor::{Result, TensorError};
 /// The installed fault plan plus its deterministic draw counter. One
 /// transient-fault draw is consumed per live shard per attempt, in
 /// device-index order, so a seeded chaos run replays bit-for-bit in a
-/// single-submitter driver.
+/// single-submitter driver. The plan is shared, not copied, with every
+/// flight and admission that reads it: it never changes once
+/// installed.
 #[derive(Debug, Clone, Default)]
 struct FaultState {
-    plan: Option<FaultPlan>,
+    plan: Option<Arc<FaultPlan>>,
     draws: u64,
 }
 
@@ -323,7 +326,7 @@ struct PoolTimeline {
 ///     // measured atomically under the device lock.
 ///     |device, shard| {
 ///         device.timed(|d| {
-///             d.run_phase(shard.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+///             d.run_phase(shard.iter().copied(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
 ///             Ok(shard)
 ///         })
 ///     },
@@ -436,7 +439,7 @@ impl DevicePool {
     pub fn install_fault_plan(&self, plan: FaultPlan) {
         {
             let mut f = self.fault.lock_recover();
-            f.plan = Some(plan);
+            f.plan = Some(Arc::new(plan));
             f.draws = 0;
         }
         self.faults_enabled.store(true, Ordering::Release);
@@ -458,7 +461,18 @@ impl DevicePool {
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        if !self.faults_enabled.load(Ordering::Acquire) {
+        self.shared_fault_plan().as_deref().cloned()
+    }
+
+    /// Whether a fault plan is installed: one atomic load, no lock.
+    pub fn has_fault_plan(&self) -> bool {
+        self.faults_enabled.load(Ordering::Acquire)
+    }
+
+    /// The installed fault plan, shared: what dispatch and admission
+    /// read, so neither copies it.
+    fn shared_fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.has_fault_plan() {
             return None;
         }
         self.fault.lock_recover().plan.clone()
@@ -474,9 +488,13 @@ impl DevicePool {
     /// and not past a scheduled fail-stop. Equals
     /// [`DevicePool::num_devices`] with no plan installed.
     pub fn healthy_devices(&self) -> usize {
-        match self.fault_plan() {
+        match self.shared_fault_plan() {
             None => self.devices.len(),
-            Some(fp) => self.live_chips(&fp, self.wall_seconds()).len(),
+            Some(fp) => {
+                let now_s = self.wall_seconds();
+                let quarantine = self.quarantine.lock_recover();
+                live(&quarantine, &fp, now_s, self.devices.len()).count()
+            }
         }
     }
 
@@ -491,7 +509,7 @@ impl DevicePool {
     /// quarantined or dead (the pool still *tries* — attempts on dead
     /// chips fail and exhaust the retry budget as a typed error).
     pub fn healthy_device_indices(&self) -> Vec<usize> {
-        match self.fault_plan() {
+        match self.shared_fault_plan() {
             None => (0..self.devices.len()).collect(),
             Some(fp) => self.retry_targets(&fp, self.wall_seconds()),
         }
@@ -734,8 +752,8 @@ impl DevicePool {
         // One loop serves both cases. With no plan installed nothing
         // is injected, so round 0 delivers every lane and the flight's
         // contribution is slowest shard + gather, to the bit.
-        let fp = self.fault_plan();
-        let fp = fp.as_ref();
+        let fp = self.shared_fault_plan();
+        let fp = fp.as_deref();
         let total = work.len();
         // Only a plan schedules anything against the merged clock.
         let start_s = fp.map_or(0.0, |_| self.wall_seconds());
@@ -994,10 +1012,8 @@ impl DevicePool {
     /// Chips able to take shards at `now_s`: not quarantined and not
     /// past a scheduled fail-stop.
     fn live_chips(&self, fp: &FaultPlan, now_s: f64) -> Vec<usize> {
-        let guard = self.quarantine.lock_recover();
-        (0..self.devices.len())
-            .filter(|&d| !guard.entries.iter().any(|e| e.chip == d) && !fp.chip_dead(d, now_s))
-            .collect()
+        let quarantine = self.quarantine.lock_recover();
+        live(&quarantine, fp, now_s, self.devices.len()).collect()
     }
 
     /// Chips a retry may target at `now_s`: the live ones, falling
@@ -1048,6 +1064,19 @@ impl DevicePool {
     }
 }
 
+/// The chips of a `chips`-chip pool able to take shards at `now_s`,
+/// in index order: not quarantined and not past a scheduled fail-stop.
+fn live<'a>(
+    quarantine: &'a QuarantineState,
+    fp: &'a FaultPlan,
+    now_s: f64,
+    chips: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    (0..chips).filter(move |&d| {
+        !quarantine.entries.iter().any(|e| e.chip == d) && !fp.chip_dead(d, now_s)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,7 +1099,9 @@ mod tests {
     /// the lanes back.
     fn matmul_shard(device: &SharedDevice, sizes: Vec<usize>) -> Result<(Vec<usize>, f64)> {
         device.timed(|d| {
-            d.run_phase(sizes.clone(), |core, n| core.charge_matmul_work(n, n, n, 1))?;
+            d.run_phase(sizes.iter().copied(), |core, n| {
+                core.charge_matmul_work(n, n, n, 1)
+            })?;
             Ok(sizes)
         })
     }

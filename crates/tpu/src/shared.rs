@@ -322,6 +322,8 @@ impl Drop for LaneLease {
         for &i in &self.cores {
             st.busy[i] = false;
         }
+        // Freed under the lanes lock, so a leaser about to park has
+        // raised the condvar's waiter count and this wake reaches it.
         drop(st);
         self.device.lanes.freed.notify_all();
     }
