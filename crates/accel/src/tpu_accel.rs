@@ -544,7 +544,10 @@ impl TpuAccel {
     /// chip, the flight's lanes are sharded across the chips instead
     /// when that wins (see [`TpuAccel::fanout_decision`]); a pool
     /// with a fault plan runs every multi-lane flight through its
-    /// faulted dispatch, one chip or many.
+    /// faulted dispatch, one chip or many. A single-lane flight never
+    /// reaches the pool's dispatch: it charges chip 0 directly, plan or
+    /// no plan, even after chip 0 has fail-stopped. Routing it through
+    /// the plan would consume draws and so move every seeded schedule.
     fn dispatch_flight(&self, mut flight: Vec<KernelJob>) -> Result<Vec<()>> {
         if let Some(pool) = &self.pool {
             if flight.len() > 1 {

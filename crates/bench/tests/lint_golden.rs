@@ -92,7 +92,6 @@ fn lock_hierarchy_table_matches_the_documented_ranks() {
         "serve::state",
         "tpu::queue",
         "tpu::fault",
-        "tpu::quarantine",
         "tpu::pool",
         "tpu::device",
         "device::lanes",
@@ -115,8 +114,7 @@ fn lock_hierarchy_table_matches_the_documented_ranks() {
     let pos = |n: &str| names.iter().position(|x| *x == n).unwrap();
     assert!(pos("serve::state") < pos("tpu::queue"));
     assert!(pos("tpu::queue") < pos("tpu::fault"));
-    assert!(pos("tpu::fault") < pos("tpu::quarantine"));
-    assert!(pos("tpu::quarantine") < pos("tpu::pool"));
+    assert!(pos("tpu::fault") < pos("tpu::pool"));
     assert!(pos("tpu::pool") < pos("tpu::device"));
     assert!(pos("tpu::device") < pos("device::lanes"));
     assert!(pos("device::lanes") < pos("parallel::injector"));

@@ -30,18 +30,13 @@
 
 use xai_sync::LockClass;
 
-/// The fault-injection plan and its deterministic draw counter: what
-/// faults are scheduled, consulted at flight dispatch. Ranked between
-/// the coalescing queue and the pool timeline — a dispatching flight
-/// reads the plan before it merges any time, and never holds this
-/// across a device lock.
+/// The pool's fault domain: the installed plan, its deterministic
+/// draw counter, the quarantined chips and the fault/retry counters.
+/// Ranked between the coalescing queue and the pool timeline: a
+/// dispatching flight takes it at its start and around each round's
+/// shards, never across a shard's charge (a device lock), and releases
+/// it before it merges the timeline.
 pub static TPU_FAULT: LockClass = LockClass::new("tpu::fault", 22);
-
-/// Quarantine entries and the fault/retry counters. Ranked directly
-/// above [`TPU_FAULT`]: the dispatch path reads the plan, then updates
-/// quarantine state, then (much later, with both released) merges the
-/// timeline.
-pub static TPU_QUARANTINE: LockClass = LockClass::new("tpu::quarantine", 23);
 
 /// A scheduled fail-stop: `chip` stops executing shards once the
 /// pool's merged timeline reaches `at_s` simulated seconds.

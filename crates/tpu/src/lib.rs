@@ -66,7 +66,7 @@ pub use config::{Precision, TpuConfig};
 pub use core::TpuCore;
 pub use device::TpuDevice;
 pub use fault::{FailStop, FaultPlan, FaultStats};
-pub use pool::{DevicePool, LaneCost, ShardOutcome, ShardPlan, ShardStrategy, ShardedRun};
+pub use pool::{DevicePool, LaneCost, ShardPlan, ShardStrategy, ShardedRun};
 pub use shared::{LaneLease, SharedDevice};
 pub use systolic::{tile_stream_cycles, SystolicArray, TileResult};
 pub use topology::Topology;

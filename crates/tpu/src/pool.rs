@@ -30,31 +30,20 @@
 
 use crate::config::TpuConfig;
 use crate::device::TpuDevice;
-use crate::fault::{FaultPlan, FaultStats, TPU_FAULT, TPU_QUARANTINE};
+use crate::fault::{FaultPlan, FaultStats, TPU_FAULT};
 use crate::shared::SharedDevice;
 use crate::topology::Topology;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xai_sync::{LockClass, OrderedMutex, OrderedMutexGuard};
+use xai_sync::{LockClass, OrderedMutex};
 
 /// The pool's merged lane timeline. Ranked between the flight queue
 /// (whose dispatch shards across the pool) and the per-chip device
 /// locks the shards charge.
 static TPU_POOL: LockClass = LockClass::new("tpu::pool", 25);
 use xai_tensor::{Result, TensorError};
-
-/// The installed fault plan plus its deterministic draw counter. One
-/// transient-fault draw is consumed per live shard per attempt, in
-/// device-index order, so a seeded chaos run replays bit-for-bit in a
-/// single-submitter driver. The plan is shared, not copied, with every
-/// flight and admission that reads it: it never changes once
-/// installed.
-#[derive(Debug, Clone, Default)]
-struct FaultState {
-    plan: Option<Arc<FaultPlan>>,
-    draws: u64,
-}
 
 /// One quarantined chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,11 +55,21 @@ struct QuarantineEntry {
     permanent: bool,
 }
 
-/// Quarantine entries plus the fault-layer observability counters.
+/// The pool's fault domain, behind one lock: the installed plan, its
+/// deterministic draw counter, the quarantined chips and the fault
+/// counters. One transient-fault draw is consumed per live shard per
+/// attempt, in device-index order, so a seeded chaos run replays
+/// bit-for-bit in a single-submitter driver. The plan is shared, not
+/// copied, with every flight that reads it: it never changes once
+/// installed.
 #[derive(Debug, Clone, Default)]
-struct QuarantineState {
-    entries: Vec<QuarantineEntry>,
+struct FaultDomain {
+    plan: Option<Arc<FaultPlan>>,
+    draws: u64,
+    quarantine: Vec<QuarantineEntry>,
     stats: FaultStats,
+    /// The pool's chip count.
+    chips: usize,
 }
 
 /// How a [`ShardPlan`] places lanes onto devices.
@@ -272,11 +271,6 @@ impl ShardPlan {
     }
 }
 
-/// One shard's return value: its lanes' results in order, plus the
-/// simulated seconds the shard charged its chip (measured atomically,
-/// e.g. via [`SharedDevice::timed`]).
-pub type ShardOutcome<R> = Result<(Vec<R>, f64)>;
-
 /// The outcome of one [`DevicePool::run_sharded`] execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedRun<R> {
@@ -348,12 +342,13 @@ pub struct DevicePool {
     /// The inter-chip fabric pricing this pool's gathers: the flat
     /// crossbar unless [`DevicePool::with_topology`] replaces it.
     topology: Topology,
+    /// A monotone ledger: like a device's, taken with `lock_recover`
+    /// rather than wedging the pool.
     timeline: OrderedMutex<PoolTimeline>,
-    /// Installed fault plan + transient draw counter. `None` (the
-    /// default) is the zero-retry case of the one dispatch loop.
-    fault: OrderedMutex<FaultState>,
-    /// Quarantined chips and the fault/retry/quarantine counters.
-    quarantine: OrderedMutex<QuarantineState>,
+    /// Installed fault plan, draw counter, quarantine and counters. No
+    /// plan (the default) is the zero-retry case of the one dispatch
+    /// loop.
+    fault: OrderedMutex<FaultDomain>,
     /// Lock-free fast-path flag mirroring `fault.plan.is_some()`, so
     /// the no-plan hot path never touches the fault lock.
     faults_enabled: AtomicBool,
@@ -397,14 +392,17 @@ impl DevicePool {
             "a DevicePool needs at least one device"
         );
         let cfg = devices[0].config();
+        let fault = FaultDomain {
+            chips: devices.len(),
+            ..FaultDomain::default()
+        };
         DevicePool {
             devices,
             strategy: ShardStrategy::default(),
             cfg,
             topology: Topology::flat(),
             timeline: OrderedMutex::new(&TPU_POOL, PoolTimeline::default()),
-            fault: OrderedMutex::new(&TPU_FAULT, FaultState::default()),
-            quarantine: OrderedMutex::new(&TPU_QUARANTINE, QuarantineState::default()),
+            fault: OrderedMutex::new(&TPU_FAULT, fault),
             faults_enabled: AtomicBool::new(false),
         }
     }
@@ -451,17 +449,10 @@ impl DevicePool {
     /// happened — and clear on [`DevicePool::reset`].
     pub fn clear_fault_plan(&self) {
         self.faults_enabled.store(false, Ordering::Release);
-        {
-            let mut f = self.fault.lock_recover();
-            f.plan = None;
-            f.draws = 0;
-        }
-        self.quarantine.lock_recover().entries.clear();
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.shared_fault_plan().as_deref().cloned()
+        let mut f = self.fault.lock_recover();
+        f.plan = None;
+        f.draws = 0;
+        f.quarantine.clear();
     }
 
     /// Whether a fault plan is installed: one atomic load, no lock.
@@ -469,33 +460,18 @@ impl DevicePool {
         self.faults_enabled.load(Ordering::Acquire)
     }
 
-    /// The installed fault plan, shared: what dispatch and admission
-    /// read, so neither copies it.
-    fn shared_fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        if !self.has_fault_plan() {
-            return None;
-        }
-        self.fault.lock_recover().plan.clone()
-    }
-
     /// The fault layer's counters: faults injected, retries, re-plans,
     /// quarantine traffic. All zero until a plan injects something.
     pub fn fault_stats(&self) -> FaultStats {
-        self.quarantine.lock_recover().stats
+        self.fault.lock_recover().stats
     }
 
     /// Number of chips currently able to take shards: not quarantined
     /// and not past a scheduled fail-stop. Equals
     /// [`DevicePool::num_devices`] with no plan installed.
     pub fn healthy_devices(&self) -> usize {
-        match self.shared_fault_plan() {
-            None => self.devices.len(),
-            Some(fp) => {
-                let now_s = self.wall_seconds();
-                let quarantine = self.quarantine.lock_recover();
-                live(&quarantine, &fp, now_s, self.devices.len()).count()
-            }
-        }
+        self.with_plan(|domain, fp, now_s| domain.live(fp, now_s).count())
+            .unwrap_or(self.devices.len())
     }
 
     /// Healthy chips as a fraction of the pool — the serving layer's
@@ -509,10 +485,8 @@ impl DevicePool {
     /// quarantined or dead (the pool still *tries* — attempts on dead
     /// chips fail and exhaust the retry budget as a typed error).
     pub fn healthy_device_indices(&self) -> Vec<usize> {
-        match self.shared_fault_plan() {
-            None => (0..self.devices.len()).collect(),
-            Some(fp) => self.retry_targets(&fp, self.wall_seconds()),
-        }
+        self.with_plan(FaultDomain::retry_targets)
+            .unwrap_or_else(|| (0..self.devices.len()).collect())
     }
 
     /// The shard-placement strategy in use.
@@ -563,17 +537,17 @@ impl DevicePool {
     /// contributions (non-sharded kernels on the primary device) add
     /// directly.
     pub fn wall_seconds(&self) -> f64 {
-        self.lock_timeline().wall_s
+        self.timeline.lock_recover().wall_s
     }
 
     /// Accumulated inter-chip gather time, seconds.
     pub fn gather_seconds(&self) -> f64 {
-        self.lock_timeline().gather_s
+        self.timeline.lock_recover().gather_s
     }
 
     /// Number of executions that fanned out to more than one chip.
     pub fn sharded_flights(&self) -> u64 {
-        self.lock_timeline().sharded_flights
+        self.timeline.lock_recover().sharded_flights
     }
 
     /// Total simulated energy across every chip, picojoules.
@@ -589,9 +563,11 @@ impl DevicePool {
         for d in &self.devices {
             d.reset();
         }
-        *self.lock_timeline() = PoolTimeline::default();
-        self.fault.lock_recover().draws = 0;
-        *self.quarantine.lock_recover() = QuarantineState::default();
+        *self.timeline.lock_recover() = PoolTimeline::default();
+        let mut f = self.fault.lock_recover();
+        f.draws = 0;
+        f.quarantine.clear();
+        f.stats = FaultStats::default();
     }
 
     /// Merges externally-measured simulated seconds into the pool
@@ -600,7 +576,7 @@ impl DevicePool {
     /// coherent across sharded and non-sharded work.
     pub fn advance_external(&self, seconds: f64) {
         if seconds > 0.0 {
-            self.lock_timeline().wall_s += seconds;
+            self.timeline.lock_recover().wall_s += seconds;
         }
     }
 
@@ -611,10 +587,9 @@ impl DevicePool {
         // Snapshot each guarded state in its own statement: a struct
         // literal keeps every temporary guard alive to the end of the
         // expression, which would nest tpu::pool over the lower-ranked
-        // fault/quarantine locks.
+        // fault lock.
         let fault = self.fault.lock_recover().clone();
-        let quarantine = self.quarantine.lock_recover().clone();
-        let timeline = *self.lock_timeline();
+        let timeline = *self.timeline.lock_recover();
         DevicePool {
             devices: self
                 .devices
@@ -626,7 +601,6 @@ impl DevicePool {
             topology: self.topology,
             timeline: OrderedMutex::new(&TPU_POOL, timeline),
             fault: OrderedMutex::new(&TPU_FAULT, fault),
-            quarantine: OrderedMutex::new(&TPU_QUARANTINE, quarantine),
             faults_enabled: AtomicBool::new(self.faults_enabled.load(Ordering::Acquire)),
         }
     }
@@ -637,10 +611,10 @@ impl DevicePool {
     ///
     /// `lane` describes each item's relative compute cost (consumed
     /// by the planner) and gather payload; `shard` runs one device's
-    /// lanes — it receives the device handle and its items in lane
-    /// order and must return one result per item **plus the simulated
-    /// seconds it charged its chip**, measured atomically under the
-    /// device lock (use [`SharedDevice::timed`]). Shards execute in
+    /// lanes — it receives the device handle and its items, cloned per
+    /// attempt, in lane order and must return one result per item
+    /// **plus the simulated seconds it charged its chip**, measured
+    /// atomically under the device lock (use [`SharedDevice::timed`]). Shards execute in
     /// device order on the calling thread, and every shard runs even
     /// when an earlier one failed.
     ///
@@ -686,7 +660,7 @@ impl DevicePool {
         &self,
         work: Vec<W>,
         lane: impl Fn(&W) -> LaneCost,
-        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
+        shard: impl Fn(&SharedDevice, Vec<W>) -> Result<(Vec<R>, f64)>,
     ) -> Result<ShardedRun<R>>
     where
         W: Clone,
@@ -714,7 +688,7 @@ impl DevicePool {
         plan: &ShardPlan,
         gather_bytes: usize,
         work: Vec<W>,
-        shard: impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
+        shard: impl Fn(&SharedDevice, Vec<W>) -> Result<(Vec<R>, f64)>,
     ) -> Result<ShardedRun<R>>
     where
         W: Clone,
@@ -726,17 +700,15 @@ impl DevicePool {
             });
         }
         let mut placed = vec![false; work.len()];
-        let mut placements = 0usize;
         for &i in plan.assignments().iter().flatten() {
-            if i >= work.len() || placed[i] {
+            if i >= work.len() || std::mem::replace(&mut placed[i], true) {
                 return Err(TensorError::DataLength {
                     expected: work.len(),
                     actual: i,
                 });
             }
-            placed[i] = true;
-            placements += 1;
         }
+        let placements = placed.iter().filter(|&&p| p).count();
         if placements != work.len() {
             return Err(TensorError::DataLength {
                 expected: work.len(),
@@ -751,79 +723,44 @@ impl DevicePool {
         }
         // One loop serves both cases. With no plan installed nothing
         // is injected, so round 0 delivers every lane and the flight's
-        // contribution is slowest shard + gather, to the bit.
-        let fp = self.shared_fault_plan();
-        let fp = fp.as_deref();
-        let total = work.len();
+        // contribution is slowest shard + gather, to the bit. Each
+        // round's `assignment` holds exactly the undelivered lanes.
+        let mut assignment = Cow::Borrowed(plan.assignments());
         // Only a plan schedules anything against the merged clock.
-        let start_s = fp.map_or(0.0, |_| self.wall_seconds());
-        let mut slots: Vec<Option<W>> = work.into_iter().map(Some).collect();
-        let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
+        let mut start_s = 0.0f64;
+        let fp = if self.has_fault_plan() {
+            start_s = self.wall_seconds();
+            let mut domain = self.fault.lock_recover();
+            let fp = domain.plan.clone();
+            if let Some(fp) = &fp {
+                domain.admit(fp, start_s, &mut assignment);
+            }
+            fp
+        } else {
+            None
+        };
+        let fp = fp.as_deref();
+        let mut out: Vec<Option<R>> = (0..work.len()).map(|_| None).collect();
         let mut contributed = vec![false; self.devices.len()];
         let mut compute_s = 0.0f64; // Σ per-round slowest-shard charges
         let mut backoff_s = 0.0f64; // Σ simulated retry backoffs
 
-        // Initial placement: the caller's plan, with lanes that landed
-        // on quarantined/dead chips re-planned onto the survivors.
-        let mut assignment: Vec<Vec<usize>> = plan.assignments().to_vec();
-        if let Some(fp) = fp {
-            self.apply_fault_schedule(fp, start_s);
-            let live = self.live_chips(fp, start_s);
-            let mut displaced = Vec::new();
-            for (d, assigned) in assignment.iter_mut().enumerate() {
-                if !live.contains(&d) {
-                    displaced.append(assigned);
-                }
-            }
-            if !displaced.is_empty() {
-                self.replan(fp, start_s, displaced, &mut assignment);
-            }
-        }
-
         let mut round = 0usize;
         loop {
             let now = start_s + compute_s + backoff_s;
-            // A transient fault discards results, so a lane's item is
-            // cloned only while a later round could still need it; the
-            // last (or, with no plan, the only) round moves it out.
-            let retry_possible = fp.is_some_and(|fp| round < fp.retry_budget());
-            // Bin the still-undelivered lanes; chips dead by schedule
-            // fail their shards with zero charge (they no longer
-            // execute).
-            let mut live: Vec<(usize, Vec<usize>)> = Vec::new();
-            let mut live_work: Vec<(usize, Vec<W>)> = Vec::new();
-            for (d, assigned) in assignment.iter().enumerate() {
-                let pending: Vec<usize> = assigned
-                    .iter()
-                    .copied()
-                    .filter(|&i| out[i].is_none())
-                    .collect();
-                if pending.is_empty() {
-                    continue;
-                }
-                if fp.is_some_and(|fp| fp.chip_dead(d, now)) {
-                    self.quarantine_chip(d, f64::INFINITY, true);
-                    continue;
-                }
-                let items = pending.iter().map(|&i| {
-                    let item = if retry_possible {
-                        slots[i].clone()
-                    } else {
-                        slots[i].take()
-                    };
-                    item.expect("undelivered lane still holds its item")
-                });
-                live_work.push((d, items.collect()));
-                live.push((d, pending));
-            }
+            let mut draw = fp.map_or(0, |fp| {
+                self.fault.lock_recover().draw_round(fp, now, &assignment)
+            });
 
-            // One transient draw per live shard, device-index order.
-            let faults = match fp {
-                Some(fp) => self.consume_draws(fp, live.len()),
-                None => vec![false; live.len()],
-            };
-            let outcomes = self.execute_shards(live_work, &shard);
-
+            // The shards run one after another, in device order, on
+            // the calling thread; a chip dead by schedule fails its
+            // shard with zero charge (it no longer executes). Every
+            // shard runs even when an earlier one panicked or returned
+            // `Err`: the flight's error precedence needs every outcome,
+            // and surviving chips' own clocks must still carry their
+            // charges. A shard releases its chip's lane before the next
+            // one starts, so the leader never holds two.
+            //
             // Only completed flights merge into the serving timeline: a
             // panicked or errored flight returns nothing to its
             // callers, so folding its partial-shard charges (or a
@@ -836,36 +773,51 @@ impl DevicePool {
             let mut panicked = false;
             let mut shard_err: Option<TensorError> = None;
             let mut arity_err: Option<TensorError> = None;
-            for ((outcome, (d, pending)), faulted) in outcomes.into_iter().zip(&live).zip(faults) {
-                match outcome {
+            let mut faulted: Vec<usize> = Vec::new();
+            for (d, assigned) in assignment.iter().enumerate() {
+                if assigned.is_empty() || fp.is_some_and(|fp| fp.chip_dead(d, now)) {
+                    continue;
+                }
+                // One transient draw per live shard, device-index order.
+                let lost_in_transit = fp.is_some_and(|fp| fp.draw_faults(draw));
+                draw += 1;
+                let items = assigned.iter().map(|&i| work[i].clone()).collect();
+                match catch_unwind(AssertUnwindSafe(|| shard(&self.devices[d], items))) {
                     Err(_) => panicked = true,
                     Ok(Err(e)) => {
                         shard_err.get_or_insert(e);
                     }
-                    Ok(Ok((results, _))) if results.len() != pending.len() => {
+                    Ok(Ok((results, _))) if results.len() != assigned.len() => {
                         arity_err.get_or_insert(TensorError::DataLength {
-                            expected: pending.len(),
+                            expected: assigned.len(),
                             actual: results.len(),
                         });
                     }
                     Ok(Ok((results, seconds))) => {
                         round_slowest = round_slowest.max(seconds);
-                        match fp {
-                            Some(fp) if faulted => {
-                                // The chip really ran and charged its
-                                // own clock; the answers were lost in
-                                // transit.
-                                self.with_stats(|s| s.transient_faults += 1);
-                                self.quarantine_chip(*d, now + fp.cooldown_s(), false);
-                            }
-                            _ => {
-                                contributed[*d] = true;
-                                for (&i, r) in pending.iter().zip(results) {
-                                    out[i] = Some(r);
-                                }
+                        if lost_in_transit {
+                            // The chip really ran and charged its own
+                            // clock; the answers were lost in transit.
+                            faulted.push(d);
+                        } else {
+                            contributed[d] = true;
+                            for (&i, r) in assigned.iter().zip(results) {
+                                out[i] = Some(r);
                             }
                         }
                     }
+                }
+            }
+
+            // After the shards: count and quarantine the faulted chips,
+            // then fail, finish or re-plan what was lost.
+            let mut domain = fp
+                .filter(|_| out.iter().any(Option::is_none))
+                .map(|fp| (fp, self.fault.lock_recover()));
+            if let Some((fp, domain)) = &mut domain {
+                for &d in &faulted {
+                    domain.stats.transient_faults += 1;
+                    domain.quarantine_chip(d, now + fp.cooldown_s(), false);
                 }
             }
             // A real panic is not an injected fault, and neither is a
@@ -880,23 +832,23 @@ impl DevicePool {
             }
             compute_s += round_slowest;
 
-            let lost: Vec<usize> = (0..total).filter(|&i| out[i].is_none()).collect();
-            let fp = match fp {
-                Some(fp) if !lost.is_empty() => fp,
-                _ => break,
+            let Some((fp, domain)) = &mut domain else {
+                break;
             };
             if round >= fp.retry_budget() {
-                self.with_stats(|s| s.budget_exhausted += 1);
+                domain.stats.budget_exhausted += 1;
                 return Err(TensorError::FaultBudgetExhausted {
                     op: "device pool shard",
                     attempts: round + 1,
                 });
             }
             round += 1;
-            self.with_stats(|s| s.retries += 1);
+            domain.stats.retries += 1;
             backoff_s += fp.backoff_s() * (1u64 << (round - 1).min(62)) as f64;
+            let assignment = assignment.to_mut();
             assignment.iter_mut().for_each(Vec::clear);
-            self.replan(fp, start_s + compute_s + backoff_s, lost, &mut assignment);
+            let lost = (0..work.len()).filter(|&i| out[i].is_none());
+            domain.replan(fp, start_s + compute_s + backoff_s, lost, assignment);
         }
 
         // One gather over the chips holding final results: hierarchical
@@ -910,7 +862,7 @@ impl DevicePool {
         };
         let seconds = compute_s + backoff_s + gather_s;
         {
-            let mut timeline = self.lock_timeline();
+            let mut timeline = self.timeline.lock_recover();
             timeline.wall_s += seconds;
             timeline.gather_s += gather_s;
             if distinct > 1 {
@@ -926,51 +878,53 @@ impl DevicePool {
         })
     }
 
-    /// Runs the binned shards one after another, in device order, on
-    /// the calling thread and returns the caught outcomes in bin
-    /// order — the only `catch_unwind` site. Every shard runs even
-    /// when an earlier one panicked or returned `Err`: the flight's
-    /// error precedence needs every outcome, and surviving chips' own
-    /// clocks must still carry their charges. A shard releases its
-    /// chip's lane before the next one starts, so the leader never
-    /// holds two.
-    fn execute_shards<W, R>(
-        &self,
-        shard_work: Vec<(usize, Vec<W>)>,
-        shard: &impl Fn(&SharedDevice, Vec<W>) -> ShardOutcome<R>,
-    ) -> Vec<std::thread::Result<ShardOutcome<R>>> {
-        shard_work
-            .into_iter()
-            .map(|(d, items)| catch_unwind(AssertUnwindSafe(|| shard(&self.devices[d], items))))
-            .collect()
+    /// `f` over the fault domain and its installed plan at the merged
+    /// clock's present; `None` with no plan installed.
+    fn with_plan<T>(&self, f: impl FnOnce(&FaultDomain, &FaultPlan, f64) -> T) -> Option<T> {
+        if !self.has_fault_plan() {
+            return None;
+        }
+        let now_s = self.wall_seconds();
+        let domain = self.fault.lock_recover();
+        domain.plan.as_deref().map(|fp| f(&domain, fp, now_s))
+    }
+}
+
+impl FaultDomain {
+    /// Readies a flight's placement at `now_s`: runs the fault
+    /// schedule, then re-plans the lanes the caller placed on
+    /// quarantined or dead chips onto the survivors. The caller's plan
+    /// is copied only when a lane moves.
+    fn admit(&mut self, fp: &FaultPlan, now_s: f64, assignment: &mut Cow<'_, [Vec<usize>]>) {
+        self.apply_fault_schedule(fp, now_s);
+        let mut displaced = Vec::new();
+        for d in 0..assignment.len() {
+            if !assignment[d].is_empty() && !self.chip_live(fp, now_s, d) {
+                displaced.append(&mut assignment.to_mut()[d]);
+            }
+        }
+        if !displaced.is_empty() {
+            self.replan(fp, now_s, displaced, assignment.to_mut());
+        }
     }
 
     /// Probes expired quarantine entries (fail-stopped chips
     /// re-confirm their death and stay; transiently-faulted chips
     /// re-admit) and quarantines chips whose scheduled fail-stop has
     /// come due.
-    fn apply_fault_schedule(&self, fp: &FaultPlan, now_s: f64) {
-        {
-            let mut guard = self.quarantine.lock_recover();
-            let state = &mut *guard;
-            let mut kept = Vec::with_capacity(state.entries.len());
-            for e in state.entries.drain(..) {
-                if e.permanent || e.until_s > now_s {
-                    kept.push(e);
-                    continue;
-                }
-                state.stats.probes += 1;
-                if fp.chip_dead(e.chip, now_s) {
-                    kept.push(QuarantineEntry {
-                        permanent: true,
-                        ..e
-                    });
-                } else {
-                    state.stats.readmissions += 1;
-                }
+    fn apply_fault_schedule(&mut self, fp: &FaultPlan, now_s: f64) {
+        let stats = &mut self.stats;
+        self.quarantine.retain_mut(|e| {
+            if e.permanent || e.until_s > now_s {
+                return true;
             }
-            state.entries = kept;
-        }
+            stats.probes += 1;
+            e.permanent = fp.chip_dead(e.chip, now_s);
+            if !e.permanent {
+                stats.readmissions += 1;
+            }
+            e.permanent
+        });
         for fs in fp.fail_stops() {
             if fs.at_s <= now_s {
                 self.quarantine_chip(fs.chip, f64::INFINITY, true);
@@ -982,38 +936,40 @@ impl DevicePool {
     /// takes the last healthy chip — with everything else gone the
     /// pool keeps trying on it. A fail-stopped chip is recorded dead
     /// regardless: serving then degenerates to typed budget errors.
-    fn quarantine_chip(&self, chip: usize, until_s: f64, permanent: bool) {
-        if chip >= self.devices.len() {
+    fn quarantine_chip(&mut self, chip: usize, until_s: f64, permanent: bool) {
+        if chip >= self.chips {
             return;
         }
-        let mut guard = self.quarantine.lock_recover();
-        let state = &mut *guard;
-        if let Some(e) = state.entries.iter_mut().find(|e| e.chip == chip) {
+        if let Some(e) = self.quarantine.iter_mut().find(|e| e.chip == chip) {
             if permanent && !e.permanent {
                 e.permanent = true;
-                state.stats.fail_stops += 1;
+                self.stats.fail_stops += 1;
             }
             return;
         }
-        if !permanent && state.entries.len() + 1 >= self.devices.len() {
+        if !permanent && self.quarantine.len() + 1 >= self.chips {
             return;
         }
-        state.entries.push(QuarantineEntry {
+        self.quarantine.push(QuarantineEntry {
             chip,
             until_s,
             permanent,
         });
-        state.stats.quarantines += 1;
+        self.stats.quarantines += 1;
         if permanent {
-            state.stats.fail_stops += 1;
+            self.stats.fail_stops += 1;
         }
     }
 
-    /// Chips able to take shards at `now_s`: not quarantined and not
-    /// past a scheduled fail-stop.
-    fn live_chips(&self, fp: &FaultPlan, now_s: f64) -> Vec<usize> {
-        let quarantine = self.quarantine.lock_recover();
-        live(&quarantine, fp, now_s, self.devices.len()).collect()
+    /// Whether chip `d` can take shards at `now_s`: not quarantined
+    /// and not past a scheduled fail-stop.
+    fn chip_live(&self, fp: &FaultPlan, now_s: f64, d: usize) -> bool {
+        !self.quarantine.iter().any(|e| e.chip == d) && !fp.chip_dead(d, now_s)
+    }
+
+    /// The live chips at `now_s`, in index order.
+    fn live<'a>(&'a self, fp: &'a FaultPlan, now_s: f64) -> impl Iterator<Item = usize> + 'a {
+        (0..self.chips).filter(move |&d| self.chip_live(fp, now_s, d))
     }
 
     /// Chips a retry may target at `now_s`: the live ones, falling
@@ -1021,67 +977,50 @@ impl DevicePool {
     /// (those attempts then fail until the budget types out, never
     /// panicking).
     fn retry_targets(&self, fp: &FaultPlan, now_s: f64) -> Vec<usize> {
-        let live = self.live_chips(fp, now_s);
-        if live.is_empty() {
-            vec![0]
-        } else {
-            live
+        let mut targets: Vec<usize> = self.live(fp, now_s).collect();
+        if targets.is_empty() {
+            targets.push(0);
         }
+        targets
     }
 
     /// Re-plans `lanes` round-robin over the chips a retry may target
     /// at `now_s` (lane costs are unknown at this level).
-    fn replan(&self, fp: &FaultPlan, now_s: f64, lanes: Vec<usize>, assignment: &mut [Vec<usize>]) {
+    fn replan(
+        &mut self,
+        fp: &FaultPlan,
+        now_s: f64,
+        lanes: impl IntoIterator<Item = usize>,
+        assignment: &mut [Vec<usize>],
+    ) {
         let targets = self.retry_targets(fp, now_s);
         for (j, i) in lanes.into_iter().enumerate() {
             assignment[targets[j % targets.len()]].push(i);
         }
-        self.with_stats(|s| s.replans += 1);
+        self.stats.replans += 1;
     }
 
-    /// Applies `f` to the fault counters under the quarantine lock.
-    fn with_stats(&self, f: impl FnOnce(&mut FaultStats)) {
-        f(&mut self.quarantine.lock_recover().stats);
+    /// Bins one round at `now_s`: quarantines the dead chips that hold
+    /// lanes of `assignment` and reserves one transient draw per live
+    /// one. Returns the first reserved draw index; the `k`-th live
+    /// shard in device order takes draw `first + k`.
+    fn draw_round(&mut self, fp: &FaultPlan, now_s: f64, assignment: &[Vec<usize>]) -> u64 {
+        let first = self.draws;
+        for d in (0..assignment.len()).filter(|&d| !assignment[d].is_empty()) {
+            if fp.chip_dead(d, now_s) {
+                self.quarantine_chip(d, f64::INFINITY, true);
+            } else {
+                self.draws += 1;
+            }
+        }
+        first
     }
-
-    /// Consumes `n` draws from the seeded transient stream, one per
-    /// live shard in device-index order.
-    fn consume_draws(&self, fp: &FaultPlan, n: usize) -> Vec<bool> {
-        let mut guard = self.fault.lock_recover();
-        (0..n)
-            .map(|_| {
-                let hit = fp.draw_faults(guard.draws);
-                guard.draws += 1;
-                hit
-            })
-            .collect()
-    }
-
-    fn lock_timeline(&self) -> OrderedMutexGuard<'_, PoolTimeline> {
-        // Same policy as SharedDevice: the timeline is a monotone
-        // ledger, so lock_recover rather than wedging the pool.
-        self.timeline.lock_recover()
-    }
-}
-
-/// The chips of a `chips`-chip pool able to take shards at `now_s`,
-/// in index order: not quarantined and not past a scheduled fail-stop.
-fn live<'a>(
-    quarantine: &'a QuarantineState,
-    fp: &'a FaultPlan,
-    now_s: f64,
-    chips: usize,
-) -> impl Iterator<Item = usize> + 'a {
-    (0..chips).filter(move |&d| {
-        !quarantine.entries.iter().any(|e| e.chip == d) && !fp.chip_dead(d, now_s)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use std::sync::atomic::AtomicUsize;
 
     fn lane(compute: f64) -> LaneCost {
         LaneCost {
@@ -1465,46 +1404,6 @@ mod tests {
         }
     }
 
-    /// Plan-less dispatch moves every lane's item into its shard; an
-    /// item is cloned only to survive a possible retry.
-    #[test]
-    fn lanes_are_cloned_only_when_a_retry_could_need_them() {
-        struct Counted<'a>(u64, &'a AtomicUsize);
-        impl Clone for Counted<'_> {
-            fn clone(&self) -> Self {
-                self.1.fetch_add(1, Ordering::Relaxed);
-                Counted(self.0, self.1)
-            }
-        }
-        let run = |pool: &DevicePool, clones: &AtomicUsize| {
-            let run = pool
-                .run_sharded(
-                    (0..4).map(|v| Counted(v, clones)).collect(),
-                    |_| lane(1.0),
-                    |_, items| uncharged(items.into_iter().map(|c| c.0).collect()),
-                )
-                .unwrap();
-            assert_eq!(run.results, vec![0, 1, 2, 3]);
-        };
-        let clones = AtomicUsize::new(0);
-        run(&DevicePool::new(TpuConfig::small_test(), 2), &clones);
-        assert_eq!(clones.load(Ordering::Relaxed), 0, "no plan, no clone");
-        let no_retries = FaultPlan::seeded(7).with_retry_budget(0);
-        run(
-            &DevicePool::new(TpuConfig::small_test(), 2).with_fault_plan(no_retries),
-            &clones,
-        );
-        assert_eq!(clones.load(Ordering::Relaxed), 0, "no budget, no clone");
-        let faulted = DevicePool::new(TpuConfig::small_test(), 2)
-            .with_fault_plan(FaultPlan::seeded(7).transient_draw(0));
-        run(&faulted, &clones);
-        assert_eq!(faulted.fault_stats().retries, 1);
-        assert!(
-            clones.load(Ordering::Relaxed) > 0,
-            "the retry re-ran clones"
-        );
-    }
-
     #[test]
     fn run_planned_rejects_inconsistent_plans_and_reuses_good_ones() {
         let pool = DevicePool::new(TpuConfig::small_test(), 2);
@@ -1833,6 +1732,37 @@ mod tests {
         .unwrap();
         assert_eq!(pool.healthy_devices(), 1);
         assert_eq!(pool.fault_stats().readmissions, 0);
+    }
+
+    /// Every chip dead: the flight tries the primary until the budget
+    /// types out, and merges nothing.
+    #[test]
+    fn every_chip_dead_exhausts_the_budget_typed() {
+        let budget = 2;
+        let pool = DevicePool::new(TpuConfig::small_test(), 2).with_fault_plan(
+            FaultPlan::seeded(6)
+                .fail_stop(0, 0.0)
+                .fail_stop(1, 0.0)
+                .with_retry_budget(budget),
+        );
+        pool.advance_external(0.5);
+        let err = pool
+            .run_sharded(
+                (0..4u64).collect(),
+                |_| lane(1.0),
+                |_, v: Vec<u64>| uncharged(v),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::FaultBudgetExhausted {
+                op: "device pool shard",
+                attempts: budget + 1,
+            }
+        );
+        assert_eq!(pool.wall_seconds(), 0.5, "a failed flight merges nothing");
+        assert_eq!(pool.healthy_devices(), 0);
+        assert_eq!(pool.healthy_device_indices(), vec![0]);
     }
 
     #[test]

@@ -16,10 +16,11 @@ use std::time::Duration;
 use tpu_xai::accel::{Accelerator, TpuAccel};
 use tpu_xai::serve::{
     run_load, synth_problem, DrainMode, ExplainJob, ExplainServer, JobOutput, LoadConfig,
-    LoadFault, Outcome, ResponseHandle, ServeConfig, ServeError, ShedPolicy, SimClock, SimServer,
+    LoadFault, LoadReport, Outcome, ResponseHandle, ServeConfig, ServeError, ShedPolicy, SimClock,
+    SimServer,
 };
 use tpu_xai::tensor::{Matrix, TensorError};
-use tpu_xai::tpu::{DevicePool, FaultPlan, FaultStats, TpuConfig};
+use tpu_xai::tpu::{DevicePool, FaultPlan, FaultStats, Topology, TpuConfig};
 
 fn pooled(devices: usize) -> Arc<TpuAccel> {
     Arc::new(TpuAccel::over_pool(
@@ -37,10 +38,51 @@ fn contributions(x: &Matrix<f64>, y: &Matrix<f64>, grid: usize) -> ExplainJob {
     }
 }
 
+/// One chaos run's pinned figures: `completed`, `shed`, `failed`,
+/// serving `retries`, the eight [`FaultStats`] counters in declaration
+/// order and `makespan_s.to_bits()`.
+fn pinned(report: &LoadReport) -> String {
+    let f = report.fault_stats;
+    let counters = [
+        f.transient_faults,
+        f.fail_stops,
+        f.retries,
+        f.replans,
+        f.quarantines,
+        f.probes,
+        f.readmissions,
+        f.budget_exhausted,
+    ];
+    format!(
+        "{} {} {} {} {counters:?} {:#018x}",
+        report.completed,
+        report.shed,
+        report.failed,
+        report.retries,
+        report.makespan_s.to_bits()
+    )
+}
+
+/// `seeded_fault_schedules_reproduce_exactly`'s runs per pool size,
+/// recorded before the pool's fault and quarantine state merged into
+/// one fault domain. Every shed policy recorded the same row. A change
+/// that moves one transient draw, one quarantine or one backoff moves
+/// a figure here, even when it replays itself exactly.
+const CHAOS_TABLE: [(usize, &str); 3] = [
+    (2, "17 15 0 0 [2, 1, 2, 2, 1, 0, 0, 0] 0x3f9cb7221707d33e"),
+    (4, "18 14 0 0 [4, 1, 4, 4, 5, 4, 4, 0] 0x3f953ca73c5ae5a6"),
+    (16, "20 12 0 0 [6, 1, 6, 6, 7, 6, 6, 0] 0x3f98aedff18bbd0e"),
+];
+
+/// `report`'s degraded-mode scenario (chip 15 of a 4×4 torus
+/// fail-stops mid-load), recorded with [`CHAOS_TABLE`].
+const TORUS_1_OF_16: &str = "59 37 0 0 [0, 1, 0, 0, 1, 0, 0, 0] 0x3fab697de6502c6e";
+
 /// Same seed ⇒ same chaos: a load run under a seeded fault schedule
 /// (transient kernel faults plus a mid-load fail-stop) reproduces its
 /// entire report — outcome vector, latencies, fault counters — across
-/// every shed policy and pool size.
+/// every shed policy and pool size, and its counters and makespan
+/// equal the recorded [`CHAOS_TABLE`].
 #[test]
 fn seeded_fault_schedules_reproduce_exactly() {
     for &policy in &[
@@ -48,7 +90,7 @@ fn seeded_fault_schedules_reproduce_exactly() {
         ShedPolicy::RejectOldest,
         ShedPolicy::DeadlineAware,
     ] {
-        for &devices in &[2usize, 4, 16] {
+        for &(devices, expect) in &CHAOS_TABLE {
             let cfg = LoadConfig {
                 requests: 32,
                 devices,
@@ -72,8 +114,17 @@ fn seeded_fault_schedules_reproduce_exactly() {
                 a.fault_stats.fail_stops, 1,
                 "{policy:?}/{devices} chips: the scheduled fail-stop fired"
             );
+            assert_eq!(pinned(&a), expect, "{policy:?}/{devices} chips");
         }
     }
+    let torus = run_load(&LoadConfig {
+        devices: 16,
+        topology: Some(Topology::torus(4)),
+        fault: Some(LoadFault::fail_stop_mid_load(15)),
+        ..LoadConfig::default()
+    })
+    .unwrap();
+    assert_eq!(pinned(&torus), TORUS_1_OF_16, "1 of 16 torus chips down");
 }
 
 /// Retries are not free: a transiently-faulted run pays timeline
@@ -230,6 +281,34 @@ fn budget_exhaustion_fails_exactly_the_owning_request() {
         1,
         "exactly one flight exhausted its budget"
     );
+}
+
+/// Every chip dead: on a one-chip pool whose chip fail-stops at time
+/// zero, a multi-lane request resolves `Kernel(FaultBudgetExhausted)`
+/// on its own handle — no panic, no hang.
+#[test]
+fn a_pool_with_every_chip_dead_fails_its_request_typed() {
+    let acc = Arc::new(TpuAccel::over_pool(
+        DevicePool::new(TpuConfig::small_test(), 1)
+            .with_fault_plan(FaultPlan::seeded(4).fail_stop(0, 0.0)),
+        Duration::ZERO,
+        256,
+    ));
+    let (model, x, y) = synth_problem(2, 8).unwrap();
+    let mut sim = SimServer::new(
+        Arc::<TpuAccel>::clone(&acc) as Arc<dyn Accelerator>,
+        model,
+        8,
+        ShedPolicy::RejectNewest,
+    );
+    let doomed = sim.submit_at(0.0, contributions(&x, &y, 2), f64::INFINITY);
+    sim.drain();
+    match doomed.wait() {
+        Err(ServeError::Kernel(TensorError::FaultBudgetExhausted { .. })) => {}
+        other => panic!("expected FaultBudgetExhausted, got {other:?}"),
+    }
+    assert_eq!(doomed.outcome(), Some(Outcome::Failed));
+    assert_eq!(acc.pool().unwrap().healthy_devices(), 0);
 }
 
 /// A transiently-quarantined chip re-admits through the serving path:
