@@ -919,6 +919,8 @@ mod tests {
         assert!(spec.max_abs_diff(&reference).unwrap() < 1e-12);
     }
 
+    /// §II-A's quantisation story: int8 is the fast path, and its
+    /// error is real but bounded.
     #[test]
     fn matmul_carries_real_quantisation_error() {
         let tpu = TpuAccel::tpu_v2();
@@ -928,6 +930,18 @@ mod tests {
         let err = exact.max_abs_diff(&got).unwrap();
         assert!(err > 0.0, "int8 path must not be bit-exact");
         assert!(err < 0.1, "but must stay close");
+    }
+
+    /// At 32² the int8 error stays within 5 % of the product's largest
+    /// entry.
+    #[test]
+    fn quantisation_error_is_bounded_on_tpu_matmul() {
+        let tpu = TpuAccel::tpu_v2();
+        let a = Matrix::from_fn(32, 32, |r, c| ((r * 7 + c * 3) % 17) as f64 / 17.0 - 0.5).unwrap();
+        let exact = ops::matmul(&a, &a).unwrap();
+        let got = tpu.matmul(&a, &a).unwrap();
+        let rel = exact.max_abs_diff(&got).unwrap() / exact.max_abs().max(1e-12);
+        assert!(rel < 0.05, "relative int8 error {rel}");
     }
 
     /// int8 has no code for a NaN or ±inf: a TPU matmul with one in an

@@ -1,6 +1,7 @@
 //! Perf gate: compares a fresh `report --json` run against the
 //! committed `BENCH_baseline.json` and exits non-zero when a claim
-//! stopped passing or a metric regressed beyond tolerance.
+//! stopped passing, a baselined metric is missing from the fresh run,
+//! or a metric regressed beyond tolerance.
 //!
 //! Run: `cargo run --release -p xai-bench --bin compare_baseline -- \
 //!       BENCH_baseline.json report.json [tolerance]`
@@ -10,13 +11,10 @@
 //! are reported but never gate; metrics new to the candidate (added
 //! by the PR under test) are reported as informational rows and never
 //! gate either — a metric-adding PR must not fail its own perf gate.
-//! Baseline metrics missing from the candidate are flagged as a
-//! stale-baseline warning.
+//! Baseline metrics missing from the candidate fail the gate: a PR
+//! that retires or renames a metric regenerates the baseline with it.
 
-use xai_bench::compare::{
-    compare_metrics, lower_is_better, missing_metrics, new_metrics, parse_all_claims_pass,
-    parse_metrics, WALLCLOCK_METRICS,
-};
+use xai_bench::compare::{lower_is_better, Gate, WALLCLOCK_METRICS};
 use xai_bench::TablePrinter;
 
 fn main() {
@@ -38,39 +36,26 @@ fn main() {
     let candidate = std::fs::read_to_string(&candidate_path)
         .unwrap_or_else(|e| panic!("cannot read {candidate_path}: {e}"));
 
-    let mut failed = false;
-    match parse_all_claims_pass(&candidate) {
+    let gate = Gate::new(&baseline, &candidate, tolerance);
+    match gate.all_claims_pass {
         Some(true) => println!("all_claims_pass: true"),
         Some(false) => {
-            println!("all_claims_pass: FALSE — a reproduced paper claim no longer holds");
-            failed = true;
+            println!("all_claims_pass: FALSE — a reproduced paper claim no longer holds")
         }
-        None => {
-            println!("all_claims_pass missing from {candidate_path}");
-            failed = true;
-        }
+        None => println!("all_claims_pass missing from {candidate_path}"),
     }
-
-    let base_metrics = parse_metrics(&baseline);
-    let cand_metrics = parse_metrics(&candidate);
-    let comparisons = compare_metrics(&base_metrics, &cand_metrics, tolerance);
-    if comparisons.is_empty() {
+    if gate.comparisons.is_empty() {
         println!("no comparable metrics found — is the baseline stale?");
-        failed = true;
     }
-
-    let fresh = new_metrics(&base_metrics, &cand_metrics);
-    let stale = missing_metrics(&base_metrics, &cand_metrics);
 
     let mut table = TablePrinter::new(&["metric", "baseline", "candidate", "change", "verdict"]);
-    for c in &comparisons {
+    for c in &gate.comparisons {
         let change = if c.baseline != 0.0 {
             format!("{:+.1}%", (c.candidate / c.baseline - 1.0) * 100.0)
         } else {
             "n/a".into()
         };
         let verdict = if c.regressed {
-            failed = true;
             "REGRESSED".to_string()
         } else {
             format!(
@@ -92,7 +77,7 @@ fn main() {
     }
     // New metrics ride along informationally: they have no baseline
     // to regress against, so they can never fail this gate.
-    for (key, value) in &fresh {
+    for (key, value) in &gate.new {
         table.row(&[
             key.clone(),
             "(new)".into(),
@@ -102,10 +87,10 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    if !stale.is_empty() {
+    if !gate.missing.is_empty() {
         println!(
-            "warning: baseline metrics missing from the candidate (stale baseline?): {}",
-            stale.join(", ")
+            "baseline metrics MISSING from the candidate: {}",
+            gate.missing.join(", ")
         );
     }
     println!(
@@ -114,7 +99,7 @@ fn main() {
         WALLCLOCK_METRICS.join(", ")
     );
 
-    if failed {
+    if !gate.passed() {
         eprintln!("perf gate FAILED against {baseline_path}");
         std::process::exit(1);
     }

@@ -3,8 +3,8 @@
 //!
 //! The repo commits `BENCH_baseline.json` (written by the `report`
 //! binary); the `compare_baseline` binary re-runs the report and
-//! fails the build when a claim stopped passing or a metric regressed
-//! beyond tolerance. Parsing is hand-rolled against the report's own
+//! fails the build when a claim stopped passing, a baselined metric
+//! is missing, or a metric regressed beyond tolerance. Parsing is hand-rolled against the report's own
 //! fixed JSON shape (the workspace builds offline, without serde).
 
 /// Metrics measured in *real* wall-clock on the CI host rather than
@@ -47,7 +47,7 @@ pub struct MetricComparison {
 }
 
 /// Extracts the top-level `"all_claims_pass"` flag.
-pub fn parse_all_claims_pass(json: &str) -> Option<bool> {
+fn parse_all_claims_pass(json: &str) -> Option<bool> {
     let idx = json.find("\"all_claims_pass\"")?;
     let rest = json[idx..].split_once(':')?.1.trim_start();
     if rest.starts_with("true") {
@@ -61,7 +61,7 @@ pub fn parse_all_claims_pass(json: &str) -> Option<bool> {
 
 /// Extracts the flat `"metrics"` object as `(key, value)` pairs, in
 /// file order. Unparseable entries are skipped.
-pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
+fn parse_metrics(json: &str) -> Vec<(String, f64)> {
     let Some(idx) = json.find("\"metrics\"") else {
         return Vec::new();
     };
@@ -103,7 +103,7 @@ pub fn lower_is_better(key: &str) -> bool {
 /// a metric-adding PR must not fail its own perf gate before the
 /// refreshed baseline is committed, so callers report them without
 /// gating on them.
-pub fn new_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) -> Vec<(String, f64)> {
+fn new_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) -> Vec<(String, f64)> {
     candidate
         .iter()
         .filter(|(k, _)| !baseline.iter().any(|(b, _)| b == k))
@@ -111,11 +111,11 @@ pub fn new_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) -> V
         .collect()
 }
 
-/// Metrics present in the baseline but missing from the candidate —
-/// a sign the baseline is stale (a metric was renamed or removed).
-/// Reported as a warning, not a failure: refreshing the committed
-/// baseline resolves it.
-pub fn missing_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) -> Vec<String> {
+/// Metrics present in the baseline but missing from the candidate.
+/// The gate fails on any: a refactor that silently stopped computing a
+/// gated metric must not pass. A PR that renames or retires a metric
+/// on purpose regenerates the committed baseline in the same change.
+fn missing_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) -> Vec<String> {
     baseline
         .iter()
         .filter(|(k, _)| !candidate.iter().any(|(c, _)| c == k))
@@ -131,7 +131,9 @@ pub fn missing_metrics(baseline: &[(String, f64)], candidate: &[(String, f64)]) 
 /// can never flip the gate on a metric sitting at the boundary.
 /// New metrics absent from the baseline are not compared — see
 /// [`new_metrics`]; committing a refreshed baseline picks them up.
-pub fn compare_metrics(
+/// Baseline metrics absent from the candidate are not compared either:
+/// [`missing_metrics`] lists them, and the gate fails on them.
+fn compare_metrics(
     baseline: &[(String, f64)],
     candidate: &[(String, f64)],
     tolerance: f64,
@@ -156,6 +158,45 @@ pub fn compare_metrics(
             })
         })
         .collect()
+}
+
+/// Everything the perf gate decides on, from a baseline and a
+/// candidate `report --json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// The candidate's `all_claims_pass`; `None` when it has none.
+    pub all_claims_pass: Option<bool>,
+    /// Metrics in both files, wall-clock ones excluded
+    /// (`compare_metrics`).
+    pub comparisons: Vec<MetricComparison>,
+    /// Metrics new to the candidate; informational (`new_metrics`).
+    pub new: Vec<(String, f64)>,
+    /// Baseline metrics missing from the candidate (`missing_metrics`).
+    pub missing: Vec<String>,
+}
+
+impl Gate {
+    /// Compares `candidate` against `baseline`, both `report --json`
+    /// output, allowing a fractional regression of `tolerance`.
+    pub fn new(baseline: &str, candidate: &str, tolerance: f64) -> Self {
+        let base = parse_metrics(baseline);
+        let cand = parse_metrics(candidate);
+        Gate {
+            all_claims_pass: parse_all_claims_pass(candidate),
+            comparisons: compare_metrics(&base, &cand, tolerance),
+            new: new_metrics(&base, &cand),
+            missing: missing_metrics(&base, &cand),
+        }
+    }
+
+    /// Whether the candidate passes: all its claims hold, some metric
+    /// was compared, no baselined metric is missing and none regressed.
+    pub fn passed(&self) -> bool {
+        self.all_claims_pass == Some(true)
+            && !self.comparisons.is_empty()
+            && self.missing.is_empty()
+            && self.comparisons.iter().all(|c| !c.regressed)
+    }
 }
 
 #[cfg(test)]
@@ -304,6 +345,24 @@ mod tests {
         let candidate = vec![("a_speedup".to_string(), 2.0)];
         assert_eq!(missing_metrics(&baseline, &candidate), vec!["renamed_away"]);
         assert!(new_metrics(&baseline, &candidate).is_empty());
+    }
+
+    #[test]
+    fn a_baseline_metric_missing_from_the_candidate_fails_the_gate() {
+        assert!(Gate::new(SAMPLE, SAMPLE, 0.10).passed());
+        // Every other metric still compares equal, and a wall-clock
+        // metric going missing fails the gate all the same.
+        for dropped in ["some_speedup_vs_cpu", "closed_form_wallclock_seconds"] {
+            let candidate: String = SAMPLE
+                .lines()
+                .filter(|line| !line.contains(dropped))
+                .map(|line| format!("{line}\n"))
+                .collect();
+            let gate = Gate::new(SAMPLE, &candidate, 0.10);
+            assert_eq!(gate.missing, vec![dropped]);
+            assert!(gate.comparisons.iter().all(|c| !c.regressed));
+            assert!(!gate.passed(), "missing {dropped} must fail the gate");
+        }
     }
 
     #[test]

@@ -1,24 +1,31 @@
 //! # xai-bench
 //!
-//! Benchmark harness regenerating every table and figure of the
-//! paper's evaluation (§IV). One binary per artefact:
+//! Benchmark harness reproducing the paper's evaluation (§IV). Every
+//! claim is one function in [`claims`], and one binary, `report`,
+//! runs them all, prints the tables behind each verdict and gates
+//! them:
 //!
-//! | Artefact | Binary | Paper claim reproduced |
+//! | Artefact | Claim | Paper claim reproduced |
 //! |---|---|---|
-//! | Table I | `table1` | TPU classification ≈25× GPU, ≈55× CPU |
-//! | Table II | `table2` | TPU interpretation ≈13× GPU, ≈39× CPU |
-//! | Figure 4 | `fig4` | scalability vs matrix size; >30× at 1024² |
-//! | Figure 5 | `fig5` | image block saliency finds the right blocks |
-//! | Figure 6 | `fig6` | trace attribution pinpoints the attack cycle |
+//! | Table I | [`claims::table1`] | TPU classification ≈25× GPU, ≈55× CPU |
+//! | Table II | [`claims::table2`] | TPU interpretation ≈13× GPU, ≈39× CPU |
+//! | Figure 4 | [`claims::fig4`] | scalability vs matrix size; >30× at scale |
+//! | Figure 5 | [`claims::fig5`] | image block saliency finds the right blocks |
+//! | Figure 6 | [`claims::fig6`] | trace attribution pinpoints the attack cycle |
+//! | §IV-B | [`claims::energy`] | the TPU saves energy over CPU and GPU |
+//! | §I | [`claims::iterative_baseline`] | the closed form replaces iterative XAI |
 //!
-//! Criterion benches (`cargo bench -p xai-bench`) measure *real*
-//! wall-clock of the kernels and four ablations: solve strategy
-//! (`distill`), core count (`fig4 -- --sweep-cores`), transform
-//! algorithm (`fourier`) and MXU precision (`tpu`).
+//! `compare_baseline` diffs `report --json` against the committed
+//! `BENCH_baseline.json`. Criterion benches (`cargo bench -p
+//! xai-bench`) measure *real* wall-clock of the kernels and three
+//! ablations: solve strategy (`distill`), transform algorithm
+//! (`fourier`) and MXU precision (`tpu`); the core-count ablation is
+//! part of Figure 4's table in `report`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod compare;
 
 use xai_accel::{Accelerator, CpuModel, GpuModel, TpuAccel};
@@ -56,8 +63,8 @@ pub fn platforms() -> Vec<Box<dyn Accelerator>> {
 }
 
 /// Deterministic synthetic `(X, Y = X ∗ K)` distillation pairs of a
-/// given size — the interpretation workload shared by Table II and
-/// Figure 4.
+/// given size — the interpretation workload of Table II, the energy
+/// claim and the serving claims.
 ///
 /// # Errors
 ///

@@ -8,11 +8,12 @@
 //! fits a weighted linear surrogate — "numerous iterations of
 //! time-consuming complex computations" (paper §I). The closed-form
 //! distillation of `xai-core` replaces all of it with one Fourier
-//! round trip; `cargo run -p xai-bench --bin baseline` measures the
-//! real wall-clock gap between the two approaches on the same model.
+//! round trip; `cargo run -p xai-bench --bin report` measures the real
+//! wall-clock gap between the two approaches on the same model.
 //!
-//! Kept because: it is the §I LIME claim — `report`'s "closed form vs
-//! LIME" row and `tests/reproduction.rs` compare the product against it.
+//! Kept because: it is the §I LIME claim — `report`'s "§I vs iterative
+//! XAI" row (`xai_bench::claims::iterative_baseline`) compares the
+//! product against it.
 
 use crate::contribution::{nan_high, occlude, Region};
 use rand::rngs::StdRng;

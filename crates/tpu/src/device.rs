@@ -67,7 +67,7 @@ impl TpuDevice {
     }
 
     /// Creates a device overriding the configured core count — used by
-    /// the core-count ablation (`fig4 -- --sweep-cores`).
+    /// the core-count ablation (Figure 4's core table in `report`).
     ///
     /// # Panics
     ///
