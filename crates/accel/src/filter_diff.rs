@@ -29,9 +29,17 @@
 //!   shape (a window of `ã` and one box-sized forward), each in a cell
 //!   of its own, kept for the model's lifetime.
 //! - **Per request** ([`Spectra`], before anything is submitted): `x`,
-//!   the residual half spectrum `R̂ = Ŷ − X̂ ∘ K_h` (two dense
-//!   real-input forwards) and, when some box is smaller than the image,
-//!   `‖r‖²`, the guard's scale `S` and `c = r ⋆ k_h` (one dense inverse).
+//!   the residual half spectrum `R̂ = Ŷ − X̂ ∘ K_h` and, when some box is
+//!   smaller than the image, `‖r‖²`, the guard's scale `S` and
+//!   `c = r ⋆ k_h` (one dense inverse). `R̂` is written over `Ŷ`
+//!   ([`residual`]), and `c` is formed in a spare half spectrum. On a
+//!   served request `X̂` and `Ŷ` are two dense real-input forwards, and
+//!   the spare is `X̂`'s buffer; in
+//!   [`Accelerator::interpret`](crate::Accelerator::interpret) they are
+//!   the half spectra the fit transformed the pair into (`distill`), so
+//!   the scores never transform `x` or `y` again: every pair's `R̂` is
+//!   formed as soon as the kernel is prepared, and one `X̂` buffer is
+//!   kept as every pair's spare.
 //! - **Per lane** (the lent workspace): the rectangle's transform. A
 //!   rectangle whose box — per side the power of two at least twice its
 //!   extent ([`local_box`]) — has fewer cells than `x` is scored on that
@@ -291,21 +299,64 @@ pub(crate) enum Operands<'a> {
     },
 }
 
+/// A real pair's half spectra `(X̂, Ŷ)`, `m × (n/2 + 1)` each: what a
+/// fit asked for scores keeps of each pair (`distill::fit`).
+pub(crate) type HalfSpectra = (Matrix<Complex64>, Matrix<Complex64>);
+
+/// The residual half spectrum `R̂ = Ŷ − X̂ ∘ K_h` of an even-row pair's
+/// half spectra, written over `Ŷ`, and `X̂`'s buffer handed back as
+/// working space for [`operands`].
+pub(crate) fn residual(
+    kernel: &PreparedKernel,
+    (fx, mut fy): HalfSpectra,
+) -> (Matrix<Complex64>, Matrix<Complex64>) {
+    let bins = fy.as_mut_slice().iter_mut().zip(fx.iter());
+    for ((r, x), k) in bins.zip(&kernel.0.hermitian) {
+        *r -= *x * *k;
+    }
+    (fy, fx)
+}
+
 /// The operands of a well-formed request (non-empty `rects`, each inside
 /// `x`; `y` and the kernel of `x`'s shape): [`Spectra`] when `x` has an
 /// even row count and every element finite — a NaN or ±inf pixel is one
 /// an occlusion may *remove*, which `X′ = X − B_r` cannot — and the
-/// occluded kind otherwise.
+/// occluded kind otherwise. `residual`, when given, is the request's
+/// [`residual`] and a half spectrum of working space, and spectral
+/// operands are built from them instead of transforming `x` and `y`
+/// (two dense real-input forwards on the calling thread).
 pub(crate) fn operands<'a>(
     x: &'a Matrix<f64>,
     y: &'a Matrix<f64>,
     rects: &[Rect],
     kernel: &'a PreparedKernel,
+    residual: Option<(Matrix<Complex64>, &mut Matrix<Complex64>)>,
 ) -> Operands<'a> {
-    if x.rows().is_multiple_of(2) && x.iter().all(|v| v.is_finite()) {
-        return Operands::Spectral(spectra(x, y, rects, kernel));
+    if !(x.rows().is_multiple_of(2) && x.iter().all(|v| v.is_finite())) {
+        return Operands::Occluded { x, y, kernel };
     }
-    Operands::Occluded { x, y, kernel }
+    let spectra = match residual {
+        Some((r, work)) => spectra(x, y, rects, kernel, r, work),
+        None => {
+            let (r, mut work) = self::residual(kernel, half_spectra(x, y));
+            spectra(x, y, rects, kernel, r, &mut work)
+        }
+    };
+    Operands::Spectral(spectra)
+}
+
+/// `(X̂, Ŷ)` of an even-row pair: two dense real-input forwards on the
+/// calling thread.
+fn half_spectra(x: &Matrix<f64>, y: &Matrix<f64>) -> HalfSpectra {
+    let (m, n) = x.shape();
+    let plan = global_plan_cache().plan_2d(m, n);
+    let scratch = &mut vec![Complex64::ZERO; n];
+    let [fx, fy] = [x, y].map(|a| {
+        let mut half = Matrix::zeros(m, plan.half_cols()).expect("a non-empty half spectrum");
+        plan.forward_real(a.as_slice(), half.as_mut_slice(), scratch);
+        half
+    });
+    (fx, fy)
 }
 
 /// What the score lanes of a spectral request share: `x`, the half
@@ -316,7 +367,7 @@ pub(crate) fn operands<'a>(
 #[derive(Debug)]
 pub(crate) struct Spectra<'a> {
     x: &'a Matrix<f64>,
-    residual: Vec<Complex64>,
+    residual: Matrix<Complex64>,
     kernel: &'a PreparedKernel,
     local: Option<Local>,
 }
@@ -339,38 +390,36 @@ fn local_box((rows, cols): &Rect) -> (usize, usize) {
     (side(rows), side(cols))
 }
 
-/// A spectral request's [`Spectra`] — two dense real-input forwards, and
-/// one dense inverse when some rectangle is scored block-locally. `x`
-/// has an even row count, and `y` and the kernel its shape
-/// ([`operands`]).
+/// A spectral request's [`Spectra`] from its residual half spectrum
+/// `R̂`, and, when some rectangle is scored block-locally, `‖r‖²`, the
+/// guard's scale and `c` — one dense inverse of `R̂ ∘ conj K_h`, formed in
+/// `work` (a half spectrum whose contents are not read). `x` has an even
+/// row count, and `y` and the kernel its shape ([`operands`]).
 fn spectra<'a>(
     x: &'a Matrix<f64>,
     y: &Matrix<f64>,
     rects: &[Rect],
     kernel: &'a PreparedKernel,
+    residual: Matrix<Complex64>,
+    work: &mut Matrix<Complex64>,
 ) -> Spectra<'a> {
     let (m, n) = x.shape();
     let plan = global_plan_cache().plan_2d(m, n);
-    let h = plan.half_cols();
     let hermitian = &kernel.0.hermitian;
-    let mut residual = vec![Complex64::ZERO; m * h];
-    // `spectrum` holds X̂, then what `c` is the inverse of.
-    let mut spectrum = vec![Complex64::ZERO; m * h];
-    let scratch = &mut vec![Complex64::ZERO; n];
-    plan.forward_real(y.as_slice(), &mut residual, scratch);
-    plan.forward_real(x.as_slice(), &mut spectrum, scratch);
-    for ((r, x), k) in residual.iter_mut().zip(&spectrum).zip(hermitian) {
-        *r -= *x * *k;
-    }
     let smaller = |&(l_r, l_c): &(usize, usize)| l_r.saturating_mul(l_c) < m * n;
     let mut boxes = rects.iter().map(local_box).filter(smaller).peekable();
     let local = boxes.peek().is_some().then(|| {
-        let energy = plan.weighted_energy(&residual, None).0 / (m * n) as f64;
-        for ((z, r), k) in spectrum.iter_mut().zip(&residual).zip(hermitian) {
+        let energy = plan.weighted_energy(residual.as_slice(), None).0 / (m * n) as f64;
+        for ((z, r), k) in work
+            .as_mut_slice()
+            .iter_mut()
+            .zip(residual.iter())
+            .zip(hermitian)
+        {
             *z = *r * k.conj();
         }
         let mut c = vec![0.0; m * n];
-        plan.inverse_real(&mut spectrum, &mut c, scratch);
+        plan.inverse_real(work.as_mut_slice(), &mut c, &mut vec![Complex64::ZERO; n]);
         let scale = kernel.0.max_abs * norm(x) + norm(y);
         Local { energy, scale, c }
     });
@@ -465,7 +514,8 @@ impl Spectra<'_> {
         let (block, scratch) = ws.split_at_mut(m * h);
         let (rows, cols) = rect.clone();
         plan.forward_real_block(x.as_slice(), rows, cols, block, scratch);
-        let energy = plan.residual_energy(&self.residual, block, &self.kernel.0.hermitian);
+        let energy =
+            plan.residual_energy(self.residual.as_slice(), block, &self.kernel.0.hermitian);
         (energy / (m * n) as f64).sqrt()
     }
 }
@@ -564,6 +614,19 @@ mod tests {
         PreparedKernel::new(fft2d(&k.to_complex()).unwrap())
     }
 
+    /// The spectral operands of a request whose `x` is finite.
+    fn spectral<'a>(
+        x: &'a Matrix<f64>,
+        y: &'a Matrix<f64>,
+        rects: &[Rect],
+        kernel: &'a PreparedKernel,
+    ) -> Spectra<'a> {
+        match operands(x, y, rects, kernel, None) {
+            Operands::Spectral(spectra) => spectra,
+            Operands::Occluded { .. } => unreachable!("an even, finite request"),
+        }
+    }
+
     /// The box cells `kernel` has built so far.
     fn built(kernel: &PreparedKernel) -> usize {
         kernel
@@ -587,14 +650,14 @@ mod tests {
             let bound = |len: usize| (2 * len).next_power_of_two().ilog2() as usize + 1;
             assert_eq!(kernel.0.windows.len(), bound(m) * bound(n), "{shape:?}");
             let whole = [(0..m, 0..n)];
-            let request = spectra(&x, &y, &whole, &kernel);
+            let request = spectral(&x, &y, &whole, &kernel);
             request.score(&whole[0], &mut Vec::new());
             assert!(request.local.is_none() && kernel.0.autocorrelation.get().is_none());
             assert_eq!(built(&kernel), 0, "{shape:?}: the whole image needs no box");
             let rects: Vec<Rect> = (1..=m)
                 .flat_map(|h| (1..=n).map(move |w| (m - h..m, 0..w)))
                 .collect();
-            let request = spectra(&x, &y, &rects, &kernel);
+            let request = spectral(&x, &y, &rects, &kernel);
             let ws = &mut Vec::new();
             for rect in &rects {
                 request.score(rect, ws);
@@ -616,7 +679,7 @@ mod tests {
         rects: &[Rect],
         kernel: &PreparedKernel,
     ) -> usize {
-        let request = spectra(x, y, rects, kernel);
+        let request = spectral(x, y, rects, kernel);
         let local = request
             .local
             .as_ref()

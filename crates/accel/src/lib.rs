@@ -53,7 +53,7 @@ mod tpu_accel;
 mod traits;
 
 pub use clock::Clock;
-pub use distill::{distill_spectrum, SolveStrategy};
+pub use distill::{distill, Interpretation, SolveStrategy};
 pub use filter_diff::PreparedKernel;
 pub use host::{CpuModel, GpuModel, HostModel};
 pub use platform::{charge_staged_chain, Platform};

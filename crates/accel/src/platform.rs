@@ -19,10 +19,10 @@
 //! of the lanes before a malformed one, the GPU and the TPU charge one
 //! launch or nothing.
 
-use crate::distill::{self, SolveStrategy};
-use crate::filter_diff::{self, PreparedKernel};
+use crate::distill::{self, Interpretation, SolveStrategy};
+use crate::filter_diff::{self, Operands, PreparedKernel};
 use crate::stats::KernelStats;
-use crate::traits::{check_request, Accelerator, Rect};
+use crate::traits::{check_request, fit_rect, Accelerator, Rect};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::{Complex64, Matrix, Result};
@@ -249,6 +249,17 @@ fn transform_job(x: &Matrix<Complex64>) -> KernelJob {
     KernelJob::Transform { rows, cols }
 }
 
+/// The scores of a request's lanes: one after another on the calling
+/// thread where `p` scores on the caller, else over the host pool
+/// ([`filter_diff::scores`]).
+fn score_lanes(p: &impl Platform, request: &Operands<'_>, rects: &[Rect]) -> Result<Vec<f64>> {
+    if !p.scores_on_caller() {
+        return filter_diff::scores(request, rects);
+    }
+    let ws = &mut Vec::new();
+    rects.iter().map(|rect| request.score(rect, ws)).collect()
+}
+
 /// One transform kernel: numerics, then its charge.
 fn single_transform(
     p: &impl Platform,
@@ -335,9 +346,8 @@ impl<P: Platform> Accelerator for P {
         self.sub_batch(y, &preds)
     }
     /// One score lane per rectangle over the request's borrowed operands
-    /// (`filter_diff::operands`): over the host pool, or one after
-    /// another on this thread where the platform scores on the caller;
-    /// then one charge of [`KernelJob::Score`] lanes.
+    /// (`filter_diff::operands`, `score_lanes`); then one charge of
+    /// [`KernelJob::Score`] lanes.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -349,31 +359,71 @@ impl<P: Platform> Accelerator for P {
             return Ok(Vec::new());
         }
         check_request(x, y, rects, kernel)?;
-        let request = filter_diff::operands(x, y, rects, kernel);
-        let scores = if self.scores_on_caller() {
-            let ws = &mut Vec::new();
-            let lanes = rects.iter().map(|rect| request.score(rect, ws));
-            lanes.collect::<Result<_>>()?
-        } else {
-            filter_diff::scores(&request, rects)?
-        };
+        let request = filter_diff::operands(x, y, rects, kernel, None);
+        let scores = score_lanes(self, &request, rects)?;
         let (rows, cols) = x.shape();
         self.charge_launch(KernelJob::Score { rows, cols }, rects.len())?;
         Ok(scores)
     }
-    /// Solved once on the calling thread and the host pool
-    /// ([`distill::distill_spectrum`]), then charged as the staged body's
-    /// kernels, one by one in its order.
-    fn distill_spectrum(
+    /// Fitted once on the calling thread and the host pool
+    /// (`distill::fit`), keeping each pair's half spectra when there
+    /// are rectangles to score; each pair's request is then scored as
+    /// [`Accelerator::contribution_scores`] scores it, from those spectra.
+    /// Only then is anything charged: the staged body's kernels one by
+    /// one in its order and the kernel's inverse transform, and — once a
+    /// rectangle outside `x` has been refused — each pair's
+    /// [`KernelJob::Score`] lanes.
+    fn interpret(
         &self,
         pairs: &[(Matrix<f64>, Matrix<f64>)],
         strategy: SolveStrategy,
-    ) -> Result<Matrix<Complex64>> {
-        let spectrum = distill::distill_spectrum(pairs, strategy)?;
-        for job in distill::staged_jobs(spectrum.shape(), pairs.len(), strategy) {
+        rects: &[Rect],
+    ) -> Result<Interpretation> {
+        let shape = pairs.first().map(|(x, _)| x.shape());
+        let outside = |rect| fit_rect(shape?, rect, "occluded rectangle").err();
+        let refused = rects.iter().find_map(outside);
+        let scored = if refused.is_none() { rects } else { &[] };
+        let fit = distill::fit(pairs, strategy, !scored.is_empty())?;
+        // Every pair's residual at once, so that only one of the `X̂`
+        // buffers outlives it, as the working space each request's `c`
+        // is formed in.
+        let (mut residuals, mut work) = (Vec::with_capacity(fit.spectra.len()), None);
+        for pair in fit.spectra {
+            let (r, spare) = filter_diff::residual(&fit.prepared, pair);
+            work.get_or_insert(spare);
+            residuals.push(r);
+        }
+        let mut residuals = residuals.into_iter();
+        let scores = pairs.iter().map(|(x, y)| {
+            if scored.is_empty() {
+                return Ok(Vec::new());
+            }
+            let residual = residuals.next().zip(work.as_mut());
+            let request = filter_diff::operands(x, y, scored, &fit.prepared, residual);
+            score_lanes(self, &request, scored)
+        });
+        let scores = scores.collect::<Result<Vec<_>>>()?;
+        let (rows, cols) = fit.kernel.shape();
+        let inverse = KernelJob::Transform { rows, cols };
+        for job in distill::staged_jobs((rows, cols), pairs.len(), strategy) {
             self.charge_kernel(job)?;
         }
-        Ok(spectrum)
+        self.charge_kernel(inverse)?;
+        let fitted_at = Platform::elapsed_seconds(self);
+        if let Some(error) = refused {
+            return Err(error);
+        }
+        if !scored.is_empty() {
+            for _ in pairs {
+                self.charge_launch(KernelJob::Score { rows, cols }, scored.len())?;
+            }
+        }
+        Ok(Interpretation {
+            kernel: fit.kernel,
+            prepared: fit.prepared,
+            scores,
+            fitted_at,
+        })
     }
     fn charge_workload(&self, flops: f64, bytes: f64) {
         Platform::charge_workload(self, flops, bytes);

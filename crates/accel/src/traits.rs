@@ -20,7 +20,7 @@
 //! are pure functions of the inputs, so concurrent and serial
 //! execution produce bit-identical values.
 
-use crate::distill::SolveStrategy;
+use crate::distill::{Interpretation, SolveStrategy};
 use crate::filter_diff::PreparedKernel;
 use crate::platform::Platform;
 use crate::stats::KernelStats;
@@ -47,7 +47,7 @@ pub type Rect = (Range<usize>, Range<usize>);
 /// [`Platform`]; implementing `Accelerator` itself is refused:
 ///
 /// ```compile_fail
-/// use xai_accel::{Accelerator, KernelStats, PreparedKernel, Rect, SolveStrategy};
+/// use xai_accel::{Accelerator, Interpretation, KernelStats, PreparedKernel, Rect, SolveStrategy};
 /// use xai_tensor::ops::DivPolicy;
 /// use xai_tensor::{Complex64, Matrix, Result};
 ///
@@ -67,7 +67,7 @@ pub type Rect = (Range<usize>, Range<usize>);
 /// #   fn sub_batch(&self, _: &Matrix<f64>, _: &[Matrix<f64>]) -> Result<Vec<Matrix<f64>>> { unimplemented!() }
 /// #   fn filter_diff_batch(&self, _: &[Matrix<Complex64>], _: &Matrix<Complex64>, _: &Matrix<f64>) -> Result<Vec<Matrix<f64>>> { unimplemented!() }
 /// #   fn contribution_scores(&self, _: &Matrix<f64>, _: &Matrix<f64>, _: &[Rect], _: &PreparedKernel) -> Result<Vec<f64>> { unimplemented!() }
-/// #   fn distill_spectrum(&self, _: &[(Matrix<f64>, Matrix<f64>)], _: SolveStrategy) -> Result<Matrix<Complex64>> { unimplemented!() }
+/// #   fn interpret(&self, _: &[(Matrix<f64>, Matrix<f64>)], _: SolveStrategy, _: &[Rect]) -> Result<Interpretation> { unimplemented!() }
 /// #   fn charge_workload(&self, _: f64, _: f64) {}
 /// #   fn queue_depth(&self) -> usize { 0 }
 /// #   fn healthy_fraction(&self) -> f64 { 1.0 }
@@ -255,25 +255,39 @@ pub trait Accelerator: sealed::Sealed + Send + Sync {
         kernel: &PreparedKernel,
     ) -> Result<Vec<f64>>;
 
-    /// The distilled kernel's spectrum `F(K)` (Equation 4) solved by
-    /// `strategy` from `(X, Y)` pairs — the interpretation phase's fit.
+    /// The interpretation phase on `pairs`: the distilled kernel `K`
+    /// (Equation 4) solved by `strategy` and, for every pair, the
+    /// contribution scores (Equation 5) of `rects` under it — with no
+    /// rectangles, the fit alone.
     ///
-    /// The reference is the staged body: per pair, two
-    /// [`Accelerator::fft2d`], then an [`Accelerator::pointwise_div`]
-    /// (naive) or two [`Accelerator::hadamard`] (Wiener), and the Wiener
-    /// division last. The fit solves once on the host
-    /// ([`distill_spectrum`](crate::distill_spectrum)), with the staged
-    /// body's bits, then charges its kernels in its order, so a fit that
-    /// fails charges nothing.
+    /// The reference is the composition of the staged fit and
+    /// [`Accelerator::contribution_scores`] per pair. The staged fit is,
+    /// per pair, two [`Accelerator::fft2d`], then an
+    /// [`Accelerator::pointwise_div`] (naive) or two
+    /// [`Accelerator::hadamard`] (Wiener), the Wiener division last, and
+    /// one [`Accelerator::ifft2d`] for the kernel. The fit solves once on
+    /// the host ([`distill`](crate::distill), the same bits), within a
+    /// stated bound of the staged fit's (module `distill`'s numerics
+    /// contract), and each pair's scores are that kernel's
+    /// [`Accelerator::contribution_scores`], bit for bit, taken from the
+    /// half spectra the fit already holds. Then it charges the staged
+    /// fit's kernels in their order, reads the clock into
+    /// [`Interpretation::fitted_at`], and charges each pair's score
+    /// lanes: the composition's clock and ledger, bit for bit. A fit that
+    /// fails charges nothing; a rectangle outside the pairs' shape is
+    /// refused after the fit is charged, as the composition refuses it.
     ///
     /// # Errors
     ///
-    /// As [`distill_spectrum`](crate::distill_spectrum).
-    fn distill_spectrum(
+    /// As [`distill`](crate::distill), then
+    /// [`TensorError::ShapeMismatch`] for a rectangle outside the pairs'
+    /// shape.
+    fn interpret(
         &self,
         pairs: &[(Matrix<f64>, Matrix<f64>)],
         strategy: SolveStrategy,
-    ) -> Result<Matrix<Complex64>>;
+        rects: &[Rect],
+    ) -> Result<Interpretation>;
 
     /// Advances the clock for an externally-described workload of
     /// `flops` arithmetic and `bytes` traffic (roofline charge). Used

@@ -184,6 +184,19 @@ pub(crate) fn block_regions((m, n): (usize, usize), grid: usize) -> Result<Vec<R
         .collect())
 }
 
+/// [`block_regions`] as the rectangles they cover.
+///
+/// # Errors
+///
+/// As [`block_regions`].
+pub(crate) fn block_rects(shape: (usize, usize), grid: usize) -> Result<Vec<Rect>> {
+    let regions = block_regions(shape, grid)?;
+    regions
+        .into_iter()
+        .map(|r| region_ranges(shape, r))
+        .collect()
+}
+
 /// Per-column contribution scores (the paper's Figure 6: per clock
 /// cycle of a trace table).
 ///

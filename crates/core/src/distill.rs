@@ -15,14 +15,14 @@
 //! `F(K) = Σ F(Yᵢ)·conj(F(Xᵢ)) / (Σ|F(Xᵢ)|² + λ)`, which is what the
 //! naive formula degenerates to for one pair and `λ → 0`, and which
 //! is well-posed for many pairs and noisy spectra. The solve has one
-//! body, [`xai_accel::distill_spectrum`]: [`DistilledModel::fit`] runs it
-//! on the host, [`DistilledModel::fit_on`] as the accelerator kernel
-//! [`Accelerator::distill_spectrum`], so the two give the same bits. The
-//! `distill` bench (`cargo bench -p xai-bench --bench distill`) times
-//! both strategies and the accelerated fit.
+//! body, [`xai_accel::distill`]: [`DistilledModel::fit`] runs it on the
+//! host, [`DistilledModel::fit_on`] as the accelerator entry
+//! [`Accelerator::interpret`] with no rectangles to score, so the two
+//! give the same bits. The `distill` bench (`cargo bench -p xai-bench
+//! --bench distill`) times both strategies and the accelerated fit.
 
 pub use xai_accel::SolveStrategy;
-use xai_accel::{distill_spectrum, Accelerator, PreparedKernel};
+use xai_accel::{distill, Accelerator, PreparedKernel};
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops;
 use xai_tensor::{Complex64, Matrix, Result, TensorError};
@@ -66,10 +66,8 @@ impl DistilledModel {
     /// [`TensorError::ShapeMismatch`] for inconsistent pair shapes,
     /// and division errors per the naive strategy's policy.
     pub fn fit(pairs: &[(Matrix<f64>, Matrix<f64>)], strategy: SolveStrategy) -> Result<Self> {
-        let spectrum = distill_spectrum(pairs, strategy)?;
-        let (rows, cols) = spectrum.shape();
-        let kernel = global_plan_cache().plan_2d(rows, cols).inverse(&spectrum)?;
-        Ok(Self::new(kernel.to_real(), spectrum))
+        let (kernel, prepared) = distill(pairs, strategy)?;
+        Ok(Self::new(kernel, prepared))
     }
 
     /// Fits the distilled kernel on an [`Accelerator`], charging the
@@ -85,16 +83,13 @@ impl DistilledModel {
         pairs: &[(Matrix<f64>, Matrix<f64>)],
         strategy: SolveStrategy,
     ) -> Result<Self> {
-        let spectrum = acc.distill_spectrum(pairs, strategy)?;
-        let kernel = acc.ifft2d(&spectrum)?.to_real();
-        Ok(Self::new(kernel, spectrum))
+        let fit = acc.interpret(pairs, strategy, &[])?;
+        Ok(Self::new(fit.kernel, fit.prepared))
     }
 
-    fn new(kernel: Matrix<f64>, spectrum: Matrix<Complex64>) -> Self {
-        DistilledModel {
-            kernel,
-            prepared: PreparedKernel::new(spectrum),
-        }
+    /// The model of a fitted kernel and its prepared spectrum.
+    pub(crate) fn new(kernel: Matrix<f64>, prepared: PreparedKernel) -> Self {
+        DistilledModel { kernel, prepared }
     }
 
     /// The spatial-domain kernel `K`.

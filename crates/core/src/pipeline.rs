@@ -2,8 +2,17 @@
 //! the machinery behind the paper's Table II ("average time for
 //! performing outcome interpretation for every 10 input-output
 //! pairs") and Figure 4 (scalability versus matrix size).
+//!
+//! [`interpret_on`] is one [`Accelerator::interpret`]: the fit (Eq. 4)
+//! and every pair's block scores (Eq. 5) from one set of half spectra
+//! per pair, with the simulated clock read where the fit's charges end.
+//! Its report, its model and its charges are those of
+//! [`DistilledModel::fit_on`] followed by one [`contributions_batch_on`]
+//! per pair, bit for bit; only the host work is shared.
+//!
+//! [`contributions_batch_on`]: crate::contributions_batch_on
 
-use crate::contribution::{block_regions, contributions_batch_on};
+use crate::contribution::block_rects;
 use crate::distill::{DistilledModel, SolveStrategy};
 use xai_accel::Accelerator;
 use xai_tensor::{Matrix, Result};
@@ -74,25 +83,24 @@ pub fn interpret_on(
     strategy: SolveStrategy,
 ) -> Result<(DistilledModel, InterpretationReport)> {
     let t0 = acc.elapsed_seconds();
-    let model = DistilledModel::fit_on(acc, pairs, strategy)?;
-    let t1 = acc.elapsed_seconds();
-
-    let mut regions_per_sample = 0;
-    for (x, y) in pairs {
-        let regions = block_regions(x.shape(), grid)?;
-        regions_per_sample = regions.len();
-        // All regions of one sample run as one §III-D parallel batch.
-        contributions_batch_on(acc, &model, x, y, &regions)?;
-    }
+    let rects = match pairs.first().map(|(x, _)| block_rects(x.shape(), grid)) {
+        Some(Err(error)) => {
+            // The model is fitted, and charged, before the grid is read.
+            DistilledModel::fit_on(acc, pairs, strategy)?;
+            return Err(error);
+        }
+        rects => rects.transpose()?.unwrap_or_default(),
+    };
+    // All regions of one sample run as one §III-D parallel batch.
+    let fit = acc.interpret(pairs, strategy, &rects)?;
     let t2 = acc.elapsed_seconds();
-
     Ok((
-        model,
+        DistilledModel::new(fit.kernel, fit.prepared),
         InterpretationReport {
-            distill_s: t1 - t0,
-            contribution_s: t2 - t1,
+            distill_s: fit.fitted_at - t0,
+            contribution_s: t2 - fit.fitted_at,
             samples: pairs.len(),
-            regions_per_sample,
+            regions_per_sample: rects.len(),
         },
     ))
 }
@@ -142,10 +150,12 @@ mod tests {
         assert!(report.per_sample_s() < report.total_s());
     }
 
+    /// A grid that does not divide the input is refused after the model
+    /// is fitted: the charges are `fit_on`'s alone.
     #[test]
     fn grid_must_divide_the_input_like_the_block_maps() {
-        let cpu = CpuModel::i7_3700();
         for grid in [0, 3] {
+            let (cpu, fitted) = (CpuModel::i7_3700(), CpuModel::i7_3700());
             let err = interpret_on(&cpu, &pairs(2, 8), grid, SolveStrategy::default()).unwrap_err();
             let expected = xai_tensor::TensorError::ShapeMismatch {
                 left: (8, 8),
@@ -153,6 +163,62 @@ mod tests {
                 op: "block grid must divide input",
             };
             assert_eq!(err, expected, "grid {grid}");
+            DistilledModel::fit_on(&fitted, &pairs(2, 8), SolveStrategy::default()).unwrap();
+            let ledger = |acc: &CpuModel| (acc.elapsed_seconds().to_bits(), acc.stats());
+            assert_eq!(ledger(&cpu), ledger(&fitted), "grid {grid}");
+        }
+    }
+
+    /// `interpret_on` is `fit_on` then one `contributions_batch_on` per
+    /// pair: the model's bits, the report's and the platform's clock and
+    /// ledger, on the CPU, the GPU, a direct and a queued TPU, for a
+    /// block-local grid, a full-size one and an odd row count.
+    #[test]
+    fn interpretation_is_the_fit_then_each_pairs_batch() {
+        use crate::contribution::{block_regions, contributions_batch_on};
+        use std::time::Duration;
+        let platforms: [fn() -> Box<dyn Accelerator>; 4] = [
+            || Box::new(CpuModel::i7_3700()),
+            || Box::new(GpuModel::gtx1080()),
+            || Box::new(TpuAccel::with_cores(4)),
+            || Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        ];
+        let odd: Vec<_> = pairs(2, 8)
+            .into_iter()
+            .map(|(x, y)| {
+                (
+                    x.submatrix(0, 0, 7, 8).unwrap(),
+                    y.submatrix(0, 0, 7, 8).unwrap(),
+                )
+            })
+            .collect();
+        for (ps, grid) in [(pairs(3, 16), 4), (pairs(2, 8), 2), (odd, 1)] {
+            for platform in platforms {
+                let (acc, composed) = (platform(), platform());
+                let strategy = SolveStrategy::default();
+                let (model, report) = interpret_on(acc.as_ref(), &ps, grid, strategy).unwrap();
+                let t0 = composed.elapsed_seconds();
+                let fitted = DistilledModel::fit_on(composed.as_ref(), &ps, strategy).unwrap();
+                let t1 = composed.elapsed_seconds();
+                for (x, y) in &ps {
+                    let regions = block_regions(x.shape(), grid).unwrap();
+                    contributions_batch_on(composed.as_ref(), &fitted, x, y, &regions).unwrap();
+                }
+                let t2 = composed.elapsed_seconds();
+                let case = format!("{:?} grid {grid}, {}", ps[0].0.shape(), acc.name());
+                assert_eq!(model, fitted, "{case}");
+                let bits =
+                    |r: &InterpretationReport| (r.distill_s.to_bits(), r.contribution_s.to_bits());
+                let want = InterpretationReport {
+                    distill_s: t1 - t0,
+                    contribution_s: t2 - t1,
+                    samples: ps.len(),
+                    regions_per_sample: grid * grid,
+                };
+                assert_eq!((bits(&report), report), (bits(&want), want), "{case}");
+                let ledger = |a: &dyn Accelerator| (a.elapsed_seconds().to_bits(), a.stats());
+                assert_eq!(ledger(acc.as_ref()), ledger(composed.as_ref()), "{case}");
+            }
         }
     }
 

@@ -199,7 +199,7 @@ fn complex_bits(m: &Matrix<Complex64>) -> Vec<u64> {
 /// A platform of another crate is a cost model and nothing else: on
 /// every kernel it returns the bits the CPU model returns — scores taken
 /// in the spectrum (even rows) and on the occlusion (odd rows), Eq. 4's
-/// fit under both strategies, the staged filter-diff chain, both
+/// fit and its scores under both strategies, the staged filter-diff chain, both
 /// transforms and the matmul.
 #[test]
 fn a_charges_only_platform_computes_the_built_ins_bits() {
@@ -238,8 +238,17 @@ fn a_charges_only_platform_computes_the_built_ins_bits() {
             policy: DivPolicy::default(),
         },
     ] {
-        let [got, want] = [plain, cpu].map(|acc| acc.distill_spectrum(&ps, strategy).unwrap());
-        assert_eq!(complex_bits(&got), complex_bits(&want), "{strategy:?}");
+        let rects = grid(x.shape());
+        let [got, want] = [plain, cpu].map(|acc| acc.interpret(&ps, strategy, &rects).unwrap());
+        assert_eq!(
+            bits(got.kernel.iter()),
+            bits(want.kernel.iter()),
+            "{strategy:?}"
+        );
+        let spectra = [&got, &want].map(|fit| complex_bits(fit.prepared.spectrum()));
+        assert_eq!(spectra[0], spectra[1], "{strategy:?}");
+        let scores = [&got, &want].map(|fit| bits(fit.scores.iter().flatten()));
+        assert_eq!(scores[0], scores[1], "{strategy:?}");
     }
     let xs: Vec<_> = ps.iter().map(|(x, _)| x.to_complex()).collect();
     let [got, want] = [plain, cpu].map(|acc| {

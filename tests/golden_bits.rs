@@ -8,7 +8,9 @@
 //! pool. The transform-derived pins (`TRANSFORMS`, both block maps and
 //! both fit folds) were re-recorded once more when every power-of-two
 //! transform moved from radix-2 to the radix-4 kernel, which rounds
-//! differently; each constant's doc states how far its values moved.
+//! differently, and the fit folds and the block maps (whose model is
+//! fitted) once more when an even-row fit moved to the half spectrum;
+//! each constant's doc states how far its values moved.
 //! Every other bit-identity check in the tree compares two paths of
 //! the same build, so a drift that moves both the same way would pass
 //! them all; these constants cannot move with the code.
@@ -136,23 +138,29 @@ fn fft2d_bits_match_the_transposing_implementation() {
 /// radix-4 kernel. Observed distance from the constants before: at most
 /// 3 ulp (5.4e-16 relative) on the fifteen scores of order 40–55 (three
 /// did not move); score 6 moved by 5.6e-15 (5.1e-9 of the residue).
+///
+/// The fifth time, the model under the scores moved: its fit went to
+/// the half spectrum ([`FIT_BITS`]), and the scores did not change
+/// arithmetic. Observed distance from the constants before: at most
+/// 2 ulp (2.9e-16 relative) on the fifteen scores of order 40–55 (seven
+/// did not move); score 6 moved by 1.7e-15 (1.5e-9 of the residue).
 const BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c158,
-    0x4048_3348_d9d5_8089,
-    0x4049_b2a9_9450_7bb8,
+    0x4044_fe89_1515_c159,
+    0x4048_3348_d9d5_808a,
+    0x4049_b2a9_9450_7bb9,
     0x4043_95d4_98e0_c3b0,
-    0x4045_4a2f_3e47_eef0,
-    0x4043_95d4_9706_36b6,
-    0x3eb2_9f39_c1f5_6c91,
-    0x4048_3348_dd99_5627,
+    0x4045_4a2f_3e47_eef1,
+    0x4043_95d4_9706_36b7,
+    0x3eb2_9f39_c17b_6bd3,
+    0x4048_3348_dd99_5629,
     0x404b_57a4_1ab1_5991,
     0x4043_cb06_a365_1ec5,
     0x4043_cb06_a167_ff5d,
     0x404b_57a4_1b11_7bd3,
     0x4047_d60e_0048_2991,
     0x4049_b2a9_93be_585f,
-    0x4043_95d4_9785_e451,
-    0x4045_4a2f_3c0d_4216,
+    0x4043_95d4_9785_e452,
+    0x4045_4a2f_3c0d_4217,
 ];
 
 /// The model and pair behind [`BLOCK_MAP`].
@@ -207,23 +215,27 @@ fn direct_block_map_bits_and_charges_match_the_staged_direct_paths() {
 /// Re-recorded when the transforms moved to the radix-4 kernel: at most
 /// 5 ulp (6.5e-16 relative) on the fifteen scores of order 40–55 (four
 /// did not move); score 6 moved by 3.6e-15 (3.3e-9 of its value).
+/// Re-recorded when the model's fit moved to the half spectrum (the
+/// chain's arithmetic did not change): at most 3 ulp (3.9e-16 relative)
+/// on the fifteen scores of order 40–55 (five did not move); score 6
+/// moved by 2.6e-15 (2.4e-9 of its value).
 const COMPLEX_BLOCK_MAP: [u64; 16] = [
-    0x4044_fe89_1515_c158,
+    0x4044_fe89_1515_c157,
     0x4048_3348_d9d5_808b,
-    0x4049_b2a9_9450_7bb6,
-    0x4043_95d4_98e0_c3ac,
+    0x4049_b2a9_9450_7bb7,
+    0x4043_95d4_98e0_c3ad,
     0x4045_4a2f_3e47_eef0,
-    0x4043_95d4_9706_36b7,
-    0x3eb2_9f39_c0dd_9e2c,
-    0x4048_3348_dd99_5627,
-    0x404b_57a4_1ab1_598f,
-    0x4043_cb06_a365_1ec7,
-    0x4043_cb06_a167_ff5d,
+    0x4043_95d4_9706_36b6,
+    0x3eb2_9f39_c19b_cd4c,
+    0x4048_3348_dd99_5625,
+    0x404b_57a4_1ab1_5992,
+    0x4043_cb06_a365_1ec6,
+    0x4043_cb06_a167_ff5c,
     0x404b_57a4_1b11_7bd3,
     0x4047_d60e_0048_2991,
-    0x4049_b2a9_93be_585f,
+    0x4049_b2a9_93be_5861,
     0x4043_95d4_9785_e451,
-    0x4045_4a2f_3c0d_4212,
+    0x4045_4a2f_3c0d_4213,
 ];
 
 #[test]
@@ -357,8 +369,15 @@ fn every_kernel_charge_matches_the_parent() {
 /// 164 704 of the 166 240 kernel and spectrum values moved, by at most
 /// 1.1e-11 of their array's largest magnitude (4.1e-8 of their own, for
 /// values above 1e-9 of it; below that are round-off residues of exact
-/// zeros).
-const FIT_BITS: u64 = 0x02a2_fa97_d4bf_39d4;
+/// zeros). Re-recorded once more when an even-row fit moved to the
+/// half spectrum (real-input transforms, the solve on `m × (n/2 + 1)`,
+/// the kernel from one real inverse; the odd-row cases did not move):
+/// 235 981 of the 249 360 kernel and spectrum values (real and
+/// imaginary parts counted apart) moved, by at most 4.0e-12 of their
+/// array's largest magnitude (8.6e-9 of their own, for values above
+/// 1e-9 of it). The bound those moves answer to is
+/// `distill::tests::the_fit_is_within_its_bound_of_the_staged_body`.
+const FIT_BITS: u64 = 0x8241_a95f_97cc_f4a3;
 
 /// The clock and the ledger after each `fit_on` of
 /// [`fitted_bits_and_charges_match_the_parent`], one fold per
@@ -375,8 +394,11 @@ const FIT_CHARGE_TRAIL: [u64; 5] = [
 /// every solve that accepts its nulls; recorded with [`FIT_BITS`], on
 /// the CPU (every placement gave these bits). Re-recorded with
 /// [`FIT_BITS`]: 44 of 512 values moved, by at most 7.8e-16 relative;
-/// the NaNs of the null bins stayed where they were.
-const NULL_FIT_BITS: u64 = 0x0cc3_5548_e95d_2929;
+/// the NaNs of the null bins stayed where they were. Re-recorded with
+/// [`FIT_BITS`] for the half-spectrum fit: 112 of 768 values (real and
+/// imaginary parts counted apart) moved, by at most 2.4e-16 of their
+/// array's largest magnitude (1.0e-14 of their own); no NaN moved.
+const NULL_FIT_BITS: u64 = 0xeea2_7c68_73ed_4c0c;
 
 type Pairs = Vec<(Matrix<f64>, Matrix<f64>)>;
 
