@@ -10,8 +10,9 @@
 //!   complex sequence `forward → ∘ K → inverse → y − re` on it, then the
 //!   norm: per element the staged chain's arithmetic.
 //!
-//! The built-in platforms' unqueued requests run the lanes over the host
-//! pool ([`scores`]) and replay the staged chain's charges; a queued
+//! The host entry [`scores`] runs a request's lanes over the host pool
+//! with no clock; the built-in platforms' unqueued requests are that
+//! entry, then the staged chain's charges; a queued
 //! `TpuAccel` request runs them one after another on its own thread and
 //! then submits one shape-only `Score` lane per rectangle, so a flight
 //! carries no operand.
@@ -132,7 +133,7 @@
 //!    of the staged chain, a score lane's that of the fused chain of its
 //!    shape.
 
-use crate::traits::{occluded, Rect};
+use crate::traits::{check_request, occluded, Rect};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -573,13 +574,39 @@ fn local_score(
     (magnitude <= scale * s).then_some(s)
 }
 
-/// The scores of a built-in platform's unqueued
-/// [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores):
-/// the request's score lanes over the host pool — `num_threads`
+/// The contribution scores of Equation 5 on the host, with no clock: for
+/// every rectangle `r` of `rects`, `‖y − x′ᵣ ∗ k‖_F`, `x′ᵣ` being `x` with
+/// `r` zeroed and `k` the kernel `kernel` was prepared from. These are the
+/// score lanes of
+/// [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores),
+/// over the host pool, with the bits every platform returns for the same
+/// request; nothing is charged.
+///
+/// # Errors
+///
+/// As [`Accelerator::contribution_scores`](crate::Accelerator::contribution_scores):
+/// [`TensorError::ShapeMismatch`](xai_tensor::TensorError::ShapeMismatch)
+/// when a rectangle does not lie inside `x`, or when `y` or the kernel
+/// does not have `x`'s shape; an empty `rects` is `Ok(vec![])` whatever
+/// the operands.
+pub fn scores(
+    x: &Matrix<f64>,
+    y: &Matrix<f64>,
+    rects: &[Rect],
+    kernel: &PreparedKernel,
+) -> Result<Vec<f64>> {
+    if rects.is_empty() {
+        return Ok(Vec::new());
+    }
+    check_request(x, y, rects, kernel)?;
+    pooled(&operands(x, y, rects, kernel, None), rects)
+}
+
+/// A request's score lanes over the host pool — `num_threads`
 /// contiguous groups (one fork-join per request), each lending lane
 /// after lane one workspace; a score is a pure function of its operands,
-/// so the grouping cannot reach it. The caller charges afterwards.
-pub(crate) fn scores(request: &Operands<'_>, rects: &[Rect]) -> Result<Vec<f64>> {
+/// so the grouping cannot reach it.
+pub(crate) fn pooled(request: &Operands<'_>, rects: &[Rect]) -> Result<Vec<f64>> {
     let mut slots: Vec<_> = rects.iter().map(|rect| (rect, Ok(0.0))).collect();
     let pool = xai_parallel::global();
     let group = slots.len().div_ceil(pool.num_threads()).max(1);

@@ -54,7 +54,7 @@ mod traits;
 
 pub use clock::Clock;
 pub use distill::{distill, Interpretation, SolveStrategy};
-pub use filter_diff::PreparedKernel;
+pub use filter_diff::{scores, PreparedKernel};
 pub use host::{CpuModel, GpuModel, HostModel};
 pub use platform::{charge_staged_chain, Platform};
 pub use roofline::RooflineParams;

@@ -251,10 +251,10 @@ fn transform_job(x: &Matrix<Complex64>) -> KernelJob {
 
 /// The scores of a request's lanes: one after another on the calling
 /// thread where `p` scores on the caller, else over the host pool
-/// ([`filter_diff::scores`]).
+/// ([`filter_diff::pooled`]).
 fn score_lanes(p: &impl Platform, request: &Operands<'_>, rects: &[Rect]) -> Result<Vec<f64>> {
     if !p.scores_on_caller() {
-        return filter_diff::scores(request, rects);
+        return filter_diff::pooled(request, rects);
     }
     let ws = &mut Vec::new();
     rects.iter().map(|rect| request.score(rect, ws)).collect()
@@ -345,9 +345,10 @@ impl<P: Platform> Accelerator for P {
             .collect();
         self.sub_batch(y, &preds)
     }
-    /// One score lane per rectangle over the request's borrowed operands
-    /// (`filter_diff::operands`, `score_lanes`); then one charge of
-    /// [`KernelJob::Score`] lanes.
+    /// The host entry ([`scores`](crate::scores)), or on a platform that
+    /// scores on the caller one lane after another over the request's
+    /// borrowed operands (`filter_diff::operands`, `score_lanes`); then
+    /// one charge of [`KernelJob::Score`] lanes.
     fn contribution_scores(
         &self,
         x: &Matrix<f64>,
@@ -358,9 +359,13 @@ impl<P: Platform> Accelerator for P {
         if rects.is_empty() {
             return Ok(Vec::new());
         }
-        check_request(x, y, rects, kernel)?;
-        let request = filter_diff::operands(x, y, rects, kernel, None);
-        let scores = score_lanes(self, &request, rects)?;
+        let scores = if self.scores_on_caller() {
+            check_request(x, y, rects, kernel)?;
+            let request = filter_diff::operands(x, y, rects, kernel, None);
+            score_lanes(self, &request, rects)?
+        } else {
+            filter_diff::scores(x, y, rects, kernel)?
+        };
         let (rows, cols) = x.shape();
         self.charge_launch(KernelJob::Score { rows, cols }, rects.len())?;
         Ok(scores)

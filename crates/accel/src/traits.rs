@@ -240,7 +240,9 @@ pub trait Accelerator: sealed::Sealed + Send + Sync {
     /// kernel prepared per request. A request is refused before anything
     /// is charged, and otherwise charged as [`KernelJob::Score`](xai_tpu::KernelJob::Score) lanes —
     /// unqueued, the reference's staged chain
-    /// ([`charge_staged_chain`](crate::charge_staged_chain)).
+    /// ([`charge_staged_chain`](crate::charge_staged_chain)). The host
+    /// entry [`scores`](crate::scores) returns the same bits with no
+    /// clock.
     ///
     /// # Errors
     ///

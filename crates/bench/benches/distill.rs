@@ -1,13 +1,13 @@
 //! Benchmarks of the distillation core (the solve-strategy ablation:
 //! naive division vs Wiener solve; the accelerated fit at
 //! `pipeline-offline`'s shape) and the contribution-factor machinery,
-//! including the §III-D host-thread batch parallelism.
+//! including a host batch of block maps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xai_accel::{Accelerator, CpuModel, TpuAccel};
 use xai_bench::distillation_pairs;
-use xai_core::{explain_batch, explain_batch_parallel, DistilledModel, SolveStrategy};
+use xai_core::{explain_batch, DistilledModel, SolveStrategy};
 use xai_tensor::ops::DivPolicy;
 
 fn bench_solve_strategies(c: &mut Criterion) {
@@ -71,7 +71,8 @@ fn bench_prediction(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-input batch explanation: serial vs host-thread parallel.
+/// Multi-input batch explanation on the host: each pair's score lanes
+/// fork over the host pool once.
 fn bench_batch_parallelism(c: &mut Criterion) {
     let mut group = c.benchmark_group("explain-batch");
     group.sample_size(10);
@@ -80,18 +81,6 @@ fn bench_batch_parallelism(c: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| explain_batch(black_box(&model), black_box(&pairs), 4).expect("shapes"));
     });
-    for workers in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    explain_batch_parallel(black_box(&model), black_box(&pairs), 4, workers)
-                        .expect("shapes")
-                });
-            },
-        );
-    }
     group.finish();
 }
 

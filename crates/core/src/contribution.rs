@@ -6,11 +6,15 @@
 //! score, and provide the three granularities the paper evaluates:
 //! per-feature (pixels), per-block (Figure 5's image sub-blocks) and
 //! per-column (Figure 6's trace clock cycles).
+//!
+//! Every score is a score lane of [`xai_accel::scores`]: the host maps
+//! ([`contribution`], [`block_contributions`], [`column_contributions`])
+//! are that entry with no clock, and [`contributions_batch_on`] is the
+//! same request through an [`Accelerator`], charged — the same bits.
 
 use crate::distill::DistilledModel;
 use std::cmp::Ordering;
-use xai_accel::{occluded, Accelerator, Rect};
-use xai_tensor::ops;
+use xai_accel::{occluded, scores, Accelerator, Rect};
 use xai_tensor::{Matrix, Result, TensorError};
 
 /// A region of the input to occlude when computing one contribution
@@ -28,7 +32,7 @@ pub enum Region {
 }
 
 /// The `(rows, cols)` ranges `region` covers of an `m × n` matrix —
-/// the one bounds check behind [`occlude`] and
+/// the one bounds check behind [`occlude`], [`contribution`] and
 /// [`contributions_batch_on`].
 ///
 /// # Errors
@@ -72,37 +76,21 @@ pub fn occlude(x: &Matrix<f64>, region: Region) -> Result<Matrix<f64>> {
     occluded(x, &region_ranges(x.shape(), region)?)
 }
 
-/// Contribution factor of one region: `‖Y − X′ ∗ K‖_F` (host path).
+/// Contribution factor of one region: `‖Y − X′ ∗ K‖_F`, on the host
+/// ([`xai_accel::scores`] of the region's rectangle).
 ///
 /// # Errors
 ///
-/// Propagates shape errors.
+/// Returns [`TensorError::ShapeMismatch`] when the region exceeds `x`'s
+/// bounds, or when `y` or the model does not have `x`'s shape.
 pub fn contribution(
     model: &DistilledModel,
     x: &Matrix<f64>,
     y: &Matrix<f64>,
     region: Region,
 ) -> Result<f64> {
-    let occluded = occlude(x, region)?;
-    let perturbed = model.predict(&occluded)?;
-    Ok(ops::sub(y, &perturbed)?.frobenius_norm())
-}
-
-/// Contribution factor computed on an [`Accelerator`] (timed).
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn contribution_on(
-    acc: &dyn Accelerator,
-    model: &DistilledModel,
-    x: &Matrix<f64>,
-    y: &Matrix<f64>,
-    region: Region,
-) -> Result<f64> {
-    let occluded = occlude(x, region)?;
-    let perturbed = model.predict_on(acc, &occluded)?;
-    Ok(acc.sub(y, &perturbed)?.frobenius_norm())
+    let rect = region_ranges(x.shape(), region)?;
+    Ok(scores(x, y, &[rect], model.prepared())?[0])
 }
 
 /// Contribution factors for a whole batch of regions at once,
@@ -110,13 +98,11 @@ pub fn contribution_on(
 /// paper): one [`Accelerator::contribution_scores`] submission, a lane
 /// per region.
 ///
-/// Bit-identical across every batched route of every built-in
-/// platform (direct, queued, pooled; any batch composition). Those
-/// platforms take each norm in the spectrum — no occluded image, no
-/// inverse transform: the scores agree with [`contribution_on`] per
-/// region and with the host [`contribution`] within the bound of the
-/// interpretation-phase numerics contract (ARCHITECTURE.md), not to
-/// the bit.
+/// Bit-identical across every route of every built-in platform
+/// (direct, queued, pooled; any batch composition) and to the host
+/// [`contribution`] of each region: one score lane per region, within
+/// the bound of the interpretation-phase numerics contract
+/// (ARCHITECTURE.md) of the staged per-region chain.
 ///
 /// # Errors
 ///
@@ -142,24 +128,21 @@ pub fn contributions_batch_on(
 
 /// Per-block contribution scores on a `grid × grid` decomposition of
 /// the input (the paper's Figure 5: "we segmented the given image
-/// into square sub-blocks").
+/// into square sub-blocks"), on the host ([`xai_accel::scores`]).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `grid` does not divide
-/// both input dimensions.
+/// both input dimensions, or when `y` or the model does not have `x`'s
+/// shape.
 pub fn block_contributions(
     model: &DistilledModel,
     x: &Matrix<f64>,
     y: &Matrix<f64>,
     grid: usize,
 ) -> Result<Matrix<f64>> {
-    let regions = block_regions(x.shape(), grid)?;
-    let mut out = Matrix::zeros(grid, grid)?;
-    for (score, region) in out.as_mut_slice().iter_mut().zip(regions) {
-        *score = contribution(model, x, y, region)?;
-    }
-    Ok(out)
+    let scores = scores(x, y, &block_rects(x.shape(), grid)?, model.prepared())?;
+    Matrix::from_vec(grid, grid, scores)
 }
 
 /// The `grid × grid` decomposition of an `m × n` input into equal
@@ -198,19 +181,19 @@ pub(crate) fn block_rects(shape: (usize, usize), grid: usize) -> Result<Vec<Rect
 }
 
 /// Per-column contribution scores (the paper's Figure 6: per clock
-/// cycle of a trace table).
+/// cycle of a trace table), on the host ([`xai_accel::scores`]).
 ///
 /// # Errors
 ///
-/// Propagates shape errors.
+/// Returns [`TensorError::ShapeMismatch`] when `y` or the model does
+/// not have `x`'s shape.
 pub fn column_contributions(
     model: &DistilledModel,
     x: &Matrix<f64>,
     y: &Matrix<f64>,
 ) -> Result<Vec<f64>> {
-    (0..x.cols())
-        .map(|c| contribution(model, x, y, Region::Column(c)))
-        .collect()
+    let rects: Vec<Rect> = (0..x.cols()).map(|c| (0..x.rows(), c..c + 1)).collect();
+    scores(x, y, &rects, model.prepared())
 }
 
 /// Index of the highest-scoring entry of a score slice (the last of
@@ -246,6 +229,7 @@ mod tests {
     use super::*;
     use crate::distill::SolveStrategy;
     use xai_tensor::conv::conv2d_circular;
+    use xai_tensor::ops;
 
     fn model_and_pair() -> (DistilledModel, Matrix<f64>, Matrix<f64>) {
         let k = Matrix::from_fn(6, 6, |r, c| ((r + c * 2) % 5) as f64 * 0.2).unwrap();
@@ -400,13 +384,20 @@ mod tests {
         assert_eq!(argmax2(&poisoned), (1, 0));
     }
 
+    /// The host score is the staged chain's on an accelerator — the lane
+    /// route of [`Accelerator::contribution_scores`]: the occlusion
+    /// through `filter_diff_batch` and the difference's norm.
     #[test]
     fn accelerated_contribution_matches_host() {
         use xai_accel::GpuModel;
         let (model, x, y) = model_and_pair();
         let gpu = GpuModel::gtx1080();
         let host = contribution(&model, &x, &y, Region::Column(1)).unwrap();
-        let dev = contribution_on(&gpu, &model, &x, &y, Region::Column(1)).unwrap();
+        let lane = occlude(&x, Region::Column(1)).unwrap().to_complex();
+        let dev = gpu
+            .filter_diff_batch(&[lane], model.kernel_spectrum(), &y)
+            .unwrap()[0]
+            .frobenius_norm();
         assert!((host - dev).abs() < 1e-9);
         assert!(gpu.elapsed_seconds() > 0.0);
     }

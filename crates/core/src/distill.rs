@@ -103,7 +103,8 @@ impl DistilledModel {
         self.prepared.spectrum()
     }
 
-    /// The kernel prepared for [`Accelerator::contribution_scores`].
+    /// The kernel prepared for contribution scores ([`xai_accel::scores`],
+    /// [`Accelerator::contribution_scores`]).
     pub(crate) fn prepared(&self) -> &PreparedKernel {
         &self.prepared
     }
@@ -131,24 +132,6 @@ impl DistilledModel {
         let fx = plan.forward(&x.to_complex())?;
         let fy = ops::hadamard(&fx, self.kernel_spectrum())?;
         Ok(plan.inverse(&fy)?.to_real())
-    }
-
-    /// Predicts on an [`Accelerator`] (timed).
-    ///
-    /// # Errors
-    ///
-    /// As [`DistilledModel::predict`].
-    pub fn predict_on(&self, acc: &dyn Accelerator, x: &Matrix<f64>) -> Result<Matrix<f64>> {
-        if x.shape() != self.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: x.shape(),
-                right: self.shape(),
-                op: "distilled predict input",
-            });
-        }
-        let fx = acc.fft2d(&x.to_complex())?;
-        let fy = acc.hadamard(&fx, self.kernel_spectrum())?;
-        Ok(acc.ifft2d(&fy)?.to_real())
     }
 
     /// Mean relative fidelity error of the distilled model over a
@@ -399,16 +382,22 @@ mod tests {
         assert!(model.kernel().max_abs_diff(&k).unwrap() < 1e-6);
     }
 
+    /// The host prediction is the staged chain's on an accelerator: the
+    /// difference `filter_diff_batch` takes from `y` is `y − predict(x)`.
     #[test]
-    fn predict_on_accelerator_matches_host() {
+    fn staged_prediction_on_accelerator_matches_host() {
         use xai_accel::TpuAccel;
         let k = kernel_4x4();
         let x = input(4);
         let y = conv2d_circular(&x, &k).unwrap();
-        let model = DistilledModel::fit(&[(x.clone(), y)], SolveStrategy::default()).unwrap();
+        let model =
+            DistilledModel::fit(&[(x.clone(), y.clone())], SolveStrategy::default()).unwrap();
         let tpu = TpuAccel::with_cores(4);
-        let on_tpu = model.predict_on(&tpu, &x).unwrap();
-        let on_host = model.predict(&x).unwrap();
+        let on_tpu = tpu
+            .filter_diff_batch(&[x.to_complex()], model.kernel_spectrum(), &y)
+            .unwrap()
+            .remove(0);
+        let on_host = ops::sub(&y, &model.predict(&x).unwrap()).unwrap();
         assert!(on_tpu.max_abs_diff(&on_host).unwrap() < 1e-9);
     }
 }

@@ -12,13 +12,17 @@
 //!    theorem: `K = F⁻¹(F(Y)/F(X))` (Equations 2–4);
 //! 2. **Outcome interpretation** ([`contribution()`]) — contribution
 //!    factors `con(xᵢ) = Y − X′ ∗ K` (Equation 5) at feature, block
-//!    (Figure 5) and clock-cycle (Figure 6) granularity;
+//!    (Figure 5) and clock-cycle (Figure 6) granularity, each one score
+//!    lane of [`xai_accel::scores`] — on the host with no clock, or
+//!    through an accelerator ([`contributions_batch_on`]) with the same
+//!    bits;
 //! 3. **Data decomposition** — Algorithm 1, charged on the simulated
 //!    multi-core TPU by [`xai_accel::TpuAccel`]: each 2-D transform's
 //!    two matrix-product stages sharded over the cores, one
 //!    `cross_replica_sum` per stage;
 //! 4. **Parallel computation** ([`parallel`]) — multi-input batches
-//!    across cores/threads (§III-D).
+//!    across simulated cores and host threads sharing one device
+//!    (§III-D).
 //!
 //! [`interpret_on`] runs the whole procedure on any
 //! [`xai_accel::Accelerator`], producing the timing rows of the
@@ -58,13 +62,11 @@ mod pipeline;
 pub use adapter::{embed_output, pairs_from_network, volume_to_matrix};
 pub use baseline::{spearman_correlation, top1_agreement, LimeExplainer, SurrogateExplanation};
 pub use contribution::{
-    argmax, argmax2, block_contributions, column_contributions, contribution, contribution_on,
+    argmax, argmax2, block_contributions, column_contributions, contribution,
     contributions_batch_on, occlude, Region,
 };
 pub use distill::{DistilledModel, SolveStrategy};
 pub use explain::{ImageExplainer, ImageExplanation, TraceExplainer, TraceExplanation};
 pub use metrics::{deletion_auc, deletion_curve, gini_sparseness};
-pub use parallel::{
-    explain_batch, explain_batch_on, explain_batch_parallel, explain_batch_parallel_on,
-};
+pub use parallel::{explain_batch, explain_batch_on, explain_batch_parallel_on};
 pub use pipeline::{interpret_on, transform_roundtrip_seconds, InterpretationReport};

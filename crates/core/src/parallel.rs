@@ -2,21 +2,18 @@
 //!
 //! The paper's second acceleration activity processes many
 //! input–output pairs concurrently. On the simulated device this is
-//! [`xai_tpu::TpuDevice::run_phase`]; on the *host* it is real thread
-//! parallelism — this module shards a batch of explanation tasks
-//! across the shared [`xai_parallel`] pool's blocking lane (one
-//! persistent, reused crew thread per request shard — no per-call
-//! spawning), which is what the wall-clock criterion benches measure.
+//! [`xai_tpu::TpuDevice::run_phase`]; on the host, each request's score
+//! lanes already fork over the shared [`xai_parallel`] pool
+//! ([`xai_accel::scores`]).
 //!
-//! Two families are provided: the host-path [`explain_batch`] /
-//! [`explain_batch_parallel`] (pure CPU arithmetic, no simulated
-//! timing) and the accelerator-path [`explain_batch_on`] /
-//! [`explain_batch_parallel_on`], where **all worker threads drive
-//! one shared device** — the `&self` + `Send + Sync`
-//! [`Accelerator`] contract introduced for exactly this purpose.
-//! Numeric results are bit-identical between the serial and parallel
-//! variants: kernels are pure functions of their inputs, and only the
-//! simulated-time ledger is shared.
+//! [`explain_batch`] is the host path (no simulated timing);
+//! [`explain_batch_on`] and [`explain_batch_parallel_on`] go through an
+//! [`Accelerator`], the latter sharding the batch across the pool's
+//! blocking lane with **all worker threads driving one shared device**
+//! — the `&self` + `Send + Sync` [`Accelerator`] contract introduced
+//! for exactly this purpose. All three compute the same bits: every map
+//! is one score lane per block, and only the simulated-time ledger is
+//! shared.
 
 use crate::contribution::{block_contributions, block_regions, contributions_batch_on};
 use crate::distill::DistilledModel;
@@ -38,27 +35,6 @@ pub fn explain_batch(
         .iter()
         .map(|(x, y)| block_contributions(model, x, y, grid))
         .collect()
-}
-
-/// Computes the same maps with the batch sharded across `workers`
-/// host threads — the multi-input parallelism of §III-D realised on
-/// host hardware. Results are identical to [`explain_batch`] and
-/// returned in input order.
-///
-/// Worker panics propagate to the caller (the scope re-raises them);
-/// worker errors are returned as the first error in batch order.
-///
-/// # Errors
-///
-/// Returns [`TensorError::EmptyDimension`] for `workers == 0`;
-/// propagates the first shape error encountered.
-pub fn explain_batch_parallel(
-    model: &DistilledModel,
-    batch: &[(Matrix<f64>, Matrix<f64>)],
-    grid: usize,
-    workers: usize,
-) -> Result<Vec<Matrix<f64>>> {
-    run_sharded(batch, workers, |chunk| explain_batch(model, chunk, grid))
 }
 
 /// Computes `grid × grid` block contribution maps through an
@@ -89,7 +65,16 @@ pub fn explain_batch_on(
 /// Numeric results are bit-identical to [`explain_batch_on`] and
 /// returned in input order; the device's simulated clock accumulates
 /// every worker's kernels (order-independent: simulated time is a
-/// sum).
+/// sum). Worker panics propagate (the scope re-raises the first one
+/// after every sibling finished); errors surface in batch order.
+///
+/// The batch runs as at most `workers` contiguous chunks on the shared
+/// pool's *blocking* lane, which guarantees every chunk a thread of its
+/// own — request workers rendezvous inside coalescing accelerators
+/// (`BatchQueue` followers park until the fleet's flight lands), so
+/// running them on a bounded compute pool would stall flights until
+/// the straggler window. The crew threads are persistent: repeated
+/// calls reuse them instead of re-spawning per call.
 ///
 /// When the accelerator batches cross-request work (e.g.
 /// `TpuAccel::with_batching`), the per-worker transform batches
@@ -135,9 +120,29 @@ pub fn explain_batch_parallel_on(
     grid: usize,
     workers: usize,
 ) -> Result<Vec<Matrix<f64>>> {
-    run_sharded(batch, workers, |chunk| {
-        explain_batch_on(acc, model, chunk, grid)
-    })
+    if workers == 0 {
+        return Err(TensorError::EmptyDimension);
+    }
+    if batch.is_empty() {
+        return Ok(Vec::new());
+    }
+    let chunk = batch.len().div_ceil(workers);
+    let mut results: Vec<Option<Result<Vec<Matrix<f64>>>>> =
+        (0..batch.len().div_ceil(chunk)).map(|_| None).collect();
+    xai_parallel::global().scope_blocking(|scope| {
+        for (slot, work) in results.iter_mut().zip(batch.chunks(chunk)) {
+            scope.spawn(move || {
+                *slot = Some(explain_batch_on(acc, model, work, grid));
+            });
+        }
+        // The scope joins every worker on exit and re-raises any
+        // worker panic in the caller's thread.
+    });
+    let mut out = Vec::with_capacity(batch.len());
+    for slot in results {
+        out.extend(slot.expect("scope joined every worker")?);
+    }
+    Ok(out)
 }
 
 /// One pair's `grid × grid` block-contribution map through the
@@ -156,56 +161,8 @@ pub fn block_contributions_on(
     y: &Matrix<f64>,
     grid: usize,
 ) -> Result<Matrix<f64>> {
-    let regions = block_regions(x.shape(), grid)?;
-    let scores = contributions_batch_on(acc, model, x, y, &regions)?;
-    let mut out = Matrix::zeros(grid, grid)?;
-    for (i, score) in scores.into_iter().enumerate() {
-        out[(i / grid, i % grid)] = score;
-    }
-    Ok(out)
-}
-
-/// Shards `batch` into at most `workers` contiguous chunks, runs `f`
-/// on each from the shared pool's *blocking* lane, and reassembles
-/// the results in input order. Worker panics propagate (the scope
-/// re-raises the first one after every sibling finished); errors
-/// surface in batch order.
-///
-/// The blocking lane guarantees every chunk a thread of its own —
-/// request workers rendezvous inside coalescing accelerators
-/// (`BatchQueue` followers park until the fleet's flight lands), so
-/// running them on a bounded compute pool would stall flights until
-/// the straggler window. The crew threads are persistent: repeated
-/// calls reuse them instead of re-spawning per call.
-fn run_sharded<T: Sync, R: Send>(
-    batch: &[T],
-    workers: usize,
-    f: impl Fn(&[T]) -> Result<Vec<R>> + Sync,
-) -> Result<Vec<R>> {
-    if workers == 0 {
-        return Err(TensorError::EmptyDimension);
-    }
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    let chunk = batch.len().div_ceil(workers);
-    let mut results: Vec<Option<Result<Vec<R>>>> =
-        (0..batch.len().div_ceil(chunk)).map(|_| None).collect();
-    xai_parallel::global().scope_blocking(|scope| {
-        for (slot, work) in results.iter_mut().zip(batch.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                *slot = Some(f(work));
-            });
-        }
-        // The scope joins every worker on exit and re-raises any
-        // worker panic in the caller's thread.
-    });
-    let mut out = Vec::with_capacity(batch.len());
-    for slot in results {
-        out.extend(slot.expect("scope joined every worker")?);
-    }
-    Ok(out)
+    let scores = contributions_batch_on(acc, model, x, y, &block_regions(x.shape(), grid)?)?;
+    Matrix::from_vec(grid, grid, scores)
 }
 
 #[cfg(test)]
@@ -213,7 +170,7 @@ mod tests {
     use super::*;
     use crate::distill::SolveStrategy;
     use std::sync::Arc;
-    use xai_accel::TpuAccel;
+    use xai_accel::{CpuModel, TpuAccel};
     use xai_tensor::conv::conv2d_circular;
 
     type Setup = (DistilledModel, Vec<(Matrix<f64>, Matrix<f64>)>);
@@ -236,15 +193,18 @@ mod tests {
         (model, batch)
     }
 
+    /// Sharded over any worker count, a shared device's maps are the
+    /// host's, bit for bit.
     #[test]
     fn parallel_matches_serial_all_worker_counts() {
         let (model, batch) = setup(7);
         let serial = explain_batch(&model, &batch, 4).unwrap();
+        let cpu = CpuModel::i7_3700();
         for workers in [1usize, 2, 3, 8, 32] {
-            let parallel = explain_batch_parallel(&model, &batch, 4, workers).unwrap();
+            let parallel = explain_batch_parallel_on(&cpu, &model, &batch, 4, workers).unwrap();
             assert_eq!(parallel.len(), serial.len(), "workers={workers}");
             for (a, b) in serial.iter().zip(&parallel) {
-                assert!(a.max_abs_diff(b).unwrap() < 1e-12);
+                assert_eq!(a.as_slice(), b.as_slice(), "workers={workers}");
             }
         }
     }
@@ -252,7 +212,8 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (model, _) = setup(1);
-        assert!(explain_batch_parallel(&model, &[], 4, 4)
+        let cpu = CpuModel::i7_3700();
+        assert!(explain_batch_parallel_on(&cpu, &model, &[], 4, 4)
             .unwrap()
             .is_empty());
     }
@@ -260,7 +221,6 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let (model, batch) = setup(2);
-        assert!(explain_batch_parallel(&model, &batch, 4, 0).is_err());
         assert!(explain_batch_parallel_on(&TpuAccel::with_cores(2), &model, &batch, 4, 0).is_err());
     }
 
@@ -270,7 +230,7 @@ mod tests {
         // Poison one pair with a shape the grid cannot divide.
         batch[2].0 = Matrix::zeros(6, 6).unwrap();
         batch[2].1 = Matrix::zeros(6, 6).unwrap();
-        let err = explain_batch_parallel(&model, &batch, 4, 2);
+        let err = explain_batch_parallel_on(&CpuModel::i7_3700(), &model, &batch, 4, 2);
         assert!(err.is_err(), "bad shard must surface as Err, not panic");
     }
 

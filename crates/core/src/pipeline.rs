@@ -35,11 +35,6 @@ impl InterpretationReport {
     pub fn total_s(&self) -> f64 {
         self.distill_s + self.contribution_s
     }
-
-    /// Time per interpreted sample.
-    pub fn per_sample_s(&self) -> f64 {
-        self.total_s() / self.samples.max(1) as f64
-    }
 }
 
 /// Runs the complete outcome-interpretation procedure of the paper on
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(report.samples, 4);
         assert_eq!(report.regions_per_sample, 16);
         assert!((report.total_s() - report.distill_s - report.contribution_s).abs() < 1e-15);
-        assert!(report.per_sample_s() < report.total_s());
     }
 
     /// A grid that does not divide the input is refused after the model

@@ -14,9 +14,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
-use xai_accel::{Accelerator, TpuAccel};
+use xai_accel::{Accelerator, CpuModel, TpuAccel};
 use xai_core::{DistilledModel, SolveStrategy};
-use xai_tensor::conv::conv2d_circular;
 use xai_tensor::{Matrix, Result};
 use xai_tpu::{DevicePool, FaultPlan, FaultStats, Topology, TpuConfig};
 
@@ -169,13 +168,19 @@ pub struct LoadReport {
 /// The synthetic explanation problem every request asks about: a
 /// seeded integer-pattern input, its circular convolution under a
 /// fixed kernel, and the distilled model recovered from the pair.
+///
+/// The convolution is taken through the transform, `F⁻¹(F(x) ∘ F(k))`,
+/// on a [`CpuModel`]'s kernels (whose clock is not read): the bits of
+/// `xai_fourier::convolve2d_fft`, in O(n² log n).
 pub fn synth_problem(seed: u64, size: usize) -> Result<(DistilledModel, Matrix<f64>, Matrix<f64>)> {
     let s = (seed % 13) as f64;
     let k = Matrix::from_fn(size, size, |r, c| ((r + c * 3) % 5) as f64 * 0.25)?;
     let x = Matrix::from_fn(size, size, |r, c| {
         ((r * 5 + c * 7) % 11) as f64 - 5.0 + s * 0.125
     })?;
-    let y = conv2d_circular(&x, &k)?;
+    let cpu = CpuModel::i7_3700();
+    let [fx, fk] = [&x, &k].map(|a| cpu.fft2d(&a.to_complex()));
+    let y = cpu.ifft2d(&cpu.hadamard(&fx?, &fk?)?)?.to_real();
     let model = DistilledModel::fit(&[(x.clone(), y.clone())], SolveStrategy::default())?;
     Ok((model, x, y))
 }
@@ -324,6 +329,19 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `y` is `convolve2d_fft`'s, bit for bit, at a power-of-two and a
+    /// Bluestein size.
+    #[test]
+    fn the_synthetic_output_is_the_transform_convolution() {
+        for size in [8, 6] {
+            let (_, x, y) = synth_problem(5, size).unwrap();
+            let k = Matrix::from_fn(size, size, |r, c| ((r + c * 3) % 5) as f64 * 0.25).unwrap();
+            let want = xai_fourier::convolve2d_fft(&x, &k).unwrap();
+            let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&want), "{size}");
+        }
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -43,11 +43,12 @@ static TPU_QUEUE_TIME: LockClass = LockClass::new("tpu::queue_time", 56);
 
 /// The time source a [`BatchQueue`] measures its batching window on.
 ///
-/// Production queues run on [`WallTime`]; deterministic tests (and the
-/// serving layer's simulated-clock load suites) substitute
-/// [`ManualTime`], whose `now` only moves when the test advances it —
-/// so window-expiry behaviour can be pinned exactly instead of raced
-/// against the host scheduler.
+/// Production queues run on [`WallTime`]; the queue's own
+/// deterministic tests substitute [`ManualTime`], whose `now` only
+/// moves when the test advances it — so window-expiry behaviour can be
+/// pinned exactly instead of raced against the host scheduler. (The
+/// serving layer's simulated-clock suites keep their own virtual clock,
+/// `xai_serve::SimClock`.)
 pub trait QueueTime: Send + Sync + std::fmt::Debug {
     /// Monotonic elapsed time since an arbitrary epoch.
     fn now(&self) -> Duration;

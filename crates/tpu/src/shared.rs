@@ -2,7 +2,7 @@
 //!
 //! The simulator core mutates per-core cycle counters on every op, so
 //! [`TpuDevice`] methods take `&mut self`. Concurrent callers — the
-//! worker threads of `explain_batch_parallel`, or several pipelines
+//! worker threads of `explain_batch_parallel_on`, or several pipelines
 //! racing one device — instead hold a [`SharedDevice`]: a cheaply
 //! cloneable handle (an [`Arc`]`<`[`Mutex`]`<TpuDevice>>`) whose
 //! methods take `&self` and serialise access per call. Simulated time

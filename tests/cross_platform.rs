@@ -92,9 +92,12 @@ fn time_region_isolates_a_phase() {
     assert!((warmup - second).abs() < 1e-12);
 }
 
+/// A batch of regions scores each as the per-region lane route on the
+/// same platform: the occlusion through `filter_diff_batch` with the
+/// kernel's spectrum, and the difference's norm.
 #[test]
 fn batched_contribution_matches_unbatched() {
-    use tpu_xai::core::{contribution_on, contributions_batch_on, DistilledModel, Region};
+    use tpu_xai::core::{contributions_batch_on, occlude, DistilledModel, Region};
     let ps = pairs(3, 16);
     let model = DistilledModel::fit(&ps, SolveStrategy::default()).unwrap();
     let (x, y) = &ps[0];
@@ -107,13 +110,76 @@ fn batched_contribution_matches_unbatched() {
         };
         let batch = contributions_batch_on(acc.as_mut(), &model, x, y, &regions).unwrap();
         for (i, &r) in regions.iter().enumerate() {
-            let single = contribution_on(acc.as_mut(), &model, x, y, r).unwrap();
+            let lane = occlude(x, r).unwrap().to_complex();
+            let single = acc
+                .filter_diff_batch(&[lane], model.kernel_spectrum(), y)
+                .unwrap()[0]
+                .frobenius_norm();
             assert!(
                 (batch[i] - single).abs() < 1e-9,
                 "platform {make} region {i}: batch {} vs single {}",
                 batch[i],
                 single
             );
+        }
+    }
+}
+
+/// The host maps are the score lanes with no clock: on the shapes the
+/// explainers meet — a 16² pair at grid 4, Fig. 5's 12² at grid 3,
+/// Fig. 6's 8² columns, an odd row count (the occluded kind) and a NaN
+/// pixel — `contribution`, `block_contributions` and
+/// `column_contributions` return, bit for bit, what
+/// `contributions_batch_on` returns on every built-in platform, direct,
+/// queued and pooled.
+#[test]
+fn host_maps_are_the_score_lanes_of_every_platform() {
+    use std::time::Duration;
+    use tpu_xai::core::{
+        block_contributions, column_contributions, contribution, contributions_batch_on,
+        DistilledModel, Region,
+    };
+    let platforms: [Box<dyn Accelerator>; 5] = [
+        Box::new(CpuModel::i7_3700()),
+        Box::new(GpuModel::gtx1080()),
+        Box::new(TpuAccel::tpu_v2()),
+        Box::new(TpuAccel::tpu_v2().with_batching(Duration::ZERO, 16)),
+        Box::new(TpuAccel::with_pool(2, Duration::ZERO, 16)),
+    ];
+    for (size, grid, poisoned) in [
+        (16, 4, false),
+        (12, 3, false),
+        (8, 2, false),
+        (15, 3, false),
+        (16, 4, true),
+    ] {
+        let case = format!("{size}² grid {grid}, NaN pixel {poisoned}");
+        let ps = pairs(3, size);
+        let model = DistilledModel::fit(&ps, SolveStrategy::default()).unwrap();
+        let (mut x, y) = ps[0].clone();
+        if poisoned {
+            x[(5, 9)] = f64::NAN;
+        }
+        let side = size / grid;
+        let blocks: Vec<Region> = (0..grid * grid)
+            .map(|b| Region::Block(b / grid * side, b % grid * side, side, side))
+            .collect();
+        let columns: Vec<Region> = (0..size).map(Region::Column).collect();
+        let block_map = block_contributions(&model, &x, &y, grid).unwrap();
+        let column_map = column_contributions(&model, &x, &y).unwrap();
+        for (regions, host) in [
+            (&blocks, bits(block_map.iter())),
+            (&columns, bits(&column_map)),
+        ] {
+            let single: Vec<f64> = regions
+                .iter()
+                .map(|&r| contribution(&model, &x, &y, r).unwrap())
+                .collect();
+            assert_eq!(bits(&single), host, "{case}: contribution");
+            for acc in &platforms {
+                let batch = contributions_batch_on(acc.as_ref(), &model, &x, &y, regions).unwrap();
+                assert_eq!(bits(&batch), host, "{case}: {}", acc.name());
+            }
         }
     }
 }
